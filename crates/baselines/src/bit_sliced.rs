@@ -181,7 +181,7 @@ impl SelectionIndex for BitSlicedIndex {
         let expr = qm::minimize(&codes, &dc, k);
         let mut tracker = AccessTracker::new();
         let mut bitmap =
-            ebi_boolean::eval_expr_tracked(&expr, &self.slices, self.rows, &mut tracker);
+            ebi_boolean::eval_expr_tracked(&expr, &self.slices, None, self.rows, &mut tracker);
         let mut label = expr.to_string();
         if !expr.is_false() {
             self.mask(&mut bitmap, &mut tracker, &mut label);

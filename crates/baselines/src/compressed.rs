@@ -14,7 +14,7 @@
 use crate::traits::SelectionIndex;
 use ebi_bitvec::wah::WahBitmap;
 use ebi_bitvec::{BitVec, SliceStorage, StoragePolicy};
-use ebi_boolean::{eval_expr_stored, qm, AccessTracker};
+use ebi_boolean::{eval_expr_tracked, qm, AccessTracker};
 use ebi_core::index::{EncodedBitmapIndex, QueryResult};
 use ebi_core::{Mapping, QueryStats};
 use ebi_storage::Cell;
@@ -52,7 +52,7 @@ impl CompressedEncodedIndex {
                 .collect(),
             mapping: idx.mapping().clone(),
             rows: idx.rows(),
-            dont_cares: idx.dont_care_codes(),
+            dont_cares: idx.dont_care_codes().to_vec(),
             b_null: {
                 let nulls = idx.is_null().bitmap;
                 nulls.any().then(|| WahBitmap::compress(&nulls))
@@ -98,7 +98,7 @@ impl SelectionIndex for CompressedEncodedIndex {
         // Compressed-domain evaluation: the stored kernels walk only the
         // supporting slices, window by window, without decompressing.
         let mut tracker = AccessTracker::new();
-        let mut bitmap = eval_expr_stored(&expr, &self.slices, None, self.rows, &mut tracker);
+        let mut bitmap = eval_expr_tracked(&expr, &self.slices, None, self.rows, &mut tracker);
         let mut rendered = expr.to_string();
         if !expr.is_false() {
             if let Some(bn) = &self.b_null {

@@ -11,9 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ebi_bench::uniform_cells;
 use ebi_bitvec::summary::summarize_slices;
-use ebi_boolean::{
-    eval_expr_naive, eval_expr_summarized, eval_expr_tracked, qm, AccessTracker, FusedPlan,
-};
+use ebi_boolean::{eval_expr_naive, eval_expr_tracked, qm, AccessTracker};
 use ebi_core::parallel::eval_plan_forced;
 use ebi_core::EncodedBitmapIndex;
 use std::hint::black_box;
@@ -48,7 +46,10 @@ fn bench_eval(c: &mut Criterion) {
         // and fusing leaves the paper's cost metric untouched.
         let naive = eval_expr_naive(&expr, slices, rows);
         let mut tracker = AccessTracker::new();
-        assert_eq!(eval_expr_tracked(&expr, slices, rows, &mut tracker), naive);
+        assert_eq!(
+            eval_expr_tracked(&expr, slices, None, rows, &mut tracker),
+            naive
+        );
         assert_eq!(tracker.vectors_accessed(), expr.vectors_accessed());
 
         group.bench_with_input(BenchmarkId::new("naive", delta), &expr, |b, e| {
@@ -57,7 +58,7 @@ fn bench_eval(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("fused", delta), &expr, |b, e| {
             b.iter(|| {
                 let mut t = AccessTracker::new();
-                black_box(eval_expr_tracked(e, slices, rows, &mut t))
+                black_box(eval_expr_tracked(e, slices, None, rows, &mut t))
             });
         });
         group.bench_with_input(
@@ -66,13 +67,14 @@ fn bench_eval(c: &mut Criterion) {
             |b, e| {
                 b.iter(|| {
                     let mut t = AccessTracker::new();
-                    black_box(eval_expr_summarized(e, slices, &summaries, rows, &mut t))
+                    black_box(eval_expr_tracked(e, slices, Some(&summaries), rows, &mut t))
                 });
             },
         );
         group.bench_with_input(BenchmarkId::new("fused_parallel", delta), &expr, |b, e| {
             b.iter(|| {
-                let plan = FusedPlan::with_summaries(e, slices, &summaries, rows);
+                let lowered = e.lower();
+                let plan = lowered.bind(slices, Some(&summaries), rows);
                 let mut stats = ebi_bitvec::KernelStats::new();
                 black_box(eval_plan_forced(&plan, threads, &mut stats))
             });

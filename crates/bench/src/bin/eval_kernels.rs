@@ -17,7 +17,7 @@
 //! selections over columns at three skew levels (uniform, 90% hot,
 //! 99% hot), each slice family repacked as dense, Roaring, and WAH
 //! containers and evaluated compressed-domain via
-//! [`ebi_boolean::eval_expr_stored`]. Reports median latency, bytes
+//! [`ebi_boolean::eval_expr_tracked`]. Reports median latency, bytes
 //! stored, and bytes touched per engine.
 //!
 //! Every engine is checked bit-identical to naive and every query's
@@ -43,12 +43,10 @@
 use ebi_bench::uniform_cells;
 use ebi_bitvec::simd::{self, KernelPath};
 use ebi_bitvec::summary::summarize_slices;
+use ebi_bitvec::BoundPlan;
 use ebi_bitvec::{BitVec, KernelStats, SliceStorage, StoragePolicy};
-use ebi_boolean::{
-    eval_expr_naive, eval_expr_stored, eval_expr_summarized, eval_expr_tracked, qm, AccessTracker,
-    FusedPlan, StoredPlan,
-};
-use ebi_core::parallel::{eval_plan_forced, eval_plan_stored_forced};
+use ebi_boolean::{eval_expr_naive, eval_expr_tracked, qm, AccessTracker};
+use ebi_core::parallel::eval_plan_forced;
 use ebi_core::EncodedBitmapIndex;
 use ebi_storage::Cell;
 use std::fmt::Write as _;
@@ -135,17 +133,18 @@ fn measure(rows: usize, iters: usize, threads: usize, out: &mut Vec<Row>) {
         let naive = eval_expr_naive(&expr, slices, rows);
         let mut t_fused = AccessTracker::new();
         assert_eq!(
-            eval_expr_tracked(&expr, slices, rows, &mut t_fused),
+            eval_expr_tracked(&expr, slices, None, rows, &mut t_fused),
             naive,
             "fused != naive"
         );
         let mut t_sum = AccessTracker::new();
         assert_eq!(
-            eval_expr_summarized(&expr, slices, &summaries, rows, &mut t_sum),
+            eval_expr_tracked(&expr, slices, Some(&summaries), rows, &mut t_sum),
             naive,
             "summarized != naive"
         );
-        let plan = FusedPlan::with_summaries(&expr, slices, &summaries, rows);
+        let lowered = expr.lower();
+        let plan = lowered.bind(slices, Some(&summaries), rows);
         let mut ks = KernelStats::new();
         assert_eq!(
             eval_plan_forced(&plan, threads, &mut ks),
@@ -168,16 +167,21 @@ fn measure(rows: usize, iters: usize, threads: usize, out: &mut Vec<Row>) {
         });
         let fused_ns = median_ns(iters, || {
             let mut t = AccessTracker::new();
-            std::hint::black_box(eval_expr_tracked(&expr, slices, rows, &mut t));
+            std::hint::black_box(eval_expr_tracked(&expr, slices, None, rows, &mut t));
         });
         let fused_summarized_ns = median_ns(iters, || {
             let mut t = AccessTracker::new();
-            std::hint::black_box(eval_expr_summarized(
-                &expr, slices, &summaries, rows, &mut t,
+            std::hint::black_box(eval_expr_tracked(
+                &expr,
+                slices,
+                Some(&summaries),
+                rows,
+                &mut t,
             ));
         });
         let fused_parallel_ns = median_ns(iters, || {
-            let plan = FusedPlan::with_summaries(&expr, slices, &summaries, rows);
+            let lowered = expr.lower();
+            let plan = lowered.bind(slices, Some(&summaries), rows);
             let mut s = KernelStats::new();
             std::hint::black_box(eval_plan_forced(&plan, threads, &mut s));
         });
@@ -256,7 +260,7 @@ fn measure_compressed(rows: usize, iters: usize, out: &mut Vec<CRow>) {
             let mut expect: Option<(BitVec, usize)> = None;
             for (name, family) in &families {
                 let mut tracker = AccessTracker::new();
-                let result = eval_expr_stored(&expr, family, None, rows, &mut tracker);
+                let result = eval_expr_tracked(&expr, family, None, rows, &mut tracker);
                 // Correctness gates before timing: bit-identical results
                 // and the container-independent access metric.
                 match &expect {
@@ -278,7 +282,7 @@ fn measure_compressed(rows: usize, iters: usize, out: &mut Vec<CRow>) {
                     .sum();
                 let median = median_ns(iters, || {
                     let mut t = AccessTracker::new();
-                    std::hint::black_box(eval_expr_stored(&expr, family, None, rows, &mut t));
+                    std::hint::black_box(eval_expr_tracked(&expr, family, None, rows, &mut t));
                 });
                 eprintln!(
                     "{skew:<8} δ={delta:<4} {name:<8} {median:>12}ns bytes_touched={:>12} \
@@ -481,13 +485,14 @@ fn measure_scaling(rows: usize, iters: usize, counts: &[usize], out: &mut Vec<SR
                 .map(|v| index.mapping().code_of(v).expect("value mapped"))
                 .collect();
             let expr = qm::minimize(&codes, &[], k);
-            let plan = StoredPlan::with_summaries(&expr, family, &summaries, rows);
+            let lowered = expr.lower();
+            let plan = lowered.bind(family, Some(&summaries), rows);
 
             let mut serial_stats = KernelStats::new();
-            let serial = eval_plan_stored_forced(&plan, 1, &mut serial_stats);
+            let serial = eval_plan_forced(&plan, 1, &mut serial_stats);
             let serial_ns = min_ns(iters, || {
                 let mut s = KernelStats::new();
-                std::hint::black_box(eval_plan_stored_forced(&plan, 1, &mut s));
+                std::hint::black_box(eval_plan_forced(&plan, 1, &mut s));
             });
             out.push(SRow {
                 container: name,
@@ -500,13 +505,13 @@ fn measure_scaling(rows: usize, iters: usize, counts: &[usize], out: &mut Vec<SR
             for &t in counts.iter().filter(|&&t| t > 1) {
                 let mut s = KernelStats::new();
                 assert_eq!(
-                    eval_plan_stored_forced(&plan, t, &mut s),
+                    eval_plan_forced(&plan, t, &mut s),
                     serial,
                     "{name} δ={delta}: {t}-thread result != serial"
                 );
                 let ns = min_ns(iters, || {
                     let mut s = KernelStats::new();
-                    std::hint::black_box(eval_plan_stored_forced(&plan, t, &mut s));
+                    std::hint::black_box(eval_plan_forced(&plan, t, &mut s));
                 });
                 let speedup = serial_ns as f64 / ns as f64;
                 eprintln!(
@@ -550,7 +555,8 @@ fn measure_simd(rows: usize, iters: usize, out: &mut Vec<SimdRow>) {
             .map(|v| index.mapping().code_of(v).expect("value mapped"))
             .collect();
         let expr = qm::minimize(&codes, &[], k);
-        let plan = FusedPlan::with_summaries(&expr, &dense, &summaries, rows);
+        let lowered = expr.lower();
+        let plan = lowered.bind(&dense, Some(&summaries), rows);
 
         simd::force_path_global(Some(KernelPath::Scalar));
         let mut ks_scalar = KernelStats::new();
@@ -571,7 +577,7 @@ fn measure_simd(rows: usize, iters: usize, out: &mut Vec<SimdRow>) {
         // of the per-pair ratios: adjacent runs see the same
         // environment, so the ratio is stable even when the host is
         // noisy, and the median discards outlier pairs on both tails.
-        let time_once = |plan: &FusedPlan<'_>| {
+        let time_once = |plan: &BoundPlan<'_>| {
             let t0 = Instant::now();
             let mut s = KernelStats::new();
             std::hint::black_box(plan.eval(&mut s));

@@ -1,44 +1,54 @@
-//! Fused multi-operand evaluation kernels for retrieval expressions.
+//! The DNF evaluation kernel for retrieval expressions.
 //!
-//! The naive way to evaluate a product term `B_3 · B_1' · B_0` is a
-//! chain of whole-vector operations: clone `B_3`, `and_assign(B_1')`,
-//! `and_assign(B_0)`, then OR the result into the selection bitmap.
-//! Every step streams `n/64` words through memory, so a `k`-literal term
-//! costs `(k+1) · n/64` word reads/writes and a full-size intermediate
-//! allocation.
+//! The naive way to evaluate `B_3 · B_1' · B_0 + B_3 · B_1' · B_2` is a
+//! chain of whole-vector operations per product term: clone `B_3`,
+//! `and_assign(B_1')`, `and_assign(B_0)`, OR the result into the
+//! selection bitmap, then start over for the second term. Every step
+//! streams `n/64` words through memory and the shared prefix
+//! `B_3 · B_1'` is computed twice.
 //!
-//! The kernels here evaluate an entire term — up to 64 optionally
-//! negated literals — in **one pass**, segment by segment
-//! ([`SEGMENT_WORDS`] = 64 words = [`SEGMENT_BITS`] = 4096 rows at a
-//! time), using a stack accumulator that stays resident in L1, and OR
-//! the finished segment straight into the destination. No intermediate
-//! `BitVec` is ever allocated, and two short-circuits apply per segment:
+//! This module has **one** kernel, over every container kind, that works
+//! segment by segment ([`SEGMENT_WORDS`] = 64 words = [`SEGMENT_BITS`] =
+//! 4096 rows at a time):
 //!
-//! * **summary pruning** — if a literal's [`SegmentSummary`] proves the
-//!   term is zero on the segment (positive literal over an all-zero
-//!   segment, or negated literal over an all-ones segment), the segment
-//!   is skipped before any bitmap word is read;
-//! * **accumulator short-circuit** — if the stack accumulator goes
-//!   all-zero partway through the literal list, the remaining literals
-//!   are not read for that segment.
+//! * **window-once fetch** — per segment, each slice the expression
+//!   references is fetched exactly once, however many terms and literals
+//!   name it: a dense slice lends its words, a Roaring slice fills one
+//!   scratch window, a WAH slice advances one resumable cursor. A window
+//!   that a [`SegmentSummary`] or the container's own metadata proves
+//!   all-zero or all-one is classified without reading a word.
+//! * **prefix-shared product tree** — a [`DnfPlan`] sorts the product
+//!   terms by literal sequence (highest slice first) and lowers each to
+//!   `(shared_depth, suffix)`: how many leading literals it shares with
+//!   the term before it, and the literals it adds. The kernel keeps the
+//!   partial products of the current term on a small stack of 64-word
+//!   rows, so a term costs only its unshared suffix.
+//! * **low parts once** — the tail of a term hardly ever continues a
+//!   shared prefix, but tails repeat: the literals on the three lowest
+//!   referenced slices take at most 27 distinct forms across the whole
+//!   expression. Each distinct *low part* is computed once per segment,
+//!   and a term ends with a single pass that ANDs its high-part product
+//!   with its low part straight into the destination.
+//! * **zero propagation** — a partial product that goes all-zero, or a
+//!   literal whose window is known to annihilate it, skips every term
+//!   below that prefix; a segment whose destination saturates to
+//!   all-ones skips its remaining terms.
 //!
-//! [`eval_dnf_range`] additionally iterates **segment-major**: the outer
-//! loop walks segments and the inner loop walks product terms, so one
-//! 512-byte window of every slice stays L1-resident while *all* terms
-//! consume it — a many-term DNF reads each slice word once from memory
-//! instead of once per term. A segment whose destination saturates to
-//! all-ones skips its remaining terms (OR can add nothing).
+//! No intermediate `BitVec` is ever allocated; the product stack, the
+//! low parts and the scratch windows are `(depth + low parts + slices)
+//! × 512` bytes per evaluation.
 //!
 //! Evaluation over a *word range* underpins segment-parallel execution:
 //! disjoint ranges of the destination can be filled by different threads
 //! with bit-identical results.
 
 use crate::core::{BitVec, WORD_BITS};
-use crate::roaring::WindowKind;
+use crate::roaring::{RoaringBitmap, WindowFill, WindowKind};
 use crate::simd::{self, KernelPath};
 use crate::store::SliceStorage;
 use crate::summary::SegmentSummary;
-use crate::wah::WahCursor;
+use crate::wah::{WahBitmap, WahCursor};
+use std::cmp::{Ordering, Reverse};
 
 /// Words per evaluation segment.
 pub const SEGMENT_WORDS: usize = 64;
@@ -46,86 +56,32 @@ pub const SEGMENT_WORDS: usize = 64;
 /// Rows (bits) per evaluation segment.
 pub const SEGMENT_BITS: usize = SEGMENT_WORDS * WORD_BITS;
 
-/// One literal of a product term: a bitmap vector, possibly negated,
-/// with an optional per-segment summary for pruning.
-#[derive(Debug, Clone, Copy)]
-pub struct Literal<'a> {
-    words: &'a [u64],
-    negated: bool,
-    summary: Option<&'a SegmentSummary>,
-}
-
-impl<'a> Literal<'a> {
-    /// Literal over `bits`, negated if `negated`.
-    #[must_use]
-    pub fn new(bits: &'a BitVec, negated: bool) -> Self {
-        Self {
-            words: bits.words(),
-            negated,
-            summary: None,
-        }
-    }
-
-    /// Literal with a segment summary enabling whole-segment pruning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the summary was built over a vector of different length.
-    #[must_use]
-    pub fn with_summary(bits: &'a BitVec, negated: bool, summary: &'a SegmentSummary) -> Self {
-        assert_eq!(
-            summary.len(),
-            bits.len(),
-            "summary length {} != slice length {}",
-            summary.len(),
-            bits.len()
-        );
-        Self {
-            words: bits.words(),
-            negated,
-            summary: Some(summary),
-        }
-    }
-
-    /// `true` if the literal is complemented (`B_i'`).
-    #[must_use]
-    pub fn is_negated(&self) -> bool {
-        self.negated
-    }
-
-    /// `true` if this literal proves the term zero on global segment
-    /// `seg` without reading bitmap words.
-    fn prunes_segment(&self, seg: usize) -> bool {
-        match self.summary {
-            Some(s) if self.negated => s.segment_is_full(seg),
-            Some(s) => s.segment_is_zero(seg),
-            None => false,
-        }
-    }
-}
-
-/// Work counters reported by the fused kernels.
+/// Work counters reported by the kernel.
 ///
-/// `words_scanned` counts *uncompressed* bitmap words actually read from
-/// dense slice storage; `bytes_touched` additionally counts compressed
-/// container bytes examined by the stored-slice kernels, so it reflects
-/// real memory traffic across every container kind. The skip counters
-/// measure how much reading the short-circuits avoided.
+/// `words_scanned` counts the dense slice words the word passes
+/// consumed, so it shrinks with prefix sharing, pruning and zero
+/// propagation; `bytes_touched` additionally counts the compressed
+/// container bytes each window fetch examined, so it reflects memory
+/// traffic across every container kind. The skip counters measure how
+/// much work the short-circuits avoided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Dense slice words read from memory.
+    /// Dense slice words fed to the word passes (one segment's words
+    /// per dense operand of each pass).
     pub words_scanned: u64,
     /// Storage bytes examined: 8 per dense word plus the compressed
     /// bytes (array entries, run intervals, bitmap-container words)
-    /// each on-demand window materialisation inspected.
+    /// each window fetch inspected — once per slice and segment.
     pub bytes_touched: u64,
-    /// Compressed (term, literal, segment) windows classified all-zero
-    /// or all-one from container metadata, with no materialisation.
+    /// Compressed (slice, segment) windows classified all-zero or
+    /// all-one from container metadata, with no materialisation.
     pub compressed_chunks_skipped: u64,
-    /// (term, segment) pairs skipped via summaries before any read.
+    /// (term, segment) pairs resolved zero by a window known uniform
+    /// (from a summary or container metadata) before any pass ran for
+    /// them, including terms skipped below such a prefix.
     pub segments_pruned: u64,
-    /// (term, segment) pairs abandoned mid-term on an all-zero
-    /// accumulator.
+    /// (term, segment) pairs cut short by an all-zero partial product,
+    /// including terms skipped below such a prefix.
     pub segments_short_circuited: u64,
     /// Kernel entries that ran the scalar word-pass tier.
     pub dispatch_scalar: u64,
@@ -214,554 +170,755 @@ impl KernelStats {
         }
     }
 }
-
-/// OR-accumulates one product term (the AND of `literals`) into
-/// `dst`, which covers words `word_offset ..` of a vector of `len_bits`
-/// bits.
-///
-/// An empty literal list is the tautology term: `dst` is set to all
-/// ones. `dst` is only ever OR-ed into (besides final tail masking), so
-/// calling this once per term over a zeroed buffer evaluates a full DNF.
-///
-/// # Panics
-///
-/// Panics if `word_offset` is not segment-aligned, if `dst` overruns
-/// `len_bits`, or if any literal's slice is shorter than the range
-/// (message contains "slice length", matching the whole-vector
-/// evaluator).
-pub fn or_accumulate_term(
-    dst: &mut [u64],
-    word_offset: usize,
-    len_bits: usize,
-    literals: &[Literal<'_>],
-    stats: &mut KernelStats,
-) {
-    assert_eq!(
-        word_offset % SEGMENT_WORDS,
-        0,
-        "word_offset {word_offset} not segment-aligned"
-    );
-    let total_words = len_bits.div_ceil(WORD_BITS);
-    assert!(
-        word_offset + dst.len() <= total_words,
-        "destination range overruns {len_bits}-bit vector"
-    );
-    for lit in literals {
-        assert!(
-            lit.words.len() >= word_offset + dst.len(),
-            "slice length {} words < evaluated range end {}",
-            lit.words.len(),
-            word_offset + dst.len()
-        );
-    }
-
-    if literals.is_empty() {
-        dst.fill(u64::MAX);
-        mask_range_tail(dst, word_offset, len_bits);
-        return;
-    }
-
-    let path = simd::selected_path();
-    stats.record_dispatch(path);
-    let mut acc = [0u64; SEGMENT_WORDS];
-    for (chunk_idx, seg_dst) in dst.chunks_mut(SEGMENT_WORDS).enumerate() {
-        let seg = word_offset / SEGMENT_WORDS + chunk_idx;
-        let w0 = word_offset + chunk_idx * SEGMENT_WORDS;
-        let nw = seg_dst.len();
-        if eval_term_segment(path, &mut acc, literals, seg, w0, nw, stats) {
-            simd::or_into(path, seg_dst, &acc[..nw]);
-        }
-    }
-    // Negated literals set garbage bits beyond `len_bits` in the final
-    // word; restore the tail invariant.
-    mask_range_tail(dst, word_offset, len_bits);
-}
-
-/// Evaluates one non-empty product term over one segment into
-/// `acc[..nw]`, where `w0` is the segment's first word and `seg` its
-/// global index.
-///
-/// Returns `false` when the term contributes nothing on the segment
-/// (summary-pruned, short-circuited, or evaluated to all-zero); `acc`
-/// contents are unspecified in that case. The all-zero check folds into
-/// the AND pass itself (an OR-reduction carried per word), so the
-/// short-circuit costs no extra sweep over the accumulator. All word
-/// work goes through the [`simd`] passes selected by `path`.
-fn eval_term_segment(
-    path: KernelPath,
-    acc: &mut [u64; SEGMENT_WORDS],
-    literals: &[Literal<'_>],
-    seg: usize,
-    w0: usize,
-    nw: usize,
-    stats: &mut KernelStats,
-) -> bool {
-    if literals.iter().any(|l| l.prunes_segment(seg)) {
-        stats.segments_pruned += 1;
-        return false;
-    }
-    // The first two literals are fused into a single load-AND-store
-    // pass, saving the plain copy pass a chained evaluation would do.
-    // Every pass also folds an OR-reduction (`any`) over what it wrote,
-    // so the all-zero probe costs no separate sweep of the accumulator.
-    let (first, rest) = literals.split_first().expect("non-empty literals");
-    let src1 = &first.words[w0..w0 + nw];
-    let mut any;
-    let mut remaining: &[Literal<'_>] = rest;
-    if let Some((second, rest)) = remaining.split_first() {
-        let src2 = &second.words[w0..w0 + nw];
-        any = simd::fused_pass2(
-            path,
-            &mut acc[..nw],
-            src1,
-            src2,
-            first.negated,
-            second.negated,
-        );
-        stats.words_scanned += 2 * nw as u64;
-        stats.bytes_touched += 16 * nw as u64;
-        remaining = rest;
-    } else {
-        any = simd::init_pass(path, &mut acc[..nw], src1, first.negated);
-        stats.words_scanned += nw as u64;
-        stats.bytes_touched += 8 * nw as u64;
-    }
-
-    while let Some((lit, rest)) = remaining.split_first() {
-        // A zero accumulator cannot be revived by further ANDs: skip
-        // the remaining literals for this segment.
-        if !any {
-            stats.segments_short_circuited += 1;
-            return false;
-        }
-        let src = &lit.words[w0..w0 + nw];
-        any = simd::and_pass(path, &mut acc[..nw], src, lit.negated);
-        stats.words_scanned += nw as u64;
-        stats.bytes_touched += 8 * nw as u64;
-        remaining = rest;
-    }
-    // An all-zero result ORs nothing; telling the caller saves the pass.
-    any
-}
-
-/// Evaluates a full DNF (OR of product terms) into `dst`, a zeroed
-/// window covering words `word_offset ..` of a `len_bits`-bit vector.
-///
-/// Iteration is segment-major: every term consumes a segment while its
-/// slice words are still cache-resident, and a segment whose
-/// destination reaches all-ones skips its remaining terms. Disjoint
-/// windows may be evaluated concurrently (the literal data is only
-/// read); results are bit-identical to whole-vector evaluation.
-///
-/// # Panics
-///
-/// As [`or_accumulate_term`].
-pub fn eval_dnf_range(
-    dst: &mut [u64],
-    word_offset: usize,
-    len_bits: usize,
-    terms: &[Vec<Literal<'_>>],
-    stats: &mut KernelStats,
-) {
-    assert_eq!(
-        word_offset % SEGMENT_WORDS,
-        0,
-        "word_offset {word_offset} not segment-aligned"
-    );
-    let total_words = len_bits.div_ceil(WORD_BITS);
-    assert!(
-        word_offset + dst.len() <= total_words,
-        "destination range overruns {len_bits}-bit vector"
-    );
-    for lit in terms.iter().flatten() {
-        assert!(
-            lit.words.len() >= word_offset + dst.len(),
-            "slice length {} words < evaluated range end {}",
-            lit.words.len(),
-            word_offset + dst.len()
-        );
-    }
-
-    let path = simd::selected_path();
-    stats.record_dispatch(path);
-    let mut acc = [0u64; SEGMENT_WORDS];
-    for (chunk_idx, seg_dst) in dst.chunks_mut(SEGMENT_WORDS).enumerate() {
-        let seg = word_offset / SEGMENT_WORDS + chunk_idx;
-        let w0 = word_offset + chunk_idx * SEGMENT_WORDS;
-        let nw = seg_dst.len();
-        for term in terms {
-            if term.is_empty() {
-                // Tautology term: the segment saturates immediately.
-                seg_dst.fill(u64::MAX);
-                break;
-            }
-            if eval_term_segment(path, &mut acc, term, seg, w0, nw, stats)
-                && simd::or_into(path, seg_dst, &acc[..nw])
-            {
-                // Every destination word is saturated: no later term
-                // can add a bit to this segment.
-                break;
-            }
-        }
-    }
-    mask_range_tail(dst, word_offset, len_bits);
-}
-
-/// Evaluates a full DNF into a freshly allocated selection bitmap of
-/// `len_bits` bits.
-///
-/// # Panics
-///
-/// As [`or_accumulate_term`].
-#[must_use]
-pub fn eval_dnf(terms: &[Vec<Literal<'_>>], len_bits: usize, stats: &mut KernelStats) -> BitVec {
-    let mut dst = BitVec::zeros(len_bits);
-    eval_dnf_range(&mut dst.words, 0, len_bits, terms, stats);
-    dst
-}
-
-/// One literal of a product term over an adaptively stored slice: the
-/// container-agnostic counterpart of [`Literal`].
+/// A borrowed view of one bitmap vector in whichever container holds it.
 #[derive(Debug, Clone, Copy)]
-pub struct StoredLiteral<'a> {
-    slice: &'a SliceStorage,
-    negated: bool,
-    summary: Option<&'a SegmentSummary>,
+pub enum SliceRef<'a> {
+    /// Word-packed, uncompressed.
+    Dense(&'a BitVec),
+    /// Roaring chunked containers.
+    Roaring(&'a RoaringBitmap),
+    /// WAH run-length code.
+    Wah(&'a WahBitmap),
 }
 
-impl<'a> StoredLiteral<'a> {
-    /// Literal over `slice`, negated if `negated`.
-    #[must_use]
-    pub fn new(slice: &'a SliceStorage, negated: bool) -> Self {
-        Self {
-            slice,
-            negated,
-            summary: None,
+impl SliceRef<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Self::Dense(b) => b.len(),
+            Self::Roaring(r) => r.len(),
+            Self::Wah(w) => w.len(),
         }
     }
+}
 
-    /// Literal with a segment summary enabling whole-segment pruning.
+/// A bitmap vector the kernel can fetch evaluation windows from: a
+/// plain [`BitVec`] or an adaptively stored [`SliceStorage`].
+pub trait SliceSource {
+    /// The vector in its current container.
+    fn slice_ref(&self) -> SliceRef<'_>;
+}
+
+impl SliceSource for BitVec {
+    fn slice_ref(&self) -> SliceRef<'_> {
+        SliceRef::Dense(self)
+    }
+}
+
+impl SliceSource for SliceStorage {
+    fn slice_ref(&self) -> SliceRef<'_> {
+        match self {
+            Self::Dense(b) => SliceRef::Dense(b),
+            Self::Roaring(r) => SliceRef::Roaring(r),
+            Self::Wah(w) => SliceRef::Wah(w),
+        }
+    }
+}
+
+/// Slices, counted from the lowest referenced one, whose literals are
+/// the *low part* of a term. `3^3 = 27` distinct low parts at most, so
+/// their products fit in 14 KiB beside the product stack.
+const LOW_SLOTS: usize = 3;
+
+/// [`Step::low`] of a term with no low-part literals.
+const NO_LOW: u8 = u8::MAX;
+
+/// One literal of a lowered product: its slice, that slice's slot
+/// (position in [`DnfPlan::slots`]), and its polarity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PlanLit {
+    slice: u8,
+    slot: u8,
+    negated: bool,
+}
+
+/// One lowered product: the literals `mask`/`value` name, highest slice
+/// first, at `lits[first .. first + mask.count_ones()]`.
+///
+/// In [`DnfPlan::steps`] this is the high part of one term; the leading
+/// `shared` literals equal those of the step before, the leading `keep`
+/// those of the step after, and `low` is the term's low part as an
+/// index into [`DnfPlan::lows`]. The low parts themselves leave the
+/// three unset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Step {
+    mask: u64,
+    value: u64,
+    shared: u8,
+    keep: u8,
+    low: u8,
+    first: u32,
+}
+
+impl Step {
+    fn len(&self) -> usize {
+        self.mask.count_ones() as usize
+    }
+}
+
+/// A retrieval expression lowered for the kernel.
+///
+/// Every product term is split into a *high part* and a *low part* (its
+/// literals on the [`LOW_SLOTS`] lowest referenced slices). The terms
+/// are sorted by high-part literal sequence (highest slice first) so
+/// that terms with a common prefix are adjacent, and each is recorded as
+/// the depth it shares with its predecessor plus its own literals. The
+/// distinct low parts are listed once; a term names its own by index.
+///
+/// The plan depends only on the expression, never on slice contents, so
+/// it is lowered once per query and [bound](DnfPlan::bind) to each
+/// slice family it runs against.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DnfPlan {
+    /// Distinct slice indices referenced, highest first.
+    slots: Vec<u8>,
+    lits: Vec<PlanLit>,
+    steps: Vec<Step>,
+    lows: Vec<Step>,
+    /// Some term is the empty product: the expression is constant true.
+    tautology: bool,
+    /// Literals in the longest high part: the product-stack height.
+    depth: usize,
+    /// Slice windows a fully live segment feeds to the word passes: the
+    /// high-part literals beyond the shared prefixes, plus the literals
+    /// of each distinct low part.
+    unshared_lits: u64,
+}
+
+/// The highest slice at which two (normalised) cubes differ, if any.
+fn divergence((ma, va): (u64, u64), (mb, vb): (u64, u64)) -> Option<u32> {
+    let diff = (ma ^ mb) | (va ^ vb);
+    (diff != 0).then(|| 63 - diff.leading_zeros())
+}
+
+/// Lexicographic order on literal sequences, highest slice first. A
+/// cube that is a prefix of another sorts before it.
+fn literal_order(a: (u64, u64), b: (u64, u64)) -> Ordering {
+    let Some(h) = divergence(a, b) else {
+        return Ordering::Equal;
+    };
+    // The sequences agree above `h`; each cube's next literal is its
+    // highest one at or below `h`.
+    let next = |(m, v): (u64, u64)| {
+        let rest = m & (u64::MAX >> (63 - h));
+        (rest != 0).then(|| {
+            let slice = 63 - rest.leading_zeros();
+            (Reverse(slice), v >> slice & 1)
+        })
+    };
+    next(a).cmp(&next(b))
+}
+
+/// Slice indices of `mask`, highest first.
+fn slices_desc(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let slice = 63 - mask.leading_zeros();
+            mask &= !(1 << slice);
+            slice
+        })
+    })
+}
+
+impl DnfPlan {
+    /// Lowers a sum of product terms given as `(mask, value)` pairs: bit
+    /// `i` of `mask` set means the term has a literal on slice `i`,
+    /// positive if bit `i` of `value` is set and negated otherwise. A
+    /// term with an empty mask is the tautology. Duplicate terms are
+    /// evaluated once.
+    #[must_use]
+    pub fn lower(cubes: impl IntoIterator<Item = (u64, u64)>) -> Self {
+        let cubes: Vec<(u64, u64)> = cubes.into_iter().map(|(m, v)| (m, v & m)).collect();
+        let support = cubes.iter().fold(0, |s, c| s | c.0);
+        let slots: Vec<u8> = slices_desc(support).map(|s| s as u8).collect();
+        if cubes.iter().any(|c| c.0 == 0) {
+            return Self {
+                slots,
+                tautology: true,
+                ..Self::default()
+            };
+        }
+        let low_mask = slots
+            .iter()
+            .rev()
+            .take(LOW_SLOTS)
+            .fold(0u64, |m, &slice| m | 1 << slice);
+        // (high part, low part) of every term, by high-part sequence.
+        let mut cubes: Vec<[(u64, u64); 2]> = cubes
+            .iter()
+            .map(|&(m, v)| [(m & !low_mask, v & !low_mask), (m & low_mask, v & low_mask)])
+            .collect();
+        cubes.sort_unstable_by(|a, b| literal_order(a[0], b[0]).then(a[1].cmp(&b[1])));
+        cubes.dedup();
+        let mut lows: Vec<(u64, u64)> = cubes.iter().map(|c| c[1]).filter(|l| l.0 != 0).collect();
+        lows.sort_unstable();
+        lows.dedup();
+
+        let mut slot_of = [0u8; 64];
+        for (slot, &slice) in slots.iter().enumerate() {
+            slot_of[slice as usize] = slot as u8;
+        }
+        let mut plan = Self {
+            slots,
+            ..Self::default()
+        };
+        let push = |plan: &mut Self, (mask, value): (u64, u64), shared: u32, low: u8| {
+            let step = Step {
+                mask,
+                value,
+                shared: shared as u8,
+                keep: 0,
+                low,
+                first: plan.lits.len() as u32,
+            };
+            plan.lits.extend(slices_desc(mask).map(|slice| PlanLit {
+                slice: slice as u8,
+                slot: slot_of[slice as usize],
+                negated: value >> slice & 1 == 0,
+            }));
+            plan.unshared_lits += u64::from(mask.count_ones() - shared);
+            step
+        };
+        for &low in &lows {
+            let step = push(&mut plan, low, 0, NO_LOW);
+            plan.lows.push(step);
+        }
+        let mut prev = None;
+        for &[high, low] in &cubes {
+            let shared = match prev.map(|p| divergence(p, high)) {
+                None => 0,
+                Some(None) => high.0.count_ones(),
+                Some(Some(h)) => (high.0 >> h >> 1).count_ones(),
+            };
+            let low = lows.binary_search(&low).map_or(NO_LOW, |i| i as u8);
+            let step = push(&mut plan, high, shared, low);
+            if let Some(before) = plan.steps.last_mut() {
+                before.keep = step.shared;
+            }
+            plan.steps.push(step);
+            plan.depth = plan.depth.max(step.len());
+            prev = Some(high);
+        }
+        plan
+    }
+
+    /// Literals left after sharing — high-part prefixes computed once
+    /// per run of terms, low parts once per expression: the slice
+    /// windows a fully live segment feeds to the word passes.
+    #[must_use]
+    pub fn unshared_literals(&self) -> u64 {
+        self.unshared_lits
+    }
+
+    /// Binds the plan to a slice family (`slices[i]` = bitmap vector
+    /// `B_i`) of `rows` rows. With `summaries` (`summaries[i]` must
+    /// describe `slices[i]`) segments a summary proves uniform are
+    /// classified without reading a word.
     ///
     /// # Panics
     ///
-    /// Panics if the summary was built over a vector of different length.
+    /// Panics if a slice length differs from `rows` (message contains
+    /// "slice length"), if the expression references a slice index
+    /// `>= slices.len()`, or if the summaries do not match the slices.
     #[must_use]
-    pub fn with_summary(
-        slice: &'a SliceStorage,
-        negated: bool,
-        summary: &'a SegmentSummary,
-    ) -> Self {
-        assert_eq!(
-            summary.len(),
-            slice.len(),
-            "summary length {} != slice length {}",
-            summary.len(),
-            slice.len()
-        );
-        Self {
-            slice,
-            negated,
-            summary: Some(summary),
+    pub fn bind<'a, S: SliceSource>(
+        &'a self,
+        slices: &'a [S],
+        summaries: Option<&'a [SegmentSummary]>,
+        rows: usize,
+    ) -> BoundPlan<'a> {
+        for s in slices {
+            let len = s.slice_ref().len();
+            assert_eq!(len, rows, "slice length {len} != row count {rows}");
         }
-    }
-
-    /// `true` if the literal is complemented (`B_i'`).
-    #[must_use]
-    pub fn is_negated(&self) -> bool {
-        self.negated
-    }
-
-    fn prunes_segment(&self, seg: usize) -> bool {
-        match self.summary {
-            Some(s) if self.negated => s.segment_is_full(seg),
-            Some(s) => s.segment_is_zero(seg),
-            None => false,
+        if let Some(sums) = summaries {
+            assert_eq!(sums.len(), slices.len(), "one summary per slice required");
+        }
+        let slots = self
+            .slots
+            .iter()
+            .map(|&slice| {
+                let i = slice as usize;
+                assert!(
+                    i < slices.len(),
+                    "expression references slice beyond the {} provided",
+                    slices.len()
+                );
+                let summary = summaries.map(|sums| &sums[i]);
+                if let Some(s) = summary {
+                    assert_eq!(
+                        s.len(),
+                        rows,
+                        "summary length {} != row count {rows}",
+                        s.len()
+                    );
+                }
+                BoundSlot {
+                    slice,
+                    src: slices[i].slice_ref(),
+                    summary,
+                }
+            })
+            .collect();
+        BoundPlan {
+            plan: self,
+            slots,
+            rows,
         }
     }
 }
 
-/// What one product term contributed to a segment.
-enum TermSegment {
-    /// Nothing: the term is zero on this segment.
-    Zero,
-    /// Everything: every literal was an identity window, so the term is
-    /// all-ones on the segment without any word having been read.
+/// One referenced slice of a bound plan.
+#[derive(Debug, Clone, Copy)]
+struct BoundSlot<'a> {
+    slice: u8,
+    src: SliceRef<'a>,
+    summary: Option<&'a SegmentSummary>,
+}
+
+impl BoundSlot<'_> {
+    /// Classifies global segment `seg` from the summary alone.
+    fn summarized(&self, seg: usize) -> Option<WindowKind> {
+        let s = self.summary?;
+        if s.segment_is_zero(seg) {
+            Some(WindowKind::Zeros)
+        } else if s.segment_is_full(seg) {
+            Some(WindowKind::Ones)
+        } else {
+            None
+        }
+    }
+}
+
+/// A [`DnfPlan`] bound to the slices (and optional summaries) of one
+/// index: the thing the kernel evaluates.
+///
+/// It borrows everything immutably, so one bound plan can be shared by
+/// many threads each filling a disjoint window of the destination via
+/// [`BoundPlan::eval_range`]; results are bit-identical to
+/// [`BoundPlan::eval`] over the whole vector.
+#[derive(Debug, Clone)]
+pub struct BoundPlan<'a> {
+    plan: &'a DnfPlan,
+    slots: Vec<BoundSlot<'a>>,
+    rows: usize,
+}
+
+/// Where one slot's windows come from during an evaluation.
+enum Fetch<'a> {
+    Dense(&'a [u64]),
+    Roaring(&'a RoaringBitmap),
+    Wah(WahCursor<'a>),
+}
+
+/// A product of literals on one segment.
+#[derive(Clone, Copy)]
+enum Product {
+    /// The empty product (or one of identity literals only).
     Ones,
-    /// The accumulator holds the term's (non-zero) segment bits.
-    Mixed,
+    /// A single literal's window: no pass has run yet.
+    Window(PlanLit),
+    /// Materialised in row `r` of the evaluation's row buffer.
+    Row(usize),
 }
 
-/// Evaluates a DNF over adaptively stored slices into `dst`, a zeroed
-/// window covering words `word_offset ..` of a `len_bits`-bit vector.
-///
-/// Iteration is segment-major exactly like [`eval_dnf_range`]; the
-/// difference is the literal fetch. Dense slices hand their words to the
-/// fold directly; compressed slices materialise one 64-word window on
-/// demand into a scratch buffer — and windows their containers classify
-/// as all-zero or all-one never materialise at all, instead short-
-/// circuiting the term (positive×zeros, negated×ones) or dropping out of
-/// the fold as identities (positive×ones, negated×zeros). WAH slices are
-/// decoded through a per-literal resumable [`WahCursor`], so a full
-/// ascending sweep costs `O(code words)` amortised.
-///
-/// Results are bit-identical to densifying every slice and running
-/// [`eval_dnf_range`]; only the traffic counters differ.
-///
-/// # Panics
-///
-/// Panics if `word_offset` is not segment-aligned, if `dst` overruns
-/// `len_bits`, or if any literal's slice length differs from `len_bits`
-/// (message contains "slice length").
-pub fn eval_dnf_stored_range(
-    dst: &mut [u64],
-    word_offset: usize,
-    len_bits: usize,
-    terms: &[Vec<StoredLiteral<'_>>],
-    stats: &mut KernelStats,
-) {
-    assert_eq!(
-        word_offset % SEGMENT_WORDS,
-        0,
-        "word_offset {word_offset} not segment-aligned"
-    );
-    let total_words = len_bits.div_ceil(WORD_BITS);
-    assert!(
-        word_offset + dst.len() <= total_words,
-        "destination range overruns {len_bits}-bit vector"
-    );
-    for lit in terms.iter().flatten() {
-        assert_eq!(
-            lit.slice.len(),
-            len_bits,
-            "slice length {} bits != evaluated vector length {len_bits}",
-            lit.slice.len()
-        );
-    }
+/// What a term's low part came to on one segment.
+#[derive(Clone, Copy)]
+enum Low {
+    /// A uniform window annihilates it.
+    Pruned,
+    /// It was computed, and is all-zero.
+    Zero,
+    Live(Product),
+}
 
-    // Per-(term, literal) WAH cursors persist across the ascending
-    // segment sweep so each code word is decoded at most once per range.
-    let mut cursors: Vec<Vec<Option<WahCursor<'_>>>> = terms
-        .iter()
-        .map(|term| {
-            term.iter()
-                .map(|lit| match lit.slice {
-                    SliceStorage::Wah(w) => Some(WahCursor::new(w)),
-                    _ => None,
-                })
-                .collect()
-        })
-        .collect();
+/// Uniform windows of one segment as slice-indexed bit masks, from
+/// which a product's fate is decided in O(1).
+#[derive(Clone, Copy, Default)]
+struct Uniform {
+    zeros: u64,
+    ones: u64,
+}
 
-    let path = simd::selected_path();
-    stats.record_dispatch(path);
-    let mut acc = [0u64; SEGMENT_WORDS];
-    let mut scratch = [0u64; SEGMENT_WORDS];
-    for (chunk_idx, seg_dst) in dst.chunks_mut(SEGMENT_WORDS).enumerate() {
-        let seg = word_offset / SEGMENT_WORDS + chunk_idx;
-        let w0 = word_offset + chunk_idx * SEGMENT_WORDS;
-        let nw = seg_dst.len();
-        for (term, term_cursors) in terms.iter().zip(cursors.iter_mut()) {
-            if term.is_empty() {
-                // Tautology term: the segment saturates immediately.
-                seg_dst.fill(u64::MAX);
-                break;
-            }
-            let contrib = eval_stored_term_segment(
-                path,
-                &mut acc,
-                &mut scratch,
-                term,
-                term_cursors,
-                seg,
-                w0,
-                nw,
-                stats,
-            );
-            match contrib {
-                TermSegment::Zero => {}
-                TermSegment::Ones => {
-                    seg_dst.fill(u64::MAX);
-                    break;
-                }
-                TermSegment::Mixed => {
-                    if simd::or_into(path, seg_dst, &acc[..nw]) {
-                        break;
-                    }
-                }
-            }
+impl Uniform {
+    fn note(&mut self, slice: u8, kind: WindowKind) {
+        match kind {
+            WindowKind::Zeros => self.zeros |= 1 << slice,
+            WindowKind::Ones => self.ones |= 1 << slice,
+            WindowKind::Mixed => {}
         }
     }
-    mask_range_tail(dst, word_offset, len_bits);
+
+    /// If some literal of `step` is all-zero here, the length of the
+    /// shortest prefix that includes one (literals run highest slice
+    /// first).
+    fn dead_depth(self, step: &Step) -> Option<usize> {
+        let killers = step.mask & ((step.value & self.zeros) | (!step.value & self.ones));
+        (killers != 0).then(|| {
+            let top = 63 - killers.leading_zeros();
+            (step.mask >> top >> 1).count_ones() as usize + 1
+        })
+    }
+
+    /// Slices whose literal in `step` is all-one here and drops out of
+    /// the product.
+    fn identities(self, step: &Step) -> u64 {
+        step.mask & ((step.value & self.ones) | (!step.value & self.zeros))
+    }
 }
 
-/// Evaluates a DNF over stored slices into a freshly allocated selection
-/// bitmap of `len_bits` bits.
-///
-/// # Panics
-///
-/// As [`eval_dnf_stored_range`].
-#[must_use]
-pub fn eval_dnf_stored(
-    terms: &[Vec<StoredLiteral<'_>>],
-    len_bits: usize,
-    stats: &mut KernelStats,
-) -> BitVec {
-    let mut dst = BitVec::zeros(len_bits);
-    eval_dnf_stored_range(&mut dst.words, 0, len_bits, terms, stats);
-    dst
+/// Row `r` (`1 ..`) of an evaluation's row buffer, `nw` words of it.
+fn row(rows: &[u64], r: usize, nw: usize) -> &[u64] {
+    &rows[(r - 1) * SEGMENT_WORDS..][..nw]
 }
 
-/// Evaluates one non-empty stored term over one segment into
-/// `acc[..nw]`.
-#[allow(clippy::too_many_arguments)]
-fn eval_stored_term_segment(
-    path: KernelPath,
-    acc: &mut [u64; SEGMENT_WORDS],
-    scratch: &mut [u64; SEGMENT_WORDS],
-    term: &[StoredLiteral<'_>],
-    cursors: &mut [Option<WahCursor<'_>>],
-    seg: usize,
+/// Credits a compressed window fetch to `stats` and returns its kind.
+fn compressed(fill: WindowFill, stats: &mut KernelStats) -> WindowKind {
+    stats.bytes_touched += fill.bytes_touched;
+    if fill.kind != WindowKind::Mixed {
+        stats.compressed_chunks_skipped += 1;
+    }
+    fill.kind
+}
+
+/// One segment's fetched windows, and the count of dense ones the
+/// passes have consumed.
+struct Windows<'a> {
+    fetch: &'a [Fetch<'a>],
+    scratch: &'a [u64],
     w0: usize,
     nw: usize,
-    stats: &mut KernelStats,
-) -> TermSegment {
-    if term.iter().any(|l| l.prunes_segment(seg)) {
-        stats.segments_pruned += 1;
-        return TermSegment::Zero;
-    }
-    let mut started = false;
-    for (li, lit) in term.iter().enumerate() {
-        // Fetch the literal's window: either a direct borrow of dense
-        // words, a materialised scratch window, or a uniform
-        // classification that resolves the literal without any words.
-        let src: &[u64] = match lit.slice {
-            SliceStorage::Dense(b) => {
-                stats.words_scanned += nw as u64;
-                stats.bytes_touched += 8 * nw as u64;
-                &b.words()[w0..w0 + nw]
+    scanned: u64,
+}
+
+impl<'a> Windows<'a> {
+    /// The window of `lit`'s slice, as an operand about to be read.
+    fn read(&mut self, lit: PlanLit) -> &'a [u64] {
+        let slot = lit.slot as usize;
+        match &self.fetch[slot] {
+            Fetch::Dense(words) => {
+                self.scanned += 1;
+                &words[self.w0..self.w0 + self.nw]
             }
-            SliceStorage::Roaring(r) => {
-                let wf = r.fill_window(w0, &mut scratch[..nw]);
-                stats.bytes_touched += wf.bytes_touched;
-                match resolve_window(wf.kind, lit.negated, stats) {
-                    WindowAction::TermDead => return TermSegment::Zero,
-                    WindowAction::Identity => continue,
-                    WindowAction::Fold => &scratch[..nw],
+            _ => &self.scratch[slot * SEGMENT_WORDS..][..self.nw],
+        }
+    }
+}
+
+impl BoundPlan<'_> {
+    /// Rows covered by the plan.
+    #[must_use]
+    pub fn row_count(&self) -> usize {
+        self.rows
+    }
+
+    /// Estimated kernel word traffic of evaluating this plan: one
+    /// segment's words per literal left after sharing, per segment,
+    /// minus the products a summary proves zero on a segment. Zero
+    /// products and saturation are not predictable from summaries, so
+    /// real work can only be lower — which is what a parallel splitter
+    /// needs to decide whether fanning out pays.
+    #[must_use]
+    pub fn estimated_work_words(&self) -> u64 {
+        let plan = self.plan;
+        let segments = self.rows.div_ceil(SEGMENT_BITS);
+        let live = plan.unshared_lits * SEGMENT_WORDS as u64;
+        if self.slots.iter().all(|s| s.summary.is_none()) {
+            return segments as u64 * live;
+        }
+        let mut words = 0u64;
+        for seg in 0..segments {
+            let mut uniform = Uniform::default();
+            for slot in &self.slots {
+                if let Some(kind) = slot.summarized(seg) {
+                    uniform.note(slot.slice, kind);
                 }
             }
-            SliceStorage::Wah(_) => {
-                let cur = cursors[li].as_mut().expect("WAH literal has a cursor");
-                let wf = cur.fill_window(w0, &mut scratch[..nw]);
-                stats.bytes_touched += wf.bytes_touched;
-                match resolve_window(wf.kind, lit.negated, stats) {
-                    WindowAction::TermDead => return TermSegment::Zero,
-                    WindowAction::Identity => continue,
-                    WindowAction::Fold => &scratch[..nw],
+            if uniform.zeros | uniform.ones == 0 {
+                words += live;
+                continue;
+            }
+            // The same walk as `eval_range`, counting instead of
+            // computing.
+            let (mut lits, mut dead_lows) = (0, 0u32);
+            for (i, low) in plan.lows.iter().enumerate() {
+                if uniform.dead_depth(low).is_some() {
+                    dead_lows |= 1 << i;
+                } else {
+                    lits += low.len();
                 }
             }
-        };
-        let any = if started {
-            simd::and_pass(path, &mut acc[..nw], src, lit.negated)
-        } else {
-            started = true;
-            simd::init_pass(path, &mut acc[..nw], src, lit.negated)
-        };
-        if !any {
-            if li + 1 < term.len() {
-                stats.segments_short_circuited += 1;
+            let (mut dead, mut valid) = (usize::MAX, 0usize);
+            for step in &plan.steps {
+                let shared = step.shared as usize;
+                if shared >= dead {
+                    continue;
+                }
+                dead = usize::MAX;
+                valid = valid.min(shared);
+                if step.low != NO_LOW && dead_lows >> step.low & 1 == 1 {
+                    continue;
+                }
+                if let Some(d) = uniform.dead_depth(step) {
+                    dead = d;
+                    continue;
+                }
+                lits += step.len() - valid;
+                valid = step.len();
             }
-            return TermSegment::Zero;
+            words += (lits * SEGMENT_WORDS) as u64;
         }
+        words
     }
-    if started {
-        TermSegment::Mixed
-    } else {
-        // Every literal was an identity window: the term is all ones
-        // here and no accumulator pass ever ran.
-        TermSegment::Ones
+
+    /// Evaluates the whole plan into a fresh selection bitmap.
+    #[must_use]
+    pub fn eval(&self, stats: &mut KernelStats) -> BitVec {
+        let mut dst = BitVec::zeros(self.rows);
+        self.eval_range(&mut dst.words, 0, stats);
+        dst
     }
-}
 
-/// What a uniform (or materialised) window means for the literal fold.
-enum WindowAction {
-    /// The literal zeroes the whole term on this segment.
-    TermDead,
-    /// The literal is all-ones here: it drops out of the AND.
-    Identity,
-    /// The window was materialised; fold it.
-    Fold,
-}
+    /// Evaluates the plan into `dst`, a **zeroed** window covering words
+    /// `word_offset ..` of the selection bitmap. Disjoint windows may be
+    /// evaluated concurrently and compose to the exact whole-vector
+    /// result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word_offset` is not segment-aligned or `dst` overruns
+    /// the bitmap.
+    pub fn eval_range(&self, dst: &mut [u64], word_offset: usize, stats: &mut KernelStats) {
+        assert_eq!(
+            word_offset % SEGMENT_WORDS,
+            0,
+            "word_offset {word_offset} not segment-aligned"
+        );
+        assert!(
+            word_offset + dst.len() <= self.rows.div_ceil(WORD_BITS),
+            "destination range overruns {}-bit vector",
+            self.rows
+        );
+        let path = simd::selected_path();
+        stats.record_dispatch(path);
+        let plan = self.plan;
+        if plan.tautology {
+            dst.fill(u64::MAX);
+            mask_range_tail(dst, word_offset, self.rows);
+            return;
+        }
+        if plan.steps.is_empty() {
+            return;
+        }
 
-/// Maps a compressed window classification and literal polarity to a
-/// fold action, crediting skipped materialisations.
-fn resolve_window(kind: WindowKind, negated: bool, stats: &mut KernelStats) -> WindowAction {
-    match (kind, negated) {
-        (WindowKind::Zeros, false) | (WindowKind::Ones, true) => {
-            stats.compressed_chunks_skipped += 1;
-            WindowAction::TermDead
-        }
-        (WindowKind::Zeros, true) | (WindowKind::Ones, false) => {
-            stats.compressed_chunks_skipped += 1;
-            WindowAction::Identity
-        }
-        (WindowKind::Mixed, _) => WindowAction::Fold,
-    }
-}
+        // Per evaluation, never per index. Rows `1 ..= depth` are the
+        // product stack (row `r` holds a high-part product of `r`
+        // literals that a later term resumes from), the next is the
+        // accumulator for the rest of a term, the next `lows.len()` hold
+        // the low-part products, and after them comes one scratch window
+        // per slot for the compressed containers to materialise into.
+        let acc_row = plan.depth + 1;
+        let low_row = plan.depth + 2;
+        let product_rows = plan.depth + 1 + plan.lows.len();
+        let mut buf = vec![0u64; (product_rows + self.slots.len()) * SEGMENT_WORDS];
+        let (rows, scratch) = buf.split_at_mut(product_rows * SEGMENT_WORDS);
+        // WAH cursors persist across the ascending segment sweep so each
+        // code word is decoded at most once per range.
+        let mut fetch: Vec<Fetch<'_>> = self
+            .slots
+            .iter()
+            .map(|s| match s.src {
+                SliceRef::Dense(b) => Fetch::Dense(b.words()),
+                SliceRef::Roaring(r) => Fetch::Roaring(r),
+                SliceRef::Wah(w) => Fetch::Wah(WahCursor::new(w)),
+            })
+            .collect();
+        let mut lows = vec![Low::Zero; plan.lows.len()];
+        // `levels[d]` is the product of the current term's first `d`
+        // high-part literals, kept for as deep as a later term shares.
+        let mut levels = [Product::Ones; 65];
 
-/// Estimates the word traffic [`eval_dnf_range`] will generate for
-/// `terms` over a `len_bits`-bit vector, accounting for summary pruning:
-/// a (term, segment) pair any literal's summary prunes contributes
-/// nothing; a live pair contributes one segment's words per literal.
-///
-/// Short-circuits and saturation are not predictable from summaries, so
-/// this is an upper bound on post-pruning work — which is exactly what a
-/// parallel splitter needs to decide whether fanning out pays.
-#[must_use]
-pub fn estimate_dnf_work_words(terms: &[Vec<Literal<'_>>], len_bits: usize) -> u64 {
-    let segments = len_bits.div_ceil(SEGMENT_BITS);
-    let mut words = 0u64;
-    for term in terms {
-        if term.is_empty() {
-            continue;
-        }
-        let per_segment = (term.len() * SEGMENT_WORDS) as u64;
-        if term.iter().all(|l| l.summary.is_none()) {
-            words += segments as u64 * per_segment;
-            continue;
-        }
-        for seg in 0..segments {
-            if !term.iter().any(|l| l.prunes_segment(seg)) {
-                words += per_segment;
+        for (chunk_idx, seg_dst) in dst.chunks_mut(SEGMENT_WORDS).enumerate() {
+            let seg = word_offset / SEGMENT_WORDS + chunk_idx;
+            let nw = seg_dst.len();
+
+            // Window-once fetch: classify or materialise every
+            // referenced slice's window for this segment.
+            let mut uniform = Uniform::default();
+            for ((slot, fetch), window) in self
+                .slots
+                .iter()
+                .zip(&mut fetch)
+                .zip(scratch.chunks_mut(SEGMENT_WORDS))
+            {
+                let w0 = seg * SEGMENT_WORDS;
+                let kind = slot.summarized(seg).unwrap_or_else(|| match fetch {
+                    Fetch::Dense(_) => WindowKind::Mixed,
+                    Fetch::Roaring(r) => compressed(r.fill_window(w0, &mut window[..nw]), stats),
+                    Fetch::Wah(c) => compressed(c.fill_window(w0, &mut window[..nw]), stats),
+                });
+                uniform.note(slot.slice, kind);
             }
-        }
-    }
-    words
-}
+            let mut windows = Windows {
+                fetch: &fetch,
+                scratch,
+                w0: seg * SEGMENT_WORDS,
+                nw,
+                scanned: 0,
+            };
 
-/// [`estimate_dnf_work_words`] for stored-slice terms. Uniform
-/// compressed windows still count (classification cost is small but the
-/// estimate is an upper bound either way); only summary pruning is
-/// subtracted.
-#[must_use]
-pub fn estimate_stored_dnf_work_words(terms: &[Vec<StoredLiteral<'_>>], len_bits: usize) -> u64 {
-    let segments = len_bits.div_ceil(SEGMENT_BITS);
-    let mut words = 0u64;
-    for term in terms {
-        if term.is_empty() {
-            continue;
-        }
-        let per_segment = (term.len() * SEGMENT_WORDS) as u64;
-        if term.iter().all(|l| l.summary.is_none()) {
-            words += segments as u64 * per_segment;
-            continue;
-        }
-        for seg in 0..segments {
-            if !term.iter().any(|l| l.prunes_segment(seg)) {
-                words += per_segment;
+            // Each distinct low part, once for all the terms that end
+            // in it.
+            for (i, (low, slot)) in plan.lows.iter().zip(&mut lows).enumerate() {
+                if uniform.dead_depth(low).is_some() {
+                    *slot = Low::Pruned;
+                    continue;
+                }
+                let identities = uniform.identities(low);
+                let mut live = plan.lits[low.first as usize..][..low.len()]
+                    .iter()
+                    .filter(|l| identities >> l.slice & 1 == 0);
+                *slot = Low::Live(match (live.next(), live.next()) {
+                    (None, _) => Product::Ones,
+                    (Some(&only), None) => Product::Window(only),
+                    (Some(&a), Some(&b)) => {
+                        let acc = &mut rows[(low_row + i - 1) * SEGMENT_WORDS..][..nw];
+                        let (wa, wb) = (windows.read(a), windows.read(b));
+                        let mut any = simd::fused_pass2(path, acc, wa, wb, a.negated, b.negated);
+                        for &c in live {
+                            any = any && simd::and_pass(path, acc, windows.read(c), c.negated);
+                        }
+                        if !any {
+                            *slot = Low::Zero;
+                            continue;
+                        }
+                        Product::Row(low_row + i)
+                    }
+                });
             }
+
+            // Shortest high-part prefix known to be all-zero, and whether
+            // a uniform window (rather than a computed product) said so.
+            let (mut dead, mut dead_pruned) = (usize::MAX, false);
+            // `levels[..= valid]` hold the current term's prefix products.
+            let mut valid = 0usize;
+            for step in &plan.steps {
+                let shared = step.shared as usize;
+                if shared >= dead {
+                    if dead_pruned {
+                        stats.segments_pruned += 1;
+                    } else {
+                        stats.segments_short_circuited += 1;
+                    }
+                    continue;
+                }
+                dead = usize::MAX;
+                valid = valid.min(shared);
+                let low = match step.low {
+                    NO_LOW => Product::Ones,
+                    i => match lows[i as usize] {
+                        Low::Pruned => {
+                            stats.segments_pruned += 1;
+                            continue;
+                        }
+                        Low::Zero => {
+                            stats.segments_short_circuited += 1;
+                            continue;
+                        }
+                        Low::Live(product) => product,
+                    },
+                };
+                if let Some(d) = uniform.dead_depth(step) {
+                    (dead, dead_pruned) = (d, true);
+                    stats.segments_pruned += 1;
+                    continue;
+                }
+                let identities = uniform.identities(step);
+                let (len, keep) = (step.len(), step.keep as usize);
+                let lits = &plan.lits[step.first as usize..][..len];
+                let mut product = levels[valid];
+                for (d, &lit) in lits.iter().enumerate().skip(valid) {
+                    if identities >> lit.slice & 1 == 0 {
+                        // A level the next term resumes from gets its own
+                        // row; the rest of the term folds into the
+                        // accumulator in place.
+                        let target = if d < keep { d + 1 } else { acc_row };
+                        let (below, above) = rows.split_at_mut((target - 1) * SEGMENT_WORDS);
+                        let acc = &mut above[..nw];
+                        let any = match product {
+                            // The product of one literal is its window.
+                            Product::Ones => None,
+                            Product::Window(first) => {
+                                let (a, b) = (windows.read(first), windows.read(lit));
+                                Some(simd::fused_pass2(
+                                    path,
+                                    acc,
+                                    a,
+                                    b,
+                                    first.negated,
+                                    lit.negated,
+                                ))
+                            }
+                            Product::Row(r) if r == target => {
+                                Some(simd::and_pass(path, acc, windows.read(lit), lit.negated))
+                            }
+                            Product::Row(r) => {
+                                let (prev, src) = (row(below, r, nw), windows.read(lit));
+                                Some(simd::fused_pass2(path, acc, prev, src, false, lit.negated))
+                            }
+                        };
+                        product = match any {
+                            None => Product::Window(lit),
+                            Some(true) => Product::Row(target),
+                            Some(false) => {
+                                // Every term below this prefix is zero here.
+                                (dead, dead_pruned, valid) = (d + 1, false, d.min(keep));
+                                break;
+                            }
+                        };
+                    }
+                    if d < keep {
+                        levels[d + 1] = product;
+                    }
+                }
+                if dead != usize::MAX {
+                    stats.segments_short_circuited += 1;
+                    continue;
+                }
+                valid = len.min(keep);
+
+                // dst |= high · low, in one pass.
+                let mut operand = |p: Product| match p {
+                    Product::Ones => None,
+                    Product::Window(lit) => Some((windows.read(lit), lit.negated)),
+                    Product::Row(r) => Some((row(rows, r, nw), false)),
+                };
+                let saturated = match (operand(product), operand(low)) {
+                    (None, None) => {
+                        seg_dst.fill(u64::MAX);
+                        true
+                    }
+                    (Some((a, false)), None) | (None, Some((a, false))) => {
+                        simd::or_into(path, seg_dst, a)
+                    }
+                    (Some((a, na)), None) | (None, Some((a, na))) => {
+                        simd::or_and_into(path, seg_dst, a, a, na, na)
+                    }
+                    (Some((a, na)), Some((b, nb))) => {
+                        simd::or_and_into(path, seg_dst, a, b, na, nb)
+                    }
+                };
+                if saturated {
+                    // No later term can add a bit to this segment.
+                    break;
+                }
+            }
+            stats.words_scanned += windows.scanned * nw as u64;
+            stats.bytes_touched += windows.scanned * 8 * nw as u64;
         }
+        // Negated literals set garbage bits beyond the last row in the
+        // final word; restore the tail invariant.
+        mask_range_tail(dst, word_offset, self.rows);
     }
-    words
 }
 
 /// Zeroes bits at positions `>= len_bits` if the window `dst` (starting
@@ -782,183 +939,282 @@ fn mask_range_tail(dst: &mut [u64], word_offset: usize, len_bits: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::SegmentSummary;
+    use crate::store::StoragePolicy;
+    use crate::summary::summarize_slices;
 
-    fn naive_term(slices: &[(&BitVec, bool)], len: usize) -> BitVec {
-        let mut acc = BitVec::ones(len);
-        for &(s, neg) in slices {
-            if neg {
-                acc.and_not_assign(s);
-            } else {
-                acc.and_assign(s);
+    /// Lowers terms written as `(slice, negated)` lists.
+    fn plan(terms: &[&[(usize, bool)]]) -> DnfPlan {
+        DnfPlan::lower(terms.iter().map(|term| {
+            term.iter().fold((0u64, 0u64), |(m, v), &(i, neg)| {
+                (m | 1 << i, v | u64::from(!neg) << i)
+            })
+        }))
+    }
+
+    fn naive(terms: &[&[(usize, bool)]], slices: &[BitVec], len: usize) -> BitVec {
+        let mut out = BitVec::zeros(len);
+        for term in terms {
+            let mut acc = BitVec::ones(len);
+            for &(i, neg) in *term {
+                if neg {
+                    acc.and_not_assign(&slices[i]);
+                } else {
+                    acc.and_assign(&slices[i]);
+                }
             }
+            out.or_assign(&acc);
         }
-        acc
+        out
     }
 
     fn stripes(len: usize, period: usize, phase: usize) -> BitVec {
         (0..len).map(|i| i % period == phase).collect()
     }
 
+    fn eval(terms: &[&[(usize, bool)]], slices: &[BitVec], stats: &mut KernelStats) -> BitVec {
+        plan(terms).bind(slices, None, slices[0].len()).eval(stats)
+    }
+
     #[test]
-    fn fused_term_matches_naive_chain() {
+    fn lowering_splits_sorts_and_records_shared_prefixes() {
+        // Seven slices referenced: the low parts live on B2, B1, B0.
+        let p = plan(&[
+            &[(6, false), (4, true), (3, false), (1, false)],
+            &[(6, false), (5, false), (4, true), (1, false)],
+            &[(0, false)],
+            &[(1, false), (4, true), (5, false), (6, false)],
+            &[(6, false), (5, true), (2, true), (0, false)],
+        ]);
+        assert_eq!(p.slots, vec![6, 5, 4, 3, 2, 1, 0]);
+        assert_eq!(p.steps.len(), 4, "the duplicate term is evaluated once");
+        // High parts, sorted: (none) < B6B5' < B6B5B4' < B6B4'B3.
+        let shared: Vec<u8> = p.steps.iter().map(|s| s.shared).collect();
+        assert_eq!(shared, vec![0, 0, 1, 1]);
+        let keep: Vec<u8> = p.steps.iter().map(|s| s.keep).collect();
+        assert_eq!(keep, vec![0, 1, 1, 0], "what the step after shares");
+        assert_eq!(p.depth, 3);
+        // Distinct low parts: B0, B1, B2'B0 — B1 serves two terms.
+        let lows: Vec<(u64, u64)> = p.lows.iter().map(|l| (l.mask, l.value)).collect();
+        assert_eq!(lows, vec![(0b001, 0b001), (0b010, 0b010), (0b101, 0b001)]);
+        let low_of: Vec<u8> = p.steps.iter().map(|s| s.low).collect();
+        assert_eq!(low_of, vec![0, 2, 1, 1]);
+        assert_eq!(p.unshared_literals(), (1 + 1 + 2) + (2 + 2 + 2));
+        assert!(!p.tautology);
+        assert!(plan(&[&[(1, false)], &[]]).tautology);
+        // A term without low-part literals names none.
+        let p = plan(&[
+            &[(4, false)],
+            &[(3, false), (2, false), (1, false), (0, true)],
+        ]);
+        assert_eq!((p.steps[0].low, p.steps[1].low), (NO_LOW, 0));
+    }
+
+    #[test]
+    fn single_term_matches_naive_chain() {
         let len = SEGMENT_BITS * 2 + 777;
-        let a = stripes(len, 3, 0);
-        let b = stripes(len, 5, 1);
-        let c = stripes(len, 7, 2);
+        let slices = [stripes(len, 3, 0), stripes(len, 5, 1), stripes(len, 7, 2)];
+        let terms: &[&[(usize, bool)]] = &[&[(0, false), (1, true), (2, false)]];
         let mut stats = KernelStats::new();
-        let terms = vec![vec![
-            Literal::new(&a, false),
-            Literal::new(&b, true),
-            Literal::new(&c, false),
-        ]];
-        let fused = eval_dnf(&terms, len, &mut stats);
-        let naive = naive_term(&[(&a, false), (&b, true), (&c, false)], len);
-        assert_eq!(fused, naive);
+        assert_eq!(eval(terms, &slices, &mut stats), naive(terms, &slices, len));
         assert!(stats.words_scanned > 0);
     }
 
     #[test]
-    fn multi_term_or_accumulation_matches() {
+    fn multi_term_or_accumulation_saturates() {
         let len = SEGMENT_BITS + 100;
-        let a = stripes(len, 2, 0);
-        let b = stripes(len, 2, 1);
-        let terms = vec![vec![Literal::new(&a, false)], vec![Literal::new(&b, false)]];
+        let slices = [stripes(len, 2, 0), stripes(len, 2, 1)];
         let mut stats = KernelStats::new();
-        let r = eval_dnf(&terms, len, &mut stats);
+        let r = eval(&[&[(0, false)], &[(1, false)]], &slices, &mut stats);
         assert_eq!(r, BitVec::ones(len));
     }
 
     #[test]
     fn tautology_term_fills_ones_and_masks_tail() {
-        let len = 100;
-        let terms = vec![vec![]];
+        let slices = [BitVec::zeros(100)];
         let mut stats = KernelStats::new();
-        let r = eval_dnf(&terms, len, &mut stats);
-        assert_eq!(r, BitVec::ones(len));
+        let r = eval(&[&[(0, false)], &[]], &slices, &mut stats);
+        assert_eq!(r, BitVec::ones(100));
         assert_eq!(stats.words_scanned, 0);
     }
 
     #[test]
     fn negated_tail_garbage_is_masked() {
         let len = 70;
-        let z = BitVec::zeros(len);
-        let terms = vec![vec![Literal::new(&z, true)]];
+        let slices = [BitVec::zeros(len)];
         let mut stats = KernelStats::new();
-        let r = eval_dnf(&terms, len, &mut stats);
+        let r = eval(&[&[(0, true)]], &slices, &mut stats);
         assert_eq!(r, BitVec::ones(len));
-        assert_eq!(r.count_ones() as usize, len);
+        assert_eq!(r.count_ones(), len);
+    }
+
+    /// B6B5B4·B2 + B6B5B3·B1B0 over seven striped slices.
+    const TWO_TERMS: &[&[(usize, bool)]] = &[
+        &[(6, false), (5, false), (4, false), (2, false)],
+        &[(6, false), (5, false), (3, false), (1, false), (0, false)],
+    ];
+
+    #[test]
+    fn shared_prefixes_and_low_parts_are_read_once() {
+        let len = SEGMENT_BITS;
+        let slices: Vec<BitVec> = [2, 3, 5, 7, 11, 13, 17]
+            .iter()
+            .map(|&p| stripes(len, p, 0))
+            .collect();
+        let mut stats = KernelStats::new();
+        assert_eq!(
+            eval(TWO_TERMS, &slices, &mut stats),
+            naive(TWO_TERMS, &slices, len)
+        );
+        // Low parts: B2 is a window, B1B0 one pass over two. High
+        // parts: one pass over B6 and B5 for both terms, then B4 and B3
+        // once each. The first term's low window is read as it is ANDed
+        // into the destination; the second's is a product row.
+        assert_eq!(
+            stats.words_scanned,
+            (2 + 2 + 1 + 1 + 1) * SEGMENT_WORDS as u64
+        );
+        assert_eq!(stats.bytes_touched, 8 * stats.words_scanned);
+    }
+
+    #[test]
+    fn zero_product_skips_every_term_below_the_prefix() {
+        let len = SEGMENT_BITS;
+        let mut slices: Vec<BitVec> = [2, 3, 5, 7, 11, 13, 17]
+            .iter()
+            .map(|&p| stripes(len, p, 0))
+            .collect();
+        // B6·B5 is empty (even rows AND odd rows): both terms die with
+        // it, and neither B4 nor B3 nor the low window B2 is read.
+        slices[6] = stripes(len, 2, 0);
+        slices[5] = stripes(len, 2, 1);
+        let mut stats = KernelStats::new();
+        let r = eval(TWO_TERMS, &slices, &mut stats);
+        assert_eq!(r.count_ones(), 0);
+        assert_eq!(stats.segments_short_circuited, 2);
+        assert_eq!(stats.words_scanned, (2 + 2) * SEGMENT_WORDS as u64);
     }
 
     #[test]
     fn summary_pruning_skips_zero_segments_without_reads() {
-        // Slice with ones only in segment 1 of 3.
+        // Slice 0 has ones only in segment 1 of 3.
         let len = SEGMENT_BITS * 3;
         let mut a = BitVec::zeros(len);
         for i in SEGMENT_BITS..SEGMENT_BITS + 50 {
             a.set(i, true);
         }
-        let sa = SegmentSummary::build(&a);
-        let b = BitVec::ones(len);
-        let sb = SegmentSummary::build(&b);
-        let terms = vec![vec![
-            Literal::with_summary(&a, false, &sa),
-            Literal::with_summary(&b, false, &sb),
-        ]];
+        let slices = [a.clone(), stripes(len, 2, 0)];
+        let summaries = summarize_slices(&slices);
+        let p = plan(&[&[(0, false), (1, false)]]);
         let mut stats = KernelStats::new();
-        let r = eval_dnf(&terms, len, &mut stats);
-        assert_eq!(r, a);
+        let r = p.bind(&slices, Some(&summaries), len).eval(&mut stats);
+        let mut expect = a;
+        expect.and_assign(&slices[1]);
+        assert_eq!(r, expect);
         assert_eq!(stats.segments_pruned, 2, "segments 0 and 2 pruned");
         // Only segment 1's words were read: 64 words × 2 literals.
         assert_eq!(stats.words_scanned, 2 * SEGMENT_WORDS as u64);
     }
 
     #[test]
-    fn negated_full_segment_prunes() {
+    fn negated_full_segment_prunes_and_full_positive_is_an_identity() {
         let len = SEGMENT_BITS * 2;
-        let ones = BitVec::ones(len);
-        let s = SegmentSummary::build(&ones);
-        let other = stripes(len, 2, 0);
-        let terms = vec![vec![
-            Literal::with_summary(&ones, true, &s),
-            Literal::new(&other, false),
-        ]];
+        let slices = [BitVec::ones(len), stripes(len, 2, 0)];
+        let summaries = summarize_slices(&slices);
         let mut stats = KernelStats::new();
-        let r = eval_dnf(&terms, len, &mut stats);
+        let r = plan(&[&[(0, true), (1, false)]])
+            .bind(&slices, Some(&summaries), len)
+            .eval(&mut stats);
         assert_eq!(r.count_ones(), 0);
         assert_eq!(stats.segments_pruned, 2);
         assert_eq!(stats.words_scanned, 0);
+
+        // Positive over an all-ones segment drops out of the product:
+        // only the other literal is read.
+        let mut stats = KernelStats::new();
+        let r = plan(&[&[(0, false), (1, false)]])
+            .bind(&slices, Some(&summaries), len)
+            .eval(&mut stats);
+        assert_eq!(r, slices[1]);
+        assert_eq!(stats.words_scanned, 2 * SEGMENT_WORDS as u64);
     }
 
     #[test]
-    fn accumulator_short_circuit_skips_remaining_literals() {
+    fn a_pruned_term_does_not_strand_its_siblings() {
+        // B2B1B0' sorts first and is pruned by B0's summary before
+        // B2B1 is ever computed: the terms after it that share B2B1 or
+        // B2 must compute those products themselves.
         let len = SEGMENT_BITS;
-        let zero = BitVec::zeros(len);
-        let a = stripes(len, 2, 0);
-        let b = stripes(len, 3, 0);
-        // zero kills the accumulator in the fused first pass (which
-        // reads the first two literals together); b must not be scanned.
-        let terms = vec![vec![
-            Literal::new(&zero, false),
-            Literal::new(&a, false),
-            Literal::new(&b, false),
-        ]];
+        let slices = [BitVec::ones(len), stripes(len, 3, 1), stripes(len, 2, 0)];
+        let summaries = summarize_slices(&slices);
+        let terms: &[&[(usize, bool)]] = &[
+            &[(2, false), (1, false), (0, true)],
+            &[(2, false), (1, false), (0, false)],
+            &[(2, false), (1, true)],
+        ];
         let mut stats = KernelStats::new();
-        let r = eval_dnf(&terms, len, &mut stats);
-        assert_eq!(r.count_ones(), 0);
-        assert_eq!(stats.segments_short_circuited, 1);
-        assert_eq!(stats.words_scanned, 2 * SEGMENT_WORDS as u64);
+        let r = plan(terms)
+            .bind(&slices, Some(&summaries), len)
+            .eval(&mut stats);
+        assert_eq!(r, naive(terms, &slices, len));
+        assert_eq!(stats.segments_pruned, 1);
     }
 
     #[test]
     fn range_evaluation_is_bit_identical_to_whole_vector() {
         let len = SEGMENT_BITS * 3 + 500;
         let a = stripes(len, 11, 3);
-        let b = stripes(len, 13, 5);
-        let terms = vec![
-            vec![Literal::new(&a, false), Literal::new(&b, true)],
-            vec![Literal::new(&b, false), Literal::new(&a, true)],
-        ];
-        let mut stats = KernelStats::new();
-        let whole = eval_dnf(&terms, len, &mut stats);
+        let b: BitVec = (0..len).map(|i| i % 13 < 4).collect();
+        let terms: &[&[(usize, bool)]] = &[&[(0, false), (1, true)], &[(1, false), (0, true)]];
+        let p = plan(terms);
+        for (pa, pb) in [
+            (StoragePolicy::Dense, StoragePolicy::Dense),
+            (StoragePolicy::Wah, StoragePolicy::Roaring),
+        ] {
+            let family = [
+                SliceStorage::from_dense(a.clone(), pa),
+                SliceStorage::from_dense(b.clone(), pb),
+            ];
+            let bound = p.bind(&family, None, len);
+            let mut stats = KernelStats::new();
+            let whole = bound.eval(&mut stats);
+            assert_eq!(whole, naive(terms, &[a.clone(), b.clone()], len));
 
-        // Evaluate the same expression in two disjoint windows.
-        let mut split = BitVec::zeros(len);
-        let total_words = len.div_ceil(WORD_BITS);
-        let cut = 2 * SEGMENT_WORDS;
-        let (lo, hi) = split.words.split_at_mut(cut);
-        let mut s1 = KernelStats::new();
-        let mut s2 = KernelStats::new();
-        eval_dnf_range(lo, 0, len, &terms, &mut s1);
-        eval_dnf_range(hi, cut, len, &terms, &mut s2);
-        assert_eq!(lo.len() + hi.len(), total_words);
-        assert_eq!(split, whole);
-        s1.merge(&s2);
-        assert_eq!(s1.words_scanned, stats.words_scanned);
+            // The same expression in two disjoint windows.
+            let mut split = BitVec::zeros(len);
+            let cut = 2 * SEGMENT_WORDS;
+            let (lo, hi) = split.words.split_at_mut(cut);
+            let mut s1 = KernelStats::new();
+            let mut s2 = KernelStats::new();
+            bound.eval_range(lo, 0, &mut s1);
+            bound.eval_range(hi, cut, &mut s2);
+            assert_eq!(split, whole);
+            s1.merge(&s2);
+            assert_eq!(s1.words_scanned, stats.words_scanned);
+        }
     }
 
     #[test]
     #[should_panic(expected = "slice length")]
     fn short_slice_panics() {
-        let a = BitVec::zeros(64);
-        let terms = vec![vec![Literal::new(&a, false)]];
-        let mut stats = KernelStats::new();
-        let _ = eval_dnf(&terms, 4096, &mut stats);
+        let slices = [BitVec::zeros(64)];
+        let _ = plan(&[&[(0, false)]]).bind(&slices, None, 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the 1 provided")]
+    fn missing_slice_panics() {
+        let slices = [BitVec::zeros(64)];
+        let _ = plan(&[&[(1, false)]]).bind(&slices, None, 64);
     }
 
     #[test]
     #[should_panic(expected = "not segment-aligned")]
     fn unaligned_offset_panics() {
-        let a = BitVec::zeros(SEGMENT_BITS * 2);
+        let slices = [BitVec::zeros(SEGMENT_BITS * 2)];
+        let p = plan(&[&[(0, false)]]);
         let mut dst = vec![0u64; SEGMENT_WORDS];
-        let mut stats = KernelStats::new();
-        or_accumulate_term(
-            &mut dst,
-            1,
-            SEGMENT_BITS * 2,
-            &[Literal::new(&a, false)],
-            &mut stats,
-        );
+        p.bind(&slices, None, SEGMENT_BITS * 2)
+            .eval_range(&mut dst, 1, &mut KernelStats::new());
     }
 
     #[test]
@@ -1010,58 +1266,52 @@ mod tests {
 
     #[test]
     fn evaluation_records_the_selected_dispatch() {
-        let len = SEGMENT_BITS;
-        let a = stripes(len, 2, 0);
-        let terms = vec![vec![Literal::new(&a, false)]];
+        let slices = [stripes(SEGMENT_BITS, 2, 0)];
         let mut stats = KernelStats::new();
         crate::simd::with_forced_path(crate::simd::KernelPath::Scalar, || {
-            let _ = eval_dnf(&terms, len, &mut stats);
+            let _ = eval(&[&[(0, false)]], &slices, &mut stats);
         });
         assert_eq!(stats.dispatch_scalar, 1);
         assert_eq!(stats.kernel_path(), "scalar");
     }
 
     #[test]
-    fn work_estimate_accounts_for_summary_pruning() {
+    fn work_estimate_counts_unshared_literals_net_of_pruning() {
         let len = SEGMENT_BITS * 4;
         let mut a = BitVec::zeros(len);
         a.set(SEGMENT_BITS + 1, true);
-        let sa = SegmentSummary::build(&a);
-        let b = BitVec::ones(len);
+        let slices = [a, BitVec::ones(len), stripes(len, 2, 0), stripes(len, 3, 0)];
+        let summaries = summarize_slices(&slices[..2]);
 
-        // No summaries: full work, 2 literals × 4 segments × 64 words.
-        let plain = vec![vec![Literal::new(&a, false), Literal::new(&b, false)]];
+        // No summaries: 2 literals × 4 segments × 64 words.
+        let p = plan(&[&[(0, false), (1, false)]]);
         assert_eq!(
-            estimate_dnf_work_words(&plain, len),
+            p.bind(&slices[..2], None, len).estimated_work_words(),
             2 * 4 * SEGMENT_WORDS as u64
         );
-
-        // Summary on `a`: only segment 1 is live.
-        let pruned = vec![vec![
-            Literal::with_summary(&a, false, &sa),
-            Literal::new(&b, false),
-        ]];
+        // Summary on slice 0: only segment 1 is live.
         assert_eq!(
-            estimate_dnf_work_words(&pruned, len),
+            p.bind(&slices[..2], Some(&summaries), len)
+                .estimated_work_words(),
             2 * SEGMENT_WORDS as u64
         );
-
-        // Tautology terms cost nothing.
-        assert_eq!(estimate_dnf_work_words(&[vec![]], len), 0);
-    }
-
-    #[test]
-    fn dense_scans_report_bytes_touched() {
-        let len = SEGMENT_BITS;
-        let a = stripes(len, 2, 0);
-        let terms = vec![vec![Literal::new(&a, false)]];
-        let mut stats = KernelStats::new();
-        let _ = eval_dnf(&terms, len, &mut stats);
-        assert_eq!(stats.bytes_touched, 8 * stats.words_scanned);
+        // A shared prefix is counted once: B3·B2B1 + B3·B0 is 4 literals.
+        let shared = plan(&[
+            &[(3, false), (2, false), (1, false)],
+            &[(3, false), (0, false)],
+        ]);
+        assert_eq!(
+            shared.bind(&slices, None, len).estimated_work_words(),
+            4 * 4 * SEGMENT_WORDS as u64
+        );
+        // Tautologies cost nothing.
+        assert_eq!(
+            plan(&[&[]]).bind(&slices, None, len).estimated_work_words(),
+            0
+        );
     }
 
     fn storages_for(bits: &BitVec) -> Vec<SliceStorage> {
-        use crate::store::StoragePolicy;
         vec![
             SliceStorage::from_dense(bits.clone(), StoragePolicy::Dense),
             SliceStorage::from_dense(bits.clone(), StoragePolicy::Roaring),
@@ -1070,148 +1320,87 @@ mod tests {
     }
 
     #[test]
-    fn stored_eval_matches_dense_for_every_container_mix() {
+    fn every_container_mix_matches_dense() {
         let len = SEGMENT_BITS * 5 + 300;
-        let a = stripes(len, 3, 0);
-        let b: BitVec = (0..len).map(|i| (20_000..290_000).contains(&i)).collect();
-        let c = BitVec::from_positions(len, &[5, 9000, len - 1]);
-        let dense_terms = vec![
-            vec![Literal::new(&a, false), Literal::new(&b, true)],
-            vec![Literal::new(&c, false)],
-            vec![Literal::new(&b, false), Literal::new(&a, true)],
+        let dense = [
+            stripes(len, 3, 0),
+            (0..len).map(|i| (20_000..290_000).contains(&i)).collect(),
+            BitVec::from_positions(len, &[5, 9000, len - 1]),
         ];
-        let mut ds = KernelStats::new();
-        let expected = eval_dnf(&dense_terms, len, &mut ds);
-
-        for sa in storages_for(&a) {
-            for sb in storages_for(&b) {
-                for sc in storages_for(&c) {
-                    let terms = vec![
-                        vec![
-                            StoredLiteral::new(&sa, false),
-                            StoredLiteral::new(&sb, true),
-                        ],
-                        vec![StoredLiteral::new(&sc, false)],
-                        vec![
-                            StoredLiteral::new(&sb, false),
-                            StoredLiteral::new(&sa, true),
-                        ],
-                    ];
+        let terms: &[&[(usize, bool)]] = &[
+            &[(0, false), (1, true)],
+            &[(2, false)],
+            &[(1, false), (0, true)],
+        ];
+        let p = plan(terms);
+        let expected = naive(terms, &dense, len);
+        for sa in storages_for(&dense[0]) {
+            for sb in storages_for(&dense[1]) {
+                for sc in storages_for(&dense[2]) {
+                    let kinds = (sa.kind(), sb.kind(), sc.kind());
+                    let family = [sa.clone(), sb.clone(), sc];
                     let mut stats = KernelStats::new();
-                    let got = eval_dnf_stored(&terms, len, &mut stats);
-                    assert_eq!(
-                        got,
-                        expected,
-                        "mix {:?}/{:?}/{:?}",
-                        sa.kind(),
-                        sb.kind(),
-                        sc.kind()
-                    );
+                    let got = p.bind(&family, None, len).eval(&mut stats);
+                    assert_eq!(got, expected, "mix {kinds:?}");
                 }
             }
         }
     }
 
     #[test]
-    fn stored_eval_skips_uniform_compressed_windows() {
-        use crate::store::StoragePolicy;
+    fn uniform_compressed_windows_are_classified_once_and_never_read() {
         // A very sparse slice: almost every window classifies as Zeros
         // and kills the term without materialisation.
         let len = SEGMENT_BITS * 64;
-        let sparse = BitVec::from_positions(len, &[17]);
-        let dense = stripes(len, 2, 0);
-        let ss = SliceStorage::from_dense(sparse, StoragePolicy::Roaring);
-        let sd = SliceStorage::from_dense(dense, StoragePolicy::Dense);
-        let terms = vec![vec![
-            StoredLiteral::new(&ss, false),
-            StoredLiteral::new(&sd, false),
-        ]];
+        let family = [
+            SliceStorage::from_dense(stripes(len, 2, 0), StoragePolicy::Dense),
+            SliceStorage::from_dense(BitVec::from_positions(len, &[17]), StoragePolicy::Roaring),
+        ];
         let mut stats = KernelStats::new();
-        let got = eval_dnf_stored(&terms, len, &mut stats);
-        assert_eq!(got.count_ones(), 0); // 17 is odd
-        assert_eq!(
-            stats.compressed_chunks_skipped, 63,
-            "all but one window skipped"
-        );
+        // Slice 1 appears in both terms; its windows are still fetched
+        // once per segment.
+        let got = plan(&[&[(1, false), (0, false)], &[(1, false), (0, true)]])
+            .bind(&family, None, len)
+            .eval(&mut stats);
+        assert_eq!(got.to_positions(), vec![17]);
+        assert_eq!(stats.compressed_chunks_skipped, 63, "all but one window");
+        assert_eq!(stats.segments_pruned, 2 * 63);
         // Only the one mixed window's dense partner was ever scanned.
-        assert_eq!(stats.words_scanned, SEGMENT_WORDS as u64);
-        assert!(stats.bytes_touched < 8 * 2 * (len as u64) / 64);
+        assert_eq!(stats.words_scanned, 2 * SEGMENT_WORDS as u64);
     }
 
     #[test]
-    fn stored_eval_all_identity_term_is_all_ones() {
-        use crate::store::StoragePolicy;
+    fn all_identity_term_is_all_ones() {
         let len = SEGMENT_BITS * 2;
-        let full = SliceStorage::from_dense(BitVec::ones(len), StoragePolicy::Roaring);
-        let terms = vec![vec![StoredLiteral::new(&full, false)]];
+        let family = [SliceStorage::from_dense(
+            BitVec::ones(len),
+            StoragePolicy::Roaring,
+        )];
         let mut stats = KernelStats::new();
-        let got = eval_dnf_stored(&terms, len, &mut stats);
+        let got = plan(&[&[(0, false)]])
+            .bind(&family, None, len)
+            .eval(&mut stats);
         assert_eq!(got, BitVec::ones(len));
         assert_eq!(stats.words_scanned, 0, "no dense words read");
         assert_eq!(stats.compressed_chunks_skipped, 2);
     }
 
     #[test]
-    fn stored_eval_respects_summaries() {
-        use crate::store::StoragePolicy;
-        use crate::summary::summarize_slices;
+    fn summaries_spare_compressed_slices_the_window_fetch() {
         let len = SEGMENT_BITS * 3;
         let mut a = BitVec::zeros(len);
         for i in SEGMENT_BITS..SEGMENT_BITS + 50 {
             a.set(i, true);
         }
-        let summaries = summarize_slices(&[a.clone()]);
-        let stored = SliceStorage::from_dense(a.clone(), StoragePolicy::Dense);
-        let terms = vec![vec![StoredLiteral::with_summary(
-            &stored,
-            false,
-            &summaries[0],
-        )]];
+        let summaries = summarize_slices(std::slice::from_ref(&a));
+        let family = [SliceStorage::from_dense(a.clone(), StoragePolicy::Roaring)];
         let mut stats = KernelStats::new();
-        let got = eval_dnf_stored(&terms, len, &mut stats);
+        let got = plan(&[&[(0, false)]])
+            .bind(&family, Some(&summaries), len)
+            .eval(&mut stats);
         assert_eq!(got, a);
         assert_eq!(stats.segments_pruned, 2);
-    }
-
-    #[test]
-    fn stored_range_evaluation_is_bit_identical_to_whole_vector() {
-        use crate::store::StoragePolicy;
-        let len = SEGMENT_BITS * 3 + 500;
-        let a = stripes(len, 11, 3);
-        let b: BitVec = (0..len).map(|i| i % 13 < 4).collect();
-        let sa = SliceStorage::from_dense(a, StoragePolicy::Wah);
-        let sb = SliceStorage::from_dense(b, StoragePolicy::Roaring);
-        let terms = vec![
-            vec![
-                StoredLiteral::new(&sa, false),
-                StoredLiteral::new(&sb, true),
-            ],
-            vec![
-                StoredLiteral::new(&sb, false),
-                StoredLiteral::new(&sa, true),
-            ],
-        ];
-        let mut stats = KernelStats::new();
-        let whole = eval_dnf_stored(&terms, len, &mut stats);
-
-        let mut split = BitVec::zeros(len);
-        let cut = 2 * SEGMENT_WORDS;
-        let (lo, hi) = split.words.split_at_mut(cut);
-        let mut s1 = KernelStats::new();
-        let mut s2 = KernelStats::new();
-        eval_dnf_stored_range(lo, 0, len, &terms, &mut s1);
-        eval_dnf_stored_range(hi, cut, len, &terms, &mut s2);
-        assert_eq!(split, whole);
-    }
-
-    #[test]
-    #[should_panic(expected = "slice length")]
-    fn stored_slice_length_mismatch_panics() {
-        use crate::store::StoragePolicy;
-        let s = SliceStorage::from_dense(BitVec::zeros(64), StoragePolicy::Dense);
-        let terms = vec![vec![StoredLiteral::new(&s, false)]];
-        let mut stats = KernelStats::new();
-        let _ = eval_dnf_stored(&terms, 4096, &mut stats);
+        assert_eq!(stats.compressed_chunks_skipped, 0, "summary answered first");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Every hot loop in [`crate::kernels`] and the Roaring bitmap-container
 //! ops reduces to one of a handful of *word passes* over at most
-//! [`crate::kernels::SEGMENT_WORDS`] 64-bit words: initialise an
-//! accumulator from an (optionally complemented) operand, AND a further
-//! operand in, fuse the first two operands into one load-AND-store, OR a
-//! finished accumulator into the destination. This module provides those
+//! [`crate::kernels::SEGMENT_WORDS`] 64-bit words: AND two (optionally
+//! complemented) operands into a product row, AND a further operand in,
+//! OR a finished product into the destination, or AND the last two
+//! operands straight into the destination. This module provides those
 //! passes at three implementation tiers and picks one at runtime:
 //!
 //! * **scalar** — the original word-at-a-time loops. Always compiled,
@@ -245,28 +245,6 @@ pub fn fused_pass2(
     }
 }
 
-/// `acc[i] = src[i] ^ ¬?` — first-literal initialisation. Returns `true`
-/// if any output word is non-zero.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn init_pass(path: KernelPath, acc: &mut [u64], src: &[u64], negated: bool) -> bool {
-    assert_eq!(acc.len(), src.len());
-    let m = polarity(negated);
-    match path {
-        KernelPath::Scalar => scalar::init_pass(acc, src, m),
-        #[cfg(feature = "simd")]
-        KernelPath::Portable => portable::init_pass(acc, src, m),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: as in `fused_pass2`.
-        KernelPath::Avx2 => unsafe { avx2::init_pass(acc, src, m) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::init_pass(acc, src, m),
-    }
-}
-
 /// `acc[i] &= src[i] ^ ¬?` — fold one more literal into the
 /// accumulator. Returns `true` if the accumulator is still non-zero.
 ///
@@ -308,6 +286,39 @@ pub fn or_into(path: KernelPath, dst: &mut [u64], src: &[u64]) -> bool {
         KernelPath::Avx2 => unsafe { avx2::or_into(dst, src) },
         #[allow(unreachable_patterns)]
         _ => scalar::or_into(dst, src),
+    }
+}
+
+/// `dst[i] |= (s1[i] ^ ¬?) & (s2[i] ^ ¬?)` — AND the last two operands
+/// of a term straight into the destination, with no product row in
+/// between. Returns `true` if every destination word is now all-ones.
+/// Passing one operand twice ORs in that operand alone, complemented or
+/// not.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+#[inline]
+pub fn or_and_into(
+    path: KernelPath,
+    dst: &mut [u64],
+    s1: &[u64],
+    s2: &[u64],
+    neg1: bool,
+    neg2: bool,
+) -> bool {
+    assert_eq!(dst.len(), s1.len());
+    assert_eq!(dst.len(), s2.len());
+    let (m1, m2) = (polarity(neg1), polarity(neg2));
+    match path {
+        KernelPath::Scalar => scalar::or_and_into(dst, s1, s2, m1, m2),
+        #[cfg(feature = "simd")]
+        KernelPath::Portable => portable::or_and_into(dst, s1, s2, m1, m2),
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        // SAFETY: as in `fused_pass2`.
+        KernelPath::Avx2 => unsafe { avx2::or_and_into(dst, s1, s2, m1, m2) },
+        #[allow(unreachable_patterns)]
+        _ => scalar::or_and_into(dst, s1, s2, m1, m2),
     }
 }
 
@@ -376,16 +387,6 @@ mod scalar {
         any != 0
     }
 
-    pub fn init_pass(acc: &mut [u64], src: &[u64], m: u64) -> bool {
-        let mut any = 0u64;
-        for (a, &x) in acc.iter_mut().zip(src) {
-            let v = x ^ m;
-            *a = v;
-            any |= v;
-        }
-        any != 0
-    }
-
     pub fn and_pass(acc: &mut [u64], src: &[u64], m: u64) -> bool {
         let mut any = 0u64;
         for (a, &x) in acc.iter_mut().zip(src) {
@@ -399,6 +400,15 @@ mod scalar {
         let mut all = u64::MAX;
         for (d, &x) in dst.iter_mut().zip(src) {
             *d |= x;
+            all &= *d;
+        }
+        all == u64::MAX
+    }
+
+    pub fn or_and_into(dst: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool {
+        let mut all = u64::MAX;
+        for ((d, &x), &y) in dst.iter_mut().zip(s1).zip(s2) {
+            *d |= (x ^ m1) & (y ^ m2);
             all &= *d;
         }
         all == u64::MAX
@@ -428,26 +438,6 @@ mod portable {
         let mut any = anyv.iter().fold(0, |a, &v| a | v);
         for i in blocks..n {
             let v = (s1[i] ^ m1) & (s2[i] ^ m2);
-            acc[i] = v;
-            any |= v;
-        }
-        any != 0
-    }
-
-    pub fn init_pass(acc: &mut [u64], src: &[u64], m: u64) -> bool {
-        let mut anyv = [0u64; LANES];
-        let n = acc.len();
-        let blocks = n / LANES * LANES;
-        for i in (0..blocks).step_by(LANES) {
-            for l in 0..LANES {
-                let v = src[i + l] ^ m;
-                acc[i + l] = v;
-                anyv[l] |= v;
-            }
-        }
-        let mut any = anyv.iter().fold(0, |a, &v| a | v);
-        for i in blocks..n {
-            let v = src[i] ^ m;
             acc[i] = v;
             any |= v;
         }
@@ -491,6 +481,25 @@ mod portable {
         }
         all == u64::MAX
     }
+
+    pub fn or_and_into(dst: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool {
+        let mut allv = [u64::MAX; LANES];
+        let n = dst.len();
+        let blocks = n / LANES * LANES;
+        for i in (0..blocks).step_by(LANES) {
+            for l in 0..LANES {
+                let v = dst[i + l] | ((s1[i + l] ^ m1) & (s2[i + l] ^ m2));
+                dst[i + l] = v;
+                allv[l] &= v;
+            }
+        }
+        let mut all = allv.iter().fold(u64::MAX, |a, &v| a & v);
+        for i in blocks..n {
+            dst[i] |= (s1[i] ^ m1) & (s2[i] ^ m2);
+            all &= dst[i];
+        }
+        all == u64::MAX
+    }
 }
 
 #[cfg(all(feature = "simd", feature = "nightly-simd"))]
@@ -513,25 +522,6 @@ mod portable {
         let mut any = !anyv.simd_eq(u64x4::splat(0)).all() as u64;
         for i in blocks..n {
             let v = (s1[i] ^ m1) & (s2[i] ^ m2);
-            acc[i] = v;
-            any |= v;
-        }
-        any != 0
-    }
-
-    pub fn init_pass(acc: &mut [u64], src: &[u64], m: u64) -> bool {
-        let vm = u64x4::splat(m);
-        let mut anyv = u64x4::splat(0);
-        let n = acc.len();
-        let blocks = n / 4 * 4;
-        for i in (0..blocks).step_by(4) {
-            let v = Simd::from_slice(&src[i..i + 4]) ^ vm;
-            v.copy_to_slice(&mut acc[i..i + 4]);
-            anyv |= v;
-        }
-        let mut any = !anyv.simd_eq(u64x4::splat(0)).all() as u64;
-        for i in blocks..n {
-            let v = src[i] ^ m;
             acc[i] = v;
             any |= v;
         }
@@ -572,6 +562,30 @@ mod portable {
         };
         for i in blocks..n {
             dst[i] |= src[i];
+            all &= dst[i];
+        }
+        all == u64::MAX
+    }
+
+    pub fn or_and_into(dst: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool {
+        let (vm1, vm2) = (u64x4::splat(m1), u64x4::splat(m2));
+        let mut allv = u64x4::splat(u64::MAX);
+        let n = dst.len();
+        let blocks = n / 4 * 4;
+        for i in (0..blocks).step_by(4) {
+            let x = Simd::from_slice(&s1[i..i + 4]) ^ vm1;
+            let y = Simd::from_slice(&s2[i..i + 4]) ^ vm2;
+            let v = Simd::from_slice(&dst[i..i + 4]) | (x & y);
+            v.copy_to_slice(&mut dst[i..i + 4]);
+            allv &= v;
+        }
+        let mut all = if allv.simd_eq(u64x4::splat(u64::MAX)).all() {
+            u64::MAX
+        } else {
+            0
+        };
+        for i in blocks..n {
+            dst[i] |= (s1[i] ^ m1) & (s2[i] ^ m2);
             all &= dst[i];
         }
         all == u64::MAX
@@ -655,34 +669,6 @@ mod avx2 {
     /// # Safety
     /// As [`fused_pass2`].
     #[target_feature(enable = "avx2")]
-    pub unsafe fn init_pass(acc: &mut [u64], src: &[u64], m: u64) -> bool {
-        let n = acc.len();
-        let blocks = n / LANES * LANES;
-        // SAFETY: bounds as in `fused_pass2`.
-        unsafe {
-            let vm = _mm256_set1_epi64x(m as i64);
-            let mut anyv = _mm256_set1_epi64x(0);
-            let (pa, ps) = (acc.as_mut_ptr(), src.as_ptr());
-            let mut i = 0;
-            while i < blocks {
-                let v = _mm256_xor_si256(load(ps.add(i)), vm);
-                store(pa.add(i), v);
-                anyv = _mm256_or_si256(anyv, v);
-                i += LANES;
-            }
-            let mut any = (_mm256_testz_si256(anyv, anyv) == 0) as u64;
-            for i in blocks..n {
-                let v = src[i] ^ m;
-                acc[i] = v;
-                any |= v;
-            }
-            any != 0
-        }
-    }
-
-    /// # Safety
-    /// As [`fused_pass2`].
-    #[target_feature(enable = "avx2")]
     pub unsafe fn and_pass(acc: &mut [u64], src: &[u64], m: u64) -> bool {
         let n = acc.len();
         let blocks = n / LANES * LANES;
@@ -738,6 +724,41 @@ mod avx2 {
             all == u64::MAX
         }
     }
+
+    /// # Safety
+    /// As [`fused_pass2`].
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn or_and_into(dst: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool {
+        let n = dst.len();
+        let blocks = n / LANES * LANES;
+        // SAFETY: bounds as in `fused_pass2`.
+        unsafe {
+            let vm1 = _mm256_set1_epi64x(m1 as i64);
+            let vm2 = _mm256_set1_epi64x(m2 as i64);
+            let ones = _mm256_set1_epi64x(-1);
+            let mut allv = ones;
+            let (pd, p1, p2) = (dst.as_mut_ptr(), s1.as_ptr(), s2.as_ptr());
+            let mut i = 0;
+            while i < blocks {
+                let x = _mm256_xor_si256(load(p1.add(i)), vm1);
+                let y = _mm256_xor_si256(load(p2.add(i)), vm2);
+                let v = _mm256_or_si256(load(pd.add(i)), _mm256_and_si256(x, y));
+                store(pd.add(i), v);
+                allv = _mm256_and_si256(allv, v);
+                i += LANES;
+            }
+            let mut all = if _mm256_testc_si256(allv, ones) == 1 {
+                u64::MAX
+            } else {
+                0
+            };
+            for i in blocks..n {
+                dst[i] |= (s1[i] ^ m1) & (s2[i] ^ m2);
+                all &= dst[i];
+            }
+            all == u64::MAX
+        }
+    }
 }
 
 #[cfg(test)]
@@ -785,14 +806,12 @@ mod tests {
                     let gs = or_into(path, &mut gdst, &got2);
                     assert_eq!(gdst, wdst, "or_into {path:?} n={n}");
                     assert_eq!(gs, ws, "or_into saturated {path:?} n={n}");
-                }
-                for neg in [false, true] {
-                    let mut want = vec![0u64; n];
-                    let wa = init_pass(KernelPath::Scalar, &mut want, &s1, neg);
-                    let mut got = vec![0u64; n];
-                    let ga = init_pass(path, &mut got, &s1, neg);
-                    assert_eq!(got, want, "init_pass {path:?} n={n} neg={neg}");
-                    assert_eq!(ga, wa, "init_pass any {path:?} n={n}");
+
+                    // The fused form equals the AND pass then the OR.
+                    let mut fdst = s1.clone();
+                    let fs = or_and_into(path, &mut fdst, &want, &s2, false, n2);
+                    assert_eq!(fdst, wdst, "or_and_into {path:?} n={n}");
+                    assert_eq!(fs, ws, "or_and_into saturated {path:?} n={n}");
                 }
             }
         }
@@ -805,9 +824,11 @@ mod tests {
             assert!(or_into(path, &mut dst, &[0u64; 8]), "{path:?}");
             let mut dst = vec![u64::MAX - 1; 7];
             assert!(!or_into(path, &mut dst, &[0u64; 7]), "{path:?}");
-            let mut acc = vec![0u64; 9];
-            assert!(!init_pass(path, &mut acc, &[0u64; 9], false));
-            assert!(init_pass(path, &mut acc, &[0u64; 9], true));
+            // One operand twice, complemented: `dst |= !src`.
+            let mut dst = vec![0u64; 9];
+            assert!(or_and_into(path, &mut dst, &[0; 9], &[0; 9], true, true));
+            let mut acc = vec![u64::MAX; 9];
+            assert!(and_pass(path, &mut acc, &[0u64; 9], true));
             assert!(!and_pass(path, &mut acc, &[0u64; 9], false));
         }
     }

@@ -6,15 +6,14 @@
 //! for every kernel, over random operand mixes (1–6 literals per
 //! term, arbitrary negation patterns), odd tail lengths that leave
 //! the 4-word vector blocks ragged, and all-zero / all-one operands
-//! that drive the saturation short-circuits. The dense and stored
-//! (Dense / Roaring / WAH container) DNF evaluators are checked
-//! end-to-end under a forced dispatch override; only the dispatch
-//! counters themselves may differ between tiers.
+//! that drive the saturation short-circuits. The DNF kernel is checked
+//! end-to-end over plain vectors and every container (Dense / Roaring
+//! / WAH) under a forced dispatch override; only the dispatch counters
+//! themselves may differ between tiers.
 
-use ebi_bitvec::kernels::{eval_dnf, eval_dnf_stored, Literal, StoredLiteral};
 use ebi_bitvec::simd::{self, KernelPath};
 use ebi_bitvec::summary::summarize_slices;
-use ebi_bitvec::{BitVec, KernelStats, SliceStorage, StoragePolicy};
+use ebi_bitvec::{BitVec, DnfPlan, KernelStats, SliceStorage, StoragePolicy};
 use proptest::prelude::*;
 
 /// Deterministic xorshift so operand contents derive from one seed.
@@ -90,13 +89,14 @@ proptest! {
             prop_assert_eq!(&got, &want, "fused_pass2 words on {}", path.name());
             prop_assert_eq!(got_any, want_any, "fused_pass2 any on {}", path.name());
 
-            // init_pass: acc = ±s1
+            // or_and_into: dst |= (±s1) & (±s2), returns saturation
             let mut want = base.clone();
-            let want_any = simd::init_pass(KernelPath::Scalar, &mut want, &s1, neg1);
+            let want_sat =
+                simd::or_and_into(KernelPath::Scalar, &mut want, &s1, &s2, neg1, neg2);
             let mut got = base.clone();
-            let got_any = simd::init_pass(path, &mut got, &s1, neg1);
-            prop_assert_eq!(&got, &want, "init_pass words on {}", path.name());
-            prop_assert_eq!(got_any, want_any, "init_pass any on {}", path.name());
+            let got_sat = simd::or_and_into(path, &mut got, &s1, &s2, neg1, neg2);
+            prop_assert_eq!(&got, &want, "or_and_into words on {}", path.name());
+            prop_assert_eq!(got_sat, want_sat, "or_and_into saturation on {}", path.name());
 
             // and_pass: acc &= ±s1
             let mut want = base.clone();
@@ -176,14 +176,24 @@ proptest! {
             let mut got = s1.clone();
             let got_sat = simd::or_into(path, &mut got, &s2);
             prop_assert_eq!(got_sat, want_sat, "or_into saturation on {}", path.name());
+
+            let mut want = s1.clone();
+            let want_sat =
+                simd::or_and_into(KernelPath::Scalar, &mut want, &s1, &s2, neg1, neg2);
+            let mut got = s1.clone();
+            let got_sat = simd::or_and_into(path, &mut got, &s1, &s2, neg1, neg2);
+            prop_assert_eq!(&got, &want, "or_and_into on {}", path.name());
+            prop_assert_eq!(got_sat, want_sat, "or_and_into saturation on {}", path.name());
         }
     }
 
-    /// End-to-end dense DNF evaluation under a forced dispatch
-    /// override: bit-identical results, invariant work counters, and
-    /// the dispatch report names the forced tier.
+    /// End-to-end DNF evaluation under a forced dispatch override:
+    /// every tier × every container family (plain vectors, Dense,
+    /// Roaring, WAH) matches the scalar result over plain vectors, with
+    /// tier-invariant work counters per family, and the dispatch report
+    /// names the forced tier.
     #[test]
-    fn dense_dnf_eval_is_tier_invariant(
+    fn dnf_eval_is_tier_invariant_across_containers(
         seed in any::<u64>(),
         rows in 1usize..40_000,
         densities in prop::collection::vec(density_ppt(), 2..5),
@@ -193,38 +203,32 @@ proptest! {
         ),
         with_summaries in any::<bool>(),
     ) {
-        let slices: Vec<BitVec> = densities
+        let dense: Vec<BitVec> = densities
             .iter()
             .enumerate()
             .map(|(i, &d)| random_bits(rows, d, seed ^ (i as u64).wrapping_mul(0x9E37_79B9)))
             .collect();
-        let summaries = summarize_slices(&slices);
-        let terms: Vec<Vec<Literal<'_>>> = shape
-            .iter()
-            .map(|term| {
-                term.iter()
-                    .map(|(idx, neg)| {
-                        let i = idx.index(slices.len());
-                        if with_summaries {
-                            Literal::with_summary(&slices[i], *neg, &summaries[i])
-                        } else {
-                            Literal::new(&slices[i], *neg)
-                        }
-                    })
-                    .collect()
+        let summaries = summarize_slices(&dense);
+        let summaries = with_summaries.then_some(&summaries[..]);
+        // A term names each slice at most once; a repeat overrides.
+        let plan = DnfPlan::lower(shape.iter().map(|term| {
+            term.iter().fold((0u64, 0u64), |(mask, value), (idx, neg)| {
+                let bit = 1u64 << idx.index(dense.len());
+                (mask | bit, if *neg { value & !bit } else { value | bit })
             })
-            .collect();
+        }));
 
         let mut ref_stats = KernelStats::new();
         let reference = simd::with_forced_path(KernelPath::Scalar, || {
-            eval_dnf(&terms, rows, &mut ref_stats)
+            plan.bind(&dense, summaries, rows).eval(&mut ref_stats)
         });
         prop_assert_eq!(ref_stats.kernel_path(), "scalar");
-
         for path in simd::available_paths() {
             let mut stats = KernelStats::new();
-            let got = simd::with_forced_path(path, || eval_dnf(&terms, rows, &mut stats));
-            prop_assert_eq!(&got, &reference, "dense DNF result on {}", path.name());
+            let got = simd::with_forced_path(path, || {
+                plan.bind(&dense, summaries, rows).eval(&mut stats)
+            });
+            prop_assert_eq!(&got, &reference, "plain-vector result on {}", path.name());
             prop_assert_eq!(
                 work_counters(&stats),
                 work_counters(&ref_stats),
@@ -233,67 +237,20 @@ proptest! {
             );
             prop_assert_eq!(stats.kernel_path(), path.name(), "dispatch report");
         }
-    }
 
-    /// End-to-end stored DNF evaluation: every tier × every container
-    /// family (Dense, Roaring, WAH) matches the scalar/dense result,
-    /// with tier-invariant work counters per family.
-    #[test]
-    fn stored_dnf_eval_is_tier_invariant_across_containers(
-        seed in any::<u64>(),
-        rows in 1usize..40_000,
-        densities in prop::collection::vec(density_ppt(), 2..4),
-        shape in prop::collection::vec(
-            prop::collection::vec((any::<prop::sample::Index>(), any::<bool>()), 1..6),
-            1..3,
-        ),
-    ) {
-        let dense: Vec<BitVec> = densities
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| random_bits(rows, d, seed ^ (i as u64).wrapping_mul(0x6C62_272E)))
-            .collect();
-        let summaries = summarize_slices(&dense);
-
-        let mut reference: Option<BitVec> = None;
         for policy in [StoragePolicy::Dense, StoragePolicy::Roaring, StoragePolicy::Wah] {
             let family: Vec<SliceStorage> = dense
                 .iter()
                 .map(|b| SliceStorage::from_dense(b.clone(), policy))
                 .collect();
-            let terms: Vec<Vec<StoredLiteral<'_>>> = shape
-                .iter()
-                .map(|term| {
-                    term.iter()
-                        .map(|(idx, neg)| {
-                            let i = idx.index(family.len());
-                            StoredLiteral::with_summary(&family[i], *neg, &summaries[i])
-                        })
-                        .collect()
-                })
-                .collect();
-
+            let bound = plan.bind(&family, summaries, rows);
             let mut ref_stats = KernelStats::new();
-            let scalar = simd::with_forced_path(KernelPath::Scalar, || {
-                eval_dnf_stored(&terms, rows, &mut ref_stats)
-            });
-            match &reference {
-                None => reference = Some(scalar.clone()),
-                Some(bits) => prop_assert_eq!(&scalar, bits, "{:?} != dense", policy),
-            }
-
+            let scalar = simd::with_forced_path(KernelPath::Scalar, || bound.eval(&mut ref_stats));
+            prop_assert_eq!(&scalar, &reference, "{:?} != plain vectors", policy);
             for path in simd::available_paths() {
                 let mut stats = KernelStats::new();
-                let got = simd::with_forced_path(path, || {
-                    eval_dnf_stored(&terms, rows, &mut stats)
-                });
-                prop_assert_eq!(
-                    &got,
-                    &scalar,
-                    "stored DNF result for {:?} on {}",
-                    policy,
-                    path.name()
-                );
+                let got = simd::with_forced_path(path, || bound.eval(&mut stats));
+                prop_assert_eq!(&got, &scalar, "result for {:?} on {}", policy, path.name());
                 prop_assert_eq!(
                     work_counters(&stats),
                     work_counters(&ref_stats),

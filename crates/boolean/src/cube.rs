@@ -134,20 +134,7 @@ impl Cube {
     /// product renders as `1`.
     #[must_use]
     pub fn display(&self) -> String {
-        if self.mask == 0 {
-            return "1".to_string();
-        }
-        let mut s = String::new();
-        for i in (0..=63u32).rev() {
-            if self.mask >> i & 1 == 1 {
-                s.push('B');
-                s.push_str(&i.to_string());
-                if self.value >> i & 1 == 0 {
-                    s.push('\'');
-                }
-            }
-        }
-        s
+        self.to_string()
     }
 }
 
@@ -159,7 +146,18 @@ impl fmt::Debug for Cube {
 
 impl fmt::Display for Cube {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.display())
+        if self.mask == 0 {
+            return f.write_str("1");
+        }
+        for i in (0..=63u32).rev() {
+            if self.mask >> i & 1 == 1 {
+                write!(f, "B{i}")?;
+                if self.value >> i & 1 == 0 {
+                    f.write_str("'")?;
+                }
+            }
+        }
+        Ok(())
     }
 }
 

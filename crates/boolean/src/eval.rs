@@ -5,27 +5,29 @@
 //! bitmap: each product term ANDs together its slices (negated where the
 //! literal is `B_i'`), and the terms are ORed.
 //!
-//! Evaluation is **fused**: instead of materialising a `BitVec` per
-//! operation, each product term streams through the
-//! [`ebi_bitvec::kernels`] in 4096-row segments with a stack-resident
-//! accumulator, OR-ing finished segments straight into the destination.
-//! With per-slice [`SegmentSummary`] data the kernels additionally skip
-//! whole segments without reading a word. The original operator-at-a-time
-//! evaluator is kept as [`eval_expr_naive`] as a differential-testing
-//! oracle; both produce bit-identical results.
+//! There is one evaluator. [`DnfExpr::lower`] turns the expression into a
+//! [`DnfPlan`] — product terms sorted so that shared literal prefixes are
+//! adjacent — and the [`ebi_bitvec::kernels`] kernel runs it in 4096-row
+//! segments over slices in any container (plain [`BitVec`]s or
+//! [`ebi_bitvec::SliceStorage`]), fetching each slice's window once per
+//! segment and computing each shared prefix once. With per-slice
+//! [`SegmentSummary`] data it additionally skips whole segments without
+//! reading a word. The original operator-at-a-time evaluator is kept as
+//! [`eval_expr_naive`], the differential-testing oracle; both produce
+//! bit-identical results.
 //!
 //! [`AccessTracker`] records the paper's cost metric while doing so: the
 //! set of *distinct bitmap vectors touched* (footnote 4 — "the number of
 //! bitmaps which need to be accessed is considered as one" per vector,
-//! however many literals reference it), plus secondary counters. Fusing
-//! does not change `vectors_accessed`: every slice a cube references is
-//! counted up front, whether or not segment pruning ends up reading it —
-//! the metric models which vectors must be *fetched*, and pruning needs
-//! the summary (fetched alongside the vector's metadata) either way.
+//! however many literals reference it), plus secondary counters. These
+//! come from the *expression* ([`record_access`]), never from the plan:
+//! every slice a cube references is counted, whether or not prefix
+//! sharing or segment pruning ends up reading it — the metric models
+//! which vectors must be *fetched*.
 
 use crate::expr::DnfExpr;
-use ebi_bitvec::kernels::{self, KernelStats, Literal, StoredLiteral};
-use ebi_bitvec::{BitVec, SegmentSummary, SliceStorage};
+use ebi_bitvec::kernels::{DnfPlan, KernelStats, SliceSource};
+use ebi_bitvec::{BitVec, SegmentSummary};
 
 /// Errors from expression-evaluation bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,20 +63,19 @@ pub struct AccessTracker {
     pub literal_ops: usize,
     /// OR operations joining product terms.
     pub or_ops: usize,
-    /// Bitmap words actually read from slice storage by the fused
-    /// kernels (the naive evaluator does not report this).
+    /// Dense slice words the kernel's word passes consumed (the naive
+    /// evaluator does not report this).
     pub words_scanned: u64,
     /// Storage bytes examined: 8 per dense word plus every compressed
-    /// container byte the stored-slice kernels inspected.
+    /// container byte the window fetches inspected.
     pub bytes_touched: u64,
     /// Compressed windows classified uniform (all-zero / all-one) from
     /// container metadata, skipping materialisation entirely.
     pub compressed_chunks_skipped: u64,
-    /// (term, segment) pairs skipped via segment summaries before any
-    /// word was read.
+    /// (term, segment) pairs resolved zero by a window known uniform
+    /// before any pass ran for them.
     pub segments_pruned: u64,
-    /// (term, segment) pairs abandoned mid-term when the accumulator
-    /// went all-zero.
+    /// (term, segment) pairs cut short by an all-zero partial product.
     pub segments_short_circuited: u64,
     /// Kernel entries that ran the scalar word-pass tier.
     pub dispatch_scalar: u64,
@@ -120,7 +121,7 @@ impl AccessTracker {
         self.dispatch_avx2 += other.dispatch_avx2;
     }
 
-    /// Folds fused-kernel work counters into the tracker.
+    /// Folds kernel work counters into the tracker.
     pub fn absorb_kernel_stats(&mut self, stats: &KernelStats) {
         self.words_scanned += stats.words_scanned;
         self.bytes_touched += stats.bytes_touched;
@@ -185,404 +186,68 @@ impl AccessTracker {
     }
 }
 
-/// A retrieval expression lowered onto fused-kernel literals, ready for
-/// (possibly parallel) evaluation over word ranges.
-///
-/// The plan borrows the slices (and optional summaries) immutably, so a
-/// single plan can be shared by many threads each filling a disjoint
-/// window of the destination via [`FusedPlan::eval_range`]; results are
-/// bit-identical to [`FusedPlan::eval`] over the whole vector.
-#[derive(Debug, Clone)]
-pub struct FusedPlan<'a> {
-    terms: Vec<Vec<Literal<'a>>>,
-    row_count: usize,
-}
-
-impl<'a> FusedPlan<'a> {
-    /// Lowers `expr` over `slices` without segment summaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths disagree with `row_count` or the
-    /// expression references a slice index `>= slices.len()`.
+impl DnfExpr {
+    /// Lowers the expression for the evaluation kernel. The plan
+    /// depends only on the expression, so it is built once per query
+    /// and bound to every slice family the query runs against.
     #[must_use]
-    pub fn new(expr: &DnfExpr, slices: &'a [BitVec], row_count: usize) -> Self {
-        Self::build(expr, slices, None, row_count)
-    }
-
-    /// Lowers `expr` with per-slice summaries enabling whole-segment
-    /// pruning. `summaries[i]` must describe `slices[i]`.
-    ///
-    /// # Panics
-    ///
-    /// As [`FusedPlan::new`], plus if `summaries.len() != slices.len()`.
-    #[must_use]
-    pub fn with_summaries(
-        expr: &DnfExpr,
-        slices: &'a [BitVec],
-        summaries: &'a [SegmentSummary],
-        row_count: usize,
-    ) -> Self {
-        assert_eq!(
-            summaries.len(),
-            slices.len(),
-            "one summary per slice required"
-        );
-        Self::build(expr, slices, Some(summaries), row_count)
-    }
-
-    fn build(
-        expr: &DnfExpr,
-        slices: &'a [BitVec],
-        summaries: Option<&'a [SegmentSummary]>,
-        row_count: usize,
-    ) -> Self {
-        for s in slices {
-            assert_eq!(s.len(), row_count, "slice length != row count");
-        }
-        assert!(
-            expr.support() >> slices.len().min(63) == 0 || slices.len() >= 64,
-            "expression references slice beyond the {} provided",
-            slices.len()
-        );
-        let terms = expr
-            .cubes()
-            .iter()
-            .map(|cube| {
-                (0..64u32)
-                    .filter(|i| cube.mask() >> i & 1 == 1)
-                    .map(|i| {
-                        let negated = cube.value() >> i & 1 == 0;
-                        let slice = &slices[i as usize];
-                        match summaries {
-                            Some(sums) => Literal::with_summary(slice, negated, &sums[i as usize]),
-                            None => Literal::new(slice, negated),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        Self { terms, row_count }
-    }
-
-    /// Rows covered by the plan.
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.row_count
-    }
-
-    /// Upper bound on the kernel word traffic evaluating this plan will
-    /// generate, net of summary pruning — what a parallel splitter
-    /// should weigh instead of raw row count, since a heavily pruned
-    /// plan does far less work than its rows suggest.
-    #[must_use]
-    pub fn estimated_work_words(&self) -> u64 {
-        kernels::estimate_dnf_work_words(&self.terms, self.row_count)
-    }
-
-    /// Records the paper's access metrics for evaluating this plan's
-    /// expression: one `cube_eval` and its literal touches per product
-    /// term, one `or_op` per term beyond the first. Identical to what
-    /// the naive evaluator records — fusing changes how words are read,
-    /// not which vectors are accessed.
-    pub fn record_access(expr: &DnfExpr, tracker: &mut AccessTracker) {
-        for cube in expr.cubes() {
-            tracker.cube_evals += 1;
-            for i in 0..64u32 {
-                if cube.mask() >> i & 1 == 1 {
-                    tracker.touch(i);
-                    tracker.literal_ops += 1;
-                }
-            }
-        }
-        tracker.or_ops += expr.cubes().len().saturating_sub(1);
-    }
-
-    /// Evaluates the whole plan into a fresh selection bitmap.
-    #[must_use]
-    pub fn eval(&self, stats: &mut KernelStats) -> BitVec {
-        kernels::eval_dnf(&self.terms, self.row_count, stats)
-    }
-
-    /// Evaluates the plan into `dst`, a **zeroed** window covering words
-    /// `word_offset ..` of the selection bitmap. `word_offset` must be
-    /// segment-aligned. Disjoint windows compose to the exact
-    /// whole-vector result.
-    ///
-    /// # Panics
-    ///
-    /// As [`ebi_bitvec::kernels::eval_dnf_range`].
-    pub fn eval_range(&self, dst: &mut [u64], word_offset: usize, stats: &mut KernelStats) {
-        kernels::eval_dnf_range(dst, word_offset, self.row_count, &self.terms, stats);
+    pub fn lower(&self) -> DnfPlan {
+        DnfPlan::lower(self.cubes().iter().map(|c| (c.mask(), c.value())))
     }
 }
 
-/// A retrieval expression lowered over adaptively stored slices
-/// ([`SliceStorage`]): the storage-aware counterpart of [`FusedPlan`].
-///
-/// When every slice the expression references is stored dense, the plan
-/// degenerates to the exact [`FusedPlan`] literal layout, so all-dense
-/// indexes pay nothing for the indirection. Otherwise product terms are
-/// lowered onto [`StoredLiteral`]s and evaluated compressed-domain:
-/// Roaring / WAH slices materialise 64-word windows on demand, and
-/// uniform windows resolve whole (term, segment) pairs from container
-/// metadata without decompression.
-///
-/// Like [`FusedPlan`], the plan borrows slices and summaries immutably
-/// and supports disjoint-window range evaluation for parallel callers.
-/// The paper's access metric is storage-independent:
-/// [`FusedPlan::record_access`] applies unchanged.
-#[derive(Debug, Clone)]
-pub struct StoredPlan<'a> {
-    inner: StoredPlanInner<'a>,
-}
-
-#[derive(Debug, Clone)]
-enum StoredPlanInner<'a> {
-    /// Every referenced slice is dense: reuse the dense fused kernels.
-    Dense(FusedPlan<'a>),
-    /// At least one referenced slice is compressed.
-    Mixed {
-        terms: Vec<Vec<StoredLiteral<'a>>>,
-        row_count: usize,
-    },
-}
-
-impl<'a> StoredPlan<'a> {
-    /// Lowers `expr` over stored `slices` without segment summaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths disagree with `row_count` or the
-    /// expression references a slice index `>= slices.len()`.
-    #[must_use]
-    pub fn new(expr: &DnfExpr, slices: &'a [SliceStorage], row_count: usize) -> Self {
-        Self::build(expr, slices, None, row_count)
-    }
-
-    /// Lowers `expr` with per-slice summaries enabling whole-segment
-    /// pruning. `summaries[i]` must describe `slices[i]`.
-    ///
-    /// # Panics
-    ///
-    /// As [`StoredPlan::new`], plus if `summaries.len() != slices.len()`.
-    #[must_use]
-    pub fn with_summaries(
-        expr: &DnfExpr,
-        slices: &'a [SliceStorage],
-        summaries: &'a [SegmentSummary],
-        row_count: usize,
-    ) -> Self {
-        assert_eq!(
-            summaries.len(),
-            slices.len(),
-            "one summary per slice required"
-        );
-        Self::build(expr, slices, Some(summaries), row_count)
-    }
-
-    fn build(
-        expr: &DnfExpr,
-        slices: &'a [SliceStorage],
-        summaries: Option<&'a [SegmentSummary]>,
-        row_count: usize,
-    ) -> Self {
-        for s in slices {
-            assert_eq!(s.len(), row_count, "slice length != row count");
-        }
-        assert!(
-            expr.support() >> slices.len().min(63) == 0 || slices.len() >= 64,
-            "expression references slice beyond the {} provided",
-            slices.len()
-        );
-        let all_dense = (0..64u32)
-            .filter(|i| expr.support() >> i & 1 == 1)
-            .all(|i| slices[i as usize].as_dense().is_some());
-        if all_dense {
-            // Borrow the dense views directly; unreferenced compressed
-            // slices are irrelevant to the plan.
-            let terms = expr
-                .cubes()
-                .iter()
-                .map(|cube| {
-                    (0..64u32)
-                        .filter(|i| cube.mask() >> i & 1 == 1)
-                        .map(|i| {
-                            let negated = cube.value() >> i & 1 == 0;
-                            let slice = slices[i as usize].as_dense().expect("checked dense above");
-                            match summaries {
-                                Some(sums) => {
-                                    Literal::with_summary(slice, negated, &sums[i as usize])
-                                }
-                                None => Literal::new(slice, negated),
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            return Self {
-                inner: StoredPlanInner::Dense(FusedPlan { terms, row_count }),
-            };
-        }
-        let terms = expr
-            .cubes()
-            .iter()
-            .map(|cube| {
-                (0..64u32)
-                    .filter(|i| cube.mask() >> i & 1 == 1)
-                    .map(|i| {
-                        let negated = cube.value() >> i & 1 == 0;
-                        let slice = &slices[i as usize];
-                        match summaries {
-                            Some(sums) => {
-                                StoredLiteral::with_summary(slice, negated, &sums[i as usize])
-                            }
-                            None => StoredLiteral::new(slice, negated),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        Self {
-            inner: StoredPlanInner::Mixed { terms, row_count },
-        }
-    }
-
-    /// Rows covered by the plan.
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        match &self.inner {
-            StoredPlanInner::Dense(p) => p.row_count,
-            StoredPlanInner::Mixed { row_count, .. } => *row_count,
-        }
-    }
-
-    /// Whether the plan resolved to the all-dense fast path.
-    #[must_use]
-    pub fn is_dense(&self) -> bool {
-        matches!(self.inner, StoredPlanInner::Dense(_))
-    }
-
-    /// Upper bound on the kernel word traffic evaluating this plan will
-    /// generate, net of summary pruning; see
-    /// [`FusedPlan::estimated_work_words`].
-    #[must_use]
-    pub fn estimated_work_words(&self) -> u64 {
-        match &self.inner {
-            StoredPlanInner::Dense(p) => p.estimated_work_words(),
-            StoredPlanInner::Mixed { terms, row_count } => {
-                kernels::estimate_stored_dnf_work_words(terms, *row_count)
+/// Records the paper's access metrics for evaluating `expr`: one
+/// `cube_eval` and its literal touches per product term, one `or_op`
+/// per term beyond the first. Identical to what the naive evaluator
+/// does — the kernel changes how words are read, not which vectors are
+/// accessed.
+pub fn record_access(expr: &DnfExpr, tracker: &mut AccessTracker) {
+    for cube in expr.cubes() {
+        tracker.cube_evals += 1;
+        for i in 0..64u32 {
+            if cube.mask() >> i & 1 == 1 {
+                tracker.touch(i);
+                tracker.literal_ops += 1;
             }
         }
     }
-
-    /// Evaluates the whole plan into a fresh selection bitmap.
-    #[must_use]
-    pub fn eval(&self, stats: &mut KernelStats) -> BitVec {
-        match &self.inner {
-            StoredPlanInner::Dense(p) => p.eval(stats),
-            StoredPlanInner::Mixed { terms, row_count } => {
-                kernels::eval_dnf_stored(terms, *row_count, stats)
-            }
-        }
-    }
-
-    /// Evaluates the plan into `dst`, a **zeroed** window covering words
-    /// `word_offset ..` of the selection bitmap. `word_offset` must be
-    /// segment-aligned; disjoint windows compose to the exact
-    /// whole-vector result.
-    ///
-    /// # Panics
-    ///
-    /// As [`ebi_bitvec::kernels::eval_dnf_stored_range`].
-    pub fn eval_range(&self, dst: &mut [u64], word_offset: usize, stats: &mut KernelStats) {
-        match &self.inner {
-            StoredPlanInner::Dense(p) => p.eval_range(dst, word_offset, stats),
-            StoredPlanInner::Mixed { terms, row_count } => {
-                kernels::eval_dnf_stored_range(dst, word_offset, *row_count, terms, stats);
-            }
-        }
-    }
+    tracker.or_ops += expr.cubes().len().saturating_sub(1);
 }
 
-/// Evaluates `expr` over adaptively stored slices, recording cost in
-/// `tracker`. Storage-aware counterpart of [`eval_expr_tracked`] /
-/// [`eval_expr_summarized`]: pass `Some(summaries)` to enable
-/// whole-segment pruning. `vectors_accessed` is identical whatever the
-/// per-slice container choice.
-///
-/// # Panics
-///
-/// As [`StoredPlan::new`] / [`StoredPlan::with_summaries`].
-#[must_use]
-pub fn eval_expr_stored(
-    expr: &DnfExpr,
-    slices: &[SliceStorage],
-    summaries: Option<&[SegmentSummary]>,
-    row_count: usize,
-    tracker: &mut AccessTracker,
-) -> BitVec {
-    let plan = match summaries {
-        Some(sums) => StoredPlan::with_summaries(expr, slices, sums, row_count),
-        None => StoredPlan::new(expr, slices, row_count),
-    };
-    FusedPlan::record_access(expr, tracker);
-    let mut stats = KernelStats::new();
-    let result = plan.eval(&mut stats);
-    tracker.absorb_kernel_stats(&stats);
-    result
-}
-
-/// Evaluates `expr` over `slices` (slice `i` = bitmap vector `B_i`),
-/// returning the selection bitmap of length `row_count`.
+/// Evaluates `expr` over `slices` (slice `i` = bitmap vector `B_i`, in
+/// any container), returning the selection bitmap of length `row_count`.
 ///
 /// # Panics
 ///
 /// Panics if the expression references a slice index `>= slices.len()`,
-/// or the slices have differing lengths.
+/// or a slice length differs from `row_count`.
 #[must_use]
-pub fn eval_expr(expr: &DnfExpr, slices: &[BitVec], row_count: usize) -> BitVec {
-    let mut tracker = AccessTracker::new();
-    eval_expr_tracked(expr, slices, row_count, &mut tracker)
+pub fn eval_expr<S: SliceSource>(expr: &DnfExpr, slices: &[S], row_count: usize) -> BitVec {
+    eval_expr_tracked(expr, slices, None, row_count, &mut AccessTracker::new())
 }
 
-/// Like [`eval_expr`] but records cost in `tracker`.
-#[must_use]
-pub fn eval_expr_tracked(
-    expr: &DnfExpr,
-    slices: &[BitVec],
-    row_count: usize,
-    tracker: &mut AccessTracker,
-) -> BitVec {
-    let plan = FusedPlan::new(expr, slices, row_count);
-    FusedPlan::record_access(expr, tracker);
-    let mut stats = KernelStats::new();
-    let result = plan.eval(&mut stats);
-    tracker.absorb_kernel_stats(&stats);
-    result
-}
-
-/// Like [`eval_expr_tracked`] but consults per-slice segment summaries
-/// so whole segments can be pruned before any bitmap word is read.
-/// `summaries[i]` must describe `slices[i]` (see
-/// [`ebi_bitvec::summary::summarize_slices`]).
+/// Like [`eval_expr`] but records cost in `tracker`, and with
+/// `Some(summaries)` (`summaries[i]` must describe `slices[i]`, see
+/// [`ebi_bitvec::summary::summarize_slices`]) skips whole segments
+/// before any bitmap word is read. `vectors_accessed` is identical
+/// whatever the per-slice container choice.
 ///
 /// # Panics
 ///
-/// As [`eval_expr_tracked`], plus if the summary count or lengths
-/// disagree with the slices.
+/// As [`eval_expr`], plus if the summary count or lengths disagree with
+/// the slices.
 #[must_use]
-pub fn eval_expr_summarized(
+pub fn eval_expr_tracked<S: SliceSource>(
     expr: &DnfExpr,
-    slices: &[BitVec],
-    summaries: &[SegmentSummary],
+    slices: &[S],
+    summaries: Option<&[SegmentSummary]>,
     row_count: usize,
     tracker: &mut AccessTracker,
 ) -> BitVec {
-    let plan = FusedPlan::with_summaries(expr, slices, summaries, row_count);
-    FusedPlan::record_access(expr, tracker);
+    let plan = expr.lower();
+    record_access(expr, tracker);
     let mut stats = KernelStats::new();
-    let result = plan.eval(&mut stats);
+    let result = plan.bind(slices, summaries, row_count).eval(&mut stats);
     tracker.absorb_kernel_stats(&stats);
     result
 }
@@ -590,8 +255,8 @@ pub fn eval_expr_summarized(
 /// The original operator-at-a-time evaluator: clones / negates the first
 /// literal of each term, ANDs the rest in whole-vector passes, ORs terms.
 ///
-/// Kept as the differential-testing oracle for the fused path (and as
-/// the baseline in the evaluation benchmarks); results are always
+/// Kept as the differential-testing oracle for the kernel (and as the
+/// baseline in the evaluation benchmarks); results are always
 /// bit-identical to [`eval_expr`].
 ///
 /// # Panics
@@ -643,7 +308,6 @@ pub fn eval_expr_naive(expr: &DnfExpr, slices: &[BitVec], row_count: usize) -> B
     }
     result.unwrap_or_else(|| BitVec::zeros(row_count))
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,7 +336,7 @@ mod tests {
         // Q2: A IN {a, b} → reduces to B1' → rows 0,1,3,4.
         let fab = qm::minimize(&[0b00, 0b01], &[], 2);
         let mut t = AccessTracker::new();
-        let r2 = eval_expr_tracked(&fab, &slices, 6, &mut t);
+        let r2 = eval_expr_tracked(&fab, &slices, None, 6, &mut t);
         assert_eq!(r2.to_positions(), vec![0, 1, 3, 4]);
         assert_eq!(t.vectors_accessed(), 1, "Q2 reads only B1");
     }
@@ -684,7 +348,7 @@ mod tests {
         let e = DnfExpr::parse("B1B0 + B1'B0", 2).unwrap();
         let slices = slices_for(&[0b00, 0b01, 0b10, 0b11], 2);
         let mut t = AccessTracker::new();
-        let _ = eval_expr_tracked(&e, &slices, 4, &mut t);
+        let _ = eval_expr_tracked(&e, &slices, None, 4, &mut t);
         assert_eq!(t.vectors_accessed(), 2);
         assert_eq!(t.literal_ops, 4);
         assert_eq!(t.cube_evals, 2);
@@ -720,7 +384,7 @@ mod tests {
     fn tautology_reads_no_vectors() {
         let slices = slices_for(&[0, 1], 1);
         let mut t = AccessTracker::new();
-        let _ = eval_expr_tracked(&DnfExpr::parse("1", 1).unwrap(), &slices, 2, &mut t);
+        let _ = eval_expr_tracked(&DnfExpr::parse("1", 1).unwrap(), &slices, None, 2, &mut t);
         assert_eq!(t.vectors_accessed(), 0);
         assert_eq!(t.words_scanned, 0, "tautology reads no slice words");
     }
@@ -777,13 +441,14 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_naive_on_mixed_expression() {
+    fn kernel_matches_naive_on_mixed_expression() {
         let codes: Vec<u64> = (0..10_000u64).map(|i| (i * 2_654_435_761) % 32).collect();
         let slices = slices_for(&codes, 5);
         let e = DnfExpr::parse("B4'B2B0 + B3B1' + B4B3'B2'B1B0'", 5).unwrap();
-        let fused = eval_expr(&e, &slices, codes.len());
-        let naive = eval_expr_naive(&e, &slices, codes.len());
-        assert_eq!(fused, naive);
+        assert_eq!(
+            eval_expr(&e, &slices, codes.len()),
+            eval_expr_naive(&e, &slices, codes.len())
+        );
     }
 
     #[test]
@@ -797,8 +462,8 @@ mod tests {
         let e = DnfExpr::parse("B2'B1B0 + B2B1'", 3).unwrap();
         let mut t_plain = AccessTracker::new();
         let mut t_sum = AccessTracker::new();
-        let plain = eval_expr_tracked(&e, &slices, codes.len(), &mut t_plain);
-        let summed = eval_expr_summarized(&e, &slices, &summaries, codes.len(), &mut t_sum);
+        let plain = eval_expr_tracked(&e, &slices, None, codes.len(), &mut t_plain);
+        let summed = eval_expr_tracked(&e, &slices, Some(&summaries), codes.len(), &mut t_sum);
         assert_eq!(plain, summed);
         assert_eq!(t_plain.vectors_accessed(), t_sum.vectors_accessed());
         assert!(
@@ -811,72 +476,53 @@ mod tests {
     }
 
     #[test]
-    fn stored_plan_dense_fast_path_and_mixed_agree_with_naive() {
-        use ebi_bitvec::StoragePolicy;
+    fn every_container_agrees_with_naive_and_keeps_vectors_accessed() {
+        use ebi_bitvec::{SliceStorage, StoragePolicy};
         let codes: Vec<u64> = (0..30_000u64)
             .map(|i| if i % 97 == 0 { i % 8 } else { 0 })
             .collect();
         let dense = slices_for(&codes, 3);
+        let summaries = summarize_slices(&dense);
         let e = DnfExpr::parse("B2'B1B0 + B2B1' + B0'", 3).unwrap();
         let expect = eval_expr_naive(&e, &dense, codes.len());
-
-        // All-dense storage resolves to the FusedPlan fast path.
-        let all_dense: Vec<SliceStorage> = dense
-            .iter()
-            .map(|b| SliceStorage::from_dense(b.clone(), StoragePolicy::Dense))
-            .collect();
-        let plan = StoredPlan::new(&e, &all_dense, codes.len());
-        assert!(plan.is_dense());
-        let mut stats = KernelStats::new();
-        assert_eq!(plan.eval(&mut stats), expect);
-        assert_eq!(stats.compressed_chunks_skipped, 0);
-
-        // Mixed storage (one slice per container kind) takes the stored
-        // kernels and still matches bit-for-bit.
-        let policies = [
-            StoragePolicy::Dense,
-            StoragePolicy::Roaring,
-            StoragePolicy::Wah,
-        ];
-        let mixed: Vec<SliceStorage> = dense
-            .iter()
-            .zip(policies)
-            .map(|(b, p)| SliceStorage::from_dense(b.clone(), p))
-            .collect();
-        let plan = StoredPlan::new(&e, &mixed, codes.len());
-        assert!(!plan.is_dense());
-        let mut stats = KernelStats::new();
-        assert_eq!(plan.eval(&mut stats), expect);
-        assert!(stats.bytes_touched > 0);
-    }
-
-    #[test]
-    fn stored_eval_keeps_vectors_accessed_invariant() {
-        use ebi_bitvec::StoragePolicy;
-        let codes: Vec<u64> = (0..40_000u64).map(|i| i * 31 % 8).collect();
-        let dense = slices_for(&codes, 3);
-        let summaries = summarize_slices(&dense);
-        let stored: Vec<SliceStorage> = dense
-            .iter()
-            .map(|b| SliceStorage::from_dense(b.clone(), StoragePolicy::Roaring))
-            .collect();
-        let e = DnfExpr::parse("B2B1' + B2'B0", 3).unwrap();
         let mut t_dense = AccessTracker::new();
-        let mut t_stored = AccessTracker::new();
-        let d = eval_expr_tracked(&e, &dense, codes.len(), &mut t_dense);
-        let s = eval_expr_stored(&e, &stored, Some(&summaries), codes.len(), &mut t_stored);
-        assert_eq!(d, s);
         assert_eq!(
-            t_dense.vectors_accessed(),
-            t_stored.vectors_accessed(),
-            "the paper's c_e metric must not depend on the container choice"
+            eval_expr_tracked(&e, &dense, None, codes.len(), &mut t_dense),
+            expect
         );
-        assert_eq!(t_dense.touched_mask(), t_stored.touched_mask());
+        assert_eq!(t_dense.compressed_chunks_skipped, 0);
+
+        // One slice per container kind, then all of one kind.
+        let mixes = [
+            [
+                StoragePolicy::Dense,
+                StoragePolicy::Roaring,
+                StoragePolicy::Wah,
+            ],
+            [StoragePolicy::Roaring; 3],
+            [StoragePolicy::Wah; 3],
+        ];
+        for policies in mixes {
+            let stored: Vec<SliceStorage> = dense
+                .iter()
+                .zip(policies)
+                .map(|(b, p)| SliceStorage::from_dense(b.clone(), p))
+                .collect();
+            let mut t = AccessTracker::new();
+            let got = eval_expr_tracked(&e, &stored, Some(&summaries), codes.len(), &mut t);
+            assert_eq!(got, expect, "{policies:?}");
+            assert!(t.bytes_touched > 0);
+            assert_eq!(
+                t.touched_mask(),
+                t_dense.touched_mask(),
+                "the paper's c_e metric must not depend on the container choice"
+            );
+        }
     }
 
     #[test]
-    fn stored_plan_range_composition_matches_whole_eval() {
-        use ebi_bitvec::{StoragePolicy, SEGMENT_WORDS, WORD_BITS};
+    fn bound_plan_range_composition_matches_whole_eval() {
+        use ebi_bitvec::{SliceStorage, StoragePolicy, SEGMENT_WORDS, WORD_BITS};
         let codes: Vec<u64> = (0..20_000u64)
             .map(|i| {
                 if i < 10_000 {
@@ -899,9 +545,10 @@ mod tests {
             .map(|(b, p)| SliceStorage::from_dense(b.clone(), p))
             .collect();
         let e = DnfExpr::parse("B3B1 + B2'B0", 4).unwrap();
-        let plan = StoredPlan::new(&e, &stored, codes.len());
+        let plan = e.lower();
+        let bound = plan.bind(&stored, None, codes.len());
         let mut stats = KernelStats::new();
-        let whole = plan.eval(&mut stats);
+        let whole = bound.eval(&mut stats);
         assert_eq!(whole, eval_expr_naive(&e, &dense, codes.len()));
 
         let mut split = BitVec::zeros(codes.len());
@@ -910,29 +557,8 @@ mod tests {
         assert!(cut < n_words);
         let (lo, hi) = split.words_mut().split_at_mut(cut);
         let mut s = KernelStats::new();
-        plan.eval_range(lo, 0, &mut s);
-        plan.eval_range(hi, cut, &mut s);
-        assert_eq!(split, whole);
-    }
-
-    #[test]
-    fn fused_plan_range_composition_matches_whole_eval() {
-        use ebi_bitvec::{SEGMENT_WORDS, WORD_BITS};
-        let codes: Vec<u64> = (0..20_000u64).map(|i| i.wrapping_mul(37) % 16).collect();
-        let slices = slices_for(&codes, 4);
-        let e = DnfExpr::parse("B3B1 + B2'B0", 4).unwrap();
-        let plan = FusedPlan::new(&e, &slices, codes.len());
-        let mut stats = KernelStats::new();
-        let whole = plan.eval(&mut stats);
-
-        let mut split = BitVec::zeros(codes.len());
-        let cut = SEGMENT_WORDS * 2;
-        let n_words = codes.len().div_ceil(WORD_BITS);
-        assert!(cut < n_words);
-        let (lo, hi) = split.words_mut().split_at_mut(cut);
-        let mut s = KernelStats::new();
-        plan.eval_range(lo, 0, &mut s);
-        plan.eval_range(hi, cut, &mut s);
+        bound.eval_range(lo, 0, &mut s);
+        bound.eval_range(hi, cut, &mut s);
         assert_eq!(split, whole);
     }
 }

@@ -220,8 +220,13 @@ impl fmt::Display for DnfExpr {
         if self.cubes.is_empty() {
             return f.write_str("0");
         }
-        let rendered: Vec<String> = self.cubes.iter().map(Cube::display).collect();
-        f.write_str(&rendered.join(" + "))
+        for (i, cube) in self.cubes.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" + ")?;
+            }
+            write!(f, "{cube}")?;
+        }
+        Ok(())
     }
 }
 

@@ -20,8 +20,9 @@
 //!   expression for the selection must read, computed as a minimum hitting
 //!   set (used to verify Theorems 2.2/2.3 and generate Figure 9's
 //!   best-case curve);
-//! * [`eval`] — expression evaluation over `&[BitVec]` slices with a
-//!   vectors-accessed tracker implementing the paper's cost metric;
+//! * [`eval`] — expression evaluation over bitmap slices in any
+//!   container, with a vectors-accessed tracker implementing the paper's
+//!   cost metric;
 //! * [`dontcare`] — footnote 3's don't-care optimisation;
 //! * [`algebra`] — AND/OR/NOT composition of reduced expressions for
 //!   compound single-attribute selections.
@@ -48,8 +49,7 @@ pub mod support;
 
 pub use cube::Cube;
 pub use eval::{
-    eval_expr, eval_expr_naive, eval_expr_stored, eval_expr_summarized, eval_expr_tracked,
-    AccessTracker, EvalError, FusedPlan, StoredPlan,
+    eval_expr, eval_expr_naive, eval_expr_tracked, record_access, AccessTracker, EvalError,
 };
 pub use expr::DnfExpr;
 pub use qm::{CoverMethod, ReduceStats};

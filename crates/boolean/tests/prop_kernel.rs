@@ -1,0 +1,322 @@
+//! The differential suite for the evaluation kernel.
+//!
+//! There is one kernel ([`ebi_bitvec::kernels`]) and one oracle
+//! ([`eval_expr_naive`]); everything the kernel does must be
+//! **bit-identical** to the oracle, over the cross-product of:
+//!
+//! * arbitrary DNF expressions — negated literals (whose complement
+//!   sets garbage past `row_count` that tail masking must clear),
+//!   tautology cubes, the empty expression, duplicate cubes, and cubes
+//!   of differing supports so that literal prefixes diverge at every
+//!   depth;
+//! * every mixture of Dense / Roaring / WAH slices, and plain `BitVec`s;
+//! * segment summaries on and off;
+//! * row counts that are not multiples of the word or the 4096-bit
+//!   segment, and zero rows;
+//! * whole-vector evaluation and disjoint segment-aligned sub-windows
+//!   (which must compose to the whole);
+//! * every kernel tier the host can run.
+//!
+//! The paper's cost metrics (`vectors_accessed`, `cube_evals`,
+//! `literal_ops`) are properties of the *expression*: none of the above
+//! may move them.
+
+use ebi_bitvec::kernels::SliceSource;
+use ebi_bitvec::summary::summarize_slices;
+use ebi_bitvec::{
+    simd, BitVec, DnfPlan, KernelStats, SegmentSummary, SliceStorage, StoragePolicy, SEGMENT_WORDS,
+    WORD_BITS,
+};
+use ebi_boolean::{eval_expr_naive, eval_expr_tracked, AccessTracker, Cube, DnfExpr};
+use proptest::prelude::*;
+use proptest::TestCaseError;
+
+/// Deterministic xorshift so slice contents derive from one seed.
+fn next(state: &mut u64) -> u64 {
+    let mut x = *state | 1;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
+}
+
+/// How the codes of a column are laid out.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// Every row an independent uniform draw.
+    Uniform,
+    /// 3 in 4 rows draw from the two low codes, so high-order slices
+    /// carry the long zero runs that compress.
+    Skewed,
+    /// Runs of one code up to three segments long: whole windows are
+    /// all-zero or all-one, which is what summaries prune, compressed
+    /// containers classify without materialising, and zero products and
+    /// identity literals come from.
+    Clustered,
+}
+
+fn layout() -> impl Strategy<Value = Layout> {
+    prop::sample::select(vec![Layout::Uniform, Layout::Skewed, Layout::Clustered])
+}
+
+/// Builds `k` bitmap slices for `rows` pseudo-random codes.
+fn random_slices(k: u32, rows: usize, seed: u64, layout: Layout) -> Vec<BitVec> {
+    let mut slices = vec![BitVec::zeros(rows); k as usize];
+    let mut state = seed;
+    let (mut run, mut code) = (0, 0);
+    for row in 0..rows {
+        let r = next(&mut state);
+        let wide = r >> 2 & ((1u64 << k) - 1);
+        code = match layout {
+            Layout::Uniform => wide,
+            Layout::Skewed if r.is_multiple_of(4) => wide,
+            Layout::Skewed => r % 2,
+            Layout::Clustered if run == 0 => {
+                run = 1 + (r >> 20) as usize % (3 * 4096);
+                wide
+            }
+            Layout::Clustered => code,
+        };
+        run = run.saturating_sub(1);
+        for (i, slice) in slices.iter_mut().enumerate() {
+            if code >> i & 1 == 1 {
+                slice.set(row, true);
+            }
+        }
+    }
+    slices
+}
+
+/// Lowers raw `(value, mask, tag)` triples into cubes over `k`
+/// variables. `tag == 0` forces a tautology cube so the empty product
+/// stays covered.
+fn build_cubes(specs: &[(u64, u64, u32)], k: u32) -> Vec<Cube> {
+    let universe = (1u64 << k) - 1;
+    specs
+        .iter()
+        .map(|&(value, mask, tag)| {
+            if tag == 0 {
+                Cube::tautology()
+            } else {
+                Cube::new(value & universe, mask & universe)
+            }
+        })
+        .collect()
+}
+
+/// Packs each slice under a pseudo-random per-slice policy.
+fn mixed_storage(dense: &[BitVec], seed: u64) -> Vec<SliceStorage> {
+    let mut state = seed;
+    dense
+        .iter()
+        .map(|b| {
+            let policy = match next(&mut state) % 4 {
+                0 => StoragePolicy::Dense,
+                1 => StoragePolicy::Roaring,
+                2 => StoragePolicy::Wah,
+                _ => StoragePolicy::Adaptive,
+            };
+            SliceStorage::from_dense(b.clone(), policy)
+        })
+        .collect()
+}
+
+/// Evaluates `plan` over `slices` in pseudo-random disjoint
+/// segment-aligned windows.
+fn eval_in_windows<S: SliceSource>(
+    plan: &DnfPlan,
+    slices: &[S],
+    summaries: Option<&[SegmentSummary]>,
+    rows: usize,
+    seed: u64,
+) -> BitVec {
+    let bound = plan.bind(slices, summaries, rows);
+    let mut out = BitVec::zeros(rows);
+    let mut state = seed;
+    let mut offset = 0;
+    let mut rest = out.words_mut();
+    while !rest.is_empty() {
+        let segments = 1 + next(&mut state) as usize % 3;
+        let take = (segments * SEGMENT_WORDS).min(rest.len());
+        let (window, tail) = rest.split_at_mut(take);
+        bound.eval_range(window, offset, &mut KernelStats::new());
+        offset += take;
+        rest = tail;
+    }
+    assert_eq!(offset, rows.div_ceil(WORD_BITS));
+    out
+}
+
+/// One configuration (slice family × summaries) against the oracle:
+/// every tier, whole-vector and windowed, and the paper's metrics.
+fn check<S: SliceSource>(
+    expr: &DnfExpr,
+    naive: &BitVec,
+    slices: &[S],
+    summaries: Option<&[SegmentSummary]>,
+    rows: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let plan = expr.lower();
+    for path in simd::available_paths() {
+        let mut tracker = AccessTracker::new();
+        let (whole, windowed) = simd::with_forced_path(path, || {
+            (
+                eval_expr_tracked(expr, slices, summaries, rows, &mut tracker),
+                eval_in_windows(&plan, slices, summaries, rows, seed),
+            )
+        });
+        let what = format!(
+            "tier {}, summaries {}, rows {rows}, expr {expr}",
+            path.name(),
+            summaries.is_some()
+        );
+        prop_assert_eq!(&whole, naive, "kernel != naive: {}", what);
+        prop_assert_eq!(&windowed, naive, "windows do not compose: {}", what);
+        prop_assert_eq!(tracker.kernel_path(), path.name());
+        // Structural: no evaluation strategy may move them.
+        prop_assert_eq!(tracker.vectors_accessed(), expr.vectors_accessed());
+        prop_assert_eq!(tracker.cube_evals, expr.cubes().len());
+        prop_assert_eq!(tracker.literal_ops, expr.literal_count());
+        prop_assert_eq!(tracker.or_ops, expr.cubes().len().saturating_sub(1));
+    }
+    Ok(())
+}
+
+/// `check` over plain vectors and a random container mix, with and
+/// without summaries.
+fn check_everywhere(
+    expr: &DnfExpr,
+    dense: &[BitVec],
+    rows: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let naive = eval_expr_naive(expr, dense, rows);
+    let summaries = summarize_slices(dense);
+    let stored = mixed_storage(dense, seed ^ 0xA5A5);
+    for sums in [None, Some(&summaries[..])] {
+        check(expr, &naive, dense, sums, rows, seed)?;
+        check(expr, &naive, &stored, sums, rows, seed)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn kernel_matches_naive_on_random_dnf(
+        seed in any::<u64>(),
+        k in 1u32..=6,
+        rows in 0usize..30_000,
+        layout in layout(),
+        specs in prop::collection::vec((any::<u64>(), any::<u64>(), 0u32..8), 0..8),
+    ) {
+        let dense = random_slices(k, rows, seed, layout);
+        let expr = DnfExpr::from_cubes(build_cubes(&specs, k), k);
+        check_everywhere(&expr, &dense, rows, seed)?;
+    }
+
+    #[test]
+    fn prefixes_that_diverge_at_every_depth(
+        seed in any::<u64>(),
+        k in 2u32..=7,
+        rows in 1usize..20_000,
+        code in any::<u64>(),
+        drops in any::<u64>(),
+        layout in layout(),
+    ) {
+        // For every depth d: the top d literals of `code`, and the same
+        // with the d-th one flipped — each cube is a prefix of every
+        // longer one or parts from it at one chosen depth. `drops`
+        // removes a literal here and there so that supports differ.
+        let universe = (1u64 << k) - 1;
+        let mut cubes = Vec::new();
+        for d in 1..=k {
+            let top = universe & !((1u64 << (k - d)) - 1);
+            let last = 1u64 << (k - d);
+            let mask = top & !(drops & !last);
+            cubes.push(Cube::new(code & top, top));
+            cubes.push(Cube::new((code ^ last) & mask, mask));
+        }
+        let dense = random_slices(k, rows, seed, layout);
+        let expr = DnfExpr::from_cubes(cubes, k);
+        check_everywhere(&expr, &dense, rows, seed)?;
+    }
+
+    #[test]
+    fn duplicate_cubes_are_evaluated_once_and_change_nothing(
+        seed in any::<u64>(),
+        k in 1u32..=5,
+        rows in 1usize..12_000,
+        specs in prop::collection::vec((any::<u64>(), any::<u64>(), 1u32..8), 1..5),
+    ) {
+        // `DnfExpr` normalises duplicates away, so hand the kernel a raw
+        // term list with every cube repeated.
+        let cubes = build_cubes(&specs, k);
+        let expr = DnfExpr::from_cubes(cubes.clone(), k);
+        let raw = cubes.iter().chain(&cubes).map(|c| (c.mask(), c.value()));
+        let plan = DnfPlan::lower(raw);
+        prop_assert_eq!(&plan, &expr.lower());
+        let dense = random_slices(k, rows, seed, Layout::Clustered);
+        let stored = mixed_storage(&dense, seed);
+        let got = plan.bind(&stored, None, rows).eval(&mut KernelStats::new());
+        prop_assert_eq!(got, eval_expr_naive(&expr, &dense, rows));
+    }
+
+    #[test]
+    fn minterm_sums_are_storage_independent(
+        seed in any::<u64>(),
+        k in 1u32..=5,
+        rows in 1usize..20_000,
+        picks in prop::collection::btree_set(0u64..32, 0..8),
+    ) {
+        // Min-term sums are what selections actually lower to. The same
+        // sum under four uniform storage regimes: identical bitmaps,
+        // identical vectors_accessed.
+        let codes: Vec<u64> = picks.into_iter().filter(|&c| c < (1 << k)).collect();
+        let expr = DnfExpr::minterm_sum(&codes, k);
+        let dense = random_slices(k, rows, seed, Layout::Uniform);
+        let naive = eval_expr_naive(&expr, &dense, rows);
+        for policy in [
+            StoragePolicy::Dense,
+            StoragePolicy::Roaring,
+            StoragePolicy::Wah,
+            StoragePolicy::Adaptive,
+        ] {
+            let stored: Vec<SliceStorage> = dense
+                .iter()
+                .map(|b| SliceStorage::from_dense(b.clone(), policy))
+                .collect();
+            let mut tracker = AccessTracker::new();
+            let got = eval_expr_tracked(&expr, &stored, None, rows, &mut tracker);
+            prop_assert_eq!(&got, &naive, "{:?} diverged", policy);
+            prop_assert_eq!(tracker.vectors_accessed(), expr.vectors_accessed());
+        }
+        // Row-population sanity: each selected code contributes its rows.
+        let expected: usize = expr
+            .truth_set()
+            .iter()
+            .map(|&c| {
+                let mut state = seed;
+                (0..rows)
+                    .filter(|_| next(&mut state) >> 2 & ((1 << k) - 1) == c)
+                    .count()
+            })
+            .sum();
+        prop_assert_eq!(naive.count_ones(), expected);
+    }
+}
+
+#[test]
+fn empty_expression_is_all_zero_and_reads_nothing() {
+    let slices = random_slices(3, 5000, 0xDEAD_BEEF, Layout::Uniform);
+    let expr = DnfExpr::empty(3);
+    let mut tracker = AccessTracker::new();
+    let got = eval_expr_tracked(&expr, &slices, None, 5000, &mut tracker);
+    assert_eq!(got, eval_expr_naive(&expr, &slices, 5000));
+    assert_eq!(got.count_ones(), 0);
+    assert_eq!(tracker.vectors_accessed(), 0);
+    assert_eq!(tracker.words_scanned, 0);
+}

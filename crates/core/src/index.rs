@@ -7,9 +7,12 @@ use crate::reorder::RowOrder;
 use crate::stats::QueryStats;
 use ebi_bitvec::builder::SliceFamilyBuilder;
 use ebi_bitvec::summary::{summarize_slices, summarize_storage};
-use ebi_bitvec::{BitVec, KernelStats, RunStats, SegmentSummary, SliceStorage, StoragePolicy};
-use ebi_boolean::{qm, AccessTracker, DnfExpr, FusedPlan, StoredPlan};
+use ebi_bitvec::{
+    BitVec, BoundPlan, DnfPlan, KernelStats, RunStats, SegmentSummary, SliceStorage, StoragePolicy,
+};
+use ebi_boolean::{qm, AccessTracker, DnfExpr};
 use ebi_storage::Cell;
+use std::sync::OnceLock;
 
 /// Result of one query: the selection bitmap (bit `j` set iff live row
 /// `j` matches) plus cost accounting.
@@ -106,6 +109,11 @@ pub struct EncodedBitmapIndex {
     /// (normalised sorted value lists) — §3.2's "the retrieval functions
     /// for all the predefined predicates can also be reduced" offline.
     pub(crate) expr_cache: std::collections::HashMap<Vec<u64>, DnfExpr>,
+    /// The sorted don't-care codes, computed on first use: walking all
+    /// `2^k` codes per reduction would dominate small queries. Emptied
+    /// together with `expr_cache` whenever the code space changes
+    /// ([`EncodedBitmapIndex::invalidate_code_space`]).
+    pub(crate) dont_cares: OnceLock<Vec<u64>>,
     /// Per-slice segment summaries for query-time pruning, built at
     /// construction. `None` after maintenance mutated the slices; call
     /// [`EncodedBitmapIndex::refresh_summaries`] to rebuild.
@@ -321,6 +329,7 @@ impl EncodedBitmapIndex {
             b_not_exist: None,
             b_null,
             expr_cache: std::collections::HashMap::new(),
+            dont_cares: OnceLock::new(),
             summaries,
             permutation,
             row_order,
@@ -449,15 +458,27 @@ impl EncodedBitmapIndex {
         self.slices.iter().map(SliceStorage::sparsity).sum::<f64>() / self.slices.len() as f64
     }
 
-    /// Don't-care codes: unassigned and unreserved at the current width.
+    /// Don't-care codes, ascending: unassigned and unreserved at the
+    /// current width. Cached until the code space next changes.
     #[must_use]
-    pub fn dont_care_codes(&self) -> Vec<u64> {
-        let null = self.null_code;
-        self.mapping
-            .unassigned_codes()
-            .into_iter()
-            .filter(|c| !self.reserved.contains(c) && Some(*c) != null)
-            .collect()
+    pub fn dont_care_codes(&self) -> &[u64] {
+        self.dont_cares.get_or_init(|| {
+            let null = self.null_code;
+            self.mapping
+                .unassigned_codes()
+                .into_iter()
+                .filter(|c| !self.reserved.contains(c) && Some(*c) != null)
+                .collect()
+        })
+    }
+
+    /// Forgets everything derived from which codes are assigned or
+    /// reserved — the precomputed reductions and the don't-care set.
+    /// Every change to the mapping, its width or the reserved codes must
+    /// call this.
+    pub(crate) fn invalidate_code_space(&mut self) {
+        self.expr_cache.clear();
+        self.dont_cares = OnceLock::new();
     }
 
     /// The reduced retrieval expression for `A IN values` (values missing
@@ -482,7 +503,7 @@ impl EncodedBitmapIndex {
             .filter_map(|&v| self.mapping.code_of(v))
             .collect();
         let mut rs = qm::ReduceStats::default();
-        let expr = qm::minimize_with_stats(&codes, &self.dont_care_codes(), self.width(), &mut rs);
+        let expr = qm::minimize_with_stats(&codes, self.dont_care_codes(), self.width(), &mut rs);
         if span.is_live() {
             span.attr("minterms", rs.minterms);
             span.attr("dont_cares", rs.dont_cares);
@@ -512,7 +533,7 @@ impl EncodedBitmapIndex {
                 .iter()
                 .filter_map(|&v| self.mapping.code_of(v))
                 .collect();
-            let expr = qm::minimize(&codes, &self.dont_care_codes(), self.width());
+            let expr = qm::minimize(&codes, self.dont_care_codes(), self.width());
             self.expr_cache.insert(key, expr);
         }
     }
@@ -540,7 +561,7 @@ impl EncodedBitmapIndex {
     /// See [`EncodedBitmapIndex::eq`].
     pub fn in_list(&self, values: &[u64]) -> Result<QueryResult, CoreError> {
         let expr = self.explain_in_list(values);
-        Ok(self.run_expr(&expr))
+        Ok(self.run_dnf(&expr))
     }
 
     /// Range selection over value ids: `lo <= A <= hi`. For discrete
@@ -617,42 +638,52 @@ impl EncodedBitmapIndex {
             }
             NullPolicy::EncodedReserved => {
                 let expr = match self.null_code {
-                    Some(code) => qm::minimize(&[code], &self.dont_care_codes(), self.width()),
+                    Some(code) => qm::minimize(&[code], self.dont_care_codes(), self.width()),
                     None => DnfExpr::empty(self.width()),
                 };
-                self.run_expr(&expr)
+                self.run_dnf(&expr)
             }
         }
     }
 
-    /// Evaluates the selection bitmap for `expr` via the storage-aware
-    /// fused kernels, honouring [`QueryOptions`] (summary pruning,
-    /// segment-parallel threads, per-slice containers). Bit-identical to
-    /// naive whole-vector evaluation over dense slices.
-    fn eval_selection(&self, expr: &DnfExpr, tracker: &mut AccessTracker) -> BitVec {
+    /// Binds a lowered plan to this index's slices, with the segment
+    /// summaries when [`QueryOptions::use_summaries`] is on and they are
+    /// valid.
+    fn bind<'a>(&'a self, plan: &'a DnfPlan) -> BoundPlan<'a> {
+        let summaries = self
+            .summaries
+            .as_deref()
+            .filter(|_| self.query_options.use_summaries);
+        plan.bind(&self.slices, summaries, self.rows)
+    }
+
+    /// Evaluates the selection bitmap for `expr` (lowered as `plan`) with
+    /// the evaluation kernel, honouring [`QueryOptions`] (summary
+    /// pruning, segment-parallel threads, per-slice containers).
+    /// Bit-identical to naive whole-vector evaluation over dense slices.
+    fn eval_selection(
+        &self,
+        expr: &DnfExpr,
+        plan: &DnfPlan,
+        tracker: &mut AccessTracker,
+    ) -> BitVec {
         let profile = self.query_options.profile;
-        let summaries = if self.query_options.use_summaries {
-            self.summaries.as_deref()
-        } else {
-            None
-        };
         let mut plan_span = if profile {
             ebi_obs::active_child("plan")
         } else {
             ebi_obs::Span::none()
         };
-        let plan = match summaries {
-            Some(s) => StoredPlan::with_summaries(expr, &self.slices, s, self.rows),
-            None => StoredPlan::new(expr, &self.slices, self.rows),
-        };
+        let bound = self.bind(plan);
         if plan_span.is_live() {
-            plan_span.attr("dense_fast_path", u64::from(plan.is_dense()));
             plan_span.attr("terms", expr.cubes().len() as u64);
-            plan_span.attr("summaries", u64::from(summaries.is_some()));
+            plan_span.attr("literals", expr.literal_count() as u64);
+            plan_span.attr("unshared_literals", plan.unshared_literals());
+            let pruning = self.query_options.use_summaries && self.summaries.is_some();
+            plan_span.attr("summaries", u64::from(pruning));
         }
         drop(plan_span);
 
-        FusedPlan::record_access(expr, tracker);
+        ebi_boolean::record_access(expr, tracker);
         let mut stats = KernelStats::new();
         let mut eval_span = if profile {
             ebi_obs::active_child("eval")
@@ -660,7 +691,7 @@ impl EncodedBitmapIndex {
             ebi_obs::Span::none()
         };
         let bitmap =
-            crate::parallel::eval_plan_stored(&plan, self.query_options.eval_threads, &mut stats);
+            crate::parallel::eval_plan(&bound, self.query_options.eval_threads, &mut stats);
         if eval_span.is_live() {
             eval_span.attr("words_scanned", stats.words_scanned);
             eval_span.attr("bytes_touched", stats.bytes_touched);
@@ -702,12 +733,13 @@ impl EncodedBitmapIndex {
     /// returns well-formed but meaningless bits.
     #[must_use]
     pub fn run_dnf(&self, expr: &DnfExpr) -> QueryResult {
-        self.run_expr(expr)
+        self.run_plan(expr, &expr.lower())
     }
 
-    /// Post-pruning kernel traffic estimate (in 64-bit words) for
-    /// evaluating `expr` on this index, honouring the current
-    /// [`QueryOptions::use_summaries`] setting.
+    /// Kernel traffic estimate (in 64-bit words) for evaluating a
+    /// lowered expression on this index: its unshared literals times the
+    /// segments, less what the summaries prune when
+    /// [`QueryOptions::use_summaries`] is on.
     ///
     /// This is the same estimate the parallel engine feeds its
     /// auto-serialise heuristic; schedulers that dispatch work across
@@ -715,22 +747,17 @@ impl EncodedBitmapIndex {
     /// [`crate::parallel::MIN_PARALLEL_WORK_WORDS`] to decide whether a
     /// slice of work is worth handing to another thread at all.
     #[must_use]
-    pub fn estimated_work_words(&self, expr: &DnfExpr) -> u64 {
-        let plan = match self
-            .summaries
-            .as_deref()
-            .filter(|_| self.query_options.use_summaries)
-        {
-            Some(s) => StoredPlan::with_summaries(expr, &self.slices, s, self.rows),
-            None => StoredPlan::new(expr, &self.slices, self.rows),
-        };
-        plan.estimated_work_words()
+    pub fn estimated_work_words(&self, plan: &DnfPlan) -> u64 {
+        self.bind(plan).estimated_work_words()
     }
 
-    /// Evaluates a reduced expression and applies the policy's masks.
-    pub(crate) fn run_expr(&self, expr: &DnfExpr) -> QueryResult {
+    /// [`EncodedBitmapIndex::run_dnf`] with the expression already
+    /// lowered: `plan` must be `expr.lower()`. A caller that runs one
+    /// expression on many indexes (the sharded service) lowers it once.
+    #[must_use]
+    pub fn run_plan(&self, expr: &DnfExpr, plan: &DnfPlan) -> QueryResult {
         let mut tracker = AccessTracker::new();
-        let mut bitmap = self.eval_selection(expr, &mut tracker);
+        let mut bitmap = self.eval_selection(expr, plan, &mut tracker);
         let mut rendered = expr.to_string();
         if self.policy == NullPolicy::SeparateVectors && !expr.is_false() {
             // Method 1 of §2.2: value selections must mask NULL rows
@@ -1127,5 +1154,33 @@ mod tests {
         .unwrap();
         // Domain {void=0, null=1, value@2} at k=2: only code 3 is dc.
         assert_eq!(idx.dont_care_codes(), vec![3]);
+    }
+
+    #[test]
+    fn cached_dont_cares_follow_the_code_space() {
+        let mut idx = EncodedBitmapIndex::build([0u64, 1, 2].map(Cell::Value)).unwrap();
+        assert_eq!(idx.dont_care_codes(), [0b11]);
+        // An admitted value takes the free code and leaves the set.
+        assert!(!idx.admit_value(3).unwrap());
+        assert!(idx.dont_care_codes().is_empty());
+        assert_eq!(idx.explain_in_list(&[0, 1]).to_string(), "B1'");
+        // Widening doubles the code space: the new half is all free
+        // but for the code the admitted value took.
+        assert!(idx.admit_value(4).unwrap());
+        assert_eq!(idx.dont_care_codes(), [0b101, 0b110, 0b111]);
+
+        // A NULL code reserved after the fact leaves the set too.
+        let mut idx = EncodedBitmapIndex::build_with(
+            [1u64, 2].map(Cell::Value),
+            BuildOptions {
+                policy: NullPolicy::EncodedReserved,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(idx.dont_care_codes(), [3]);
+        idx.append(Cell::Null).unwrap();
+        assert!(idx.dont_care_codes().is_empty());
+        assert_eq!(idx.is_null().bitmap.to_positions(), vec![2]);
     }
 }

@@ -209,7 +209,7 @@ impl EncodedBitmapIndex {
         self.mapping.insert(value, code)?;
         // A new assigned code shrinks the don't-care set: cached
         // reductions may now cover a live code.
-        self.expr_cache.clear();
+        self.invalidate_code_space();
         Ok(grew)
     }
 
@@ -223,6 +223,8 @@ impl EncodedBitmapIndex {
             .expect("free code exists after ensure_free_code");
         self.reserved.push(code);
         self.null_code = Some(code);
+        // The NULL code was a don't-care until now.
+        self.invalidate_code_space();
         Ok(grew)
     }
 
@@ -246,7 +248,7 @@ impl EncodedBitmapIndex {
         }
         self.mapping.widen();
         self.slices.push(BitVec::zeros(self.rows).into());
-        self.expr_cache.clear(); // cached expressions are now stale
+        self.invalidate_code_space(); // twice the codes, all new ones free
         self.summaries = None; // slice count changed
         Ok(true)
     }

@@ -18,7 +18,7 @@ use crate::persist::IndexHandle;
 use crate::reorder::RowOrder;
 use crate::stats::QueryStats;
 use ebi_bitvec::{BitVec, SliceStorage};
-use ebi_boolean::{eval_expr_stored, qm, AccessTracker};
+use ebi_boolean::{eval_expr_tracked, qm, AccessTracker};
 use ebi_storage::buffer::{BufferPool, BufferStats};
 use ebi_storage::pager::Pager;
 use ebi_storage::segment::{read_segment_buffered, SegmentHandle};
@@ -151,7 +151,7 @@ impl<'a> PagedIndex<'a> {
             }
         }
         let mut tracker = AccessTracker::new();
-        let mut bitmap = eval_expr_stored(&expr, &slices, None, self.rows, &mut tracker);
+        let mut bitmap = eval_expr_tracked(&expr, &slices, None, self.rows, &mut tracker);
         let mut rendered = expr.to_string();
         if self.policy == NullPolicy::SeparateVectors && !expr.is_false() {
             if let Some(h) = &self.handle.b_null {

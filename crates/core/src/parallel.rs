@@ -9,26 +9,27 @@
 //! is fixed up front (one cheap serial distinct-scan), so the result is
 //! **bit-identical** to the serial build.
 //!
-//! **Evaluation** ([`eval_plan`], [`eval_plan_stored`]): a lowered
-//! [`FusedPlan`] / [`StoredPlan`] reads its slices immutably and writes
-//! each destination word exactly once, so the selection bitmap can be
-//! split into segment-aligned word ranges and filled concurrently —
-//! same bit-identical guarantee as construction. Ranges are **work
-//! stolen**, not fixed: the destination is pre-split into many small
-//! segment-aligned units, each worker is dealt a contiguous run of
-//! them, and a worker that drains its run (because summary pruning or
-//! short-circuiting made its units trivial) steals the back half of the
-//! largest remaining run instead of idling. This is what fixes the
-//! clustered-delta cliff where a fixed splitter left one thread with
-//! all the live segments.
+//! **Evaluation** ([`eval_plan`]): a [`BoundPlan`] reads its slices
+//! immutably and writes each destination word exactly once, so the
+//! selection bitmap can be split into segment-aligned word ranges and
+//! filled concurrently — same bit-identical guarantee as construction.
+//! Ranges are **work stolen**, not fixed: the destination is pre-split
+//! into many small segment-aligned units, each worker is dealt a
+//! contiguous run of them, and a worker that drains its run (because
+//! summary pruning or short-circuiting made its units trivial) steals
+//! the back half of the largest remaining run instead of idling. This
+//! is what fixes the clustered-delta cliff where a fixed splitter left
+//! one thread with all the live segments.
 //!
-//! Both entry points auto-fall back to the serial path when the input
-//! is too small to amortise thread spawns, when the host exposes a
-//! single core, or — new — when the plan's *post-pruning work estimate*
-//! ([`FusedPlan::estimated_work_words`]) says the surviving kernel
-//! traffic is too small to split profitably, however many rows the
-//! bitmap spans. [`eval_plan_forced`] / [`eval_plan_stored_forced`]
-//! bypass the heuristic for tests and benchmarks.
+//! [`eval_plan`] falls back to the serial path when one thread is
+//! asked for, when the input is too small to amortise thread spawns,
+//! when the host exposes a single core, or when the plan's
+//! *post-pruning work estimate* ([`BoundPlan::estimated_work_words`])
+//! says the surviving kernel traffic is too small to split profitably,
+//! however many rows the bitmap spans. The checks run cheapest first,
+//! so a serial evaluation pays for none of the others.
+//! [`eval_plan_forced`] bypasses the heuristic for tests and
+//! benchmarks.
 
 use crate::error::CoreError;
 use crate::index::{BuildOptions, EncodedBitmapIndex};
@@ -36,8 +37,7 @@ use crate::mapping::Mapping;
 use crate::nulls::NullPolicy;
 use ebi_bitvec::builder::SliceFamilyBuilder;
 use ebi_bitvec::summary::summarize_slices;
-use ebi_bitvec::{BitVec, KernelStats, SEGMENT_WORDS, WORD_BITS};
-use ebi_boolean::{FusedPlan, StoredPlan};
+use ebi_bitvec::{BitVec, BoundPlan, KernelStats, SEGMENT_WORDS, WORD_BITS};
 use ebi_storage::Cell;
 
 /// Minimum rows per chunk; chunks are rounded to multiples of 64 so the
@@ -76,31 +76,35 @@ const UNITS_PER_THREAD: usize = 8;
 /// executed exactly once.
 type EvalUnit<'a> = std::sync::Mutex<Option<(&'a mut [u64], usize)>>;
 
-/// Caps requested evaluation threads by the auto-serial heuristic:
-/// inputs under [`AUTO_PARALLEL_MIN_ROWS`] rows, a host exposing a
-/// single core, or a post-pruning work estimate too small to split
-/// evaluate serially regardless of the request.
-fn effective_threads(requested: usize, rows: usize, est_work_words: Option<u64>) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    effective_threads_for(requested, rows, est_work_words, cores)
+/// Cores the host exposes, read once per process: the query is a
+/// `sched_getaffinity` call plus cgroup file reads, far too slow for a
+/// per-evaluation path.
+#[must_use]
+pub fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
 }
 
-/// [`effective_threads`] with the core count injected, so the decision
-/// table is testable on any host.
-fn effective_threads_for(
-    requested: usize,
-    rows: usize,
-    est_work_words: Option<u64>,
-    cores: usize,
-) -> usize {
-    if requested <= 1 || rows < AUTO_PARALLEL_MIN_ROWS || cores <= 1 {
+/// Caps requested evaluation threads by the auto-serial heuristic: a
+/// single requested thread, inputs under [`AUTO_PARALLEL_MIN_ROWS`]
+/// rows, a host exposing a single core, or a post-pruning work estimate
+/// too small to split evaluate serially regardless of the request.
+/// `est_work_words` is only called once the cheaper checks pass.
+fn effective_threads(requested: usize, rows: usize, est_work_words: impl FnOnce() -> u64) -> usize {
+    if requested <= 1 || rows < AUTO_PARALLEL_MIN_ROWS || host_cores() <= 1 {
         return 1;
     }
-    match est_work_words {
-        None => requested,
-        Some(w) if w < MIN_PARALLEL_WORK_WORDS => 1,
-        Some(w) => requested.min(usize::try_from(w / MIN_WORK_WORDS_PER_THREAD).unwrap_or(1)),
+    split_threads(requested, est_work_words())
+}
+
+/// Threads worth spawning for `est_work_words` of kernel traffic: none
+/// beyond the first below [`MIN_PARALLEL_WORK_WORDS`], and never so
+/// many that a worker gets less than [`MIN_WORK_WORDS_PER_THREAD`].
+fn split_threads(requested: usize, est_work_words: u64) -> usize {
+    if est_work_words < MIN_PARALLEL_WORK_WORDS {
+        return 1;
     }
+    requested.min(usize::try_from(est_work_words / MIN_WORK_WORDS_PER_THREAD).unwrap_or(1))
 }
 
 /// Steals the back half of the largest remaining unit range, shrinking
@@ -132,24 +136,30 @@ fn steal_half(queues: &[std::sync::Mutex<(usize, usize)>], thief: usize) -> Opti
     Some((mid, hi))
 }
 
-/// Splits `rows` into small segment-aligned units filled by `threads`
-/// work-stealing workers calling `eval_range(unit, word_offset, stats)`.
+/// Evaluates `plan` into a fresh selection bitmap with exactly
+/// `threads` work-stealing workers (no auto-serial heuristic) — the
+/// engine under [`eval_plan`], public for tests and benchmarks that must
+/// exercise the split path regardless of host core count.
 ///
-/// Each worker is dealt a contiguous run of units (preserving the cache
-/// friendliness of the old fixed splitter when work is uniform); a
-/// worker whose run drains steals the back half of the largest
-/// remaining run, so pruned or short-circuited regions cannot strand
-/// the live segments on one thread.
-fn eval_ranged<F>(rows: usize, threads: usize, stats: &mut KernelStats, eval_range: F) -> BitVec
-where
-    F: Fn(&mut [u64], usize, &mut KernelStats) + Sync,
-{
+/// The destination is split into small segment-aligned units. Each
+/// worker is dealt a contiguous run of units (preserving the cache
+/// friendliness of a fixed splitter when work is uniform); a worker
+/// whose run drains steals the back half of the largest remaining run,
+/// so pruned or short-circuited regions cannot strand the live segments
+/// on one thread.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`.
+#[must_use]
+pub fn eval_plan_forced(plan: &BoundPlan<'_>, threads: usize, stats: &mut KernelStats) -> BitVec {
     use std::sync::Mutex;
     assert!(threads > 0, "at least one evaluation thread");
+    let rows = plan.row_count();
     let total_words = rows.div_ceil(WORD_BITS);
     let mut dst = BitVec::zeros(rows);
     if threads == 1 || total_words < 2 * MIN_EVAL_WORDS {
-        eval_range(dst.words_mut(), 0, stats);
+        plan.eval_range(dst.words_mut(), 0, stats);
         return dst;
     }
 
@@ -178,7 +188,7 @@ where
     let parent = ebi_obs::current_handle();
     crossbeam::thread::scope(|scope| {
         for (w, slot) in worker_stats.iter_mut().enumerate() {
-            let (units, queues, eval_range, parent) = (&units, &queues, &eval_range, &parent);
+            let (units, queues, parent) = (&units, &queues, &parent);
             scope.spawn(move |_| {
                 let mut span = match parent {
                     Some(h) => h.child("eval.worker"),
@@ -212,7 +222,7 @@ where
                     // body (ebi-lint: guard-scrutinee).
                     let unit = units[idx].lock().expect("unit lock").take();
                     if let Some((chunk, off)) = unit {
-                        eval_range(chunk, off, slot);
+                        plan.eval_range(chunk, off, slot);
                         executed += 1;
                     }
                 }
@@ -245,57 +255,12 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`, or propagates the plan's own length
-/// mismatch panics.
+/// Panics if `threads == 0`.
 #[must_use]
-pub fn eval_plan(plan: &FusedPlan<'_>, threads: usize, stats: &mut KernelStats) -> BitVec {
+pub fn eval_plan(plan: &BoundPlan<'_>, threads: usize, stats: &mut KernelStats) -> BitVec {
     assert!(threads > 0, "at least one evaluation thread");
-    let threads = effective_threads(threads, plan.row_count(), Some(plan.estimated_work_words()));
+    let threads = effective_threads(threads, plan.row_count(), || plan.estimated_work_words());
     eval_plan_forced(plan, threads, stats)
-}
-
-/// As [`eval_plan`] but honours `threads` exactly (no auto-serial
-/// heuristic) — for tests and benchmarks that must exercise the split
-/// path regardless of host core count.
-///
-/// # Panics
-///
-/// As [`eval_plan`].
-#[must_use]
-pub fn eval_plan_forced(plan: &FusedPlan<'_>, threads: usize, stats: &mut KernelStats) -> BitVec {
-    eval_ranged(plan.row_count(), threads, stats, |chunk, off, s| {
-        plan.eval_range(chunk, off, s);
-    })
-}
-
-/// Storage-aware twin of [`eval_plan`]: evaluates a [`StoredPlan`] over
-/// mixed dense/compressed slices, same splitting discipline, same
-/// auto-serial heuristic, bit-identical results.
-///
-/// # Panics
-///
-/// As [`eval_plan`].
-#[must_use]
-pub fn eval_plan_stored(plan: &StoredPlan<'_>, threads: usize, stats: &mut KernelStats) -> BitVec {
-    assert!(threads > 0, "at least one evaluation thread");
-    let threads = effective_threads(threads, plan.row_count(), Some(plan.estimated_work_words()));
-    eval_plan_stored_forced(plan, threads, stats)
-}
-
-/// As [`eval_plan_stored`] but honours `threads` exactly.
-///
-/// # Panics
-///
-/// As [`eval_plan`].
-#[must_use]
-pub fn eval_plan_stored_forced(
-    plan: &StoredPlan<'_>,
-    threads: usize,
-    stats: &mut KernelStats,
-) -> BitVec {
-    eval_ranged(plan.row_count(), threads, stats, |chunk, off, s| {
-        plan.eval_range(chunk, off, s);
-    })
 }
 
 /// Builds an encoded bitmap index in parallel over `threads` workers.
@@ -433,6 +398,7 @@ pub fn build_parallel(
         b_not_exist: None,
         b_null,
         expr_cache: std::collections::HashMap::new(),
+        dont_cares: std::sync::OnceLock::new(),
         summaries,
         query_options: crate::index::QueryOptions::default(),
         permutation: None,
@@ -571,7 +537,8 @@ mod tests {
         let expr = DnfExpr::parse("B4'B2B0 + B3B1' + B4B3B2'", 5).unwrap();
         let dense: Vec<BitVec> = idx.slices().iter().map(|s| s.to_dense()).collect();
         let summaries = summarize_slices(&dense);
-        let plan = FusedPlan::with_summaries(&expr, &dense, &summaries, idx.rows());
+        let lowered = expr.lower();
+        let plan = lowered.bind(&dense, Some(&summaries), idx.rows());
         let mut serial_stats = KernelStats::new();
         let serial = eval_plan_forced(&plan, 1, &mut serial_stats);
         for threads in [2, 3, 8] {
@@ -586,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn stored_parallel_eval_matches_serial_across_containers() {
+    fn parallel_eval_matches_serial_across_containers() {
         use ebi_boolean::DnfExpr;
         // Skewed column over enough rows that the adaptive policy
         // compresses some slices.
@@ -600,47 +567,40 @@ mod tests {
                 .any(|s| s.kind() != ebi_bitvec::StorageKind::Dense),
             "adaptive policy should compress skewed slices"
         );
-        let expr = DnfExpr::parse("B4'B2B0 + B3B1'", 5).unwrap();
-        let plan =
-            StoredPlan::with_summaries(&expr, idx.slices(), idx.summaries().unwrap(), idx.rows());
+        let lowered = DnfExpr::parse("B4'B2B0 + B3B1'", 5).unwrap().lower();
+        let plan = lowered.bind(idx.slices(), idx.summaries(), idx.rows());
         let mut s1 = KernelStats::new();
-        let serial = eval_plan_stored_forced(&plan, 1, &mut s1);
+        let serial = eval_plan_forced(&plan, 1, &mut s1);
         for threads in [2, 4] {
             let mut s = KernelStats::new();
-            let parallel = eval_plan_stored_forced(&plan, threads, &mut s);
+            let parallel = eval_plan_forced(&plan, threads, &mut s);
             assert_eq!(parallel, serial, "threads={threads}");
         }
     }
 
     #[test]
-    fn effective_threads_applies_the_auto_serial_heuristic() {
-        // Small inputs never split, whatever the host looks like.
-        assert_eq!(effective_threads(8, 100_000, None), 1);
-        assert_eq!(effective_threads(1, 10_000_000, None), 1);
+    fn effective_threads_checks_the_cheap_conditions_first() {
+        let never = || -> u64 { panic!("estimate computed for a serial evaluation") };
+        // One requested thread or a small input never split, and never
+        // pay for the estimate (or the core count).
+        assert_eq!(effective_threads(1, 10_000_000, never), 1);
+        assert_eq!(effective_threads(8, 100_000, never), 1);
         // Large inputs split only when the host has more than one core.
-        let big = effective_threads(8, 10_000_000, None);
-        match std::thread::available_parallelism() {
-            Ok(n) if n.get() > 1 => assert_eq!(big, 8),
-            _ => assert_eq!(big, 1),
-        }
+        let big = effective_threads(8, 10_000_000, || u64::MAX);
+        assert_eq!(big, if host_cores() > 1 { 8 } else { 1 });
     }
 
     #[test]
-    fn work_estimate_pins_the_auto_serial_decision() {
-        let rows = 4_000_000; // over the row threshold either way
-                              // No estimate: the row-count heuristic alone decides.
-        assert_eq!(effective_threads_for(8, rows, None, 8), 8);
-        // Full-traffic estimate (2 literals, no pruning): fan out.
-        assert_eq!(effective_threads_for(8, rows, Some(2 * 62_500), 8), 8);
+    fn work_estimate_pins_the_split_decision() {
+        // Full-traffic estimate (2 literals over 4M rows): fan out.
+        assert_eq!(split_threads(8, 2 * 62_500), 8);
         // Post-pruning estimate below the parallel-work floor: serial.
         // This pins the delta=512 cliff fix — many rows, little work.
         const { assert!(10_000 < MIN_PARALLEL_WORK_WORDS) };
-        assert_eq!(effective_threads_for(8, rows, Some(10_000), 8), 1);
+        assert_eq!(split_threads(8, 10_000), 1);
         // Middling estimate: split, but onto fewer workers so each
         // still has MIN_WORK_WORDS_PER_THREAD of traffic.
-        assert_eq!(effective_threads_for(8, rows, Some(40_000), 8), 2);
-        // Single-core hosts stay serial whatever the estimate.
-        assert_eq!(effective_threads_for(8, rows, Some(u64::MAX), 1), 1);
+        assert_eq!(split_threads(8, 40_000), 2);
     }
 
     #[test]
@@ -657,16 +617,16 @@ mod tests {
         let b = a.clone();
         let slices = [a, b];
         let summaries = summarize_slices(&slices);
-        let expr = DnfExpr::parse("B1B0", 2).unwrap();
-        let plan = FusedPlan::with_summaries(&expr, &slices, &summaries, rows);
+        let lowered = DnfExpr::parse("B1B0", 2).unwrap().lower();
+        let plan = lowered.bind(&slices, Some(&summaries), rows);
         let est = plan.estimated_work_words();
         assert!(
             est < MIN_PARALLEL_WORK_WORDS,
             "pruned estimate {est} should fall below the parallel floor"
         );
-        assert_eq!(effective_threads_for(8, rows, Some(est), 8), 1);
+        assert_eq!(split_threads(8, est), 1);
         // Unpruned, the same shape would have split.
-        let unpruned = FusedPlan::new(&expr, &slices, rows);
+        let unpruned = lowered.bind(&slices, None, rows);
         assert!(unpruned.estimated_work_words() >= MIN_PARALLEL_WORK_WORDS);
         // And the auto path still computes the right answer.
         let mut stats = KernelStats::new();
@@ -686,8 +646,8 @@ mod tests {
         let b: BitVec = (0..rows).map(|i| i >= 3 * rows / 4 && i % 5 != 0).collect();
         let slices = [a, b];
         let summaries = summarize_slices(&slices);
-        let expr = DnfExpr::parse("B1B0", 2).unwrap();
-        let plan = FusedPlan::with_summaries(&expr, &slices, &summaries, rows);
+        let lowered = DnfExpr::parse("B1B0", 2).unwrap().lower();
+        let plan = lowered.bind(&slices, Some(&summaries), rows);
         let mut serial_stats = KernelStats::new();
         let serial = eval_plan_forced(&plan, 1, &mut serial_stats);
         for threads in [2, 4, 7] {

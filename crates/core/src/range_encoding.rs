@@ -191,7 +191,7 @@ impl RangeBasedIndex {
             .iter()
             .filter_map(|&id| self.inner.mapping().code_of(id))
             .collect();
-        Ok(qm::minimize(&codes, &self.inner.dont_care_codes(), self.inner.width()).to_string())
+        Ok(qm::minimize(&codes, self.inner.dont_care_codes(), self.inner.width()).to_string())
     }
 }
 

@@ -14,6 +14,9 @@
 //! [logging]
 //! structured = ["crates/service/src"]
 //!
+//! [host]
+//! cached_core_count = ["crates/core/src", "crates/service/src"]
+//!
 //! [[lock_domain]]
 //! name = "service.pool"
 //! path = "crates/service/src/pool.rs"
@@ -50,6 +53,9 @@ pub struct Config {
     /// `ebi-obs`: bare `println!` / `eprintln!` outside `src/bin/` and
     /// `#[cfg(test)]` is a finding.
     pub structured_logging: Vec<String>,
+    /// Workspace-relative path prefixes where the host's core count may
+    /// only be queried inside a `OnceLock` initialiser.
+    pub cached_core_count: Vec<String>,
     /// Declared lock-order domains.
     pub lock_domains: Vec<LockDomain>,
 }
@@ -99,6 +105,9 @@ impl Config {
                 ("metrics", "allow") => cfg.metric_allow = parse_string_array(value, lineno)?,
                 ("logging", "structured") => {
                     cfg.structured_logging = parse_string_array(value, lineno)?;
+                }
+                ("host", "cached_core_count") => {
+                    cfg.cached_core_count = parse_string_array(value, lineno)?;
                 }
                 ("lock_domain", k) => {
                     let dom = cfg.lock_domains.last_mut().ok_or_else(|| {

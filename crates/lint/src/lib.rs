@@ -97,6 +97,7 @@ fn lint_file(rel: &str, src: &str, config: &Config, report: &mut Report) {
     unsafe_audit::check(rel, &tokens, &mut report.findings, &mut report.unsafe_sites);
     policy::check_metrics(rel, &tokens, config, &mut report.findings);
     policy::check_logging(rel, &tokens, config, &mut report.findings);
+    policy::check_core_count(rel, &tokens, config, &mut report.findings);
     if rel.contains("src/bin/") {
         policy::check_bin_usage(rel, &tokens, &mut report.findings);
     }
@@ -118,6 +119,7 @@ pub fn run(root: &Path) -> Result<Report, String> {
             "vendored-deps",
             "metric-namespace",
             "structured-logging",
+            "cached-core-count",
             "bin-usage",
         ],
         ..Report::default()
@@ -149,6 +151,7 @@ pub fn run_on_source(rel: &str, src: &str, config: &Config) -> Report {
             "vendored-deps",
             "metric-namespace",
             "structured-logging",
+            "cached-core-count",
             "bin-usage",
         ],
         ..Report::default()

@@ -13,6 +13,10 @@
 //!   for any *full-match* `ebi_[a-z0-9_]+` literal anywhere outside
 //!   `#[cfg(test)]` modules — so a typo'd prefix cannot hide behind an
 //!   unknown call shape.
+//! - `cached-core-count` — under the declared path prefixes,
+//!   `available_parallelism` (a `sched_getaffinity` call plus cgroup
+//!   file reads, ~14 µs) may only appear inside a `get_or_init`
+//!   initialiser, so no per-query path can pay for it.
 //! - `bin-usage` — binaries that read `env::args` must define a `USAGE`
 //!   string and exit with status 2 on bad arguments, the convention the
 //!   bench harness and CI scripts rely on.
@@ -215,7 +219,11 @@ pub fn check_logging(file: &str, tokens: &[Token], config: &Config, findings: &m
     if config.structured_logging.is_empty() {
         return; // no registry: the lint is unconfigured, not violated
     }
-    if !config.structured_logging.iter().any(|p| file.starts_with(p.as_str())) {
+    if !config
+        .structured_logging
+        .iter()
+        .any(|p| file.starts_with(p.as_str()))
+    {
         return;
     }
     if file.contains("src/bin/") {
@@ -246,6 +254,71 @@ pub fn check_logging(file: &str, tokens: &[Token], config: &Config, findings: &m
             ),
         });
     }
+}
+
+// ---------------------------------------------------------------------------
+// cached-core-count: the host's core count is read once per process.
+// ---------------------------------------------------------------------------
+
+/// Flags `available_parallelism` outside a `get_or_init(…)` initialiser
+/// in files under a declared `[host] cached_core_count` path prefix.
+/// The query costs microseconds (an affinity syscall plus cgroup file
+/// reads), which dwarfs a small query when it sits on the evaluation
+/// path; library code reads it through a `OnceLock`. `#[cfg(test)]`
+/// modules are exempt.
+pub fn check_core_count(
+    file: &str,
+    tokens: &[Token],
+    config: &Config,
+    findings: &mut Vec<Finding>,
+) {
+    if !config
+        .cached_core_count
+        .iter()
+        .any(|p| file.starts_with(p.as_str()))
+    {
+        return;
+    }
+    let code: Vec<&Token> = tokens
+        .iter()
+        .filter(|t| t.kind != TokenKind::Comment)
+        .collect();
+    let test_ranges = cfg_test_ranges(&code);
+    let in_test = |i: usize| test_ranges.iter().any(|(a, b)| i > *a && i < *b);
+    for (i, tok) in code.iter().enumerate() {
+        if tok.kind != TokenKind::Ident || tok.text != "available_parallelism" || in_test(i) {
+            continue;
+        }
+        if !inside_get_or_init(&code[..i]) {
+            findings.push(Finding {
+                lint: "cached-core-count",
+                severity: Severity::Error,
+                file: file.to_string(),
+                line: tok.line,
+                message: "`available_parallelism` outside a `OnceLock::get_or_init` \
+                          initialiser; read the core count once per process \
+                          (ebi_core::parallel::host_cores)"
+                    .to_string(),
+            });
+        }
+    }
+}
+
+/// `true` if the position after `before` lies within the argument list
+/// of a `get_or_init(` call: walking outwards through the enclosing
+/// brackets meets one before leaving the function.
+fn inside_get_or_init(before: &[&Token]) -> bool {
+    let mut closed = 0usize;
+    for (i, tok) in before.iter().enumerate().rev() {
+        match tok.text.as_str() {
+            ")" | "]" | "}" => closed += 1,
+            "(" | "[" | "{" if closed > 0 => closed -= 1,
+            "(" if i > 0 && before[i - 1].is("get_or_init") => return true,
+            "fn" if tok.kind == TokenKind::Ident => return false,
+            _ => {}
+        }
+    }
+    false
 }
 
 // ---------------------------------------------------------------------------
@@ -313,7 +386,27 @@ mod tests {
             metric_wrappers: vec!["publish".into()],
             metric_allow: vec!["ebi_build_info".into()],
             structured_logging: Vec::new(),
+            cached_core_count: vec!["crates/core/src".into()],
             lock_domains: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn core_count_must_sit_in_a_once_lock_initialiser() {
+        let bare =
+            "fn threads() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }";
+        let cached = "fn cores() -> usize {\n    static C: OnceLock<usize> = OnceLock::new();\n    *C.get_or_init(|| {\n        let n = std::thread::available_parallelism();\n        n.map_or(1, |n| n.get())\n    })\n}\nfn after() { let _ = (1, 2); }";
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::thread::available_parallelism(); }\n}";
+        for (rel, src, expect) in [
+            ("crates/core/src/parallel.rs", bare, 1),
+            ("crates/core/src/parallel.rs", cached, 0),
+            ("crates/core/src/parallel.rs", in_test, 0),
+            ("crates/bench/src/bin/tool.rs", bare, 0),
+        ] {
+            let mut findings = Vec::new();
+            check_core_count(rel, &lex(src), &metric_config(), &mut findings);
+            assert_eq!(findings.len(), expect, "{rel}: {findings:?}");
+            assert!(findings.iter().all(|f| f.lint == "cached-core-count"));
         }
     }
 

@@ -83,7 +83,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        let cores = ebi_core::parallel::host_cores();
         Self {
             tcp_addr: "127.0.0.1:0".into(),
             http_addr: "127.0.0.1:0".into(),

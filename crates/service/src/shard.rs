@@ -16,7 +16,7 @@
 //! multiples, so the unaligned merge path is exercised by construction.
 
 use crate::error::ServiceError;
-use ebi_bitvec::BitVec;
+use ebi_bitvec::{BitVec, DnfPlan};
 use ebi_boolean::DnfExpr;
 use ebi_core::index::{BuildOptions, EncodedBitmapIndex};
 use ebi_core::{CoreError, Mapping, RowOrder};
@@ -74,6 +74,8 @@ pub struct CompiledClause {
     pub column: usize,
     /// Minimized DNF over the column's bit-slices.
     pub expr: DnfExpr,
+    /// `expr` lowered for the evaluation kernel, once for all shards.
+    pub plan: DnfPlan,
     /// The expression in the paper's notation, for reports.
     pub rendered: String,
 }
@@ -194,7 +196,7 @@ impl Shard {
         for disjunct in &query.disjuncts {
             let mut acc: Option<BitVec> = None;
             for clause in disjunct {
-                let r = self.indexes[clause.column].run_dnf(&clause.expr);
+                let r = self.indexes[clause.column].run_plan(&clause.expr, &clause.plan);
                 add_stats(&mut cost, &r.stats);
                 match &mut acc {
                     None => acc = Some(r.bitmap),
@@ -221,14 +223,12 @@ impl Shard {
     /// heuristic uses, summed over every clause.
     #[must_use]
     pub fn estimated_work_words(&self, query: &CompiledQuery) -> u64 {
-        self.indexes.first().map_or(0, |_| {
-            query
-                .disjuncts
-                .iter()
-                .flatten()
-                .map(|c| self.indexes[c.column].estimated_work_words(&c.expr))
-                .sum()
-        })
+        query
+            .disjuncts
+            .iter()
+            .flatten()
+            .map(|c| self.indexes[c.column].estimated_work_words(&c.plan))
+            .sum()
     }
 
     /// Reads every heap page holding a matching row, through `pool`
@@ -410,8 +410,8 @@ impl ShardedTable {
 
     /// Compiles a parsed query once against the shared mappings: each
     /// clause's IN-list is minimized (Quine–McCluskey with don't-cares)
-    /// on shard 0's index, and the resulting expression is valid on
-    /// every shard.
+    /// on shard 0's index and lowered for the kernel; expression and
+    /// plan are valid on every shard.
     ///
     /// # Errors
     ///
@@ -444,6 +444,7 @@ impl ShardedTable {
                 let rendered = format!("{}: {expr}", clause.column);
                 clauses.push(CompiledClause {
                     column,
+                    plan: expr.lower(),
                     expr,
                     rendered,
                 });
