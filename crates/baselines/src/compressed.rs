@@ -16,7 +16,7 @@ use ebi_bitvec::wah::WahBitmap;
 use ebi_bitvec::{BitVec, SliceStorage, StoragePolicy};
 use ebi_boolean::{eval_expr_tracked, qm, AccessTracker};
 use ebi_core::index::{EncodedBitmapIndex, QueryResult};
-use ebi_core::{Mapping, QueryStats};
+use ebi_core::{Mapping, QueryStats, RowPermutation};
 use ebi_storage::Cell;
 
 /// Encoded bitmap index with WAH-compressed slices.
@@ -27,6 +27,10 @@ pub struct CompressedEncodedIndex {
     rows: usize,
     dont_cares: Vec<u64>,
     b_null: Option<WahBitmap>,
+    /// Row permutation of a reordered source index. The slices and
+    /// `b_null` are in its internal domain; answers are translated back
+    /// to original row ids.
+    permutation: Option<RowPermutation>,
 }
 
 impl CompressedEncodedIndex {
@@ -44,6 +48,13 @@ impl CompressedEncodedIndex {
     /// Compresses an existing index's vectors.
     #[must_use]
     pub fn from_uncompressed(idx: &EncodedBitmapIndex) -> Self {
+        // `is_null` answers in original row ids; the mask is applied
+        // beside the slices, in the internal domain.
+        let nulls = idx.is_null().bitmap;
+        let internal: Vec<usize> = nulls
+            .iter_ones()
+            .map(|row| idx.permutation().map_or(row, |p| p.to_internal(row)))
+            .collect();
         Self {
             slices: idx
                 .slices()
@@ -53,10 +64,9 @@ impl CompressedEncodedIndex {
             mapping: idx.mapping().clone(),
             rows: idx.rows(),
             dont_cares: idx.dont_care_codes().to_vec(),
-            b_null: {
-                let nulls = idx.is_null().bitmap;
-                nulls.any().then(|| WahBitmap::compress(&nulls))
-            },
+            b_null: (!internal.is_empty())
+                .then(|| WahBitmap::compress(&BitVec::from_positions(nulls.len(), &internal))),
+            permutation: idx.permutation().cloned(),
         }
     }
 
@@ -107,6 +117,9 @@ impl SelectionIndex for CompressedEncodedIndex {
                 bitmap.and_not_assign(&bn.decompress());
                 rendered.push_str(" · B_NULL'");
             }
+        }
+        if let Some(p) = &self.permutation {
+            bitmap = p.bitmap_to_original(&bitmap);
         }
         QueryResult {
             bitmap,
@@ -219,6 +232,40 @@ mod tests {
                 SelectionIndex::eq(&packed, v).bitmap,
                 plain.eq(v).unwrap().bitmap,
                 "value {v}"
+            );
+        }
+    }
+
+    #[test]
+    fn reordered_source_answers_in_original_row_ids() {
+        use ebi_core::index::BuildOptions;
+        use ebi_core::RowOrder;
+        // Scattered values with NULLs, so the lexicographic sort moves
+        // nearly every row, NULL rows included.
+        let cells: Vec<Cell> = (0..3_000u64)
+            .map(|i| {
+                if i % 11 == 3 {
+                    Cell::Null
+                } else {
+                    Cell::Value(i * 7 % 13)
+                }
+            })
+            .collect();
+        let plain = EncodedBitmapIndex::build_with(
+            cells,
+            BuildOptions {
+                row_order: RowOrder::Lexicographic,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(plain.permutation().is_some_and(|p| !p.is_identity()));
+        let packed = CompressedEncodedIndex::from_uncompressed(&plain);
+        for sel in [vec![0u64], vec![1, 2, 3], (0..13).collect::<Vec<_>>()] {
+            assert_eq!(
+                packed.in_list(&sel).bitmap,
+                plain.in_list(&sel).unwrap().bitmap,
+                "{sel:?}"
             );
         }
     }

@@ -3,8 +3,7 @@
 //! by Quine–McCluskey, evaluated over 1M-row slices.
 //!
 //! Engines: `eval_expr_naive` (literal-at-a-time with temporaries),
-//! fused serial kernels, fused + segment summaries, and the
-//! segment-parallel splitter.
+//! the fused kernel, and the fused kernel with segment summaries.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
@@ -12,7 +11,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ebi_bench::uniform_cells;
 use ebi_bitvec::summary::summarize_slices;
 use ebi_boolean::{eval_expr_naive, eval_expr_tracked, qm, AccessTracker};
-use ebi_core::parallel::eval_plan_forced;
 use ebi_core::EncodedBitmapIndex;
 use std::hint::black_box;
 use std::time::Duration;
@@ -30,7 +28,6 @@ fn bench_eval(c: &mut Criterion) {
     let slices = &dense[..];
     let summaries = summarize_slices(slices);
     let k = index.width();
-    let threads = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
 
     let mut group = c.benchmark_group("eval_fused");
     group.sample_size(20);
@@ -71,14 +68,6 @@ fn bench_eval(c: &mut Criterion) {
                 });
             },
         );
-        group.bench_with_input(BenchmarkId::new("fused_parallel", delta), &expr, |b, e| {
-            b.iter(|| {
-                let lowered = e.lower();
-                let plan = lowered.bind(slices, Some(&summaries), rows);
-                let mut stats = ebi_bitvec::KernelStats::new();
-                black_box(eval_plan_forced(&plan, threads, &mut stats))
-            });
-        });
     }
     group.finish();
 }

@@ -329,9 +329,8 @@ fn service_section(smoke: bool) -> String {
         let (tx, rx) = mpsc::channel();
         let table = &table;
         let ns = std::thread::scope(|s| {
-            let server = s.spawn(move || {
-                ebi_service::run(table, &cfg, |h| tx.send(h).expect("send"))
-            });
+            let server =
+                s.spawn(move || ebi_service::run(table, &cfg, |h| tx.send(h).expect("send")));
             let handle = rx.recv().expect("service came up");
             let ns = measure_service(handle.tcp_addr(), reqs);
             handle.shutdown();

@@ -85,8 +85,6 @@ pub struct KernelStats {
     pub segments_short_circuited: u64,
     /// Kernel entries that ran the scalar word-pass tier.
     pub dispatch_scalar: u64,
-    /// Kernel entries that ran the portable vector tier.
-    pub dispatch_portable: u64,
     /// Kernel entries that ran the AVX2 intrinsic tier.
     pub dispatch_avx2: u64,
 }
@@ -98,23 +96,10 @@ impl KernelStats {
         Self::default()
     }
 
-    /// Adds another set of counters into this one.
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.words_scanned += other.words_scanned;
-        self.bytes_touched += other.bytes_touched;
-        self.compressed_chunks_skipped += other.compressed_chunks_skipped;
-        self.segments_pruned += other.segments_pruned;
-        self.segments_short_circuited += other.segments_short_circuited;
-        self.dispatch_scalar += other.dispatch_scalar;
-        self.dispatch_portable += other.dispatch_portable;
-        self.dispatch_avx2 += other.dispatch_avx2;
-    }
-
     /// Records that one kernel entry resolved to `path`.
     pub fn record_dispatch(&mut self, path: KernelPath) {
         match path {
             KernelPath::Scalar => self.dispatch_scalar += 1,
-            KernelPath::Portable => self.dispatch_portable += 1,
             KernelPath::Avx2 => self.dispatch_avx2 += 1,
         }
     }
@@ -125,17 +110,11 @@ impl KernelStats {
     /// break towards the more capable tier.
     #[must_use]
     pub fn kernel_path(&self) -> &'static str {
-        let (s, p, a) = (
-            self.dispatch_scalar,
-            self.dispatch_portable,
-            self.dispatch_avx2,
-        );
-        if s == 0 && p == 0 && a == 0 {
+        let (s, a) = (self.dispatch_scalar, self.dispatch_avx2);
+        if s == 0 && a == 0 {
             "none"
-        } else if a >= p && a >= s {
+        } else if a >= s {
             KernelPath::Avx2.name()
-        } else if p >= s {
-            KernelPath::Portable.name()
         } else {
             KernelPath::Scalar.name()
         }
@@ -160,7 +139,6 @@ impl KernelStats {
                 self.segments_short_circuited,
             ),
             ("ebi_kernel_dispatch_scalar_total", self.dispatch_scalar),
-            ("ebi_kernel_dispatch_portable_total", self.dispatch_portable),
             ("ebi_kernel_dispatch_avx2_total", self.dispatch_avx2),
         ];
         for (name, v) in counters {
@@ -492,10 +470,8 @@ impl BoundSlot<'_> {
 /// A [`DnfPlan`] bound to the slices (and optional summaries) of one
 /// index: the thing the kernel evaluates.
 ///
-/// It borrows everything immutably, so one bound plan can be shared by
-/// many threads each filling a disjoint window of the destination via
-/// [`BoundPlan::eval_range`]; results are bit-identical to
-/// [`BoundPlan::eval`] over the whole vector.
+/// It borrows everything immutably; [`BoundPlan::eval`] is bit-identical
+/// to naive whole-vector evaluation over dense slices.
 #[derive(Debug, Clone)]
 pub struct BoundPlan<'a> {
     plan: &'a DnfPlan,
@@ -637,7 +613,7 @@ impl BoundPlan<'_> {
                 words += live;
                 continue;
             }
-            // The same walk as `eval_range`, counting instead of
+            // The same walk as `eval`, counting instead of
             // computing.
             let (mut lits, mut dead_lows) = (0, 0u32);
             for (i, low) in plan.lows.iter().enumerate() {
@@ -673,41 +649,17 @@ impl BoundPlan<'_> {
     /// Evaluates the whole plan into a fresh selection bitmap.
     #[must_use]
     pub fn eval(&self, stats: &mut KernelStats) -> BitVec {
-        let mut dst = BitVec::zeros(self.rows);
-        self.eval_range(&mut dst.words, 0, stats);
-        dst
-    }
-
-    /// Evaluates the plan into `dst`, a **zeroed** window covering words
-    /// `word_offset ..` of the selection bitmap. Disjoint windows may be
-    /// evaluated concurrently and compose to the exact whole-vector
-    /// result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word_offset` is not segment-aligned or `dst` overruns
-    /// the bitmap.
-    pub fn eval_range(&self, dst: &mut [u64], word_offset: usize, stats: &mut KernelStats) {
-        assert_eq!(
-            word_offset % SEGMENT_WORDS,
-            0,
-            "word_offset {word_offset} not segment-aligned"
-        );
-        assert!(
-            word_offset + dst.len() <= self.rows.div_ceil(WORD_BITS),
-            "destination range overruns {}-bit vector",
-            self.rows
-        );
+        let mut out = BitVec::zeros(self.rows);
         let path = simd::selected_path();
         stats.record_dispatch(path);
         let plan = self.plan;
         if plan.tautology {
-            dst.fill(u64::MAX);
-            mask_range_tail(dst, word_offset, self.rows);
-            return;
+            out.words.fill(u64::MAX);
+            out.mask_tail();
+            return out;
         }
         if plan.steps.is_empty() {
-            return;
+            return out;
         }
 
         // Per evaluation, never per index. Rows `1 ..= depth` are the
@@ -722,7 +674,7 @@ impl BoundPlan<'_> {
         let mut buf = vec![0u64; (product_rows + self.slots.len()) * SEGMENT_WORDS];
         let (rows, scratch) = buf.split_at_mut(product_rows * SEGMENT_WORDS);
         // WAH cursors persist across the ascending segment sweep so each
-        // code word is decoded at most once per range.
+        // code word is decoded at most once.
         let mut fetch: Vec<Fetch<'_>> = self
             .slots
             .iter()
@@ -737,8 +689,7 @@ impl BoundPlan<'_> {
         // high-part literals, kept for as deep as a later term shares.
         let mut levels = [Product::Ones; 65];
 
-        for (chunk_idx, seg_dst) in dst.chunks_mut(SEGMENT_WORDS).enumerate() {
-            let seg = word_offset / SEGMENT_WORDS + chunk_idx;
+        for (seg, seg_dst) in out.words.chunks_mut(SEGMENT_WORDS).enumerate() {
             let nw = seg_dst.len();
 
             // Window-once fetch: classify or materialise every
@@ -917,22 +868,8 @@ impl BoundPlan<'_> {
         }
         // Negated literals set garbage bits beyond the last row in the
         // final word; restore the tail invariant.
-        mask_range_tail(dst, word_offset, self.rows);
-    }
-}
-
-/// Zeroes bits at positions `>= len_bits` if the window `dst` (starting
-/// at `word_offset`) contains the final partial word.
-fn mask_range_tail(dst: &mut [u64], word_offset: usize, len_bits: usize) {
-    let rem = len_bits % WORD_BITS;
-    if rem == 0 {
-        return;
-    }
-    let last_word = len_bits / WORD_BITS;
-    if let Some(w) = last_word.checked_sub(word_offset) {
-        if w < dst.len() {
-            dst[w] &= (1u64 << rem) - 1;
-        }
+        out.mask_tail();
+        out
     }
 }
 
@@ -1160,40 +1097,6 @@ mod tests {
     }
 
     #[test]
-    fn range_evaluation_is_bit_identical_to_whole_vector() {
-        let len = SEGMENT_BITS * 3 + 500;
-        let a = stripes(len, 11, 3);
-        let b: BitVec = (0..len).map(|i| i % 13 < 4).collect();
-        let terms: &[&[(usize, bool)]] = &[&[(0, false), (1, true)], &[(1, false), (0, true)]];
-        let p = plan(terms);
-        for (pa, pb) in [
-            (StoragePolicy::Dense, StoragePolicy::Dense),
-            (StoragePolicy::Wah, StoragePolicy::Roaring),
-        ] {
-            let family = [
-                SliceStorage::from_dense(a.clone(), pa),
-                SliceStorage::from_dense(b.clone(), pb),
-            ];
-            let bound = p.bind(&family, None, len);
-            let mut stats = KernelStats::new();
-            let whole = bound.eval(&mut stats);
-            assert_eq!(whole, naive(terms, &[a.clone(), b.clone()], len));
-
-            // The same expression in two disjoint windows.
-            let mut split = BitVec::zeros(len);
-            let cut = 2 * SEGMENT_WORDS;
-            let (lo, hi) = split.words.split_at_mut(cut);
-            let mut s1 = KernelStats::new();
-            let mut s2 = KernelStats::new();
-            bound.eval_range(lo, 0, &mut s1);
-            bound.eval_range(hi, cut, &mut s2);
-            assert_eq!(split, whole);
-            s1.merge(&s2);
-            assert_eq!(s1.words_scanned, stats.words_scanned);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "slice length")]
     fn short_slice_panics() {
         let slices = [BitVec::zeros(64)];
@@ -1208,56 +1111,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not segment-aligned")]
-    fn unaligned_offset_panics() {
-        let slices = [BitVec::zeros(SEGMENT_BITS * 2)];
-        let p = plan(&[&[(0, false)]]);
-        let mut dst = vec![0u64; SEGMENT_WORDS];
-        p.bind(&slices, None, SEGMENT_BITS * 2)
-            .eval_range(&mut dst, 1, &mut KernelStats::new());
-    }
-
-    #[test]
-    fn stats_merge_adds_fields() {
-        let mut a = KernelStats {
-            words_scanned: 1,
-            bytes_touched: 4,
-            compressed_chunks_skipped: 5,
-            segments_pruned: 2,
-            segments_short_circuited: 3,
-            dispatch_scalar: 1,
-            dispatch_portable: 2,
-            dispatch_avx2: 3,
-        };
-        a.merge(&KernelStats {
-            words_scanned: 10,
-            bytes_touched: 40,
-            compressed_chunks_skipped: 50,
-            segments_pruned: 20,
-            segments_short_circuited: 30,
-            dispatch_scalar: 10,
-            dispatch_portable: 20,
-            dispatch_avx2: 30,
-        });
-        assert_eq!(a.words_scanned, 11);
-        assert_eq!(a.bytes_touched, 44);
-        assert_eq!(a.compressed_chunks_skipped, 55);
-        assert_eq!(a.segments_pruned, 22);
-        assert_eq!(a.segments_short_circuited, 33);
-        assert_eq!(a.dispatch_scalar, 11);
-        assert_eq!(a.dispatch_portable, 22);
-        assert_eq!(a.dispatch_avx2, 33);
-    }
-
-    #[test]
     fn kernel_path_reports_dominant_tier() {
         let mut s = KernelStats::new();
         assert_eq!(s.kernel_path(), "none");
         s.record_dispatch(crate::simd::KernelPath::Scalar);
         assert_eq!(s.kernel_path(), "scalar");
-        s.record_dispatch(crate::simd::KernelPath::Portable);
-        s.record_dispatch(crate::simd::KernelPath::Portable);
-        assert_eq!(s.kernel_path(), "portable");
         for _ in 0..3 {
             s.record_dispatch(crate::simd::KernelPath::Avx2);
         }

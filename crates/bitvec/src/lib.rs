@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "nightly-simd", feature(portable_simd))]
 //! Bit-vector substrate for encoded bitmap indexing.
 //!
 //! This crate provides the low-level bitmap machinery that every index in

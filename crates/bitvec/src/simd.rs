@@ -6,16 +6,13 @@
 //! complemented) operands into a product row, AND a further operand in,
 //! OR a finished product into the destination, or AND the last two
 //! operands straight into the destination. This module provides those
-//! passes at three implementation tiers and picks one at runtime:
+//! passes at two implementation tiers and picks one at runtime:
 //!
-//! * **scalar** — the original word-at-a-time loops. Always compiled,
-//!   always correct; the other tiers are verified against it by the
-//!   `prop_simd` differential suite.
-//! * **portable** — 4-lane unrolled passes (`u64x4` blocks) written so
-//!   the auto-vectoriser emits full-width vector code for whatever the
-//!   target baseline offers (SSE2 on vanilla `x86_64`, NEON on
-//!   aarch64). With the `nightly-simd` feature the same tier is built on
-//!   `std::simd` portable vectors instead of the manual unroll.
+//! * **scalar** — word-at-a-time `zip` loops, which the compiler
+//!   auto-vectorises for whatever the target baseline offers (SSE2 on
+//!   vanilla `x86_64`, NEON on aarch64). Always compiled, always
+//!   correct; the AVX2 tier is verified against it by the `prop_simd`
+//!   differential suite.
 //! * **avx2** — explicit 256-bit `core::arch::x86_64` intrinsics,
 //!   reached only when the `simd` feature is on, the binary runs on
 //!   `x86_64`, and `is_x86_feature_detected!("avx2")` says the host has
@@ -29,15 +26,15 @@
 //! # Dispatch
 //!
 //! [`selected_path`] resolves, in order: a thread-local override
-//! ([`with_forced_path`], used by the differential tests), a process
-//! override ([`force_path_global`], used by benchmarks), the `EBI_KERNEL`
-//! environment variable (`scalar` / `portable` / `avx2` / `auto`), and
-//! finally runtime CPU detection. Forcing a path the build or host
-//! cannot execute clamps down to the best available path, never up, so
-//! the selected path is always executable. The kernels resolve the path
-//! once per evaluation and record it in
-//! [`KernelStats`](crate::kernels::KernelStats), which surfaces through
-//! `QueryStats` and the `eval` span attributes up to `EXPLAIN ANALYZE`.
+//! ([`with_forced_path`], used by the differential tests and
+//! benchmarks), the `EBI_KERNEL` environment variable (`scalar`, or
+//! anything else, which means auto), and finally runtime CPU detection.
+//! Forcing a path the build or host cannot execute clamps down to the
+//! best available path, never up, so the selected path is always
+//! executable. The kernels resolve the path once per evaluation and
+//! record it in [`KernelStats`](crate::kernels::KernelStats), which
+//! surfaces through `QueryStats` and the `eval` span attributes up to
+//! `EXPLAIN ANALYZE`.
 
 // The workspace denies `unsafe_code`; this module is the one sanctioned
 // exception — the AVX2 tier and its dispatch calls. Every unsafe block
@@ -45,6 +42,7 @@
 #![allow(unsafe_code)]
 
 use std::cell::Cell;
+#[cfg(feature = "simd")]
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which word-pass implementation tier ran.
@@ -53,11 +51,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum KernelPath {
     /// Word-at-a-time loops — the always-correct fallback.
     Scalar = 0,
-    /// 4-lane portable vector passes (auto-vectorised, or `std::simd`
-    /// under the `nightly-simd` feature).
-    Portable = 1,
     /// Explicit AVX2 intrinsics (runtime-detected, x86_64 only).
-    Avx2 = 2,
+    Avx2 = 1,
 }
 
 impl KernelPath {
@@ -66,7 +61,6 @@ impl KernelPath {
     pub fn name(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
-            Self::Portable => "portable",
             Self::Avx2 => "avx2",
         }
     }
@@ -74,8 +68,7 @@ impl KernelPath {
     fn from_u8(v: u8) -> Option<Self> {
         match v {
             0 => Some(Self::Scalar),
-            1 => Some(Self::Portable),
-            2 => Some(Self::Avx2),
+            1 => Some(Self::Avx2),
             _ => None,
         }
     }
@@ -84,8 +77,6 @@ impl KernelPath {
 /// Sentinel for "no override".
 const AUTO: u8 = u8::MAX;
 
-static GLOBAL_FORCE: AtomicU8 = AtomicU8::new(AUTO);
-
 thread_local! {
     static TLS_FORCE: Cell<u8> = const { Cell::new(AUTO) };
 }
@@ -93,10 +84,10 @@ thread_local! {
 /// The best path this build + host can execute, detected once.
 ///
 /// Without the `simd` feature this is always [`KernelPath::Scalar`];
-/// with it, [`KernelPath::Portable`] everywhere and [`KernelPath::Avx2`]
-/// when the x86_64 host reports the feature. Under Miri, runtime CPU
-/// detection is unavailable, so detection falls back to compile-time
-/// target features.
+/// with it, [`KernelPath::Avx2`] when the x86_64 host reports the
+/// feature and `EBI_KERNEL=scalar` does not veto it. Under Miri,
+/// runtime CPU detection is unavailable, so detection falls back to
+/// compile-time target features.
 #[must_use]
 pub fn detected_path() -> KernelPath {
     #[cfg(feature = "simd")]
@@ -117,12 +108,17 @@ pub fn detected_path() -> KernelPath {
 
 #[cfg(feature = "simd")]
 fn detect() -> KernelPath {
-    let hw = hardware_best();
-    match std::env::var("EBI_KERNEL").as_deref() {
-        Ok("scalar") => KernelPath::Scalar,
-        Ok("portable") => KernelPath::Portable.min(hw),
-        Ok("avx2") => KernelPath::Avx2.min(hw),
-        _ => hw,
+    resolve_env(std::env::var("EBI_KERNEL").ok().as_deref(), hardware_best())
+}
+
+/// `EBI_KERNEL=scalar` vetoes the vector tier; any other value (or
+/// none) leaves the choice to the hardware.
+#[cfg(feature = "simd")]
+fn resolve_env(env: Option<&str>, hw: KernelPath) -> KernelPath {
+    if env == Some("scalar") {
+        KernelPath::Scalar
+    } else {
+        hw
     }
 }
 
@@ -144,7 +140,7 @@ fn hardware_best() -> KernelPath {
             return KernelPath::Avx2;
         }
     }
-    KernelPath::Portable
+    KernelPath::Scalar
 }
 
 /// Every path executable on this build + host, worst first. The
@@ -152,16 +148,15 @@ fn hardware_best() -> KernelPath {
 #[must_use]
 pub fn available_paths() -> Vec<KernelPath> {
     let best = detected_path();
-    [KernelPath::Scalar, KernelPath::Portable, KernelPath::Avx2]
+    [KernelPath::Scalar, KernelPath::Avx2]
         .into_iter()
         .filter(|p| *p <= best)
         .collect()
 }
 
-/// Resolves the path the next kernel invocation will run:
-/// thread-local override, then process override, then detection.
-/// Overrides are clamped to [`detected_path`] so the result is always
-/// executable.
+/// Resolves the path the next kernel invocation will run: the
+/// thread-local override, then detection. The override is clamped to
+/// [`detected_path`] so the result is always executable.
 #[must_use]
 pub fn selected_path() -> KernelPath {
     let best = detected_path();
@@ -169,23 +164,12 @@ pub fn selected_path() -> KernelPath {
     if let Some(p) = KernelPath::from_u8(tls) {
         return p.min(best);
     }
-    if let Some(p) = KernelPath::from_u8(GLOBAL_FORCE.load(Ordering::Relaxed)) {
-        return p.min(best);
-    }
     best
-}
-
-/// Forces every thread onto `path` (clamped to what the host can run),
-/// or restores auto-detection with `None`. Benchmarks use this to
-/// measure the scalar baseline on SIMD-capable hosts.
-pub fn force_path_global(path: Option<KernelPath>) {
-    GLOBAL_FORCE.store(path.map_or(AUTO, |p| p as u8), Ordering::Relaxed);
 }
 
 /// Runs `f` with the *calling thread* forced onto `path` (clamped to
 /// what the host can run), restoring the previous override afterwards —
-/// even on panic. Worker threads spawned inside `f` are not affected;
-/// use [`force_path_global`] to steer those.
+/// even on panic. Threads spawned inside `f` are not affected.
 pub fn with_forced_path<R>(path: KernelPath, f: impl FnOnce() -> R) -> R {
     struct Restore(u8);
     impl Drop for Restore {
@@ -233,8 +217,6 @@ pub fn fused_pass2(
     let (m1, m2) = (polarity(neg1), polarity(neg2));
     match path {
         KernelPath::Scalar => scalar::fused_pass2(acc, s1, s2, m1, m2),
-        #[cfg(feature = "simd")]
-        KernelPath::Portable => portable::fused_pass2(acc, s1, s2, m1, m2),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         // SAFETY: `path` is clamped to `detected_path()`, which only
         // reports Avx2 after runtime (or, under Miri, compile-time)
@@ -257,8 +239,6 @@ pub fn and_pass(path: KernelPath, acc: &mut [u64], src: &[u64], negated: bool) -
     let m = polarity(negated);
     match path {
         KernelPath::Scalar => scalar::and_pass(acc, src, m),
-        #[cfg(feature = "simd")]
-        KernelPath::Portable => portable::and_pass(acc, src, m),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         // SAFETY: as in `fused_pass2`.
         KernelPath::Avx2 => unsafe { avx2::and_pass(acc, src, m) },
@@ -279,8 +259,6 @@ pub fn or_into(path: KernelPath, dst: &mut [u64], src: &[u64]) -> bool {
     assert_eq!(dst.len(), src.len());
     match path {
         KernelPath::Scalar => scalar::or_into(dst, src),
-        #[cfg(feature = "simd")]
-        KernelPath::Portable => portable::or_into(dst, src),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         // SAFETY: as in `fused_pass2`.
         KernelPath::Avx2 => unsafe { avx2::or_into(dst, src) },
@@ -312,8 +290,6 @@ pub fn or_and_into(
     let (m1, m2) = (polarity(neg1), polarity(neg2));
     match path {
         KernelPath::Scalar => scalar::or_and_into(dst, s1, s2, m1, m2),
-        #[cfg(feature = "simd")]
-        KernelPath::Portable => portable::or_and_into(dst, s1, s2, m1, m2),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         // SAFETY: as in `fused_pass2`.
         KernelPath::Avx2 => unsafe { avx2::or_and_into(dst, s1, s2, m1, m2) },
@@ -410,183 +386,6 @@ mod scalar {
         for ((d, &x), &y) in dst.iter_mut().zip(s1).zip(s2) {
             *d |= (x ^ m1) & (y ^ m2);
             all &= *d;
-        }
-        all == u64::MAX
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Portable tier: 4-lane blocks the auto-vectoriser widens to whatever
-// the target baseline offers. With `nightly-simd`, `std::simd` vectors.
-// ---------------------------------------------------------------------------
-
-#[cfg(all(feature = "simd", not(feature = "nightly-simd")))]
-mod portable {
-    const LANES: usize = 4;
-
-    pub fn fused_pass2(acc: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool {
-        let mut anyv = [0u64; LANES];
-        let n = acc.len();
-        let blocks = n / LANES * LANES;
-        for i in (0..blocks).step_by(LANES) {
-            for l in 0..LANES {
-                let v = (s1[i + l] ^ m1) & (s2[i + l] ^ m2);
-                acc[i + l] = v;
-                anyv[l] |= v;
-            }
-        }
-        let mut any = anyv.iter().fold(0, |a, &v| a | v);
-        for i in blocks..n {
-            let v = (s1[i] ^ m1) & (s2[i] ^ m2);
-            acc[i] = v;
-            any |= v;
-        }
-        any != 0
-    }
-
-    pub fn and_pass(acc: &mut [u64], src: &[u64], m: u64) -> bool {
-        let mut anyv = [0u64; LANES];
-        let n = acc.len();
-        let blocks = n / LANES * LANES;
-        for i in (0..blocks).step_by(LANES) {
-            for l in 0..LANES {
-                let v = acc[i + l] & (src[i + l] ^ m);
-                acc[i + l] = v;
-                anyv[l] |= v;
-            }
-        }
-        let mut any = anyv.iter().fold(0, |a, &v| a | v);
-        for i in blocks..n {
-            acc[i] &= src[i] ^ m;
-            any |= acc[i];
-        }
-        any != 0
-    }
-
-    pub fn or_into(dst: &mut [u64], src: &[u64]) -> bool {
-        let mut allv = [u64::MAX; LANES];
-        let n = dst.len();
-        let blocks = n / LANES * LANES;
-        for i in (0..blocks).step_by(LANES) {
-            for l in 0..LANES {
-                let v = dst[i + l] | src[i + l];
-                dst[i + l] = v;
-                allv[l] &= v;
-            }
-        }
-        let mut all = allv.iter().fold(u64::MAX, |a, &v| a & v);
-        for i in blocks..n {
-            dst[i] |= src[i];
-            all &= dst[i];
-        }
-        all == u64::MAX
-    }
-
-    pub fn or_and_into(dst: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool {
-        let mut allv = [u64::MAX; LANES];
-        let n = dst.len();
-        let blocks = n / LANES * LANES;
-        for i in (0..blocks).step_by(LANES) {
-            for l in 0..LANES {
-                let v = dst[i + l] | ((s1[i + l] ^ m1) & (s2[i + l] ^ m2));
-                dst[i + l] = v;
-                allv[l] &= v;
-            }
-        }
-        let mut all = allv.iter().fold(u64::MAX, |a, &v| a & v);
-        for i in blocks..n {
-            dst[i] |= (s1[i] ^ m1) & (s2[i] ^ m2);
-            all &= dst[i];
-        }
-        all == u64::MAX
-    }
-}
-
-#[cfg(all(feature = "simd", feature = "nightly-simd"))]
-mod portable {
-    //! `std::simd` build of the portable tier (nightly only).
-    use std::simd::{cmp::SimdPartialEq, u64x4, Simd};
-
-    pub fn fused_pass2(acc: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool {
-        let (vm1, vm2) = (u64x4::splat(m1), u64x4::splat(m2));
-        let mut anyv = u64x4::splat(0);
-        let n = acc.len();
-        let blocks = n / 4 * 4;
-        for i in (0..blocks).step_by(4) {
-            let x = Simd::from_slice(&s1[i..i + 4]) ^ vm1;
-            let y = Simd::from_slice(&s2[i..i + 4]) ^ vm2;
-            let v = x & y;
-            v.copy_to_slice(&mut acc[i..i + 4]);
-            anyv |= v;
-        }
-        let mut any = !anyv.simd_eq(u64x4::splat(0)).all() as u64;
-        for i in blocks..n {
-            let v = (s1[i] ^ m1) & (s2[i] ^ m2);
-            acc[i] = v;
-            any |= v;
-        }
-        any != 0
-    }
-
-    pub fn and_pass(acc: &mut [u64], src: &[u64], m: u64) -> bool {
-        let vm = u64x4::splat(m);
-        let mut anyv = u64x4::splat(0);
-        let n = acc.len();
-        let blocks = n / 4 * 4;
-        for i in (0..blocks).step_by(4) {
-            let v = Simd::from_slice(&acc[i..i + 4]) & (Simd::from_slice(&src[i..i + 4]) ^ vm);
-            v.copy_to_slice(&mut acc[i..i + 4]);
-            anyv |= v;
-        }
-        let mut any = !anyv.simd_eq(u64x4::splat(0)).all() as u64;
-        for i in blocks..n {
-            acc[i] &= src[i] ^ m;
-            any |= acc[i];
-        }
-        any != 0
-    }
-
-    pub fn or_into(dst: &mut [u64], src: &[u64]) -> bool {
-        let mut allv = u64x4::splat(u64::MAX);
-        let n = dst.len();
-        let blocks = n / 4 * 4;
-        for i in (0..blocks).step_by(4) {
-            let v = Simd::from_slice(&dst[i..i + 4]) | Simd::from_slice(&src[i..i + 4]);
-            v.copy_to_slice(&mut dst[i..i + 4]);
-            allv &= v;
-        }
-        let mut all = if allv.simd_eq(u64x4::splat(u64::MAX)).all() {
-            u64::MAX
-        } else {
-            0
-        };
-        for i in blocks..n {
-            dst[i] |= src[i];
-            all &= dst[i];
-        }
-        all == u64::MAX
-    }
-
-    pub fn or_and_into(dst: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool {
-        let (vm1, vm2) = (u64x4::splat(m1), u64x4::splat(m2));
-        let mut allv = u64x4::splat(u64::MAX);
-        let n = dst.len();
-        let blocks = n / 4 * 4;
-        for i in (0..blocks).step_by(4) {
-            let x = Simd::from_slice(&s1[i..i + 4]) ^ vm1;
-            let y = Simd::from_slice(&s2[i..i + 4]) ^ vm2;
-            let v = Simd::from_slice(&dst[i..i + 4]) | (x & y);
-            v.copy_to_slice(&mut dst[i..i + 4]);
-            allv &= v;
-        }
-        let mut all = if allv.simd_eq(u64x4::splat(u64::MAX)).all() {
-            u64::MAX
-        } else {
-            0
-        };
-        for i in blocks..n {
-            dst[i] |= (s1[i] ^ m1) & (s2[i] ^ m2);
-            all &= dst[i];
         }
         all == u64::MAX
     }
@@ -841,18 +640,29 @@ mod tests {
         });
         with_forced_path(KernelPath::Scalar, || {
             assert_eq!(selected_path(), KernelPath::Scalar);
-            with_forced_path(KernelPath::Portable, || {
-                assert_eq!(selected_path(), KernelPath::Portable.min(best));
+            with_forced_path(KernelPath::Avx2, || {
+                assert_eq!(selected_path(), best);
             });
             assert_eq!(selected_path(), KernelPath::Scalar);
         });
         assert_eq!(selected_path(), best);
     }
 
+    #[cfg(feature = "simd")]
+    #[test]
+    fn only_scalar_is_a_recognised_kernel_override() {
+        use KernelPath::{Avx2, Scalar};
+        assert_eq!(resolve_env(Some("scalar"), Avx2), Scalar);
+        // The removed `portable` tier, like any unknown value, is auto.
+        for auto in [None, Some("portable"), Some("avx2"), Some("auto"), Some("")] {
+            assert_eq!(resolve_env(auto, Avx2), Avx2, "{auto:?}");
+            assert_eq!(resolve_env(auto, Scalar), Scalar, "never up: {auto:?}");
+        }
+    }
+
     #[test]
     fn path_names_are_stable() {
         assert_eq!(KernelPath::Scalar.name(), "scalar");
-        assert_eq!(KernelPath::Portable.name(), "portable");
         assert_eq!(KernelPath::Avx2.name(), "avx2");
     }
 

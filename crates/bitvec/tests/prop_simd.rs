@@ -1,5 +1,5 @@
-//! Differential property tests proving the SIMD kernel tiers are
-//! drop-in replacements for the scalar reference.
+//! Differential property tests proving the AVX2 kernel tier is a
+//! drop-in replacement for the scalar reference.
 //!
 //! Every tier the host can run ([`simd::available_paths`]) must
 //! produce **bit-identical** output and **identical work counters**
@@ -142,7 +142,7 @@ proptest! {
     }
 
     /// Constant all-zero / all-one operands in every combination: the
-    /// vector tiers must report the exact same any/saturation verdicts
+    /// vector tier must report the exact same any/saturation verdicts
     /// the scalar loops do.
     #[test]
     fn saturated_operands_agree_on_every_tier(

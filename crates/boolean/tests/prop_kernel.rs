@@ -13,8 +13,6 @@
 //! * segment summaries on and off;
 //! * row counts that are not multiples of the word or the 4096-bit
 //!   segment, and zero rows;
-//! * whole-vector evaluation and disjoint segment-aligned sub-windows
-//!   (which must compose to the whole);
 //! * every kernel tier the host can run.
 //!
 //! The paper's cost metrics (`vectors_accessed`, `cube_evals`,
@@ -24,8 +22,7 @@
 use ebi_bitvec::kernels::SliceSource;
 use ebi_bitvec::summary::summarize_slices;
 use ebi_bitvec::{
-    simd, BitVec, DnfPlan, KernelStats, SegmentSummary, SliceStorage, StoragePolicy, SEGMENT_WORDS,
-    WORD_BITS,
+    simd, BitVec, DnfPlan, KernelStats, SegmentSummary, SliceStorage, StorageKind, StoragePolicy,
 };
 use ebi_boolean::{eval_expr_naive, eval_expr_tracked, AccessTracker, Cube, DnfExpr};
 use proptest::prelude::*;
@@ -60,12 +57,25 @@ fn layout() -> impl Strategy<Value = Layout> {
     prop::sample::select(vec![Layout::Uniform, Layout::Skewed, Layout::Clustered])
 }
 
+/// Slices of the codes `code(row)` for `rows` rows over `k` variables.
+fn slices_of(k: u32, rows: usize, mut code: impl FnMut(u64) -> u64) -> Vec<BitVec> {
+    let mut slices = vec![BitVec::zeros(rows); k as usize];
+    for row in 0..rows {
+        let c = code(row as u64);
+        for (i, slice) in slices.iter_mut().enumerate() {
+            if c >> i & 1 == 1 {
+                slice.set(row, true);
+            }
+        }
+    }
+    slices
+}
+
 /// Builds `k` bitmap slices for `rows` pseudo-random codes.
 fn random_slices(k: u32, rows: usize, seed: u64, layout: Layout) -> Vec<BitVec> {
-    let mut slices = vec![BitVec::zeros(rows); k as usize];
     let mut state = seed;
     let (mut run, mut code) = (0, 0);
-    for row in 0..rows {
+    slices_of(k, rows, |_| {
         let r = next(&mut state);
         let wide = r >> 2 & ((1u64 << k) - 1);
         code = match layout {
@@ -79,13 +89,8 @@ fn random_slices(k: u32, rows: usize, seed: u64, layout: Layout) -> Vec<BitVec> 
             Layout::Clustered => code,
         };
         run = run.saturating_sub(1);
-        for (i, slice) in slices.iter_mut().enumerate() {
-            if code >> i & 1 == 1 {
-                slice.set(row, true);
-            }
-        }
-    }
-    slices
+        code
+    })
 }
 
 /// Lowers raw `(value, mask, tag)` triples into cubes over `k`
@@ -122,50 +127,19 @@ fn mixed_storage(dense: &[BitVec], seed: u64) -> Vec<SliceStorage> {
         .collect()
 }
 
-/// Evaluates `plan` over `slices` in pseudo-random disjoint
-/// segment-aligned windows.
-fn eval_in_windows<S: SliceSource>(
-    plan: &DnfPlan,
-    slices: &[S],
-    summaries: Option<&[SegmentSummary]>,
-    rows: usize,
-    seed: u64,
-) -> BitVec {
-    let bound = plan.bind(slices, summaries, rows);
-    let mut out = BitVec::zeros(rows);
-    let mut state = seed;
-    let mut offset = 0;
-    let mut rest = out.words_mut();
-    while !rest.is_empty() {
-        let segments = 1 + next(&mut state) as usize % 3;
-        let take = (segments * SEGMENT_WORDS).min(rest.len());
-        let (window, tail) = rest.split_at_mut(take);
-        bound.eval_range(window, offset, &mut KernelStats::new());
-        offset += take;
-        rest = tail;
-    }
-    assert_eq!(offset, rows.div_ceil(WORD_BITS));
-    out
-}
-
 /// One configuration (slice family × summaries) against the oracle:
-/// every tier, whole-vector and windowed, and the paper's metrics.
+/// every tier, and the paper's metrics.
 fn check<S: SliceSource>(
     expr: &DnfExpr,
     naive: &BitVec,
     slices: &[S],
     summaries: Option<&[SegmentSummary]>,
     rows: usize,
-    seed: u64,
 ) -> Result<(), TestCaseError> {
-    let plan = expr.lower();
     for path in simd::available_paths() {
         let mut tracker = AccessTracker::new();
-        let (whole, windowed) = simd::with_forced_path(path, || {
-            (
-                eval_expr_tracked(expr, slices, summaries, rows, &mut tracker),
-                eval_in_windows(&plan, slices, summaries, rows, seed),
-            )
+        let whole = simd::with_forced_path(path, || {
+            eval_expr_tracked(expr, slices, summaries, rows, &mut tracker)
         });
         let what = format!(
             "tier {}, summaries {}, rows {rows}, expr {expr}",
@@ -173,7 +147,6 @@ fn check<S: SliceSource>(
             summaries.is_some()
         );
         prop_assert_eq!(&whole, naive, "kernel != naive: {}", what);
-        prop_assert_eq!(&windowed, naive, "windows do not compose: {}", what);
         prop_assert_eq!(tracker.kernel_path(), path.name());
         // Structural: no evaluation strategy may move them.
         prop_assert_eq!(tracker.vectors_accessed(), expr.vectors_accessed());
@@ -196,8 +169,8 @@ fn check_everywhere(
     let summaries = summarize_slices(dense);
     let stored = mixed_storage(dense, seed ^ 0xA5A5);
     for sums in [None, Some(&summaries[..])] {
-        check(expr, &naive, dense, sums, rows, seed)?;
-        check(expr, &naive, &stored, sums, rows, seed)?;
+        check(expr, &naive, dense, sums, rows)?;
+        check(expr, &naive, &stored, sums, rows)?;
     }
     Ok(())
 }
@@ -307,6 +280,57 @@ proptest! {
             .sum();
         prop_assert_eq!(naive.count_ones(), expected);
     }
+}
+
+// Fixed inputs larger than the random sweep reaches.
+
+#[test]
+fn many_segments_ending_in_a_ragged_word() {
+    // Rows deliberately not segment- or word-aligned.
+    let rows = 100_001;
+    let dense = slices_of(5, rows, |i| (i * 31) % 32);
+    let expr = DnfExpr::parse("B4'B2B0 + B3B1' + B4B3B2'", 5).unwrap();
+    check_everywhere(&expr, &dense, rows, 0x5EED).unwrap();
+}
+
+#[test]
+fn adaptive_containers_of_a_skewed_column() {
+    // Skewed over enough rows that the adaptive policy compresses some
+    // slices and keeps others dense.
+    let rows = 200_000;
+    let dense = slices_of(5, rows, |i| if i % 16 == 0 { (i / 16) % 32 } else { 0 });
+    let stored: Vec<SliceStorage> = dense
+        .iter()
+        .map(|b| SliceStorage::from_dense(b.clone(), StoragePolicy::Adaptive))
+        .collect();
+    assert!(
+        stored.iter().any(|s| s.kind() != StorageKind::Dense),
+        "adaptive policy should compress skewed slices"
+    );
+    let expr = DnfExpr::parse("B4'B2B0 + B3B1'", 5).unwrap();
+    let naive = eval_expr_naive(&expr, &dense, rows);
+    let summaries = summarize_slices(&dense);
+    for sums in [None, Some(&summaries[..])] {
+        check(&expr, &naive, &stored, sums, rows).unwrap();
+    }
+}
+
+#[test]
+fn live_work_behind_a_long_pruned_prefix() {
+    // Every set bit sits in the last quarter of the row range: the
+    // summaries prune the first three quarters of the segments.
+    let rows = 1_200_000;
+    let live = |i: usize| i >= 3 * rows / 4;
+    let a: BitVec = (0..rows).map(|i| live(i) && i % 3 == 0).collect();
+    let b: BitVec = (0..rows).map(|i| live(i) && i % 5 != 0).collect();
+    let dense = [a, b];
+    let expr = DnfExpr::parse("B1B0", 2).unwrap();
+    check_everywhere(&expr, &dense, rows, 0x5EED).unwrap();
+
+    let summaries = summarize_slices(&dense);
+    let mut tracker = AccessTracker::new();
+    let _ = eval_expr_tracked(&expr, &dense, Some(&summaries), rows, &mut tracker);
+    assert!(tracker.segments_pruned >= (3 * rows / 4 / 4096) as u64);
 }
 
 #[test]

@@ -55,17 +55,12 @@ pub struct BuildOptions {
 /// of their words the kernels end up reading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOptions {
-    /// Worker threads for segment-parallel evaluation. `1` evaluates
-    /// serially; values above 1 split the destination bitmap into
-    /// segment-aligned word ranges filled by crossbeam scoped threads.
-    pub eval_threads: usize,
-    /// Consult per-slice [`SegmentSummary`] data (when present) to skip
-    /// whole 4096-row segments before reading any bitmap word.
-    pub use_summaries: bool,
     /// Per-slice container choice. [`StoragePolicy::Adaptive`] (the
     /// default) keeps mid-density slices dense and compresses skewed
     /// ones; changing the policy via
     /// [`EncodedBitmapIndex::set_query_options`] repacks every slice.
+    /// Maintenance that mutates slice bits leaves the slices dense
+    /// whatever the policy says.
     /// Results and `vectors_accessed` are identical for every policy.
     pub storage_policy: StoragePolicy,
     /// Emit query-lifecycle spans (reduce / plan / eval) and publish
@@ -79,8 +74,6 @@ pub struct QueryOptions {
 impl Default for QueryOptions {
     fn default() -> Self {
         Self {
-            eval_threads: 1,
-            use_summaries: true,
             storage_policy: StoragePolicy::Adaptive,
             profile: false,
         }
@@ -380,7 +373,9 @@ impl EncodedBitmapIndex {
 
     /// Rebuilds the per-slice segment summaries after maintenance.
     /// One popcount pass over the slices: `O(k · rows / 64)`.
-    /// Also refreshes the cached aggregate run statistics.
+    /// Also refreshes the cached aggregate run statistics. The slices
+    /// stay in whatever containers they are in: those that maintenance
+    /// densified are not recompressed.
     pub fn refresh_summaries(&mut self) {
         self.summaries = Some(summarize_storage(&self.slices));
         self.run_stats = aggregate_run_stats(&self.slices);
@@ -412,12 +407,14 @@ impl EncodedBitmapIndex {
         self.query_options
     }
 
-    /// Sets the query evaluation strategy (threading, summary pruning,
-    /// slice storage). Never affects query results — only how fast they
-    /// are produced. A changed [`QueryOptions::storage_policy`] repacks
-    /// every slice under the new policy.
+    /// Sets the query evaluation strategy (slice storage, profiling).
+    /// Never affects query results — only how fast they are produced. A
+    /// [`QueryOptions::storage_policy`] that *differs* from the current
+    /// one repacks every slice under the new policy; setting the policy
+    /// the index already has repacks nothing, so it does not undo the
+    /// all-dense state maintenance leaves behind
+    /// ([`crate::maintenance`]).
     pub fn set_query_options(&mut self, options: QueryOptions) {
-        assert!(options.eval_threads > 0, "at least one evaluation thread");
         if options.storage_policy != self.query_options.storage_policy {
             for s in &mut self.slices {
                 *s = s.repack(options.storage_policy);
@@ -647,19 +644,13 @@ impl EncodedBitmapIndex {
     }
 
     /// Binds a lowered plan to this index's slices, with the segment
-    /// summaries when [`QueryOptions::use_summaries`] is on and they are
-    /// valid.
+    /// summaries when they are valid.
     fn bind<'a>(&'a self, plan: &'a DnfPlan) -> BoundPlan<'a> {
-        let summaries = self
-            .summaries
-            .as_deref()
-            .filter(|_| self.query_options.use_summaries);
-        plan.bind(&self.slices, summaries, self.rows)
+        plan.bind(&self.slices, self.summaries.as_deref(), self.rows)
     }
 
     /// Evaluates the selection bitmap for `expr` (lowered as `plan`) with
-    /// the evaluation kernel, honouring [`QueryOptions`] (summary
-    /// pruning, segment-parallel threads, per-slice containers).
+    /// the evaluation kernel over whichever containers hold the slices.
     /// Bit-identical to naive whole-vector evaluation over dense slices.
     fn eval_selection(
         &self,
@@ -678,8 +669,7 @@ impl EncodedBitmapIndex {
             plan_span.attr("terms", expr.cubes().len() as u64);
             plan_span.attr("literals", expr.literal_count() as u64);
             plan_span.attr("unshared_literals", plan.unshared_literals());
-            let pruning = self.query_options.use_summaries && self.summaries.is_some();
-            plan_span.attr("summaries", u64::from(pruning));
+            plan_span.attr("summaries", u64::from(self.summaries.is_some()));
         }
         drop(plan_span);
 
@@ -690,8 +680,7 @@ impl EncodedBitmapIndex {
         } else {
             ebi_obs::Span::none()
         };
-        let bitmap =
-            crate::parallel::eval_plan(&bound, self.query_options.eval_threads, &mut stats);
+        let bitmap = bound.eval(&mut stats);
         if eval_span.is_live() {
             eval_span.attr("words_scanned", stats.words_scanned);
             eval_span.attr("bytes_touched", stats.bytes_touched);
@@ -703,7 +692,6 @@ impl EncodedBitmapIndex {
             // e.g. `kernel_avx2=1` for the path that ran.
             for (name, count) in [
                 ("kernel_scalar", stats.dispatch_scalar),
-                ("kernel_portable", stats.dispatch_portable),
                 ("kernel_avx2", stats.dispatch_avx2),
             ] {
                 if count != 0 {
@@ -738,14 +726,11 @@ impl EncodedBitmapIndex {
 
     /// Kernel traffic estimate (in 64-bit words) for evaluating a
     /// lowered expression on this index: its unshared literals times the
-    /// segments, less what the summaries prune when
-    /// [`QueryOptions::use_summaries`] is on.
+    /// segments, less what valid summaries prune.
     ///
-    /// This is the same estimate the parallel engine feeds its
-    /// auto-serialise heuristic; schedulers that dispatch work across
-    /// indexes (the sharded service) compare it against
-    /// [`crate::parallel::MIN_PARALLEL_WORK_WORDS`] to decide whether a
-    /// slice of work is worth handing to another thread at all.
+    /// A scheduler that dispatches work across indexes (the sharded
+    /// service) compares it against its dispatch floor to decide whether
+    /// a slice of work is worth handing to another thread at all.
     #[must_use]
     pub fn estimated_work_words(&self, plan: &DnfPlan) -> u64 {
         self.bind(plan).estimated_work_words()
@@ -1128,7 +1113,7 @@ mod tests {
         );
         // And the query stats report the same tier by name.
         assert_ne!(baseline.stats.kernel_path, "none");
-        assert!(["scalar", "portable", "avx2"].contains(&baseline.stats.kernel_path));
+        assert!(["scalar", "avx2"].contains(&baseline.stats.kernel_path));
 
         // Profiling must not change results or the paper's cost metric.
         idx.set_query_options(QueryOptions::default());

@@ -68,7 +68,9 @@ impl EncodedBitmapIndex {
         };
 
         // Compressed containers are immutable: densify before mutating.
-        // A later `set_query_options` (or `repack`) restores the policy.
+        // The slices then stay dense: `set_query_options` repacks only
+        // when its policy differs from the current one, and
+        // `refresh_summaries` rebuilds summaries, not containers.
         for (i, slice) in self.slices.iter_mut().enumerate() {
             slice.densify().push(code >> i & 1 == 1);
         }
@@ -271,6 +273,43 @@ mod tests {
     fn base_index() -> EncodedBitmapIndex {
         // Figure 2's starting point: domain {a=0, b=1, c=2}, k=2.
         EncodedBitmapIndex::build([0u64, 1, 2].map(Cell::Value)).unwrap()
+    }
+
+    #[test]
+    fn slice_mutations_leave_dense_slices_and_no_summaries() {
+        use ebi_bitvec::StorageKind;
+        // Skewed enough that the adaptive policy compresses some slices.
+        let cells = (0..200_000u64).map(|i| Cell::Value(if i % 16 == 0 { i / 16 % 32 } else { 0 }));
+        let built = EncodedBitmapIndex::build(cells).unwrap();
+        let kinds = |idx: &EncodedBitmapIndex| -> Vec<StorageKind> {
+            idx.slices().iter().map(|s| s.kind()).collect()
+        };
+        assert!(kinds(&built).contains(&StorageKind::Roaring));
+        assert!(built.summaries().is_some());
+
+        let appended = {
+            let mut idx = built.clone();
+            idx.append(Cell::Value(7)).unwrap();
+            idx
+        };
+        let updated = {
+            let mut idx = built.clone();
+            idx.update(3, Cell::Value(7)).unwrap();
+            idx
+        };
+        for mut idx in [appended, updated] {
+            assert!(kinds(&idx).iter().all(|k| *k == StorageKind::Dense));
+            assert!(idx.summaries().is_none());
+            let before = idx.eq(7).unwrap().bitmap;
+
+            // Summaries come back; containers do not, and re-setting the
+            // policy the index already has repacks nothing.
+            idx.refresh_summaries();
+            idx.set_query_options(idx.query_options());
+            assert!(idx.summaries().is_some());
+            assert!(kinds(&idx).iter().all(|k| *k == StorageKind::Dense));
+            assert_eq!(idx.eq(7).unwrap().bitmap, before);
+        }
     }
 
     #[test]

@@ -31,9 +31,9 @@ pub struct QueryStats {
     /// The reduced retrieval expression, in the paper's notation
     /// (diagnostic; empty for non-expression indexes).
     pub expression: String,
-    /// Which word-pass tier the fused kernels ran (`"avx2"`,
-    /// `"portable"`, `"scalar"`), or `"none"` when the query never
-    /// entered a fused kernel. The dominant tier when workers mixed.
+    /// Which word-pass tier the fused kernels ran (`"avx2"` or
+    /// `"scalar"`), or `"none"` when the query never entered a fused
+    /// kernel.
     pub kernel_path: &'static str,
     /// The physical row order the index was built with
     /// (`"original"`, `"lexicographic"`, `"gray"`). Results are always

@@ -56,7 +56,11 @@ fn walk(node: &PhaseNode, tid: u64, next_worker_tid: &mut u64, events: &mut Vec<
     let own_tid = if node.name == "eval.worker" {
         let t = *next_worker_tid;
         *next_worker_tid += 1;
-        events.push(metadata("thread_name", t, &format!("eval.worker-{}", t - MAIN_TID - 1)));
+        events.push(metadata(
+            "thread_name",
+            t,
+            &format!("eval.worker-{}", t - MAIN_TID - 1),
+        ));
         t
     } else {
         tid

@@ -171,9 +171,8 @@ mod tests {
 
     #[test]
     fn parses_the_w3c_example() {
-        let ctx =
-            TraceContext::parse("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
-                .expect("valid");
+        let ctx = TraceContext::parse("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+            .expect("valid");
         assert_eq!(ctx.trace_hex(), "4bf92f3577b34da6a3ce929d0e0e4736");
         assert_eq!(ctx.parent_id(), 0x00f0_67aa_0ba9_02b7);
         assert!(ctx.sampled());

@@ -439,7 +439,9 @@ mod tests {
                 let logger = &logger;
                 s.spawn(move || {
                     for i in 0..50u64 {
-                        logger.record(Level::Info, "t", "line").u64("n", t * 100 + i);
+                        logger
+                            .record(Level::Info, "t", "line")
+                            .u64("n", t * 100 + i);
                     }
                 });
             }

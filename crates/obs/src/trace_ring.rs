@@ -136,7 +136,9 @@ impl TraceRing {
             slow_threshold_ns: cfg.slow_threshold_ns,
         };
         Self {
-            shards: (0..RING_SHARDS).map(|_| Mutex::new(VecDeque::new())).collect(),
+            shards: (0..RING_SHARDS)
+                .map(|_| Mutex::new(VecDeque::new()))
+                .collect(),
             slow: Mutex::new(VecDeque::new()),
             seq: AtomicU64::new(0),
             slow_total: AtomicU64::new(0),

@@ -25,11 +25,10 @@
 //!   `eval.worker` spans; graceful shutdown drains admitted queries
 //!   before the listeners close.
 //!
-//! Fan-out reuses the core engine's auto-serialise heuristic: a query
-//! whose post-pruning work estimate is below
-//! [`ebi_core::parallel::MIN_PARALLEL_WORK_WORDS`] runs serially on the
-//! connection thread, because dispatching tiny bitmap slices costs more
-//! than scanning them.
+//! The pool is the workspace's one scheduler, and a query whose
+//! post-pruning work estimate is below [`pool::MIN_PARALLEL_WORK_WORDS`]
+//! bypasses it and runs serially on the connection thread, because
+//! dispatching tiny bitmap slices costs more than scanning them.
 //!
 //! [`Shard`]: shard::Shard
 //! [`Mapping`]: ebi_core::Mapping

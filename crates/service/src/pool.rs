@@ -11,8 +11,8 @@
 //! - [`WorkerPool`] runs shard-evaluation jobs on long-lived scoped
 //!   threads. Each worker owns a deque; submission deals round-robin,
 //!   and an idle worker steals the back half of the fullest other
-//!   queue — the same rebalancing rule as `ebi-core`'s segment
-//!   work-stealing, lifted from units to whole shard jobs.
+//!   queue. It is the only scheduler in the workspace: a shard job
+//!   evaluates its plan serially.
 //! - [`FanOut`] is the per-query completion latch: one slot per shard
 //!   job, a deadline-aware wait, and a cancellation flag that late
 //!   jobs check so an abandoned (timed-out) query stops consuming
@@ -22,6 +22,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Default dispatch floor: estimated kernel traffic (in 64-bit words)
+/// below which a query's shard slices are evaluated on the connection
+/// thread instead of being handed to the pool — 2M rows of one literal.
+/// Under it the hand-off and wake-up cost more than the scan.
+pub const MIN_PARALLEL_WORK_WORDS: u64 = 2_000_000 / 64;
 
 /// A queued unit of work: a boxed closure borrowing at most `'env`
 /// (the service scope), so jobs can reference shards and buffer pools

@@ -292,7 +292,10 @@ mod tests {
 
     #[test]
     fn traces_and_slow_take_an_optional_count() {
-        assert_eq!(parse_request("TRACES").unwrap(), Request::Traces(usize::MAX));
+        assert_eq!(
+            parse_request("TRACES").unwrap(),
+            Request::Traces(usize::MAX)
+        );
         assert_eq!(parse_request("traces 10").unwrap(), Request::Traces(10));
         assert_eq!(parse_request("SLOW 3").unwrap(), Request::Slow(3));
         assert_eq!(parse_request("SLOW").unwrap(), Request::Slow(usize::MAX));

@@ -12,10 +12,9 @@
 //! Admission is a counting gate ([`AdmissionGate`]): at most
 //! `max_inflight` queries hold permits, the rest get `BUSY`/429
 //! immediately (closed-loop clients back off, so the bound is also the
-//! concurrency ceiling the bench measures against). Fan-out reuses the
-//! core engine's work-estimate heuristic: when the whole query's
-//! post-pruning estimate is below
-//! [`ebi_core::parallel::MIN_PARALLEL_WORK_WORDS`], shard slices are
+//! concurrency ceiling the bench measures against). Fan-out is gated
+//! on the plan's work estimate: when the whole query's post-pruning
+//! estimate is below [`MIN_PARALLEL_WORK_WORDS`], shard slices are
 //! evaluated serially on the connection thread — dispatching tiny
 //! bitmaps to workers costs more than scanning them.
 //!
@@ -30,14 +29,13 @@
 
 use crate::error::ServiceError;
 use crate::http::{self, HttpRequest};
-use crate::pool::{AdmissionGate, FanOut, Refusal, WorkerPool};
+use crate::pool::{AdmissionGate, FanOut, Refusal, WorkerPool, MIN_PARALLEL_WORK_WORDS};
 use crate::protocol::{self, Request};
 use crate::shard::{merge_cost, CompiledQuery, DnfRequest, ShardOutcome, ShardedTable};
 use ebi_obs::export::JsonObject;
 use ebi_obs::log as obslog;
 use ebi_obs::{
-    CostCounters, PhaseNode, QueryReport, StorageCounters, TraceContext, TraceRing,
-    TraceRingConfig,
+    CostCounters, PhaseNode, QueryReport, StorageCounters, TraceContext, TraceRing, TraceRingConfig,
 };
 use ebi_storage::BufferPool;
 use std::io::{BufRead, BufReader, Write};
@@ -69,7 +67,7 @@ pub struct ServiceConfig {
     pub buffer_frames: usize,
     /// Work-estimate floor (words) below which a query is evaluated
     /// serially on the connection thread instead of fanned out.
-    /// Defaults to the core engine's auto-serialise threshold.
+    /// Defaults to [`MIN_PARALLEL_WORK_WORDS`].
     pub min_dispatch_words: u64,
     /// Recent-trace ring capacity (tail sampling; see
     /// [`ebi_obs::trace_ring`]).
@@ -91,7 +89,7 @@ impl Default for ServiceConfig {
             max_inflight: 8,
             timeout: Duration::from_secs(10),
             buffer_frames: 64,
-            min_dispatch_words: ebi_core::parallel::MIN_PARALLEL_WORK_WORDS,
+            min_dispatch_words: MIN_PARALLEL_WORK_WORDS,
             trace_ring: 64,
             slow_ring: 256,
             slow_query_ms: None,
@@ -499,11 +497,7 @@ fn handle_tcp_line(ctx: &ServeCtx<'_, '_>, line: &str) -> (String, bool) {
 /// terminator (the caller appends the final newline).
 fn trace_page(traces: &[Arc<ebi_obs::RetainedTrace>], n: usize) -> String {
     let tail = &traces[traces.len().saturating_sub(n)..];
-    format!(
-        "OK {}\n{}.",
-        tail.len(),
-        TraceRing::render_json_lines(tail)
-    )
+    format!("OK {}\n{}.", tail.len(), TraceRing::render_json_lines(tail))
 }
 
 /// Admission + execution + rendering for the TCP protocol.
@@ -657,7 +651,13 @@ fn route_http(ctx: &ServeCtx<'_, '_>, req: &HttpRequest) -> HttpAnswer {
             match ctx.ring.find(key) {
                 Some(t) => {
                     let tp = t.traceparent();
-                    (200, "OK", JSON, ebi_obs::chrome::retained_to_chrome(&t), Some(tp))
+                    (
+                        200,
+                        "OK",
+                        JSON,
+                        ebi_obs::chrome::retained_to_chrome(&t),
+                        Some(tp),
+                    )
                 }
                 None => plain(404, "Not Found", JSON, err_json("no such trace")),
             }
@@ -718,7 +718,13 @@ fn http_query(
         .unwrap_or_else(TraceContext::mint);
     let echo = Some(tctx.to_traceparent(tctx.parent_id()));
     let Some(text) = http_query_text(req) else {
-        return (400, "Bad Request", JSON, err_json("missing query (q=)"), echo);
+        return (
+            400,
+            "Bad Request",
+            JSON,
+            err_json("missing query (q=)"),
+            echo,
+        );
     };
     let dnf = match protocol::parse_dnf(&text) {
         Ok(d) => d,
@@ -806,9 +812,8 @@ fn execute(ctx: &ServeCtx<'_, '_>, dnf: &DnfRequest, limit: usize, tctx: TraceCo
         }
     };
 
-    // The core engine's auto-serialise heuristic, lifted to shards:
-    // when the whole query's post-pruning kernel traffic is below the
-    // parallel work floor, handing slices to workers costs more than
+    // When the whole query's post-pruning kernel traffic is below the
+    // dispatch floor, handing slices to workers costs more than
     // scanning them on this thread.
     let estimate = table.estimated_work_words(&compiled);
     let dispatched = ctx.workers.workers() > 0 && n > 1 && estimate >= ctx.cfg.min_dispatch_words;

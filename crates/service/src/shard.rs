@@ -485,14 +485,19 @@ impl ShardedTable {
         (self.merge(parts.iter().map(|(i, b)| (*i, b))), cost)
     }
 
-    /// Applies query-time options (storage policy, summaries, …) to
-    /// every shard index. Results stay bit-identical across every
+    /// Every shard's column indexes, mutably, for in-place maintenance
+    /// (`update`, `delete`, `refresh_summaries`). A shard's row range is
+    /// fixed at build, so nothing may be appended through this.
+    pub fn indexes_mut(&mut self) -> impl Iterator<Item = &mut EncodedBitmapIndex> {
+        self.shards.iter_mut().flat_map(|s| s.indexes.iter_mut())
+    }
+
+    /// Applies query-time options (storage policy, profiling) to every
+    /// shard index. Results stay bit-identical across every
     /// combination — the core contract sharding must preserve.
     pub fn set_query_options(&mut self, options: ebi_core::index::QueryOptions) {
-        for shard in &mut self.shards {
-            for index in &mut shard.indexes {
-                index.set_query_options(options);
-            }
+        for index in self.indexes_mut() {
+            index.set_query_options(options);
         }
     }
 

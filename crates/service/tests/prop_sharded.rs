@@ -1,8 +1,9 @@
 //! Property tests for the sharding contract: a row-range-sharded table
 //! is *observationally identical* to a single-index build — same
 //! selection bitmap in global row ids, same paper cost metric — across
-//! shard counts, storage containers, kernel tiers and per-shard row
-//! orders, with shard-edge rows checked explicitly.
+//! shard counts, storage containers, kernel tiers, per-shard row
+//! orders and the states maintenance leaves the segment summaries in,
+//! with shard-edge rows checked explicitly.
 
 use ebi_bitvec::simd::{available_paths, with_forced_path};
 use ebi_bitvec::StoragePolicy;
@@ -80,12 +81,32 @@ fn orders_strategy() -> impl Strategy<Value = Vec<RowOrder>> {
     ]
 }
 
+/// The state of every shard index's segment summaries.
+#[derive(Debug, Clone, Copy)]
+enum Summaries {
+    /// Valid, as the build leaves them.
+    Built,
+    /// Dropped by a maintenance op: row 0 of every index is updated to
+    /// the value it already holds, which changes no answer.
+    Invalidated,
+    /// Invalidated, then rebuilt by `refresh_summaries`.
+    Refreshed,
+}
+
+fn summaries_strategy() -> impl Strategy<Value = Summaries> {
+    prop_oneof![
+        Just(Summaries::Built),
+        Just(Summaries::Invalidated),
+        Just(Summaries::Refreshed),
+    ]
+}
+
 fn build(
     columns: &[ColumnSpec],
     shards: usize,
     orders: &[RowOrder],
     policy: StoragePolicy,
-    use_summaries: bool,
+    summaries: Summaries,
 ) -> ShardedTable {
     let mut table = ShardedTable::build(
         columns.to_vec(),
@@ -98,9 +119,22 @@ fn build(
     .expect("table builds");
     table.set_query_options(QueryOptions {
         storage_policy: policy,
-        use_summaries,
         ..QueryOptions::default()
     });
+    for index in table.indexes_mut() {
+        if !matches!(summaries, Summaries::Built) {
+            let held = index.decode_row(0).map_or(Cell::Null, Cell::Value);
+            index.update(0, held).expect("row 0 exists");
+            assert!(index.summaries().is_none());
+        }
+        if matches!(summaries, Summaries::Refreshed) {
+            index.refresh_summaries();
+        }
+        assert_eq!(
+            index.summaries().is_some(),
+            !matches!(summaries, Summaries::Invalidated)
+        );
+    }
     table
 }
 
@@ -116,17 +150,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Sharded evaluation ≡ single-index evaluation, bit for bit in
-    /// global row ids, for every shard count × container × kernel tier
-    /// × per-shard row-order mix.
+    /// global row ids, for every shard count × container × per-shard
+    /// row-order mix × summaries state.
     #[test]
     fn sharded_bitmap_matches_single_index(
         columns in columns_strategy(),
         shards in shards_strategy(),
         orders in orders_strategy(),
         policy in policy_strategy(),
+        summaries in summaries_strategy(),
     ) {
-        let sharded = build(&columns, shards, &orders, policy, true);
-        let single = build(&columns, 1, &[], StoragePolicy::Adaptive, true);
+        let sharded = build(&columns, shards, &orders, policy, summaries);
+        let single = build(&columns, 1, &[], StoragePolicy::Adaptive, Summaries::Built);
         for query in QUERIES {
             let dnf = parse_dnf(query).expect("parses");
             let cq_sharded = sharded.compile(&dnf).expect("compiles");
@@ -135,25 +170,26 @@ proptest! {
             let (want, _) = single.eval_local(&cq_single);
             prop_assert_eq!(
                 &got, &want,
-                "bitmap diverged: {} over {} shards, orders {:?}, {:?}",
-                query, shards, &orders, policy
+                "bitmap diverged: {} over {} shards, orders {:?}, {:?}, summaries {:?}",
+                query, shards, &orders, policy, summaries
             );
         }
     }
 
-    /// The paper's cost metric is exact under sharding: with summary
-    /// pruning off and no NULL companion vectors, every shard reads the
-    /// same vectors the single index reads (the compiled expression is
-    /// shared), so the summed `vectors_accessed` is exactly
-    /// `shards × single`.
+    /// The paper's cost metric is exact under sharding: with no NULL
+    /// companion vectors, every shard reads the same vectors the single
+    /// index reads (the compiled expression is shared), so the summed
+    /// `vectors_accessed` is exactly `shards × single` — whatever state
+    /// the summaries are in, since pruning skips words, not vectors.
     #[test]
     fn vectors_accessed_sums_exactly_across_shards(
         columns in dense_columns_strategy(),
         shards in shards_strategy(),
         orders in orders_strategy(),
+        summaries in summaries_strategy(),
     ) {
-        let sharded = build(&columns, shards, &orders, StoragePolicy::Adaptive, false);
-        let single = build(&columns, 1, &[], StoragePolicy::Adaptive, false);
+        let sharded = build(&columns, shards, &orders, StoragePolicy::Adaptive, summaries);
+        let single = build(&columns, 1, &[], StoragePolicy::Adaptive, Summaries::Built);
         let n = sharded.shards().len() as u64; // may be < shards on tiny tables
         for query in QUERIES {
             let dnf = parse_dnf(query).expect("parses");
@@ -162,8 +198,8 @@ proptest! {
             prop_assert_eq!(
                 cost.vectors_accessed,
                 n * base.vectors_accessed,
-                "vectors_accessed not additive: {} over {} shards",
-                query, n
+                "vectors_accessed not additive: {} over {} shards, summaries {:?}",
+                query, n, summaries
             );
         }
     }
@@ -176,7 +212,7 @@ proptest! {
         shards in shards_strategy(),
         policy in policy_strategy(),
     ) {
-        let sharded = build(&columns, shards, &[], policy, true);
+        let sharded = build(&columns, shards, &[], policy, Summaries::Built);
         let dnf = parse_dnf("a IN 1,2,7 OR b BETWEEN 1 6").expect("parses");
         let compiled = sharded.compile(&dnf).expect("compiles");
         let (reference, ref_cost) = sharded.eval_local(&compiled);

@@ -5,7 +5,9 @@
 //! parentage) and in its explicit `trace` attribute (the value the
 //! retained-trace JSONL and Chrome export surface).
 
-use ebi_service::{eval_shard, parse_dnf, ColumnSpec, FanOut, ShardedTable, TableOptions, WorkerPool};
+use ebi_service::{
+    eval_shard, parse_dnf, ColumnSpec, FanOut, ShardedTable, TableOptions, WorkerPool,
+};
 use ebi_storage::{BufferPool, Cell};
 use proptest::prelude::*;
 use std::sync::Arc;

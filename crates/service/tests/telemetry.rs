@@ -97,11 +97,7 @@ fn tcp_page(addr: SocketAddr, line: &str) -> (usize, Vec<String>) {
 }
 
 /// GET with optional extra headers; returns (status, raw headers, body).
-fn http_get_full(
-    addr: SocketAddr,
-    target: &str,
-    extra: &[(&str, &str)],
-) -> (u16, String, String) {
+fn http_get_full(addr: SocketAddr, target: &str, extra: &[(&str, &str)]) -> (u16, String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut req = format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n");
     for (k, v) in extra {
@@ -176,8 +172,7 @@ fn http_traceparent_is_echoed_on_success_and_error() {
     let table = small_table(3);
     with_service(&table, &test_config(), |h| {
         let addr = h.http_addr();
-        let (status, head, body) =
-            http_get_full(addr, "/count?q=a%3D1", &[("traceparent", TP)]);
+        let (status, head, body) = http_get_full(addr, "/count?q=a%3D1", &[("traceparent", TP)]);
         assert_eq!(status, 200, "body: {body}");
         let echo = head
             .lines()
@@ -187,8 +182,7 @@ fn http_traceparent_is_echoed_on_success_and_error() {
         assert_eq!(json_str(&body, "trace").as_deref(), Some(echo));
 
         // Errors still echo, parented at the inbound span.
-        let (status, head, _) =
-            http_get_full(addr, "/count?q=nosuch%3D1", &[("traceparent", TP)]);
+        let (status, head, _) = http_get_full(addr, "/count?q=nosuch%3D1", &[("traceparent", TP)]);
         assert_eq!(status, 400);
         let echo = head
             .lines()
@@ -232,9 +226,15 @@ fn slow_queries_land_in_the_slow_ring_with_full_reports() {
 
         // The slow count surfaces in stats on both frontends.
         let stats = tcp_line(tcp, "STATS");
-        assert!(json_u64(&stats, "slow_queries").unwrap_or(0) >= 3, "got {stats}");
+        assert!(
+            json_u64(&stats, "slow_queries").unwrap_or(0) >= 3,
+            "got {stats}"
+        );
         let (_, body) = http_get(http, "/stats");
-        assert!(json_u64(&body, "slow_queries").unwrap_or(0) >= 3, "got {body}");
+        assert!(
+            json_u64(&body, "slow_queries").unwrap_or(0) >= 3,
+            "got {body}"
+        );
     });
 }
 
@@ -253,7 +253,10 @@ fn debug_endpoints_serve_traces_vars_and_chrome_export() {
         let last = body.lines().last().expect("at least one trace");
         assert!(last.contains("\"schema\":\"ebi.trace.v1\""), "got {last}");
         assert_eq!(json_str(last, "trace").as_deref(), Some(TRACE32));
-        assert_eq!(json_str(last, "traceparent").as_deref(), Some(echoed.as_str()));
+        assert_eq!(
+            json_str(last, "traceparent").as_deref(),
+            Some(echoed.as_str())
+        );
 
         // /debug/trace/<id>: Chrome trace-event JSON by trace-hex
         // prefix and by decimal query id.

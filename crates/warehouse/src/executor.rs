@@ -585,17 +585,16 @@ mod tests {
     }
 
     #[test]
-    fn threaded_fused_options_do_not_change_executor_results() {
-        // The executor runs whatever evaluation engine the registered
-        // index is configured with; results and per-clause costs must
-        // be identical across engine options end to end.
+    fn query_options_do_not_change_executor_results() {
+        // The executor runs the registered index however it is
+        // configured; results and per-clause costs must be identical
+        // across query options end to end.
         let rows = 30_000usize;
         let cells: Vec<Cell> = (0..rows as u64).map(|i| Cell::Value(i % 23)).collect();
         let plain = EncodedBitmapIndex::build(cells.iter().copied()).unwrap();
         let mut tuned = EncodedBitmapIndex::build(cells).unwrap();
         tuned.set_query_options(ebi_core::index::QueryOptions {
-            eval_threads: 3,
-            use_summaries: true,
+            storage_policy: ebi_bitvec::StoragePolicy::Roaring,
             ..Default::default()
         });
 
@@ -616,10 +615,10 @@ mod tests {
 
         let (b1, r1) = exec_plain.run_dnf(&q);
         let (b2, r2) = exec_tuned.run_dnf(&q);
-        assert_eq!(b1, b2, "engine options changed query results");
+        assert_eq!(b1, b2, "query options changed query results");
         assert_eq!(
             r1.vectors_accessed, r2.vectors_accessed,
-            "engine options changed the paper's cost metric"
+            "query options changed the paper's cost metric"
         );
         assert_eq!(r1.matches, r2.matches);
     }

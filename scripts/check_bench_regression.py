@@ -6,7 +6,6 @@ baselines in bench_baselines/:
 
   BENCH_eval.json        vs bench_baselines/BENCH_eval.smoke.json
   BENCH_compressed.json  vs bench_baselines/BENCH_compressed.smoke.json
-  BENCH_scaling.json     vs bench_baselines/BENCH_scaling.smoke.json
   BENCH_service.json     vs bench_baselines/BENCH_service.smoke.json
 
 Only dimensionless speedup ratios are compared — never raw
@@ -56,13 +55,6 @@ def eval_points(doc, key):
     return {f"rows={r['rows']},delta={r['delta']}": r[key] for r in doc["results"]}
 
 
-def scaling_points(doc):
-    return {
-        f"container={r['container']},delta={r['delta']},threads={r['threads']}": r["speedup_vs_serial"]
-        for r in doc["results"]
-    }
-
-
 def simd_points(doc):
     return {f"delta={r['delta']}": r["speedup_simd_vs_scalar"] for r in doc["simd"]}
 
@@ -109,8 +101,6 @@ def main():
     base_eval = load(f"{args.baseline_dir}/BENCH_eval.smoke.json")
     cur_compressed = load(f"{args.current_dir}/BENCH_compressed.json")
     base_compressed = load(f"{args.baseline_dir}/BENCH_compressed.smoke.json")
-    cur_scaling = load(f"{args.current_dir}/BENCH_scaling.json")
-    base_scaling = load(f"{args.baseline_dir}/BENCH_scaling.smoke.json")
     cur_service = load(f"{args.current_dir}/BENCH_service.json")
     base_service = load(f"{args.baseline_dir}/BENCH_service.smoke.json")
 
@@ -119,8 +109,6 @@ def main():
         (base_eval, "baseline BENCH_eval"),
         (cur_compressed, "current BENCH_compressed"),
         (base_compressed, "baseline BENCH_compressed"),
-        (cur_scaling, "current BENCH_scaling"),
-        (base_scaling, "baseline BENCH_scaling"),
         (cur_service, "current BENCH_service"),
         (base_service, "baseline BENCH_service"),
     ):
@@ -128,20 +116,16 @@ def main():
             print(f"{label} is not a --smoke artefact; refusing to compare", file=sys.stderr)
             sys.exit(1)
 
-    for key in ("speedup_fused_vs_naive", "speedup_parallel_vs_naive"):
-        compare("BENCH_eval", key, eval_points(base_eval, key), eval_points(cur_eval, key), args.tolerance)
+    key = "speedup_fused_vs_naive"
+    compare("BENCH_eval", key, eval_points(base_eval, key), eval_points(cur_eval, key), args.tolerance)
+    compare(
+        "BENCH_eval/simd", "speedup_simd_vs_scalar",
+        simd_points(base_eval), simd_points(cur_eval), args.tolerance,
+    )
     compare(
         "BENCH_compressed/reorder", "sorted_storage_ratio",
         reorder_storage_ratios(base_compressed), reorder_storage_ratios(cur_compressed),
         args.tolerance,
-    )
-    compare(
-        "BENCH_scaling/results", "speedup_vs_serial",
-        scaling_points(base_scaling), scaling_points(cur_scaling), args.tolerance,
-    )
-    compare(
-        "BENCH_scaling/simd", "speedup_simd_vs_scalar",
-        simd_points(base_scaling), simd_points(cur_scaling), args.tolerance,
     )
     compare(
         "BENCH_service", "throughput_scaling_vs_one_client",

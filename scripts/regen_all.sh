@@ -25,18 +25,18 @@ for b in "${bins[@]}"; do
 done
 ./target/release/results_digest
 
-echo "==== eval_kernels (full + scaling) ===="
-./target/release/eval_kernels --scaling
+echo "==== eval_kernels (full) ===="
+./target/release/eval_kernels
 
 echo "==== service_bench (full) ===="
 ./target/release/service_bench
 python3 scripts/validate_bench_schema.py \
-  BENCH_eval.json BENCH_compressed.json BENCH_scaling.json BENCH_service.json
+  BENCH_eval.json BENCH_compressed.json BENCH_service.json
 
 echo "==== bench baselines (smoke, committed for CI regression gate) ===="
-./target/release/eval_kernels --smoke --scaling --check --out-dir bench_baselines
+./target/release/eval_kernels --smoke --check --out-dir bench_baselines
 ./target/release/service_bench --smoke --out-dir bench_baselines
-for f in BENCH_eval BENCH_compressed BENCH_scaling BENCH_service; do
+for f in BENCH_eval BENCH_compressed BENCH_service; do
   mv "bench_baselines/$f.json" "bench_baselines/$f.smoke.json"
 done
 python3 scripts/validate_bench_schema.py bench_baselines/*.smoke.json

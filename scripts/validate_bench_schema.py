@@ -5,9 +5,8 @@ Consolidated check used by scripts/regen_all.sh and the CI
 bench-regression job. Each file declares its schema in a top-level
 "schema" key; this script knows the expected shape for:
 
-  ebi.bench_eval.v1        (BENCH_eval.json)
+  ebi.bench_eval.v2        (BENCH_eval.json)
   ebi.bench_compressed.v2  (BENCH_compressed.json; v1 = no reorder section)
-  ebi.bench_scaling.v1     (BENCH_scaling.json)
   ebi.bench_service.v1     (BENCH_service.json)
 
 Exits non-zero on the first malformed file so CI fails loudly.
@@ -22,16 +21,17 @@ NUM = (int, float)
 
 # schema id -> (required top-level keys, rows key -> required row keys)
 SPECS = {
-    "ebi.bench_eval.v1": (
+    "ebi.bench_eval.v2": (
         {
             "workload": str,
             "engines": list,
             "unit": str,
-            "threads": int,
-            "cores_available": int,
             "smoke": bool,
+            "kernel_path": str,
+            "check": dict,
             "invariants": dict,
             "results": list,
+            "simd": list,
         },
         {
             "results": {
@@ -42,9 +42,15 @@ SPECS = {
                 "naive_ns": int,
                 "fused_ns": int,
                 "fused_summarized_ns": int,
-                "fused_parallel_ns": int,
                 "speedup_fused_vs_naive": NUM,
-                "speedup_parallel_vs_naive": NUM,
+            },
+            "simd": {
+                "rows": int,
+                "delta": int,
+                "scalar_ns": int,
+                "simd_ns": int,
+                "kernel_path": str,
+                "speedup_simd_vs_scalar": NUM,
             },
         },
     ),
@@ -109,40 +115,6 @@ SPECS = {
             },
         },
     ),
-    "ebi.bench_scaling.v1": (
-        {
-            "workload": str,
-            "rows": int,
-            "simd_rows": int,
-            "unit": str,
-            "smoke": bool,
-            "host_threads": int,
-            "thread_counts": list,
-            "kernel_path": str,
-            "check": dict,
-            "invariants": dict,
-            "results": list,
-            "simd": list,
-            "notes": list,
-        },
-        {
-            "results": {
-                "container": str,
-                "delta": int,
-                "threads": int,
-                "best_ns": int,
-                "speedup_vs_serial": NUM,
-            },
-            "simd": {
-                "rows": int,
-                "delta": int,
-                "scalar_ns": int,
-                "simd_ns": int,
-                "kernel_path": str,
-                "speedup_simd_vs_scalar": NUM,
-            },
-        },
-    ),
     "ebi.bench_service.v1": (
         {
             "workload": str,
@@ -176,7 +148,7 @@ SPECS = {
     ),
 }
 
-KERNEL_PATHS = {"scalar", "portable", "avx2"}
+KERNEL_PATHS = {"scalar", "avx2"}
 ROW_ORDERS = {"original", "lexicographic", "gray"}
 
 
@@ -239,11 +211,9 @@ def check_file(path):
                 fail(path, f"results: shards={shards} has clients={clients} but no 1-client baseline")
         if doc["cores_available"] < 2 and not doc["notes"]:
             fail(path, "single-core host must document the hardware limit in notes[]")
-    if schema == "ebi.bench_scaling.v1":
+    if schema == "ebi.bench_eval.v2":
         if doc["kernel_path"] not in KERNEL_PATHS:
             fail(path, f"kernel_path: {doc['kernel_path']!r} not in {sorted(KERNEL_PATHS)}")
-        if doc["host_threads"] < 2 and not doc["notes"]:
-            fail(path, "single-core host must document the hardware limit in notes[]")
     print(f"{path}: valid against {schema}")
 
 
