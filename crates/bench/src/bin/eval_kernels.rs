@@ -32,7 +32,7 @@
 //! 0.8× the scalar tier. `--out-dir DIR` redirects the JSON artefacts
 //! (used to regenerate the committed baselines).
 
-use ebi_bench::uniform_cells;
+use ebi_bench::{uniform_cells, write_json};
 use ebi_bitvec::simd::{self, KernelPath};
 use ebi_bitvec::summary::summarize_slices;
 use ebi_bitvec::{BitVec, KernelStats, SliceStorage, StoragePolicy};
@@ -40,7 +40,7 @@ use ebi_boolean::{eval_expr_naive, eval_expr_tracked, qm, AccessTracker};
 use ebi_core::EncodedBitmapIndex;
 use ebi_storage::Cell;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Floor for `--check`: the dispatched SIMD tier must stay within
@@ -458,21 +458,6 @@ fn measure_simd(rows: usize, iters: usize, out: &mut Vec<SimdRow>) {
         );
         out.push(row);
     }
-}
-
-fn write_json(out_dir: Option<&Path>, name: &str, json: &str) {
-    let root;
-    let dir = match out_dir {
-        Some(d) => d,
-        None => {
-            root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-            &root
-        }
-    };
-    std::fs::create_dir_all(dir).expect("create output directory");
-    let path = dir.join(name);
-    std::fs::write(&path, json).expect("write benchmark json");
-    eprintln!("wrote {}", path.display());
 }
 
 const USAGE: &str = "eval_kernels — evaluation-engine benchmarks (BENCH_eval/compressed.json)

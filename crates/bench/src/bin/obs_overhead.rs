@@ -17,10 +17,10 @@
 //! when the disabled-path overhead exceeds 2%, `--smoke` shrinks the
 //! dataset for CI.
 
-use ebi_bench::uniform_cells;
+use ebi_bench::{service_columns, uniform_cells, SERVICE_QUERIES};
 use ebi_core::index::QueryOptions;
 use ebi_core::EncodedBitmapIndex;
-use ebi_service::{ColumnSpec, ServiceConfig, ShardedTable, TableOptions};
+use ebi_service::{ServiceConfig, ShardedTable, TableOptions};
 use ebi_warehouse::workload::{Predicate, Query};
 use ebi_warehouse::{ConjunctiveQuery, DnfQuery, Executor};
 use std::fmt::Write as _;
@@ -244,28 +244,6 @@ fn main() {
 // Service mix: full tail-sampled tracing cost, end to end
 // ---------------------------------------------------------------------------
 
-/// The service bench's query mix (mid-selectivity COUNTs over every
-/// shard).
-const SERVICE_MIX: &[&str] = &["a=1", "a IN 1,3,5 AND b BETWEEN 2 9", "a=0 OR b=1"];
-
-/// Deterministic two-column table matching `service_bench`'s shape.
-fn service_columns(rows: usize) -> Vec<ColumnSpec> {
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut a = Vec::with_capacity(rows);
-    let mut b = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        a.push(ebi_storage::Cell::Value(next() % 7));
-        b.push(ebi_storage::Cell::Value(next() % 13));
-    }
-    vec![ColumnSpec::new("a", a), ColumnSpec::new("b", b)]
-}
-
 /// Times one closed-loop client: `reqs` COUNT requests cycling the
 /// mix, returning total nanoseconds.
 fn drive_service(tcp: std::net::SocketAddr, reqs: usize) -> u64 {
@@ -275,7 +253,7 @@ fn drive_service(tcp: std::net::SocketAddr, reqs: usize) -> u64 {
     let start = Instant::now();
     let mut line = String::new();
     for i in 0..reqs {
-        let q = SERVICE_MIX[i % SERVICE_MIX.len()];
+        let q = SERVICE_QUERIES[i % SERVICE_QUERIES.len()];
         stream
             .write_all(format!("COUNT {q}\n").as_bytes())
             .expect("write");

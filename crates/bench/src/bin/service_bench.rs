@@ -22,13 +22,12 @@
 //! Pass `--smoke` for a small CI run, `--out-dir DIR` to redirect the
 //! artefact (used to regenerate the committed baseline).
 
-use ebi_service::{
-    parse_dnf, ColumnSpec, ServiceConfig, ServiceHandle, ShardedTable, TableOptions,
-};
+use ebi_bench::{service_columns, write_json, SERVICE_QUERIES};
+use ebi_service::{parse_dnf, ServiceConfig, ServiceHandle, ShardedTable, TableOptions};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -48,29 +47,6 @@ Unknown flags are an error.";
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}\n\n{USAGE}");
     std::process::exit(2);
-}
-
-/// The fixed query mix every client cycles through. Mid-selectivity
-/// DNF shapes so evaluation reads real data on every shard.
-const QUERIES: &[&str] = &["a=1", "a IN 1,3,5 AND b BETWEEN 2 9", "a=0 OR b=1"];
-
-/// Deterministic two-column fact table (xorshift, no NULLs): `a` of
-/// cardinality 7, `b` of cardinality 13.
-fn synthetic_columns(rows: usize) -> Vec<ColumnSpec> {
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut a = Vec::with_capacity(rows);
-    let mut b = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        a.push(ebi_storage::Cell::Value(next() % 7));
-        b.push(ebi_storage::Cell::Value(next() % 13));
-    }
-    vec![ColumnSpec::new("a", a), ColumnSpec::new("b", b)]
 }
 
 /// One measured (clients × shards) cell.
@@ -176,21 +152,6 @@ fn run_cell(
     }
 }
 
-fn write_json(out_dir: Option<&Path>, name: &str, json: &str) {
-    let root;
-    let dir = match out_dir {
-        Some(d) => d,
-        None => {
-            root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-            &root
-        }
-    };
-    std::fs::create_dir_all(dir).expect("create output directory");
-    let path = dir.join(name);
-    std::fs::write(&path, json).expect("write benchmark json");
-    eprintln!("wrote {}", path.display());
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
@@ -240,7 +201,7 @@ fn main() {
         timeout: Duration::from_secs(30),
         ..ServiceConfig::default()
     };
-    let columns = synthetic_columns(rows);
+    let columns = service_columns(rows);
 
     // Library-path ground truth, checked invariant across shard counts
     // before any client traffic flows.
@@ -255,7 +216,7 @@ fn main() {
             },
         )
         .expect("table builds");
-        let counts: Vec<(String, u64)> = QUERIES
+        let counts: Vec<(String, u64)> = SERVICE_QUERIES
             .iter()
             .map(|q| {
                 let dnf = parse_dnf(q).expect("query parses");
@@ -362,7 +323,7 @@ fn main() {
         json,
         "  \"workload\": \"closed-loop COUNT queries over the TCP line protocol; \
          {}-query DNF mix over uniform m=7 / m=13 columns\",",
-        QUERIES.len()
+        SERVICE_QUERIES.len()
     );
     let _ = writeln!(json, "  \"rows\": {rows},");
     let _ = writeln!(

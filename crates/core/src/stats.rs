@@ -1,6 +1,7 @@
 //! Per-query cost accounting.
 
 use ebi_boolean::AccessTracker;
+use ebi_obs::CostCounters;
 
 /// Cost of one index query, in the units of the paper's analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,6 +79,23 @@ impl QueryStats {
             segments_short_circuited: tracker.segments_short_circuited,
             expression,
             kernel_path: tracker.kernel_path(),
+        }
+    }
+
+    /// The additive counters as report [`CostCounters`] — the one
+    /// conversion every layer that sums per-clause stats goes through,
+    /// so `vectors_accessed` stays the paper's number everywhere.
+    #[must_use]
+    pub fn cost(&self) -> CostCounters {
+        CostCounters {
+            vectors_accessed: self.vectors_accessed as u64,
+            literal_ops: self.literal_ops as u64,
+            cube_evals: self.cube_evals as u64,
+            words_scanned: self.words_scanned,
+            bytes_touched: self.bytes_touched,
+            compressed_chunks_skipped: self.compressed_chunks_skipped,
+            segments_pruned: self.segments_pruned,
+            segments_short_circuited: self.segments_short_circuited,
         }
     }
 

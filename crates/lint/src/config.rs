@@ -18,13 +18,13 @@
 //! cached_core_count = ["crates/core/src", "crates/service/src"]
 //!
 //! [[lock_domain]]
-//! name = "service.pool"
-//! path = "crates/service/src/pool.rs"
-//! order = ["state", "queues"]
+//! name = "storage.pager"
+//! path = "crates/storage/src/pager.rs"
+//! order = ["pages", "stats"]
 //! ```
 //!
 //! Lock domains can equivalently be declared in-source with a
-//! `// LINT_LOCK_ORDER: state < queues` annotation; the lock pass
+//! `// LINT_LOCK_ORDER: pages < stats` annotation; the lock pass
 //! merges both sources.
 
 /// A declared lock-order domain: within `path`, the locks in `order`

@@ -130,6 +130,21 @@ pub struct CostCounters {
     pub segments_short_circuited: u64,
 }
 
+impl std::ops::AddAssign for CostCounters {
+    /// Field-wise sum: every counter is additive across clauses,
+    /// shards and queries.
+    fn add_assign(&mut self, rhs: Self) {
+        self.vectors_accessed += rhs.vectors_accessed;
+        self.literal_ops += rhs.literal_ops;
+        self.cube_evals += rhs.cube_evals;
+        self.words_scanned += rhs.words_scanned;
+        self.bytes_touched += rhs.bytes_touched;
+        self.compressed_chunks_skipped += rhs.compressed_chunks_skipped;
+        self.segments_pruned += rhs.segments_pruned;
+        self.segments_short_circuited += rhs.segments_short_circuited;
+    }
+}
+
 impl CostCounters {
     fn to_json(self) -> String {
         JsonObject::new()
@@ -217,6 +232,27 @@ pub struct StorageCounters {
 }
 
 impl StorageCounters {
+    /// Folds the touched indexes' layouts into the table-wide
+    /// counters: run and word counts sum, the longest run is the
+    /// maximum, and `row_order` is the order every index agrees on,
+    /// `"mixed"` when they disagree and `"original"` when there are
+    /// none. The layouts themselves are kept in `index_layouts`.
+    pub fn fold_layouts(&mut self, layouts: impl IntoIterator<Item = IndexLayout>) {
+        let mut order: Option<&'static str> = None;
+        for il in layouts {
+            self.slice_runs += il.slice_runs;
+            self.slice_longest_run = self.slice_longest_run.max(il.slice_longest_run);
+            self.slice_fill_words += il.slice_fill_words;
+            self.slice_total_words += il.slice_total_words;
+            order = Some(match order {
+                Some(prev) if prev != il.row_order => "mixed",
+                _ => il.row_order,
+            });
+            self.index_layouts.push(il);
+        }
+        self.row_order = order.unwrap_or("original");
+    }
+
     /// Buffer hit ratio in `[0, 1]`; `0` when the pool saw no reads.
     #[must_use]
     pub fn buffer_hit_ratio(&self) -> f64 {
@@ -685,5 +721,34 @@ mod tests {
         };
         assert!(r.explain_analyze().contains("subscriber disabled"));
         assert!(r.to_json_line().contains("\"phases\":[]"));
+    }
+
+    #[test]
+    fn layout_fold_sums_runs_and_names_the_common_row_order() {
+        let layout = |row_order, runs, longest| IndexLayout {
+            index: "c".into(),
+            row_order,
+            slice_runs: runs,
+            slice_longest_run: longest,
+            slice_fill_words: 1,
+            slice_total_words: 4,
+        };
+        let fold = |layouts: Vec<IndexLayout>| {
+            let mut s = StorageCounters::default();
+            s.fold_layouts(layouts);
+            s
+        };
+        let same = fold(vec![layout("gray", 3, 9), layout("gray", 5, 2)]);
+        assert_eq!(same.row_order, "gray");
+        assert_eq!((same.slice_runs, same.slice_longest_run), (8, 9));
+        assert_eq!((same.slice_fill_words, same.slice_total_words), (2, 8));
+        assert_eq!(same.index_layouts.len(), 2);
+        let differing = fold(vec![
+            layout("original", 1, 1),
+            layout("gray", 1, 1),
+            layout("gray", 1, 1),
+        ]);
+        assert_eq!(differing.row_order, "mixed");
+        assert_eq!(fold(Vec::new()).row_order, "original");
     }
 }

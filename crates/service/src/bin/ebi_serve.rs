@@ -52,9 +52,8 @@ PROTOCOLS:
 TELEMETRY:
     Structured JSONL logs go to stderr, or a rotating file via EBI_LOG=<path>
     (EBI_LOG_LEVEL, EBI_LOG_MAX_BYTES). A tail-sampling ring keeps the most
-    recent traces plus everything slower than rolling p99 (or a fixed
-    EBI_SLOW_QUERY_MS); ring sizes via EBI_SERVICE_TRACE_RING /
-    EBI_SERVICE_SLOW_RING. /debug/trace/<id> emits Chrome trace-event JSON.
+    recent 64 traces plus the last 256 slower than rolling p99 (or a fixed
+    EBI_SLOW_QUERY_MS). /debug/trace/<id> emits Chrome trace-event JSON.
 ";
 
 fn die(msg: &str) -> ! {

@@ -11,24 +11,21 @@
 //!   minimization over the shared code space) and evaluated everywhere;
 //!   shard-relative result bitmaps are merged back at global row
 //!   offsets with `BitVec::or_shifted`.
-//! * [`pool`] — a work-stealing [`WorkerPool`] for shard fan-out, an
+//! * [`pool`] — a [`WorkerPool`] over one locked queue for shard fan-out, an
 //!   [`AdmissionGate`] bounding in-flight queries (backpressure:
 //!   `BUSY` / HTTP 429), and a [`FanOut`] latch with per-request
 //!   deadlines.
 //! * [`protocol`] / [`http`] — two frontends over one grammar: a TCP
 //!   line protocol (`COUNT a=1 AND b IN 2,3`) and a hand-rolled
-//!   HTTP/1.1 + JSON layer (`GET /query?q=…`, `GET /metrics`). No
-//!   async runtime: blocking threads, scoped borrows, vendored deps
-//!   only.
-//! * [`server`] — admission → compile → fan-out → merge → report.
-//!   Every request produces an `ebi-obs` [`QueryReport`] with per-shard
-//!   `eval.worker` spans; graceful shutdown drains admitted queries
-//!   before the listeners close.
-//!
-//! The pool is the workspace's one scheduler, and a query whose
-//! post-pruning work estimate is below [`pool::MIN_PARALLEL_WORK_WORDS`]
-//! bypasses it and runs serially on the connection thread, because
-//! dispatching tiny bitmap slices costs more than scanning them.
+//!   HTTP/1.1 + JSON layer (`GET /query?q=…`, `GET /metrics`). They
+//!   only frame, parse and render. No async runtime: blocking threads,
+//!   scoped borrows, vendored deps only.
+//! * [`server`] — one connection loop and one request path: admission
+//!   → compile → fan-out → merge → report. Every query produces an
+//!   `ebi-obs` [`QueryReport`] with per-shard `eval.worker` spans;
+//!   graceful shutdown drains in-flight queries before the listeners
+//!   close. A query whose post-pruning work estimate is below
+//!   [`pool::MIN_PARALLEL_WORK_WORDS`] bypasses the pool.
 //!
 //! [`Shard`]: shard::Shard
 //! [`Mapping`]: ebi_core::Mapping
@@ -46,8 +43,8 @@ pub mod shard;
 
 pub use error::ServiceError;
 pub use pool::{AdmissionGate, FanOut, Refusal, WorkerPool};
-pub use protocol::{parse_dnf, parse_request, Request};
-pub use server::{eval_shard, run, Answer, ServiceConfig, ServiceHandle, ServiceSummary};
+pub use protocol::{parse_dnf, parse_request, Reply, Request};
+pub use server::{eval_shard, run, ServiceConfig, ServiceHandle, ServiceSummary};
 pub use shard::{
     Clause, ColumnSpec, CompiledClause, CompiledQuery, DnfRequest, Predicate, Shard, ShardOutcome,
     ShardedTable, TableOptions,

@@ -1,4 +1,4 @@
-//! Admission control and the work-stealing worker pool.
+//! Admission control and the worker pool.
 //!
 //! Three concerns live here, all built on `std::sync` primitives so
 //! the service runs on vendored deps only:
@@ -9,17 +9,19 @@
 //!   [`AdmissionGate::await_drain`] blocks until the last permit drops
 //!   — that is the graceful-shutdown barrier.
 //! - [`WorkerPool`] runs shard-evaluation jobs on long-lived scoped
-//!   threads. Each worker owns a deque; submission deals round-robin,
-//!   and an idle worker steals the back half of the fullest other
-//!   queue. It is the only scheduler in the workspace: a shard job
-//!   evaluates its plan serially.
+//!   threads that share one locked queue: only connection threads
+//!   submit, at most `shards × max_inflight` jobs are queued, and each
+//!   is at least its share of the dispatch floor, so there is nothing
+//!   for per-worker queues or stealing to balance. It is the only
+//!   scheduler in the workspace: a shard job evaluates its plan
+//!   serially.
 //! - [`FanOut`] is the per-query completion latch: one slot per shard
 //!   job, a deadline-aware wait, and a cancellation flag that late
 //!   jobs check so an abandoned (timed-out) query stops consuming
 //!   workers.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -34,151 +36,86 @@ pub const MIN_PARALLEL_WORK_WORDS: u64 = 2_000_000 / 64;
 /// directly while per-query state travels in `Arc`s.
 pub type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
 
-struct PoolState {
-    /// Jobs pushed but not yet claimed; tracked under the sleep mutex
-    /// so a submit between a worker's empty scan and its wait cannot
-    /// be missed.
-    pending: usize,
+struct Queue<'env> {
+    jobs: VecDeque<Job<'env>>,
     /// `false` once [`WorkerPool::close`] ran; workers exit when the
-    /// pool is closed *and* every queue is drained.
+    /// pool is closed *and* the queue is drained.
     open: bool,
 }
 
-/// A fixed-size work-stealing pool. Workers are started externally
-/// (scoped threads calling [`WorkerPool::run_worker`]) so they may
-/// borrow the service environment.
-// LINT_LOCK_ORDER: state < queues  (registry copy: lint.toml [[lock_domain]] service.pool; see DESIGN.md §12)
+/// A fixed-size pool over one locked queue. Workers are started
+/// externally (scoped threads calling [`WorkerPool::run_worker`]) so
+/// they may borrow the service environment. A submitter pushes and a
+/// worker checks "job, closed, or wait" under the same mutex, so no
+/// wake-up is lost and no lock is taken while another is held.
 pub struct WorkerPool<'env> {
-    queues: Vec<Mutex<VecDeque<Job<'env>>>>,
-    state: Mutex<PoolState>,
+    queue: Mutex<Queue<'env>>,
     cv: Condvar,
-    rr: AtomicUsize,
+    workers: usize,
 }
 
 impl<'env> WorkerPool<'env> {
-    /// A pool with `workers` queues (0 means every submit runs inline).
+    /// A pool sized for `workers` threads (0 means every submit runs
+    /// inline).
     #[must_use]
     pub fn new(workers: usize) -> Self {
         Self {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            state: Mutex::new(PoolState {
-                pending: 0,
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
                 open: true,
             }),
             cv: Condvar::new(),
-            rr: AtomicUsize::new(0),
+            workers,
         }
     }
 
     /// Number of workers the pool was sized for.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.queues.len()
+        self.workers
     }
 
-    /// Enqueues a job round-robin and wakes one worker. With no
-    /// workers, or after [`WorkerPool::close`], the job runs inline on
-    /// the caller — submission never silently drops work.
+    /// Enqueues a job and wakes one worker. With no workers, or after
+    /// [`WorkerPool::close`], the job runs inline on the caller —
+    /// submission never silently drops work.
     pub fn submit(&self, job: Job<'env>) {
-        if self.queues.is_empty() {
-            job();
-            return;
-        }
-        {
-            let mut st = self.state.lock().expect("pool state poisoned");
-            if !st.open {
-                drop(st);
-                job();
+        if self.workers > 0 {
+            let mut q = self.queue.lock().expect("pool queue poisoned");
+            if q.open {
+                q.jobs.push_back(job);
+                drop(q);
+                self.cv.notify_one();
                 return;
             }
-            let slot = self.rr.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-            self.queues[slot]
-                .lock()
-                .expect("queue poisoned")
-                .push_back(job);
-            st.pending += 1;
         }
-        self.cv.notify_one();
+        job();
     }
 
-    /// The worker loop for queue `me`; call from a dedicated thread.
-    /// Returns once the pool is closed and every queue is empty.
-    pub fn run_worker(&self, me: usize) {
+    /// The worker loop; call from a dedicated thread (`_label` only
+    /// names the worker at the call site). Returns once the pool is
+    /// closed and the queue is empty. Jobs run with the lock released.
+    pub fn run_worker(&self, _label: usize) {
         loop {
-            if let Some(job) = self.claim(me) {
-                job();
-                continue;
-            }
-            let st = self.state.lock().expect("pool state poisoned");
-            if st.pending > 0 {
-                // Pushed between our empty scan and this lock.
-                continue;
-            }
-            if !st.open {
-                return;
-            }
-            // The timeout is a belt-and-braces fallback; the pending
-            // counter above makes lost wakeups benign, not possible.
-            let _ = self
-                .cv
-                .wait_timeout(st, Duration::from_millis(100))
-                .expect("pool state poisoned");
-        }
-    }
-
-    /// Pops locally, else steals the back half of the fullest other
-    /// queue (one job runs now, the rest migrate to our queue).
-    ///
-    /// Lock order: never hold a queue lock while taking the state lock
-    /// — [`WorkerPool::submit`] acquires state → queue, so the reverse
-    /// order here would be an AB-BA deadlock. The `popped` binding (not
-    /// an `if let` on the locked pop, whose guard temporary would live
-    /// through the body) makes the queue guard drop before
-    /// `note_claimed` touches state. The order is declared machine-
-    /// readably on the struct (`LINT_LOCK_ORDER`) and in `lint.toml`;
-    /// `ebi-lint` fails CI on any regression to the old pattern.
-    fn claim(&self, me: usize) -> Option<Job<'env>> {
-        let popped = self.queues[me].lock().expect("queue poisoned").pop_front();
-        if let Some(job) = popped {
-            self.note_claimed(1);
-            return Some(job);
-        }
-        let victim = (0..self.queues.len())
-            .filter(|&j| j != me)
-            .max_by_key(|&j| self.queues[j].lock().expect("queue poisoned").len())?;
-        let mut stolen = {
-            let mut q = self.queues[victim].lock().expect("queue poisoned");
-            let n = q.len();
-            if n == 0 {
-                return None;
-            }
-            q.split_off(n - n.div_ceil(2))
-        };
-        let job = stolen.pop_front();
-        let migrated = stolen.len();
-        if migrated > 0 {
-            self.queues[me]
-                .lock()
-                .expect("queue poisoned")
-                .extend(stolen);
-        }
-        // Only the job we run now leaves the pending count; migrated
-        // jobs are still queued (just on our deque).
-        self.note_claimed(usize::from(job.is_some()));
-        job
-    }
-
-    fn note_claimed(&self, n: usize) {
-        if n > 0 {
-            let mut st = self.state.lock().expect("pool state poisoned");
-            st.pending = st.pending.saturating_sub(n);
+            let job = {
+                let mut q = self.queue.lock().expect("pool queue poisoned");
+                loop {
+                    if let Some(job) = q.jobs.pop_front() {
+                        break job;
+                    }
+                    if !q.open {
+                        return;
+                    }
+                    q = self.cv.wait(q).expect("pool queue poisoned");
+                }
+            };
+            job();
         }
     }
 
     /// Closes the pool: queued jobs still run, new submits run inline,
     /// workers exit once drained.
     pub fn close(&self) {
-        self.state.lock().expect("pool state poisoned").open = false;
+        self.queue.lock().expect("pool queue poisoned").open = false;
         self.cv.notify_all();
     }
 }
@@ -186,7 +123,7 @@ impl<'env> WorkerPool<'env> {
 impl std::fmt::Debug for WorkerPool<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.queues.len())
+            .field("workers", &self.workers)
             .finish()
     }
 }
@@ -201,6 +138,7 @@ pub enum Refusal {
     Draining,
 }
 
+#[derive(Debug)]
 struct GateState {
     inflight: usize,
     draining: bool,
@@ -208,6 +146,7 @@ struct GateState {
 
 /// Bounds concurrent in-flight queries and sequences graceful
 /// shutdown.
+#[derive(Debug)]
 pub struct AdmissionGate {
     state: Mutex<GateState>,
     cv: Condvar,
@@ -266,22 +205,13 @@ impl AdmissionGate {
         self.cv.notify_all();
     }
 
-    /// Blocks until every admitted query has released its permit.
+    /// Blocks until every query holding a permit has released it.
     /// Call after [`AdmissionGate::begin_drain`].
     pub fn await_drain(&self) {
         let mut st = self.state.lock().expect("gate poisoned");
         while st.inflight > 0 {
             st = self.cv.wait(st).expect("gate poisoned");
         }
-    }
-}
-
-impl std::fmt::Debug for AdmissionGate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdmissionGate")
-            .field("max", &self.max)
-            .field("inflight", &self.inflight())
-            .finish()
     }
 }
 
@@ -385,7 +315,7 @@ mod tests {
                     counter.fetch_add(1, Ordering::Relaxed);
                 }));
             }
-            // Uneven burst onto one logical submitter exercises steal.
+            // A burst of slow jobs: several workers drain one queue.
             for _ in 0..50 {
                 pool.submit(Box::new(|| {
                     std::thread::sleep(Duration::from_micros(50));
@@ -398,11 +328,11 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 150);
     }
 
-    /// Regression test for a submit/claim lock-order inversion: submit
-    /// takes state → queue, so a claimer holding its queue lock while
-    /// updating the pending count (state) deadlocked the whole pool.
-    /// Many submitters racing busy workers reproduce that interleaving
-    /// within a few thousand iterations.
+    /// Regression test kept from the two-lock pool, where a worker
+    /// holding its queue lock while taking the state lock deadlocked
+    /// against `submit` (state → queue). Many submitters racing busy
+    /// workers reproduced that within a few thousand iterations; with
+    /// one lock the same storm must simply complete.
     #[test]
     fn concurrent_submitters_do_not_deadlock_with_claimers() {
         let counter = AtomicU64::new(0);
@@ -432,6 +362,30 @@ mod tests {
         })
         .expect("workers joined");
         assert_eq!(counter.load(Ordering::Relaxed), 4 * 2_000);
+    }
+
+    /// Workers that went to sleep on an empty queue wake for every
+    /// later job and for `close`: the wait has no timeout to fall back
+    /// on, so a lost wake-up would hang this test.
+    #[test]
+    fn sleeping_workers_wake_for_each_job_and_for_close() {
+        let pool = WorkerPool::new(2);
+        crossbeam::thread::scope(|scope| {
+            for i in 0..2 {
+                let p = &pool;
+                scope.spawn(move |_| p.run_worker(i));
+            }
+            for round in 0..200u64 {
+                let fan = Arc::new(FanOut::<u64>::new(1));
+                let done = Arc::clone(&fan);
+                pool.submit(Box::new(move || done.complete(0, Some(round))));
+                // Waiting for the answer lets both workers drain the
+                // queue and block again before the next submit.
+                assert_eq!(fan.wait(Duration::from_secs(10)), Some(vec![Some(round)]));
+            }
+            pool.close();
+        })
+        .expect("workers joined");
     }
 
     #[test]

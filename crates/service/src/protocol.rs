@@ -1,6 +1,7 @@
-//! The line-oriented query grammar shared by both frontends.
+//! The line-oriented query grammar shared by both frontends, and the
+//! protocol-neutral [`Reply`] both render.
 //!
-//! One request per line:
+//! One request per `\n`-terminated line ([`frame_line`]):
 //!
 //! ```text
 //! PING
@@ -56,6 +57,114 @@ pub enum Request {
     Query(DnfRequest, usize),
     /// Selection returning the `EXPLAIN ANALYZE` rendering.
     Explain(DnfRequest),
+}
+
+/// What the server answers, before a frontend renders it:
+/// [`Reply::to_line`] is the TCP rendering, [`crate::http::render`]
+/// the HTTP one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reply {
+    /// Liveness answer.
+    Pong,
+    /// One JSON object (`STATS`, `/debug/vars`).
+    Json(String),
+    /// Plain text (`/metrics`).
+    Text(String),
+    /// Graceful shutdown has begun.
+    ShuttingDown,
+    /// A page of retained traces as `\n`-terminated JSON lines.
+    Page(String),
+    /// A document that belongs to a trace: a query's answer, a
+    /// retained trace's export.
+    Answer {
+        /// The JSON document.
+        body: String,
+        /// The `traceparent` to echo.
+        traceparent: String,
+    },
+    /// Refused at the in-flight bound: back off and retry.
+    Busy,
+    /// Refused because the service is draining for shutdown.
+    Draining,
+    /// The query hit its per-request deadline.
+    TimedOut,
+    /// The request did not parse or compile.
+    Bad(String),
+    /// Nothing is served under that name.
+    NotFound(&'static str),
+    /// The request exceeds what one connection may buffer.
+    TooLarge,
+    /// The request had not arrived in full at the deadline.
+    Incomplete,
+}
+
+impl Reply {
+    /// The message of a reply that is a refusal or an error.
+    #[must_use]
+    pub fn error(&self) -> Option<&str> {
+        Some(match self {
+            Self::Busy => "busy",
+            Self::Draining => "draining",
+            Self::TimedOut => "timeout",
+            Self::Bad(msg) => msg,
+            Self::NotFound(msg) => msg,
+            Self::TooLarge => "request too large",
+            Self::Incomplete => "request incomplete at the deadline",
+            _ => return None,
+        })
+    }
+
+    /// The `status` label of `ebi_service_requests_total`.
+    #[must_use]
+    pub fn status(&self) -> &'static str {
+        match self.error() {
+            None => "ok",
+            Some(_) if *self == Self::Busy => "busy",
+            Some(_) => "error",
+        }
+    }
+
+    /// The line-protocol rendering, final newline included. A page is
+    /// an `OK <n>` line, its JSON lines, and a lone `.` terminator.
+    #[must_use]
+    pub fn to_line(&self) -> String {
+        match self {
+            Self::Pong => "PONG\n".into(),
+            Self::ShuttingDown => "OK draining\n".into(),
+            Self::Page(lines) => format!("OK {}\n{lines}.\n", lines.lines().count()),
+            Self::Json(body) | Self::Text(body) | Self::Answer { body, .. } => {
+                format!("OK {body}\n")
+            }
+            Self::Busy => "BUSY\n".into(),
+            other => format!("ERR {}\n", other.error().unwrap_or_default()),
+        }
+    }
+}
+
+/// Longest request line (TCP) or request head (HTTP) one connection
+/// may make the server buffer.
+pub const MAX_HEAD_BYTES: usize = 64 << 10;
+
+/// What a framing function finds at the front of a connection's
+/// buffered bytes: `Ok(Some((request, n)))` is a complete request in
+/// the first `n` bytes, `Ok(None)` a proper prefix of one (read more),
+/// and `Err` the reply to bytes that can never become a request
+/// (answer, then close). Framing is pure: it never consumes, so bytes
+/// that arrive in several reads are framed again once more are in.
+pub type Framed<T> = Result<Option<(T, usize)>, Reply>;
+
+/// Frames one `\n`-terminated request line of at most
+/// [`MAX_HEAD_BYTES`] (terminator excluded from the line).
+pub fn frame_line(buf: &[u8]) -> Framed<&str> {
+    let window = &buf[..buf.len().min(MAX_HEAD_BYTES + 1)];
+    match window.iter().position(|&b| b == b'\n') {
+        Some(end) => match std::str::from_utf8(&buf[..end]) {
+            Ok(line) => Ok(Some((line, end + 1))),
+            Err(_) => Err(Reply::Bad("request is not UTF-8".into())),
+        },
+        None if buf.len() > MAX_HEAD_BYTES => Err(Reply::TooLarge),
+        None => Ok(None),
+    }
 }
 
 /// Default and maximum row-id list lengths for `QUERY`.
@@ -318,6 +427,49 @@ mod tests {
         let (got, rest) = split_traceparent("TRACEPARENT onlyvalue");
         assert_eq!(got, Some("onlyvalue"));
         assert_eq!(rest, "");
+    }
+
+    #[test]
+    fn line_framing_over_truncated_pipelined_oversized_and_binary_input() {
+        assert_eq!(frame_line(b""), Ok(None));
+        assert_eq!(frame_line(b"COUNT a"), Ok(None));
+        assert_eq!(frame_line(b"COUNT a=1\n"), Ok(Some(("COUNT a=1", 10))));
+        // Pipelined: only the first line is framed, the rest stays.
+        assert_eq!(frame_line(b"PING\r\nSTATS\nCOU"), Ok(Some(("PING\r", 6))));
+        assert_eq!(frame_line(b"\n"), Ok(Some(("", 1))));
+        // A line of exactly the cap passes; one byte more never will,
+        // with or without its newline in the buffer.
+        let mut line = vec![b'x'; MAX_HEAD_BYTES];
+        assert_eq!(frame_line(&line), Ok(None));
+        line.push(b'\n');
+        assert!(matches!(frame_line(&line), Ok(Some((_, n))) if n == MAX_HEAD_BYTES + 1));
+        let mut long = vec![b'x'; MAX_HEAD_BYTES + 1];
+        assert_eq!(frame_line(&long), Err(Reply::TooLarge));
+        long.push(b'\n');
+        assert_eq!(frame_line(&long), Err(Reply::TooLarge));
+        assert_eq!(
+            frame_line(b"COUNT \xff\xfe=1\nPING\n"),
+            Err(Reply::Bad("request is not UTF-8".into()))
+        );
+    }
+
+    #[test]
+    fn replies_render_as_lines_and_carry_their_status() {
+        assert_eq!(Reply::Pong.to_line(), "PONG\n");
+        assert_eq!(Reply::Json("{}".into()).to_line(), "OK {}\n");
+        let page = Reply::Page("{\"a\":1}\n{\"a\":2}\n".into());
+        assert_eq!(page.to_line(), "OK 2\n{\"a\":1}\n{\"a\":2}\n.\n");
+        assert_eq!(Reply::Busy.to_line(), "BUSY\n");
+        assert_eq!(Reply::Draining.to_line(), "ERR draining\n");
+        assert_eq!(Reply::TimedOut.to_line(), "ERR timeout\n");
+        assert_eq!(Reply::TooLarge.to_line(), "ERR request too large\n");
+        assert_eq!(
+            Reply::Bad("empty query".into()).to_line(),
+            "ERR empty query\n"
+        );
+        assert_eq!(Reply::Pong.status(), "ok");
+        assert_eq!(Reply::Busy.status(), "busy");
+        assert_eq!(Reply::Incomplete.status(), "error");
     }
 
     #[test]

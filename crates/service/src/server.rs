@@ -1,12 +1,13 @@
-//! The long-running query service: admission, shard fan-out, merge,
-//! and the two socket frontends.
+//! The long-running query service: one connection loop, one request
+//! path (admission, shard fan-out, merge, report), two frontends that
+//! only frame, parse and render.
 //!
 //! ## Request lifecycle
 //!
 //! ```text
-//! accept → parse → admit (Permit) → compile once → fan out to shards
-//!   on the worker pool → merge at RID offsets → report → respond →
-//!   release Permit
+//! accept → buffer → frame → parse → admit (Permit) → compile once →
+//!   fan out to shards on the worker pool → merge at RID offsets →
+//!   report → render → one write → release Permit
 //! ```
 //!
 //! Admission is a counting gate ([`AdmissionGate`]): at most
@@ -24,28 +25,38 @@
 //! then (1) drains the gate — no new admissions, every in-flight query
 //! writes its response and releases its permit; (2) closes the worker
 //! pool — queued shard jobs still run; (3) wakes the accept loops with
-//! a loopback connect; (4) joins every scoped thread. No admitted
-//! request is ever dropped.
+//! a loopback connect; (4) joins every scoped thread. No request
+//! holding a permit is ever dropped. Connections poll the handle every
+//! [`IDLE_POLL`]; the poll never discards buffered bytes, so a request
+//! that arrives in pieces across polls is answered like any other.
 
 use crate::error::ServiceError;
 use crate::http::{self, HttpRequest};
 use crate::pool::{AdmissionGate, FanOut, Refusal, WorkerPool, MIN_PARALLEL_WORK_WORDS};
-use crate::protocol::{self, Request};
-use crate::shard::{merge_cost, CompiledQuery, DnfRequest, ShardOutcome, ShardedTable};
-use ebi_obs::export::JsonObject;
+use crate::protocol::{self, Reply, Request};
+use crate::shard::{
+    Clause, CompiledQuery, DnfRequest, Predicate, Shard, ShardOutcome, ShardedTable,
+};
+use ebi_obs::export::{json_array, json_str_array, JsonObject};
 use ebi_obs::log as obslog;
 use ebi_obs::{
-    CostCounters, PhaseNode, QueryReport, StorageCounters, TraceContext, TraceRing, TraceRingConfig,
+    CostCounters, PhaseNode, QueryReport, RetainedTrace, StorageCounters, TraceContext, TraceRing,
+    TraceRingConfig,
 };
 use ebi_storage::BufferPool;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Poll interval at which idle connections notice a shutdown.
 const IDLE_POLL: Duration = Duration::from_millis(150);
+
+/// Capacity of the recent-trace ring ([`ebi_obs::trace_ring`]).
+const TRACE_RING: usize = 64;
+/// Slow-query log capacity.
+const SLOW_RING: usize = 256;
 
 /// Service configuration; every knob has an `EBI_SERVICE_*` env
 /// override (see [`ServiceConfig::from_env`] and the README env table).
@@ -58,10 +69,11 @@ pub struct ServiceConfig {
     /// Worker threads for shard fan-out (0 = evaluate on connection
     /// threads).
     pub workers: usize,
-    /// Maximum concurrently admitted queries; excess gets `BUSY`/429.
+    /// Maximum queries in flight at once; excess gets `BUSY`/429.
     pub max_inflight: usize,
     /// Per-request deadline; an expired query answers `ERR timeout`
-    /// / 504 and its remaining shard jobs are cancelled.
+    /// / 504 and its remaining shard jobs are cancelled, and a request
+    /// still incomplete this long after its first byte gets `ERR` / 408.
     pub timeout: Duration,
     /// Buffer-pool frames per shard.
     pub buffer_frames: usize,
@@ -69,11 +81,6 @@ pub struct ServiceConfig {
     /// serially on the connection thread instead of fanned out.
     /// Defaults to [`MIN_PARALLEL_WORK_WORDS`].
     pub min_dispatch_words: u64,
-    /// Recent-trace ring capacity (tail sampling; see
-    /// [`ebi_obs::trace_ring`]).
-    pub trace_ring: usize,
-    /// Slow-query log capacity.
-    pub slow_ring: usize,
     /// Fixed slow-query threshold in milliseconds; `None` uses the
     /// rolling p99 estimate.
     pub slow_query_ms: Option<u64>,
@@ -90,8 +97,6 @@ impl Default for ServiceConfig {
             timeout: Duration::from_secs(10),
             buffer_frames: 64,
             min_dispatch_words: MIN_PARALLEL_WORK_WORDS,
-            trace_ring: 64,
-            slow_ring: 256,
             slow_query_ms: None,
         }
     }
@@ -101,57 +106,39 @@ impl ServiceConfig {
     /// Defaults overridden by `EBI_SERVICE_ADDR`,
     /// `EBI_SERVICE_HTTP_ADDR`, `EBI_SERVICE_WORKERS`,
     /// `EBI_SERVICE_MAX_INFLIGHT`, `EBI_SERVICE_TIMEOUT_MS`,
-    /// `EBI_SERVICE_MIN_DISPATCH_WORDS`, `EBI_SERVICE_TRACE_RING`,
-    /// `EBI_SERVICE_SLOW_RING` and `EBI_SLOW_QUERY_MS`.
+    /// `EBI_SERVICE_MIN_DISPATCH_WORDS` and `EBI_SLOW_QUERY_MS`.
     #[must_use]
     pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Ok(v) = std::env::var("EBI_SERVICE_ADDR") {
-            cfg.tcp_addr = v;
+        let text = |name: &str| std::env::var(name).ok();
+        let number = |name: &str| text(name)?.trim().parse::<u64>().ok();
+        let d = Self::default();
+        Self {
+            tcp_addr: text("EBI_SERVICE_ADDR").unwrap_or(d.tcp_addr),
+            http_addr: text("EBI_SERVICE_HTTP_ADDR").unwrap_or(d.http_addr),
+            workers: number("EBI_SERVICE_WORKERS").map_or(d.workers, |v| v as usize),
+            max_inflight: number("EBI_SERVICE_MAX_INFLIGHT")
+                .map_or(d.max_inflight, |v| v.max(1) as usize),
+            timeout: number("EBI_SERVICE_TIMEOUT_MS").map_or(d.timeout, Duration::from_millis),
+            buffer_frames: d.buffer_frames,
+            min_dispatch_words: number("EBI_SERVICE_MIN_DISPATCH_WORDS")
+                .unwrap_or(d.min_dispatch_words),
+            slow_query_ms: number("EBI_SLOW_QUERY_MS").or(d.slow_query_ms),
         }
-        if let Ok(v) = std::env::var("EBI_SERVICE_HTTP_ADDR") {
-            cfg.http_addr = v;
-        }
-        if let Some(v) = env_usize("EBI_SERVICE_WORKERS") {
-            cfg.workers = v;
-        }
-        if let Some(v) = env_usize("EBI_SERVICE_MAX_INFLIGHT") {
-            cfg.max_inflight = v.max(1);
-        }
-        if let Some(v) = env_usize("EBI_SERVICE_TIMEOUT_MS") {
-            cfg.timeout = Duration::from_millis(v as u64);
-        }
-        if let Some(v) = env_usize("EBI_SERVICE_MIN_DISPATCH_WORDS") {
-            cfg.min_dispatch_words = v as u64;
-        }
-        if let Some(v) = env_usize("EBI_SERVICE_TRACE_RING") {
-            cfg.trace_ring = v.max(1);
-        }
-        if let Some(v) = env_usize("EBI_SERVICE_SLOW_RING") {
-            cfg.slow_ring = v.max(1);
-        }
-        if let Some(v) = env_usize("EBI_SLOW_QUERY_MS") {
-            cfg.slow_query_ms = Some(v as u64);
-        }
-        cfg
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
+#[derive(Debug)]
 struct HandleInner {
     stopping: AtomicBool,
-    lock: Mutex<()>,
-    cv: Condvar,
+    /// The thread inside [`run`], parked until shutdown begins.
+    runner: std::thread::Thread,
     tcp: SocketAddr,
     http: SocketAddr,
 }
 
 /// A cloneable handle to a running service: its bound addresses and
 /// the shutdown trigger.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ServiceHandle {
     inner: Arc<HandleInner>,
 }
@@ -172,8 +159,7 @@ impl ServiceHandle {
     /// Begins graceful shutdown (idempotent).
     pub fn shutdown(&self) {
         self.inner.stopping.store(true, Ordering::Release);
-        let _guard = self.inner.lock.lock().expect("handle poisoned");
-        self.inner.cv.notify_all();
+        self.inner.runner.unpark();
     }
 
     fn is_stopping(&self) -> bool {
@@ -181,20 +167,9 @@ impl ServiceHandle {
     }
 
     fn wait(&self) {
-        let mut guard = self.inner.lock.lock().expect("handle poisoned");
         while !self.is_stopping() {
-            guard = self.inner.cv.wait(guard).expect("handle poisoned");
+            std::thread::park();
         }
-    }
-}
-
-impl std::fmt::Debug for ServiceHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServiceHandle")
-            .field("tcp", &self.inner.tcp)
-            .field("http", &self.inner.http)
-            .field("stopping", &self.is_stopping())
-            .finish()
     }
 }
 
@@ -239,31 +214,13 @@ struct ServeCtx<'p, 'env: 'p> {
     started: Instant,
 }
 
-/// The result of one admitted query.
-#[derive(Debug)]
-pub struct Answer {
-    /// Process-unique query id.
-    pub query_id: u64,
-    /// Outbound `traceparent` (the request's trace id with this
-    /// query's id as the parent span field), echoed to the client.
-    pub traceparent: String,
-    /// Matching rows (global row-id space).
-    pub matches: u64,
-    /// Up to `limit` matching global row ids.
-    pub rows: Vec<u64>,
-    /// End-to-end wall time, nanoseconds.
-    pub wall_ns: u64,
-    /// Whether shard jobs went to the worker pool (`false` = the
-    /// work-estimate heuristic evaluated serially).
-    pub dispatched: bool,
-    /// The full query report (phases, cost, per-shard layouts).
-    pub report: QueryReport,
-}
-
-enum Outcome {
-    Answer(Box<Answer>),
-    TimedOut,
-    Bad(String),
+/// The result of one executed query.
+struct Answer {
+    /// The retained trace, which owns the full query report (phases,
+    /// cost, per-shard layouts).
+    retained: Arc<RetainedTrace>,
+    /// The answer object, the same on both protocols.
+    body: String,
 }
 
 /// Runs the service until a graceful shutdown completes.
@@ -288,8 +245,7 @@ pub fn run(
     let handle = ServiceHandle {
         inner: Arc::new(HandleInner {
             stopping: AtomicBool::new(false),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
+            runner: std::thread::current(),
             tcp: tcp.local_addr()?,
             http: http.local_addr()?,
         }),
@@ -305,8 +261,8 @@ pub fn run(
     let gate = AdmissionGate::new(cfg.max_inflight);
     let counters = Counters::default();
     let ring = TraceRing::new(TraceRingConfig {
-        capacity: cfg.trace_ring,
-        slow_capacity: cfg.slow_ring,
+        capacity: TRACE_RING,
+        slow_capacity: SLOW_RING,
         slow_threshold_ns: cfg.slow_query_ms.map(|ms| ms.saturating_mul(1_000_000)),
     });
     let workers = WorkerPool::new(cfg.workers);
@@ -336,13 +292,15 @@ pub fn run(
         scope.spawn(move |s| accept_loop(s, &http, ctx_ref, Proto::Http));
         on_ready(handle.clone());
         handle.wait();
-        // Drain: refuse new work, let every admitted query answer.
+        // Drain: refuse new work, let every query in flight answer.
         obslog::info("service.server", "draining").u64("inflight", gate.inflight() as u64);
         gate.begin_drain();
         gate.await_drain();
         workers.close();
-        wake(handle.tcp_addr());
-        wake(handle.http_addr());
+        // Unblock the listeners stuck in `accept` so they see the flag.
+        for addr in [handle.tcp_addr(), handle.http_addr()] {
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
+        }
     })
     .expect("service threads joined");
     Ok(ServiceSummary {
@@ -351,11 +309,6 @@ pub fn run(
         rejected_draining: counters.rejected_draining.load(Ordering::Relaxed),
         timeouts: counters.timeouts.load(Ordering::Relaxed),
     })
-}
-
-/// Unblocks a listener stuck in `accept` after the stop flag is set.
-fn wake(addr: SocketAddr) {
-    let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -387,10 +340,7 @@ fn accept_loop<'scope, 'env, 'p, 'data>(
             break;
         }
         let Ok(stream) = stream else { continue };
-        scope.spawn(move |_| match proto {
-            Proto::Tcp => serve_tcp_conn(ctx, stream),
-            Proto::Http => serve_http_conn(ctx, stream),
-        });
+        scope.spawn(move |_| serve_conn(ctx, stream, proto));
     }
 }
 
@@ -408,389 +358,237 @@ fn record_request(proto: Proto, status: &'static str, ns: u64) {
         .record(ns);
 }
 
-// ---------------------------------------------------------------------------
-// TCP line protocol
-// ---------------------------------------------------------------------------
+/// One request framed off the connection buffer and answered, not yet
+/// rendered.
+struct Answered {
+    reply: Reply,
+    /// The trace the reply belongs to, if any.
+    tctx: Option<TraceContext>,
+    /// Buffered bytes the request occupied.
+    consumed: usize,
+    keep_alive: bool,
+}
 
-fn serve_tcp_conn(ctx: &ServeCtx<'_, '_>, stream: TcpStream) {
+impl Answered {
+    /// The answer to bytes that will not become a request: no trace,
+    /// nothing consumed, close after the reply.
+    fn rejected(reply: Reply) -> Self {
+        Self {
+            reply,
+            tctx: None,
+            consumed: 0,
+            keep_alive: false,
+        }
+    }
+}
+
+/// Serves one connection. Bytes accumulate in `buf` until the
+/// protocol's framing function finds a complete request at its front;
+/// a read timeout only polls for shutdown and the request deadline, it
+/// never discards what has arrived. What one client can make the
+/// server hold is bounded by the framing caps (`MAX_HEAD_BYTES`, plus
+/// `MAX_BODY_BYTES` on HTTP) and one read chunk.
+fn serve_conn(ctx: &ServeCtx<'_, '_>, mut stream: TcpStream, proto: Proto) {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut buf: Vec<u8> = Vec::new();
+    let mut chunk = [0u8; 8192];
+    // When the first byte of the request now in `buf` arrived.
+    let mut first_byte = Instant::now();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let started = Instant::now();
-                let (response, close) = handle_tcp_line(ctx, line.trim());
-                let ok = writer
-                    .write_all(response.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_ok();
-                record_request(
-                    Proto::Tcp,
-                    status_of(&response),
-                    started.elapsed().as_nanos() as u64,
-                );
-                if close || !ok {
-                    break;
+        let started = Instant::now();
+        let answered = match next_answer(ctx, proto, &buf) {
+            Some(a) => a,
+            None => match stream.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(n) => {
+                    if buf.is_empty() {
+                        first_byte = Instant::now();
+                    }
+                    buf.extend_from_slice(&chunk[..n]);
+                    continue;
                 }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if ctx.handle.is_stopping() {
-                    break;
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if ctx.handle.is_stopping() {
+                        return;
+                    }
+                    if buf.is_empty() || first_byte.elapsed() < ctx.cfg.timeout {
+                        continue;
+                    }
+                    Answered::rejected(Reply::Incomplete)
                 }
-            }
-            Err(_) => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            },
+        };
+        // Decided after the request ran: a shutdown it began closes too.
+        let keep = answered.keep_alive && !ctx.handle.is_stopping();
+        let out = match proto {
+            Proto::Tcp => answered.reply.to_line().into_bytes(),
+            Proto::Http => http::render(&answered.reply, answered.tctx.as_ref(), keep),
+        };
+        let sent = stream.write_all(&out).is_ok();
+        let ns = started.elapsed().as_nanos() as u64;
+        record_request(proto, answered.reply.status(), ns);
+        if !keep || !sent {
+            return;
         }
+        // Whatever follows was pipelined behind this request.
+        buf.drain(..answered.consumed);
+        first_byte = Instant::now();
     }
 }
 
-fn status_of(response: &str) -> &'static str {
-    if response.starts_with("OK") || response.starts_with("PONG") {
-        "ok"
-    } else if response.starts_with("BUSY") {
-        "busy"
-    } else {
-        "error"
-    }
-}
-
-/// Answers one protocol line; the bool asks the caller to close the
-/// connection afterwards. A leading `TRACEPARENT <value>` field is
-/// adopted as the request's trace identity (a fresh one is minted when
-/// absent or malformed) and echoed in query answers.
-fn handle_tcp_line(ctx: &ServeCtx<'_, '_>, line: &str) -> (String, bool) {
-    let (tp, line) = protocol::split_traceparent(line);
-    let tctx = tp
-        .and_then(TraceContext::parse)
-        .unwrap_or_else(TraceContext::mint);
-    let request = match protocol::parse_request(line) {
-        Ok(r) => r,
-        Err(msg) => return (format!("ERR {msg}"), false),
+/// Frames the request at the front of `buf`, if it is all there, and
+/// answers it. A frontend contributes framing and parsing here and
+/// rendering in [`serve_conn`]; what a request *does* is [`respond`]'s.
+fn next_answer(ctx: &ServeCtx<'_, '_>, proto: Proto, buf: &[u8]) -> Option<Answered> {
+    let answered = match proto {
+        Proto::Tcp => protocol::frame_line(buf).map(|framed| {
+            let (line, consumed) = framed?;
+            // A leading `TRACEPARENT <value>` field is the line
+            // protocol's `traceparent` header.
+            let (tp, line) = protocol::split_traceparent(line);
+            let tctx = trace_context(tp);
+            Some(Answered {
+                reply: respond(ctx, proto, protocol::parse_request(line), &tctx),
+                tctx: Some(tctx),
+                consumed,
+                keep_alive: true,
+            })
+        }),
+        Proto::Http => http::parse_request(buf).map(|framed| {
+            let (req, consumed) = framed?;
+            let (reply, tctx) = match http::to_request(&req) {
+                Some(request) => {
+                    let tctx = trace_context(req.traceparent.as_deref());
+                    (respond(ctx, proto, request, &tctx), Some(tctx))
+                }
+                None => (dump(ctx, &req), None),
+            };
+            Some(Answered {
+                reply,
+                tctx,
+                consumed,
+                keep_alive: req.keep_alive,
+            })
+        }),
     };
-    match request {
-        Request::Ping => ("PONG".into(), false),
-        Request::Stats => (format!("OK {}", stats_json(ctx)), false),
-        Request::Shutdown => {
-            ctx.handle.shutdown();
-            ("OK draining".into(), true)
+    answered.unwrap_or_else(|reply| Some(Answered::rejected(reply)))
+}
+
+/// Adopts the client's W3C `traceparent`, or mints a fresh identity
+/// when it is absent or malformed.
+fn trace_context(traceparent: Option<&str>) -> TraceContext {
+    traceparent
+        .and_then(TraceContext::parse)
+        .unwrap_or_else(TraceContext::mint)
+}
+
+/// The HTTP-only pages — registry and trace dumps with no line-protocol
+/// counterpart — and the 404 for everything else.
+fn dump(ctx: &ServeCtx<'_, '_>, req: &HttpRequest) -> Reply {
+    match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/metrics") => Reply::Text(ebi_obs::metrics::global().render_prometheus()),
+        ("GET", "/debug/vars") => Reply::Json(vars_json(ctx)),
+        ("GET", path) if path.starts_with("/debug/trace/") => {
+            match ctx.ring.find(&path["/debug/trace/".len()..]) {
+                Some(t) => Reply::Answer {
+                    body: ebi_obs::chrome::retained_to_chrome(&t),
+                    traceparent: t.traceparent(),
+                },
+                None => Reply::NotFound("no such trace"),
+            }
         }
-        Request::Traces(n) => (trace_page(&ctx.ring.recent(), n), false),
-        Request::Slow(n) => (trace_page(&ctx.ring.slow(), n), false),
-        Request::Count(d) => (admitted(ctx, &d, 0, false, tctx), false),
-        Request::Query(d, limit) => (admitted(ctx, &d, limit, false, tctx), false),
-        Request::Explain(d) => (admitted(ctx, &d, 0, true, tctx), false),
+        _ => Reply::NotFound("not found"),
     }
 }
 
-/// Renders a retained-trace page for `TRACES` / `SLOW`: an `OK <n>`
-/// line, the newest `n` traces as JSON lines, and a lone `.`
-/// terminator (the caller appends the final newline).
-fn trace_page(traces: &[Arc<ebi_obs::RetainedTrace>], n: usize) -> String {
-    let tail = &traces[traces.len().saturating_sub(n)..];
-    format!("OK {}\n{}.", tail.len(), TraceRing::render_json_lines(tail))
+/// Acts on one parsed request: the only place admission, execution,
+/// counters and request logging happen. `tctx` is the request's trace
+/// identity; every query outcome, refusals included, is logged under
+/// it so the client can correlate with the server's logs.
+fn respond(
+    ctx: &ServeCtx<'_, '_>,
+    proto: Proto,
+    request: Result<Request, String>,
+    tctx: &TraceContext,
+) -> Reply {
+    let (dnf, limit, explain) = match request {
+        Err(msg) => return Reply::Bad(msg),
+        Ok(Request::Ping) => return Reply::Pong,
+        Ok(Request::Stats) => return Reply::Json(stats_json(ctx)),
+        Ok(Request::Shutdown) => {
+            ctx.handle.shutdown();
+            return Reply::ShuttingDown;
+        }
+        Ok(Request::Traces(n)) => return trace_page(&ctx.ring.recent(), n),
+        Ok(Request::Slow(n)) => return trace_page(&ctx.ring.slow(), n),
+        Ok(Request::Count(d)) => (d, 0, false),
+        Ok(Request::Query(d, limit)) => (d, limit, false),
+        Ok(Request::Explain(d)) => (d, 0, true),
+    };
+    let permit = match ctx.gate.try_admit() {
+        Ok(p) => p,
+        Err(refusal) => {
+            let (counter, reply) = match refusal {
+                Refusal::Busy => (&ctx.counters.rejected_busy, Reply::Busy),
+                Refusal::Draining => (&ctx.counters.rejected_draining, Reply::Draining),
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            obslog::debug("service.server", "admission rejected")
+                .ctx(tctx)
+                .str("proto", proto.label())
+                .str("reason", reply.error().unwrap_or_default());
+            return reply;
+        }
+    };
+    let reply = match execute(ctx, &dnf, limit, *tctx) {
+        Ok(Answer { retained, mut body }) => {
+            ctx.counters.served.fetch_add(1, Ordering::Relaxed);
+            if explain {
+                body = JsonObject::new()
+                    .raw("result", &body)
+                    .str("explain", &retained.report.explain_analyze())
+                    .finish();
+            }
+            Reply::Answer {
+                body,
+                traceparent: retained.traceparent(),
+            }
+        }
+        Err(Reply::TimedOut) => {
+            ctx.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+            obslog::warn("service.server", "query timeout")
+                .ctx(tctx)
+                .str("proto", proto.label())
+                .u64("timeout_ms", ctx.cfg.timeout.as_millis() as u64);
+            Reply::TimedOut
+        }
+        Err(reply) => reply,
+    };
+    // The permit outlives rendering the body: a drain that begins
+    // mid-query waits for this answer to be fully built.
+    drop(permit);
+    reply
 }
 
-/// Admission + execution + rendering for the TCP protocol.
-fn admitted(
+/// The newest `n` of `traces` as a page of JSON lines.
+fn trace_page(traces: &[Arc<RetainedTrace>], n: usize) -> Reply {
+    let tail = &traces[traces.len().saturating_sub(n)..];
+    Reply::Page(TraceRing::render_json_lines(tail))
+}
+
+/// Compiles, fans out, merges and reports one query in flight; the
+/// error is the reply of a query that produced no answer. `tctx` is
+/// the request's trace identity: it correlates the retained trace, the
+/// structured log lines, and the `traceparent` echoed in the answer.
+fn execute(
     ctx: &ServeCtx<'_, '_>,
     dnf: &DnfRequest,
     limit: usize,
-    explain: bool,
     tctx: TraceContext,
-) -> String {
-    let permit = match ctx.gate.try_admit() {
-        Ok(p) => p,
-        Err(Refusal::Busy) => {
-            ctx.counters.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            obslog::debug("service.server", "admission rejected")
-                .ctx(&tctx)
-                .str("proto", "tcp")
-                .str("reason", "busy");
-            return "BUSY".into();
-        }
-        Err(Refusal::Draining) => {
-            ctx.counters
-                .rejected_draining
-                .fetch_add(1, Ordering::Relaxed);
-            obslog::debug("service.server", "admission rejected")
-                .ctx(&tctx)
-                .str("proto", "tcp")
-                .str("reason", "draining");
-            return "ERR draining".into();
-        }
-    };
-    let out = match execute(ctx, dnf, limit, tctx) {
-        Outcome::Answer(a) => {
-            ctx.counters.served.fetch_add(1, Ordering::Relaxed);
-            let mut body = answer_json(&a);
-            if explain {
-                body = JsonObject::new()
-                    .raw("result", &body)
-                    .str("explain", &a.report.explain_analyze())
-                    .finish();
-            }
-            format!("OK {body}")
-        }
-        Outcome::TimedOut => {
-            ctx.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-            obslog::warn("service.server", "query timeout")
-                .ctx(&tctx)
-                .str("proto", "tcp")
-                .u64("timeout_ms", ctx.cfg.timeout.as_millis() as u64);
-            "ERR timeout".into()
-        }
-        Outcome::Bad(msg) => format!("ERR {msg}"),
-    };
-    // The permit outlives rendering: a drain that begins mid-query
-    // waits for this response to be fully built.
-    drop(permit);
-    out
-}
-
-// ---------------------------------------------------------------------------
-// HTTP frontend
-// ---------------------------------------------------------------------------
-
-fn serve_http_conn(ctx: &ServeCtx<'_, '_>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let _ = stream.set_nodelay(true);
-    let Ok(reader_stream) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = stream;
-    let mut reader = BufReader::new(reader_stream);
-    loop {
-        match http::read_request(&mut reader) {
-            Ok(None) => break,
-            Ok(Some(req)) => {
-                let started = Instant::now();
-                let keep = req.keep_alive && !ctx.handle.is_stopping();
-                let (status, reason, ctype, body, traceparent) = route_http(ctx, &req);
-                let extra: Vec<(&str, &str)> = traceparent
-                    .as_deref()
-                    .map(|tp| ("traceparent", tp))
-                    .into_iter()
-                    .collect();
-                let ok =
-                    http::write_response(&mut writer, status, reason, ctype, &body, keep, &extra)
-                        .is_ok();
-                record_request(
-                    Proto::Http,
-                    if status < 400 {
-                        "ok"
-                    } else if status == 429 {
-                        "busy"
-                    } else {
-                        "error"
-                    },
-                    started.elapsed().as_nanos() as u64,
-                );
-                if !keep || !ok {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if ctx.handle.is_stopping() {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// `(status, reason, content-type, body, echoed traceparent)`.
-type HttpAnswer = (u16, &'static str, &'static str, String, Option<String>);
-
-const JSON: &str = "application/json";
-const TEXT: &str = "text/plain; charset=utf-8";
-const NDJSON: &str = "application/x-ndjson";
-
-fn plain(status: u16, reason: &'static str, ctype: &'static str, body: String) -> HttpAnswer {
-    (status, reason, ctype, body, None)
-}
-
-fn route_http(ctx: &ServeCtx<'_, '_>, req: &HttpRequest) -> HttpAnswer {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => plain(200, "OK", TEXT, "ok\n".into()),
-        ("GET", "/metrics") => plain(
-            200,
-            "OK",
-            TEXT,
-            ebi_obs::metrics::global().render_prometheus(),
-        ),
-        ("GET", "/stats") => plain(200, "OK", JSON, stats_json(ctx)),
-        ("GET", "/debug/traces") => plain(
-            200,
-            "OK",
-            NDJSON,
-            TraceRing::render_json_lines(&ctx.ring.recent()),
-        ),
-        ("GET", "/debug/slow") => plain(
-            200,
-            "OK",
-            NDJSON,
-            TraceRing::render_json_lines(&ctx.ring.slow()),
-        ),
-        ("GET", "/debug/vars") => plain(200, "OK", JSON, vars_json(ctx)),
-        ("GET", path) if path.starts_with("/debug/trace/") => {
-            let key = &path["/debug/trace/".len()..];
-            match ctx.ring.find(key) {
-                Some(t) => {
-                    let tp = t.traceparent();
-                    (
-                        200,
-                        "OK",
-                        JSON,
-                        ebi_obs::chrome::retained_to_chrome(&t),
-                        Some(tp),
-                    )
-                }
-                None => plain(404, "Not Found", JSON, err_json("no such trace")),
-            }
-        }
-        ("POST", "/shutdown") => {
-            ctx.handle.shutdown();
-            plain(200, "OK", JSON, r#"{"status":"draining"}"#.into())
-        }
-        ("GET" | "POST", "/count") => http_query(ctx, req, 0, false),
-        ("GET" | "POST", "/query") => {
-            let limit = http::query_param(&req.query, "limit")
-                .and_then(|l| l.parse().ok())
-                .unwrap_or(protocol::DEFAULT_LIMIT)
-                .min(protocol::MAX_LIMIT);
-            http_query(ctx, req, limit, false)
-        }
-        ("GET" | "POST", "/explain") => http_query(ctx, req, 0, true),
-        _ => plain(404, "Not Found", JSON, r#"{"error":"not found"}"#.into()),
-    }
-}
-
-/// Pulls the query text from `?q=`, a raw text body, or a tiny JSON
-/// body of the form `{"q": "..."}`.
-fn http_query_text(req: &HttpRequest) -> Option<String> {
-    if let Some(q) = http::query_param(&req.query, "q") {
-        return Some(q);
-    }
-    let body = req.body.trim();
-    if body.is_empty() {
-        return None;
-    }
-    if body.starts_with('{') {
-        // Hand-rolled extraction of a flat {"q":"..."} — the vendored
-        // serde has no derive, and the grammar needs nothing more.
-        let key = body.find("\"q\"")?;
-        let colon = body[key + 3..].find(':')? + key + 4;
-        let rest = body[colon..].trim_start();
-        let rest = rest.strip_prefix('"')?;
-        let end = rest.find('"')?;
-        return Some(rest[..end].to_string());
-    }
-    Some(body.to_string())
-}
-
-fn http_query(
-    ctx: &ServeCtx<'_, '_>,
-    req: &HttpRequest,
-    limit: usize,
-    explain: bool,
-) -> HttpAnswer {
-    // Adopt the client's traceparent (W3C header) or mint a fresh
-    // identity; every outcome, including refusals, echoes the trace so
-    // the client can correlate with the server's logs.
-    let tctx = req
-        .traceparent
-        .as_deref()
-        .and_then(TraceContext::parse)
-        .unwrap_or_else(TraceContext::mint);
-    let echo = Some(tctx.to_traceparent(tctx.parent_id()));
-    let Some(text) = http_query_text(req) else {
-        return (
-            400,
-            "Bad Request",
-            JSON,
-            err_json("missing query (q=)"),
-            echo,
-        );
-    };
-    let dnf = match protocol::parse_dnf(&text) {
-        Ok(d) => d,
-        Err(msg) => return (400, "Bad Request", JSON, err_json(&msg), echo),
-    };
-    let permit = match ctx.gate.try_admit() {
-        Ok(p) => p,
-        Err(Refusal::Busy) => {
-            ctx.counters.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            obslog::debug("service.server", "admission rejected")
-                .ctx(&tctx)
-                .str("proto", "http")
-                .str("reason", "busy");
-            return (429, "Too Many Requests", JSON, err_json("busy"), echo);
-        }
-        Err(Refusal::Draining) => {
-            ctx.counters
-                .rejected_draining
-                .fetch_add(1, Ordering::Relaxed);
-            obslog::debug("service.server", "admission rejected")
-                .ctx(&tctx)
-                .str("proto", "http")
-                .str("reason", "draining");
-            return (503, "Service Unavailable", JSON, err_json("draining"), echo);
-        }
-    };
-    let out = match execute(ctx, &dnf, limit, tctx) {
-        Outcome::Answer(a) => {
-            ctx.counters.served.fetch_add(1, Ordering::Relaxed);
-            let mut body = answer_json(&a);
-            if explain {
-                body = JsonObject::new()
-                    .raw("result", &body)
-                    .str("explain", &a.report.explain_analyze())
-                    .finish();
-            }
-            let echo = Some(a.traceparent.clone());
-            (200, "OK", JSON, body, echo)
-        }
-        Outcome::TimedOut => {
-            ctx.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-            obslog::warn("service.server", "query timeout")
-                .ctx(&tctx)
-                .str("proto", "http")
-                .u64("timeout_ms", ctx.cfg.timeout.as_millis() as u64);
-            (504, "Gateway Timeout", JSON, err_json("timeout"), echo)
-        }
-        Outcome::Bad(msg) => (400, "Bad Request", JSON, err_json(&msg), echo),
-    };
-    drop(permit);
-    out
-}
-
-fn err_json(msg: &str) -> String {
-    JsonObject::new().str("error", msg).finish()
-}
-
-// ---------------------------------------------------------------------------
-// Query execution (shared by both protocols)
-// ---------------------------------------------------------------------------
-
-/// Compiles, fans out, merges and reports one admitted query. `tctx`
-/// is the request's trace identity: it correlates the retained trace,
-/// the structured log lines, and the `traceparent` echoed in the
-/// answer.
-fn execute(ctx: &ServeCtx<'_, '_>, dnf: &DnfRequest, limit: usize, tctx: TraceContext) -> Outcome {
+) -> Result<Answer, Reply> {
     let started = Instant::now();
     let query_id = ebi_obs::next_query_id();
     let trace = ebi_obs::Trace::begin();
@@ -804,11 +602,7 @@ fn execute(ctx: &ServeCtx<'_, '_>, dnf: &DnfRequest, limit: usize, tctx: TraceCo
         let _span = root.child("compile");
         match table.compile(dnf) {
             Ok(c) => Arc::new(c),
-            Err(e) => {
-                drop(root);
-                drop(trace);
-                return Outcome::Bad(e.to_string());
-            }
+            Err(e) => return Err(Reply::Bad(e.to_string())),
         }
     };
 
@@ -832,21 +626,15 @@ fn execute(ctx: &ServeCtx<'_, '_>, dnf: &DnfRequest, limit: usize, tctx: TraceCo
                 let i = shard.id();
                 let pool = &ctx.pools[i];
                 ctx.workers.submit(Box::new(move || {
-                    if fan.is_cancelled() {
-                        fan.complete(i, None);
-                        return;
-                    }
-                    fan.complete(i, Some(eval_shard(shard, pool, &compiled, parent)));
+                    // A job that starts after the waiter gave up skips
+                    // its work but still counts as complete.
+                    let live = !fan.is_cancelled();
+                    fan.complete(i, live.then(|| eval_shard(shard, pool, &compiled, parent)));
                 }));
             }
             match fan.wait(ctx.cfg.timeout) {
                 Some(results) => results,
-                None => {
-                    drop(fan_span);
-                    drop(root);
-                    drop(trace);
-                    return Outcome::TimedOut;
-                }
+                None => return Err(Reply::TimedOut),
             }
         } else {
             table
@@ -861,34 +649,19 @@ fn execute(ctx: &ServeCtx<'_, '_>, dnf: &DnfRequest, limit: usize, tctx: TraceCo
         let mut span = root.child("merge");
         let mut cost = CostCounters::default();
         let mut storage = StorageCounters::default();
-        let mut order: Option<&'static str> = None;
-        for (shard, outcome) in table.shards().iter().zip(&outcomes) {
-            let Some(o) = outcome else { continue };
-            merge_cost(&mut cost, &o.cost);
+        // Cancelled shards left no outcome and contribute nothing.
+        let answered = || outcomes.iter().flatten();
+        for o in answered() {
+            cost += o.cost;
             storage.pager_reads += o.buffer.1; // misses reach the pager
             storage.buffer_hits += o.buffer.0;
             storage.buffer_misses += o.buffer.1;
             storage.buffer_evictions += o.buffer.2;
-            for il in shard.layouts(table.columns()) {
-                storage.slice_runs += il.slice_runs;
-                storage.slice_longest_run = storage.slice_longest_run.max(il.slice_longest_run);
-                storage.slice_fill_words += il.slice_fill_words;
-                storage.slice_total_words += il.slice_total_words;
-                order = Some(match order {
-                    None => il.row_order,
-                    Some(prev) if prev == il.row_order => il.row_order,
-                    Some(_) => "mixed",
-                });
-                storage.index_layouts.push(il);
-            }
         }
-        storage.row_order = order.unwrap_or("original");
-        let bitmap = table.merge(
-            outcomes
-                .iter()
-                .enumerate()
-                .filter_map(|(i, o)| o.as_ref().map(|o| (i, &o.bitmap))),
+        storage.fold_layouts(
+            answered().flat_map(|o| table.shards()[o.shard].layouts(table.columns())),
         );
+        let bitmap = table.merge(answered().map(|o| (o.shard, &o.bitmap)));
         span.attr("matches", bitmap.count_ones() as u64);
         (bitmap, cost, storage)
     };
@@ -896,7 +669,11 @@ fn execute(ctx: &ServeCtx<'_, '_>, dnf: &DnfRequest, limit: usize, tctx: TraceCo
     drop(root);
     let records = trace.finish();
     let matches = bitmap.count_ones() as u64;
-    let rows: Vec<u64> = bitmap.iter_ones().take(limit).map(|r| r as u64).collect();
+    let rows: Vec<String> = bitmap
+        .iter_ones()
+        .take(limit)
+        .map(|r| r.to_string())
+        .collect();
     let report = QueryReport {
         query_id,
         label: render_label(dnf),
@@ -914,8 +691,8 @@ fn execute(ctx: &ServeCtx<'_, '_>, dnf: &DnfRequest, limit: usize, tctx: TraceCo
     // Tail sampling is always on: the ring keeps the N most recent
     // traces plus everything over the slow threshold, independent of
     // the span subscriber (with it disabled the retained report simply
-    // has no phase tree).
-    let retained = ctx.ring.record(tctx, query_id, report.clone());
+    // has no phase tree). The ring owns the report from here on.
+    let retained = ctx.ring.record(tctx, query_id, report);
     if retained.slow {
         if ebi_obs::enabled() {
             ebi_obs::metrics::global()
@@ -927,31 +704,34 @@ fn execute(ctx: &ServeCtx<'_, '_>, dnf: &DnfRequest, limit: usize, tctx: TraceCo
             .query(query_id)
             .u64("wall_ns", retained.wall_ns)
             .u64("threshold_ns", retained.threshold_ns)
-            .str("label", &report.label);
+            .str("label", &retained.report.label);
     }
-    Outcome::Answer(Box::new(Answer {
-        query_id,
-        traceparent: tctx.to_traceparent(query_id),
-        matches,
-        rows,
-        wall_ns: report.wall_ns,
-        dispatched,
-        report,
-    }))
+    let report = &retained.report;
+    let body = JsonObject::new()
+        .u64("query_id", query_id)
+        .str("trace", &retained.traceparent())
+        .u64("matches", matches)
+        .raw("rows", &json_array(&rows))
+        .u64("wall_ns", report.wall_ns)
+        .bool("dispatched", dispatched)
+        .u64("vectors_accessed", report.cost.vectors_accessed)
+        .str("row_order", report.storage.row_order)
+        .finish();
+    Ok(Answer { retained, body })
 }
 
 /// Evaluates one shard and fetches its matching heap pages — the unit
 /// of work a pool worker runs, wrapped in an `eval.worker` span hung
 /// off the query's `fanout` span (cross-thread parentage via the
-/// captured handle, same idiom as the core parallel engine). The span
-/// carries the owning trace id (`trace` attribute) so pool hand-off is
-/// checkable end to end, and per-shard latency lands in
-/// `shard`-labelled service metrics so fan-out skew shows in a scrape.
+/// captured handle). The span carries the owning trace id (`trace`
+/// attribute) so pool hand-off is checkable end to end, and per-shard
+/// latency lands in `shard`-labelled service metrics so fan-out skew
+/// shows in a scrape.
 ///
 /// Public for the telemetry proptests and benches, which drive real
 /// shard evaluations through a [`WorkerPool`] without a socket.
 pub fn eval_shard(
-    shard: &crate::shard::Shard,
+    shard: &Shard,
     pool: &BufferPool<'_>,
     compiled: &CompiledQuery,
     parent: ebi_obs::SpanHandle,
@@ -988,74 +768,44 @@ pub fn eval_shard(
         shard: shard.id(),
         bitmap,
         cost,
-        pages_read: pages,
         buffer,
-        wall_ns,
     }
 }
 
+/// The query as the grammar would spell it, for reports and logs.
 fn render_label(dnf: &DnfRequest) -> String {
-    let mut out = String::new();
-    for (i, d) in dnf.disjuncts.iter().enumerate() {
-        if i > 0 {
-            out.push_str(" OR ");
+    let clause = |c: &Clause| match &c.predicate {
+        Predicate::Eq(v) => format!("{}={v}", c.column),
+        Predicate::In(vs) => {
+            let list: Vec<String> = vs.iter().map(u64::to_string).collect();
+            format!("{} IN {}", c.column, list.join(","))
         }
-        for (j, c) in d.iter().enumerate() {
-            if j > 0 {
-                out.push_str(" AND ");
-            }
-            match &c.predicate {
-                crate::shard::Predicate::Eq(v) => {
-                    out.push_str(&format!("{}={v}", c.column));
-                }
-                crate::shard::Predicate::In(vs) => {
-                    let list: Vec<String> = vs.iter().map(u64::to_string).collect();
-                    out.push_str(&format!("{} IN {}", c.column, list.join(",")));
-                }
-                crate::shard::Predicate::Between(lo, hi) => {
-                    out.push_str(&format!("{} BETWEEN {lo} {hi}", c.column));
-                }
-            }
-        }
-    }
-    out
+        Predicate::Between(lo, hi) => format!("{} BETWEEN {lo} {hi}", c.column),
+    };
+    let conjunction = |d: &Vec<Clause>| d.iter().map(clause).collect::<Vec<_>>().join(" AND ");
+    let disjuncts: Vec<String> = dnf.disjuncts.iter().map(conjunction).collect();
+    disjuncts.join(" OR ")
 }
 
-fn answer_json(a: &Answer) -> String {
-    let rows: Vec<String> = a.rows.iter().map(u64::to_string).collect();
-    JsonObject::new()
-        .u64("query_id", a.query_id)
-        .str("trace", &a.traceparent)
-        .u64("matches", a.matches)
-        .raw("rows", &format!("[{}]", rows.join(",")))
-        .u64("wall_ns", a.wall_ns)
-        .bool("dispatched", a.dispatched)
-        .u64("vectors_accessed", a.report.cost.vectors_accessed)
-        .str("row_order", a.report.storage.row_order)
-        .finish()
+/// Admission state and lifetime totals, in the order `STATS` and
+/// `/debug/vars` both print them.
+fn admission_json<'o>(ctx: &ServeCtx<'_, '_>, obj: &'o mut JsonObject) -> &'o mut JsonObject {
+    let total = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    obj.u64("inflight", ctx.gate.inflight() as u64)
+        .u64("max_inflight", ctx.gate.max_inflight() as u64)
+        .u64("workers", ctx.workers.workers() as u64)
+        .u64("served", total(&ctx.counters.served))
+        .u64("rejected_busy", total(&ctx.counters.rejected_busy))
+        .u64("rejected_draining", total(&ctx.counters.rejected_draining))
+        .u64("timeouts", total(&ctx.counters.timeouts))
 }
 
 fn stats_json(ctx: &ServeCtx<'_, '_>) -> String {
-    JsonObject::new()
-        .u64("rows", ctx.table.rows() as u64)
+    let mut obj = JsonObject::new();
+    obj.u64("rows", ctx.table.rows() as u64)
         .u64("shards", ctx.table.shards().len() as u64)
-        .raw(
-            "columns",
-            &ebi_obs::export::json_str_array(ctx.table.columns()),
-        )
-        .u64("inflight", ctx.gate.inflight() as u64)
-        .u64("max_inflight", ctx.gate.max_inflight() as u64)
-        .u64("workers", ctx.workers.workers() as u64)
-        .u64("served", ctx.counters.served.load(Ordering::Relaxed))
-        .u64(
-            "rejected_busy",
-            ctx.counters.rejected_busy.load(Ordering::Relaxed),
-        )
-        .u64(
-            "rejected_draining",
-            ctx.counters.rejected_draining.load(Ordering::Relaxed),
-        )
-        .u64("timeouts", ctx.counters.timeouts.load(Ordering::Relaxed))
+        .raw("columns", &json_str_array(ctx.table.columns()));
+    admission_json(ctx, &mut obj)
         .u64("uptime_ms", ctx.started.elapsed().as_millis() as u64)
         .u64("slow_queries", ctx.ring.slow_total())
         .u64("traces_recorded", ctx.ring.total())
@@ -1073,30 +823,18 @@ fn vars_json(ctx: &ServeCtx<'_, '_>) -> String {
         .lines()
         .map(str::to_string)
         .collect();
-    JsonObject::new()
-        .str("build", concat!("ebi-service/", env!("CARGO_PKG_VERSION")))
-        .u64("uptime_ms", ctx.started.elapsed().as_millis() as u64)
-        .u64("inflight", ctx.gate.inflight() as u64)
-        .u64("max_inflight", ctx.gate.max_inflight() as u64)
-        .u64("workers", ctx.workers.workers() as u64)
-        .u64("served", ctx.counters.served.load(Ordering::Relaxed))
-        .u64(
-            "rejected_busy",
-            ctx.counters.rejected_busy.load(Ordering::Relaxed),
-        )
-        .u64(
-            "rejected_draining",
-            ctx.counters.rejected_draining.load(Ordering::Relaxed),
-        )
-        .u64("timeouts", ctx.counters.timeouts.load(Ordering::Relaxed))
+    let mut obj = JsonObject::new();
+    obj.str("build", concat!("ebi-service/", env!("CARGO_PKG_VERSION")))
+        .u64("uptime_ms", ctx.started.elapsed().as_millis() as u64);
+    admission_json(ctx, &mut obj)
         .u64("traces_recorded", ctx.ring.total())
         .u64("traces_retained", ctx.ring.recent().len() as u64)
         .u64("slow_queries", ctx.ring.slow_total())
         .u64("slow_retained", ctx.ring.slow().len() as u64)
         .u64("slow_threshold_ns", ctx.ring.threshold_ns())
-        .u64("trace_ring_capacity", ctx.cfg.trace_ring as u64)
-        .u64("slow_ring_capacity", ctx.cfg.slow_ring as u64)
+        .u64("trace_ring_capacity", TRACE_RING as u64)
+        .u64("slow_ring_capacity", SLOW_RING as u64)
         .bool("draining", ctx.handle.is_stopping())
-        .raw("metrics", &ebi_obs::export::json_array(&metrics))
+        .raw("metrics", &json_array(&metrics))
         .finish()
 }

@@ -136,12 +136,8 @@ pub struct ShardOutcome {
     pub bitmap: BitVec,
     /// Evaluation cost counters for this shard.
     pub cost: CostCounters,
-    /// Heap pages read while fetching matching rows.
-    pub pages_read: u64,
     /// Buffer-pool (hits, misses, evictions) deltas for the fetch.
     pub buffer: (u64, u64, u64),
-    /// Shard-local wall time, nanoseconds.
-    pub wall_ns: u64,
 }
 
 /// One row-range shard: per-column indexes over `rows` rows starting
@@ -197,7 +193,7 @@ impl Shard {
             let mut acc: Option<BitVec> = None;
             for clause in disjunct {
                 let r = self.indexes[clause.column].run_plan(&clause.expr, &clause.plan);
-                add_stats(&mut cost, &r.stats);
+                cost += r.stats.cost();
                 match &mut acc {
                     None => acc = Some(r.bitmap),
                     Some(a) => {
@@ -219,8 +215,7 @@ impl Shard {
     }
 
     /// Post-pruning kernel-work estimate (words) for evaluating `query`
-    /// here — the same number the parallel engine's auto-serialise
-    /// heuristic uses, summed over every clause.
+    /// here, summed over every clause's bound plan.
     #[must_use]
     pub fn estimated_work_words(&self, query: &CompiledQuery) -> u64 {
         query
@@ -468,8 +463,7 @@ impl ShardedTable {
 
     /// Serial whole-table evaluation: every shard in row order on the
     /// calling thread, merged. This is the library reference path the
-    /// served results must stay bit-identical to (and the serial
-    /// fallback when the work estimate says fan-out is not worth it).
+    /// served results must stay bit-identical to.
     #[must_use]
     pub fn eval_local(&self, query: &CompiledQuery) -> (BitVec, CostCounters) {
         let mut cost = CostCounters::default();
@@ -478,7 +472,7 @@ impl ShardedTable {
             .iter()
             .map(|s| {
                 let (bitmap, c) = s.eval(query);
-                merge_cost(&mut cost, &c);
+                cost += c;
                 (s.id, bitmap)
             })
             .collect();
@@ -513,30 +507,4 @@ impl ShardedTable {
 
 fn core_err(e: &CoreError) -> ServiceError {
     ServiceError::Build(e.to_string())
-}
-
-/// Folds one clause's [`ebi_core::QueryStats`] into cost counters
-/// (mirrors the warehouse executor's accounting, so `vectors_accessed`
-/// stays the paper's number).
-fn add_stats(cost: &mut CostCounters, s: &ebi_core::QueryStats) {
-    cost.vectors_accessed += s.vectors_accessed as u64;
-    cost.literal_ops += s.literal_ops as u64;
-    cost.cube_evals += s.cube_evals as u64;
-    cost.words_scanned += s.words_scanned;
-    cost.bytes_touched += s.bytes_touched;
-    cost.compressed_chunks_skipped += s.compressed_chunks_skipped;
-    cost.segments_pruned += s.segments_pruned;
-    cost.segments_short_circuited += s.segments_short_circuited;
-}
-
-/// Adds one shard's counters into the query totals.
-pub(crate) fn merge_cost(total: &mut CostCounters, part: &CostCounters) {
-    total.vectors_accessed += part.vectors_accessed;
-    total.literal_ops += part.literal_ops;
-    total.cube_evals += part.cube_evals;
-    total.words_scanned += part.words_scanned;
-    total.bytes_touched += part.bytes_touched;
-    total.compressed_chunks_skipped += part.compressed_chunks_skipped;
-    total.segments_pruned += part.segments_pruned;
-    total.segments_short_circuited += part.segments_short_circuited;
 }

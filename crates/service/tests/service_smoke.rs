@@ -56,10 +56,22 @@ where
     std::thread::scope(|s| {
         let server = s.spawn(move || ebi_service::run(table, cfg, |h| tx.send(h).expect("send")));
         let handle = rx.recv().expect("service came up");
-        f(&handle);
-        handle.shutdown();
+        {
+            // Shut down even when `f` panics: the scope joins the server
+            // thread, so a failing assertion would otherwise hang.
+            let _stop = ShutdownOnDrop(&handle);
+            f(&handle);
+        }
         server.join().expect("service thread").expect("service ran")
     })
+}
+
+struct ShutdownOnDrop<'h>(&'h ServiceHandle);
+
+impl Drop for ShutdownOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
 }
 
 fn tcp_line(addr: SocketAddr, line: &str) -> String {
@@ -74,26 +86,54 @@ fn tcp_line(addr: SocketAddr, line: &str) -> String {
 }
 
 fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
+    let request = format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    http_pieces(addr, &[request.as_bytes()])
+}
+
+/// Longer than the server's idle poll (150 ms), so a request sent in
+/// pieces this far apart straddles at least one read timeout.
+const GAP: Duration = Duration::from_millis(400);
+
+/// Connects and sends `pieces` one by one, `GAP` apart. Write errors
+/// are ignored: a server that rejects an oversized request stops
+/// reading before the client stops writing. Reads give up after a few
+/// seconds, so a server that never answers fails the test instead of
+/// hanging it.
+fn send_pieces(addr: SocketAddr, pieces: &[&[u8]]) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
-    )
-    .expect("write");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .expect("read timeout");
+    for (i, piece) in pieces.iter().enumerate() {
+        if i > 0 {
+            std::thread::sleep(GAP);
+        }
+        let _ = stream.write_all(piece);
+    }
+    stream
+}
+
+/// The first line of the response to a request sent in `pieces`.
+fn first_line_of_pieces(addr: SocketAddr, pieces: &[&[u8]]) -> String {
+    let stream = send_pieces(addr, pieces);
+    let mut out = String::new();
+    let _ = BufReader::new(stream).read_line(&mut out);
+    out.trim_end().to_string()
+}
+
+/// Status (0 when there is none) and body of the response to one
+/// `Connection: close` HTTP request sent in `pieces`.
+fn http_pieces(addr: SocketAddr, pieces: &[&[u8]]) -> (u16, String) {
+    let stream = send_pieces(addr, pieces);
     let mut raw = String::new();
-    BufReader::new(stream)
-        .read_to_string(&mut raw)
-        .expect("read");
-    let status: u16 = raw
+    let _ = BufReader::new(stream).read_to_string(&mut raw);
+    let status = raw
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+        .unwrap_or(0);
+    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string());
+    (status, body.unwrap_or_default())
 }
 
 /// Pulls `"key":<number>` out of a flat JSON rendering.
@@ -319,4 +359,107 @@ fn graceful_shutdown_drains_requests_in_flight() {
         });
     });
     assert!(summary.served > 0, "summary: {summary:?}");
+}
+
+/// `COUNT a=1` as the unsplit request answers it.
+fn unsplit_matches(h: &ServiceHandle) -> u64 {
+    json_u64(&tcp_line(h.tcp_addr(), "COUNT a=1"), "matches").expect("unsplit answer")
+}
+
+// A request that arrives in two pieces, with a read timeout of the
+// server's poll loop in between, gets the answer of the unsplit request
+// (the parent's two read loops dropped or corrupted the first piece).
+
+#[test]
+fn tcp_line_split_across_a_read_timeout_is_answered_whole() {
+    let table = small_table(3);
+    with_service(&table, &test_config(), |h| {
+        let split = first_line_of_pieces(h.tcp_addr(), &[b"COUNT a", b"=1\n"]);
+        assert!(split.starts_with("OK {"), "answered {split:?}");
+        assert_eq!(json_u64(&split, "matches"), Some(unsplit_matches(h)));
+    });
+}
+
+#[test]
+fn http_head_split_across_a_read_timeout_is_answered_whole() {
+    let table = small_table(3);
+    with_service(&table, &test_config(), |h| {
+        let (status, body) = http_pieces(
+            h.http_addr(),
+            &[
+                b"GET /count?q=a%3D1 HTT",
+                b"P/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+            ],
+        );
+        assert_eq!(status, 200, "body: {body:?}");
+        assert_eq!(json_u64(&body, "matches"), Some(unsplit_matches(h)));
+    });
+}
+
+#[test]
+fn http_body_split_across_a_read_timeout_is_answered_whole() {
+    let table = small_table(3);
+    with_service(&table, &test_config(), |h| {
+        let (status, body) = http_pieces(
+            h.http_addr(),
+            &[
+                b"POST /count HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: 3\r\n\r\na",
+                b"=1",
+            ],
+        );
+        assert_eq!(status, 200, "body: {body:?}");
+        assert_eq!(json_u64(&body, "matches"), Some(unsplit_matches(h)));
+    });
+}
+
+// One client cannot make the server buffer without bound: past the head
+// cap it gets a typed refusal and the connection closes, and the
+// service keeps answering everyone else.
+
+#[test]
+fn oversized_tcp_line_is_refused_and_the_service_stays_up() {
+    let table = small_table(2);
+    with_service(&table, &test_config(), |h| {
+        let line = vec![b'x'; 1 << 20];
+        assert_eq!(
+            first_line_of_pieces(h.tcp_addr(), &[&line]),
+            "ERR request too large"
+        );
+        assert_eq!(tcp_line(h.tcp_addr(), "PING"), "PONG");
+    });
+}
+
+#[test]
+fn oversized_http_header_is_refused_and_the_service_stays_up() {
+    let table = small_table(2);
+    with_service(&table, &test_config(), |h| {
+        let mut request = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+        request.resize(1 << 20, b'x');
+        request.extend_from_slice(b"\r\n\r\n");
+        let status = first_line_of_pieces(h.http_addr(), &[&request]);
+        assert!(status.starts_with("HTTP/1.1 431 "), "got {status:?}");
+        assert_eq!(tcp_line(h.tcp_addr(), "PING"), "PONG");
+    });
+}
+
+/// A request still incomplete `timeout` after its first byte is given
+/// up with a typed reply, and the connection closes.
+#[test]
+fn incomplete_requests_are_given_up_at_the_deadline() {
+    let table = small_table(2);
+    let cfg = ServiceConfig {
+        timeout: Duration::from_millis(300),
+        ..test_config()
+    };
+    with_service(&table, &cfg, |h| {
+        let mut stream = send_pieces(h.tcp_addr(), &[b"COUNT a"]);
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("reply, then EOF");
+        assert_eq!(raw, "ERR request incomplete at the deadline\n");
+
+        let mut stream = send_pieces(h.http_addr(), &[b"GET /healthz HTT"]);
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("reply, then EOF");
+        assert!(raw.starts_with("HTTP/1.1 408 Request Timeout\r\n"), "{raw}");
+    });
 }

@@ -11,7 +11,6 @@ use crate::workload::{Predicate, Query};
 use ebi_baselines::SelectionIndex;
 use ebi_bitvec::BitVec;
 use ebi_core::index::QueryResult;
-use ebi_core::QueryStats;
 use ebi_obs::{CostCounters, IndexLayout, PhaseNode, QueryReport, StorageCounters};
 use ebi_storage::{BufferPool, BufferStats, IoStats, PageId, Pager};
 use std::collections::BTreeMap;
@@ -284,7 +283,7 @@ impl<'a> Executor<'a> {
             span.attr("vectors_accessed", r.stats.vectors_accessed as u64);
             span.attr("matches", r.bitmap.count_ones() as u64);
             drop(span);
-            add_stats(cost, &r.stats);
+            *cost += r.stats.cost();
             expressions.push(r.stats.expression);
             match &mut result {
                 None => result = Some(r.bitmap),
@@ -379,38 +378,21 @@ impl<'a> Executor<'a> {
             out.buffer_misses = now.misses.saturating_sub(before.misses);
             out.buffer_evictions = now.evictions.saturating_sub(before.evictions);
         }
-        // Physical-layout counters: aggregate run statistics over every
-        // registered index that tracks them, and the row order the
-        // indexes were built with. The table-wide fold says `"mixed"`
-        // when the indexes disagree; the per-index breakdown below
-        // keeps the honest answer for each one, so a partially
-        // reordered table is reported as exactly that.
-        let mut order: Option<&'static str> = None;
-        for (column, idx) in &self.indexes {
-            let mut layout = IndexLayout {
+        // The table-wide fold says `"mixed"` when the indexes disagree
+        // on row order; the per-index entries keep the honest answer
+        // for each one, so a partially reordered table is reported as
+        // exactly that.
+        out.fold_layouts(self.indexes.iter().map(|(column, idx)| {
+            let rs = idx.run_stats().unwrap_or_default();
+            IndexLayout {
                 index: column.clone(),
                 row_order: idx.row_order(),
-                ..IndexLayout::default()
-            };
-            if let Some(rs) = idx.run_stats() {
-                layout.slice_runs = rs.runs;
-                layout.slice_longest_run = rs.longest_run;
-                layout.slice_fill_words = rs.fill_words;
-                layout.slice_total_words = rs.total_words;
-                out.slice_runs += rs.runs;
-                out.slice_longest_run = out.slice_longest_run.max(rs.longest_run);
-                out.slice_fill_words += rs.fill_words;
-                out.slice_total_words += rs.total_words;
+                slice_runs: rs.runs,
+                slice_longest_run: rs.longest_run,
+                slice_fill_words: rs.fill_words,
+                slice_total_words: rs.total_words,
             }
-            let o = idx.row_order();
-            order = Some(match order {
-                None => o,
-                Some(prev) if prev == o => o,
-                Some(_) => "mixed",
-            });
-            out.index_layouts.push(layout);
-        }
-        out.row_order = order.unwrap_or("original");
+        }));
         out
     }
 
@@ -429,18 +411,6 @@ impl<'a> Executor<'a> {
             .filter_map(|row| measure.get(row).copied().flatten())
             .sum()
     }
-}
-
-/// Folds one clause's [`QueryStats`] into the report's cost counters.
-fn add_stats(cost: &mut CostCounters, s: &QueryStats) {
-    cost.vectors_accessed += s.vectors_accessed as u64;
-    cost.literal_ops += s.literal_ops as u64;
-    cost.cube_evals += s.cube_evals as u64;
-    cost.words_scanned += s.words_scanned;
-    cost.bytes_touched += s.bytes_touched;
-    cost.compressed_chunks_skipped += s.compressed_chunks_skipped;
-    cost.segments_pruned += s.segments_pruned;
-    cost.segments_short_circuited += s.segments_short_circuited;
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # ThreadSanitizer stress run over the concurrency-heavy service crate:
-# the worker-pool submit/claim/steal paths and the sharded query
-# service. Needs a nightly toolchain with the rust-src component
-# (-Zbuild-std rebuilds std with TSan instrumentation).
+# the worker pool's submit and claim over its one locked queue, and the
+# sharded query service. Needs a nightly toolchain with the rust-src
+# component (-Zbuild-std rebuilds std with TSan instrumentation).
 #
 # Usage: scripts/tsan_stress.sh [extra cargo test args]
 set -euo pipefail
