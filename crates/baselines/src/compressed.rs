@@ -5,32 +5,25 @@
 //! *uniform* data and barely compress — but under **skew** (the common
 //! warehouse case) the high-order slices are mostly zero and compress
 //! well. This variant stores every slice as a WAH container via the
-//! shared [`SliceStorage`] layer and evaluates retrieval expressions
-//! **compressed-domain**: the stored kernels materialise 64-word
-//! windows on demand and resolve uniform runs straight from fill words,
+//! shared [`ebi_bitvec::SliceStorage`] layer and evaluates retrieval
+//! expressions **compressed-domain**: the kernel materialises 64-word
+//! windows on demand and resolves uniform runs straight from fill words,
 //! so no slice is ever fully decompressed. Answers are identical to the
 //! uncompressed index.
 
 use crate::traits::SelectionIndex;
-use ebi_bitvec::wah::WahBitmap;
-use ebi_bitvec::{BitVec, SliceStorage, StoragePolicy};
-use ebi_boolean::{eval_expr_tracked, qm, AccessTracker};
-use ebi_core::index::{EncodedBitmapIndex, QueryResult};
-use ebi_core::{Mapping, QueryStats, RowPermutation};
+use ebi_bitvec::{BitVec, RunStats, StoragePolicy};
+use ebi_core::index::{EncodedBitmapIndex, QueryOptions, QueryResult};
 use ebi_storage::Cell;
 
-/// Encoded bitmap index with WAH-compressed slices.
+/// Encoded bitmap index with WAH-compressed slices: an
+/// [`EncodedBitmapIndex`] repacked under [`StoragePolicy::Wah`], so it
+/// answers through the one selection path — reduction, compressed-domain
+/// evaluation, `B_NULL` / `B_NotExist` masks, row-id translation — and
+/// differs from its source in the slice containers alone.
 #[derive(Debug, Clone)]
 pub struct CompressedEncodedIndex {
-    slices: Vec<SliceStorage>,
-    mapping: Mapping,
-    rows: usize,
-    dont_cares: Vec<u64>,
-    b_null: Option<WahBitmap>,
-    /// Row permutation of a reordered source index. The slices and
-    /// `b_null` are in its internal domain; answers are translated back
-    /// to original row ids.
-    permutation: Option<RowPermutation>,
+    inner: EncodedBitmapIndex,
 }
 
 impl CompressedEncodedIndex {
@@ -41,40 +34,29 @@ impl CompressedEncodedIndex {
     /// Panics only on mapping-width overflow.
     #[must_use]
     pub fn build<I: IntoIterator<Item = Cell>>(cells: I) -> Self {
-        let idx = EncodedBitmapIndex::build(cells).expect("serial build");
-        Self::from_uncompressed(&idx)
+        Self::pack(EncodedBitmapIndex::build(cells).expect("serial build"))
     }
 
     /// Compresses an existing index's vectors.
     #[must_use]
     pub fn from_uncompressed(idx: &EncodedBitmapIndex) -> Self {
-        // `is_null` answers in original row ids; the mask is applied
-        // beside the slices, in the internal domain.
-        let nulls = idx.is_null().bitmap;
-        let internal: Vec<usize> = nulls
-            .iter_ones()
-            .map(|row| idx.permutation().map_or(row, |p| p.to_internal(row)))
-            .collect();
-        Self {
-            slices: idx
-                .slices()
-                .iter()
-                .map(|s| s.repack(StoragePolicy::Wah))
-                .collect(),
-            mapping: idx.mapping().clone(),
-            rows: idx.rows(),
-            dont_cares: idx.dont_care_codes().to_vec(),
-            b_null: (!internal.is_empty())
-                .then(|| WahBitmap::compress(&BitVec::from_positions(nulls.len(), &internal))),
-            permutation: idx.permutation().cloned(),
-        }
+        Self::pack(idx.clone())
+    }
+
+    fn pack(mut inner: EncodedBitmapIndex) -> Self {
+        inner.set_query_options(QueryOptions {
+            storage_policy: StoragePolicy::Wah,
+            ..inner.query_options()
+        });
+        Self { inner }
     }
 
     /// Compression ratio of the whole slice family (`< 1` = smaller).
     #[must_use]
     pub fn compression_ratio(&self) -> f64 {
         let raw: usize = self
-            .slices
+            .inner
+            .slices()
             .iter()
             .map(|s| BitVec::zeros(s.len()).storage_bytes())
             .sum();
@@ -91,63 +73,35 @@ impl SelectionIndex for CompressedEncodedIndex {
     }
 
     fn rows(&self) -> usize {
-        self.rows
+        self.inner.rows()
     }
 
     fn eq(&self, value: u64) -> QueryResult {
-        self.in_list(&[value])
+        SelectionIndex::eq(&self.inner, value)
     }
 
     fn in_list(&self, values: &[u64]) -> QueryResult {
-        let codes: Vec<u64> = values
-            .iter()
-            .filter_map(|&v| self.mapping.code_of(v))
-            .collect();
-        let k = self.mapping.width();
-        let expr = qm::minimize(&codes, &self.dont_cares, k);
-        // Compressed-domain evaluation: the stored kernels walk only the
-        // supporting slices, window by window, without decompressing.
-        let mut tracker = AccessTracker::new();
-        let mut bitmap = eval_expr_tracked(&expr, &self.slices, None, self.rows, &mut tracker);
-        let mut rendered = expr.to_string();
-        if !expr.is_false() {
-            if let Some(bn) = &self.b_null {
-                tracker.touch(k);
-                tracker.literal_ops += 1;
-                bitmap.and_not_assign(&bn.decompress());
-                rendered.push_str(" · B_NULL'");
-            }
-        }
-        if let Some(p) = &self.permutation {
-            bitmap = p.bitmap_to_original(&bitmap);
-        }
-        QueryResult {
-            bitmap,
-            stats: QueryStats::from_tracker(&tracker, rendered),
-        }
+        SelectionIndex::in_list(&self.inner, values)
     }
 
     fn range(&self, lo: u64, hi: u64) -> QueryResult {
-        let values: Vec<u64> = self
-            .mapping
-            .iter()
-            .map(|(v, _)| v)
-            .filter(|&v| v >= lo && v <= hi)
-            .collect();
-        self.in_list(&values)
+        SelectionIndex::range(&self.inner, lo, hi)
     }
 
     fn bitmap_vector_count(&self) -> usize {
-        self.slices.len() + usize::from(self.b_null.is_some())
+        self.inner.bitmap_vector_count()
     }
 
     fn storage_bytes(&self) -> usize {
-        self.slices
-            .iter()
-            .map(SliceStorage::storage_bytes)
-            .sum::<usize>()
-            + self.b_null.as_ref().map_or(0, WahBitmap::storage_bytes)
-            + self.mapping.to_bytes().len()
+        self.inner.storage_bytes()
+    }
+
+    fn run_stats(&self) -> Option<RunStats> {
+        SelectionIndex::run_stats(&self.inner)
+    }
+
+    fn row_order(&self) -> &'static str {
+        SelectionIndex::row_order(&self.inner)
     }
 }
 
@@ -175,8 +129,9 @@ mod tests {
         let cells = skewed_cells(8_000, 512);
         let plain = EncodedBitmapIndex::build(cells.iter().copied()).unwrap();
         let packed = CompressedEncodedIndex::from_uncompressed(&plain);
+        let mut kinds = packed.inner.slices().iter().map(|s| s.kind());
         assert!(
-            packed.slices.iter().all(|s| s.kind() == StorageKind::Wah),
+            kinds.all(|k| k == StorageKind::Wah),
             "every slice stored as WAH"
         );
         for sel in [vec![0u64], vec![1, 2, 3], (0..64).collect::<Vec<_>>()] {
@@ -193,9 +148,17 @@ mod tests {
     #[test]
     fn compressed_domain_evaluation_reports_skipped_windows() {
         // Skewed data: the high-order slices are long zero fills, so
-        // many evaluation windows resolve without decompression.
-        let packed = CompressedEncodedIndex::build(skewed_cells(50_000, 512));
-        let r = packed.in_list(&[300]);
+        // many evaluation windows resolve without decompression. While
+        // the source's segment summaries are valid they prove those
+        // windows uniform before a container is looked at.
+        let mut plain = EncodedBitmapIndex::build(skewed_cells(50_000, 512)).unwrap();
+        let r = CompressedEncodedIndex::from_uncompressed(&plain).in_list(&[300]);
+        assert!(r.stats.segments_pruned > 0, "{:?}", r.stats);
+        assert_eq!(r.stats.words_scanned, 0, "no dense slices were read");
+        // Maintenance drops the summaries; the WAH fill words then
+        // classify the same windows themselves.
+        plain.append(Cell::Value(0)).unwrap();
+        let r = CompressedEncodedIndex::from_uncompressed(&plain).in_list(&[300]);
         assert!(
             r.stats.compressed_chunks_skipped > 0,
             "uniform WAH windows should skip: {:?}",
@@ -262,12 +225,25 @@ mod tests {
         assert!(plain.permutation().is_some_and(|p| !p.is_identity()));
         let packed = CompressedEncodedIndex::from_uncompressed(&plain);
         for sel in [vec![0u64], vec![1, 2, 3], (0..13).collect::<Vec<_>>()] {
-            assert_eq!(
-                packed.in_list(&sel).bitmap,
-                plain.in_list(&sel).unwrap().bitmap,
-                "{sel:?}"
-            );
+            let r = packed.in_list(&sel);
+            assert_eq!(r.bitmap, plain.in_list(&sel).unwrap().bitmap, "{sel:?}");
+            assert_eq!(r.stats.row_order, "lexicographic");
         }
+        // The layout the executor reports is the source's, not a default.
+        assert_eq!(packed.row_order(), "lexicographic");
+        assert!(packed.run_stats().is_some_and(|rs| rs.total_words > 0));
+    }
+
+    #[test]
+    fn deleted_rows_stay_deleted_after_compression() {
+        let mut plain = EncodedBitmapIndex::build((0..100u64).map(|i| Cell::Value(i % 4))).unwrap();
+        plain.delete(4).unwrap();
+        let packed = CompressedEncodedIndex::from_uncompressed(&plain);
+        let r = SelectionIndex::eq(&packed, 0);
+        assert!(!r.bitmap.bit(4), "B_NotExist must survive compression");
+        assert_eq!(r.bitmap, plain.eq(0).unwrap().bitmap);
+        assert_eq!(r.stats.vectors_accessed, 3, "two slices and the mask");
+        assert_eq!(packed.bitmap_vector_count(), plain.bitmap_vector_count());
     }
 
     #[test]

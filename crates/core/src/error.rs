@@ -1,5 +1,6 @@
 //! Error type for encoded-bitmap-index operations.
 
+use ebi_storage::StorageError;
 use std::fmt;
 
 /// Errors raised by the encoded bitmap index and its encodings.
@@ -37,6 +38,16 @@ pub enum CoreError {
         /// Description of the problem.
         detail: String,
     },
+    /// The page store failed underneath a persisted or paged index; a
+    /// payload that was read but does not decode is
+    /// [`CoreError::InvalidCode`] instead.
+    Storage(StorageError),
+}
+
+impl From<StorageError> for CoreError {
+    fn from(e: StorageError) -> Self {
+        Self::Storage(e)
+    }
 }
 
 impl fmt::Display for CoreError {
@@ -52,6 +63,7 @@ impl fmt::Display for CoreError {
             }
             Self::Encoding { detail } => write!(f, "encoding error: {detail}"),
             Self::BadInterval { detail } => write!(f, "bad interval: {detail}"),
+            Self::Storage(e) => write!(f, "storage error: {e}"),
         }
     }
 }

@@ -8,7 +8,7 @@ use crate::stats::QueryStats;
 use ebi_bitvec::builder::SliceFamilyBuilder;
 use ebi_bitvec::summary::{summarize_slices, summarize_storage};
 use ebi_bitvec::{
-    BitVec, BoundPlan, DnfPlan, KernelStats, RunStats, SegmentSummary, SliceStorage, StoragePolicy,
+    BitVec, DnfPlan, KernelStats, RunStats, SegmentSummary, SliceStorage, StoragePolicy,
 };
 use ebi_boolean::{qm, AccessTracker, DnfExpr};
 use ebi_storage::Cell;
@@ -22,6 +22,16 @@ pub struct QueryResult {
     pub bitmap: BitVec,
     /// Cost of producing it.
     pub stats: QueryStats,
+}
+
+/// The bitmap vectors one selection evaluates over and masks with: an
+/// index's own, or the ones a [`crate::paged::PagedIndex`] fetched for
+/// the query. Slices outside the expression's support are never read.
+pub(crate) struct Vectors<'a> {
+    pub(crate) slices: &'a [SliceStorage],
+    pub(crate) summaries: Option<&'a [SegmentSummary]>,
+    pub(crate) b_null: Option<&'a BitVec>,
+    pub(crate) b_not_exist: Option<&'a BitVec>,
 }
 
 /// Options for [`EncodedBitmapIndex::build_with`].
@@ -148,27 +158,14 @@ impl EncodedBitmapIndex {
         options: BuildOptions,
     ) -> Result<Self, CoreError> {
         let cells: Vec<Cell> = cells.into_iter().collect();
-        let mut distinct: Vec<u64> = cells.iter().filter_map(Cell::value).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
         let has_nulls = cells.iter().any(Cell::is_null);
-
-        // First-seen order for default code assignment keeps build
-        // deterministic without requiring pre-sorted data.
-        let first_seen: Vec<u64> = {
-            let mut seen = std::collections::HashSet::new();
-            cells
-                .iter()
-                .filter_map(Cell::value)
-                .filter(|v| seen.insert(*v))
-                .collect()
-        };
+        let first_seen = Mapping::first_seen_values(&cells);
 
         let (mapping, reserved, null_code) = match options.policy {
             NullPolicy::SeparateVectors => {
                 let mapping = match options.mapping {
                     Some(m) => {
-                        ensure_covers(&m, &distinct)?;
+                        ensure_covers(&m, &first_seen)?;
                         m
                     }
                     None => Mapping::from_values(&first_seen)?,
@@ -179,7 +176,7 @@ impl EncodedBitmapIndex {
                 let special = 1 + usize::from(has_nulls);
                 let mapping = match options.mapping {
                     Some(m) => {
-                        ensure_covers(&m, &distinct)?;
+                        ensure_covers(&m, &first_seen)?;
                         if m.value_of(VOID_CODE).is_some() {
                             return Err(CoreError::Encoding {
                                 detail:
@@ -484,11 +481,7 @@ impl EncodedBitmapIndex {
     /// [`EncodedBitmapIndex::precompute_predicates`].
     #[must_use]
     pub fn explain_in_list(&self, values: &[u64]) -> DnfExpr {
-        let mut span = if self.query_options.profile {
-            ebi_obs::active_child("reduce")
-        } else {
-            ebi_obs::Span::none()
-        };
+        let mut span = self.phase("reduce");
         if !self.expr_cache.is_empty() {
             if let Some(cached) = self.expr_cache.get(&normalise_values(values)) {
                 span.attr("cached", 1);
@@ -526,11 +519,7 @@ impl EncodedBitmapIndex {
     pub fn precompute_predicates(&mut self, predicates: &[Vec<u64>]) {
         for pred in predicates {
             let key = normalise_values(pred);
-            let codes: Vec<u64> = key
-                .iter()
-                .filter_map(|&v| self.mapping.code_of(v))
-                .collect();
-            let expr = qm::minimize(&codes, self.dont_care_codes(), self.width());
+            let expr = self.explain_in_list(&key);
             self.expr_cache.insert(key, expr);
         }
     }
@@ -563,19 +552,14 @@ impl EncodedBitmapIndex {
 
     /// Range selection over value ids: `lo <= A <= hi`. For discrete
     /// domains this is the IN-list over the mapped values in the
-    /// interval, exactly as §2.2 rewrites `j < A < i`.
+    /// interval ([`Mapping::values_between`]), exactly as §2.2 rewrites
+    /// `j < A < i`.
     ///
     /// # Errors
     ///
     /// See [`EncodedBitmapIndex::eq`].
     pub fn range(&self, lo: u64, hi: u64) -> Result<QueryResult, CoreError> {
-        let values: Vec<u64> = self
-            .mapping
-            .iter()
-            .map(|(v, _)| v)
-            .filter(|&v| v >= lo && v <= hi)
-            .collect();
-        self.in_list(&values)
+        self.in_list(&self.mapping.values_between(lo, hi))
     }
 
     /// Negated selection `A NOT IN values` over live, non-NULL rows.
@@ -626,12 +610,7 @@ impl EncodedBitmapIndex {
                     tracker.literal_ops += 1;
                     bitmap.and_not_assign(ne);
                 }
-                if let Some(p) = &self.permutation {
-                    bitmap = p.bitmap_to_original(&bitmap);
-                }
-                let mut stats = QueryStats::from_tracker(&tracker, "B_NULL".into());
-                stats.row_order = self.row_order.as_str();
-                QueryResult { bitmap, stats }
+                self.finish(bitmap, &tracker, "B_NULL".into())
             }
             NullPolicy::EncodedReserved => {
                 let expr = match self.null_code {
@@ -643,68 +622,24 @@ impl EncodedBitmapIndex {
         }
     }
 
-    /// Binds a lowered plan to this index's slices, with the segment
-    /// summaries when they are valid.
-    fn bind<'a>(&'a self, plan: &'a DnfPlan) -> BoundPlan<'a> {
-        plan.bind(&self.slices, self.summaries.as_deref(), self.rows)
+    /// A query-lifecycle span when this index profiles, else a dead
+    /// guard: an unprofiled query makes no observability call at all.
+    fn phase(&self, name: &str) -> ebi_obs::Span {
+        if self.query_options.profile {
+            ebi_obs::active_child(name)
+        } else {
+            ebi_obs::Span::none()
+        }
     }
 
-    /// Evaluates the selection bitmap for `expr` (lowered as `plan`) with
-    /// the evaluation kernel over whichever containers hold the slices.
-    /// Bit-identical to naive whole-vector evaluation over dense slices.
-    fn eval_selection(
-        &self,
-        expr: &DnfExpr,
-        plan: &DnfPlan,
-        tracker: &mut AccessTracker,
-    ) -> BitVec {
-        let profile = self.query_options.profile;
-        let mut plan_span = if profile {
-            ebi_obs::active_child("plan")
-        } else {
-            ebi_obs::Span::none()
-        };
-        let bound = self.bind(plan);
-        if plan_span.is_live() {
-            plan_span.attr("terms", expr.cubes().len() as u64);
-            plan_span.attr("literals", expr.literal_count() as u64);
-            plan_span.attr("unshared_literals", plan.unshared_literals());
-            plan_span.attr("summaries", u64::from(self.summaries.is_some()));
+    /// This index's own vectors, summaries included while they are valid.
+    fn vectors(&self) -> Vectors<'_> {
+        Vectors {
+            slices: &self.slices,
+            summaries: self.summaries.as_deref(),
+            b_null: self.b_null.as_ref(),
+            b_not_exist: self.b_not_exist.as_ref(),
         }
-        drop(plan_span);
-
-        ebi_boolean::record_access(expr, tracker);
-        let mut stats = KernelStats::new();
-        let mut eval_span = if profile {
-            ebi_obs::active_child("eval")
-        } else {
-            ebi_obs::Span::none()
-        };
-        let bitmap = bound.eval(&mut stats);
-        if eval_span.is_live() {
-            eval_span.attr("words_scanned", stats.words_scanned);
-            eval_span.attr("bytes_touched", stats.bytes_touched);
-            eval_span.attr("segments_pruned", stats.segments_pruned);
-            eval_span.attr("segments_short_circuited", stats.segments_short_circuited);
-            eval_span.attr("compressed_chunks_skipped", stats.compressed_chunks_skipped);
-            // Span attributes are u64-only: encode the selected kernel
-            // tier as per-tier entry counts, so EXPLAIN ANALYZE renders
-            // e.g. `kernel_avx2=1` for the path that ran.
-            for (name, count) in [
-                ("kernel_scalar", stats.dispatch_scalar),
-                ("kernel_avx2", stats.dispatch_avx2),
-            ] {
-                if count != 0 {
-                    eval_span.attr(name, count);
-                }
-            }
-        }
-        drop(eval_span);
-        if profile && ebi_obs::enabled() {
-            stats.publish_to(ebi_obs::metrics::global());
-        }
-        tracker.absorb_kernel_stats(&stats);
-        bitmap
     }
 
     /// Evaluates a precompiled, reduced DNF expression against this
@@ -733,7 +668,8 @@ impl EncodedBitmapIndex {
     /// a slice of work is worth handing to another thread at all.
     #[must_use]
     pub fn estimated_work_words(&self, plan: &DnfPlan) -> u64 {
-        self.bind(plan).estimated_work_words()
+        plan.bind(&self.slices, self.summaries.as_deref(), self.rows)
+            .estimated_work_words()
     }
 
     /// [`EncodedBitmapIndex::run_dnf`] with the expression already
@@ -741,19 +677,72 @@ impl EncodedBitmapIndex {
     /// expression on many indexes (the sharded service) lowers it once.
     #[must_use]
     pub fn run_plan(&self, expr: &DnfExpr, plan: &DnfPlan) -> QueryResult {
+        self.select(expr, plan, &self.vectors())
+    }
+
+    /// The selection path below reduction, written once for every form
+    /// of the index: evaluate `expr` (lowered as `plan`) with the kernel
+    /// over whichever containers hold the slices — bit-identical to naive
+    /// whole-vector evaluation over dense ones — mask the companions,
+    /// translate to original row ids, account. The in-memory index passes
+    /// its own vectors; [`crate::paged::PagedIndex`] passes the ones it
+    /// fetched through its pool.
+    pub(crate) fn select(
+        &self,
+        expr: &DnfExpr,
+        plan: &DnfPlan,
+        vectors: &Vectors<'_>,
+    ) -> QueryResult {
+        let mut plan_span = self.phase("plan");
+        let bound = plan.bind(vectors.slices, vectors.summaries, self.rows);
+        if plan_span.is_live() {
+            plan_span.attr("terms", expr.cubes().len() as u64);
+            plan_span.attr("literals", expr.literal_count() as u64);
+            plan_span.attr("unshared_literals", plan.unshared_literals());
+            plan_span.attr("summaries", u64::from(vectors.summaries.is_some()));
+        }
+        drop(plan_span);
+
         let mut tracker = AccessTracker::new();
-        let mut bitmap = self.eval_selection(expr, plan, &mut tracker);
+        ebi_boolean::record_access(expr, &mut tracker);
+        let mut stats = KernelStats::new();
+        let mut eval_span = self.phase("eval");
+        let mut bitmap = bound.eval(&mut stats);
+        if eval_span.is_live() {
+            eval_span.attr("words_scanned", stats.words_scanned);
+            eval_span.attr("bytes_touched", stats.bytes_touched);
+            eval_span.attr("segments_pruned", stats.segments_pruned);
+            eval_span.attr("segments_short_circuited", stats.segments_short_circuited);
+            eval_span.attr("compressed_chunks_skipped", stats.compressed_chunks_skipped);
+            // Span attributes are u64-only: encode the selected kernel
+            // tier as per-tier entry counts, so EXPLAIN ANALYZE renders
+            // e.g. `kernel_avx2=1` for the path that ran.
+            for (name, count) in [
+                ("kernel_scalar", stats.dispatch_scalar),
+                ("kernel_avx2", stats.dispatch_avx2),
+            ] {
+                if count != 0 {
+                    eval_span.attr(name, count);
+                }
+            }
+        }
+        drop(eval_span);
+        if self.query_options.profile && ebi_obs::enabled() {
+            stats.publish_to(ebi_obs::metrics::global());
+        }
+        tracker.absorb_kernel_stats(&stats);
+
         let mut rendered = expr.to_string();
         if self.policy == NullPolicy::SeparateVectors && !expr.is_false() {
             // Method 1 of §2.2: value selections must mask NULL rows
             // (their slice bits are placeholders) and deleted rows.
-            if let Some(bn) = &self.b_null {
+            if let Some(bn) = vectors.b_null {
                 tracker.touch(self.width());
                 tracker.literal_ops += 1;
                 bitmap.and_not_assign(bn);
                 rendered.push_str(" · B_NULL'");
             }
-            if let Some(ne) = &self.b_not_exist {
+            if let Some(ne) = vectors.b_not_exist {
                 tracker.touch(self.width() + 1);
                 tracker.literal_ops += 1;
                 bitmap.and_not_assign(ne);
@@ -763,14 +752,18 @@ impl EncodedBitmapIndex {
         // Under EncodedReserved nothing is masked: Theorem 2.1 (void = 0
         // sits in the off-set of every value selection, and the NULL code
         // likewise).
-        //
-        // Evaluation ran entirely in the internal (permuted) domain; a
-        // reordered build translates the final bitmap back so callers
-        // only ever see original row ids — O(matches), after all masks.
+        self.finish(bitmap, &tracker, rendered)
+    }
+
+    /// Hands a selection back in original row ids with its cost.
+    /// Evaluation ran entirely in the internal (permuted) domain; a
+    /// reordered build translates the final bitmap here, after all
+    /// masks — O(matches) — so callers only ever see original row ids.
+    fn finish(&self, mut bitmap: BitVec, tracker: &AccessTracker, rendered: String) -> QueryResult {
         if let Some(p) = &self.permutation {
             bitmap = p.bitmap_to_original(&bitmap);
         }
-        let mut stats = QueryStats::from_tracker(&tracker, rendered);
+        let mut stats = QueryStats::from_tracker(tracker, rendered);
         stats.row_order = self.row_order.as_str();
         QueryResult { bitmap, stats }
     }
@@ -834,8 +827,8 @@ fn normalise_values(values: &[u64]) -> Vec<u64> {
     v
 }
 
-fn ensure_covers(mapping: &Mapping, distinct: &[u64]) -> Result<(), CoreError> {
-    for &v in distinct {
+fn ensure_covers(mapping: &Mapping, values: &[u64]) -> Result<(), CoreError> {
+    for &v in values {
         if mapping.code_of(v).is_none() {
             return Err(CoreError::Encoding {
                 detail: format!("provided mapping misses value {v}"),

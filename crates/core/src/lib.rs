@@ -18,6 +18,7 @@
 //!   optimality checks of Theorems 2.2/2.3;
 //! * [`index`] — [`EncodedBitmapIndex`]: build, point/IN/range queries
 //!   with per-query [`stats::QueryStats`];
+//! * [`fold`] — the AND / OR joins that combine clause selections;
 //! * [`nulls`] — the two NULL/NotExist policies of §2.2 (separate
 //!   vectors vs reserved codes) and Theorem 2.1;
 //! * [`maintenance`] — appends without/with domain expansion
@@ -60,6 +61,7 @@ pub mod aggregates;
 pub mod distance;
 pub mod encoding;
 pub mod error;
+pub mod fold;
 pub mod hierarchy;
 pub mod index;
 pub mod maintenance;
@@ -76,6 +78,7 @@ pub mod total_order;
 pub mod well_defined;
 
 pub use error::CoreError;
+pub use fold::{and_fold, or_fold, Selected};
 pub use index::{EncodedBitmapIndex, QueryResult};
 pub use mapping::{Mapping, RowPermutation};
 pub use reorder::RowOrder;

@@ -3,7 +3,8 @@
 
 use crate::error::CoreError;
 use ebi_bitvec::BitVec;
-use std::collections::BTreeMap;
+use ebi_storage::Cell;
+use std::collections::{BTreeMap, HashSet};
 
 /// A one-to-one mapping from value ids to `k`-bit codes.
 ///
@@ -172,6 +173,28 @@ impl Mapping {
     /// `(value, code)` pairs in value order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.code_of.iter().map(|(&v, &c)| (v, c))
+    }
+
+    /// The mapped values in `lo..=hi`, ascending: §2.2 rewrites a range
+    /// selection over a discrete domain as the IN-list of the values it
+    /// covers. Every form of the index rewrites a range through this.
+    #[must_use]
+    pub fn values_between(&self, lo: u64, hi: u64) -> Vec<u64> {
+        let from_lo = self.code_of.range(lo..).map(|(&v, _)| v);
+        from_lo.take_while(|&v| v <= hi).collect()
+    }
+
+    /// A column's distinct values in first-seen order, the order default
+    /// code assignment follows: deterministic without pre-sorted data, and
+    /// the same codes from every build (serial, parallel, sharded).
+    #[must_use]
+    pub fn first_seen_values(cells: &[Cell]) -> Vec<u64> {
+        let mut seen = HashSet::new();
+        cells
+            .iter()
+            .filter_map(Cell::value)
+            .filter(|v| seen.insert(*v))
+            .collect()
     }
 
     /// Codes in `0..2^width` not assigned to any value — the don't-care
@@ -563,6 +586,24 @@ mod tests {
         assert_eq!(m.width(), 4);
         let tiny = Mapping::from_pairs(&[(1, 0)]).unwrap();
         assert_eq!(tiny.width(), 1);
+    }
+
+    #[test]
+    fn values_between_is_the_inclusive_range_rewrite() {
+        let m = Mapping::from_pairs(&[(30, 0), (10, 1), (20, 2), (u64::MAX, 3)]).unwrap();
+        assert_eq!(m.values_between(10, 20), vec![10, 20]);
+        assert_eq!(m.values_between(11, 29), vec![20]);
+        assert_eq!(m.values_between(0, u64::MAX), vec![10, 20, 30, u64::MAX]);
+        assert!(m.values_between(31, 40).is_empty());
+        assert!(m.values_between(20, 10).is_empty(), "an empty interval");
+    }
+
+    #[test]
+    fn first_seen_values_keep_column_order() {
+        let cells = [5u64, 2, 5, 9, 2].map(Cell::Value);
+        let column = [&cells[..2], &[Cell::Null], &cells[2..]].concat();
+        assert_eq!(Mapping::first_seen_values(&column), vec![5, 2, 9]);
+        assert!(Mapping::first_seen_values(&[Cell::Null]).is_empty());
     }
 
     #[test]

@@ -11,14 +11,9 @@
 //! pool. The `buffer_sweep` bench bin quantifies exactly that.
 
 use crate::error::CoreError;
-use crate::index::QueryResult;
-use crate::mapping::{Mapping, RowPermutation};
-use crate::nulls::NullPolicy;
-use crate::persist::IndexHandle;
-use crate::reorder::RowOrder;
-use crate::stats::QueryStats;
+use crate::index::{EncodedBitmapIndex, QueryResult, Vectors};
+use crate::persist::{decode_companion, decode_slice, load_index, IndexHandle};
 use ebi_bitvec::{BitVec, SliceStorage};
-use ebi_boolean::{eval_expr_tracked, qm, AccessTracker};
 use ebi_storage::buffer::{BufferPool, BufferStats};
 use ebi_storage::pager::Pager;
 use ebi_storage::segment::{read_segment_buffered, SegmentHandle};
@@ -27,13 +22,10 @@ use ebi_storage::segment::{read_segment_buffered, SegmentHandle};
 /// an LRU buffer pool.
 pub struct PagedIndex<'a> {
     handle: IndexHandle,
-    mapping: Mapping,
-    rows: usize,
-    policy: NullPolicy,
-    null_code: Option<u64>,
-    reserved: Vec<u64>,
-    permutation: Option<RowPermutation>,
-    row_order: RowOrder,
+    /// The loaded index minus its bitmap vectors: the mapping, policy,
+    /// reserved codes and row permutation that reduce a selection and
+    /// finish it exactly as the in-memory index does.
+    index: EncodedBitmapIndex,
     pool: BufferPool<'a>,
     page_size: usize,
 }
@@ -45,7 +37,8 @@ impl<'a> PagedIndex<'a> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidCode`] for corrupt segments.
+    /// [`CoreError::InvalidCode`] for corrupt segments,
+    /// [`CoreError::Storage`] when the pager cannot read them.
     pub fn open(
         pager: &'a Pager,
         handle: IndexHandle,
@@ -53,16 +46,14 @@ impl<'a> PagedIndex<'a> {
     ) -> Result<Self, CoreError> {
         // Reuse persist's full loader for validation, then drop the
         // in-memory vectors — we only keep the small parts.
-        let loaded = crate::persist::load_index(pager, &handle)?;
+        let mut index = load_index(pager, &handle)?;
+        index.slices = Vec::new();
+        index.summaries = None;
+        index.b_null = None;
+        index.b_not_exist = None;
         Ok(Self {
-            mapping: loaded.mapping().clone(),
-            rows: loaded.rows(),
-            policy: loaded.policy(),
-            null_code: loaded.null_code,
-            reserved: loaded.reserved.clone(),
-            permutation: loaded.permutation().cloned(),
-            row_order: loaded.row_order(),
             handle,
+            index,
             pool: BufferPool::new(pager, pool_capacity),
             page_size: pager.page_size(),
         })
@@ -71,13 +62,13 @@ impl<'a> PagedIndex<'a> {
     /// Rows covered.
     #[must_use]
     pub fn rows(&self) -> usize {
-        self.rows
+        self.index.rows()
     }
 
     /// Code width `k`.
     #[must_use]
     pub fn width(&self) -> u32 {
-        self.mapping.width()
+        self.index.width()
     }
 
     /// Buffer-pool counters (hits/misses/evictions).
@@ -91,92 +82,51 @@ impl<'a> PagedIndex<'a> {
         self.pool.reset_stats();
     }
 
-    /// Fetches one slice in its stored container; evaluation consumes
-    /// compressed containers directly, so no decompression happens here.
-    fn fetch_vector(&self, h: &SegmentHandle) -> Result<SliceStorage, CoreError> {
-        let raw = read_segment_buffered(&self.pool, self.page_size, h).map_err(|e| {
-            CoreError::InvalidCode {
-                detail: format!("storage error while reading vector: {e}"),
-            }
-        })?;
-        SliceStorage::from_bytes(&raw).map_err(|e| CoreError::InvalidCode {
-            detail: format!("corrupt bitmap vector: {e}"),
-        })
-    }
-
-    /// Fetches a companion vector (`B_NULL` / `B_NotExist`); companions
-    /// are persisted as plain dense bitmaps, without a storage tag.
-    fn fetch_companion(&self, h: &SegmentHandle) -> Result<BitVec, CoreError> {
-        let raw = read_segment_buffered(&self.pool, self.page_size, h).map_err(|e| {
-            CoreError::InvalidCode {
-                detail: format!("storage error while reading vector: {e}"),
-            }
-        })?;
-        BitVec::from_bytes(raw.into()).map_err(|e| CoreError::InvalidCode {
-            detail: format!("corrupt bitmap vector: {e}"),
-        })
-    }
-
-    fn dont_care_codes(&self) -> Vec<u64> {
-        let null = self.null_code;
-        self.mapping
-            .unassigned_codes()
-            .into_iter()
-            .filter(|c| !self.reserved.contains(c) && Some(*c) != null)
-            .collect()
+    /// Reads one persisted vector's bytes through the pool.
+    fn fetch(&self, h: &SegmentHandle) -> Result<Vec<u8>, CoreError> {
+        Ok(read_segment_buffered(&self.pool, self.page_size, h)?)
     }
 
     /// `A IN values`, fetching only the bitmap vectors the reduced
-    /// expression references.
+    /// expression references. Reduction and everything after the fetch
+    /// are the in-memory index's own ([`EncodedBitmapIndex::explain_in_list`]
+    /// and the shared selection tail).
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidCode`] on storage corruption.
+    /// [`CoreError::InvalidCode`] on a corrupt vector,
+    /// [`CoreError::Storage`] when its pages cannot be read.
     pub fn in_list(&self, values: &[u64]) -> Result<QueryResult, CoreError> {
-        let codes: Vec<u64> = values
-            .iter()
-            .filter_map(|&v| self.mapping.code_of(v))
-            .collect();
-        let expr = qm::minimize(&codes, &self.dont_care_codes(), self.width());
+        let expr = self.index.explain_in_list(values);
         // Materialise exactly the slices in the expression's support, in
         // their stored container — compressed slices are evaluated
         // compressed-domain; placeholders elsewhere (never touched by
         // evaluation).
-        let mut slices: Vec<SliceStorage> = Vec::with_capacity(self.handle.slices.len());
-        for (i, h) in self.handle.slices.iter().enumerate() {
-            if expr.support() >> i & 1 == 1 {
-                slices.push(self.fetch_vector(h)?);
-            } else {
-                slices.push(BitVec::zeros(self.rows).into());
-            }
-        }
-        let mut tracker = AccessTracker::new();
-        let mut bitmap = eval_expr_tracked(&expr, &slices, None, self.rows, &mut tracker);
-        let mut rendered = expr.to_string();
-        if self.policy == NullPolicy::SeparateVectors && !expr.is_false() {
-            if let Some(h) = &self.handle.b_null {
-                let bn = self.fetch_companion(h)?;
-                tracker.touch(self.width());
-                tracker.literal_ops += 1;
-                bitmap.and_not_assign(&bn);
-                rendered.push_str(" · B_NULL'");
-            }
-            if let Some(h) = &self.handle.b_not_exist {
-                let ne = self.fetch_companion(h)?;
-                tracker.touch(self.width() + 1);
-                tracker.literal_ops += 1;
-                bitmap.and_not_assign(&ne);
-                rendered.push_str(" · B_NotExist'");
-            }
-        }
-        // Evaluation ran in the internal (possibly reordered) row
-        // domain; hand results back in original row ids.
-        if let Some(p) = &self.permutation {
-            bitmap = p.bitmap_to_original(&bitmap);
-        }
-        let mut stats = QueryStats::from_tracker(&tracker, rendered);
-        stats.row_order = self.row_order.as_str();
-        Ok(QueryResult { bitmap, stats })
+        let handles = self.handle.slices.iter().enumerate();
+        let slices = handles
+            .map(|(i, h)| {
+                if expr.support() >> i & 1 == 1 {
+                    decode_slice(&self.fetch(h)?)
+                } else {
+                    Ok(BitVec::zeros(self.rows()).into())
+                }
+            })
+            .collect::<Result<Vec<SliceStorage>, CoreError>>()?;
+        // A selection that is constant false masks nothing, so it reads
+        // no companion either.
+        let companion = |h: &Option<SegmentHandle>| match h {
+            Some(h) if !expr.is_false() => decode_companion(self.fetch(h)?).map(Some),
+            _ => Ok(None),
+        };
+        let b_null = companion(&self.handle.b_null)?;
+        let b_not_exist = companion(&self.handle.b_not_exist)?;
+        let vectors = Vectors {
+            slices: &slices,
+            summaries: None,
+            b_null: b_null.as_ref(),
+            b_not_exist: b_not_exist.as_ref(),
+        };
+        Ok(self.index.select(&expr, &expr.lower(), &vectors))
     }
 
     /// Point selection `A = value`.
@@ -194,20 +144,14 @@ impl<'a> PagedIndex<'a> {
     ///
     /// See [`PagedIndex::in_list`].
     pub fn range(&self, lo: u64, hi: u64) -> Result<QueryResult, CoreError> {
-        let values: Vec<u64> = self
-            .mapping
-            .iter()
-            .map(|(v, _)| v)
-            .filter(|&v| v >= lo && v <= hi)
-            .collect();
-        self.in_list(&values)
+        self.in_list(&self.index.mapping().values_between(lo, hi))
     }
 }
 
 impl std::fmt::Debug for PagedIndex<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PagedIndex")
-            .field("rows", &self.rows)
+            .field("rows", &self.rows())
             .field("width", &self.width())
             .field("pool", &self.pool)
             .finish()
@@ -220,13 +164,11 @@ impl std::fmt::Debug for PagedIndex<'_> {
 ///
 /// Propagates persistence and open errors.
 pub fn persist_and_open<'a>(
-    index: &crate::index::EncodedBitmapIndex,
+    index: &EncodedBitmapIndex,
     pager: &'a Pager,
     pool_capacity: usize,
 ) -> Result<PagedIndex<'a>, CoreError> {
-    let handle = crate::persist::save_index(index, pager).map_err(|e| CoreError::InvalidCode {
-        detail: format!("storage error while persisting: {e}"),
-    })?;
+    let handle = save_index(index, pager)?;
     PagedIndex::open(pager, handle, pool_capacity)
 }
 
@@ -236,7 +178,6 @@ pub use crate::persist::save_index;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::EncodedBitmapIndex;
     use ebi_storage::Cell;
 
     fn sample_cells(rows: usize, m: u64) -> Vec<Cell> {
@@ -328,6 +269,34 @@ mod tests {
             assert_eq!(a.bitmap, b.bitmap, "{sel:?}");
             assert_eq!(b.stats.row_order, "lexicographic");
         }
+    }
+
+    #[test]
+    fn unreadable_pages_are_typed_storage_errors() {
+        use ebi_storage::{PageId, StorageError};
+        let idx = EncodedBitmapIndex::build(sample_cells(1_000, 8)).unwrap();
+        let pager = Pager::with_page_size(64);
+        let handle = crate::persist::save_index(&idx, &pager).unwrap();
+        // A handle whose vectors lie past the pager: the failure is the
+        // page store's, not a corrupt payload.
+        let mut lost = handle.clone();
+        for h in &mut lost.slices {
+            h.first = PageId(h.first.0 + 1_000_000);
+        }
+        let out_of_range = |e: CoreError| {
+            matches!(
+                e,
+                CoreError::Storage(StorageError::PageOutOfRange { page, .. }) if page >= 1_000_000
+            )
+        };
+        assert!(out_of_range(
+            PagedIndex::open(&pager, lost.clone(), 8).unwrap_err()
+        ));
+        // Opened while the pages were there, queried after they went.
+        let mut paged = PagedIndex::open(&pager, handle, 8).unwrap();
+        paged.handle = lost;
+        assert!(out_of_range(paged.in_list(&[3]).unwrap_err()));
+        assert!(out_of_range(paged.range(2, 5).unwrap_err()));
     }
 
     #[test]

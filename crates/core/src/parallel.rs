@@ -73,14 +73,7 @@ pub fn build_parallel(
     // empty column to resolve mapping/reserved/null-code exactly as the
     // serial build would, then extend it with the real distinct values.
     let has_nulls = cells.iter().any(Cell::is_null);
-    let first_seen: Vec<u64> = {
-        let mut seen = std::collections::HashSet::new();
-        cells
-            .iter()
-            .filter_map(Cell::value)
-            .filter(|v| seen.insert(*v))
-            .collect()
-    };
+    let first_seen = Mapping::first_seen_values(cells);
     let (mapping, reserved, null_code) = resolve_layout(&options, &first_seen, has_nulls)?;
 
     // Encode chunk-local slice families in parallel.

@@ -156,35 +156,41 @@ pub fn save_index(index: &EncodedBitmapIndex, pager: &Pager) -> Result<IndexHand
     })
 }
 
+fn corrupt_vector(e: &ebi_bitvec::BitVecError) -> CoreError {
+    CoreError::InvalidCode {
+        detail: format!("corrupt bitmap vector: {e}"),
+    }
+}
+
+/// Decodes one persisted slice `B_i`, in its tagged container.
+pub(crate) fn decode_slice(raw: &[u8]) -> Result<SliceStorage, CoreError> {
+    SliceStorage::from_bytes(raw).map_err(|e| corrupt_vector(&e))
+}
+
+/// Decodes a persisted companion (`B_NULL` / `B_NotExist`): a plain
+/// dense bitmap, without a storage tag.
+pub(crate) fn decode_companion(raw: Vec<u8>) -> Result<BitVec, CoreError> {
+    BitVec::from_bytes(raw.into()).map_err(|e| corrupt_vector(&e))
+}
+
 /// Loads a persisted index, charging page reads against `pager`.
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidCode`] for corrupt payloads; storage errors are
-/// wrapped the same way (the handle identifies the culprit segment).
+/// [`CoreError::InvalidCode`] for corrupt payloads;
+/// [`CoreError::Storage`] when the pager cannot read a segment the
+/// handle names.
 pub fn load_index(pager: &Pager, handle: &IndexHandle) -> Result<EncodedBitmapIndex, CoreError> {
-    let wrap = |e: StorageError| CoreError::InvalidCode {
-        detail: format!("storage error while loading index: {e}"),
-    };
-    let bitvec_err = |e: ebi_bitvec::BitVecError| CoreError::InvalidCode {
-        detail: format!("corrupt bitmap vector: {e}"),
-    };
     let slices = handle
         .slices
         .iter()
-        .map(|h| {
-            let raw = read_segment(pager, h).map_err(wrap)?;
-            SliceStorage::from_bytes(&raw).map_err(bitvec_err)
-        })
+        .map(|h| decode_slice(&read_segment(pager, h)?))
         .collect::<Result<Vec<SliceStorage>, CoreError>>()?;
-    let mapping = Mapping::from_bytes(&read_segment(pager, &handle.mapping).map_err(wrap)?)?;
-    let meta = decode_meta(&read_segment(pager, &handle.meta).map_err(wrap)?)?;
+    let mapping = Mapping::from_bytes(&read_segment(pager, &handle.mapping)?)?;
+    let meta = decode_meta(&read_segment(pager, &handle.meta)?)?;
     let read_companion = |h: &Option<SegmentHandle>| -> Result<Option<BitVec>, CoreError> {
         h.as_ref()
-            .map(|h| {
-                let raw = read_segment(pager, h).map_err(wrap)?;
-                BitVec::from_bytes(raw.into()).map_err(bitvec_err)
-            })
+            .map(|h| decode_companion(read_segment(pager, h)?))
             .transpose()
     };
     let b_not_exist = read_companion(&handle.b_not_exist)?;
@@ -192,7 +198,7 @@ pub fn load_index(pager: &Pager, handle: &IndexHandle) -> Result<EncodedBitmapIn
     let permutation = handle
         .permutation
         .as_ref()
-        .map(|h| RowPermutation::from_bytes(&read_segment(pager, h).map_err(wrap)?))
+        .map(|h| RowPermutation::from_bytes(&read_segment(pager, h)?))
         .transpose()?;
     if let Some(p) = &permutation {
         if p.len() != meta.rows {

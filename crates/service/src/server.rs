@@ -740,7 +740,7 @@ pub fn eval_shard(
     let mut span = parent.child("eval.worker");
     let (bitmap, cost) = shard.eval(compiled);
     let before = pool.stats();
-    let pages = shard.fetch_matches(&bitmap, Some(pool));
+    let fetched = shard.fetch_pages(&bitmap, Some(pool));
     let after = pool.stats();
     let buffer = (
         after.hits.saturating_sub(before.hits),
@@ -754,7 +754,10 @@ pub fn eval_shard(
         span.attr("rows", shard.rows() as u64);
         span.attr("matches", bitmap.count_ones() as u64);
         span.attr("vectors_accessed", cost.vectors_accessed);
-        span.attr("pages", pages);
+        span.attr("pages", fetched.pages);
+        if fetched.errors > 0 {
+            span.attr("errors", fetched.errors);
+        }
     }
     if ebi_obs::enabled() {
         let reg = ebi_obs::metrics::global();

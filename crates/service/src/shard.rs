@@ -19,9 +19,9 @@ use crate::error::ServiceError;
 use ebi_bitvec::{BitVec, DnfPlan};
 use ebi_boolean::DnfExpr;
 use ebi_core::index::{BuildOptions, EncodedBitmapIndex};
-use ebi_core::{CoreError, Mapping, RowOrder};
+use ebi_core::{and_fold, or_fold, CoreError, Mapping, RowOrder};
 use ebi_obs::{CostCounters, IndexLayout};
-use ebi_storage::{BufferPool, Cell, PageId, Pager};
+use ebi_storage::{read_row_pages, BufferPool, Cell, PageId, PageWalk, Pager};
 
 /// One input column: a name plus its cell values for every row.
 #[derive(Debug, Clone)]
@@ -187,31 +187,12 @@ impl Shard {
     /// bitmap is shard-relative (bit 0 = global row `lo`).
     #[must_use]
     pub fn eval(&self, query: &CompiledQuery) -> (BitVec, CostCounters) {
-        let mut cost = CostCounters::default();
-        let mut result: Option<BitVec> = None;
-        for disjunct in &query.disjuncts {
-            let mut acc: Option<BitVec> = None;
-            for clause in disjunct {
-                let r = self.indexes[clause.column].run_plan(&clause.expr, &clause.plan);
-                cost += r.stats.cost();
-                match &mut acc {
-                    None => acc = Some(r.bitmap),
-                    Some(a) => {
-                        cost.literal_ops += 1;
-                        a.and_assign(&r.bitmap);
-                    }
-                }
-            }
-            let bitmap = acc.unwrap_or_else(|| BitVec::ones(self.rows));
-            match &mut result {
-                None => result = Some(bitmap),
-                Some(a) => {
-                    cost.literal_ops += 1;
-                    a.or_assign(&bitmap);
-                }
-            }
-        }
-        (result.unwrap_or_else(|| BitVec::zeros(self.rows)), cost)
+        let clause = |c: &CompiledClause| {
+            let r = self.indexes[c.column].run_plan(&c.expr, &c.plan);
+            (r.bitmap, r.stats.cost())
+        };
+        let conjunction = |d: &Vec<CompiledClause>| and_fold(d.iter().map(clause), self.rows);
+        or_fold(query.disjuncts.iter().map(conjunction), self.rows)
     }
 
     /// Post-pruning kernel-work estimate (words) for evaluating `query`
@@ -226,31 +207,19 @@ impl Shard {
             .sum()
     }
 
-    /// Reads every heap page holding a matching row, through `pool`
-    /// when given, else straight from the shard's pager. Returns the
-    /// number of pages touched (ascending row order deduplicates
-    /// consecutive same-page hits, like the warehouse executor).
+    /// Reads every heap page holding a matching row
+    /// ([`read_row_pages`], the walk the warehouse executor uses),
+    /// through `pool` when given, else straight from the shard's pager.
+    #[must_use]
+    pub fn fetch_pages(&self, bitmap: &BitVec, pool: Option<&BufferPool<'_>>) -> PageWalk {
+        let rows = bitmap.iter_ones();
+        read_row_pages(rows, PageId(0), self.rows_per_page, &self.pager, pool)
+    }
+
+    /// The number of pages [`Shard::fetch_pages`] touches.
     #[must_use]
     pub fn fetch_matches(&self, bitmap: &BitVec, pool: Option<&BufferPool<'_>>) -> u64 {
-        if self.rows == 0 {
-            return 0;
-        }
-        let per = self.rows_per_page.max(1) as u64;
-        let mut pages = 0u64;
-        let mut last: Option<u64> = None;
-        for row in bitmap.iter_ones() {
-            let page = row as u64 / per;
-            if last == Some(page) {
-                continue;
-            }
-            last = Some(page);
-            pages += 1;
-            let _ = match pool {
-                Some(p) => p.read_page(PageId(page)),
-                None => self.pager.read_page(PageId(page)),
-            };
-        }
-        pages
+        self.fetch_pages(bitmap, pool).pages
     }
 
     /// Per-column physical layout of this shard, labelled
@@ -314,13 +283,7 @@ impl ShardedTable {
         // whole column, so every shard assigns identical codes.
         let mut mappings = Vec::with_capacity(columns.len());
         for col in &columns {
-            let mut seen = std::collections::HashSet::new();
-            let first_seen: Vec<u64> = col
-                .cells
-                .iter()
-                .filter_map(Cell::value)
-                .filter(|v| seen.insert(*v))
-                .collect();
+            let first_seen = Mapping::first_seen_values(&col.cells);
             mappings.push(Mapping::from_values(&first_seen).map_err(|e| core_err(&e))?);
         }
         let n = opts.shards.clamp(1, rows.max(1));
@@ -429,11 +392,7 @@ impl ShardedTable {
                 let values: Vec<u64> = match &clause.predicate {
                     Predicate::Eq(v) => vec![*v],
                     Predicate::In(vs) => vs.clone(),
-                    Predicate::Between(lo, hi) => self.mappings[column]
-                        .iter()
-                        .map(|(v, _)| v)
-                        .filter(|v| v >= lo && v <= hi)
-                        .collect(),
+                    Predicate::Between(lo, hi) => self.mappings[column].values_between(*lo, *hi),
                 };
                 let expr = self.shards[0].indexes[column].explain_in_list(&values);
                 let rendered = format!("{}: {expr}", clause.column);

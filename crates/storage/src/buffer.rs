@@ -155,6 +155,46 @@ impl<'a> BufferPool<'a> {
     }
 }
 
+/// What one [`read_row_pages`] walk touched.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PageWalk {
+    /// Distinct pages read.
+    pub pages: u64,
+    /// Of those, reads the page store refused.
+    pub errors: u64,
+}
+
+/// The fetch that follows a selection: reads each page holding one of
+/// `rows` once, through `pool` when one is given, else straight from
+/// `pager`. Row `r` lives on page `base + r / rows_per_page` (values
+/// below 1 count as 1); `rows` must ascend, so comparing with the last
+/// page id deduplicates. A failed read is counted, never dropped.
+pub fn read_row_pages(
+    rows: impl IntoIterator<Item = usize>,
+    base: PageId,
+    rows_per_page: usize,
+    pager: &Pager,
+    pool: Option<&BufferPool<'_>>,
+) -> PageWalk {
+    let per = rows_per_page.max(1) as u64;
+    let mut walk = PageWalk::default();
+    let mut last = None;
+    for row in rows {
+        let page = PageId(base.0 + row as u64 / per);
+        if last == Some(page) {
+            continue;
+        }
+        last = Some(page);
+        walk.pages += 1;
+        let read = match pool {
+            Some(pool) => pool.read_page(page),
+            None => pager.read_page(page),
+        };
+        walk.errors += u64::from(read.is_err());
+    }
+    walk
+}
+
 impl std::fmt::Debug for BufferPool<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferPool")
@@ -280,5 +320,36 @@ mod tests {
         assert!(reg.counter("ebi_buffer_hits_total", &[]).get() > hits0);
         assert!(reg.counter("ebi_buffer_misses_total", &[]).get() > miss0);
         assert!(reg.counter("ebi_pager_page_reads_total", &[]).get() > reads0);
+    }
+
+    #[test]
+    fn row_walk_reads_each_page_once_and_counts_failures() {
+        let pager = pager_with_pages(3);
+        let pool = BufferPool::new(&pager, 2);
+        // 4 rows per page from page 1 on: rows 0..4 → page 1, 4..8 →
+        // page 2, 8.. → page 3, which is not allocated.
+        let rows = [0usize, 1, 3, 4, 9, 10];
+        let walk = read_row_pages(rows, PageId(1), 4, &pager, Some(&pool));
+        assert_eq!(
+            walk,
+            PageWalk {
+                pages: 3,
+                errors: 1
+            }
+        );
+        assert_eq!(pool.stats().misses, 2, "the failed read caches nothing");
+        pager.reset_stats();
+        assert_eq!(read_row_pages(rows, PageId(1), 4, &pager, None), walk);
+        assert_eq!(
+            pager.stats().page_reads,
+            2,
+            "no pool: straight to the pager"
+        );
+        // rows_per_page 0 is treated as 1; no rows, no reads.
+        assert_eq!(read_row_pages([0, 1], PageId(0), 0, &pager, None).pages, 2);
+        assert_eq!(
+            read_row_pages([], PageId(0), 4, &pager, None),
+            PageWalk::default()
+        );
     }
 }

@@ -27,7 +27,7 @@ pub mod pager;
 pub mod segment;
 pub mod table;
 
-pub use buffer::{BufferPool, BufferStats};
+pub use buffer::{read_row_pages, BufferPool, BufferStats, PageWalk};
 pub use catalog::Catalog;
 pub use error::StorageError;
 pub use pager::{IoStats, PageId, Pager, DEFAULT_PAGE_SIZE};

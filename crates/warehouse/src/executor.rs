@@ -11,8 +11,9 @@ use crate::workload::{Predicate, Query};
 use ebi_baselines::SelectionIndex;
 use ebi_bitvec::BitVec;
 use ebi_core::index::QueryResult;
+use ebi_core::{and_fold, or_fold, Selected};
 use ebi_obs::{CostCounters, IndexLayout, PhaseNode, QueryReport, StorageCounters};
-use ebi_storage::{BufferPool, BufferStats, IoStats, PageId, Pager};
+use ebi_storage::{read_row_pages, BufferPool, BufferStats, IoStats, PageId, Pager};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -148,24 +149,9 @@ impl<'a> Executor<'a> {
     /// An empty conjunction matches every row.
     #[must_use]
     pub fn run(&self, query: &ConjunctiveQuery) -> (BitVec, ExecutionReport) {
-        let mut report = ExecutionReport::default();
-        let mut result: Option<BitVec> = None;
-        for clause in &query.clauses {
-            let r = self.run_clause(clause);
-            report.vectors_accessed += r.stats.vectors_accessed;
-            report.literal_ops += r.stats.literal_ops;
-            report.expressions.push(r.stats.expression);
-            match &mut result {
-                None => result = Some(r.bitmap),
-                Some(acc) => {
-                    report.literal_ops += 1;
-                    acc.and_assign(&r.bitmap);
-                }
-            }
-        }
-        let bitmap = result.unwrap_or_else(|| BitVec::ones(self.rows));
-        report.matches = bitmap.count_ones();
-        (bitmap, report)
+        let mut expressions = Vec::new();
+        let (bitmap, cost) = self.conjunction(query, &mut expressions);
+        execution_report(bitmap, cost, expressions)
     }
 
     /// Evaluates a disjunction of conjunctions (`(… AND …) OR (… AND …)`)
@@ -173,31 +159,17 @@ impl<'a> Executor<'a> {
     /// empty disjunction matches nothing.
     #[must_use]
     pub fn run_dnf(&self, query: &DnfQuery) -> (BitVec, ExecutionReport) {
-        let mut report = ExecutionReport::default();
-        let mut result: Option<BitVec> = None;
-        for disjunct in &query.disjuncts {
-            let (bitmap, sub) = self.run(disjunct);
-            report.vectors_accessed += sub.vectors_accessed;
-            report.literal_ops += sub.literal_ops;
-            report.expressions.extend(sub.expressions);
-            match &mut result {
-                None => result = Some(bitmap),
-                Some(acc) => {
-                    report.literal_ops += 1;
-                    acc.or_assign(&bitmap);
-                }
-            }
-        }
-        let bitmap = result.unwrap_or_else(|| BitVec::zeros(self.rows));
-        report.matches = bitmap.count_ones();
-        (bitmap, report)
+        let mut expressions = Vec::new();
+        let (bitmap, cost) = self.disjunction(query, &mut expressions);
+        execution_report(bitmap, cost, expressions)
     }
 
     /// Evaluates a conjunction under the query-lifecycle profiler and
     /// returns the bitmap plus a full [`QueryReport`].
     ///
-    /// Cost parity is structural: the loop mirrors [`Executor::run`],
-    /// so `report.cost.vectors_accessed` is the *same number* the
+    /// Cost parity is structural: this is the evaluation
+    /// [`Executor::run`] performs, inside the report wrapper, so
+    /// `report.cost.vectors_accessed` is the *same number* the
     /// untraced [`ExecutionReport`] carries — profiling never perturbs
     /// the paper's cost metric. Phase spans only appear when the
     /// global subscriber is on ([`ebi_obs::set_enabled`]); sub-phases
@@ -205,16 +177,47 @@ impl<'a> Executor<'a> {
     /// index to run with `QueryOptions { profile: true, .. }`.
     #[must_use]
     pub fn run_profiled(&self, query: &ConjunctiveQuery, label: &str) -> (BitVec, QueryReport) {
-        self.profiled(label, |cost, exprs| {
-            self.run_conjunction_traced(query, cost, exprs)
-        })
+        self.profiled(label, |exprs| self.conjunction(query, exprs))
     }
 
     /// Evaluates a disjunction of conjunctions under the profiler;
     /// see [`Executor::run_profiled`] for the tracing contract.
     #[must_use]
     pub fn run_dnf_profiled(&self, query: &DnfQuery, label: &str) -> (BitVec, QueryReport) {
-        self.profiled(label, |cost, exprs| self.run_dnf_traced(query, cost, exprs))
+        self.profiled(label, |exprs| self.disjunction(query, exprs))
+    }
+
+    /// The one conjunction loop, joined by [`and_fold`]: each clause under
+    /// a `clause` span, a dead guard when no trace is open on this thread.
+    fn conjunction(&self, query: &ConjunctiveQuery, expressions: &mut Vec<String>) -> Selected {
+        let clauses = query.clauses.iter().enumerate().map(|(i, clause)| {
+            let mut span = ebi_obs::active_child("clause");
+            let r = self.run_clause(clause);
+            if span.is_live() {
+                span.attr("clause", i as u64);
+                span.attr("vectors_accessed", r.stats.vectors_accessed as u64);
+                span.attr("matches", r.bitmap.count_ones() as u64);
+            }
+            let cost = r.stats.cost();
+            expressions.push(r.stats.expression);
+            (r.bitmap, cost)
+        });
+        and_fold(clauses, self.rows)
+    }
+
+    /// The one disjunction loop, joined by [`or_fold`]; clause spans nest
+    /// under their `disjunct` span through the thread's open-span stack.
+    fn disjunction(&self, query: &DnfQuery, expressions: &mut Vec<String>) -> Selected {
+        let disjuncts = query.disjuncts.iter().enumerate().map(|(i, disjunct)| {
+            let mut span = ebi_obs::active_child("disjunct");
+            let (bitmap, cost) = self.conjunction(disjunct, expressions);
+            if span.is_live() {
+                span.attr("disjunct", i as u64);
+                span.attr("matches", bitmap.count_ones() as u64);
+            }
+            (bitmap, cost)
+        });
+        or_fold(disjuncts, self.rows)
     }
 
     /// Runs `query` profiled and renders the `EXPLAIN ANALYZE` tree.
@@ -228,7 +231,7 @@ impl<'a> Executor<'a> {
     /// assembles the [`QueryReport`].
     fn profiled<F>(&self, label: &str, body: F) -> (BitVec, QueryReport)
     where
-        F: FnOnce(&mut CostCounters, &mut Vec<String>) -> BitVec,
+        F: FnOnce(&mut Vec<String>) -> Selected,
     {
         let query_id = ebi_obs::next_query_id();
         let pager_before = self.storage.as_ref().map(|s| s.pager.stats());
@@ -239,14 +242,13 @@ impl<'a> Executor<'a> {
             .map(BufferPool::stats);
         let start = Instant::now();
         let trace = ebi_obs::Trace::begin();
-        let mut cost = CostCounters::default();
         let mut expressions = Vec::new();
-        let bitmap = {
+        let (bitmap, cost) = {
             let mut root = trace.root_span("query");
             root.attr("query_id", query_id);
-            let bitmap = body(&mut cost, &mut expressions);
+            let (bitmap, cost) = body(&mut expressions);
             self.fetch_matches(&bitmap);
-            bitmap
+            (bitmap, cost)
         };
         let wall_ns = start.elapsed().as_nanos() as u64;
         let records = trace.finish();
@@ -267,94 +269,22 @@ impl<'a> Executor<'a> {
         (bitmap, report)
     }
 
-    /// [`Executor::run`] with per-clause spans and cost accumulation
-    /// into [`CostCounters`]. Identical control flow, identical costs.
-    fn run_conjunction_traced(
-        &self,
-        query: &ConjunctiveQuery,
-        cost: &mut CostCounters,
-        expressions: &mut Vec<String>,
-    ) -> BitVec {
-        let mut result: Option<BitVec> = None;
-        for (i, clause) in query.clauses.iter().enumerate() {
-            let mut span = ebi_obs::active_child("clause");
-            span.attr("clause", i as u64);
-            let r = self.run_clause(clause);
-            span.attr("vectors_accessed", r.stats.vectors_accessed as u64);
-            span.attr("matches", r.bitmap.count_ones() as u64);
-            drop(span);
-            *cost += r.stats.cost();
-            expressions.push(r.stats.expression);
-            match &mut result {
-                None => result = Some(r.bitmap),
-                Some(acc) => {
-                    cost.literal_ops += 1;
-                    acc.and_assign(&r.bitmap);
-                }
-            }
-        }
-        result.unwrap_or_else(|| BitVec::ones(self.rows))
-    }
-
-    /// [`Executor::run_dnf`] with per-disjunct spans; clause spans nest
-    /// under their disjunct through the thread-local open-span stack.
-    fn run_dnf_traced(
-        &self,
-        query: &DnfQuery,
-        cost: &mut CostCounters,
-        expressions: &mut Vec<String>,
-    ) -> BitVec {
-        let mut result: Option<BitVec> = None;
-        for (i, disjunct) in query.disjuncts.iter().enumerate() {
-            let mut span = ebi_obs::active_child("disjunct");
-            span.attr("disjunct", i as u64);
-            let bitmap = self.run_conjunction_traced(disjunct, cost, expressions);
-            span.attr("matches", bitmap.count_ones() as u64);
-            drop(span);
-            match &mut result {
-                None => result = Some(bitmap),
-                Some(acc) => {
-                    cost.literal_ops += 1;
-                    acc.or_assign(&bitmap);
-                }
-            }
-        }
-        result.unwrap_or_else(|| BitVec::zeros(self.rows))
-    }
-
-    /// Reads every page holding a matching row, through the buffer
-    /// pool when one is attached. Rows iterate in ascending order, so
-    /// deduplicating against the previous page id reads each page once.
+    /// Reads every page holding a matching row ([`read_row_pages`]),
+    /// through the buffer pool when one is attached, as a `fetch` phase.
     fn fetch_matches(&self, bitmap: &BitVec) {
-        let Some(att) = self.storage.as_ref() else {
-            return;
-        };
-        let Some(fetch) = att.fetch else {
-            return;
-        };
-        let rows_per_page = fetch.rows_per_page.max(1) as u64;
+        let Some(att) = &self.storage else { return };
+        let Some(fetch) = att.fetch else { return };
         let mut span = ebi_obs::active_child("fetch");
-        let mut pages = 0u64;
-        let mut errors = 0u64;
-        let mut last: Option<u64> = None;
-        for row in bitmap.iter_ones() {
-            let page = fetch.base_page.0 + row as u64 / rows_per_page;
-            if last == Some(page) {
-                continue;
-            }
-            last = Some(page);
-            pages += 1;
-            let read = match att.pool {
-                Some(pool) => pool.read_page(PageId(page)),
-                None => att.pager.read_page(PageId(page)),
-            };
-            if read.is_err() {
-                errors += 1;
-            }
-        }
-        span.attr("pages", pages);
-        if errors > 0 {
-            span.attr("errors", errors);
+        let walk = read_row_pages(
+            bitmap.iter_ones(),
+            fetch.base_page,
+            fetch.rows_per_page,
+            att.pager,
+            att.pool,
+        );
+        span.attr("pages", walk.pages);
+        if walk.errors > 0 {
+            span.attr("errors", walk.errors);
         }
     }
 
@@ -411,6 +341,21 @@ impl<'a> Executor<'a> {
             .filter_map(|row| measure.get(row).copied().flatten())
             .sum()
     }
+}
+
+/// The untraced summary of one evaluation.
+fn execution_report(
+    bitmap: BitVec,
+    cost: CostCounters,
+    expressions: Vec<String>,
+) -> (BitVec, ExecutionReport) {
+    let report = ExecutionReport {
+        vectors_accessed: cost.vectors_accessed as usize,
+        literal_ops: cost.literal_ops as usize,
+        matches: bitmap.count_ones(),
+        expressions,
+    };
+    (bitmap, report)
 }
 
 #[cfg(test)]

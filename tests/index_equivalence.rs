@@ -2,13 +2,182 @@
 //! same answers to the same workload over the same data — the measured
 //! backbone of every comparison in the paper.
 
+use ebi::baselines::{CompressedEncodedIndex, MultiComponentIndex};
+use ebi::core::paged::{persist_and_open, PagedIndex};
 use ebi::prelude::*;
+use ebi::storage::pager::Pager;
 use ebi::warehouse::generator::{generate_column, ColumnSpec};
 use ebi::warehouse::workload::WorkloadSpec;
+use ebi_service::shard::{Clause, DnfRequest, Predicate as Served};
+use ebi_service::{ColumnSpec as ServedColumn, ShardedTable, TableOptions};
+
+/// How one form under test answers a predicate: matching rows and the
+/// `vectors_accessed` it reports.
+type Answer<'a> = Box<dyn Fn(&Predicate) -> (BitVec, usize) + 'a>;
+
+/// A form under test: its name, how it answers, and the source index
+/// whose every form must report that source's `vectors_accessed`.
+type Form<'a> = (&'a str, Answer<'a>, Option<&'a EncodedBitmapIndex>);
+
+fn ask(idx: &dyn SelectionIndex, p: &Predicate) -> QueryResult {
+    match p {
+        Predicate::Eq(v) => idx.eq(*v),
+        Predicate::InList(vs) => idx.in_list(vs),
+        Predicate::Range(lo, hi) => idx.range(*lo, *hi),
+    }
+}
+
+fn family(idx: &dyn SelectionIndex) -> Answer<'_> {
+    Box::new(move |p| {
+        let r = ask(idx, p);
+        (r.bitmap, r.stats.vectors_accessed)
+    })
+}
+
+fn paged<'a>(idx: &'a PagedIndex<'a>) -> Answer<'a> {
+    Box::new(move |p| {
+        let r = match p {
+            Predicate::Eq(v) => idx.eq(*v),
+            Predicate::InList(vs) => idx.in_list(vs),
+            Predicate::Range(lo, hi) => idx.range(*lo, *hi),
+        };
+        let r = r.expect("the pager holds every page");
+        (r.bitmap, r.stats.vectors_accessed)
+    })
+}
+
+/// Compiled once against the table-wide mapping, evaluated shard by
+/// shard and merged: the service's path without its sockets.
+fn sharded(table: &ShardedTable) -> Answer<'_> {
+    Box::new(move |p| {
+        let predicate = match p {
+            Predicate::Eq(v) => Served::Eq(*v),
+            Predicate::InList(vs) => Served::In(vs.clone()),
+            Predicate::Range(lo, hi) => Served::Between(*lo, *hi),
+        };
+        let column = "c".to_string();
+        let request = DnfRequest {
+            disjuncts: vec![vec![Clause { column, predicate }]],
+        };
+        let (bitmap, cost) = table.eval_local(&table.compile(&request).unwrap());
+        (bitmap, cost.vectors_accessed as usize)
+    })
+}
+
+fn executed<'a>(exec: &'a Executor<'a>) -> Answer<'a> {
+    Box::new(move |p| {
+        let column = "c".to_string();
+        let predicate = p.clone();
+        let (bitmap, report) = exec.run(&ConjunctiveQuery {
+            clauses: vec![Query { column, predicate }],
+        });
+        (bitmap, report.vectors_accessed)
+    })
+}
+
+fn table_of(cells: &[Cell], shards: usize) -> ShardedTable {
+    let options = TableOptions {
+        shards,
+        ..TableOptions::default()
+    };
+    ShardedTable::build(vec![ServedColumn::new("c", cells.to_vec())], &options).unwrap()
+}
+
+fn executor_over(idx: &EncodedBitmapIndex) -> Executor<'_> {
+    let mut exec = Executor::new(idx.rows());
+    exec.register("c", idx);
+    exec
+}
+
+/// Every form and family against the scan of `cells`. `encoded` and
+/// `reserved` are the EBI sources under the two NULL policies, holding
+/// `cells` (a deleted row is a `Cell::Null` there: it matches nothing);
+/// families and forms that cannot be maintained are built from `cells`.
+fn compare(
+    cells: &[Cell],
+    encoded: &EncodedBitmapIndex,
+    reserved: &EncodedBitmapIndex,
+    workload: &[Query],
+) {
+    let simple = SimpleBitmapIndex::build(cells.iter().copied());
+    let sliced = BitSlicedIndex::build(cells.iter().copied());
+    let dynamic = DynamicBitmapIndex::build(cells.iter().copied());
+    let ranged = RangeBasedBitmapIndex::build(cells.iter().copied(), 8);
+    let hybrid = HybridBTreeBitmapIndex::build(cells.iter().copied());
+    let vlist = ValueListIndex::build_with(cells.iter().copied(), 16, 256);
+    let projection = ProjectionIndex::build(cells.iter().copied(), 8);
+    let multi = MultiComponentIndex::build(cells.iter().copied(), 8);
+    // The forms of the two sources: paged, compressed, behind an executor.
+    let (pager, pager_reserved) = (Pager::with_page_size(256), Pager::with_page_size(256));
+    let encoded_paged = persist_and_open(encoded, &pager, 16).unwrap();
+    let reserved_paged = persist_and_open(reserved, &pager_reserved, 16).unwrap();
+    let encoded_packed = CompressedEncodedIndex::from_uncompressed(encoded);
+    let reserved_packed = CompressedEncodedIndex::from_uncompressed(reserved);
+    let (encoded_exec, reserved_exec) = (executor_over(encoded), executor_over(reserved));
+    // A sharded table cannot append, so it is built from the cells: one
+    // shard is then an index rebuilt from them, and must cost the same.
+    let rebuilt = EncodedBitmapIndex::build(cells.iter().copied()).unwrap();
+    let (one_shard, three_shards) = (table_of(cells, 1), table_of(cells, 3));
+
+    let forms: Vec<Form<'_>> = vec![
+        ("encoded", family(encoded), Some(encoded)),
+        ("encoded-reserved", family(reserved), Some(reserved)),
+        ("simple", family(&simple), None),
+        ("bit-sliced", family(&sliced), None),
+        ("dynamic", family(&dynamic), None),
+        ("range-based", family(&ranged), None),
+        ("hybrid", family(&hybrid), None),
+        ("value-list", family(&vlist), None),
+        ("projection", family(&projection), None),
+        ("multi-component-b8", family(&multi), None),
+        ("paged", paged(&encoded_paged), Some(encoded)),
+        ("paged-reserved", paged(&reserved_paged), Some(reserved)),
+        ("compressed", family(&encoded_packed), Some(encoded)),
+        (
+            "compressed-reserved",
+            family(&reserved_packed),
+            Some(reserved),
+        ),
+        ("executor", executed(&encoded_exec), Some(encoded)),
+        (
+            "executor-reserved",
+            executed(&reserved_exec),
+            Some(reserved),
+        ),
+        ("sharded-1", sharded(&one_shard), Some(&rebuilt)),
+        ("sharded-3", sharded(&three_shards), None),
+    ];
+
+    for (qi, q) in workload.iter().enumerate() {
+        let scanned: Vec<usize> = cells
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.value().is_some_and(|v| q.predicate.matches(v)))
+            .map(|(i, _)| i)
+            .collect();
+        for (name, answer, source) in &forms {
+            let (bitmap, vectors) = answer(&q.predicate);
+            assert_eq!(
+                bitmap.to_positions(),
+                scanned,
+                "query {qi} ({:?}): {name} disagrees with the scan",
+                q.predicate
+            );
+            if let Some(source) = source {
+                assert_eq!(
+                    vectors,
+                    ask(*source, &q.predicate).stats.vectors_accessed,
+                    "query {qi} ({:?}): {name} reads other vectors than its source",
+                    q.predicate
+                );
+            }
+        }
+    }
+}
 
 fn run_all(cells: &[Cell], m: u64, queries: usize, seed: u64) {
-    let encoded = EncodedBitmapIndex::build(cells.iter().copied()).unwrap();
-    let reserved = EncodedBitmapIndex::build_with(
+    let mut encoded = EncodedBitmapIndex::build(cells.iter().copied()).unwrap();
+    let mut reserved = EncodedBitmapIndex::build_with(
         cells.iter().copied(),
         BuildOptions {
             policy: NullPolicy::EncodedReserved,
@@ -17,61 +186,39 @@ fn run_all(cells: &[Cell], m: u64, queries: usize, seed: u64) {
         },
     )
     .unwrap();
-    let simple = SimpleBitmapIndex::build(cells.iter().copied());
-    let sliced = BitSlicedIndex::build(cells.iter().copied());
-    let dynamic = DynamicBitmapIndex::build(cells.iter().copied());
-    let ranged = RangeBasedBitmapIndex::build(cells.iter().copied(), 8);
-    let hybrid = HybridBTreeBitmapIndex::build(cells.iter().copied());
-    let vlist = ValueListIndex::build_with(cells.iter().copied(), 16, 256);
-    let projection = ProjectionIndex::build(cells.iter().copied(), 8);
-    let compressed = ebi::baselines::CompressedEncodedIndex::build(cells.iter().copied());
-    let multi = ebi::baselines::MultiComponentIndex::build(cells.iter().copied(), 8);
-
-    let indexes: Vec<(&str, &dyn SelectionIndex)> = vec![
-        ("encoded", &encoded),
-        ("encoded-reserved", &reserved),
-        ("simple", &simple),
-        ("bit-sliced", &sliced),
-        ("dynamic", &dynamic),
-        ("range-based", &ranged),
-        ("hybrid", &hybrid),
-        ("value-list", &vlist),
-        ("projection", &projection),
-        ("compressed-encoded", &compressed),
-        ("multi-component-b8", &multi),
-    ];
-
     let workload = WorkloadSpec::tpcd_like("c", m, queries, seed).generate();
-    for (qi, q) in workload.iter().enumerate() {
-        let mut reference: Option<(String, Vec<usize>)> = None;
-        for (name, idx) in &indexes {
-            let r = match &q.predicate {
-                Predicate::Eq(v) => idx.eq(*v),
-                Predicate::InList(vs) => idx.in_list(vs),
-                Predicate::Range(lo, hi) => idx.range(*lo, *hi),
-            };
-            let rows = r.bitmap.to_positions();
-            match &reference {
-                None => reference = Some(((*name).to_string(), rows)),
-                Some((ref_name, expect)) => {
-                    assert_eq!(
-                        expect, &rows,
-                        "query {qi} ({:?}): {name} disagrees with {ref_name}",
-                        q.predicate
-                    );
-                }
+    compare(cells, &encoded, &reserved, &workload);
+
+    // Second pass, over maintained sources: rows deleted, updated (to
+    // known values, to values new to the domain, to NULL) and appended
+    // (values past `m` widen the code space).
+    let mut cells = cells.to_vec();
+    for (row, held) in cells.iter_mut().enumerate() {
+        let change = match row % 11 {
+            3 => None,
+            5 => Some(Cell::Value(row as u64 * 13 % m)),
+            7 if row % 3 == 0 => Some(Cell::Null),
+            _ => continue,
+        };
+        for source in [&mut encoded, &mut reserved] {
+            match change {
+                None => source.delete(row).unwrap(),
+                Some(cell) => source.update(row, cell).unwrap(),
             }
         }
-        // Also verify the reference against a scan.
-        let (_, expect) = reference.unwrap();
-        let scanned: Vec<usize> = cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.value().is_some_and(|v| q.predicate.matches(v)))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(expect, scanned, "query {qi} disagrees with the scan");
+        *held = change.unwrap_or(Cell::Null);
     }
+    for i in 0..40u64 {
+        let cell = if i % 9 == 4 {
+            Cell::Null
+        } else {
+            Cell::Value(i * 7 % (m + 5))
+        };
+        encoded.append(cell).unwrap();
+        reserved.append(cell).unwrap();
+        cells.push(cell);
+    }
+    compare(&cells, &encoded, &reserved, &workload);
 }
 
 #[test]
