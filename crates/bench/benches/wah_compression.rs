@@ -1,6 +1,6 @@
 //! §2.1/§4 compression side-note: run-length compression attacks the
 //! sparsity of simple bitmaps; encoded vectors (density ≈ 1/2) barely
-//! compress. Measures WAH compress/decompress and compressed AND.
+//! compress. Measures WAH compress/decompress.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
@@ -36,15 +36,8 @@ fn bench_wah(c: &mut Criterion) {
     });
 
     let ws = WahBitmap::compress(&sparse);
-    let wd = WahBitmap::compress(&dense);
     group.bench_function(BenchmarkId::new("decompress", "sparse"), |b| {
         b.iter(|| black_box(ws.decompress()));
-    });
-    group.bench_function(BenchmarkId::new("and_compressed", "sparse_x_dense"), |b| {
-        b.iter(|| black_box(ws.and(&wd)));
-    });
-    group.bench_function(BenchmarkId::new("and_plain", "sparse_x_dense"), |b| {
-        b.iter(|| black_box(&sparse & &dense));
     });
     group.finish();
 }

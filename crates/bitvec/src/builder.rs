@@ -8,83 +8,6 @@
 
 use crate::core::BitVec;
 
-/// Incremental builder for one [`BitVec`].
-///
-/// Thin wrapper over [`BitVec::push`]/[`BitVec::push_run`] that tracks the
-/// expected final length, so builds fail loudly when a column scan appends
-/// the wrong number of bits.
-#[derive(Debug, Clone)]
-pub struct BitVecBuilder {
-    bits: BitVec,
-    expected: Option<usize>,
-}
-
-impl BitVecBuilder {
-    /// New builder with no length expectation.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            bits: BitVec::new(),
-            expected: None,
-        }
-    }
-
-    /// New builder that will verify exactly `n` bits were appended.
-    #[must_use]
-    pub fn with_expected_len(n: usize) -> Self {
-        Self {
-            bits: BitVec::with_capacity(n),
-            expected: Some(n),
-        }
-    }
-
-    /// Appends a bit.
-    pub fn push(&mut self, bit: bool) {
-        self.bits.push(bit);
-    }
-
-    /// Appends `n` copies of `bit`.
-    pub fn push_run(&mut self, bit: bool, n: usize) {
-        self.bits.push_run(bit, n);
-    }
-
-    /// Bits appended so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// `true` if nothing was appended yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Finishes the build.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an expected length was declared and not met.
-    #[must_use]
-    pub fn finish(self) -> BitVec {
-        if let Some(n) = self.expected {
-            assert_eq!(
-                self.bits.len(),
-                n,
-                "BitVecBuilder finished with {} bits, expected {n}",
-                self.bits.len()
-            );
-        }
-        self.bits
-    }
-}
-
-impl Default for BitVecBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Builds a family of `h` equal-length bitmap vectors from per-tuple codes.
 ///
 /// For tuple `j` with code `c`, bit `j` of vector `i` is set iff bit `i`
@@ -145,26 +68,6 @@ impl SliceFamilyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_roundtrip() {
-        let mut b = BitVecBuilder::with_expected_len(5);
-        b.push(true);
-        b.push_run(false, 3);
-        b.push(true);
-        assert_eq!(b.len(), 5);
-        assert!(!b.is_empty());
-        let v = b.finish();
-        assert_eq!(v.to_positions(), vec![0, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected 10")]
-    fn builder_enforces_expected_len() {
-        let mut b = BitVecBuilder::with_expected_len(10);
-        b.push(true);
-        let _ = b.finish();
-    }
 
     #[test]
     fn slice_family_spreads_codes() {

@@ -8,19 +8,23 @@
 //!   and position iterators. This is the physical representation of one
 //!   *bitmap vector* in the sense of Wu & Buchmann (ICDE 1998): bit `j`
 //!   corresponds to tuple `j` of the indexed table.
-//! * [`rank::RankIndex`] — an auxiliary rank/select directory for
-//!   positional queries over a frozen bitmap.
 //! * [`wah::WahBitmap`] — a word-aligned-hybrid run-length-compressed
-//!   bitmap, covering the "compression techniques (e.g. run-length) for
-//!   simple bitmap indexes" the paper lists as related work, and used by
-//!   the sparsity experiments.
+//!   container, covering the "compression techniques (e.g. run-length)
+//!   for simple bitmap indexes" the paper lists as related work, and
+//!   used by the sparsity experiments.
 //! * [`roaring::RoaringBitmap`] — a chunked hybrid array/bitmap/run
-//!   compressed bitmap in the style of Chambi et al., with chunk-level
-//!   compressed-domain set operations and on-demand evaluation windows.
+//!   compressed container in the style of Chambi et al.
 //! * [`store::SliceStorage`] — the per-slice adaptive container choice
 //!   (dense word-packed, Roaring, or WAH) driven by measured density.
-//! * [`builder::BitVecBuilder`] — streaming construction helpers used by
-//!   the index builders.
+//!   A compressed container is built from and expanded to a [`BitVec`],
+//!   counted, probed, measured, read one evaluation window at a time
+//!   and persisted; it has no set algebra of its own, because queries
+//!   only ever combine slices inside the window kernel.
+//! * [`builder::SliceFamilyBuilder`] — the streaming construction every
+//!   index build uses: one code per tuple, spread over `k` slices.
+//! * [`serial::ByteReader`] — the checked little-endian reader through
+//!   which every persisted image (containers here; mapping, permutation
+//!   and metadata in `ebi-core`) is decoded.
 //! * [`kernels`] — fused, segment-streaming evaluation kernels that
 //!   compute an entire product term (AND of up to 64 optionally negated
 //!   vectors) in one pass with no intermediate allocation, OR-ing terms
@@ -52,10 +56,8 @@ pub mod error;
 mod iter;
 pub mod kernels;
 mod ops;
-pub mod rank;
 pub mod roaring;
 pub mod runs;
-mod serde_impl;
 pub mod serial;
 pub mod simd;
 pub mod store;

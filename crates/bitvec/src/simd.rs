@@ -1,12 +1,13 @@
 //! Vectorised word passes behind the fused evaluation kernels.
 //!
-//! Every hot loop in [`crate::kernels`] and the Roaring bitmap-container
-//! ops reduces to one of a handful of *word passes* over at most
-//! [`crate::kernels::SEGMENT_WORDS`] 64-bit words: AND two (optionally
-//! complemented) operands into a product row, AND a further operand in,
-//! OR a finished product into the destination, or AND the last two
-//! operands straight into the destination. This module provides those
-//! passes at two implementation tiers and picks one at runtime:
+//! Every hot loop in [`crate::kernels`] reduces to one of a handful of
+//! *word passes* over at most [`crate::kernels::SEGMENT_WORDS`] 64-bit
+//! words: AND two (optionally complemented) operands into a product
+//! row, AND a further operand in, OR a finished product into the
+//! destination (the pass Roaring's chunk expansion borrows), or AND the
+//! last two operands straight into the destination. This module
+//! provides those passes at two implementation tiers and picks one at
+//! runtime:
 //!
 //! * **scalar** — word-at-a-time `zip` loops, which the compiler
 //!   auto-vectorises for whatever the target baseline offers (SSE2 on
@@ -296,56 +297,6 @@ pub fn or_and_into(
         #[allow(unreachable_patterns)]
         _ => scalar::or_and_into(dst, s1, s2, m1, m2),
     }
-}
-
-/// `out[i] = a[i] & b[i]` — Roaring bitmap-container intersection.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn and_words(path: KernelPath, out: &mut [u64], a: &[u64], b: &[u64]) {
-    let _ = fused_pass2(path, out, a, b, false, false);
-}
-
-/// `out[i] = a[i] & !b[i]` — Roaring bitmap-container subtraction.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn andnot_words(path: KernelPath, out: &mut [u64], a: &[u64], b: &[u64]) {
-    let _ = fused_pass2(path, out, a, b, false, true);
-}
-
-/// `dst[i] &= src[i]` — in-place container intersection.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn and_assign(path: KernelPath, dst: &mut [u64], src: &[u64]) {
-    let _ = and_pass(path, dst, src, false);
-}
-
-/// `dst[i] &= !src[i]` — in-place container subtraction.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn andnot_assign(path: KernelPath, dst: &mut [u64], src: &[u64]) {
-    let _ = and_pass(path, dst, src, true);
-}
-
-/// `dst[i] |= src[i]` — in-place container union.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn or_assign(path: KernelPath, dst: &mut [u64], src: &[u64]) {
-    let _ = or_into(path, dst, src);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ use crate::core::BitVec;
 use crate::error::BitVecError;
 use crate::roaring::{RoaringBitmap, CHUNK_BITS};
 use crate::wah::WahBitmap;
-use serde::de::Error as DeError;
-use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 
 /// Density band (inclusive) within which compression is not attempted
 /// by [`StoragePolicy::Adaptive`].
@@ -266,7 +264,7 @@ impl SliceStorage {
             detail: "empty slice-storage buffer".into(),
         })?;
         match tag {
-            0 => Ok(Self::Dense(BitVec::from_bytes(body.to_vec().into())?)),
+            0 => Ok(Self::Dense(BitVec::from_bytes(body)?)),
             1 => Ok(Self::Roaring(RoaringBitmap::from_bytes(body)?)),
             2 => Ok(Self::Wah(WahBitmap::from_bytes(body)?)),
             other => Err(BitVecError::Corrupt {
@@ -282,47 +280,9 @@ impl From<BitVec> for SliceStorage {
     }
 }
 
-impl Serialize for SliceStorage {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Map(vec![
-            ("kind", Value::U64(u64::from(self.kind().tag()))),
-            ("bytes", Value::Bytes(self.to_bytes())),
-        ]))
-    }
-}
-
-impl<'de> Deserialize<'de> for SliceStorage {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let Value::Map(fields) = deserializer.deserialize_value()? else {
-            return Err(D::Error::custom("SliceStorage: expected a map"));
-        };
-        let mut kind: Option<u64> = None;
-        let mut bytes: Option<Vec<u8>> = None;
-        for (name, value) in fields {
-            match (name, value) {
-                ("kind", Value::U64(k)) => kind = Some(k),
-                ("bytes", Value::Bytes(b)) => bytes = Some(b),
-                (other, _) => {
-                    return Err(D::Error::custom(format!(
-                        "SliceStorage: unknown field {other:?}"
-                    )));
-                }
-            }
-        }
-        let kind = kind.ok_or_else(|| D::Error::custom("SliceStorage: missing kind"))?;
-        let bytes = bytes.ok_or_else(|| D::Error::custom("SliceStorage: missing bytes"))?;
-        let parsed = Self::from_bytes(&bytes).map_err(D::Error::custom)?;
-        if u64::from(parsed.kind().tag()) != kind {
-            return Err(D::Error::custom("SliceStorage: kind/tag mismatch"));
-        }
-        Ok(parsed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{ValueDeserializer, ValueSerializer};
 
     fn patterned(len: usize, f: impl Fn(usize) -> bool) -> BitVec {
         (0..len).map(f).collect()
@@ -404,28 +364,5 @@ mod tests {
         }
         assert!(SliceStorage::from_bytes(&[]).is_err());
         assert!(SliceStorage::from_bytes(&[9, 0, 0]).is_err());
-    }
-
-    #[test]
-    fn serde_roundtrip_every_kind() {
-        let bits = patterned(150_000, |i| (20_000..120_000).contains(&i));
-        for policy in [
-            StoragePolicy::Dense,
-            StoragePolicy::Roaring,
-            StoragePolicy::Wah,
-        ] {
-            let s = SliceStorage::from_dense(bits.clone(), policy);
-            let tree = s.serialize(ValueSerializer).unwrap();
-            let restored = SliceStorage::deserialize(ValueDeserializer(tree)).unwrap();
-            assert_eq!(restored, s, "{policy:?}");
-        }
-        // Mismatched kind tag is rejected.
-        let s = SliceStorage::from_dense(bits, StoragePolicy::Wah);
-        let Value::Map(mut fields) = s.serialize(ValueSerializer).unwrap() else {
-            panic!("map expected");
-        };
-        fields[0].1 = Value::U64(0);
-        let err = SliceStorage::deserialize(ValueDeserializer(Value::Map(fields))).unwrap_err();
-        assert!(err.to_string().contains("mismatch"));
     }
 }

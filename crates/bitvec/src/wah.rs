@@ -23,6 +23,7 @@
 use crate::core::BitVec;
 use crate::error::BitVecError;
 use crate::roaring::{WindowFill, WindowKind};
+use crate::serial::ByteReader;
 
 /// Bits covered by one WAH group.
 pub const GROUP_BITS: usize = 63;
@@ -210,103 +211,6 @@ impl WahBitmap {
         st
     }
 
-    /// Bitwise AND directly on the compressed forms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[must_use]
-    pub fn and(&self, other: &Self) -> Self {
-        self.binary_op(other, BinOp::And)
-    }
-
-    /// Bitwise OR directly on the compressed forms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[must_use]
-    pub fn or(&self, other: &Self) -> Self {
-        self.binary_op(other, BinOp::Or)
-    }
-
-    /// Run-merging binary operation: `O(runs(a) + runs(b))`, not
-    /// `O(n_groups)`. Aligned fill runs combine in one step; an
-    /// *absorbing* fill (zero for AND, ones for OR) swallows the whole
-    /// overlapping stretch of the other operand without decoding it, and
-    /// an *identity* fill passes the other operand's groups through. The
-    /// result is canonical: adjacent same-value fills are coalesced and
-    /// any all-zero / all-ones group becomes (part of) a fill.
-    fn binary_op(&self, other: &Self, op: BinOp) -> Self {
-        assert_eq!(self.len, other.len, "WAH length mismatch");
-        let n_groups = self.len.div_ceil(GROUP_BITS) as u64;
-        let tail_partial = !self.len.is_multiple_of(GROUP_BITS);
-        let mut out = Emitter::default();
-        let mut a = RunCursor::new(&self.code);
-        let mut b = RunCursor::new(&other.code);
-        let mut remaining = n_groups;
-        while remaining > 0 {
-            if tail_partial && remaining == 1 {
-                // The trailing partial group is stored literally (masked
-                // to the valid width) so `count_ones` stays exact.
-                let tail_mask = (1u64 << (self.len % GROUP_BITS)) - 1;
-                let v = op.apply(a.next_group(), b.next_group()) & tail_mask;
-                out.push_tail_literal(v);
-                break;
-            }
-            match (a.peek(), b.peek()) {
-                (
-                    Run::Fill {
-                        ones: va,
-                        groups: na,
-                    },
-                    Run::Fill {
-                        ones: vb,
-                        groups: nb,
-                    },
-                ) => {
-                    let n = na.min(nb).min(remaining);
-                    out.push_fill(op.apply_bool(va, vb), n);
-                    a.advance(n);
-                    b.advance(n);
-                    remaining -= n;
-                }
-                (Run::Fill { ones, groups }, _) if op.absorbs(ones) => {
-                    let n = groups.min(remaining);
-                    out.push_fill(ones, n);
-                    a.advance(n);
-                    b.advance(n);
-                    remaining -= n;
-                }
-                (_, Run::Fill { ones, groups }) if op.absorbs(ones) => {
-                    let n = groups.min(remaining);
-                    out.push_fill(ones, n);
-                    a.advance(n);
-                    b.advance(n);
-                    remaining -= n;
-                }
-                // An identity fill on one side: the other side's group
-                // passes through unchanged.
-                (Run::Fill { .. }, Run::Literal(p)) | (Run::Literal(p), Run::Fill { .. }) => {
-                    out.push_group(p);
-                    a.advance(1);
-                    b.advance(1);
-                    remaining -= 1;
-                }
-                (Run::Literal(pa), Run::Literal(pb)) => {
-                    out.push_group(op.apply(pa, pb) & PAYLOAD_MASK);
-                    a.advance(1);
-                    b.advance(1);
-                    remaining -= 1;
-                }
-            }
-        }
-        Self {
-            code: out.finish(),
-            len: self.len,
-        }
-    }
-
     /// Value of bit `i`, by scanning the code sequence.
     ///
     /// `O(code words)` — fine for spot probes (row decoding); bulk reads
@@ -351,37 +255,54 @@ impl WahBitmap {
     ///
     /// # Errors
     ///
-    /// Returns [`BitVecError::Corrupt`] if the buffer is truncated or the
-    /// code words do not cover exactly the declared bit count.
+    /// Returns [`BitVecError::Corrupt`] if the buffer is truncated, the
+    /// code words do not cover exactly the declared bit count, a fill
+    /// covers no group, the trailing literal has bits beyond the length,
+    /// or the length is so close to `usize::MAX` that the bit offset of
+    /// its last group's end cannot be computed.
     pub fn from_bytes(raw: &[u8]) -> Result<Self, BitVecError> {
-        if raw.len() < 8 || !raw.len().is_multiple_of(8) {
-            return Err(BitVecError::Corrupt {
-                detail: format!("WAH buffer of {} bytes is not word-aligned", raw.len()),
-            });
+        let corrupt = |detail: String| BitVecError::Corrupt { detail };
+        let mut r = ByteReader::new(raw);
+        let len = r.length()?;
+        if !r.remaining().is_multiple_of(8) {
+            return Err(corrupt(format!(
+                "WAH code of {} bytes is not word-aligned",
+                r.remaining()
+            )));
         }
-        let len = u64::from_le_bytes(raw[..8].try_into().expect("8 bytes")) as usize;
-        let code: Vec<u64> = raw[8..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        let covered: usize = code
-            .iter()
-            .map(|&w| {
-                if w & FILL_FLAG != 0 {
-                    (w & COUNT_MASK) as usize * GROUP_BITS
-                } else {
-                    GROUP_BITS
-                }
-            })
-            .sum();
+        let code = r.u64s(r.remaining() / 8)?;
         // The last group may be partial, so coverage must reach len and
-        // not exceed it by more than one group.
-        if covered < len || covered >= len + GROUP_BITS {
-            return Err(BitVecError::Corrupt {
-                detail: format!("WAH code covers {covered} bits but header declares {len}"),
-            });
+        // not exceed it by a whole group. The bound is also what the
+        // cursor relies on when it multiplies group indices back into
+        // bit offsets: none of them exceeds `covered`.
+        let limit = len
+            .checked_add(GROUP_BITS - 1)
+            .ok_or_else(|| corrupt(format!("WAH length {len} too close to usize::MAX")))?;
+        let mut covered = 0usize;
+        for &w in &code {
+            let groups = WahCursor::piece_groups(w);
+            // Whole groups that still fit under the limit, which keeps
+            // the product below from overflowing.
+            let room = ((limit - covered) / GROUP_BITS) as u64;
+            if groups == 0 || groups > room {
+                return Err(corrupt(format!(
+                    "WAH code word {w:#x} covers no group or overruns the declared {len} bits"
+                )));
+            }
+            covered += groups as usize * GROUP_BITS;
         }
-        Ok(Self { code, len })
+        if covered < len {
+            return Err(corrupt(format!(
+                "WAH code covers {covered} bits but header declares {len}"
+            )));
+        }
+        // `count_ones` trusts the trailing literal to be zero past `len`.
+        match code.last() {
+            Some(&w) if w & FILL_FLAG == 0 && w >> (GROUP_BITS - (covered - len)) != 0 => {
+                Err(corrupt("set bits beyond declared length".into()))
+            }
+            _ => Ok(Self { code, len }),
+        }
     }
 }
 
@@ -547,171 +468,6 @@ fn scatter_group(out: &mut [u64], off: i64, payload: u64) {
     }
 }
 
-/// The two compressed-domain operations, named so [`WahBitmap::binary_op`]
-/// can recognise absorbing fills (`0 AND x = 0`, `1 OR x = 1`) and skip
-/// the other operand's runs without decoding them.
-#[derive(Clone, Copy)]
-enum BinOp {
-    And,
-    Or,
-}
-
-impl BinOp {
-    fn apply(self, a: u64, b: u64) -> u64 {
-        match self {
-            Self::And => a & b,
-            Self::Or => a | b,
-        }
-    }
-
-    fn apply_bool(self, a: bool, b: bool) -> bool {
-        match self {
-            Self::And => a && b,
-            Self::Or => a || b,
-        }
-    }
-
-    /// `true` if a fill of `ones` forces the result regardless of the
-    /// other operand.
-    fn absorbs(self, ones: bool) -> bool {
-        match self {
-            Self::And => !ones,
-            Self::Or => ones,
-        }
-    }
-}
-
-/// The piece a [`RunCursor`] currently sits on.
-#[derive(Clone, Copy)]
-enum Run {
-    /// A fill covering `groups` whole 63-bit groups.
-    Fill { ones: bool, groups: u64 },
-    /// One literal group's payload.
-    Literal(u64),
-}
-
-/// Streams *runs* (fills with their remaining group counts, or single
-/// literal groups) out of a WAH code sequence.
-struct RunCursor<'a> {
-    code: &'a [u64],
-    idx: usize,
-    /// Groups left in the current fill word (0 = not inside a fill).
-    fill_remaining: u64,
-    fill_ones: bool,
-}
-
-impl<'a> RunCursor<'a> {
-    fn new(code: &'a [u64]) -> Self {
-        Self {
-            code,
-            idx: 0,
-            fill_remaining: 0,
-            fill_ones: false,
-        }
-    }
-
-    /// The current run without consuming it.
-    fn peek(&mut self) -> Run {
-        if self.fill_remaining == 0 {
-            let w = self.code[self.idx];
-            if w & FILL_FLAG != 0 {
-                self.idx += 1;
-                self.fill_ones = w & FILL_VALUE != 0;
-                self.fill_remaining = w & COUNT_MASK;
-            } else {
-                return Run::Literal(w);
-            }
-        }
-        Run::Fill {
-            ones: self.fill_ones,
-            groups: self.fill_remaining,
-        }
-    }
-
-    /// Consumes `n` groups, crossing piece boundaries as needed. Skipped
-    /// literal words cost one index bump each; skipped fills cost O(1)
-    /// per fill word regardless of their group counts.
-    fn advance(&mut self, mut n: u64) {
-        while n > 0 {
-            match self.peek() {
-                Run::Fill { groups, .. } => {
-                    let step = groups.min(n);
-                    self.fill_remaining -= step;
-                    n -= step;
-                }
-                Run::Literal(_) => {
-                    self.idx += 1;
-                    n -= 1;
-                }
-            }
-        }
-    }
-
-    /// Consumes and returns a single group's 63-bit payload.
-    fn next_group(&mut self) -> u64 {
-        match self.peek() {
-            Run::Fill { ones, .. } => {
-                self.fill_remaining -= 1;
-                if ones {
-                    PAYLOAD_MASK
-                } else {
-                    0
-                }
-            }
-            Run::Literal(p) => {
-                self.idx += 1;
-                p
-            }
-        }
-    }
-}
-
-/// Builds a canonical WAH code sequence: all-zero / all-ones groups become
-/// fills, adjacent same-value fills merge (up to the 62-bit count cap),
-/// and the trailing partial group is kept literal.
-#[derive(Default)]
-struct Emitter {
-    code: Vec<u64>,
-}
-
-impl Emitter {
-    fn push_fill(&mut self, ones: bool, mut groups: u64) {
-        if let Some(w) = self.code.last_mut() {
-            if *w & FILL_FLAG != 0 && (*w & FILL_VALUE != 0) == ones {
-                let room = COUNT_MASK - (*w & COUNT_MASK);
-                let add = room.min(groups);
-                *w += add;
-                groups -= add;
-            }
-        }
-        while groups > 0 {
-            let take = groups.min(COUNT_MASK);
-            self.code
-                .push(FILL_FLAG | if ones { FILL_VALUE } else { 0 } | take);
-            groups -= take;
-        }
-    }
-
-    /// Pushes one full group, classifying uniform payloads as fills.
-    fn push_group(&mut self, payload: u64) {
-        if payload == 0 || payload == PAYLOAD_MASK {
-            self.push_fill(payload == PAYLOAD_MASK, 1);
-        } else {
-            self.code.push(payload);
-        }
-    }
-
-    /// Pushes the trailing partial group, which stays literal even when
-    /// uniform so `count_ones` needs no tail masking.
-    fn push_tail_literal(&mut self, payload: u64) {
-        self.code.push(payload);
-    }
-
-    fn finish(self) -> Vec<u64> {
-        self.code
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,79 +517,6 @@ mod tests {
             "ratio {}",
             wah.compression_ratio()
         );
-    }
-
-    #[test]
-    fn compressed_and_or_match_plain_ops() {
-        let a = patterned(5000, |i| i % 7 == 0 || i > 4000);
-        let b = patterned(5000, |i| i % 11 == 0 || i < 600);
-        let (wa, wb) = (WahBitmap::compress(&a), WahBitmap::compress(&b));
-        assert_eq!(wa.and(&wb).decompress(), &a & &b);
-        assert_eq!(wa.or(&wb).decompress(), &a | &b);
-    }
-
-    #[test]
-    fn compressed_ops_on_long_fills() {
-        let a = BitVec::zeros(GROUP_BITS * 100);
-        let b = BitVec::ones(GROUP_BITS * 100);
-        let (wa, wb) = (WahBitmap::compress(&a), WahBitmap::compress(&b));
-        assert_eq!(wa.or(&wb).count_ones(), GROUP_BITS * 100);
-        assert_eq!(wa.and(&wb).count_ones(), 0);
-        // Fill runs should have merged into very few code words.
-        assert!(wa.storage_bytes() <= 16);
-    }
-
-    #[test]
-    fn binary_op_results_are_canonical() {
-        // Canonical form == what `compress` would produce from the dense
-        // result: uniform groups become fills, adjacent same-value fills
-        // coalesce, partial tails stay literal.
-        let shapes: Vec<(BitVec, BitVec)> = vec![
-            (
-                patterned(GROUP_BITS * 40 + 17, |i| i < GROUP_BITS * 10),
-                patterned(GROUP_BITS * 40 + 17, |i| {
-                    (GROUP_BITS * 5..GROUP_BITS * 30).contains(&i)
-                }),
-            ),
-            (
-                patterned(5000, |i| i % 7 == 0 || i > 4000),
-                patterned(5000, |i| i % 11 == 0 || i < 600),
-            ),
-            (
-                // Complementary halves: AND is all-zero, OR all-one.
-                patterned(GROUP_BITS * 8, |i| i < GROUP_BITS * 4),
-                patterned(GROUP_BITS * 8, |i| i >= GROUP_BITS * 4),
-            ),
-            (BitVec::new(), BitVec::new()),
-        ];
-        for (a, b) in shapes {
-            let (wa, wb) = (WahBitmap::compress(&a), WahBitmap::compress(&b));
-            assert_eq!(
-                wa.and(&wb),
-                WahBitmap::compress(&(&a & &b)),
-                "AND canonical"
-            );
-            assert_eq!(wa.or(&wb), WahBitmap::compress(&(&a | &b)), "OR canonical");
-        }
-    }
-
-    #[test]
-    fn binary_op_skips_runs_without_expanding_them() {
-        // A long zero fill AND anything is a zero fill: the result must
-        // stay a handful of code words, and the dense operand's groups
-        // must not be materialised into the output.
-        let rows = GROUP_BITS * 100_000;
-        let sparse = WahBitmap::compress(&BitVec::from_positions(rows, &[1, rows - 2]));
-        let dense = WahBitmap::compress(&patterned(rows, |i| i % 3 == 0));
-        let anded = sparse.and(&dense);
-        assert!(
-            anded.storage_bytes() <= 6 * 8,
-            "absorbing fill did not stay compressed: {} bytes",
-            anded.storage_bytes()
-        );
-        // Positions 1 and rows-2 both fall on i % 3 != 0.
-        assert_eq!(anded.count_ones(), 0);
-        assert_eq!(sparse.or(&dense).count_ones(), dense.count_ones() + 2);
     }
 
     #[test]
@@ -910,10 +593,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn binary_op_length_mismatch_panics() {
-        let a = WahBitmap::compress(&BitVec::zeros(10));
-        let b = WahBitmap::compress(&BitVec::zeros(20));
-        let _ = a.and(&b);
+    fn serialisation_rejects_hostile_headers_without_overflow() {
+        let image = |len: u64, words: &[u64]| {
+            let mut raw = len.to_le_bytes().to_vec();
+            words
+                .iter()
+                .for_each(|w| raw.extend_from_slice(&w.to_le_bytes()));
+            WahBitmap::from_bytes(&raw)
+        };
+        let max_groups = u64::MAX / GROUP_BITS as u64;
+        for (what, got) in [
+            // count × 63 used to overflow (debug) or wrap (release).
+            ("maximal fill count", image(63, &[FILL_FLAG | COUNT_MASK])),
+            // Exactly covered, but `len + 63` and the cursor's
+            // group-to-bit products would not fit a usize.
+            (
+                "len within 63 of usize::MAX",
+                image(max_groups * 63 - 5, &[FILL_FLAG | max_groups]),
+            ),
+            ("fill of no groups", image(63, &[FILL_FLAG, 1])),
+            ("tail literal past len", image(4, &[0b10_0001])),
+        ] {
+            assert!(matches!(got, Err(BitVecError::Corrupt { .. })), "{what}");
+        }
+        assert_eq!(image(4, &[0b1001]).unwrap().count_ones(), 2);
     }
 }

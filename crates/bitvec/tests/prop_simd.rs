@@ -113,31 +113,6 @@ proptest! {
             let got_sat = simd::or_into(path, &mut got, &s1);
             prop_assert_eq!(&got, &want, "or_into words on {}", path.name());
             prop_assert_eq!(got_sat, want_sat, "or_into saturation on {}", path.name());
-
-            // The roaring-container wrappers.
-            let mut want = vec![0u64; n];
-            simd::and_words(KernelPath::Scalar, &mut want, &s1, &s2);
-            let mut got = vec![0u64; n];
-            simd::and_words(path, &mut got, &s1, &s2);
-            prop_assert_eq!(&got, &want, "and_words on {}", path.name());
-
-            let mut want = vec![0u64; n];
-            simd::andnot_words(KernelPath::Scalar, &mut want, &s1, &s2);
-            let mut got = vec![0u64; n];
-            simd::andnot_words(path, &mut got, &s1, &s2);
-            prop_assert_eq!(&got, &want, "andnot_words on {}", path.name());
-
-            for (name, op) in [
-                ("and_assign", simd::and_assign as fn(KernelPath, &mut [u64], &[u64])),
-                ("andnot_assign", simd::andnot_assign),
-                ("or_assign", simd::or_assign),
-            ] {
-                let mut want = base.clone();
-                op(KernelPath::Scalar, &mut want, &s1);
-                let mut got = base.clone();
-                op(path, &mut got, &s1);
-                prop_assert_eq!(&got, &want, "{} on {}", name, path.name());
-            }
         }
     }
 

@@ -50,6 +50,16 @@ impl From<StorageError> for CoreError {
     }
 }
 
+/// Bytes that were read but do not decode: every persisted-image decoder
+/// reads through `ebi_bitvec::serial::ByteReader`, whose errors land here.
+impl From<ebi_bitvec::BitVecError> for CoreError {
+    fn from(e: ebi_bitvec::BitVecError) -> Self {
+        Self::InvalidCode {
+            detail: format!("corrupt persisted image: {e}"),
+        }
+    }
+}
+
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

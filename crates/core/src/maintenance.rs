@@ -17,19 +17,6 @@ use crate::nulls::{NullPolicy, VOID_CODE};
 use ebi_bitvec::BitVec;
 use ebi_storage::Cell;
 
-/// Counters describing maintenance activity since build.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintenanceLog {
-    /// Rows appended.
-    pub appends: usize,
-    /// New values admitted to the domain.
-    pub new_values: usize,
-    /// Bitmap vectors added by width growth (Figure 2(b) events).
-    pub slices_added: usize,
-    /// Rows deleted.
-    pub deletes: usize,
-}
-
 impl EncodedBitmapIndex {
     /// Appends one cell, expanding the domain if needed. Returns the new
     /// row id and whether a new bitmap vector was added.

@@ -2,6 +2,7 @@
 //! and the row permutation `RowPermutation` of a reordered build.
 
 use crate::error::CoreError;
+use ebi_bitvec::serial::ByteReader;
 use ebi_bitvec::BitVec;
 use ebi_storage::Cell;
 use std::collections::{BTreeMap, HashSet};
@@ -254,28 +255,19 @@ impl Mapping {
     ///
     /// [`CoreError::InvalidCode`] on truncated or inconsistent input.
     pub fn from_bytes(raw: &[u8]) -> Result<Self, CoreError> {
-        if raw.len() < 12 {
+        let mut r = ByteReader::new(raw);
+        let width = r.u32()?;
+        let n = r.length()?;
+        if width > 63 {
             return Err(CoreError::InvalidCode {
-                detail: "mapping blob too short".into(),
-            });
-        }
-        let width = u32::from_le_bytes(raw[0..4].try_into().expect("4 bytes"));
-        let n = u64::from_le_bytes(raw[4..12].try_into().expect("8 bytes")) as usize;
-        if raw.len() != 12 + n * 16 || width > 63 {
-            return Err(CoreError::InvalidCode {
-                detail: format!(
-                    "mapping blob of {} bytes inconsistent with {n} entries",
-                    raw.len()
-                ),
+                detail: format!("mapping width {width} exceeds 63 bits"),
             });
         }
         let mut map = Self::new(width);
-        for i in 0..n {
-            let off = 12 + i * 16;
-            let v = u64::from_le_bytes(raw[off..off + 8].try_into().expect("8 bytes"));
-            let c = u64::from_le_bytes(raw[off + 8..off + 16].try_into().expect("8 bytes"));
-            map.insert(v, c)?;
+        for _ in 0..r.counted(n, 16)? {
+            map.insert(r.u64()?, r.u64()?)?;
         }
+        r.finish()?;
         Ok(map)
     }
 }
@@ -455,26 +447,13 @@ impl RowPermutation {
     /// [`CoreError::InvalidCode`] on truncated input or a non-bijective
     /// id list.
     pub fn from_bytes(raw: &[u8]) -> Result<Self, CoreError> {
-        if raw.len() < 8 {
-            return Err(CoreError::InvalidCode {
-                detail: "permutation blob too short".into(),
-            });
+        let mut r = ByteReader::new(raw);
+        let n = r.length()?;
+        let mut original_of = Vec::with_capacity(r.counted(n, 4)?);
+        for _ in 0..n {
+            original_of.push(r.u32()?);
         }
-        let n = u64::from_le_bytes(raw[0..8].try_into().expect("8 bytes")) as usize;
-        if raw.len() != 8 + n * 4 {
-            return Err(CoreError::InvalidCode {
-                detail: format!(
-                    "permutation blob of {} bytes inconsistent with {n} rows",
-                    raw.len()
-                ),
-            });
-        }
-        let original_of = (0..n)
-            .map(|i| {
-                let off = 8 + i * 4;
-                u32::from_le_bytes(raw[off..off + 4].try_into().expect("4 bytes"))
-            })
-            .collect();
+        r.finish()?;
         Self::from_original_of(original_of)
     }
 }
@@ -578,6 +557,11 @@ mod tests {
         let mut raw = m.to_bytes();
         raw.pop();
         assert!(Mapping::from_bytes(&raw).is_err());
+        // 12 bytes declaring 2^60 entries: `12 + n * 16` used to overflow.
+        let mut raw = 4u32.to_le_bytes().to_vec();
+        raw.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        let err = Mapping::from_bytes(&raw).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidCode { .. }), "{err}");
     }
 
     #[test]
@@ -672,5 +656,9 @@ mod tests {
         let mut raw = p.to_bytes();
         raw[8] = 9;
         assert!(RowPermutation::from_bytes(&raw).is_err());
+        // 8 bytes declaring 2^62 rows: `8 + n * 4` used to overflow, and
+        // in release the id list was collected to that size.
+        let err = RowPermutation::from_bytes(&(1u64 << 62).to_le_bytes()).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidCode { .. }), "{err}");
     }
 }

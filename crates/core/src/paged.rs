@@ -12,7 +12,7 @@
 
 use crate::error::CoreError;
 use crate::index::{EncodedBitmapIndex, QueryResult, Vectors};
-use crate::persist::{decode_companion, decode_slice, load_index, IndexHandle};
+use crate::persist::{load_index, IndexHandle};
 use ebi_bitvec::{BitVec, SliceStorage};
 use ebi_storage::buffer::{BufferPool, BufferStats};
 use ebi_storage::pager::Pager;
@@ -106,7 +106,7 @@ impl<'a> PagedIndex<'a> {
         let slices = handles
             .map(|(i, h)| {
                 if expr.support() >> i & 1 == 1 {
-                    decode_slice(&self.fetch(h)?)
+                    Ok(SliceStorage::from_bytes(&self.fetch(h)?)?)
                 } else {
                     Ok(BitVec::zeros(self.rows()).into())
                 }
@@ -114,9 +114,11 @@ impl<'a> PagedIndex<'a> {
             .collect::<Result<Vec<SliceStorage>, CoreError>>()?;
         // A selection that is constant false masks nothing, so it reads
         // no companion either.
-        let companion = |h: &Option<SegmentHandle>| match h {
-            Some(h) if !expr.is_false() => decode_companion(self.fetch(h)?).map(Some),
-            _ => Ok(None),
+        let companion = |h: &Option<SegmentHandle>| -> Result<Option<BitVec>, CoreError> {
+            match h {
+                Some(h) if !expr.is_false() => Ok(Some(BitVec::from_bytes(&self.fetch(h)?)?)),
+                _ => Ok(None),
+            }
         };
         let b_null = companion(&self.handle.b_null)?;
         let b_not_exist = companion(&self.handle.b_not_exist)?;

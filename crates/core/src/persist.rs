@@ -11,6 +11,7 @@ use crate::index::EncodedBitmapIndex;
 use crate::mapping::{Mapping, RowPermutation};
 use crate::nulls::NullPolicy;
 use crate::reorder::RowOrder;
+use ebi_bitvec::serial::ByteReader;
 use ebi_bitvec::{BitVec, SliceStorage};
 use ebi_storage::pager::Pager;
 use ebi_storage::segment::{read_segment, write_segment, SegmentHandle};
@@ -79,37 +80,27 @@ struct Meta {
 }
 
 fn decode_meta(raw: &[u8]) -> Result<Meta, CoreError> {
-    let corrupt = |d: &str| CoreError::InvalidCode {
+    let corrupt = |d: String| CoreError::InvalidCode {
         detail: format!("corrupt index metadata: {d}"),
     };
-    if raw.len() < 26 {
-        return Err(corrupt("too short"));
-    }
-    let rows = u64::from_le_bytes(raw[0..8].try_into().expect("8 bytes")) as usize;
-    let policy = match raw[8] {
+    let mut r = ByteReader::new(raw);
+    let rows = r.length()?;
+    let policy = match r.u8()? {
         0 => NullPolicy::SeparateVectors,
         1 => NullPolicy::EncodedReserved,
-        other => return Err(corrupt(&format!("unknown policy tag {other}"))),
+        other => return Err(corrupt(format!("unknown policy tag {other}"))),
     };
-    let has_null = raw[9] == 1;
-    let null_code = u64::from_le_bytes(raw[10..18].try_into().expect("8 bytes"));
-    let n_reserved = u64::from_le_bytes(raw[18..26].try_into().expect("8 bytes")) as usize;
-    let base = 26 + n_reserved * 8;
-    if raw.len() != base && raw.len() != base + 1 {
-        return Err(corrupt("reserved-code list truncated"));
-    }
-    let reserved = (0..n_reserved)
-        .map(|i| {
-            let off = 26 + i * 8;
-            u64::from_le_bytes(raw[off..off + 8].try_into().expect("8 bytes"))
-        })
-        .collect();
-    let row_order = if raw.len() == base + 1 {
-        RowOrder::from_tag(raw[base])
-            .ok_or_else(|| corrupt(&format!("unknown row-order tag {}", raw[base])))?
-    } else {
+    let has_null = r.u8()? == 1;
+    let null_code = r.u64()?;
+    let n_reserved = r.length()?;
+    let reserved = r.u64s(n_reserved)?;
+    let row_order = if r.remaining() == 0 {
         RowOrder::Original
+    } else {
+        let tag = r.u8()?;
+        RowOrder::from_tag(tag).ok_or_else(|| corrupt(format!("unknown row-order tag {tag}")))?
     };
+    r.finish()?;
     Ok(Meta {
         rows,
         policy,
@@ -156,23 +147,6 @@ pub fn save_index(index: &EncodedBitmapIndex, pager: &Pager) -> Result<IndexHand
     })
 }
 
-fn corrupt_vector(e: &ebi_bitvec::BitVecError) -> CoreError {
-    CoreError::InvalidCode {
-        detail: format!("corrupt bitmap vector: {e}"),
-    }
-}
-
-/// Decodes one persisted slice `B_i`, in its tagged container.
-pub(crate) fn decode_slice(raw: &[u8]) -> Result<SliceStorage, CoreError> {
-    SliceStorage::from_bytes(raw).map_err(|e| corrupt_vector(&e))
-}
-
-/// Decodes a persisted companion (`B_NULL` / `B_NotExist`): a plain
-/// dense bitmap, without a storage tag.
-pub(crate) fn decode_companion(raw: Vec<u8>) -> Result<BitVec, CoreError> {
-    BitVec::from_bytes(raw.into()).map_err(|e| corrupt_vector(&e))
-}
-
 /// Loads a persisted index, charging page reads against `pager`.
 ///
 /// # Errors
@@ -184,13 +158,13 @@ pub fn load_index(pager: &Pager, handle: &IndexHandle) -> Result<EncodedBitmapIn
     let slices = handle
         .slices
         .iter()
-        .map(|h| decode_slice(&read_segment(pager, h)?))
+        .map(|h| Ok(SliceStorage::from_bytes(&read_segment(pager, h)?)?))
         .collect::<Result<Vec<SliceStorage>, CoreError>>()?;
     let mapping = Mapping::from_bytes(&read_segment(pager, &handle.mapping)?)?;
     let meta = decode_meta(&read_segment(pager, &handle.meta)?)?;
     let read_companion = |h: &Option<SegmentHandle>| -> Result<Option<BitVec>, CoreError> {
         h.as_ref()
-            .map(|h| decode_companion(read_segment(pager, h)?))
+            .map(|h| Ok(BitVec::from_bytes(&read_segment(pager, h)?)?))
             .transpose()
     };
     let b_not_exist = read_companion(&handle.b_not_exist)?;
@@ -343,6 +317,13 @@ mod tests {
         // Point meta at the mapping segment: garbage for decode_meta.
         handle.meta = handle.mapping;
         assert!(load_index(&pager, &handle).is_err());
+        // 2^61 reserved codes declared in 43 bytes: `26 + n * 8` used to
+        // overflow, or wrap and size a `collect` by the header.
+        let mut raw = encode_meta(&idx);
+        raw[18..26].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        handle.meta = write_segment(&pager, &raw).unwrap();
+        let err = load_index(&pager, &handle).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidCode { .. }), "{err}");
     }
 
     #[test]

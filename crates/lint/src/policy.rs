@@ -8,8 +8,8 @@
 //!   crates.io and fail; the lint fails first with a better message.
 //! - `metric-namespace` — metric-name string literals must start with
 //!   one of the declared `ebi_*` prefixes from `lint.toml`. Checked at
-//!   registry call sites (`.counter("…")`, `.gauge("…")`,
-//!   `.histogram("…")`), at declared wrapper fns (`publish("…")`), and
+//!   registry call sites (`.counter("…")`, `.histogram("…")`), at
+//!   declared wrapper fns (`publish("…")`), and
 //!   for any *full-match* `ebi_[a-z0-9_]+` literal anywhere outside
 //!   `#[cfg(test)]` modules — so a typo'd prefix cannot hide behind an
 //!   unknown call shape.
@@ -105,7 +105,7 @@ pub fn check_metrics(file: &str, tokens: &[Token], config: &Config, findings: &m
     let test_ranges = cfg_test_ranges(&code);
     let in_test = |i: usize| test_ranges.iter().any(|(a, b)| i > *a && i < *b);
 
-    let registry_methods = ["counter", "gauge", "histogram"];
+    let registry_methods = ["counter", "histogram"];
     for (i, tok) in code.iter().enumerate() {
         if tok.kind != TokenKind::Str {
             continue;

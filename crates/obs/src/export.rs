@@ -60,13 +60,6 @@ impl JsonObject {
         self
     }
 
-    /// Adds a signed integer field.
-    pub fn i64(&mut self, key: &str, value: i64) -> &mut Self {
-        self.key(key);
-        let _ = write!(self.body, "{value}");
-        self
-    }
-
     /// Adds a float field (`null` when not finite, as JSON has no
     /// NaN/Inf).
     pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {
@@ -153,7 +146,6 @@ pub fn prometheus_render(samples: &[MetricSample]) -> String {
         if last_name != Some(s.name.as_str()) {
             let kind = match &s.value {
                 MetricValue::Counter(_) => "counter",
-                MetricValue::Gauge(_) => "gauge",
                 MetricValue::Histogram(_) => "histogram",
             };
             let _ = writeln!(out, "# TYPE {} {kind}", s.name);
@@ -161,9 +153,6 @@ pub fn prometheus_render(samples: &[MetricSample]) -> String {
         }
         match &s.value {
             MetricValue::Counter(v) => {
-                let _ = writeln!(out, "{}{} {v}", s.name, prom_labels(&s.labels));
-            }
-            MetricValue::Gauge(v) => {
                 let _ = writeln!(out, "{}{} {v}", s.name, prom_labels(&s.labels));
             }
             MetricValue::Histogram(h) => {
@@ -211,9 +200,6 @@ pub fn metrics_json_lines(samples: &[MetricSample]) -> String {
         match &s.value {
             MetricValue::Counter(v) => {
                 obj.str("kind", "counter").u64("value", *v);
-            }
-            MetricValue::Gauge(v) => {
-                obj.str("kind", "gauge").i64("value", *v);
             }
             MetricValue::Histogram(h) => {
                 // Full cumulative series, mirroring the Prometheus
@@ -265,7 +251,6 @@ mod tests {
         let mut o = JsonObject::new();
         o.str("name", "a\"b\\c\nd")
             .u64("n", 7)
-            .i64("g", -3)
             .f64("ratio", 0.5)
             .f64("nan", f64::NAN)
             .bool("ok", true)
@@ -273,7 +258,7 @@ mod tests {
         let s = o.finish();
         assert_eq!(
             s,
-            "{\"name\":\"a\\\"b\\\\c\\nd\",\"n\":7,\"g\":-3,\"ratio\":0.5,\"nan\":null,\"ok\":true,\"arr\":[1,2]}"
+            "{\"name\":\"a\\\"b\\\\c\\nd\",\"n\":7,\"ratio\":0.5,\"nan\":null,\"ok\":true,\"arr\":[1,2]}"
         );
     }
 
@@ -289,14 +274,12 @@ mod tests {
     fn prometheus_render_covers_all_kinds() {
         let reg = MetricsRegistry::new();
         reg.counter("reads_total", &[("dev", "pager")]).add(3);
-        reg.gauge("depth", &[]).set(-2);
         let h = reg.histogram("lat_ns", &[]);
         h.record(1);
         h.record(900);
         let text = reg.render_prometheus();
         assert!(text.contains("# TYPE reads_total counter"));
         assert!(text.contains("reads_total{dev=\"pager\"} 3"));
-        assert!(text.contains("depth -2"));
         assert!(text.contains("lat_ns_bucket{le=\"1\"} 1"));
         assert!(text.contains("lat_ns_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("lat_ns_sum 901"));

@@ -9,8 +9,8 @@
 //! breakdowns, for every query, in every crate of the workspace:
 //!
 //! * [`metrics`] — a process-global, sharded, lock-cheap registry of
-//!   monotonic [`metrics::Counter`]s, [`metrics::Gauge`]s and
-//!   log2-bucketed [`metrics::Histogram`]s (p50/p95/p99 summaries),
+//!   monotonic [`metrics::Counter`]s and log2-bucketed
+//!   [`metrics::Histogram`]s (p50/p95/p99 summaries),
 //!   keyed by name plus free-form labels (`query`, `slice`, `phase`);
 //! * [`span`] — an RAII span API ([`span::Trace`], [`span::Span`])
 //!   recording a structured event tree per query. Spans carry explicit
@@ -64,7 +64,7 @@ pub mod span;
 pub mod trace_ring;
 
 pub use context::TraceContext;
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::{Counter, Histogram, MetricsRegistry};
 pub use report::{CostCounters, IndexLayout, PhaseNode, QueryReport, StorageCounters};
 pub use span::{Span, SpanHandle, SpanRecord, Trace};
 pub use trace_ring::{RetainedTrace, TraceRing, TraceRingConfig};

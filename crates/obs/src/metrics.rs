@@ -1,11 +1,10 @@
 //! A process-global, sharded, lock-cheap metrics registry.
 //!
-//! Three instrument kinds, all safe to clone and update from any
+//! Two instrument kinds, both safe to clone and update from any
 //! thread without touching the registry again:
 //!
 //! * [`Counter`] — monotonic `u64` (one relaxed `fetch_add` per
 //!   update);
-//! * [`Gauge`] — signed instantaneous value;
 //! * [`Histogram`] — log2-bucketed distribution of latencies or byte
 //!   counts, with `p50`/`p95`/`p99` summaries read from a lock-free
 //!   snapshot.
@@ -19,7 +18,7 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::OnceLock;
 
@@ -57,28 +56,6 @@ impl Counter {
     /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed instantaneous value.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (negative to decrease).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -216,7 +193,6 @@ fn normalise_labels(labels: &[(&str, &str)]) -> Labels {
 #[derive(Debug, Clone)]
 enum Instrument {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Histogram),
 }
 
@@ -224,7 +200,6 @@ impl Instrument {
     fn kind(&self) -> &'static str {
         match self {
             Self::Counter(_) => "counter",
-            Self::Gauge(_) => "gauge",
             Self::Histogram(_) => "histogram",
         }
     }
@@ -235,8 +210,6 @@ impl Instrument {
 pub enum MetricValue {
     /// Counter value.
     Counter(u64),
-    /// Gauge value.
-    Gauge(i64),
     /// Histogram distribution (boxed: 65 buckets dwarf the scalars).
     Histogram(Box<HistogramSnapshot>),
 }
@@ -318,19 +291,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Returns (registering on first use) the gauge `name{labels}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is already registered as a different kind.
-    #[must_use]
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.get_or_insert(name, labels, &Instrument::Gauge(Gauge::default())) {
-            Instrument::Gauge(g) => g,
-            _ => unreachable!("kind checked in get_or_insert"),
-        }
-    }
-
     /// Returns (registering on first use) the histogram `name{labels}`.
     ///
     /// # Panics
@@ -356,7 +316,6 @@ impl MetricsRegistry {
                     labels: labels.clone(),
                     value: match inst {
                         Instrument::Counter(c) => MetricValue::Counter(c.get()),
-                        Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
                         Instrument::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
                     },
                 });
@@ -409,7 +368,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
+    fn counter_roundtrip() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("hits", &[("phase", "eval")]);
         c.inc();
@@ -417,10 +376,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         // Same key returns the same underlying atomic.
         assert_eq!(reg.counter("hits", &[("phase", "eval")]).get(), 5);
-        let g = reg.gauge("depth", &[]);
-        g.set(7);
-        g.add(-2);
-        assert_eq!(g.get(), 5);
     }
 
     #[test]
@@ -479,7 +434,7 @@ mod tests {
     fn kind_mismatch_panics() {
         let reg = MetricsRegistry::new();
         let _ = reg.counter("x", &[]);
-        let _ = reg.gauge("x", &[]);
+        let _ = reg.histogram("x", &[]);
     }
 
     #[test]

@@ -365,74 +365,6 @@ impl QueryReport {
             .finish()
     }
 
-    /// Renders the report as Prometheus text-format samples labelled
-    /// with this query's id (for spot exports; for process-wide
-    /// scraping use [`MetricsRegistry::render_prometheus`]).
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let q = self.query_id.to_string();
-        let l = |phase: Option<&str>| -> String {
-            match phase {
-                Some(p) => format!("{{phase=\"{p}\",query_id=\"{q}\"}}"),
-                None => format!("{{query_id=\"{q}\"}}"),
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(out, "# TYPE ebi_query_wall_ns gauge");
-        let _ = writeln!(out, "ebi_query_wall_ns{} {}", l(None), self.wall_ns);
-        let _ = writeln!(out, "# TYPE ebi_query_phase_wall_ns gauge");
-        for phase in self.phase_names() {
-            let ns: u64 = self.phases.iter().map(|p| p.wall_ns_of(&phase)).sum();
-            let _ = writeln!(out, "ebi_query_phase_wall_ns{} {ns}", l(Some(&phase)));
-        }
-        let counters = [
-            ("ebi_query_matches", self.matches),
-            ("ebi_query_rows", self.rows),
-            ("ebi_query_vectors_accessed", self.cost.vectors_accessed),
-            ("ebi_query_literal_ops", self.cost.literal_ops),
-            ("ebi_query_cube_evals", self.cost.cube_evals),
-            ("ebi_query_words_scanned", self.cost.words_scanned),
-            ("ebi_query_bytes_touched", self.cost.bytes_touched),
-            (
-                "ebi_query_compressed_chunks_skipped",
-                self.cost.compressed_chunks_skipped,
-            ),
-            ("ebi_query_segments_pruned", self.cost.segments_pruned),
-            (
-                "ebi_query_segments_short_circuited",
-                self.cost.segments_short_circuited,
-            ),
-            ("ebi_query_pager_reads", self.storage.pager_reads),
-            ("ebi_query_pager_writes", self.storage.pager_writes),
-            ("ebi_query_buffer_hits", self.storage.buffer_hits),
-            ("ebi_query_buffer_misses", self.storage.buffer_misses),
-            ("ebi_query_slice_runs", self.storage.slice_runs),
-            (
-                "ebi_query_slice_longest_run",
-                self.storage.slice_longest_run,
-            ),
-        ];
-        for (name, v) in counters {
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name}{} {v}", l(None));
-        }
-        let _ = writeln!(out, "# TYPE ebi_query_buffer_hit_ratio gauge");
-        let _ = writeln!(
-            out,
-            "ebi_query_buffer_hit_ratio{} {}",
-            l(None),
-            self.storage.buffer_hit_ratio()
-        );
-        let _ = writeln!(out, "# TYPE ebi_query_fill_word_fraction gauge");
-        let _ = writeln!(
-            out,
-            "ebi_query_fill_word_fraction{} {}",
-            l(None),
-            self.storage.fill_word_fraction()
-        );
-        out
-    }
-
     /// Distinct phase names in tree order (first occurrence wins).
     fn phase_names(&self) -> Vec<String> {
         fn walk(n: &PhaseNode, out: &mut Vec<String>) {
@@ -673,15 +605,6 @@ mod tests {
             assert!(line.contains(key), "missing {key} in {line}");
         }
         assert!(!line.contains('\n'));
-    }
-
-    #[test]
-    fn prometheus_rendering_labels_by_query_and_phase() {
-        let text = sample_report().to_prometheus();
-        assert!(text.contains("ebi_query_wall_ns{query_id=\"42\"} 1000"));
-        assert!(text.contains("ebi_query_phase_wall_ns{phase=\"reduce\",query_id=\"42\"} 100"));
-        assert!(text.contains("ebi_query_vectors_accessed{query_id=\"42\"} 1"));
-        assert!(text.contains("ebi_query_buffer_hit_ratio{query_id=\"42\"} 0.75"));
     }
 
     #[test]

@@ -24,11 +24,6 @@ pub enum StorageError {
         /// Description of the inconsistency.
         detail: String,
     },
-    /// A named table already exists / does not exist.
-    Catalog {
-        /// Description of the catalog violation.
-        detail: String,
-    },
     /// A row id outside the table was referenced.
     RowOutOfRange {
         /// The offending row id.
@@ -53,7 +48,6 @@ impl fmt::Display for StorageError {
                 write!(f, "payload of {len} bytes exceeds page size {page_size}")
             }
             Self::CorruptSegment { detail } => write!(f, "corrupt segment: {detail}"),
-            Self::Catalog { detail } => write!(f, "catalog error: {detail}"),
             Self::RowOutOfRange { row, rows } => {
                 write!(f, "row {row} out of range ({rows} rows)")
             }

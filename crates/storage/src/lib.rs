@@ -12,7 +12,6 @@
 //!   vectors, B-tree nodes, mapping tables are all stored this way);
 //! * [`table`] — row-id addressed column tables with NULL and deletion
 //!   tracking, the physical home of fact/dimension data;
-//! * [`catalog::Catalog`] — name → table registry;
 //! * [`buffer::BufferPool`] — a bounded LRU page cache with hit/miss
 //!   accounting, for working-set experiments.
 //!
@@ -21,14 +20,12 @@
 //! everything deterministic and laptop-scale. See `DESIGN.md` §2.
 
 pub mod buffer;
-pub mod catalog;
 pub mod error;
 pub mod pager;
 pub mod segment;
 pub mod table;
 
 pub use buffer::{read_row_pages, BufferPool, BufferStats, PageWalk};
-pub use catalog::Catalog;
 pub use error::StorageError;
 pub use pager::{IoStats, PageId, Pager, DEFAULT_PAGE_SIZE};
 pub use segment::SegmentHandle;

@@ -48,6 +48,31 @@ pub fn write_segment(pager: &Pager, blob: &[u8]) -> Result<SegmentHandle, Storag
     })
 }
 
+/// The one segment read: checks the handle against the page size, then
+/// concatenates the spanned pages as `read_page` delivers them.
+fn read_pages(
+    page_size: usize,
+    handle: &SegmentHandle,
+    read_page: impl Fn(PageId) -> Result<Vec<u8>, StorageError>,
+) -> Result<Vec<u8>, StorageError> {
+    if handle.len > (handle.pages as usize) * page_size {
+        return Err(StorageError::CorruptSegment {
+            detail: format!(
+                "{} bytes cannot fit in {} pages of {page_size}",
+                handle.len, handle.pages
+            ),
+        });
+    }
+    let mut out = Vec::with_capacity(handle.len);
+    for i in 0..handle.pages {
+        let page = read_page(PageId(handle.first.0 + i))?;
+        let remaining = handle.len - out.len();
+        out.extend_from_slice(&page[..remaining.min(page.len())]);
+    }
+    out.truncate(handle.len);
+    Ok(out)
+}
+
 /// Reads a segment back, charging one page read per spanned page.
 ///
 /// # Errors
@@ -56,24 +81,7 @@ pub fn write_segment(pager: &Pager, blob: &[u8]) -> Result<SegmentHandle, Storag
 /// pager; [`StorageError::CorruptSegment`] if the handle's length exceeds
 /// its page span.
 pub fn read_segment(pager: &Pager, handle: &SegmentHandle) -> Result<Vec<u8>, StorageError> {
-    if handle.len > (handle.pages as usize) * pager.page_size() {
-        return Err(StorageError::CorruptSegment {
-            detail: format!(
-                "{} bytes cannot fit in {} pages of {}",
-                handle.len,
-                handle.pages,
-                pager.page_size()
-            ),
-        });
-    }
-    let mut out = Vec::with_capacity(handle.len);
-    for i in 0..handle.pages {
-        let page = pager.read_page(PageId(handle.first.0 + i))?;
-        let remaining = handle.len - out.len();
-        out.extend_from_slice(&page[..remaining.min(page.len())]);
-    }
-    out.truncate(handle.len);
-    Ok(out)
+    read_pages(pager.page_size(), handle, |id| pager.read_page(id))
 }
 
 /// Reads a segment through a [`crate::buffer::BufferPool`], charging the
@@ -87,22 +95,7 @@ pub fn read_segment_buffered(
     page_size: usize,
     handle: &SegmentHandle,
 ) -> Result<Vec<u8>, StorageError> {
-    if handle.len > (handle.pages as usize) * page_size {
-        return Err(StorageError::CorruptSegment {
-            detail: format!(
-                "{} bytes cannot fit in {} pages of {page_size}",
-                handle.len, handle.pages
-            ),
-        });
-    }
-    let mut out = Vec::with_capacity(handle.len);
-    for i in 0..handle.pages {
-        let page = pool.read_page(PageId(handle.first.0 + i))?;
-        let remaining = handle.len - out.len();
-        out.extend_from_slice(&page[..remaining.min(page.len())]);
-    }
-    out.truncate(handle.len);
-    Ok(out)
+    read_pages(page_size, handle, |id| pool.read_page(id))
 }
 
 #[cfg(test)]

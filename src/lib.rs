@@ -9,9 +9,9 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`bitvec`] | `ebi-bitvec` | bitmap vectors, logical ops, rank/select, WAH compression |
+//! | [`bitvec`] | `ebi-bitvec` | bitmap vectors, logical ops, dense / Roaring / WAH slice containers, the window kernel |
 //! | [`boolean`] | `ebi-boolean` | min-terms, Quine–McCluskey reduction, expression evaluation |
-//! | [`storage`] | `ebi-storage` | pager with I/O accounting, column tables, catalog |
+//! | [`storage`] | `ebi-storage` | pager with I/O accounting, segments, column tables |
 //! | [`btree`] | `ebi-btree` | page-oriented B+tree baseline and the §2.1 cost model |
 //! | [`core`] | `ebi-core` | **the encoded bitmap index**, encodings, maintenance, theorems |
 //! | [`baselines`] | `ebi-baselines` | simple bitmap, bit-sliced, projection, value-list, dynamic, range-based, hybrid |
@@ -54,7 +54,7 @@ pub mod prelude {
     pub use ebi_core::index::{BuildOptions, EncodedBitmapIndex, QueryResult};
     pub use ebi_core::nulls::NullPolicy;
     pub use ebi_core::{Mapping, QueryStats, RowOrder, RowPermutation};
-    pub use ebi_storage::{Catalog, Cell, Table};
+    pub use ebi_storage::{Cell, Table};
     pub use ebi_warehouse::{
         ColumnSpec, ConjunctiveQuery, Dictionary, Distribution, Executor, Predicate, Query,
         StarSchema, WorkloadSpec,
