@@ -1,12 +1,19 @@
 //! §3.2 "Logical Reduction" — the paper prices reduction as a one-time
 //! cost with exponential worst case. Measures Quine–McCluskey over
-//! growing variable counts and selection widths, plus the exact
-//! minimum-support computation behind the Figure 9 best case.
+//! growing variable counts and selection widths, the shapes the service
+//! reduces on every request (first-seen codes of a skewed column, so a
+//! value range is a scattered code set), rendering the result, plus the
+//! exact minimum-support computation behind the Figure 9 best case.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ebi_bench::zipf_cells;
 use ebi_boolean::{qm, support};
+use ebi_core::Mapping;
+use ebi_storage::Cell;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -35,6 +42,76 @@ fn bench_qm(c: &mut Criterion) {
     group.finish();
 }
 
+/// A code space as the default build lays it out: codes in first-seen
+/// order, the unassigned ones don't-care.
+struct CodeSpace {
+    mapping: Mapping,
+    dont_cares: Vec<u64>,
+}
+
+impl CodeSpace {
+    fn of(cells: &[Cell]) -> Self {
+        let mapping = Mapping::from_values(&Mapping::first_seen_values(cells)).unwrap();
+        let dont_cares = mapping.unassigned_codes();
+        Self {
+            mapping,
+            dont_cares,
+        }
+    }
+
+    fn reduce(&self, values: &[u64]) -> ebi_boolean::DnfExpr {
+        let codes = self.mapping.codes_of(values).unwrap();
+        qm::minimize(&codes, &self.dont_cares, self.mapping.width())
+    }
+}
+
+/// One reduction per iteration, of one seeded selection per routine.
+fn bench_served_shapes(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(0x1998);
+
+    // Column `c` of the repository benchmark: Zipf(1.0) over 1 000
+    // values, k = 10, 24 don't-cares.
+    let served = CodeSpace::of(&zipf_cells(1000, 1.0, 100_000, rng.random()));
+    assert_eq!(served.dont_cares.len(), 24);
+    for width in [50u64, 200, 400] {
+        let lo = rng.random_range(0..1000 - width);
+        let values = served.mapping.values_between(lo, lo + width);
+        c.bench_function(&format!("first_seen_range/{width}"), |b| {
+            b.iter(|| black_box(served.reduce(&values)));
+        });
+        if width == 400 {
+            let expr = served.reduce(&values);
+            c.bench_function("display/range400", |b| {
+                b.iter(|| black_box(expr.to_string()));
+            });
+        }
+    }
+    for len in [8usize, 64] {
+        let mut values = std::collections::BTreeSet::new();
+        while values.len() < len {
+            values.insert(rng.random_range(0..1000u64));
+        }
+        let values: Vec<u64> = values.into_iter().collect();
+        c.bench_function(&format!("scattered_inlist/{len}"), |b| {
+            b.iter(|| black_box(served.reduce(&values)));
+        });
+    }
+
+    // Column `d` of `lib_maintain`: 8 160 values, so k = 13 with 32 free
+    // codes; the draws are followed by every value once.
+    let mut cells = zipf_cells(8160, 1.0, 50_000, rng.random());
+    cells.extend((0..8160).map(Cell::Value));
+    let wide = CodeSpace::of(&cells);
+    assert_eq!((wide.mapping.width(), wide.dont_cares.len()), (13, 32));
+    let lo = rng.random_range(0..8160 - 50u64);
+    for (name, hi) in [("eq", lo), ("range50", lo + 50)] {
+        let values = wide.mapping.values_between(lo, hi);
+        c.bench_function(&format!("k13_free32/{name}"), |b| {
+            b.iter(|| black_box(wide.reduce(&values)));
+        });
+    }
+}
+
 fn bench_min_support(c: &mut Criterion) {
     let mut group = c.benchmark_group("min_support");
     group.sample_size(10);
@@ -55,5 +132,5 @@ fn bench_min_support(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_qm, bench_min_support);
+criterion_group!(benches, bench_qm, bench_served_shapes, bench_min_support);
 criterion_main!(benches);

@@ -149,15 +149,29 @@ impl fmt::Display for Cube {
         if self.mask == 0 {
             return f.write_str("1");
         }
-        for i in (0..=63u32).rev() {
-            if self.mask >> i & 1 == 1 {
-                write!(f, "B{i}")?;
-                if self.value >> i & 1 == 0 {
-                    f.write_str("'")?;
-                }
+        // The cube is built here and handed over in one write (an
+        // expression is rendered per request): at most 64 literals of at
+        // most 4 bytes each, `B63'`.
+        let mut text = [0u8; 256];
+        let mut len = 0;
+        let mut push = |byte: u8| {
+            text[len] = byte;
+            len += 1;
+        };
+        let mut rest = self.mask;
+        while rest != 0 {
+            let i = 63 - rest.leading_zeros();
+            rest &= !(1 << i);
+            push(b'B');
+            if i >= 10 {
+                push(b'0' + (i / 10) as u8);
+            }
+            push(b'0' + (i % 10) as u8);
+            if self.value >> i & 1 == 0 {
+                push(b'\'');
             }
         }
-        Ok(())
+        f.write_str(std::str::from_utf8(&text[..len]).expect("ASCII literals"))
     }
 }
 
@@ -224,6 +238,14 @@ mod tests {
         assert_eq!(Cube::minterm(0b000, 3).display(), "B2'B1'B0'");
         assert_eq!(Cube::new(0b100, 0b110).display(), "B2B1'");
         assert_eq!(Cube::tautology().display(), "1");
+        // Two-digit slice indices, up to the last bit a mask can hold.
+        let wide = Cube::new(1 << 10, 1 << 63 | 1 << 10 | 1 << 9);
+        assert_eq!(wide.display(), "B63'B10B9'");
+        assert_eq!(format!("{wide:?}"), "Cube(B63'B10B9')");
+        // The longest cube there is: every literal negated.
+        let all = Cube::new(0, u64::MAX).display();
+        assert_eq!(all.len(), 10 * 3 + 54 * 4);
+        assert!(all.starts_with("B63'B62'") && all.ends_with("B10'B9'B8'B7'B6'B5'B4'B3'B2'B1'B0'"));
     }
 
     #[test]

@@ -224,7 +224,7 @@ impl fmt::Display for DnfExpr {
             if i > 0 {
                 f.write_str(" + ")?;
             }
-            write!(f, "{cube}")?;
+            fmt::Display::fmt(cube, f)?;
         }
         Ok(())
     }
@@ -257,6 +257,50 @@ mod tests {
             let again = DnfExpr::parse(&e.to_string(), 3).unwrap();
             assert_eq!(e, again, "{text}");
         }
+    }
+
+    #[test]
+    fn display_renders_constants_and_wide_indices() {
+        assert_eq!(DnfExpr::empty(3).to_string(), "0");
+        assert_eq!(
+            DnfExpr::from_cubes(vec![Cube::tautology()], 3).to_string(),
+            "1"
+        );
+        let wide = DnfExpr::from_cubes(
+            vec![
+                Cube::new(1 << 10, 1 << 62 | 1 << 10 | 1 << 9),
+                Cube::new(1 << 12, 1 << 12),
+            ],
+            63,
+        );
+        assert_eq!(wide.to_string(), "B62'B10B9' + B12");
+        assert_eq!(format!("{wide:?}"), "DnfExpr[k=63](B62'B10B9' + B12)");
+    }
+
+    #[test]
+    fn parse_inverts_display_on_seeded_expressions() {
+        // xorshift64: 200 expressions of 0..=12 cubes over k = 1..=63,
+        // the tautology and the empty sum among them.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut constants = [false, false];
+        for case in 0..200u32 {
+            let k = 1 + case % 63;
+            let universe = (1u64 << k) - 1;
+            let cubes = (0..next() % 13)
+                .map(|_| Cube::new(next(), next() & next() & universe))
+                .collect();
+            let e = DnfExpr::from_cubes(cubes, k);
+            constants[0] |= e.is_false();
+            constants[1] |= e.is_true();
+            assert_eq!(DnfExpr::parse(&e.to_string(), k), Ok(e));
+        }
+        assert_eq!(constants, [true, true]);
     }
 
     #[test]

@@ -13,10 +13,72 @@
 //! 1. the number of *distinct bitmap vectors* read (the paper's `c_e`),
 //! 2. the number of product terms,
 //! 3. the number of literals.
+//!
+//! # Data structures
+//!
+//! The service reduces on every request, so the sets involved are the
+//! two that Chambi et al. use for small integer sets: sorted arrays and
+//! bitsets with popcount. Nothing is hashed.
+//!
+//! * **Prime generation.** A level is one `Vec<Cube>` sorted mask-major
+//!   and deduplicated. Cubes that can merge share a mask, so a cube looks
+//!   for its partner inside its own run, only upwards (`value | bit` for
+//!   each fixed variable that is 0), by binary search; both are marked in
+//!   a parallel `Vec<bool>` and the merge goes to the next level. What
+//!   stays unmarked is prime.
+//! * **Cover.** The on-terms are sorted and deduplicated; each prime gets
+//!   one bitset row over their slots (`CoverTable`, `⌈n/64⌉` words a row,
+//!   one allocation). The pass that fills the rows also counts each
+//!   term's coverers and remembers the last, which yields the essentials.
+//!   The uncovered terms are a bitset over the same slots, so a
+//!   candidate's gain is `popcount(row & uncovered)`.
+//!
+//! # Which order each tie-break reads
+//!
+//! The cover is pinned (`tests/reduction_golden.rs`), so the orders
+//! below are part of the contract, not an accident of the containers:
+//!
+//! * primes are indexed in ascending [`Cube`] order (value, then mask) —
+//!   every rule below that says "index" means this one;
+//! * essentials are taken in ascending order of the first term that has
+//!   no other coverer;
+//! * dominance between candidates of equal coverage goes to fewer
+//!   literals, then to the lower index;
+//! * Petrick multiplies clauses in ascending term order, each clause in
+//!   ascending candidate order, absorbs after a
+//!   `sort_unstable_by_key(count_ones)` and takes the *first* product of
+//!   minimal score. Among products of equal score that is whatever order
+//!   the unstable sort left — stable for one toolchain, not across them;
+//!   the score itself, and so every [`ReduceStats`] field, is not
+//!   affected;
+//! * greedy scores (gain, fewest new vectors, fewest literals) and takes
+//!   the *last* of equally good candidates in ascending index order, as
+//!   `Iterator::max_by` does.
+//!
+//! Dominance pruning packs each candidate's remaining coverage into one
+//! `u128`, so it runs only when at most 128 terms remain after the
+//! essentials; above that every candidate goes to the cover search as it
+//! is.
+//!
+//! # What it costs, and what is still exponential
+//!
+//! On the service's own shapes (column of 1 000 first-seen codes, 24
+//! don't-cares, release build) a range of 50 values reduces in about
+//! 20 µs, one of 400 in about 0.7 ms, an IN-list of 8–64 scattered values
+//! in 6–25 µs, a list of 760 values in about 3.5 ms. Two things still grow
+//! without mercy:
+//!
+//! * every implicant of `on ∪ dc` is generated, a subcube of dimension
+//!   `d` holding `3^d` of them: a contiguous half of `k = 10` is 3 ms;
+//! * the don't-care block is reduced along with each query although it
+//!   is the same for all of them. At `k = 13` one value against 32 free
+//!   codes takes 9 µs, against 1 192 free codes 9 ms and against 3 192
+//!   free codes 55 ms, all of it spent on implicants of the free block
+//!   alone.
 
 use crate::cube::Cube;
 use crate::expr::DnfExpr;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
 
 /// Petrick's method is attempted only when at most this many
 /// non-essential prime implicants remain; beyond it the greedy cover
@@ -82,47 +144,54 @@ pub struct ReduceStats {
 }
 
 /// Generates all prime implicants of the function with on-set `on` and
-/// don't-care set `dc` over `k` variables.
+/// don't-care set `dc` over `k` variables, ascending.
 ///
 /// Duplicate codes are tolerated; a code present in both sets is treated
 /// as on.
 #[must_use]
 pub fn prime_implicants(on: &[u64], dc: &[u64], k: u32) -> Vec<Cube> {
-    let mut current: HashSet<Cube> = on
-        .iter()
-        .chain(dc.iter())
-        .map(|&c| Cube::minterm(c, k))
-        .collect();
     // A code listed as both on and dc collapses to one min-term here,
     // which matches the on-wins semantics.
+    let mut level: Vec<Cube> = on.iter().chain(dc).map(|&c| Cube::minterm(c, k)).collect();
     let mut primes: Vec<Cube> = Vec::new();
-    while !current.is_empty() {
-        let mut combined: HashSet<Cube> = HashSet::new();
-        let mut next: HashSet<Cube> = HashSet::new();
-        for cube in &current {
-            let mut was_combined = false;
-            let mut var = cube.mask();
-            while var != 0 {
-                let bit = var & var.wrapping_neg();
-                var &= var - 1;
-                let partner = Cube::new(cube.value() ^ bit, cube.mask());
-                if current.contains(&partner) {
-                    was_combined = true;
-                    if let Some(merged) = cube.combine(&partner) {
-                        next.insert(merged);
+    while !level.is_empty() {
+        // Mask-major: cubes that can merge share a mask, so they sit in
+        // one run, ascending by value.
+        level.sort_unstable_by_key(|c| (c.mask(), c.value()));
+        level.dedup();
+        let mut combined = vec![false; level.len()];
+        let mut next: Vec<Cube> = Vec::new();
+        let mut start = 0;
+        while start < level.len() {
+            let mask = level[start].mask();
+            let end = start + level[start..].partition_point(|c| c.mask() == mask);
+            for i in start..end {
+                let value = level[i].value();
+                // A partner differs in one fixed variable. The one with
+                // that variable at 1 is the larger value, later in the
+                // run, so each pair is found once, from below.
+                let mut zeros = mask & !value;
+                while zeros != 0 {
+                    let bit = zeros & zeros.wrapping_neg();
+                    zeros &= zeros - 1;
+                    let above = &level[i + 1..end];
+                    if let Ok(j) = above.binary_search_by_key(&(value | bit), Cube::value) {
+                        combined[i] = true;
+                        combined[i + 1 + j] = true;
+                        next.push(Cube::new(value, mask & !bit));
                     }
                 }
             }
-            if was_combined {
-                combined.insert(*cube);
-            }
+            start = end;
         }
-        for cube in &current {
-            if !combined.contains(cube) {
-                primes.push(*cube);
-            }
-        }
-        current = next;
+        primes.extend(
+            level
+                .iter()
+                .zip(&combined)
+                .filter(|&(_, &merged)| !merged)
+                .map(|(&cube, _)| cube),
+        );
+        level = next;
     }
     primes.sort_unstable();
     primes.dedup();
@@ -150,81 +219,76 @@ pub fn minimize_with_stats(on: &[u64], dc: &[u64], k: u32, stats: &mut ReduceSta
     if on.is_empty() {
         return DnfExpr::empty(k);
     }
-    let on_set: HashSet<u64> = on.iter().copied().collect();
-    stats.minterms = on_set.len() as u64;
-    stats.dont_cares = dc.iter().collect::<HashSet<_>>().len() as u64;
+    let on_terms = sorted_distinct(on);
+    stats.minterms = on_terms.len() as u64;
+    stats.dont_cares = sorted_distinct(dc).len() as u64;
     let primes = prime_implicants(on, dc, k);
     stats.prime_implicants = primes.len() as u64;
 
-    // Which prime implicants cover each on-set min-term.
-    let on_terms: Vec<u64> = {
-        let mut v: Vec<u64> = on_set.iter().copied().collect();
-        v.sort_unstable();
-        v
+    // Which on-terms each prime implicant covers, and for each term how
+    // many implicants cover it and the last one that does.
+    let words = on_terms.len().div_ceil(64);
+    let mut table = CoverTable {
+        primes: &primes,
+        words,
+        bits: vec![0; primes.len() * words],
     };
-    let mut coverers: Vec<Vec<usize>> = vec![Vec::new(); on_terms.len()];
-    for (pi_idx, pi) in primes.iter().enumerate() {
-        for (t_idx, &t) in on_terms.iter().enumerate() {
-            if pi.covers(t) {
-                coverers[t_idx].push(pi_idx);
+    let mut coverers = vec![0u32; on_terms.len()];
+    let mut last_coverer = vec![0usize; on_terms.len()];
+    for (p, prime) in primes.iter().enumerate() {
+        for (slot, &term) in on_terms.iter().enumerate() {
+            if prime.covers(term) {
+                table.bits[p * words + slot / 64] |= 1 << (slot % 64);
+                coverers[slot] += 1;
+                last_coverer[slot] = p;
             }
         }
     }
 
-    // Essential prime implicants.
+    // Essential prime implicants, in order of the first term that has
+    // no other coverer.
     let mut chosen: Vec<usize> = Vec::new();
-    let mut covered: Vec<bool> = vec![false; on_terms.len()];
-    for (t_idx, cov) in coverers.iter().enumerate() {
-        if cov.len() == 1 && !chosen.contains(&cov[0]) {
-            chosen.push(cov[0]);
-        }
-        debug_assert!(!cov.is_empty(), "min-term with no covering implicant");
-        let _ = t_idx;
+    let mut is_chosen = vec![false; primes.len()];
+    let mut uncovered = vec![u64::MAX; words];
+    if !on_terms.len().is_multiple_of(64) {
+        uncovered[words - 1] = (1 << (on_terms.len() % 64)) - 1;
     }
-    for &pi_idx in &chosen {
-        for (t_idx, &t) in on_terms.iter().enumerate() {
-            if primes[pi_idx].covers(t) {
-                covered[t_idx] = true;
+    for (slot, &count) in coverers.iter().enumerate() {
+        debug_assert!(count > 0, "min-term with no covering implicant");
+        let p = last_coverer[slot];
+        if count == 1 && !is_chosen[p] {
+            is_chosen[p] = true;
+            chosen.push(p);
+            for (u, row) in uncovered.iter_mut().zip(table.row(p)) {
+                *u &= !row;
             }
         }
     }
     stats.essential_primes = chosen.len() as u64;
 
-    let remaining_terms: Vec<usize> = (0..on_terms.len()).filter(|&i| !covered[i]).collect();
-    if !remaining_terms.is_empty() {
-        // Candidate implicants that cover something still uncovered.
-        let mut candidates: Vec<usize> = (0..primes.len())
-            .filter(|i| !chosen.contains(i))
-            .filter(|&i| {
-                remaining_terms
-                    .iter()
-                    .any(|&t| primes[i].covers(on_terms[t]))
-            })
+    let remaining: Vec<usize> = ones(&uncovered).collect();
+    if !remaining.is_empty() {
+        // Candidate implicants that cover something still uncovered,
+        // less those another candidate dominates.
+        let candidates: Vec<usize> = (0..primes.len())
+            .filter(|&p| !is_chosen[p] && table.gain(p, &uncovered) > 0)
             .collect();
-        // Drop candidates dominated by another candidate (covers a subset
-        // of remaining terms with >= literals).
-        candidates = prune_dominated(&candidates, &primes, &on_terms, &remaining_terms);
+        let candidates = table.prune_dominated(candidates, &remaining);
         stats.cover_candidates = candidates.len() as u64;
 
-        let picked =
-            if candidates.len() <= PETRICK_MAX_PIS && remaining_terms.len() <= PETRICK_MAX_TERMS {
-                stats.cover_method = CoverMethod::Petrick;
-                petrick_cover(
-                    &candidates,
-                    &primes,
-                    &on_terms,
-                    &remaining_terms,
-                    &chosen,
-                    stats,
-                )
-            } else {
-                stats.cover_method = CoverMethod::Greedy;
-                greedy_cover(&candidates, &primes, &on_terms, &remaining_terms, &chosen)
-            };
+        let support = chosen.iter().fold(0, |acc, &p| acc | primes[p].mask());
+        let picked = if candidates.len() <= PETRICK_MAX_PIS && remaining.len() <= PETRICK_MAX_TERMS
+        {
+            stats.cover_method = CoverMethod::Petrick;
+            table.petrick_cover(&candidates, &uncovered, support, stats)
+        } else {
+            stats.cover_method = CoverMethod::Greedy;
+            table.greedy_cover(&candidates, &uncovered, support)
+        };
         chosen.extend(picked);
     }
 
-    let expr = DnfExpr::from_cubes(chosen.into_iter().map(|i| primes[i]).collect(), k);
+    let expr = DnfExpr::from_cubes(chosen.into_iter().map(|p| primes[p]).collect(), k);
     stats.cubes_out = expr.cubes().len() as u64;
     stats.literals_out = expr
         .cubes()
@@ -235,164 +299,194 @@ pub fn minimize_with_stats(on: &[u64], dc: &[u64], k: u32, stats: &mut ReduceSta
     expr
 }
 
-/// Removes candidates whose remaining-coverage is a strict subset of
-/// another candidate's (ties broken toward fewer literals).
-fn prune_dominated(
-    candidates: &[usize],
-    primes: &[Cube],
-    on_terms: &[u64],
-    remaining: &[usize],
-) -> Vec<usize> {
-    let cover_sets: HashMap<usize, u128> = candidates
-        .iter()
-        .map(|&c| {
-            let mut bits: u128 = 0;
-            for (slot, &t) in remaining.iter().enumerate() {
-                if slot < 128 && primes[c].covers(on_terms[t]) {
-                    bits |= 1u128 << slot;
-                }
-            }
-            (c, bits)
-        })
-        .collect();
-    if remaining.len() > 128 {
-        return candidates.to_vec(); // too wide to bit-pack; skip pruning
-    }
-    candidates
-        .iter()
-        .copied()
-        .filter(|&c| {
-            let cs = cover_sets[&c];
-            !candidates.iter().any(|&d| {
-                d != c && {
-                    let ds = cover_sets[&d];
-                    // d dominates c
-                    cs & !ds == 0
-                        && (ds != cs
-                            || primes[d].literal_count() < primes[c].literal_count()
-                            || (primes[d].literal_count() == primes[c].literal_count() && d < c))
-                }
-            })
-        })
-        .collect()
+fn sorted_distinct(codes: &[u64]) -> Vec<u64> {
+    let mut v = codes.to_vec();
+    v.sort_unstable();
+    v.dedup();
+    v
 }
 
-/// Exact minimum cover via Petrick's method, scoring by
-/// (extra vectors, cube count, literals).
-fn petrick_cover(
-    candidates: &[usize],
-    primes: &[Cube],
-    on_terms: &[u64],
-    remaining: &[usize],
-    chosen: &[usize],
-    stats: &mut ReduceStats,
-) -> Vec<usize> {
-    // Each product is a set of candidate indices, packed into a u32 mask
-    // over `candidates` (|candidates| <= PETRICK_MAX_PIS <= 24).
-    let mut products: Vec<u32> = vec![0]; // start with the empty product
-    for &t in remaining {
-        let clause: Vec<u32> = candidates
+/// The set positions of a bitset, ascending.
+fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors(Some(word), |&rest| Some(rest & rest.wrapping_sub(1)))
+            .take_while(|&rest| rest != 0)
+            .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+    })
+}
+
+/// The covering table: one bitset row per prime implicant over the
+/// slots of the sorted on-terms, `words` words a row, in one allocation.
+/// A set of terms (`uncovered`) is a bitset over the same slots, so what
+/// a prime would newly cover is a popcount of `row & uncovered`.
+struct CoverTable<'a> {
+    primes: &'a [Cube],
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl CoverTable<'_> {
+    fn row(&self, prime: usize) -> &[u64] {
+        &self.bits[prime * self.words..(prime + 1) * self.words]
+    }
+
+    fn covers(&self, prime: usize, slot: usize) -> bool {
+        self.bits[prime * self.words + slot / 64] >> (slot % 64) & 1 == 1
+    }
+
+    /// How many of `terms` the prime covers.
+    fn gain(&self, prime: usize, terms: &[u64]) -> u32 {
+        let row = self.row(prime).iter();
+        row.zip(terms).map(|(r, t)| (r & t).count_ones()).sum()
+    }
+
+    /// Removes candidates whose remaining-coverage is a subset of
+    /// another candidate's (ties broken toward fewer literals, then the
+    /// lower index). Coverage is packed into one `u128` per candidate,
+    /// so with more than 128 terms remaining nothing is pruned.
+    fn prune_dominated(&self, candidates: Vec<usize>, remaining: &[usize]) -> Vec<usize> {
+        if remaining.len() > 128 {
+            return candidates;
+        }
+        let literals = |p: usize| self.primes[p].literal_count();
+        let sets: Vec<u128> = candidates
+            .iter()
+            .map(|&c| {
+                let slots = remaining.iter().enumerate();
+                slots.fold(0, |set, (i, &slot)| {
+                    set | u128::from(self.covers(c, slot)) << i
+                })
+            })
+            .collect();
+        let dominated = |i: usize| {
+            let (c, cs) = (candidates[i], sets[i]);
+            candidates.iter().zip(&sets).any(|(&d, &ds)| {
+                d != c
+                    && cs & !ds == 0
+                    && (ds != cs
+                        || literals(d) < literals(c)
+                        || (literals(d) == literals(c) && d < c))
+            })
+        };
+        (0..candidates.len())
+            .filter(|&i| !dominated(i))
+            .map(|i| candidates[i])
+            .collect()
+    }
+
+    /// Exact minimum cover of `uncovered` via Petrick's method, scoring
+    /// by (vectors with `support` already read, cube count, literals).
+    fn petrick_cover(
+        &self,
+        candidates: &[usize],
+        uncovered: &[u64],
+        support: u64,
+        stats: &mut ReduceStats,
+    ) -> Vec<usize> {
+        // Each product is a set of candidate indices, packed into a u32 mask
+        // over `candidates` (|candidates| <= PETRICK_MAX_PIS <= 24).
+        let mut products: Vec<u32> = vec![0]; // start with the empty product
+        for slot in ones(uncovered) {
+            let clause: Vec<u32> = (0..candidates.len())
+                .filter(|&i| self.covers(candidates[i], slot))
+                .map(|i| 1u32 << i)
+                .collect();
+            let mut next: Vec<u32> = Vec::with_capacity(products.len() * clause.len());
+            for &p in &products {
+                for &lit in &clause {
+                    next.push(p | lit);
+                }
+            }
+            // Absorption: drop supersets of another product.
+            next.sort_unstable_by_key(|p| p.count_ones());
+            let mut kept: Vec<u32> = Vec::with_capacity(next.len());
+            for &p in &next {
+                // Not a `contains`: q ranges over kept (clippy false positive).
+                #[allow(clippy::manual_contains)]
+                if !kept.iter().any(|&q| q & p == q) {
+                    kept.push(p);
+                }
+            }
+            products = kept;
+            stats.petrick_products_peak = stats.petrick_products_peak.max(products.len() as u64);
+            if products.len() > PETRICK_MAX_PRODUCTS {
+                // Fall back rather than risk runaway memory.
+                stats.cover_method = CoverMethod::Greedy;
+                return self.greedy_cover(candidates, uncovered, support);
+            }
+        }
+
+        let score = |p: u32| -> (u32, u32, u32) {
+            let mut support = support;
+            let mut literals = 0u32;
+            for (i, &c) in candidates.iter().enumerate() {
+                if p >> i & 1 == 1 {
+                    support |= self.primes[c].mask();
+                    literals += self.primes[c].literal_count();
+                }
+            }
+            (support.count_ones(), p.count_ones(), literals)
+        };
+        // The first of equally good products, in the order the last
+        // absorption pass left them.
+        let best = products
+            .into_iter()
+            .min_by_key(|&p| score(p))
+            .expect("at least one product");
+        candidates
             .iter()
             .enumerate()
-            .filter(|&(_, &c)| primes[c].covers(on_terms[t]))
-            .map(|(slot, _)| 1u32 << slot)
-            .collect();
-        let mut next: Vec<u32> = Vec::with_capacity(products.len() * clause.len());
-        for &p in &products {
-            for &lit in &clause {
-                next.push(p | lit);
-            }
-        }
-        // Absorption: drop supersets of another product.
-        next.sort_unstable_by_key(|p| p.count_ones());
-        let mut kept: Vec<u32> = Vec::with_capacity(next.len());
-        for &p in &next {
-            // Not a `contains`: q ranges over kept (clippy false positive).
-            #[allow(clippy::manual_contains)]
-            if !kept.iter().any(|&q| q & p == q) {
-                kept.push(p);
-            }
-        }
-        products = kept;
-        stats.petrick_products_peak = stats.petrick_products_peak.max(products.len() as u64);
-        if products.len() > PETRICK_MAX_PRODUCTS {
-            // Fall back rather than risk runaway memory.
-            stats.cover_method = CoverMethod::Greedy;
-            return greedy_cover(candidates, primes, on_terms, remaining, chosen);
-        }
+            .filter(|&(i, _)| best >> i & 1 == 1)
+            .map(|(_, &c)| c)
+            .collect()
     }
 
-    let base_support: u64 = chosen.iter().fold(0, |acc, &i| acc | primes[i].mask());
-    let score = |p: u32| -> (u32, u32, u32) {
-        let mut support = base_support;
-        let mut literals = 0u32;
-        for (slot, &c) in candidates.iter().enumerate() {
-            if p >> slot & 1 == 1 {
-                support |= primes[c].mask();
-                literals += primes[c].literal_count();
-            }
-        }
-        (support.count_ones(), p.count_ones(), literals)
-    };
-    let best = products
-        .into_iter()
-        .min_by_key(|&p| score(p))
-        .expect("at least one product");
-    candidates
-        .iter()
-        .enumerate()
-        .filter(|&(slot, _)| best >> slot & 1 == 1)
-        .map(|(_, &c)| c)
-        .collect()
-}
-
-/// Greedy cover: repeatedly pick the implicant covering the most
-/// still-uncovered terms, preferring ones that add no new bitmap vectors.
-fn greedy_cover(
-    candidates: &[usize],
-    primes: &[Cube],
-    on_terms: &[u64],
-    remaining: &[usize],
-    chosen: &[usize],
-) -> Vec<usize> {
-    let mut picked: Vec<usize> = Vec::new();
-    let mut support: u64 = chosen.iter().fold(0, |acc, &i| acc | primes[i].mask());
-    let mut uncovered: HashSet<usize> = remaining.iter().copied().collect();
-    while !uncovered.is_empty() {
-        let best = candidates
-            .iter()
-            .copied()
-            .filter(|c| !picked.contains(c))
-            .map(|c| {
-                let gain = uncovered
-                    .iter()
-                    .filter(|&&t| primes[c].covers(on_terms[t]))
-                    .count();
-                let new_vars = (primes[c].mask() & !support).count_ones();
-                (gain, c, new_vars)
-            })
-            .filter(|&(gain, _, _)| gain > 0)
-            // max gain, then min new vars, then min literals
-            .max_by(|a, b| {
-                a.0.cmp(&b.0).then(b.2.cmp(&a.2)).then(
-                    primes[b.1]
-                        .literal_count()
-                        .cmp(&primes[a.1].literal_count()),
-                )
+    /// Greedy cover of `uncovered`: repeatedly pick the implicant
+    /// covering the most still-uncovered terms, preferring ones that add
+    /// no new bitmap vectors to `support`, then ones with fewer literals.
+    fn greedy_cover(
+        &self,
+        candidates: &[usize],
+        uncovered: &[u64],
+        mut support: u64,
+    ) -> Vec<usize> {
+        let mut uncovered = uncovered.to_vec();
+        let mut live = candidates.to_vec();
+        let mut picked: Vec<usize> = Vec::new();
+        while uncovered.iter().any(|&word| word != 0) {
+            let mut best = None;
+            live.retain(|&c| {
+                let gain = self.gain(c, &uncovered);
+                // Gains only shrink: a candidate with nothing left to
+                // cover (a picked one included) is out for good.
+                if gain == 0 {
+                    return false;
+                }
+                let cube = self.primes[c];
+                let new_vectors = (cube.mask() & !support).count_ones();
+                let key = (gain, Reverse(new_vectors), Reverse(cube.literal_count()));
+                // `>=`: of equally good candidates the last wins, as
+                // `Iterator::max_by` has it.
+                if best.is_none_or(|(best_key, _)| key >= best_key) {
+                    best = Some((key, c));
+                }
+                true
             });
-        let Some((_, c, _)) = best else {
-            unreachable!("uncovered term with no candidate implicant");
-        };
-        support |= primes[c].mask();
-        uncovered.retain(|&t| !primes[c].covers(on_terms[t]));
-        picked.push(c);
+            let (_, c) = best.expect("uncovered term with no candidate implicant");
+            support |= self.primes[c].mask();
+            for (u, row) in uncovered.iter_mut().zip(self.row(c)) {
+                *u &= !row;
+            }
+            picked.push(c);
+        }
+        picked
     }
-    picked
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     /// Checks `expr` is a correct reduction of (`on`, `dc`): covers all of
     /// `on`, none of the off-set.

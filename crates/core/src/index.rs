@@ -656,7 +656,10 @@ impl EncodedBitmapIndex {
     /// returns well-formed but meaningless bits.
     #[must_use]
     pub fn run_dnf(&self, expr: &DnfExpr) -> QueryResult {
-        self.run_plan(expr, &expr.lower())
+        let vectors = self.vectors();
+        let mut result = self.select(expr, &expr.lower(), &vectors);
+        result.stats.expression = self.render(expr, &vectors);
+        result
     }
 
     /// Kernel traffic estimate (in 64-bit words) for evaluating a
@@ -675,6 +678,8 @@ impl EncodedBitmapIndex {
     /// [`EncodedBitmapIndex::run_dnf`] with the expression already
     /// lowered: `plan` must be `expr.lower()`. A caller that runs one
     /// expression on many indexes (the sharded service) lowers it once.
+    /// `stats.expression` comes back empty: the caller compiled the
+    /// expression and holds its text.
     #[must_use]
     pub fn run_plan(&self, expr: &DnfExpr, plan: &DnfPlan) -> QueryResult {
         self.select(expr, plan, &self.vectors())
@@ -686,7 +691,9 @@ impl EncodedBitmapIndex {
     /// whole-vector evaluation over dense ones — mask the companions,
     /// translate to original row ids, account. The in-memory index passes
     /// its own vectors; [`crate::paged::PagedIndex`] passes the ones it
-    /// fetched through its pool.
+    /// fetched through its pool. No text is formatted here: a caller that
+    /// reports the expression fills `stats.expression` from
+    /// [`EncodedBitmapIndex::render`].
     pub(crate) fn select(
         &self,
         expr: &DnfExpr,
@@ -732,27 +739,42 @@ impl EncodedBitmapIndex {
         }
         tracker.absorb_kernel_stats(&stats);
 
-        let mut rendered = expr.to_string();
-        if self.policy == NullPolicy::SeparateVectors && !expr.is_false() {
-            // Method 1 of §2.2: value selections must mask NULL rows
-            // (their slice bits are placeholders) and deleted rows.
+        if self.masks_companions(expr) {
             if let Some(bn) = vectors.b_null {
                 tracker.touch(self.width());
                 tracker.literal_ops += 1;
                 bitmap.and_not_assign(bn);
-                rendered.push_str(" · B_NULL'");
             }
             if let Some(ne) = vectors.b_not_exist {
                 tracker.touch(self.width() + 1);
                 tracker.literal_ops += 1;
                 bitmap.and_not_assign(ne);
+            }
+        }
+        self.finish(bitmap, &tracker, String::new())
+    }
+
+    /// Method 1 of §2.2: value selections must mask NULL rows (their
+    /// slice bits are placeholders) and deleted rows. Under
+    /// `EncodedReserved` nothing is masked: Theorem 2.1 (void = 0 sits in
+    /// the off-set of every value selection, and the NULL code likewise).
+    fn masks_companions(&self, expr: &DnfExpr) -> bool {
+        self.policy == NullPolicy::SeparateVectors && !expr.is_false()
+    }
+
+    /// The text of what [`EncodedBitmapIndex::select`] evaluates over
+    /// `vectors`: the expression and the companion masks it applies.
+    pub(crate) fn render(&self, expr: &DnfExpr, vectors: &Vectors<'_>) -> String {
+        let mut rendered = expr.to_string();
+        if self.masks_companions(expr) {
+            if vectors.b_null.is_some() {
+                rendered.push_str(" · B_NULL'");
+            }
+            if vectors.b_not_exist.is_some() {
                 rendered.push_str(" · B_NotExist'");
             }
         }
-        // Under EncodedReserved nothing is masked: Theorem 2.1 (void = 0
-        // sits in the off-set of every value selection, and the NULL code
-        // likewise).
-        self.finish(bitmap, &tracker, rendered)
+        rendered
     }
 
     /// Hands a selection back in original row ids with its cost.
@@ -919,6 +941,31 @@ mod tests {
         assert_eq!(r.stats.vectors_accessed, 2);
         let nulls = idx.is_null();
         assert_eq!(nulls.bitmap.to_positions(), vec![1, 3]);
+    }
+
+    #[test]
+    fn run_plan_leaves_the_text_to_the_caller_that_compiled_it() {
+        let cells = vec![
+            Cell::Value(0),
+            Cell::Null,
+            Cell::Value(1),
+            Cell::Value(2),
+            Cell::Value(0),
+        ];
+        let mut idx = EncodedBitmapIndex::build(cells).unwrap();
+        idx.delete(4).unwrap();
+        let expr = idx.explain_in_list(&[0, 1]);
+        let planned = idx.run_plan(&expr, &expr.lower());
+        let rendered = idx.run_dnf(&expr);
+        assert!(planned.stats.expression.is_empty());
+        assert_eq!(rendered.stats.expression, "B1' · B_NULL' · B_NotExist'");
+        assert_eq!(
+            rendered.stats.expression,
+            idx.in_list(&[0, 1]).unwrap().stats.expression
+        );
+        assert_eq!(planned.bitmap, rendered.bitmap);
+        assert_eq!(planned.bitmap.to_positions(), vec![0, 2]);
+        assert_eq!(planned.stats.cost(), rendered.stats.cost());
     }
 
     #[test]

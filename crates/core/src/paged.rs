@@ -128,7 +128,9 @@ impl<'a> PagedIndex<'a> {
             b_null: b_null.as_ref(),
             b_not_exist: b_not_exist.as_ref(),
         };
-        Ok(self.index.select(&expr, &expr.lower(), &vectors))
+        let mut result = self.index.select(&expr, &expr.lower(), &vectors);
+        result.stats.expression = self.index.render(&expr, &vectors);
+        Ok(result)
     }
 
     /// Point selection `A = value`.

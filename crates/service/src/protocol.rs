@@ -145,6 +145,12 @@ impl Reply {
 /// may make the server buffer.
 pub const MAX_HEAD_BYTES: usize = 64 << 10;
 
+/// Most clauses one query may hold, counted across `AND` and `OR`. Each
+/// clause is one logical reduction, and `c BETWEEN 100 500` is 18 bytes
+/// for a 400-min-term one: without a cap a single line under
+/// [`MAX_HEAD_BYTES`] asks for some 3 600 of them.
+pub const MAX_CLAUSES: usize = 64;
+
 /// What a framing function finds at the front of a connection's
 /// buffered bytes: `Ok(Some((request, n)))` is a complete request in
 /// the first `n` bytes, `Ok(None)` a proper prefix of one (read more),
@@ -253,7 +259,8 @@ fn split_limit(body: &str) -> Result<(&str, usize), String> {
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending token.
+/// Returns a message naming the offending token, or the clause count
+/// once it passes [`MAX_CLAUSES`].
 pub fn parse_dnf(text: &str) -> Result<DnfRequest, String> {
     let tokens: Vec<&str> = text.split_whitespace().collect();
     if tokens.is_empty() {
@@ -261,9 +268,14 @@ pub fn parse_dnf(text: &str) -> Result<DnfRequest, String> {
     }
     let mut disjuncts: Vec<Vec<Clause>> = Vec::new();
     let mut current: Vec<Clause> = Vec::new();
+    let mut clauses = 0usize;
     let mut i = 0usize;
     loop {
         let (clause, next) = parse_clause(&tokens, i)?;
+        clauses += 1;
+        if clauses > MAX_CLAUSES {
+            return Err(format!("too many clauses: {clauses} > {MAX_CLAUSES}"));
+        }
         current.push(clause);
         i = next;
         match tokens.get(i).map(|t| t.to_ascii_uppercase()) {
@@ -470,6 +482,26 @@ mod tests {
         assert_eq!(Reply::Pong.status(), "ok");
         assert_eq!(Reply::Busy.status(), "busy");
         assert_eq!(Reply::Incomplete.status(), "error");
+    }
+
+    #[test]
+    fn clause_count_is_capped_across_connectives() {
+        // 64 clauses as 16 disjuncts of 4: at the cap, accepted.
+        let conjunction = ["c BETWEEN 100 500"; 4].join(" AND ");
+        let at_cap = vec![conjunction; 16].join(" OR ");
+        let d = parse_dnf(&at_cap).unwrap();
+        assert_eq!(d.disjuncts.iter().map(Vec::len).sum::<usize>(), MAX_CLAUSES);
+        // One more, behind either connective: refused with the count.
+        for connective in ["AND", "OR"] {
+            assert_eq!(
+                parse_dnf(&format!("{at_cap} {connective} a=1")),
+                Err("too many clauses: 65 > 64".into())
+            );
+        }
+        assert_eq!(
+            parse_request(&format!("COUNT {at_cap} OR a=1")),
+            Err("too many clauses: 65 > 64".into())
+        );
     }
 
     #[test]

@@ -442,6 +442,40 @@ fn oversized_http_header_is_refused_and_the_service_stays_up() {
     });
 }
 
+/// One request cannot ask for logical reductions without bound: past
+/// `MAX_CLAUSES` it gets a typed refusal, and the next request on the
+/// same connection is answered.
+#[test]
+fn too_many_clauses_are_refused_and_the_connection_answers_the_next_request() {
+    let table = small_table(2);
+    with_service(&table, &test_config(), |h| {
+        let clauses = ["a=1"; 65];
+        let (over, at_cap) = (clauses.join(" OR "), clauses[..64].join(" OR "));
+        let lines = format!("COUNT {over}\nCOUNT {at_cap}\n");
+        let stream = send_pieces(h.tcp_addr(), &[lines.as_bytes()]);
+        let mut replies = BufReader::new(stream).lines().map(|l| l.expect("reply"));
+        assert_eq!(
+            replies.next().as_deref(),
+            Some("ERR too many clauses: 65 > 64")
+        );
+        let next = replies.next().unwrap_or_default();
+        assert!(next.starts_with("OK {"), "got {next:?}");
+
+        let requests = format!(
+            "GET /count?q={} HTTP/1.1\r\nHost: t\r\n\r\n\
+             GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+            over.replace(' ', "+").replace('=', "%3D")
+        );
+        let mut stream = send_pieces(h.http_addr(), &[requests.as_bytes()]);
+        let mut raw = String::new();
+        let _ = stream.read_to_string(&mut raw);
+        let (refusal, next) = raw.split_once("HTTP/1.1 200 OK").unwrap_or((&raw, ""));
+        assert!(refusal.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{raw}");
+        assert!(refusal.contains("too many clauses: 65 > 64"), "{raw}");
+        assert!(next.ends_with("\r\n\r\nok\n"), "{raw}");
+    });
+}
+
 /// A request still incomplete `timeout` after its first byte is given
 /// up with a typed reply, and the connection closes.
 #[test]
