@@ -1,16 +1,19 @@
 //! §3.2 "Logical Reduction" — the paper prices reduction as a one-time
 //! cost with exponential worst case. Measures Quine–McCluskey over
 //! growing variable counts and selection widths, the shapes the service
-//! reduces on every request (first-seen codes of a skewed column, so a
-//! value range is a scattered code set), rendering the result, plus the
-//! exact minimum-support computation behind the Figure 9 best case.
+//! reduces on every request — a scattered IN-list, and a value range
+//! both as the code interval it is on the default value-ordered codes
+//! (`interval_cover/*`, no Quine–McCluskey) and as the scattered code
+//! set it is on first-seen codes (`first_seen_range/*`) — rendering the
+//! result, plus the exact minimum-support computation behind the
+//! Figure 9 best case.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ebi_bench::zipf_cells;
 use ebi_boolean::{qm, support};
-use ebi_core::Mapping;
+use ebi_core::{EncodedBitmapIndex, Mapping};
 use ebi_storage::Cell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,8 +45,9 @@ fn bench_qm(c: &mut Criterion) {
     group.finish();
 }
 
-/// A code space as the default build lays it out: codes in first-seen
-/// order, the unassigned ones don't-care.
+/// A code space with no regard to value order: codes in first-seen
+/// order (an explicit `BuildOptions::mapping`; the default build's until
+/// it became value-ordered), the unassigned ones don't-care.
 struct CodeSpace {
     mapping: Mapping,
     dont_cares: Vec<u64>,
@@ -71,13 +75,21 @@ fn bench_served_shapes(c: &mut Criterion) {
 
     // Column `c` of the repository benchmark: Zipf(1.0) over 1 000
     // values, k = 10, 24 don't-cares.
-    let served = CodeSpace::of(&zipf_cells(1000, 1.0, 100_000, rng.random()));
+    let cells = zipf_cells(1000, 1.0, 100_000, rng.random());
+    let served = CodeSpace::of(&cells);
+    // The same column as a default build indexes it: codes in value
+    // order, so the same ranges are code intervals and `explain_in_list`
+    // covers them without Quine–McCluskey.
+    let ordered = EncodedBitmapIndex::build(cells).unwrap();
     assert_eq!(served.dont_cares.len(), 24);
     for width in [50u64, 200, 400] {
         let lo = rng.random_range(0..1000 - width);
         let values = served.mapping.values_between(lo, lo + width);
         c.bench_function(&format!("first_seen_range/{width}"), |b| {
             b.iter(|| black_box(served.reduce(&values)));
+        });
+        c.bench_function(&format!("interval_cover/{width}"), |b| {
+            b.iter(|| black_box(ordered.explain_in_list(&values)));
         });
         if width == 400 {
             let expr = served.reduce(&values);
@@ -102,6 +114,7 @@ fn bench_served_shapes(c: &mut Criterion) {
     let mut cells = zipf_cells(8160, 1.0, 50_000, rng.random());
     cells.extend((0..8160).map(Cell::Value));
     let wide = CodeSpace::of(&cells);
+    let ordered = EncodedBitmapIndex::build(cells).unwrap();
     assert_eq!((wide.mapping.width(), wide.dont_cares.len()), (13, 32));
     let lo = rng.random_range(0..8160 - 50u64);
     for (name, hi) in [("eq", lo), ("range50", lo + 50)] {
@@ -110,6 +123,9 @@ fn bench_served_shapes(c: &mut Criterion) {
             b.iter(|| black_box(wide.reduce(&values)));
         });
     }
+    c.bench_function("interval_cover/eq_k13", |b| {
+        b.iter(|| black_box(ordered.explain_in_list(&[lo])));
+    });
 }
 
 fn bench_min_support(c: &mut Criterion) {

@@ -7,7 +7,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ebi_bench::uniform_cells;
-use ebi_core::EncodedBitmapIndex;
+use ebi_core::index::BuildOptions;
+use ebi_core::{EncodedBitmapIndex, Mapping};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -15,8 +16,18 @@ fn bench_reduction_cache(c: &mut Criterion) {
     let m = 1000u64;
     let rows = 100_000usize;
     let cells = uniform_cells(m, rows, 0xCA);
-    let cold = EncodedBitmapIndex::build(cells.iter().copied()).unwrap();
-    let mut warm = EncodedBitmapIndex::build(cells.iter().copied()).unwrap();
+    // First-seen codes, explicitly: on the default value-ordered codes
+    // these selections are code intervals, which skip Quine–McCluskey and
+    // leave nothing for the cache to remove. A scattered code set is the
+    // case §3.2's precomputation is for.
+    let build = || {
+        let options = BuildOptions {
+            mapping: Mapping::from_values(&Mapping::first_seen_values(&cells)).ok(),
+            ..Default::default()
+        };
+        EncodedBitmapIndex::build_with(cells.iter().copied(), options).unwrap()
+    };
+    let (cold, mut warm) = (build(), build());
 
     let mut group = c.benchmark_group("reduction_cache");
     group.sample_size(10);

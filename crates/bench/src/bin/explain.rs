@@ -165,6 +165,17 @@ fn main() {
                 report.storage.buffer_hits + report.storage.buffer_misses > 0,
                 "fetch phase read no pages"
             );
+            // The reduce span says which path reduced: a range or a point
+            // on the default value-ordered codes is a code interval
+            // (method 3), the scattered list takes Quine–McCluskey.
+            let text = report.explain_analyze();
+            let by_interval = text.matches("cover_method=3").count();
+            let reduced = text.matches("cover_method=").count();
+            match *label {
+                "brand IN {1,5,9}" => assert_eq!((by_interval, reduced), (0, 1), "{text}"),
+                "region BETWEEN 10 AND 18" => assert_eq!((by_interval, reduced), (1, 1), "{text}"),
+                _ => assert!(reduced > 0, "{text}"),
+            }
         }
     }
     ebi_obs::set_enabled(false);

@@ -34,8 +34,17 @@ fn run_for_cardinality(m: u64, deltas: &[u64]) -> TextTable {
     )
     .expect("build aligned EBI");
     // First-seen mapping: codes scattered relative to value order — the
-    // "improper encoding" worst-case regime.
-    let scattered = EncodedBitmapIndex::build(cells.iter().copied()).expect("build EBI");
+    // "improper encoding" worst-case regime. (Explicit: a default build
+    // assigns codes in value order, which is the aligned index again.)
+    let first_seen = Mapping::from_values(&Mapping::first_seen_values(&cells));
+    let scattered = EncodedBitmapIndex::build_with(
+        cells.iter().copied(),
+        BuildOptions {
+            mapping: Some(first_seen.expect("distinct values")),
+            ..Default::default()
+        },
+    )
+    .expect("build EBI");
     let simple = SimpleBitmapIndex::build(cells.iter().copied());
 
     let mut table = TextTable::new([

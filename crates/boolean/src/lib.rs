@@ -16,6 +16,9 @@
 //! * [`qm`] — Quine–McCluskey prime-implicant generation with don't-cares
 //!   plus Petrick/greedy cover selection (the "logical reduction" whose
 //!   brute-force cost the paper calls exponential);
+//! * [`interval`] — the cover of a code interval written down from its
+//!   two ends, which is what a value range is under an order-preserving
+//!   encoding: no min-terms, no prime-implicant generation;
 //! * [`support`] — the *exact* minimum number of bitmap vectors any
 //!   expression for the selection must read, computed as a minimum hitting
 //!   set (used to verify Theorems 2.2/2.3 and generate Figure 9's
@@ -44,6 +47,7 @@ pub mod cube;
 pub mod dontcare;
 pub mod eval;
 pub mod expr;
+pub mod interval;
 pub mod qm;
 pub mod support;
 

@@ -62,11 +62,14 @@
 //!
 //! # What it costs, and what is still exponential
 //!
-//! On the service's own shapes (column of 1 000 first-seen codes, 24
-//! don't-cares, release build) a range of 50 values reduces in about
-//! 20 µs, one of 400 in about 0.7 ms, an IN-list of 8–64 scattered values
-//! in 6–25 µs, a list of 760 values in about 3.5 ms. Two things still grow
-//! without mercy:
+//! A selection whose codes fill a code interval — a point, or a range
+//! under the default value-ordered encoding — does not come here at all:
+//! [`crate::interval`] writes its cover from the interval's two ends. What
+//! does is a scattered code set. On a column of 1 000 codes with 24
+//! don't-cares (release build) an IN-list of 8–64 scattered values reduces
+//! in 6–25 µs, a list of 760 values in about 3.5 ms; a range of 50 values
+//! over codes with no regard to value order (first-seen) in about 20 µs,
+//! one of 400 in about 0.7 ms. Two things still grow without mercy:
 //!
 //! * every implicant of `on ∪ dc` is generated, a subcube of dimension
 //!   `d` holding `3^d` of them: a contiguous half of `k = 10` is 3 ms;
@@ -99,6 +102,9 @@ pub enum CoverMethod {
     Petrick,
     /// The bounded greedy cover took over (candidate or product blow-up).
     Greedy,
+    /// Quine–McCluskey never ran: the selected codes fill a code interval
+    /// and [`crate::interval::cover`] wrote the cover from its two ends.
+    Interval,
 }
 
 impl CoverMethod {
@@ -109,6 +115,7 @@ impl CoverMethod {
             Self::EssentialOnly => "essential_only",
             Self::Petrick => "petrick",
             Self::Greedy => "greedy",
+            Self::Interval => "interval",
         }
     }
 }
@@ -673,6 +680,9 @@ mod tests {
         assert_eq!(CoverMethod::EssentialOnly.as_str(), "essential_only");
         assert_eq!(CoverMethod::Petrick.as_str(), "petrick");
         assert_eq!(CoverMethod::Greedy.as_str(), "greedy");
+        assert_eq!(CoverMethod::Interval.as_str(), "interval");
+        // The `reduce` span exports the discriminant.
+        assert_eq!(CoverMethod::Interval as u64, 3);
     }
 
     #[test]

@@ -5,12 +5,13 @@ use crate::mapping::{Mapping, RowPermutation};
 use crate::nulls::{NullPolicy, VOID_CODE};
 use crate::reorder::RowOrder;
 use crate::stats::QueryStats;
+use crate::total_order::dense_order_mapping_after;
 use ebi_bitvec::builder::SliceFamilyBuilder;
 use ebi_bitvec::summary::{summarize_slices, summarize_storage};
 use ebi_bitvec::{
     BitVec, DnfPlan, KernelStats, RunStats, SegmentSummary, SliceStorage, StoragePolicy,
 };
-use ebi_boolean::{qm, AccessTracker, DnfExpr};
+use ebi_boolean::{interval, qm, AccessTracker, DnfExpr};
 use ebi_storage::Cell;
 use std::sync::OnceLock;
 
@@ -39,8 +40,9 @@ pub(crate) struct Vectors<'a> {
 pub struct BuildOptions {
     /// NULL/void representation.
     pub policy: NullPolicy,
-    /// Explicit mapping table; `None` assigns codes in first-seen value
-    /// order.
+    /// Explicit mapping table; `None` assigns codes in value order
+    /// ([`crate::total_order::dense_order_mapping`]), so that a value
+    /// range is a code interval.
     pub mapping: Option<Mapping>,
     /// Physical row order of the build. Anything other than
     /// [`RowOrder::Original`] sorts the rows before slice construction
@@ -112,10 +114,14 @@ pub struct EncodedBitmapIndex {
     /// (normalised sorted value lists) — §3.2's "the retrieval functions
     /// for all the predefined predicates can also be reduced" offline.
     pub(crate) expr_cache: std::collections::HashMap<Vec<u64>, DnfExpr>,
-    /// The sorted don't-care codes, computed on first use: walking all
-    /// `2^k` codes per reduction would dominate small queries. Emptied
-    /// together with `expr_cache` whenever the code space changes
+    /// The don't-care codes as sorted inclusive runs, computed on first
+    /// use from the mapping's own ([`Mapping::free_runs`]) less the
+    /// reserved codes. Emptied together with `expr_cache` whenever the
+    /// code space changes
     /// ([`EncodedBitmapIndex::invalidate_code_space`]).
+    pub(crate) free_runs: OnceLock<Vec<(u64, u64)>>,
+    /// The same codes one by one, for Quine–McCluskey alone: expanded
+    /// from `free_runs` the first time a selection takes that path.
     pub(crate) dont_cares: OnceLock<Vec<u64>>,
     /// Per-slice segment summaries for query-time pruning, built at
     /// construction. `None` after maintenance mutated the slices; call
@@ -137,7 +143,8 @@ pub struct EncodedBitmapIndex {
 
 impl EncodedBitmapIndex {
     /// Builds with default options: [`NullPolicy::SeparateVectors`] and
-    /// codes assigned in first-seen order.
+    /// codes assigned in value order — the `i`-th smallest value takes
+    /// code `i`, the total-order preserving encoding of §2.3.
     ///
     /// # Errors
     ///
@@ -159,24 +166,26 @@ impl EncodedBitmapIndex {
     ) -> Result<Self, CoreError> {
         let cells: Vec<Cell> = cells.into_iter().collect();
         let has_nulls = cells.iter().any(Cell::is_null);
-        let first_seen = Mapping::first_seen_values(&cells);
+        let distinct = Mapping::first_seen_values(&cells);
 
+        // The default mapping is value-ordered under both policies, after
+        // the reserved codes: a range then selects a code interval, which
+        // `reduce` covers without Quine–McCluskey.
         let (mapping, reserved, null_code) = match options.policy {
             NullPolicy::SeparateVectors => {
                 let mapping = match options.mapping {
                     Some(m) => {
-                        ensure_covers(&m, &first_seen)?;
+                        ensure_covers(&m, &distinct)?;
                         m
                     }
-                    None => Mapping::from_values(&first_seen)?,
+                    None => dense_order_mapping_after(&distinct, 0),
                 };
                 (mapping, Vec::new(), None)
             }
             NullPolicy::EncodedReserved => {
-                let special = 1 + usize::from(has_nulls);
                 let mapping = match options.mapping {
                     Some(m) => {
-                        ensure_covers(&m, &first_seen)?;
+                        ensure_covers(&m, &distinct)?;
                         if m.value_of(VOID_CODE).is_some() {
                             return Err(CoreError::Encoding {
                                 detail:
@@ -186,21 +195,14 @@ impl EncodedBitmapIndex {
                         }
                         m
                     }
-                    None => {
-                        let width = Mapping::width_for(first_seen.len() + special);
-                        let mut m = Mapping::new(width);
-                        // Codes: 0 = void, 1 = NULL (when present), then values.
-                        let base = 1 + u64::from(has_nulls);
-                        for (i, &v) in first_seen.iter().enumerate() {
-                            m.insert(v, base + i as u64)?;
-                        }
-                        m
-                    }
+                    // Codes: 0 = void, 1 = NULL (when present), then values.
+                    None => dense_order_mapping_after(&distinct, 1 + u64::from(has_nulls)),
                 };
                 let mut reserved = vec![VOID_CODE];
                 let null_code = if has_nulls {
-                    let code = (0..(1u64 << mapping.width()))
-                        .find(|&c| c != VOID_CODE && mapping.value_of(c).is_none())
+                    let mut free = mapping.free_runs().into_iter().flat_map(|(a, b)| a..=b);
+                    let code = free
+                        .find(|&c| c != VOID_CODE)
                         .ok_or(CoreError::DomainFull {
                             width: mapping.width(),
                         })?;
@@ -319,6 +321,7 @@ impl EncodedBitmapIndex {
             b_not_exist: None,
             b_null,
             expr_cache: std::collections::HashMap::new(),
+            free_runs: OnceLock::new(),
             dont_cares: OnceLock::new(),
             summaries,
             permutation,
@@ -452,17 +455,36 @@ impl EncodedBitmapIndex {
         self.slices.iter().map(SliceStorage::sparsity).sum::<f64>() / self.slices.len() as f64
     }
 
-    /// Don't-care codes, ascending: unassigned and unreserved at the
-    /// current width. Cached until the code space next changes.
+    /// Don't-care codes as sorted, disjoint, inclusive runs: unassigned
+    /// and unreserved at the current width. Cached until the code space
+    /// next changes.
+    #[must_use]
+    pub fn free_runs(&self) -> &[(u64, u64)] {
+        self.free_runs.get_or_init(|| {
+            let mut runs = self.mapping.free_runs();
+            for &code in &self.reserved {
+                if let Some(at) = runs.iter().position(|&(a, b)| (a..=b).contains(&code)) {
+                    let (a, b) = runs.remove(at);
+                    if code < b {
+                        runs.insert(at, (code + 1, b));
+                    }
+                    if a < code {
+                        runs.insert(at, (a, code - 1));
+                    }
+                }
+            }
+            runs
+        })
+    }
+
+    /// [`EncodedBitmapIndex::free_runs`] code by code, ascending — the
+    /// don't-care min-terms of a Quine–McCluskey reduction, and nothing
+    /// else reads them. Cached like the runs.
     #[must_use]
     pub fn dont_care_codes(&self) -> &[u64] {
         self.dont_cares.get_or_init(|| {
-            let null = self.null_code;
-            self.mapping
-                .unassigned_codes()
-                .into_iter()
-                .filter(|c| !self.reserved.contains(c) && Some(*c) != null)
-                .collect()
+            let runs = self.free_runs().iter();
+            runs.flat_map(|&(a, b)| a..=b).collect()
         })
     }
 
@@ -472,13 +494,44 @@ impl EncodedBitmapIndex {
     /// call this.
     pub(crate) fn invalidate_code_space(&mut self) {
         self.expr_cache.clear();
+        self.free_runs = OnceLock::new();
         self.dont_cares = OnceLock::new();
+    }
+
+    /// Logical reduction of the selection of `codes` (assigned codes of a
+    /// value selection, or the NULL code), in any order, repeats allowed.
+    ///
+    /// Which way it goes is read off the codes alone. When they fill a
+    /// code interval — every code from the smallest to the largest is
+    /// either selected or free, so no unselected value and no reserved
+    /// code lies inside — the cover is written down from the interval's
+    /// two ends ([`interval::cover`]): a point, and any range over a
+    /// value-ordered mapping. Everything else (a scattered IN-list, a
+    /// range over a mapping whose order an admitted value broke, a range
+    /// spanning the NULL code) is minimised by Quine–McCluskey over the
+    /// don't-care min-terms.
+    pub(crate) fn reduce(&self, mut codes: Vec<u64>, stats: &mut qm::ReduceStats) -> DnfExpr {
+        codes.sort_unstable();
+        codes.dedup();
+        let (Some(&lo), Some(&hi)) = (codes.first(), codes.last()) else {
+            *stats = qm::ReduceStats::default();
+            return DnfExpr::empty(self.width());
+        };
+        let reserved = self.reserved.iter().filter(|c| (lo..=hi).contains(c));
+        let taken = self.mapping.assigned_between(lo, hi, codes.len() + 1) + reserved.count();
+        if taken == codes.len() {
+            interval::cover(lo, hi, self.free_runs(), self.width(), stats)
+        } else {
+            qm::minimize_with_stats(&codes, self.dont_care_codes(), self.width(), stats)
+        }
     }
 
     /// The reduced retrieval expression for `A IN values` (values missing
     /// from the domain contribute nothing). Served from the precomputed
     /// cache when the predicate was declared via
-    /// [`EncodedBitmapIndex::precompute_predicates`].
+    /// [`EncodedBitmapIndex::precompute_predicates`]. Every form of the
+    /// index reduces through this, so through one choice between the
+    /// interval cover and Quine–McCluskey (`reduce`).
     #[must_use]
     pub fn explain_in_list(&self, values: &[u64]) -> DnfExpr {
         let mut span = self.phase("reduce");
@@ -493,7 +546,7 @@ impl EncodedBitmapIndex {
             .filter_map(|&v| self.mapping.code_of(v))
             .collect();
         let mut rs = qm::ReduceStats::default();
-        let expr = qm::minimize_with_stats(&codes, self.dont_care_codes(), self.width(), &mut rs);
+        let expr = self.reduce(codes, &mut rs);
         if span.is_live() {
             span.attr("minterms", rs.minterms);
             span.attr("dont_cares", rs.dont_cares);
@@ -501,7 +554,8 @@ impl EncodedBitmapIndex {
             span.attr("essential_primes", rs.essential_primes);
             span.attr("cover_candidates", rs.cover_candidates);
             span.attr("petrick_products_peak", rs.petrick_products_peak);
-            // 0 = essential_only, 1 = petrick, 2 = greedy.
+            // 0 = essential_only, 1 = petrick, 2 = greedy, 3 = interval
+            // (Quine–McCluskey did not run).
             span.attr("cover_method", rs.cover_method as u64);
             span.attr("cubes_out", rs.cubes_out);
             span.attr("literals_out", rs.literals_out);
@@ -613,10 +667,8 @@ impl EncodedBitmapIndex {
                 self.finish(bitmap, &tracker, "B_NULL".into())
             }
             NullPolicy::EncodedReserved => {
-                let expr = match self.null_code {
-                    Some(code) => qm::minimize(&[code], self.dont_care_codes(), self.width()),
-                    None => DnfExpr::empty(self.width()),
-                };
+                let codes = self.null_code.into_iter().collect();
+                let expr = self.reduce(codes, &mut qm::ReduceStats::default());
                 self.run_dnf(&expr)
             }
         }
@@ -875,7 +927,7 @@ mod tests {
         assert_eq!(idx.width(), 2, "3 values -> 2 vectors");
         assert_eq!(idx.rows(), 6);
         assert_eq!(idx.bitmap_vector_count(), 2);
-        // a=00, b=01, c=10 in first-seen order, matching Figure 1.
+        // a=00, b=01, c=10 in value order, matching Figure 1.
         assert_eq!(idx.mapping().code_of(0), Some(0b00));
         assert_eq!(idx.mapping().code_of(1), Some(0b01));
         assert_eq!(idx.mapping().code_of(2), Some(0b10));
@@ -1134,6 +1186,8 @@ mod tests {
         {
             let _root = trace.root_span("query");
             baseline = idx.in_list(&[1, 2, 3, 7]).unwrap();
+            idx.range(10, 30).unwrap();
+            idx.eq(9).unwrap();
         }
         ebi_obs::set_enabled(false);
         let records = trace.finish();
@@ -1141,8 +1195,24 @@ mod tests {
         for phase in ["query", "reduce", "plan", "eval"] {
             assert!(names.contains(&phase), "missing {phase} span in {names:?}");
         }
-        let reduce = records.iter().find(|r| r.name == "reduce").unwrap();
-        assert!(reduce.attrs.iter().any(|(k, v)| k == "minterms" && *v == 4));
+        // The reduce span says which path reduced: codes 1, 2, 3, 7 leave
+        // 4..=6 out and go through Quine–McCluskey; the range and the
+        // point are code intervals, covered without a min-term.
+        let reduced: Vec<[u64; 3]> = records
+            .iter()
+            .filter(|r| r.name == "reduce")
+            .map(|r| {
+                ["minterms", "cover_method", "vectors_out"].map(|name| {
+                    let attr = r.attrs.iter().find(|(k, _)| k == name);
+                    attr.unwrap_or_else(|| panic!("reduce span lacks {name}")).1
+                })
+            })
+            .collect();
+        let interval = qm::CoverMethod::Interval as u64;
+        assert_eq!(reduced.len(), 3);
+        assert!(reduced[0][0] == 4 && reduced[0][1] != interval);
+        assert_eq!(reduced[1][..2], [0, interval]);
+        assert_eq!(reduced[2], [0, interval, 6]);
         // The eval span names the kernel tier that ran, so EXPLAIN
         // ANALYZE shows the selected kernel.
         let eval = records.iter().find(|r| r.name == "eval").unwrap();
@@ -1163,6 +1233,55 @@ mod tests {
             plain.stats.vectors_accessed,
             baseline.stats.vectors_accessed
         );
+    }
+
+    #[test]
+    fn default_codes_follow_value_order_after_the_reserved_ones() {
+        let column = [30u64, 10, 20, 10].map(Cell::Value);
+        let idx = EncodedBitmapIndex::build(column).unwrap();
+        let codes = |idx: &EncodedBitmapIndex| [10, 20, 30].map(|v| idx.mapping().code_of(v));
+        assert_eq!(codes(&idx), [Some(0), Some(1), Some(2)]);
+        assert!(idx.mapping().is_total_order_preserving());
+        // 0 = void, 1 = NULL when the column holds one, then the values.
+        let reserved = |cells: Vec<Cell>| {
+            let options = BuildOptions {
+                policy: NullPolicy::EncodedReserved,
+                ..Default::default()
+            };
+            EncodedBitmapIndex::build_with(cells, options).unwrap()
+        };
+        assert_eq!(
+            codes(&reserved(column.to_vec())),
+            [Some(1), Some(2), Some(3)]
+        );
+        let with_null = reserved([&column[..], &[Cell::Null]].concat());
+        assert_eq!(codes(&with_null), [Some(2), Some(3), Some(4)]);
+        assert_eq!(with_null.null_code, Some(1));
+        assert_eq!(with_null.free_runs(), [(5, 7)]);
+    }
+
+    #[test]
+    fn a_range_reads_fewer_vectors_where_it_is_aligned() {
+        // 1 000 values at k = 10 on value-ordered codes: Figure 9's best
+        // case, k - j vectors at an aligned width of 2^j.
+        let cells: Vec<Cell> = (0..4_000u64).map(|i| Cell::Value(i % 1_000)).collect();
+        let idx = EncodedBitmapIndex::build(cells).unwrap();
+        for j in 0..=9u32 {
+            let expr = idx.explain_in_list(&idx.mapping().values_between(512, 511 + (1 << j)));
+            assert_eq!(expr.vectors_accessed(), (10 - j) as usize, "j = {j}");
+            assert_eq!(expr.cubes().len(), 1);
+        }
+        // An interval that ends at the largest value runs on into the
+        // free codes: `A >= 768` is B9·B8, for 232 values.
+        assert_eq!(
+            idx.explain_in_list(&idx.mapping().values_between(768, 999))
+                .to_string(),
+            "B9B8"
+        );
+        // Unaligned, it is at most 2(k - 1) cubes, whatever its width.
+        let expr = idx.explain_in_list(&idx.mapping().values_between(3, 900));
+        assert!(expr.cubes().len() <= 18, "{expr}");
+        assert_eq!(idx.range(3, 900).unwrap().bitmap.count_ones(), 4 * 898);
     }
 
     #[test]

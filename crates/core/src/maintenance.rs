@@ -217,10 +217,10 @@ impl EncodedBitmapIndex {
         Ok(grew)
     }
 
-    /// The smallest code unassigned and unreserved at the current width.
+    /// The smallest code unassigned and unreserved at the current width:
+    /// the start of the first free run, not a probe of `2^k` codes.
     fn free_code(&self) -> Option<u64> {
-        (0..(1u64 << self.mapping.width()))
-            .find(|&c| self.mapping.value_of(c).is_none() && !self.reserved.contains(&c))
+        self.free_runs().first().map(|&(start, _)| start)
     }
 
     /// Ensures a free code exists, widening the mapping (and adding a
@@ -489,6 +489,63 @@ mod tests {
         assert_eq!(r2.bitmap.to_positions(), vec![0]);
         let all = idx.not_in_list(&[]).unwrap();
         assert_eq!(all.bitmap.to_positions(), vec![0, 2, 3]);
+    }
+
+    #[test]
+    fn admitted_values_keep_or_break_the_code_order_and_reads_stay_exact() {
+        let rows_of =
+            |idx: &EncodedBitmapIndex, lo, hi| idx.range(lo, hi).unwrap().bitmap.to_positions();
+        // Values 10, 20, 30, 40, 50 on codes 0..=4 of k = 3.
+        let mut idx = EncodedBitmapIndex::build([10u64, 20, 30, 40, 50].map(Cell::Value)).unwrap();
+        // Above the maximum: the next code, and order survives.
+        idx.append(Cell::Value(60)).unwrap();
+        assert_eq!(idx.mapping().code_of(60), Some(5));
+        assert!(idx.mapping().is_total_order_preserving());
+        assert_eq!(idx.range(50, 60).unwrap().stats.expression, "B2");
+        // Inside the domain: still the smallest free code, so the ranges
+        // that span 25 are no code intervals any more. They fall back
+        // to Quine–McCluskey and select the same rows.
+        idx.append(Cell::Value(25)).unwrap();
+        assert_eq!(idx.mapping().code_of(25), Some(6));
+        assert!(!idx.mapping().is_total_order_preserving());
+        assert_eq!(rows_of(&idx, 20, 30), vec![1, 2, 6]);
+        assert_eq!(
+            rows_of(&idx, 30, 50),
+            vec![2, 3, 4],
+            "no admitted value inside"
+        );
+        assert_eq!(rows_of(&idx, 0, 100), (0..7).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_range_across_a_null_code_reserved_late_selects_no_null_row() {
+        // Built without a NULL: 0 = void, values on 1..=5 of k = 3.
+        let mut idx = EncodedBitmapIndex::build_with(
+            [10u64, 20, 30, 40, 50].map(Cell::Value),
+            BuildOptions {
+                policy: NullPolicy::EncodedReserved,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        // The first NULL takes code 6, the value admitted after it 7:
+        // codes 5..=7 of `50 <= A <= 60` hold the NULL code, which is no
+        // don't-care. Covering them as an interval would be B2·(B1 + B0)
+        // and select row 5.
+        idx.append(Cell::Null).unwrap();
+        idx.append(Cell::Value(60)).unwrap();
+        assert_eq!(idx.null_code, Some(6));
+        assert_eq!(idx.mapping().code_of(60), Some(7));
+        assert_eq!(idx.range(50, 60).unwrap().bitmap.to_positions(), vec![4, 6]);
+        assert_eq!(
+            idx.range(0, 100).unwrap().bitmap.to_positions(),
+            vec![0, 1, 2, 3, 4, 6]
+        );
+        assert_eq!(
+            idx.range(10, 50).unwrap().bitmap.to_positions(),
+            vec![0, 1, 2, 3, 4]
+        );
+        assert_eq!(idx.is_null().bitmap.to_positions(), vec![5]);
     }
 
     #[test]

@@ -185,9 +185,10 @@ impl Mapping {
         from_lo.take_while(|&v| v <= hi).collect()
     }
 
-    /// A column's distinct values in first-seen order, the order default
-    /// code assignment follows: deterministic without pre-sorted data, and
-    /// the same codes from every build (serial, parallel, sharded).
+    /// A column's distinct values in first-seen order. The default
+    /// build sorts them ([`crate::total_order::dense_order_mapping`]);
+    /// [`Mapping::from_values`] over them as they come is the encoding
+    /// with no regard to order, the worst-case line of Figure 9.
     #[must_use]
     pub fn first_seen_values(cells: &[Cell]) -> Vec<u64> {
         let mut seen = HashSet::new();
@@ -198,19 +199,48 @@ impl Mapping {
             .collect()
     }
 
-    /// Codes in `0..2^width` not assigned to any value — the don't-care
-    /// set for logical reduction (footnote 3).
+    /// The unassigned codes of `0..2^width` as sorted, disjoint,
+    /// inclusive runs: one pass over the assigned codes, `O(m)`, however
+    /// wide the code space is. A dense mapping has at most one run,
+    /// `[m, 2^width)`.
+    #[must_use]
+    pub fn free_runs(&self) -> Vec<(u64, u64)> {
+        let mut runs = Vec::new();
+        let mut next = 0u64;
+        for &code in self.value_of.keys() {
+            if code > next {
+                runs.push((next, code - 1));
+            }
+            next = code + 1;
+        }
+        let end = 1u64 << self.width;
+        if next < end {
+            runs.push((next, end - 1));
+        }
+        runs
+    }
+
+    /// Codes in `0..2^width` not assigned to any value, one by one — the
+    /// don't-care min-terms Quine–McCluskey is fed (footnote 3).
+    /// Everything else reads [`Mapping::free_runs`].
     #[must_use]
     pub fn unassigned_codes(&self) -> Vec<u64> {
-        (0..(1u64 << self.width))
-            .filter(|c| !self.value_of.contains_key(c))
-            .collect()
+        let runs = self.free_runs().into_iter();
+        runs.flat_map(|(a, b)| a..=b).collect()
+    }
+
+    /// How many codes in `lo..=hi` are assigned, counting no further
+    /// than `limit`: a caller that asks whether the interval holds more
+    /// than the codes it selected need not walk a wide one to its end.
+    #[must_use]
+    pub fn assigned_between(&self, lo: u64, hi: u64, limit: usize) -> usize {
+        self.value_of.range(lo..=hi).take(limit).count()
     }
 
     /// Smallest unassigned code, if any.
     #[must_use]
     pub fn first_free_code(&self) -> Option<u64> {
-        (0..(1u64 << self.width)).find(|c| !self.value_of.contains_key(c))
+        self.free_runs().first().map(|&(start, _)| start)
     }
 
     /// `true` once every code at the current width is taken.
@@ -506,6 +536,25 @@ mod tests {
         let full = Mapping::sequential(4);
         assert!(full.is_full());
         assert_eq!(full.first_free_code(), None);
+    }
+
+    #[test]
+    fn free_runs_are_the_gaps_between_assigned_codes() {
+        assert_eq!(Mapping::sequential(3).free_runs(), vec![(3, 3)]);
+        assert!(Mapping::sequential(4).free_runs().is_empty());
+        assert_eq!(Mapping::new(3).free_runs(), vec![(0, 7)]);
+        let gaps = Mapping::from_pairs(&[(10, 1), (11, 2), (12, 5), (13, 12)]).unwrap();
+        assert_eq!(gaps.free_runs(), vec![(0, 0), (3, 4), (6, 11), (13, 15)]);
+        assert_eq!(gaps.first_free_code(), Some(0));
+        assert_eq!(gaps.unassigned_codes().len(), 12);
+        // A walk over the assigned codes, not over the code space: three
+        // values at 40 bits leave two runs, not 2^40 codes to visit.
+        let wide = crate::total_order::bit_sliced_mapping(&[0, 1, 1 << 39], 40).unwrap();
+        assert_eq!(
+            wide.free_runs(),
+            vec![(2, (1 << 39) - 1), ((1 << 39) + 1, (1 << 40) - 1)]
+        );
+        assert_eq!(wide.first_free_code(), Some(2));
     }
 
     #[test]

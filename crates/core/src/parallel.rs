@@ -38,9 +38,9 @@ pub fn host_cores() -> usize {
 /// Builds an encoded bitmap index in parallel over `threads` workers.
 ///
 /// Produces exactly the same index as
-/// [`EncodedBitmapIndex::build_with`]: codes are assigned in first-seen
-/// order by a serial pre-scan, then the slice families are built
-/// chunk-wise in parallel.
+/// [`EncodedBitmapIndex::build_with`]: a serial pre-scan assigns the
+/// codes (in value order unless a mapping is given), then the slice
+/// families are built chunk-wise in parallel.
 ///
 /// # Errors
 ///
@@ -73,8 +73,8 @@ pub fn build_parallel(
     // empty column to resolve mapping/reserved/null-code exactly as the
     // serial build would, then extend it with the real distinct values.
     let has_nulls = cells.iter().any(Cell::is_null);
-    let first_seen = Mapping::first_seen_values(cells);
-    let (mapping, reserved, null_code) = resolve_layout(&options, &first_seen, has_nulls)?;
+    let distinct = Mapping::first_seen_values(cells);
+    let (mapping, reserved, null_code) = resolve_layout(&options, &distinct, has_nulls)?;
 
     // Encode chunk-local slice families in parallel.
     let chunk_rows = cells
@@ -163,6 +163,7 @@ pub fn build_parallel(
         b_not_exist: None,
         b_null,
         expr_cache: std::collections::HashMap::new(),
+        free_runs: std::sync::OnceLock::new(),
         dont_cares: std::sync::OnceLock::new(),
         summaries,
         query_options: crate::index::QueryOptions::default(),
@@ -176,12 +177,12 @@ pub fn build_parallel(
 /// serial `build_with` would.
 fn resolve_layout(
     options: &BuildOptions,
-    first_seen: &[u64],
+    distinct: &[u64],
     has_nulls: bool,
 ) -> Result<(Mapping, Vec<u64>, Option<u64>), CoreError> {
     // Delegate to the serial builder on a synthetic column that exhibits
-    // the same distinct values (in the same order) and NULL presence.
-    let synthetic: Vec<Cell> = first_seen
+    // the same distinct values and NULL presence.
+    let synthetic: Vec<Cell> = distinct
         .iter()
         .map(|&v| Cell::Value(v))
         .chain(has_nulls.then_some(Cell::Null))

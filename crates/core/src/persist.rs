@@ -218,6 +218,7 @@ pub fn load_index(pager: &Pager, handle: &IndexHandle) -> Result<EncodedBitmapIn
         b_not_exist,
         b_null,
         expr_cache: std::collections::HashMap::new(),
+        free_runs: std::sync::OnceLock::new(),
         dont_cares: std::sync::OnceLock::new(),
         summaries,
         query_options: crate::index::QueryOptions::default(),

@@ -36,13 +36,29 @@ pub fn bit_sliced_mapping(values: &[u64], width: u32) -> Result<Mapping, CoreErr
 }
 
 /// Dense order-preserving encoding: the `i`-th smallest value gets code
-/// `i`.
+/// `i`. This is the encoding every build assigns by default: a value
+/// range then selects a code interval, whose reduced expression is
+/// written down from its two ends (`ebi_boolean::interval`).
 #[must_use]
 pub fn dense_order_mapping(values: &[u64]) -> Mapping {
+    dense_order_mapping_after(values, 0)
+}
+
+/// [`dense_order_mapping`] with the first `reserved` codes left out for
+/// the void and NULL codes of [`crate::nulls::NullPolicy::EncodedReserved`]:
+/// the `i`-th smallest value gets code `reserved + i`, at the least width
+/// that holds both.
+#[must_use]
+pub fn dense_order_mapping_after(values: &[u64], reserved: u64) -> Mapping {
     let mut sorted = values.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
-    Mapping::from_values(&sorted).expect("sorted distinct values")
+    let mut map = Mapping::new(Mapping::width_for(sorted.len() + reserved as usize));
+    for (i, &v) in sorted.iter().enumerate() {
+        map.insert(v, reserved + i as u64)
+            .expect("distinct values, ascending codes that fit");
+    }
+    map
 }
 
 /// Searches for a total-order preserving mapping of `values` (sorted

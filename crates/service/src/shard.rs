@@ -5,10 +5,11 @@
 //! over *its* rows — slice containers, segment summaries, run
 //! statistics — plus its own [`Pager`] standing in for the shard's heap
 //! pages. Because every shard is built over the **same table-wide
-//! [`Mapping`]** per column, a retrieval expression minimized once (on
-//! any shard) is valid on all of them: codes and don't-care sets are
-//! identical, only the slice contents differ. That is the service's
-//! compile-once / evaluate-everywhere contract.
+//! [`Mapping`]** per column — codes in value order over the whole
+//! column, what a default build assigns — a retrieval expression reduced
+//! once (on any shard) is valid on all of them: codes and don't-care
+//! sets are identical, only the slice contents differ. That is the
+//! service's compile-once / evaluate-everywhere contract.
 //!
 //! Shard results are shard-relative bitmaps; [`ShardedTable::merge`]
 //! writes each one back at the shard's global row offset with
@@ -19,6 +20,7 @@ use crate::error::ServiceError;
 use ebi_bitvec::{BitVec, DnfPlan};
 use ebi_boolean::DnfExpr;
 use ebi_core::index::{BuildOptions, EncodedBitmapIndex};
+use ebi_core::total_order::dense_order_mapping;
 use ebi_core::{and_fold, or_fold, CoreError, Mapping, RowOrder};
 use ebi_obs::{CostCounters, IndexLayout};
 use ebi_storage::{read_row_pages, BufferPool, Cell, PageId, PageWalk, Pager};
@@ -279,13 +281,13 @@ impl ShardedTable {
                     .collect::<Vec<_>>()
             )));
         }
-        // Table-wide mapping per column: first-seen order over the
-        // whole column, so every shard assigns identical codes.
-        let mut mappings = Vec::with_capacity(columns.len());
-        for col in &columns {
-            let first_seen = Mapping::first_seen_values(&col.cells);
-            mappings.push(Mapping::from_values(&first_seen).map_err(|e| core_err(&e))?);
-        }
+        // Table-wide mapping per column, the one a default build assigns
+        // (codes in value order over the whole column), so that every
+        // shard holds identical codes and a range is a code interval.
+        let mappings: Vec<Mapping> = columns
+            .iter()
+            .map(|col| dense_order_mapping(&Mapping::first_seen_values(&col.cells)))
+            .collect();
         let n = opts.shards.clamp(1, rows.max(1));
         let base = rows / n;
         let rem = rows % n;
@@ -367,9 +369,10 @@ impl ShardedTable {
     }
 
     /// Compiles a parsed query once against the shared mappings: each
-    /// clause's IN-list is minimized (Quine–McCluskey with don't-cares)
-    /// on shard 0's index and lowered for the kernel; expression and
-    /// plan are valid on every shard.
+    /// clause's IN-list is reduced on shard 0's index (a point or a
+    /// range as the code interval it is, a scattered list by
+    /// Quine–McCluskey with don't-cares) and lowered for the kernel;
+    /// expression and plan are valid on every shard.
     ///
     /// # Errors
     ///

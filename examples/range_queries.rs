@@ -1,6 +1,8 @@
-//! Range selections three ways (§2.3): range-based encoding for
-//! pre-declared ranges (Figures 7–8), total-order preserving encoding
-//! for ad-hoc ranges (Figure 6), and the bit-sliced special case.
+//! Range selections (§2.3): range-based encoding for pre-declared ranges
+//! (Figures 7–8), total-order preserving encoding for ad-hoc ranges
+//! (Figure 6), the bit-sliced special case, and what the default build
+//! makes of an ad-hoc range: its codes follow value order, so the range
+//! is a code interval, covered without Quine–McCluskey.
 //!
 //! ```sh
 //! cargo run --example range_queries
@@ -83,4 +85,42 @@ fn main() {
         );
     }
     println!("\nthe simple index would read one vector per VALUE in each range — up to 501 here.");
+
+    // ------------------------------------------------------------------
+    // 4. The default build: codes in value order, ranges as intervals.
+    // ------------------------------------------------------------------
+    println!("\nencoded bitmap index, default (value-ordered) codes vs first-seen codes:");
+    let ordered = EncodedBitmapIndex::build(numeric.iter().copied()).expect("build");
+    let first_seen = Mapping::from_values(&Mapping::first_seen_values(&numeric)).expect("mapping");
+    let scattered = EncodedBitmapIndex::build_with(
+        numeric.iter().copied(),
+        BuildOptions {
+            mapping: Some(first_seen),
+            ..Default::default()
+        },
+    )
+    .expect("build");
+    for (lo, hi) in [(0u64, 9u64), (0, 499), (250, 750), (512, 767), (600, 999)] {
+        let values = ordered.mapping().values_between(lo, hi);
+        let (o, s) = (
+            ordered.explain_in_list(&values),
+            scattered.explain_in_list(&values),
+        );
+        assert_eq!(
+            ordered.range(lo, hi).expect("range").bitmap,
+            scattered.range(lo, hi).expect("range").bitmap
+        );
+        println!(
+            "  {lo:>3} <= A <= {hi:<3}: {} vectors in {:>2} cubes   (first-seen: {:>2} vectors in {:>3} cubes)",
+            o.vectors_accessed(),
+            o.cubes().len(),
+            s.vectors_accessed(),
+            s.cubes().len()
+        );
+    }
+    println!(
+        "  512 <= A <= 767 is {}; 600 <= A <= 999 runs on into the 24 free codes: {}",
+        ordered.explain_in_list(&ordered.mapping().values_between(512, 767)),
+        ordered.explain_in_list(&ordered.mapping().values_between(600, 999)),
+    );
 }

@@ -88,6 +88,8 @@ LOG_TOP = {
 
 LOG_LEVELS = {"debug", "info", "warn", "error"}
 
+COVER_METHODS = {0: "essential_only", 1: "petrick", 2: "greedy", 3: "interval"}
+
 TRACEPARENT_RE = re.compile(r"^00-[0-9a-f]{32}-[0-9a-f]{16}-[0-9a-f]{2}$")
 
 _path = "<input>"
@@ -106,6 +108,23 @@ def check_keys(lineno, doc, spec, what):
             fail(lineno, f"{what}.{key}: expected {typ.__name__}, got {type(doc[key]).__name__}")
 
 
+def check_reduce(lineno, attrs, path):
+    """Which path reduced: 0 essential_only, 1 petrick, 2 greedy (all
+    three Quine-McCluskey), 3 interval (no min-term, no prime implicant)."""
+    method = attrs["cover_method"]
+    if method not in COVER_METHODS:
+        fail(lineno, f"{path}.attrs['cover_method']: {method} names no cover method")
+    if COVER_METHODS[method] == "interval":
+        for key in ("minterms", "prime_implicants"):
+            if attrs.get(key) != 0:
+                fail(lineno, f"{path}.attrs[{key!r}]: the interval path expands none, got {attrs.get(key)!r}")
+    elif attrs.get("minterms", 0) == 0:
+        fail(lineno, f"{path}: Quine-McCluskey ran on no min-term")
+    for key in ("cubes_out", "literals_out", "vectors_out"):
+        if key not in attrs:
+            fail(lineno, f"{path}.attrs: missing {key!r}")
+
+
 def check_phase(lineno, node, path):
     for key, typ in PHASE.items():
         if key not in node:
@@ -115,6 +134,8 @@ def check_phase(lineno, node, path):
     for k, v in node["attrs"].items():
         if not isinstance(v, int) or v < 0:
             fail(lineno, f"{path}.attrs[{k!r}]: expected non-negative int")
+    if node["name"] == "reduce" and "cover_method" in node["attrs"]:
+        check_reduce(lineno, node["attrs"], path)
     for i, child in enumerate(node["children"]):
         check_phase(lineno, child, f"{path}.children[{i}]")
 

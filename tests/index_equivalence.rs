@@ -10,6 +10,8 @@ use ebi::warehouse::generator::{generate_column, ColumnSpec};
 use ebi::warehouse::workload::WorkloadSpec;
 use ebi_service::shard::{Clause, DnfRequest, Predicate as Served};
 use ebi_service::{ColumnSpec as ServedColumn, ShardedTable, TableOptions};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// How one form under test answers a predicate: matching rows and the
 /// `vectors_accessed` it reports.
@@ -175,24 +177,85 @@ fn compare(
     }
 }
 
-fn run_all(cells: &[Cell], m: u64, queries: usize, seed: u64) {
-    let mut encoded = EncodedBitmapIndex::build(cells.iter().copied()).unwrap();
-    let mut reserved = EncodedBitmapIndex::build_with(
-        cells.iter().copied(),
-        BuildOptions {
-            policy: NullPolicy::EncodedReserved,
-            mapping: None,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let workload = WorkloadSpec::tpcd_like("c", m, queries, seed).generate();
-    compare(cells, &encoded, &reserved, &workload);
+/// The column's values on the codes `reserved..`, in a seeded order:
+/// an explicit mapping with no regard to value order, under which a
+/// range is a scattered code set.
+fn shuffled_mapping(cells: &[Cell], reserved: u64, seed: u64) -> Mapping {
+    let mut values = Mapping::first_seen_values(cells);
+    values.sort_unstable();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..values.len()).rev() {
+        values.swap(i, rng.random_range(0..=i));
+    }
+    let mut mapping = Mapping::new(Mapping::width_for(values.len() + reserved as usize));
+    for (i, &v) in values.iter().enumerate() {
+        mapping.insert(v, reserved + i as u64).unwrap();
+    }
+    mapping
+}
 
-    // Second pass, over maintained sources: rows deleted, updated (to
-    // known values, to values new to the domain, to NULL) and appended
-    // (values past `m` widen the code space).
-    let mut cells = cells.to_vec();
+/// Both sources over `cells`: on the default mapping (codes in value
+/// order) or on an explicit shuffled one.
+fn sources(cells: &[Cell], shuffled: Option<u64>) -> (EncodedBitmapIndex, EncodedBitmapIndex) {
+    let build = |policy, reserved| {
+        EncodedBitmapIndex::build_with(
+            cells.iter().copied(),
+            BuildOptions {
+                policy,
+                // Codes 0 and 1 stay out of a reserved source's mapping:
+                // void, and room for the NULL code.
+                mapping: shuffled.map(|seed| shuffled_mapping(cells, reserved, seed)),
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    };
+    (
+        build(NullPolicy::SeparateVectors, 0),
+        build(NullPolicy::EncodedReserved, 2),
+    )
+}
+
+fn run_all(cells: &[Cell], m: u64, queries: usize, seed: u64) {
+    // One value inside the domain is held back for the maintenance pass
+    // to admit.
+    let hole = m / 2;
+    let cells: Vec<Cell> = cells
+        .iter()
+        .map(|c| match c {
+            Cell::Value(v) if *v == hole && m >= 4 => Cell::Value(hole + 1),
+            other => *other,
+        })
+        .collect();
+    let workload = WorkloadSpec::tpcd_like("c", m, queries, seed).generate();
+    for shuffled in [None, Some(seed)] {
+        let (encoded, reserved) = sources(&cells, shuffled);
+        assert_eq!(
+            encoded.mapping().is_total_order_preserving(),
+            shuffled.is_none() || m <= 2
+        );
+        compare(&cells, &encoded, &reserved, &workload);
+        maintained_pass(cells.clone(), encoded, reserved, &workload, m);
+    }
+}
+
+/// Second pass, over maintained sources: rows deleted, updated (to known
+/// values, to values new to the domain, to NULL) and appended. The
+/// appends admit values past `m` in no order (they widen the code
+/// space), then the held-back value inside the domain — it takes the
+/// smallest free code, so on the value-ordered mapping the ranges that
+/// span it stop being code intervals — then one above every other. Under
+/// `EncodedReserved` a source built without NULLs reserves its NULL code
+/// on the first update to NULL, after the values' codes and before the
+/// admitted ones: a range that ends at an admitted value then holds the
+/// NULL code inside its code interval, and must not select NULL rows.
+fn maintained_pass(
+    mut cells: Vec<Cell>,
+    mut encoded: EncodedBitmapIndex,
+    mut reserved: EncodedBitmapIndex,
+    workload: &[Query],
+    m: u64,
+) {
     for (row, held) in cells.iter_mut().enumerate() {
         let change = match row % 11 {
             3 => None,
@@ -208,16 +271,30 @@ fn run_all(cells: &[Cell], m: u64, queries: usize, seed: u64) {
         }
         *held = change.unwrap_or(Cell::Null);
     }
-    for i in 0..40u64 {
-        let cell = if i % 9 == 4 {
-            Cell::Null
-        } else {
-            Cell::Value(i * 7 % (m + 5))
-        };
+    let (hole, top) = (m / 2, m + 40);
+    let appended = (0..40u64).map(|i| match i % 9 {
+        4 => Cell::Null,
+        _ => Cell::Value(i * 7 % (m + 5)),
+    });
+    for cell in appended.chain([hole, top, hole, top].map(Cell::Value)) {
         encoded.append(cell).unwrap();
         reserved.append(cell).unwrap();
         cells.push(cell);
     }
+    // The admitted values, alone and at either end of a range.
+    let admitted = [
+        Predicate::Eq(hole),
+        Predicate::Eq(top),
+        Predicate::Range(hole.saturating_sub(2), hole + 2),
+        Predicate::Range(m.saturating_sub(3), top),
+        Predicate::Range(m, top),
+        Predicate::Range(0, top),
+    ];
+    let mut workload = workload.to_vec();
+    workload.extend(admitted.map(|predicate| Query {
+        column: "c".to_string(),
+        predicate,
+    }));
     compare(&cells, &encoded, &reserved, &workload);
 }
 
