@@ -14,7 +14,7 @@ use ebi_bitvec::builder::SliceFamilyBuilder;
 use ebi_bitvec::BitVec;
 use ebi_boolean::{qm, AccessTracker};
 use ebi_core::index::QueryResult;
-use ebi_core::QueryStats;
+use ebi_obs::CostCounters;
 use ebi_storage::Cell;
 
 /// Don't-care enumeration is skipped above this code-space size.
@@ -96,7 +96,7 @@ impl BitSlicedIndex {
         let mut eq = BitVec::ones(self.rows);
         for i in (0..k).rev() {
             tracker.touch(i as u32);
-            tracker.literal_ops += 1;
+            tracker.cost.literal_ops += 1;
             let slice = &self.slices[i];
             if c >> i & 1 == 1 {
                 // values with bit i = 0 here are strictly less.
@@ -120,7 +120,7 @@ impl BitSlicedIndex {
         let mut eq = BitVec::ones(self.rows);
         for i in (0..k).rev() {
             tracker.touch(i as u32);
-            tracker.literal_ops += 1;
+            tracker.cost.literal_ops += 1;
             let slice = &self.slices[i];
             if c >> i & 1 == 0 {
                 gt.or_assign(&(&eq & slice));
@@ -137,13 +137,13 @@ impl BitSlicedIndex {
         let k = self.slices.len() as u32;
         if let Some(bn) = &self.b_null {
             tracker.touch(k);
-            tracker.literal_ops += 1;
+            tracker.cost.literal_ops += 1;
             bitmap.and_not_assign(bn);
             label.push_str(" · B_NULL'");
         }
         if let Some(ne) = &self.b_not_exist {
             tracker.touch(k + 1);
-            tracker.literal_ops += 1;
+            tracker.cost.literal_ops += 1;
             bitmap.and_not_assign(ne);
             label.push_str(" · B_NotExist'");
         }
@@ -188,18 +188,20 @@ impl SelectionIndex for BitSlicedIndex {
         }
         QueryResult {
             bitmap,
-            stats: QueryStats::from_tracker(&tracker, label),
+            stats: tracker.finish(),
+            expression: label,
         }
     }
 
     fn range(&self, lo: u64, hi: u64) -> QueryResult {
-        let mut tracker = AccessTracker::new();
         if lo > hi {
             return QueryResult {
                 bitmap: BitVec::zeros(self.rows),
-                stats: QueryStats::from_tracker(&tracker, "0".into()),
+                stats: CostCounters::default(),
+                expression: "0".into(),
             };
         }
+        let mut tracker = AccessTracker::new();
         let mut bitmap = self.le_bitmap(hi, &mut tracker);
         let ge = self.ge_bitmap(lo, &mut tracker);
         bitmap.and_assign(&ge);
@@ -207,7 +209,8 @@ impl SelectionIndex for BitSlicedIndex {
         self.mask(&mut bitmap, &mut tracker, &mut label);
         QueryResult {
             bitmap,
-            stats: QueryStats::from_tracker(&tracker, label),
+            stats: tracker.finish(),
+            expression: label,
         }
     }
 

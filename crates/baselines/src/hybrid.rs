@@ -12,7 +12,7 @@
 use crate::traits::SelectionIndex;
 use ebi_bitvec::BitVec;
 use ebi_core::index::QueryResult;
-use ebi_core::QueryStats;
+use ebi_obs::CostCounters;
 use ebi_storage::Cell;
 use std::collections::BTreeMap;
 
@@ -152,13 +152,13 @@ impl HybridBTreeBitmapIndex {
         }
         QueryResult {
             bitmap,
-            stats: QueryStats {
-                vectors_accessed: accessed,
-                literal_ops: rid_decodes,
-                cube_evals: accessed,
-                expression: format!("hybrid({accessed} leaves, {rid_decodes} rids)"),
-                ..QueryStats::default()
+            stats: CostCounters {
+                vectors_accessed: accessed as u64,
+                literal_ops: rid_decodes as u64,
+                cube_evals: accessed as u64,
+                ..CostCounters::default()
             },
+            expression: format!("hybrid({accessed} leaves, {rid_decodes} rids)"),
         }
     }
 }

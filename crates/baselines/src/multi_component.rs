@@ -19,7 +19,7 @@
 use crate::traits::SelectionIndex;
 use ebi_bitvec::BitVec;
 use ebi_core::index::QueryResult;
-use ebi_core::QueryStats;
+use ebi_obs::CostCounters;
 use ebi_storage::Cell;
 
 /// Equality-encoded multi-component (base-`b`) bitmap index.
@@ -177,13 +177,13 @@ impl SelectionIndex for MultiComponentIndex {
         let bitmap = self.eq_bitmap(value, &mut accessed);
         QueryResult {
             bitmap,
-            stats: QueryStats {
-                vectors_accessed: accessed,
-                literal_ops: accessed.saturating_sub(1),
+            stats: CostCounters {
+                vectors_accessed: accessed as u64,
+                literal_ops: accessed.saturating_sub(1) as u64,
                 cube_evals: 1,
-                expression: format!("base{}-eq({value})", self.base),
-                ..QueryStats::default()
+                ..CostCounters::default()
             },
+            expression: format!("base{}-eq({value})", self.base),
         }
     }
 
@@ -198,13 +198,13 @@ impl SelectionIndex for MultiComponentIndex {
         }
         QueryResult {
             bitmap: result,
-            stats: QueryStats {
-                vectors_accessed: accessed,
-                literal_ops: accessed,
-                cube_evals: sorted.len(),
-                expression: format!("base{}-in({})", self.base, sorted.len()),
-                ..QueryStats::default()
+            stats: CostCounters {
+                vectors_accessed: accessed as u64,
+                literal_ops: accessed as u64,
+                cube_evals: sorted.len() as u64,
+                ..CostCounters::default()
             },
+            expression: format!("base{}-in({})", self.base, sorted.len()),
         }
     }
 
@@ -225,13 +225,13 @@ impl SelectionIndex for MultiComponentIndex {
         };
         QueryResult {
             bitmap,
-            stats: QueryStats {
-                vectors_accessed: accessed,
-                literal_ops: accessed,
+            stats: CostCounters {
+                vectors_accessed: accessed as u64,
+                literal_ops: accessed as u64,
                 cube_evals: 2,
-                expression: format!("base{}-range({lo},{hi})", self.base),
-                ..QueryStats::default()
+                ..CostCounters::default()
             },
+            expression: format!("base{}-range({lo},{hi})", self.base),
         }
     }
 
@@ -320,7 +320,7 @@ mod tests {
             let r = SelectionIndex::eq(&idx, 123);
             assert_eq!(
                 r.stats.vectors_accessed,
-                idx.components(),
+                idx.components() as u64,
                 "base {base}: one vector per component"
             );
         }

@@ -10,7 +10,7 @@
 use crate::traits::SelectionIndex;
 use ebi_bitvec::BitVec;
 use ebi_core::index::QueryResult;
-use ebi_core::QueryStats;
+use ebi_obs::CostCounters;
 use ebi_storage::Cell;
 
 /// The column in row order, with fixed-width entries.
@@ -73,13 +73,12 @@ impl ProjectionIndex {
         }
         QueryResult {
             bitmap,
-            stats: QueryStats {
-                vectors_accessed: 0,
-                literal_ops: self.cells.len(),
+            stats: CostCounters {
+                literal_ops: self.cells.len() as u64,
                 cube_evals: 1,
-                expression: label,
-                ..QueryStats::default()
+                ..CostCounters::default()
             },
+            expression: label,
         }
     }
 }
@@ -119,7 +118,7 @@ impl SelectionIndex for ProjectionIndex {
     }
 
     /// Every query scans the full projection.
-    fn query_pages(&self, _stats: &QueryStats, page_size: usize) -> u64 {
+    fn query_pages(&self, _stats: &CostCounters, page_size: usize) -> u64 {
         (self.storage_bytes().div_ceil(page_size)) as u64
     }
 }

@@ -11,7 +11,7 @@
 use crate::traits::SelectionIndex;
 use ebi_bitvec::BitVec;
 use ebi_core::index::QueryResult;
-use ebi_core::QueryStats;
+use ebi_obs::CostCounters;
 use ebi_storage::Cell;
 
 /// Equal-population bucketed bitmaps with candidate verification.
@@ -133,13 +133,13 @@ impl SelectionIndex for RangeBasedBitmapIndex {
         }
         QueryResult {
             bitmap,
-            stats: QueryStats {
-                vectors_accessed: touched.len(),
-                literal_ops: verified,
-                cube_evals: touched.len(),
-                expression: format!("buckets{touched:?} + verify({verified})"),
-                ..QueryStats::default()
+            stats: CostCounters {
+                vectors_accessed: touched.len() as u64,
+                literal_ops: verified as u64,
+                cube_evals: touched.len() as u64,
+                ..CostCounters::default()
             },
+            expression: format!("buckets{touched:?} + verify({verified})"),
         }
     }
 
@@ -147,13 +147,8 @@ impl SelectionIndex for RangeBasedBitmapIndex {
         if lo > hi {
             return QueryResult {
                 bitmap: BitVec::zeros(self.rows),
-                stats: QueryStats {
-                    vectors_accessed: 0,
-                    literal_ops: 0,
-                    cube_evals: 0,
-                    expression: "0".into(),
-                    ..QueryStats::default()
-                },
+                stats: CostCounters::default(),
+                expression: "0".into(),
             };
         }
         let first = self.bucket_of(lo);
@@ -181,13 +176,13 @@ impl SelectionIndex for RangeBasedBitmapIndex {
         }
         QueryResult {
             bitmap,
-            stats: QueryStats {
-                vectors_accessed: accessed,
-                literal_ops: verified,
-                cube_evals: accessed,
-                expression: format!("buckets[{first}..={last}] + verify({verified})"),
-                ..QueryStats::default()
+            stats: CostCounters {
+                vectors_accessed: accessed as u64,
+                literal_ops: verified as u64,
+                cube_evals: accessed as u64,
+                ..CostCounters::default()
             },
+            expression: format!("buckets[{first}..={last}] + verify({verified})"),
         }
     }
 

@@ -2,9 +2,8 @@
 
 use crate::traits::SelectionIndex;
 use ebi_bitvec::BitVec;
-use ebi_boolean::AccessTracker;
 use ebi_core::index::QueryResult;
-use ebi_core::QueryStats;
+use ebi_obs::CostCounters;
 use ebi_storage::Cell;
 use std::collections::BTreeMap;
 
@@ -135,36 +134,37 @@ impl SimpleBitmapIndex {
     /// Rows with NULL in this attribute.
     #[must_use]
     pub fn is_null(&self) -> QueryResult {
-        let mut tracker = AccessTracker::new();
-        let bitmap = match &self.b_null {
-            Some(b) => {
-                tracker.touch(0);
-                b.clone()
-            }
-            None => BitVec::zeros(self.rows),
+        let (bitmap, vectors_accessed) = match &self.b_null {
+            Some(b) => (b.clone(), 1),
+            None => (BitVec::zeros(self.rows), 0),
         };
         QueryResult {
             bitmap,
-            stats: QueryStats::from_tracker(&tracker, "B_NULL".into()),
+            stats: CostCounters {
+                vectors_accessed,
+                ..CostCounters::default()
+            },
+            expression: "B_NULL".into(),
         }
     }
 
     fn or_of(&self, values: impl Iterator<Item = u64>) -> QueryResult {
-        let mut tracker = AccessTracker::new();
-        let mut accessed = 0usize;
+        // Distinct vectors here are per-value vectors, not slices: count
+        // them directly (c_s = δ).
+        let mut stats = CostCounters::default();
         let mut result: Option<BitVec> = None;
         let mut parts: Vec<String> = Vec::new();
         for v in values {
             let Some(bv) = self.vectors.get(&v) else {
                 continue;
             };
-            accessed += 1;
-            tracker.cube_evals += 1;
+            stats.vectors_accessed += 1;
+            stats.cube_evals += 1;
             parts.push(format!("B[{v}]"));
             match &mut result {
                 None => result = Some(bv.clone()),
                 Some(r) => {
-                    tracker.or_ops += 1;
+                    stats.or_ops += 1;
                     r.or_assign(bv);
                 }
             }
@@ -174,16 +174,16 @@ impl SimpleBitmapIndex {
         // exist (§2.2) — value bits are already cleared on delete, but we
         // model the paper's cost faithfully by charging the read.
         if let Some(ne) = &self.b_not_exist {
-            tracker.literal_ops += 1;
+            stats.literal_ops += 1;
+            stats.vectors_accessed += 1;
             bitmap.and_not_assign(ne);
-            accessed += 1;
             parts.push("B_NotExist'".into());
         }
-        let mut stats = QueryStats::from_tracker(&tracker, parts.join(" + "));
-        // Distinct vectors here are per-value vectors, not slices: count
-        // them directly (c_s = δ).
-        stats.vectors_accessed = accessed;
-        QueryResult { bitmap, stats }
+        QueryResult {
+            bitmap,
+            stats,
+            expression: parts.join(" + "),
+        }
     }
 }
 
@@ -292,7 +292,7 @@ mod tests {
             r.stats.vectors_accessed, 2,
             "value vector + existence vector"
         );
-        assert!(r.stats.expression.contains("B_NotExist'"));
+        assert!(r.expression.contains("B_NotExist'"));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The common selection-index interface.
 
 use ebi_core::index::QueryResult;
-use ebi_core::{EncodedBitmapIndex, QueryStats};
+use ebi_core::EncodedBitmapIndex;
+use ebi_obs::CostCounters;
 
 /// A secondary index answering value selections on one attribute with a
 /// row bitmap.
 ///
-/// `vectors_accessed` in the returned [`QueryStats`] counts the index's
+/// `vectors_accessed` in the returned [`CostCounters`] counts the index's
 /// *logical read units* — bitmap vectors for bitmap-family indexes,
 /// nodes (= pages) for tree-family indexes — matching how the paper
 /// charges each structure. [`SelectionIndex::query_pages`] converts a
@@ -36,8 +37,8 @@ pub trait SelectionIndex {
     /// Disk pages read by a query with `stats`, under this index's
     /// layout. Default: bitmap-vector model (each accessed vector spans
     /// `ceil(rows/8/page_size)` pages).
-    fn query_pages(&self, stats: &QueryStats, page_size: usize) -> u64 {
-        stats.page_reads(self.rows(), page_size)
+    fn query_pages(&self, stats: &CostCounters, page_size: usize) -> u64 {
+        page_reads(stats.vectors_accessed, self.rows(), page_size)
     }
 
     /// Aggregate run statistics over this index's bitmap vectors, when
@@ -52,6 +53,12 @@ pub trait SelectionIndex {
     fn row_order(&self) -> &'static str {
         "original"
     }
+}
+
+/// Disk pages read under the paper's storage model: every accessed
+/// bitmap vector spans `ceil(rows / 8 / page_size)` pages.
+fn page_reads(vectors_accessed: u64, rows: usize, page_size: usize) -> u64 {
+    vectors_accessed * rows.div_ceil(8).div_ceil(page_size) as u64
 }
 
 impl SelectionIndex for EncodedBitmapIndex {
@@ -117,5 +124,15 @@ mod tests {
         let r = SelectionIndex::eq(&idx, 3);
         // 3 slices read; each spans ceil(100000/8/4096) = 4 pages.
         assert_eq!(idx.query_pages(&r.stats, 4096), 3 * 4);
+    }
+
+    #[test]
+    fn page_reads_scale_with_rows_and_vectors() {
+        // 1M rows = 125_000 bytes per vector = 31 pages at 4K.
+        assert_eq!(page_reads(3, 1_000_000, 4096), 3 * 31);
+        // Tiny table: still one page per vector.
+        assert_eq!(page_reads(3, 100, 4096), 3);
+        // Zero rows: no pages.
+        assert_eq!(page_reads(3, 0, 4096), 0);
     }
 }

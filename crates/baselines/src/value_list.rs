@@ -4,7 +4,7 @@ use crate::traits::SelectionIndex;
 use ebi_bitvec::BitVec;
 use ebi_btree::BTreeIndex;
 use ebi_core::index::QueryResult;
-use ebi_core::QueryStats;
+use ebi_obs::CostCounters;
 use ebi_storage::Cell;
 
 /// B+tree mapping attribute values to tuple-id lists.
@@ -66,7 +66,7 @@ impl ValueListIndex {
     }
 
     fn rids_to_result(&self, rids: Vec<u32>, label: String) -> QueryResult {
-        let reads = self.tree.stats().node_reads as usize;
+        let reads = self.tree.stats().node_reads;
         self.tree.reset_stats();
         let mut bitmap = BitVec::zeros(self.rows);
         for rid in rids {
@@ -74,13 +74,12 @@ impl ValueListIndex {
         }
         QueryResult {
             bitmap,
-            stats: QueryStats {
+            stats: CostCounters {
                 vectors_accessed: reads,
-                literal_ops: 0,
                 cube_evals: 1,
-                expression: label,
-                ..QueryStats::default()
+                ..CostCounters::default()
             },
+            expression: label,
         }
     }
 }
@@ -124,8 +123,8 @@ impl SelectionIndex for ValueListIndex {
     }
 
     /// One node = one page: node reads are page reads.
-    fn query_pages(&self, stats: &QueryStats, _page_size: usize) -> u64 {
-        stats.vectors_accessed as u64
+    fn query_pages(&self, stats: &CostCounters, _page_size: usize) -> u64 {
+        stats.vectors_accessed
     }
 }
 
@@ -181,10 +180,7 @@ mod tests {
     fn page_cost_equals_node_reads() {
         let idx = sample();
         let r = SelectionIndex::eq(&idx, 3);
-        assert_eq!(
-            idx.query_pages(&r.stats, 4096),
-            r.stats.vectors_accessed as u64
-        );
+        assert_eq!(idx.query_pages(&r.stats, 4096), r.stats.vectors_accessed);
         assert_eq!(idx.bitmap_vector_count(), 0);
         // Nodes page by payload, so the footprint is at least one page
         // per node and grows with the stored RID lists.

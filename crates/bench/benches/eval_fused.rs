@@ -47,7 +47,10 @@ fn bench_eval(c: &mut Criterion) {
             eval_expr_tracked(&expr, slices, None, rows, &mut tracker),
             naive
         );
-        assert_eq!(tracker.vectors_accessed(), expr.vectors_accessed());
+        assert_eq!(
+            tracker.finish().vectors_accessed,
+            expr.vectors_accessed() as u64
+        );
 
         group.bench_with_input(BenchmarkId::new("naive", delta), &expr, |b, e| {
             b.iter(|| black_box(eval_expr_naive(e, slices, rows)));

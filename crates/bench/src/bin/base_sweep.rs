@@ -22,9 +22,9 @@ fn main() {
         "storage_bytes",
     ]);
 
-    let run = |idx: &dyn SelectionIndex| -> (usize, usize) {
+    let run = |idx: &dyn SelectionIndex| -> (u64, u64) {
         let eq_cost = idx.eq(123).stats.vectors_accessed;
-        let mut units = 0usize;
+        let mut units = 0u64;
         for q in &workload {
             let r = match &q.predicate {
                 Predicate::Eq(v) => idx.eq(*v),

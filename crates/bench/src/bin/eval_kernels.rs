@@ -35,9 +35,10 @@
 use ebi_bench::{uniform_cells, write_json};
 use ebi_bitvec::simd::{self, KernelPath};
 use ebi_bitvec::summary::summarize_slices;
-use ebi_bitvec::{BitVec, KernelStats, SliceStorage, StoragePolicy};
+use ebi_bitvec::{BitVec, SliceStorage, StoragePolicy};
 use ebi_boolean::{eval_expr_naive, eval_expr_tracked, qm, AccessTracker};
 use ebi_core::EncodedBitmapIndex;
+use ebi_obs::CostCounters;
 use ebi_storage::Cell;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -111,12 +112,12 @@ fn measure(rows: usize, iters: usize, out: &mut Vec<Row>) {
             "summarized != naive"
         );
         for (engine, got) in [
-            ("fused", t_fused.vectors_accessed()),
-            ("summarized", t_sum.vectors_accessed()),
+            ("fused", t_fused.finish().vectors_accessed),
+            ("summarized", t_sum.finish().vectors_accessed),
         ] {
             assert_eq!(
                 got,
-                expr.vectors_accessed(),
+                expr.vectors_accessed() as u64,
                 "{engine} changed vectors_accessed at rows={rows} delta={delta}"
             );
         }
@@ -175,7 +176,7 @@ struct CRow {
     bytes_stored: usize,
     bytes_touched: u64,
     compressed_chunks_skipped: u64,
-    vectors_accessed: usize,
+    vectors_accessed: u64,
 }
 
 fn measure_compressed(rows: usize, iters: usize, out: &mut Vec<CRow>) {
@@ -208,19 +209,19 @@ fn measure_compressed(rows: usize, iters: usize, out: &mut Vec<CRow>) {
                 .collect();
             let expr = qm::minimize(&codes, &[], k);
 
-            let mut expect: Option<(BitVec, usize)> = None;
+            let mut expect: Option<(BitVec, u64)> = None;
             for (name, family) in &families {
                 let mut tracker = AccessTracker::new();
                 let result = eval_expr_tracked(&expr, family, None, rows, &mut tracker);
+                let cost = tracker.finish();
                 // Correctness gates before timing: bit-identical results
                 // and the container-independent access metric.
                 match &expect {
-                    None => expect = Some((result, tracker.vectors_accessed())),
+                    None => expect = Some((result, cost.vectors_accessed)),
                     Some((bits, va)) => {
                         assert_eq!(&result, bits, "{name} != dense at {skew} δ={delta}");
                         assert_eq!(
-                            tracker.vectors_accessed(),
-                            *va,
+                            cost.vectors_accessed, *va,
                             "{name} changed vectors_accessed at {skew} δ={delta}"
                         );
                     }
@@ -238,7 +239,7 @@ fn measure_compressed(rows: usize, iters: usize, out: &mut Vec<CRow>) {
                 eprintln!(
                     "{skew:<8} δ={delta:<4} {name:<8} {median:>12}ns bytes_touched={:>12} \
                      skipped={}",
-                    tracker.bytes_touched, tracker.compressed_chunks_skipped,
+                    cost.bytes_touched, cost.compressed_chunks_skipped,
                 );
                 out.push(CRow {
                     skew,
@@ -246,9 +247,9 @@ fn measure_compressed(rows: usize, iters: usize, out: &mut Vec<CRow>) {
                     storage: name,
                     median_ns: median,
                     bytes_stored,
-                    bytes_touched: tracker.bytes_touched,
-                    compressed_chunks_skipped: tracker.compressed_chunks_skipped,
-                    vectors_accessed: tracker.vectors_accessed(),
+                    bytes_touched: cost.bytes_touched,
+                    compressed_chunks_skipped: cost.compressed_chunks_skipped,
+                    vectors_accessed: cost.vectors_accessed,
                 });
             }
         }
@@ -293,7 +294,7 @@ struct RRow {
     bytes_stored: usize,
     bytes_touched: u64,
     compressed_chunks_skipped: u64,
-    vectors_accessed: usize,
+    vectors_accessed: u64,
     slice_runs: u64,
     fill_word_fraction: f64,
 }
@@ -387,7 +388,7 @@ struct SimdRow {
 
 /// Scalar-tier versus detected-tier latency for the dense fused plans.
 /// The two runs are correctness-gated bit-identical before timing, and
-/// the dispatched tier is read back from [`KernelStats::kernel_path`].
+/// the dispatched tier is read back from [`CostCounters::kernel_path`].
 fn measure_simd(rows: usize, iters: usize, out: &mut Vec<SimdRow>) {
     eprintln!("building {rows}-row dense index for the SIMD comparison…");
     let cells = uniform_cells(M, rows, 0x51D ^ rows as u64);
@@ -405,11 +406,11 @@ fn measure_simd(rows: usize, iters: usize, out: &mut Vec<SimdRow>) {
         let plan = lowered.bind(&dense, Some(&summaries), rows);
 
         let best = simd::detected_path();
-        let mut ks_scalar = KernelStats::new();
+        let mut ks_scalar = CostCounters::default();
         let scalar_result =
             simd::with_forced_path(KernelPath::Scalar, || plan.eval(&mut ks_scalar));
         assert_eq!(ks_scalar.kernel_path(), "scalar", "scalar pin ignored");
-        let mut ks_best = KernelStats::new();
+        let mut ks_best = CostCounters::default();
         let best_result = plan.eval(&mut ks_best);
         assert_eq!(
             best_result,
@@ -426,7 +427,7 @@ fn measure_simd(rows: usize, iters: usize, out: &mut Vec<SimdRow>) {
         let time_once = |path: KernelPath| {
             simd::with_forced_path(path, || {
                 let t0 = Instant::now();
-                let mut s = KernelStats::new();
+                let mut s = CostCounters::default();
                 std::hint::black_box(plan.eval(&mut s));
                 t0.elapsed().as_nanos()
             })

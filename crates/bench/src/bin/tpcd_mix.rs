@@ -48,9 +48,9 @@ fn main() {
     ]);
     let mut reference: Option<Vec<usize>> = None;
     for (name, idx) in &indexes {
-        let mut total = 0usize;
-        let mut point = 0usize;
-        let mut range = 0usize;
+        let mut total = 0u64;
+        let mut point = 0u64;
+        let mut range = 0u64;
         let mut match_counts: Vec<usize> = Vec::with_capacity(workload.len());
         for q in &workload {
             let r = match &q.predicate {

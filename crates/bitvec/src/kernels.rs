@@ -48,6 +48,7 @@ use crate::simd::{self, KernelPath};
 use crate::store::SliceStorage;
 use crate::summary::SegmentSummary;
 use crate::wah::{WahBitmap, WahCursor};
+use ebi_obs::CostCounters;
 use std::cmp::{Ordering, Reverse};
 
 /// Words per evaluation segment.
@@ -56,98 +57,6 @@ pub const SEGMENT_WORDS: usize = 64;
 /// Rows (bits) per evaluation segment.
 pub const SEGMENT_BITS: usize = SEGMENT_WORDS * WORD_BITS;
 
-/// Work counters reported by the kernel.
-///
-/// `words_scanned` counts the dense slice words the word passes
-/// consumed, so it shrinks with prefix sharing, pruning and zero
-/// propagation; `bytes_touched` additionally counts the compressed
-/// container bytes each window fetch examined, so it reflects memory
-/// traffic across every container kind. The skip counters measure how
-/// much work the short-circuits avoided.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelStats {
-    /// Dense slice words fed to the word passes (one segment's words
-    /// per dense operand of each pass).
-    pub words_scanned: u64,
-    /// Storage bytes examined: 8 per dense word plus the compressed
-    /// bytes (array entries, run intervals, bitmap-container words)
-    /// each window fetch inspected — once per slice and segment.
-    pub bytes_touched: u64,
-    /// Compressed (slice, segment) windows classified all-zero or
-    /// all-one from container metadata, with no materialisation.
-    pub compressed_chunks_skipped: u64,
-    /// (term, segment) pairs resolved zero by a window known uniform
-    /// (from a summary or container metadata) before any pass ran for
-    /// them, including terms skipped below such a prefix.
-    pub segments_pruned: u64,
-    /// (term, segment) pairs cut short by an all-zero partial product,
-    /// including terms skipped below such a prefix.
-    pub segments_short_circuited: u64,
-    /// Kernel entries that ran the scalar word-pass tier.
-    pub dispatch_scalar: u64,
-    /// Kernel entries that ran the AVX2 intrinsic tier.
-    pub dispatch_avx2: u64,
-}
-
-impl KernelStats {
-    /// Fresh counters.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that one kernel entry resolved to `path`.
-    pub fn record_dispatch(&mut self, path: KernelPath) {
-        match path {
-            KernelPath::Scalar => self.dispatch_scalar += 1,
-            KernelPath::Avx2 => self.dispatch_avx2 += 1,
-        }
-    }
-
-    /// Name of the dominant kernel tier these counters saw, or `"none"`
-    /// if no kernel entry was recorded. With mixed dispatch (e.g. a
-    /// benchmark forcing paths mid-run) the most-used tier wins; ties
-    /// break towards the more capable tier.
-    #[must_use]
-    pub fn kernel_path(&self) -> &'static str {
-        let (s, a) = (self.dispatch_scalar, self.dispatch_avx2);
-        if s == 0 && a == 0 {
-            "none"
-        } else if a >= s {
-            KernelPath::Avx2.name()
-        } else {
-            KernelPath::Scalar.name()
-        }
-    }
-
-    /// Adds these counters to the process-wide kernel metrics
-    /// (`ebi_kernel_*_total` families) in `registry`. Callers batch: the
-    /// kernels accumulate into a stack-resident `KernelStats` and
-    /// publish once per evaluation, so the hot loops never touch the
-    /// registry.
-    pub fn publish_to(&self, registry: &ebi_obs::MetricsRegistry) {
-        let counters = [
-            ("ebi_kernel_words_scanned_total", self.words_scanned),
-            ("ebi_kernel_bytes_touched_total", self.bytes_touched),
-            (
-                "ebi_kernel_compressed_chunks_skipped_total",
-                self.compressed_chunks_skipped,
-            ),
-            ("ebi_kernel_segments_pruned_total", self.segments_pruned),
-            (
-                "ebi_kernel_segments_short_circuited_total",
-                self.segments_short_circuited,
-            ),
-            ("ebi_kernel_dispatch_scalar_total", self.dispatch_scalar),
-            ("ebi_kernel_dispatch_avx2_total", self.dispatch_avx2),
-        ];
-        for (name, v) in counters {
-            if v != 0 {
-                registry.counter(name, &[]).add(v);
-            }
-        }
-    }
-}
 /// A borrowed view of one bitmap vector in whichever container holds it.
 #[derive(Debug, Clone, Copy)]
 pub enum SliceRef<'a> {
@@ -548,7 +457,7 @@ fn row(rows: &[u64], r: usize, nw: usize) -> &[u64] {
 }
 
 /// Credits a compressed window fetch to `stats` and returns its kind.
-fn compressed(fill: WindowFill, stats: &mut KernelStats) -> WindowKind {
+fn compressed(fill: WindowFill, stats: &mut CostCounters) -> WindowKind {
     stats.bytes_touched += fill.bytes_touched;
     if fill.kind != WindowKind::Mixed {
         stats.compressed_chunks_skipped += 1;
@@ -648,10 +557,13 @@ impl BoundPlan<'_> {
 
     /// Evaluates the whole plan into a fresh selection bitmap.
     #[must_use]
-    pub fn eval(&self, stats: &mut KernelStats) -> BitVec {
+    pub fn eval(&self, stats: &mut CostCounters) -> BitVec {
         let mut out = BitVec::zeros(self.rows);
         let path = simd::selected_path();
-        stats.record_dispatch(path);
+        match path {
+            KernelPath::Scalar => stats.dispatch_scalar += 1,
+            KernelPath::Avx2 => stats.dispatch_avx2 += 1,
+        }
         let plan = self.plan;
         if plan.tautology {
             out.words.fill(u64::MAX);
@@ -908,7 +820,7 @@ mod tests {
         (0..len).map(|i| i % period == phase).collect()
     }
 
-    fn eval(terms: &[&[(usize, bool)]], slices: &[BitVec], stats: &mut KernelStats) -> BitVec {
+    fn eval(terms: &[&[(usize, bool)]], slices: &[BitVec], stats: &mut CostCounters) -> BitVec {
         plan(terms).bind(slices, None, slices[0].len()).eval(stats)
     }
 
@@ -951,7 +863,7 @@ mod tests {
         let len = SEGMENT_BITS * 2 + 777;
         let slices = [stripes(len, 3, 0), stripes(len, 5, 1), stripes(len, 7, 2)];
         let terms: &[&[(usize, bool)]] = &[&[(0, false), (1, true), (2, false)]];
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         assert_eq!(eval(terms, &slices, &mut stats), naive(terms, &slices, len));
         assert!(stats.words_scanned > 0);
     }
@@ -960,7 +872,7 @@ mod tests {
     fn multi_term_or_accumulation_saturates() {
         let len = SEGMENT_BITS + 100;
         let slices = [stripes(len, 2, 0), stripes(len, 2, 1)];
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         let r = eval(&[&[(0, false)], &[(1, false)]], &slices, &mut stats);
         assert_eq!(r, BitVec::ones(len));
     }
@@ -968,7 +880,7 @@ mod tests {
     #[test]
     fn tautology_term_fills_ones_and_masks_tail() {
         let slices = [BitVec::zeros(100)];
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         let r = eval(&[&[(0, false)], &[]], &slices, &mut stats);
         assert_eq!(r, BitVec::ones(100));
         assert_eq!(stats.words_scanned, 0);
@@ -978,7 +890,7 @@ mod tests {
     fn negated_tail_garbage_is_masked() {
         let len = 70;
         let slices = [BitVec::zeros(len)];
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         let r = eval(&[&[(0, true)]], &slices, &mut stats);
         assert_eq!(r, BitVec::ones(len));
         assert_eq!(r.count_ones(), len);
@@ -997,7 +909,7 @@ mod tests {
             .iter()
             .map(|&p| stripes(len, p, 0))
             .collect();
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         assert_eq!(
             eval(TWO_TERMS, &slices, &mut stats),
             naive(TWO_TERMS, &slices, len)
@@ -1024,7 +936,7 @@ mod tests {
         // it, and neither B4 nor B3 nor the low window B2 is read.
         slices[6] = stripes(len, 2, 0);
         slices[5] = stripes(len, 2, 1);
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         let r = eval(TWO_TERMS, &slices, &mut stats);
         assert_eq!(r.count_ones(), 0);
         assert_eq!(stats.segments_short_circuited, 2);
@@ -1042,7 +954,7 @@ mod tests {
         let slices = [a.clone(), stripes(len, 2, 0)];
         let summaries = summarize_slices(&slices);
         let p = plan(&[&[(0, false), (1, false)]]);
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         let r = p.bind(&slices, Some(&summaries), len).eval(&mut stats);
         let mut expect = a;
         expect.and_assign(&slices[1]);
@@ -1057,7 +969,7 @@ mod tests {
         let len = SEGMENT_BITS * 2;
         let slices = [BitVec::ones(len), stripes(len, 2, 0)];
         let summaries = summarize_slices(&slices);
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         let r = plan(&[&[(0, true), (1, false)]])
             .bind(&slices, Some(&summaries), len)
             .eval(&mut stats);
@@ -1067,7 +979,7 @@ mod tests {
 
         // Positive over an all-ones segment drops out of the product:
         // only the other literal is read.
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         let r = plan(&[&[(0, false), (1, false)]])
             .bind(&slices, Some(&summaries), len)
             .eval(&mut stats);
@@ -1088,7 +1000,7 @@ mod tests {
             &[(2, false), (1, false), (0, false)],
             &[(2, false), (1, true)],
         ];
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         let r = plan(terms)
             .bind(&slices, Some(&summaries), len)
             .eval(&mut stats);
@@ -1111,21 +1023,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_path_reports_dominant_tier() {
-        let mut s = KernelStats::new();
-        assert_eq!(s.kernel_path(), "none");
-        s.record_dispatch(crate::simd::KernelPath::Scalar);
-        assert_eq!(s.kernel_path(), "scalar");
-        for _ in 0..3 {
-            s.record_dispatch(crate::simd::KernelPath::Avx2);
-        }
-        assert_eq!(s.kernel_path(), "avx2");
-    }
-
-    #[test]
     fn evaluation_records_the_selected_dispatch() {
         let slices = [stripes(SEGMENT_BITS, 2, 0)];
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         crate::simd::with_forced_path(crate::simd::KernelPath::Scalar, || {
             let _ = eval(&[&[(0, false)]], &slices, &mut stats);
         });
@@ -1197,7 +1097,7 @@ mod tests {
                 for sc in storages_for(&dense[2]) {
                     let kinds = (sa.kind(), sb.kind(), sc.kind());
                     let family = [sa.clone(), sb.clone(), sc];
-                    let mut stats = KernelStats::new();
+                    let mut stats = CostCounters::default();
                     let got = p.bind(&family, None, len).eval(&mut stats);
                     assert_eq!(got, expected, "mix {kinds:?}");
                 }
@@ -1214,7 +1114,7 @@ mod tests {
             SliceStorage::from_dense(stripes(len, 2, 0), StoragePolicy::Dense),
             SliceStorage::from_dense(BitVec::from_positions(len, &[17]), StoragePolicy::Roaring),
         ];
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         // Slice 1 appears in both terms; its windows are still fetched
         // once per segment.
         let got = plan(&[&[(1, false), (0, false)], &[(1, false), (0, true)]])
@@ -1234,7 +1134,7 @@ mod tests {
             BitVec::ones(len),
             StoragePolicy::Roaring,
         )];
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         let got = plan(&[&[(0, false)]])
             .bind(&family, None, len)
             .eval(&mut stats);
@@ -1252,34 +1152,12 @@ mod tests {
         }
         let summaries = summarize_slices(std::slice::from_ref(&a));
         let family = [SliceStorage::from_dense(a.clone(), StoragePolicy::Roaring)];
-        let mut stats = KernelStats::new();
+        let mut stats = CostCounters::default();
         let got = plan(&[&[(0, false)]])
             .bind(&family, Some(&summaries), len)
             .eval(&mut stats);
         assert_eq!(got, a);
         assert_eq!(stats.segments_pruned, 2);
         assert_eq!(stats.compressed_chunks_skipped, 0, "summary answered first");
-    }
-
-    #[test]
-    fn kernel_stats_publish_to_registry() {
-        let stats = KernelStats {
-            words_scanned: 10,
-            bytes_touched: 80,
-            segments_pruned: 3,
-            segments_short_circuited: 1,
-            ..KernelStats::default()
-        };
-        let reg = ebi_obs::MetricsRegistry::new();
-        stats.publish_to(&reg);
-        stats.publish_to(&reg);
-        assert_eq!(reg.counter("ebi_kernel_words_scanned_total", &[]).get(), 20);
-        assert_eq!(
-            reg.counter("ebi_kernel_segments_pruned_total", &[]).get(),
-            6
-        );
-        // Zero-valued counters are skipped, not registered as zeros.
-        let names: Vec<String> = reg.snapshot().into_iter().map(|s| s.name).collect();
-        assert!(!names.contains(&"ebi_kernel_compressed_chunks_skipped_total".to_string()));
     }
 }

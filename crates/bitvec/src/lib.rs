@@ -67,9 +67,7 @@ pub mod wah;
 pub use crate::core::{BitVec, WORD_BITS};
 pub use crate::error::BitVecError;
 pub use crate::iter::{BitIter, OnesIter};
-pub use crate::kernels::{
-    BoundPlan, DnfPlan, KernelStats, SliceRef, SliceSource, SEGMENT_BITS, SEGMENT_WORDS,
-};
+pub use crate::kernels::{BoundPlan, DnfPlan, SliceRef, SliceSource, SEGMENT_BITS, SEGMENT_WORDS};
 pub use crate::runs::RunStats;
 pub use crate::simd::KernelPath;
 pub use crate::store::{SliceStorage, StorageKind, StoragePolicy};

@@ -33,9 +33,10 @@
 //! Forcing a path the build or host cannot execute clamps down to the
 //! best available path, never up, so the selected path is always
 //! executable. The kernels resolve the path once per evaluation and
-//! record it in [`KernelStats`](crate::kernels::KernelStats), which
-//! surfaces through `QueryStats` and the `eval` span attributes up to
-//! `EXPLAIN ANALYZE`.
+//! count it in the caller's [`ebi_obs::CostCounters`]
+//! (`dispatch_scalar` / `dispatch_avx2`), the record every layer above
+//! sums unchanged up to the query report, the `eval` span attributes
+//! and `EXPLAIN ANALYZE`.
 
 // The workspace denies `unsafe_code`; this module is the one sanctioned
 // exception — the AVX2 tier and its dispatch calls. Every unsafe block

@@ -13,7 +13,8 @@
 
 use ebi_bitvec::simd::{self, KernelPath};
 use ebi_bitvec::summary::summarize_slices;
-use ebi_bitvec::{BitVec, DnfPlan, KernelStats, SliceStorage, StoragePolicy};
+use ebi_bitvec::{BitVec, DnfPlan, SliceStorage, StoragePolicy};
+use ebi_obs::CostCounters;
 use proptest::prelude::*;
 
 /// Deterministic xorshift so operand contents derive from one seed.
@@ -53,7 +54,7 @@ fn density_ppt() -> impl Strategy<Value = u64> {
 
 /// Work counters that must be invariant across kernel tiers (the
 /// dispatch counters themselves legitimately differ).
-fn work_counters(s: &KernelStats) -> (u64, u64, u64, u64, u64) {
+fn work_counters(s: &CostCounters) -> (u64, u64, u64, u64, u64) {
     (
         s.words_scanned,
         s.bytes_touched,
@@ -193,13 +194,13 @@ proptest! {
             })
         }));
 
-        let mut ref_stats = KernelStats::new();
+        let mut ref_stats = CostCounters::default();
         let reference = simd::with_forced_path(KernelPath::Scalar, || {
             plan.bind(&dense, summaries, rows).eval(&mut ref_stats)
         });
         prop_assert_eq!(ref_stats.kernel_path(), "scalar");
         for path in simd::available_paths() {
-            let mut stats = KernelStats::new();
+            let mut stats = CostCounters::default();
             let got = simd::with_forced_path(path, || {
                 plan.bind(&dense, summaries, rows).eval(&mut stats)
             });
@@ -219,11 +220,11 @@ proptest! {
                 .map(|b| SliceStorage::from_dense(b.clone(), policy))
                 .collect();
             let bound = plan.bind(&family, summaries, rows);
-            let mut ref_stats = KernelStats::new();
+            let mut ref_stats = CostCounters::default();
             let scalar = simd::with_forced_path(KernelPath::Scalar, || bound.eval(&mut ref_stats));
             prop_assert_eq!(&scalar, &reference, "{:?} != plain vectors", policy);
             for path in simd::available_paths() {
-                let mut stats = KernelStats::new();
+                let mut stats = CostCounters::default();
                 let got = simd::with_forced_path(path, || bound.eval(&mut stats));
                 prop_assert_eq!(&got, &scalar, "result for {:?} on {}", policy, path.name());
                 prop_assert_eq!(

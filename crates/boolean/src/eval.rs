@@ -26,8 +26,9 @@
 //! which vectors must be *fetched*.
 
 use crate::expr::DnfExpr;
-use ebi_bitvec::kernels::{DnfPlan, KernelStats, SliceSource};
+use ebi_bitvec::kernels::{DnfPlan, SliceSource};
 use ebi_bitvec::{BitVec, SegmentSummary};
+use ebi_obs::CostCounters;
 
 /// Errors from expression-evaluation bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,35 +53,17 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Cost counters for one or more expression evaluations.
+/// The paper's cost metric for one or more expression evaluations: the
+/// set of distinct bitmap vectors touched, as a mask that holds the
+/// `k ≤ 64` slices an index can have, next to the [`CostCounters`] the
+/// evaluation writes. [`AccessTracker::finish`] reads the mask into
+/// `vectors_accessed`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AccessTracker {
     /// Bitmask of slice indices touched.
     touched: u64,
-    /// Product terms evaluated.
-    pub cube_evals: usize,
-    /// Literal operations performed (one AND or NOT-AND per literal).
-    pub literal_ops: usize,
-    /// OR operations joining product terms.
-    pub or_ops: usize,
-    /// Dense slice words the kernel's word passes consumed (the naive
-    /// evaluator does not report this).
-    pub words_scanned: u64,
-    /// Storage bytes examined: 8 per dense word plus every compressed
-    /// container byte the window fetches inspected.
-    pub bytes_touched: u64,
-    /// Compressed windows classified uniform (all-zero / all-one) from
-    /// container metadata, skipping materialisation entirely.
-    pub compressed_chunks_skipped: u64,
-    /// (term, segment) pairs resolved zero by a window known uniform
-    /// before any pass ran for them.
-    pub segments_pruned: u64,
-    /// (term, segment) pairs cut short by an all-zero partial product.
-    pub segments_short_circuited: u64,
-    /// Kernel entries that ran the scalar word-pass tier.
-    pub dispatch_scalar: u64,
-    /// Kernel entries that ran the AVX2 intrinsic tier.
-    pub dispatch_avx2: u64,
+    /// Every counter but `vectors_accessed`, which comes from the mask.
+    pub cost: CostCounters,
 }
 
 impl AccessTracker {
@@ -90,57 +73,14 @@ impl AccessTracker {
         Self::default()
     }
 
-    /// Number of distinct bitmap vectors accessed so far — the paper's
-    /// `c_e` / `c_s`.
+    /// The cost so far, `vectors_accessed` counted from the mask — the
+    /// paper's `c_e` / `c_s`.
     #[must_use]
-    pub fn vectors_accessed(&self) -> usize {
-        self.touched.count_ones() as usize
-    }
-
-    /// Bitmask of accessed slice indices.
-    #[must_use]
-    pub fn touched_mask(&self) -> u64 {
-        self.touched
-    }
-
-    /// Merges another tracker's counters into this one.
-    pub fn merge(&mut self, other: &AccessTracker) {
-        self.touched |= other.touched;
-        self.cube_evals += other.cube_evals;
-        self.literal_ops += other.literal_ops;
-        self.or_ops += other.or_ops;
-        self.words_scanned += other.words_scanned;
-        self.bytes_touched += other.bytes_touched;
-        self.compressed_chunks_skipped += other.compressed_chunks_skipped;
-        self.segments_pruned += other.segments_pruned;
-        self.segments_short_circuited += other.segments_short_circuited;
-        self.dispatch_scalar += other.dispatch_scalar;
-        self.dispatch_avx2 += other.dispatch_avx2;
-    }
-
-    /// Folds kernel work counters into the tracker.
-    pub fn absorb_kernel_stats(&mut self, stats: &KernelStats) {
-        self.words_scanned += stats.words_scanned;
-        self.bytes_touched += stats.bytes_touched;
-        self.compressed_chunks_skipped += stats.compressed_chunks_skipped;
-        self.segments_pruned += stats.segments_pruned;
-        self.segments_short_circuited += stats.segments_short_circuited;
-        self.dispatch_scalar += stats.dispatch_scalar;
-        self.dispatch_avx2 += stats.dispatch_avx2;
-    }
-
-    /// Name of the dominant kernel tier the absorbed evaluations ran
-    /// (`"scalar"` / `"avx2"`), or `"none"` when no
-    /// fused-kernel entry was recorded (e.g. the naive evaluator).
-    /// Mirrors [`KernelStats::kernel_path`].
-    #[must_use]
-    pub fn kernel_path(&self) -> &'static str {
-        let proxy = KernelStats {
-            dispatch_scalar: self.dispatch_scalar,
-            dispatch_avx2: self.dispatch_avx2,
-            ..KernelStats::default()
-        };
-        proxy.kernel_path()
+    pub fn finish(&self) -> CostCounters {
+        CostCounters {
+            vectors_accessed: u64::from(self.touched.count_ones()),
+            ..self.cost
+        }
     }
 
     /// Records a touch of slice `i` (used by index implementations for
@@ -198,15 +138,15 @@ impl DnfExpr {
 /// accessed.
 pub fn record_access(expr: &DnfExpr, tracker: &mut AccessTracker) {
     for cube in expr.cubes() {
-        tracker.cube_evals += 1;
+        tracker.cost.cube_evals += 1;
         for i in 0..64u32 {
             if cube.mask() >> i & 1 == 1 {
                 tracker.touch(i);
-                tracker.literal_ops += 1;
+                tracker.cost.literal_ops += 1;
             }
         }
     }
-    tracker.or_ops += expr.cubes().len().saturating_sub(1);
+    tracker.cost.or_ops += expr.cubes().len().saturating_sub(1) as u64;
 }
 
 /// Evaluates `expr` over `slices` (slice `i` = bitmap vector `B_i`, in
@@ -241,10 +181,8 @@ pub fn eval_expr_tracked<S: SliceSource>(
 ) -> BitVec {
     let plan = expr.lower();
     record_access(expr, tracker);
-    let mut stats = KernelStats::new();
-    let result = plan.bind(slices, summaries, row_count).eval(&mut stats);
-    tracker.absorb_kernel_stats(&stats);
-    result
+    plan.bind(slices, summaries, row_count)
+        .eval(&mut tracker.cost)
 }
 
 /// The original operator-at-a-time evaluator: clones / negates the first
@@ -333,7 +271,7 @@ mod tests {
         let mut t = AccessTracker::new();
         let r2 = eval_expr_tracked(&fab, &slices, None, 6, &mut t);
         assert_eq!(r2.to_positions(), vec![0, 1, 3, 4]);
-        assert_eq!(t.vectors_accessed(), 1, "Q2 reads only B1");
+        assert_eq!(t.finish().vectors_accessed, 1, "Q2 reads only B1");
     }
 
     #[test]
@@ -344,10 +282,11 @@ mod tests {
         let slices = slices_for(&[0b00, 0b01, 0b10, 0b11], 2);
         let mut t = AccessTracker::new();
         let _ = eval_expr_tracked(&e, &slices, None, 4, &mut t);
-        assert_eq!(t.vectors_accessed(), 2);
-        assert_eq!(t.literal_ops, 4);
-        assert_eq!(t.cube_evals, 2);
-        assert_eq!(t.or_ops, 1);
+        let cost = t.finish();
+        assert_eq!(cost.vectors_accessed, 2);
+        assert_eq!(cost.literal_ops, 4);
+        assert_eq!(cost.cube_evals, 2);
+        assert_eq!(cost.or_ops, 1);
     }
 
     #[test]
@@ -380,28 +319,8 @@ mod tests {
         let slices = slices_for(&[0, 1], 1);
         let mut t = AccessTracker::new();
         let _ = eval_expr_tracked(&DnfExpr::parse("1", 1).unwrap(), &slices, None, 2, &mut t);
-        assert_eq!(t.vectors_accessed(), 0);
-        assert_eq!(t.words_scanned, 0, "tautology reads no slice words");
-    }
-
-    #[test]
-    fn tracker_merge_accumulates() {
-        let mut a = AccessTracker::new();
-        a.touch(0);
-        a.cube_evals = 2;
-        a.words_scanned = 7;
-        let mut b = AccessTracker::new();
-        b.touch(3);
-        b.literal_ops = 5;
-        b.words_scanned = 3;
-        b.segments_pruned = 2;
-        a.merge(&b);
-        assert_eq!(a.vectors_accessed(), 2);
-        assert_eq!(a.cube_evals, 2);
-        assert_eq!(a.literal_ops, 5);
-        assert_eq!(a.touched_mask(), 0b1001);
-        assert_eq!(a.words_scanned, 10);
-        assert_eq!(a.segments_pruned, 2);
+        assert_eq!(t.finish().vectors_accessed, 0);
+        assert_eq!(t.cost.words_scanned, 0, "tautology reads no slice words");
     }
 
     #[test]
@@ -423,7 +342,7 @@ mod tests {
     fn tracker_try_touch_reports_typed_error() {
         let mut t = AccessTracker::new();
         assert_eq!(t.try_touch(63), Ok(()));
-        assert_eq!(t.touched_mask(), 1 << 63);
+        assert_eq!(t.touched, 1 << 63);
         let err = t.try_touch(64).unwrap_err();
         assert_eq!(err, EvalError::SliceIndexOutOfRange { index: 64 });
         assert_eq!(
@@ -431,8 +350,8 @@ mod tests {
             "slice index 64 exceeds the 64-vector tracker limit"
         );
         // The failed touch left the mask unchanged.
-        assert_eq!(t.touched_mask(), 1 << 63);
-        assert_eq!(t.vectors_accessed(), 1);
+        assert_eq!(t.touched, 1 << 63);
+        assert_eq!(t.finish().vectors_accessed, 1);
     }
 
     #[test]
@@ -460,14 +379,18 @@ mod tests {
         let plain = eval_expr_tracked(&e, &slices, None, codes.len(), &mut t_plain);
         let summed = eval_expr_tracked(&e, &slices, Some(&summaries), codes.len(), &mut t_sum);
         assert_eq!(plain, summed);
-        assert_eq!(t_plain.vectors_accessed(), t_sum.vectors_accessed());
+        let (plain, summed) = (t_plain.finish(), t_sum.finish());
+        assert_eq!(plain.vectors_accessed, summed.vectors_accessed);
         assert!(
-            t_sum.words_scanned <= t_plain.words_scanned,
+            summed.words_scanned <= plain.words_scanned,
             "summaries can only reduce scanning: {} > {}",
-            t_sum.words_scanned,
-            t_plain.words_scanned
+            summed.words_scanned,
+            plain.words_scanned
         );
-        assert!(t_sum.segments_pruned > 0, "B2 is constant per half: prunes");
+        assert!(
+            summed.segments_pruned > 0,
+            "B2 is constant per half: prunes"
+        );
     }
 
     #[test]
@@ -485,7 +408,7 @@ mod tests {
             eval_expr_tracked(&e, &dense, None, codes.len(), &mut t_dense),
             expect
         );
-        assert_eq!(t_dense.compressed_chunks_skipped, 0);
+        assert_eq!(t_dense.cost.compressed_chunks_skipped, 0);
 
         // One slice per container kind, then all of one kind.
         let mixes = [
@@ -506,10 +429,9 @@ mod tests {
             let mut t = AccessTracker::new();
             let got = eval_expr_tracked(&e, &stored, Some(&summaries), codes.len(), &mut t);
             assert_eq!(got, expect, "{policies:?}");
-            assert!(t.bytes_touched > 0);
+            assert!(t.cost.bytes_touched > 0);
             assert_eq!(
-                t.touched_mask(),
-                t_dense.touched_mask(),
+                t.touched, t_dense.touched,
                 "the paper's c_e metric must not depend on the container choice"
             );
         }
@@ -542,8 +464,7 @@ mod tests {
         let e = DnfExpr::parse("B3B1 + B2'B0", 4).unwrap();
         let plan = e.lower();
         let bound = plan.bind(&stored, None, codes.len());
-        let mut stats = KernelStats::new();
-        let whole = bound.eval(&mut stats);
+        let whole = bound.eval(&mut CostCounters::default());
         assert_eq!(whole, eval_expr_naive(&e, &dense, codes.len()));
     }
 }

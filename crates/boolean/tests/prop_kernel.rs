@@ -21,10 +21,9 @@
 
 use ebi_bitvec::kernels::SliceSource;
 use ebi_bitvec::summary::summarize_slices;
-use ebi_bitvec::{
-    simd, BitVec, DnfPlan, KernelStats, SegmentSummary, SliceStorage, StorageKind, StoragePolicy,
-};
+use ebi_bitvec::{simd, BitVec, DnfPlan, SegmentSummary, SliceStorage, StorageKind, StoragePolicy};
 use ebi_boolean::{eval_expr_naive, eval_expr_tracked, AccessTracker, Cube, DnfExpr};
+use ebi_obs::CostCounters;
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
@@ -147,12 +146,13 @@ fn check<S: SliceSource>(
             summaries.is_some()
         );
         prop_assert_eq!(&whole, naive, "kernel != naive: {}", what);
-        prop_assert_eq!(tracker.kernel_path(), path.name());
+        let cost = tracker.finish();
+        prop_assert_eq!(cost.kernel_path(), path.name());
         // Structural: no evaluation strategy may move them.
-        prop_assert_eq!(tracker.vectors_accessed(), expr.vectors_accessed());
-        prop_assert_eq!(tracker.cube_evals, expr.cubes().len());
-        prop_assert_eq!(tracker.literal_ops, expr.literal_count());
-        prop_assert_eq!(tracker.or_ops, expr.cubes().len().saturating_sub(1));
+        prop_assert_eq!(cost.vectors_accessed, expr.vectors_accessed() as u64);
+        prop_assert_eq!(cost.cube_evals, expr.cubes().len() as u64);
+        prop_assert_eq!(cost.literal_ops, expr.literal_count() as u64);
+        prop_assert_eq!(cost.or_ops, expr.cubes().len().saturating_sub(1) as u64);
     }
     Ok(())
 }
@@ -234,7 +234,7 @@ proptest! {
         prop_assert_eq!(&plan, &expr.lower());
         let dense = random_slices(k, rows, seed, Layout::Clustered);
         let stored = mixed_storage(&dense, seed);
-        let got = plan.bind(&stored, None, rows).eval(&mut KernelStats::new());
+        let got = plan.bind(&stored, None, rows).eval(&mut CostCounters::default());
         prop_assert_eq!(got, eval_expr_naive(&expr, &dense, rows));
     }
 
@@ -265,7 +265,7 @@ proptest! {
             let mut tracker = AccessTracker::new();
             let got = eval_expr_tracked(&expr, &stored, None, rows, &mut tracker);
             prop_assert_eq!(&got, &naive, "{:?} diverged", policy);
-            prop_assert_eq!(tracker.vectors_accessed(), expr.vectors_accessed());
+            prop_assert_eq!(tracker.finish().vectors_accessed, expr.vectors_accessed() as u64);
         }
         // Row-population sanity: each selected code contributes its rows.
         let expected: usize = expr
@@ -330,7 +330,7 @@ fn live_work_behind_a_long_pruned_prefix() {
     let summaries = summarize_slices(&dense);
     let mut tracker = AccessTracker::new();
     let _ = eval_expr_tracked(&expr, &dense, Some(&summaries), rows, &mut tracker);
-    assert!(tracker.segments_pruned >= (3 * rows / 4 / 4096) as u64);
+    assert!(tracker.cost.segments_pruned >= (3 * rows / 4 / 4096) as u64);
 }
 
 #[test]
@@ -341,6 +341,6 @@ fn empty_expression_is_all_zero_and_reads_nothing() {
     let got = eval_expr_tracked(&expr, &slices, None, 5000, &mut tracker);
     assert_eq!(got, eval_expr_naive(&expr, &slices, 5000));
     assert_eq!(got.count_ones(), 0);
-    assert_eq!(tracker.vectors_accessed(), 0);
-    assert_eq!(tracker.words_scanned, 0);
+    assert_eq!(tracker.finish().vectors_accessed, 0);
+    assert_eq!(tracker.cost.words_scanned, 0);
 }

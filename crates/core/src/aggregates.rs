@@ -50,7 +50,7 @@ pub struct AggregateResult<T> {
     /// aggregates that need at least one).
     pub value: T,
     /// Distinct bitmap vectors read.
-    pub vectors_accessed: usize,
+    pub vectors_accessed: u64,
 }
 
 impl BitSlicedMeasure {
@@ -166,7 +166,7 @@ impl BitSlicedMeasure {
         }
         AggregateResult {
             value: bitmap,
-            vectors_accessed: tracker.vectors_accessed(),
+            vectors_accessed: tracker.finish().vectors_accessed,
         }
     }
 
@@ -182,7 +182,7 @@ impl BitSlicedMeasure {
         }
         AggregateResult {
             value: total,
-            vectors_accessed: tracker.vectors_accessed(),
+            vectors_accessed: tracker.finish().vectors_accessed,
         }
     }
 
@@ -193,7 +193,7 @@ impl BitSlicedMeasure {
         let f = self.effective_filter(filter, &mut tracker);
         AggregateResult {
             value: f.count_ones(),
-            vectors_accessed: tracker.vectors_accessed(),
+            vectors_accessed: tracker.finish().vectors_accessed,
         }
     }
 
@@ -217,7 +217,7 @@ impl BitSlicedMeasure {
         if !candidates.any() {
             return AggregateResult {
                 value: None,
-                vectors_accessed: tracker.vectors_accessed(),
+                vectors_accessed: tracker.finish().vectors_accessed,
             };
         }
         let mut value = 0u64;
@@ -231,7 +231,7 @@ impl BitSlicedMeasure {
         }
         AggregateResult {
             value: Some(value),
-            vectors_accessed: tracker.vectors_accessed(),
+            vectors_accessed: tracker.finish().vectors_accessed,
         }
     }
 
@@ -244,7 +244,7 @@ impl BitSlicedMeasure {
         if !candidates.any() {
             return AggregateResult {
                 value: None,
-                vectors_accessed: tracker.vectors_accessed(),
+                vectors_accessed: tracker.finish().vectors_accessed,
             };
         }
         let mut value = 0u64;
@@ -259,7 +259,7 @@ impl BitSlicedMeasure {
         }
         AggregateResult {
             value: Some(value),
-            vectors_accessed: tracker.vectors_accessed(),
+            vectors_accessed: tracker.finish().vectors_accessed,
         }
     }
 
@@ -274,7 +274,7 @@ impl BitSlicedMeasure {
         if q >= candidates.count_ones() {
             return AggregateResult {
                 value: None,
-                vectors_accessed: tracker.vectors_accessed(),
+                vectors_accessed: tracker.finish().vectors_accessed,
             };
         }
         let mut rank = q;
@@ -293,7 +293,7 @@ impl BitSlicedMeasure {
         }
         AggregateResult {
             value: Some(value),
-            vectors_accessed: tracker.vectors_accessed(),
+            vectors_accessed: tracker.finish().vectors_accessed,
         }
     }
 
@@ -323,7 +323,7 @@ impl BitSlicedMeasure {
         assert!(n > 0, "at least one tile");
         let count = self.count_where(filter).value;
         let mut boundaries = Vec::with_capacity(n.saturating_sub(1));
-        let mut vectors = 0usize;
+        let mut vectors = 0u64;
         for t in 1..n {
             let rank = (t * count) / n;
             if rank >= count {

@@ -4,14 +4,12 @@ use crate::error::CoreError;
 use crate::mapping::{Mapping, RowPermutation};
 use crate::nulls::{NullPolicy, VOID_CODE};
 use crate::reorder::RowOrder;
-use crate::stats::QueryStats;
 use crate::total_order::dense_order_mapping_after;
 use ebi_bitvec::builder::SliceFamilyBuilder;
 use ebi_bitvec::summary::{summarize_slices, summarize_storage};
-use ebi_bitvec::{
-    BitVec, DnfPlan, KernelStats, RunStats, SegmentSummary, SliceStorage, StoragePolicy,
-};
+use ebi_bitvec::{BitVec, DnfPlan, RunStats, SegmentSummary, SliceStorage, StoragePolicy};
 use ebi_boolean::{interval, qm, AccessTracker, DnfExpr};
+use ebi_obs::CostCounters;
 use ebi_storage::Cell;
 use std::sync::OnceLock;
 
@@ -21,8 +19,12 @@ use std::sync::OnceLock;
 pub struct QueryResult {
     /// Matching rows.
     pub bitmap: BitVec,
-    /// Cost of producing it.
-    pub stats: QueryStats,
+    /// Cost of producing it, in the units of the paper's analysis.
+    pub stats: CostCounters,
+    /// The reduced retrieval expression, in the paper's notation
+    /// (diagnostic; empty when the caller holds the text itself, and for
+    /// non-expression indexes).
+    pub expression: String,
 }
 
 /// The bitmap vectors one selection evaluates over and masks with: an
@@ -75,9 +77,8 @@ pub struct QueryOptions {
     /// whatever the policy says.
     /// Results and `vectors_accessed` are identical for every policy.
     pub storage_policy: StoragePolicy,
-    /// Emit query-lifecycle spans (reduce / plan / eval) and publish
-    /// kernel counters to the global `ebi-obs` metrics registry. Spans
-    /// only record when the global subscriber is also on
+    /// Emit query-lifecycle spans (reduce / plan / eval). Spans only
+    /// record when the global subscriber is also on
     /// (`ebi_obs::set_enabled(true)`); with `profile: false` (the
     /// default) the query path contains no observability calls at all.
     pub profile: bool,
@@ -131,7 +132,7 @@ pub struct EncodedBitmapIndex {
     /// Slices are in the internal (permuted) domain; every public
     /// result bitmap is translated back to original row ids.
     pub(crate) permutation: Option<RowPermutation>,
-    /// The row-order strategy the build used (reported in QueryStats).
+    /// The row-order strategy the build used.
     pub(crate) row_order: RowOrder,
     /// Aggregate run statistics across the slices, cached at build /
     /// load / repack / summary refresh (a full scan per query would
@@ -661,7 +662,7 @@ impl EncodedBitmapIndex {
                 };
                 if let Some(ne) = &self.b_not_exist {
                     tracker.touch(self.width() + 1);
-                    tracker.literal_ops += 1;
+                    tracker.cost.literal_ops += 1;
                     bitmap.and_not_assign(ne);
                 }
                 self.finish(bitmap, &tracker, "B_NULL".into())
@@ -710,7 +711,7 @@ impl EncodedBitmapIndex {
     pub fn run_dnf(&self, expr: &DnfExpr) -> QueryResult {
         let vectors = self.vectors();
         let mut result = self.select(expr, &expr.lower(), &vectors);
-        result.stats.expression = self.render(expr, &vectors);
+        result.expression = self.render(expr, &vectors);
         result
     }
 
@@ -730,8 +731,8 @@ impl EncodedBitmapIndex {
     /// [`EncodedBitmapIndex::run_dnf`] with the expression already
     /// lowered: `plan` must be `expr.lower()`. A caller that runs one
     /// expression on many indexes (the sharded service) lowers it once.
-    /// `stats.expression` comes back empty: the caller compiled the
-    /// expression and holds its text.
+    /// `expression` comes back empty: the caller compiled the expression
+    /// and holds its text.
     #[must_use]
     pub fn run_plan(&self, expr: &DnfExpr, plan: &DnfPlan) -> QueryResult {
         self.select(expr, plan, &self.vectors())
@@ -744,7 +745,7 @@ impl EncodedBitmapIndex {
     /// translate to original row ids, account. The in-memory index passes
     /// its own vectors; [`crate::paged::PagedIndex`] passes the ones it
     /// fetched through its pool. No text is formatted here: a caller that
-    /// reports the expression fills `stats.expression` from
+    /// reports the expression fills `expression` from
     /// [`EncodedBitmapIndex::render`].
     pub(crate) fn select(
         &self,
@@ -764,10 +765,10 @@ impl EncodedBitmapIndex {
 
         let mut tracker = AccessTracker::new();
         ebi_boolean::record_access(expr, &mut tracker);
-        let mut stats = KernelStats::new();
         let mut eval_span = self.phase("eval");
-        let mut bitmap = bound.eval(&mut stats);
+        let mut bitmap = bound.eval(&mut tracker.cost);
         if eval_span.is_live() {
+            let stats = &tracker.cost;
             eval_span.attr("words_scanned", stats.words_scanned);
             eval_span.attr("bytes_touched", stats.bytes_touched);
             eval_span.attr("segments_pruned", stats.segments_pruned);
@@ -786,20 +787,16 @@ impl EncodedBitmapIndex {
             }
         }
         drop(eval_span);
-        if self.query_options.profile && ebi_obs::enabled() {
-            stats.publish_to(ebi_obs::metrics::global());
-        }
-        tracker.absorb_kernel_stats(&stats);
 
         if self.masks_companions(expr) {
             if let Some(bn) = vectors.b_null {
                 tracker.touch(self.width());
-                tracker.literal_ops += 1;
+                tracker.cost.literal_ops += 1;
                 bitmap.and_not_assign(bn);
             }
             if let Some(ne) = vectors.b_not_exist {
                 tracker.touch(self.width() + 1);
-                tracker.literal_ops += 1;
+                tracker.cost.literal_ops += 1;
                 bitmap.and_not_assign(ne);
             }
         }
@@ -833,13 +830,20 @@ impl EncodedBitmapIndex {
     /// Evaluation ran entirely in the internal (permuted) domain; a
     /// reordered build translates the final bitmap here, after all
     /// masks — O(matches) — so callers only ever see original row ids.
-    fn finish(&self, mut bitmap: BitVec, tracker: &AccessTracker, rendered: String) -> QueryResult {
+    fn finish(
+        &self,
+        mut bitmap: BitVec,
+        tracker: &AccessTracker,
+        expression: String,
+    ) -> QueryResult {
         if let Some(p) = &self.permutation {
             bitmap = p.bitmap_to_original(&bitmap);
         }
-        let mut stats = QueryStats::from_tracker(tracker, rendered);
-        stats.row_order = self.row_order.as_str();
-        QueryResult { bitmap, stats }
+        QueryResult {
+            bitmap,
+            stats: tracker.finish(),
+            expression,
+        }
     }
 
     /// Decodes the value of a live row (for verification / projection).
@@ -943,12 +947,12 @@ mod tests {
         let q1 = idx.eq(0).unwrap();
         assert_eq!(q1.bitmap.to_positions(), vec![0, 4]);
         assert_eq!(q1.stats.vectors_accessed, 2);
-        assert_eq!(q1.stats.expression, "B1'B0'");
+        assert_eq!(q1.expression, "B1'B0'");
         // Q2: A IN {a, b} — reduces to B1', one vector.
         let q2 = idx.in_list(&[0, 1]).unwrap();
         assert_eq!(q2.bitmap.to_positions(), vec![0, 1, 3, 4]);
         assert_eq!(q2.stats.vectors_accessed, 1);
-        assert_eq!(q2.stats.expression, "B1'");
+        assert_eq!(q2.expression, "B1'");
     }
 
     #[test]
@@ -988,7 +992,7 @@ mod tests {
         // match A = a.
         let r = idx.eq(0).unwrap();
         assert_eq!(r.bitmap.to_positions(), vec![0, 4]);
-        assert!(r.stats.expression.contains("B_NULL'"));
+        assert!(r.expression.contains("B_NULL'"));
         // The mask costs one extra vector read.
         assert_eq!(r.stats.vectors_accessed, 2);
         let nulls = idx.is_null();
@@ -1009,15 +1013,15 @@ mod tests {
         let expr = idx.explain_in_list(&[0, 1]);
         let planned = idx.run_plan(&expr, &expr.lower());
         let rendered = idx.run_dnf(&expr);
-        assert!(planned.stats.expression.is_empty());
-        assert_eq!(rendered.stats.expression, "B1' · B_NULL' · B_NotExist'");
+        assert!(planned.expression.is_empty());
+        assert_eq!(rendered.expression, "B1' · B_NULL' · B_NotExist'");
         assert_eq!(
-            rendered.stats.expression,
-            idx.in_list(&[0, 1]).unwrap().stats.expression
+            rendered.expression,
+            idx.in_list(&[0, 1]).unwrap().expression
         );
         assert_eq!(planned.bitmap, rendered.bitmap);
         assert_eq!(planned.bitmap.to_positions(), vec![0, 2]);
-        assert_eq!(planned.stats.cost(), rendered.stats.cost());
+        assert_eq!(planned.stats, rendered.stats);
     }
 
     #[test]
@@ -1044,7 +1048,7 @@ mod tests {
         let r = idx.eq(10).unwrap();
         assert_eq!(r.bitmap.to_positions(), vec![0, 4]);
         assert!(
-            !r.stats.expression.contains("B_NULL"),
+            !r.expression.contains("B_NULL"),
             "no masking under Theorem 2.1"
         );
         let nulls = idx.is_null();
@@ -1092,7 +1096,7 @@ mod tests {
         )
         .unwrap();
         let r = idx.eq(1).unwrap();
-        assert_eq!(r.stats.expression, "B1'B0'");
+        assert_eq!(r.expression, "B1'B0'");
         assert_eq!(r.bitmap.to_positions(), vec![1, 3]);
         // Missing values are rejected.
         let incomplete = Mapping::from_pairs(&[(0, 0)]).unwrap();
@@ -1222,8 +1226,8 @@ mod tests {
             eval.attrs
         );
         // And the query stats report the same tier by name.
-        assert_ne!(baseline.stats.kernel_path, "none");
-        assert!(["scalar", "avx2"].contains(&baseline.stats.kernel_path));
+        assert_ne!(baseline.stats.kernel_path(), "none");
+        assert!(["scalar", "avx2"].contains(&baseline.stats.kernel_path()));
 
         // Profiling must not change results or the paper's cost metric.
         idx.set_query_options(QueryOptions::default());

@@ -17,7 +17,7 @@
 //! * [`well_defined`] — well-defined encodings (Definition 2.5) and the
 //!   optimality checks of Theorems 2.2/2.3;
 //! * [`index`] — [`EncodedBitmapIndex`]: build, point/IN/range queries
-//!   with per-query [`stats::QueryStats`];
+//!   with per-query [`ebi_obs::CostCounters`];
 //! * [`fold`] — the AND / OR joins that combine clause selections;
 //! * [`nulls`] — the two NULL/NotExist policies of §2.2 (separate
 //!   vectors vs reserved codes) and Theorem 2.1;
@@ -73,7 +73,6 @@ pub mod persist;
 pub mod range_encoding;
 pub mod reencoding;
 pub mod reorder;
-pub mod stats;
 pub mod total_order;
 pub mod well_defined;
 
@@ -82,4 +81,3 @@ pub use fold::{and_fold, or_fold, Selected};
 pub use index::{EncodedBitmapIndex, QueryResult};
 pub use mapping::{Mapping, RowPermutation};
 pub use reorder::RowOrder;
-pub use stats::QueryStats;

@@ -337,7 +337,7 @@ mod tests {
         // Old values still retrieve correctly: f_a gained the B2' literal.
         let r = idx.eq(0).unwrap();
         assert_eq!(r.bitmap.to_positions(), vec![0]);
-        assert_eq!(r.stats.expression, "B2'B1'B0'");
+        assert_eq!(r.expression, "B2'B1'B0'");
         // And e retrieves with f_e = B2 B1' B0'.
         assert_eq!(idx.eq(4).unwrap().bitmap.to_positions(), vec![4]);
     }
@@ -349,7 +349,7 @@ mod tests {
         assert_eq!(idx.bitmap_vector_count(), 3, "B_NotExist appeared");
         let r = idx.eq(1).unwrap();
         assert_eq!(r.bitmap.count_ones(), 0);
-        assert!(r.stats.expression.contains("B_NotExist'"));
+        assert!(r.expression.contains("B_NotExist'"));
         assert_eq!(idx.decode_row(1), None);
         assert!(idx.delete(10).is_err());
     }
@@ -369,7 +369,7 @@ mod tests {
         assert_eq!(idx.bitmap_vector_count(), 2, "no companion vector");
         let r = idx.eq(1).unwrap();
         assert_eq!(r.bitmap.count_ones(), 0, "deleted row gone");
-        assert!(!r.stats.expression.contains("NotExist"), "Theorem 2.1");
+        assert!(!r.expression.contains("NotExist"), "Theorem 2.1");
         assert_eq!(idx.decode_row(1), None);
         // Other rows unaffected.
         assert_eq!(idx.eq(0).unwrap().bitmap.to_positions(), vec![0]);
@@ -501,7 +501,7 @@ mod tests {
         idx.append(Cell::Value(60)).unwrap();
         assert_eq!(idx.mapping().code_of(60), Some(5));
         assert!(idx.mapping().is_total_order_preserving());
-        assert_eq!(idx.range(50, 60).unwrap().stats.expression, "B2");
+        assert_eq!(idx.range(50, 60).unwrap().expression, "B2");
         // Inside the domain: still the smallest free code, so the ranges
         // that span 25 are no code intervals any more. They fall back
         // to Quine–McCluskey and select the same rows.

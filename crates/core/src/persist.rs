@@ -4,7 +4,7 @@
 //! concrete: an index is laid out as one segment per bitmap vector plus
 //! one for the mapping table and one metadata segment, so loading a
 //! vector charges exactly `ceil(|T| / 8 / p)` page reads — the quantity
-//! `QueryStats::page_reads` predicts.
+//! `SelectionIndex::query_pages` in `ebi-baselines` predicts.
 
 use crate::error::CoreError;
 use crate::index::EncodedBitmapIndex;

@@ -55,8 +55,8 @@ pub enum RowOrder {
 }
 
 impl RowOrder {
-    /// Stable lower-case name, as reported by `QueryStats::row_order`
-    /// and EXPLAIN ANALYZE.
+    /// Stable lower-case name, for reports and the `EBI_ROW_ORDER`
+    /// environment variable.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {

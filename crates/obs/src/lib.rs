@@ -17,11 +17,12 @@
 //!   parent ids so worker threads can attach to the spawning phase, and
 //!   cost **one relaxed atomic load** when the global subscriber is
 //!   disabled ([`enabled`]);
-//! * [`report`] — [`report::QueryReport`], the unified query-lifecycle
-//!   record (phase tree + evaluation counters + reduction counters +
-//!   storage counters) that `ebi-warehouse`'s executor assembles from
-//!   today's `QueryStats` / `AccessTracker` / `KernelStats` plus pager
-//!   and buffer-pool deltas;
+//! * [`report`] — [`report::CostCounters`], the one cost record the
+//!   kernel, the evaluator, every index and every report write and sum,
+//!   and [`report::QueryReport`], the query-lifecycle record (phase
+//!   tree, cost counters, storage counters) that `ebi-warehouse`'s
+//!   executor and `ebi-service` assemble from it plus pager and
+//!   buffer-pool deltas;
 //! * [`export`] — the shared renderers: JSON lines, Prometheus text
 //!   format, and the human-readable `EXPLAIN ANALYZE` tree;
 //! * [`context`] — [`context::TraceContext`], the per-request trace
@@ -65,7 +66,7 @@ pub mod trace_ring;
 
 pub use context::TraceContext;
 pub use metrics::{Counter, Histogram, MetricsRegistry};
-pub use report::{CostCounters, IndexLayout, PhaseNode, QueryReport, StorageCounters};
+pub use report::{CostCounters, PhaseNode, QueryReport, StorageCounters};
 pub use span::{Span, SpanHandle, SpanRecord, Trace};
 pub use trace_ring::{RetainedTrace, TraceRing, TraceRingConfig};
 

@@ -1,14 +1,13 @@
 //! The unified query-lifecycle record.
 //!
 //! [`QueryReport`] is what a profiled query yields: the span tree of
-//! its phases (reduce → plan → eval → fetch), the paper's logical cost
-//! counters, the kernel work counters, and the storage-layer traffic —
-//! one struct, three renderings (JSON line, Prometheus text,
-//! `EXPLAIN ANALYZE` tree). The executor in `ebi-warehouse` assembles
-//! it from the legacy `QueryStats` / `AccessTracker` / `KernelStats`
-//! values plus pager and buffer-pool snapshots; by construction
-//! `cost.vectors_accessed` is the *same number* the untraced path
-//! reports.
+//! its phases (reduce → plan → eval → fetch), its [`CostCounters`] and
+//! the storage-layer traffic — one struct, three renderings (JSON line,
+//! Prometheus text, `EXPLAIN ANALYZE` tree). [`CostCounters`] is the
+//! one record the kernel writes and every layer above sums unchanged,
+//! so by construction `cost.vectors_accessed` is the *same number* the
+//! untraced path reports. What an index *is* (row order, run
+//! statistics) is asked of the index, not carried per query.
 //!
 //! The JSON schema is stable and documented (DESIGN.md §8): every line
 //! carries `"schema":"ebi.query_report.v1"`.
@@ -107,91 +106,148 @@ impl PhaseNode {
     }
 }
 
-/// The paper's logical cost metric plus the kernel work counters —
-/// the union of what `AccessTracker`, `KernelStats` and `QueryStats`
-/// track, flattened to plain numbers.
+/// What a selection cost — the one record every layer from the kernel
+/// to the report writes and sums: the paper's logical metric
+/// (`vectors_accessed`, footnote 4's `c_e`), the expression's shape,
+/// and the kernel's work and dispatch counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostCounters {
     /// Distinct bitmap vectors read — the paper's `c_e` / `c_s`.
+    /// Includes any existence/NULL mask vectors.
     pub vectors_accessed: u64,
-    /// Word-level literal operations.
+    /// Word-level literal operations (AND / AND-NOT per literal, one per
+    /// companion mask, one per join of two selections).
     pub literal_ops: u64,
     /// Product terms evaluated.
     pub cube_evals: u64,
-    /// Bitmap words the fused kernels actually read.
+    /// OR operations joining product terms.
+    pub or_ops: u64,
+    /// Dense slice words the kernel's word passes consumed. Unlike
+    /// `vectors_accessed` this shrinks when prefix sharing, pruning or
+    /// zero propagation skips work.
     pub words_scanned: u64,
-    /// Storage bytes examined (8 per dense word + compressed bytes).
+    /// Storage bytes examined: 8 per dense word plus every compressed
+    /// container byte a window fetch inspected.
     pub bytes_touched: u64,
-    /// Compressed windows resolved from container metadata alone.
+    /// Compressed (slice, segment) windows classified all-zero or
+    /// all-one from container metadata, with no materialisation.
     pub compressed_chunks_skipped: u64,
-    /// Whole segments skipped via summaries.
+    /// (term, segment) pairs resolved zero by a window known uniform
+    /// (from a summary or container metadata) before any pass ran,
+    /// including terms skipped below such a prefix.
     pub segments_pruned: u64,
-    /// Segments abandoned on an all-zero accumulator.
+    /// (term, segment) pairs cut short by an all-zero partial product,
+    /// including terms skipped below such a prefix.
     pub segments_short_circuited: u64,
+    /// Kernel entries that ran the scalar word-pass tier.
+    pub dispatch_scalar: u64,
+    /// Kernel entries that ran the AVX2 intrinsic tier.
+    pub dispatch_avx2: u64,
 }
 
 impl std::ops::AddAssign for CostCounters {
     /// Field-wise sum: every counter is additive across clauses,
-    /// shards and queries.
+    /// shards and queries. Both sides are destructured without `..`: a
+    /// field added to the struct does not compile until it is named
+    /// here, and a name left unsummed is an unused variable, which CI's
+    /// `-D warnings` refuses.
     fn add_assign(&mut self, rhs: Self) {
-        self.vectors_accessed += rhs.vectors_accessed;
-        self.literal_ops += rhs.literal_ops;
-        self.cube_evals += rhs.cube_evals;
-        self.words_scanned += rhs.words_scanned;
-        self.bytes_touched += rhs.bytes_touched;
-        self.compressed_chunks_skipped += rhs.compressed_chunks_skipped;
-        self.segments_pruned += rhs.segments_pruned;
-        self.segments_short_circuited += rhs.segments_short_circuited;
+        let Self {
+            vectors_accessed,
+            literal_ops,
+            cube_evals,
+            or_ops,
+            words_scanned,
+            bytes_touched,
+            compressed_chunks_skipped,
+            segments_pruned,
+            segments_short_circuited,
+            dispatch_scalar,
+            dispatch_avx2,
+        } = self;
+        let Self {
+            vectors_accessed: r_vectors_accessed,
+            literal_ops: r_literal_ops,
+            cube_evals: r_cube_evals,
+            or_ops: r_or_ops,
+            words_scanned: r_words_scanned,
+            bytes_touched: r_bytes_touched,
+            compressed_chunks_skipped: r_compressed_chunks_skipped,
+            segments_pruned: r_segments_pruned,
+            segments_short_circuited: r_segments_short_circuited,
+            dispatch_scalar: r_dispatch_scalar,
+            dispatch_avx2: r_dispatch_avx2,
+        } = rhs;
+        *vectors_accessed += r_vectors_accessed;
+        *literal_ops += r_literal_ops;
+        *cube_evals += r_cube_evals;
+        *or_ops += r_or_ops;
+        *words_scanned += r_words_scanned;
+        *bytes_touched += r_bytes_touched;
+        *compressed_chunks_skipped += r_compressed_chunks_skipped;
+        *segments_pruned += r_segments_pruned;
+        *segments_short_circuited += r_segments_short_circuited;
+        *dispatch_scalar += r_dispatch_scalar;
+        *dispatch_avx2 += r_dispatch_avx2;
     }
 }
 
 impl CostCounters {
+    /// Name of the dominant kernel tier these counters saw (`"scalar"`
+    /// / `"avx2"`), or `"none"` when no kernel entry was recorded. With
+    /// mixed dispatch (a benchmark forcing paths mid-run) the most-used
+    /// tier wins; ties break towards the more capable tier.
+    #[must_use]
+    pub fn kernel_path(&self) -> &'static str {
+        let (s, a) = (self.dispatch_scalar, self.dispatch_avx2);
+        if s == 0 && a == 0 {
+            "none"
+        } else if a >= s {
+            "avx2"
+        } else {
+            "scalar"
+        }
+    }
+
+    /// Adds the kernel counters to the process-wide
+    /// `ebi_kernel_*_total` families in `registry`, skipping zeros so a
+    /// counter no query moved is never registered.
+    fn publish_kernel(&self, registry: &MetricsRegistry) {
+        let counters = [
+            ("ebi_kernel_words_scanned_total", self.words_scanned),
+            ("ebi_kernel_bytes_touched_total", self.bytes_touched),
+            (
+                "ebi_kernel_compressed_chunks_skipped_total",
+                self.compressed_chunks_skipped,
+            ),
+            ("ebi_kernel_segments_pruned_total", self.segments_pruned),
+            (
+                "ebi_kernel_segments_short_circuited_total",
+                self.segments_short_circuited,
+            ),
+            ("ebi_kernel_dispatch_scalar_total", self.dispatch_scalar),
+            ("ebi_kernel_dispatch_avx2_total", self.dispatch_avx2),
+        ];
+        for (name, v) in counters {
+            if v != 0 {
+                registry.counter(name, &[]).add(v);
+            }
+        }
+    }
+
     fn to_json(self) -> String {
         JsonObject::new()
             .u64("vectors_accessed", self.vectors_accessed)
             .u64("literal_ops", self.literal_ops)
             .u64("cube_evals", self.cube_evals)
+            .u64("or_ops", self.or_ops)
             .u64("words_scanned", self.words_scanned)
             .u64("bytes_touched", self.bytes_touched)
             .u64("compressed_chunks_skipped", self.compressed_chunks_skipped)
             .u64("segments_pruned", self.segments_pruned)
             .u64("segments_short_circuited", self.segments_short_circuited)
-            .finish()
-    }
-}
-
-/// Physical layout of one index (or one shard of one index) touched by
-/// a query — the honest per-index counterpart of the table-wide fold in
-/// [`StorageCounters`]. A partially reordered table (one column rebuilt
-/// lexicographic, the rest original) reports one entry per index here
-/// instead of collapsing the disagreement to `"mixed"`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IndexLayout {
-    /// Index label: the column name, or `column#shard` for a shard.
-    pub index: String,
-    /// Row order this index was built with (`"original"`,
-    /// `"lexicographic"`, `"gray"`).
-    pub row_order: &'static str,
-    /// Runs of set bits across this index's slices (0 when the index
-    /// reports no run statistics).
-    pub slice_runs: u64,
-    /// Longest single run of set bits across this index's slices.
-    pub slice_longest_run: u64,
-    /// Uniform granules across this index's slices.
-    pub slice_fill_words: u64,
-    /// Total storage granules across this index's slices.
-    pub slice_total_words: u64,
-}
-
-impl IndexLayout {
-    fn to_json(&self) -> String {
-        JsonObject::new()
-            .str("index", &self.index)
-            .str("row_order", self.row_order)
-            .u64("slice_runs", self.slice_runs)
-            .u64("slice_longest_run", self.slice_longest_run)
-            .u64("slice_fill_words", self.slice_fill_words)
-            .u64("slice_total_words", self.slice_total_words)
+            .u64("dispatch_scalar", self.dispatch_scalar)
+            .u64("dispatch_avx2", self.dispatch_avx2)
             .finish()
     }
 }
@@ -210,49 +266,9 @@ pub struct StorageCounters {
     pub buffer_misses: u64,
     /// Buffer-pool frames evicted.
     pub buffer_evictions: u64,
-    /// Runs of set bits across the touched indexes' slices (0 when the
-    /// executor did not report run statistics).
-    pub slice_runs: u64,
-    /// Longest single run of set bits across the slices.
-    pub slice_longest_run: u64,
-    /// Uniform granules (all-zero / all-one words or fill groups)
-    /// across the slices.
-    pub slice_fill_words: u64,
-    /// Total storage granules across the slices.
-    pub slice_total_words: u64,
-    /// Physical row order the indexes were built with (`"original"`,
-    /// `"lexicographic"`, `"gray"`; `"mixed"` when the touched indexes
-    /// disagree — see `index_layouts` for the per-index truth; empty
-    /// when not reported).
-    pub row_order: &'static str,
-    /// Per-index (or per-shard) layout breakdown. Empty when the
-    /// executor did not report per-index statistics; otherwise one
-    /// entry per touched index, in registration order.
-    pub index_layouts: Vec<IndexLayout>,
 }
 
 impl StorageCounters {
-    /// Folds the touched indexes' layouts into the table-wide
-    /// counters: run and word counts sum, the longest run is the
-    /// maximum, and `row_order` is the order every index agrees on,
-    /// `"mixed"` when they disagree and `"original"` when there are
-    /// none. The layouts themselves are kept in `index_layouts`.
-    pub fn fold_layouts(&mut self, layouts: impl IntoIterator<Item = IndexLayout>) {
-        let mut order: Option<&'static str> = None;
-        for il in layouts {
-            self.slice_runs += il.slice_runs;
-            self.slice_longest_run = self.slice_longest_run.max(il.slice_longest_run);
-            self.slice_fill_words += il.slice_fill_words;
-            self.slice_total_words += il.slice_total_words;
-            order = Some(match order {
-                Some(prev) if prev != il.row_order => "mixed",
-                _ => il.row_order,
-            });
-            self.index_layouts.push(il);
-        }
-        self.row_order = order.unwrap_or("original");
-    }
-
     /// Buffer hit ratio in `[0, 1]`; `0` when the pool saw no reads.
     #[must_use]
     pub fn buffer_hit_ratio(&self) -> f64 {
@@ -264,24 +280,7 @@ impl StorageCounters {
         }
     }
 
-    /// Fraction of storage granules that are uniform fills, in `[0, 1]`
-    /// — the direct beneficiary of row reordering. `0` when no run
-    /// statistics were reported.
-    #[must_use]
-    pub fn fill_word_fraction(&self) -> f64 {
-        if self.slice_total_words == 0 {
-            0.0
-        } else {
-            self.slice_fill_words as f64 / self.slice_total_words as f64
-        }
-    }
-
     fn to_json(&self) -> String {
-        let layouts: Vec<String> = self
-            .index_layouts
-            .iter()
-            .map(IndexLayout::to_json)
-            .collect();
         JsonObject::new()
             .u64("pager_reads", self.pager_reads)
             .u64("pager_writes", self.pager_writes)
@@ -289,20 +288,6 @@ impl StorageCounters {
             .u64("buffer_misses", self.buffer_misses)
             .u64("buffer_evictions", self.buffer_evictions)
             .f64("buffer_hit_ratio", self.buffer_hit_ratio())
-            .u64("slice_runs", self.slice_runs)
-            .u64("slice_longest_run", self.slice_longest_run)
-            .u64("slice_fill_words", self.slice_fill_words)
-            .u64("slice_total_words", self.slice_total_words)
-            .f64("fill_word_fraction", self.fill_word_fraction())
-            .str(
-                "row_order",
-                if self.row_order.is_empty() {
-                    "original"
-                } else {
-                    self.row_order
-                },
-            )
-            .raw("index_layouts", &json_array(&layouts))
             .finish()
     }
 }
@@ -383,10 +368,12 @@ impl QueryReport {
     }
 
     /// Records this query into a metrics registry: one count, the
-    /// total and per-phase latency histograms (`phase` label), and the
-    /// cost distributions. Label cardinality stays bounded by phase
-    /// names; per-query detail belongs in the JSON-lines export.
+    /// total and per-phase latency histograms (`phase` label), the cost
+    /// distributions, and the kernel counters (`ebi_kernel_*_total`).
+    /// Label cardinality stays bounded by phase names; per-query detail
+    /// belongs in the JSON-lines export.
     pub fn publish(&self, registry: &MetricsRegistry) {
+        self.cost.publish_kernel(registry);
         registry.counter("ebi_queries_total", &[]).inc();
         registry
             .histogram("ebi_query_latency_ns", &[("phase", "total")])
@@ -430,16 +417,18 @@ impl QueryReport {
         let c = &self.cost;
         let _ = writeln!(
             out,
-            "cost: vectors_accessed={} literal_ops={} cube_evals={} words_scanned={} \
-             bytes_touched={} chunks_skipped={} segments_pruned={} short_circuited={}",
+            "cost: vectors_accessed={} literal_ops={} cube_evals={} or_ops={} words_scanned={} \
+             bytes_touched={} chunks_skipped={} segments_pruned={} short_circuited={} kernel={}",
             c.vectors_accessed,
             c.literal_ops,
             c.cube_evals,
+            c.or_ops,
             c.words_scanned,
             c.bytes_touched,
             c.compressed_chunks_skipped,
             c.segments_pruned,
-            c.segments_short_circuited
+            c.segments_short_circuited,
+            c.kernel_path()
         );
         let s = &self.storage;
         let _ = writeln!(
@@ -453,39 +442,6 @@ impl QueryReport {
             s.buffer_evictions,
             s.buffer_hit_ratio() * 100.0
         );
-        if s.slice_total_words > 0 || !s.row_order.is_empty() {
-            let _ = writeln!(
-                out,
-                "layout: row_order={} slice_runs={} longest_run={} fill_words={}/{} ({:.1}%)",
-                if s.row_order.is_empty() {
-                    "original"
-                } else {
-                    s.row_order
-                },
-                s.slice_runs,
-                s.slice_longest_run,
-                s.slice_fill_words,
-                s.slice_total_words,
-                s.fill_word_fraction() * 100.0
-            );
-        }
-        for il in &s.index_layouts {
-            let fill_pct = if il.slice_total_words == 0 {
-                0.0
-            } else {
-                il.slice_fill_words as f64 / il.slice_total_words as f64 * 100.0
-            };
-            let _ = writeln!(
-                out,
-                "  index {}: row_order={} slice_runs={} longest_run={} fill_words={}/{} ({fill_pct:.1}%)",
-                il.index,
-                il.row_order,
-                il.slice_runs,
-                il.slice_longest_run,
-                il.slice_fill_words,
-                il.slice_total_words,
-            );
-        }
         if !self.expressions.is_empty() {
             let _ = writeln!(out, "expressions: {}", self.expressions.join("  |  "));
         }
@@ -647,31 +603,67 @@ mod tests {
     }
 
     #[test]
-    fn layout_fold_sums_runs_and_names_the_common_row_order() {
-        let layout = |row_order, runs, longest| IndexLayout {
-            index: "c".into(),
-            row_order,
-            slice_runs: runs,
-            slice_longest_run: longest,
-            slice_fill_words: 1,
-            slice_total_words: 4,
+    fn every_cost_counter_adds_up() {
+        // Distinct powers of two per field: a field dropped or summed
+        // into the wrong place changes the total.
+        let a = CostCounters {
+            vectors_accessed: 1,
+            literal_ops: 2,
+            cube_evals: 4,
+            or_ops: 8,
+            words_scanned: 16,
+            bytes_touched: 32,
+            compressed_chunks_skipped: 64,
+            segments_pruned: 128,
+            segments_short_circuited: 256,
+            dispatch_scalar: 512,
+            dispatch_avx2: 1024,
         };
-        let fold = |layouts: Vec<IndexLayout>| {
-            let mut s = StorageCounters::default();
-            s.fold_layouts(layouts);
-            s
-        };
-        let same = fold(vec![layout("gray", 3, 9), layout("gray", 5, 2)]);
-        assert_eq!(same.row_order, "gray");
-        assert_eq!((same.slice_runs, same.slice_longest_run), (8, 9));
-        assert_eq!((same.slice_fill_words, same.slice_total_words), (2, 8));
-        assert_eq!(same.index_layouts.len(), 2);
-        let differing = fold(vec![
-            layout("original", 1, 1),
-            layout("gray", 1, 1),
-            layout("gray", 1, 1),
-        ]);
-        assert_eq!(differing.row_order, "mixed");
-        assert_eq!(fold(Vec::new()).row_order, "original");
+        let mut sum = a;
+        sum += a;
+        assert_eq!(
+            sum,
+            CostCounters {
+                vectors_accessed: 2,
+                literal_ops: 4,
+                cube_evals: 8,
+                or_ops: 16,
+                words_scanned: 32,
+                bytes_touched: 64,
+                compressed_chunks_skipped: 128,
+                segments_pruned: 256,
+                segments_short_circuited: 512,
+                dispatch_scalar: 1024,
+                dispatch_avx2: 2048,
+            }
+        );
+    }
+
+    #[test]
+    fn kernel_path_reports_the_dominant_tier() {
+        let mut c = CostCounters::default();
+        assert_eq!(c.kernel_path(), "none");
+        c.dispatch_scalar = 1;
+        assert_eq!(c.kernel_path(), "scalar");
+        c.dispatch_avx2 = 1;
+        assert_eq!(c.kernel_path(), "avx2", "a tie goes to the wider tier");
+        c.dispatch_scalar = 2;
+        assert_eq!(c.kernel_path(), "scalar");
+    }
+
+    #[test]
+    fn publish_adds_nonzero_kernel_counters() {
+        let reg = MetricsRegistry::new();
+        let r = sample_report();
+        r.publish(&reg);
+        r.publish(&reg);
+        assert_eq!(reg.counter("ebi_kernel_words_scanned_total", &[]).get(), 32);
+        assert_eq!(
+            reg.counter("ebi_kernel_bytes_touched_total", &[]).get(),
+            256
+        );
+        // Zero-valued counters are skipped, not registered as zeros.
+        let names: Vec<String> = reg.snapshot().into_iter().map(|s| s.name).collect();
+        assert!(!names.contains(&"ebi_kernel_compressed_chunks_skipped_total".to_string()));
     }
 }

@@ -583,6 +583,9 @@ fn trace_page(traces: &[Arc<RetainedTrace>], n: usize) -> Reply {
 /// error is the reply of a query that produced no answer. `tctx` is
 /// the request's trace identity: it correlates the retained trace, the
 /// structured log lines, and the `traceparent` echoed in the answer.
+///
+/// The answer body is `{query_id, trace, matches, rows[], wall_ns,
+/// dispatched, vectors_accessed}`.
 fn execute(
     ctx: &ServeCtx<'_, '_>,
     dnf: &DnfRequest,
@@ -645,7 +648,7 @@ fn execute(
         }
     };
 
-    let (bitmap, cost, storage) = {
+    let (bitmap, matches, cost, storage) = {
         let mut span = root.child("merge");
         let mut cost = CostCounters::default();
         let mut storage = StorageCounters::default();
@@ -658,17 +661,14 @@ fn execute(
             storage.buffer_misses += o.buffer.1;
             storage.buffer_evictions += o.buffer.2;
         }
-        storage.fold_layouts(
-            answered().flat_map(|o| table.shards()[o.shard].layouts(table.columns())),
-        );
         let bitmap = table.merge(answered().map(|o| (o.shard, &o.bitmap)));
-        span.attr("matches", bitmap.count_ones() as u64);
-        (bitmap, cost, storage)
+        let matches = bitmap.count_ones() as u64;
+        span.attr("matches", matches);
+        (bitmap, matches, cost, storage)
     };
 
     drop(root);
     let records = trace.finish();
-    let matches = bitmap.count_ones() as u64;
     let rows: Vec<String> = bitmap
         .iter_ones()
         .take(limit)
@@ -715,7 +715,6 @@ fn execute(
         .u64("wall_ns", report.wall_ns)
         .bool("dispatched", dispatched)
         .u64("vectors_accessed", report.cost.vectors_accessed)
-        .str("row_order", report.storage.row_order)
         .finish();
     Ok(Answer { retained, body })
 }

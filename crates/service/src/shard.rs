@@ -22,7 +22,7 @@ use ebi_boolean::DnfExpr;
 use ebi_core::index::{BuildOptions, EncodedBitmapIndex};
 use ebi_core::total_order::dense_order_mapping;
 use ebi_core::{and_fold, or_fold, CoreError, Mapping, RowOrder};
-use ebi_obs::{CostCounters, IndexLayout};
+use ebi_obs::CostCounters;
 use ebi_storage::{read_row_pages, BufferPool, Cell, PageId, PageWalk, Pager};
 
 /// One input column: a name plus its cell values for every row.
@@ -191,7 +191,7 @@ impl Shard {
     pub fn eval(&self, query: &CompiledQuery) -> (BitVec, CostCounters) {
         let clause = |c: &CompiledClause| {
             let r = self.indexes[c.column].run_plan(&c.expr, &c.plan);
-            (r.bitmap, r.stats.cost())
+            (r.bitmap, r.stats)
         };
         let conjunction = |d: &Vec<CompiledClause>| and_fold(d.iter().map(clause), self.rows);
         or_fold(query.disjuncts.iter().map(conjunction), self.rows)
@@ -222,27 +222,6 @@ impl Shard {
     #[must_use]
     pub fn fetch_matches(&self, bitmap: &BitVec, pool: Option<&BufferPool<'_>>) -> u64 {
         self.fetch_pages(bitmap, pool).pages
-    }
-
-    /// Per-column physical layout of this shard, labelled
-    /// `column#shard` for the report's per-index breakdown.
-    #[must_use]
-    pub fn layouts(&self, columns: &[String]) -> Vec<IndexLayout> {
-        self.indexes
-            .iter()
-            .zip(columns)
-            .map(|(idx, name)| {
-                let rs = idx.run_stats();
-                IndexLayout {
-                    index: format!("{name}#{}", self.id),
-                    row_order: idx.row_order().as_str(),
-                    slice_runs: rs.runs,
-                    slice_longest_run: rs.longest_run,
-                    slice_fill_words: rs.fill_words,
-                    slice_total_words: rs.total_words,
-                }
-            })
-            .collect()
     }
 }
 

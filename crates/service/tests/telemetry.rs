@@ -320,3 +320,24 @@ fn shard_labelled_metrics_appear_in_prometheus_export() {
         assert!(body.contains("ebi_service_shard_eval_ns_sum{shard=\"2\"}"));
     });
 }
+
+#[test]
+fn served_queries_export_kernel_counters() {
+    // No shard index profiles, so the kernel counters reach `/metrics`
+    // only through the query report the service publishes.
+    // Asserted after the service shut down: a panic inside
+    // `with_service` would leave the server running and the test hung.
+    let table = small_table(2);
+    let (mut reply, mut metrics) = (String::new(), (0, String::new()));
+    with_service(&table, &test_config(), |h| {
+        reply = tcp_line(h.tcp_addr(), "COUNT a=1");
+        metrics = http_get(h.http_addr(), "/metrics");
+    });
+    assert!(reply.starts_with("OK {"), "got {reply}");
+    let (status, body) = metrics;
+    assert_eq!(status, 200);
+    assert!(
+        body.contains("ebi_kernel_words_scanned_total"),
+        "missing kernel counter: {body}"
+    );
+}

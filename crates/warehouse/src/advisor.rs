@@ -79,7 +79,7 @@ fn measure_candidates(cells: &[Cell], queries: &[&Query]) -> Result<Vec<Candidat
                 Predicate::InList(vs) => idx.in_list(vs),
                 Predicate::Range(lo, hi) => idx.range(*lo, *hi),
             };
-            units += r.stats.vectors_accessed;
+            units += r.stats.vectors_accessed as usize;
         }
         out.push(Candidate {
             family: name.to_string(),

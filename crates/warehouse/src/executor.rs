@@ -12,7 +12,7 @@ use ebi_baselines::SelectionIndex;
 use ebi_bitvec::BitVec;
 use ebi_core::index::QueryResult;
 use ebi_core::{and_fold, or_fold, Selected};
-use ebi_obs::{CostCounters, IndexLayout, PhaseNode, QueryReport, StorageCounters};
+use ebi_obs::{CostCounters, PhaseNode, QueryReport, StorageCounters};
 use ebi_storage::{read_row_pages, BufferPool, BufferStats, IoStats, PageId, Pager};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -51,10 +51,10 @@ struct StorageAttachment<'a> {
 /// Cost summary of one executed query.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutionReport {
-    /// Sum of per-clause logical read units (bitmap vectors / nodes).
-    pub vectors_accessed: usize,
-    /// Word-level ops across clauses plus the inter-clause ANDs.
-    pub literal_ops: usize,
+    /// The clauses' costs summed, plus one `literal_op` per join:
+    /// `vectors_accessed` is the sum of per-clause logical read units
+    /// (bitmap vectors / nodes).
+    pub cost: CostCounters,
     /// Rows matching the whole conjunction.
     pub matches: usize,
     /// Reduced per-clause expressions, for explain output.
@@ -195,12 +195,11 @@ impl<'a> Executor<'a> {
             let r = self.run_clause(clause);
             if span.is_live() {
                 span.attr("clause", i as u64);
-                span.attr("vectors_accessed", r.stats.vectors_accessed as u64);
+                span.attr("vectors_accessed", r.stats.vectors_accessed);
                 span.attr("matches", r.bitmap.count_ones() as u64);
             }
-            let cost = r.stats.cost();
-            expressions.push(r.stats.expression);
-            (r.bitmap, cost)
+            expressions.push(r.expression);
+            (r.bitmap, r.stats)
         });
         and_fold(clauses, self.rows)
     }
@@ -308,21 +307,6 @@ impl<'a> Executor<'a> {
             out.buffer_misses = now.misses.saturating_sub(before.misses);
             out.buffer_evictions = now.evictions.saturating_sub(before.evictions);
         }
-        // The table-wide fold says `"mixed"` when the indexes disagree
-        // on row order; the per-index entries keep the honest answer
-        // for each one, so a partially reordered table is reported as
-        // exactly that.
-        out.fold_layouts(self.indexes.iter().map(|(column, idx)| {
-            let rs = idx.run_stats().unwrap_or_default();
-            IndexLayout {
-                index: column.clone(),
-                row_order: idx.row_order(),
-                slice_runs: rs.runs,
-                slice_longest_run: rs.longest_run,
-                slice_fill_words: rs.fill_words,
-                slice_total_words: rs.total_words,
-            }
-        }));
         out
     }
 
@@ -350,8 +334,7 @@ fn execution_report(
     expressions: Vec<String>,
 ) -> (BitVec, ExecutionReport) {
     let report = ExecutionReport {
-        vectors_accessed: cost.vectors_accessed as usize,
-        literal_ops: cost.literal_ops as usize,
+        cost,
         matches: bitmap.count_ones(),
         expressions,
     };
@@ -391,7 +374,7 @@ mod tests {
         assert_eq!(report.expressions.len(), 2);
         // Cooperativity: total cost = clause costs + one AND, no
         // compound index needed.
-        assert!(report.vectors_accessed >= 2);
+        assert!(report.cost.vectors_accessed >= 2);
     }
 
     #[test]
@@ -443,63 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn partially_reordered_table_reports_per_index_layouts() {
-        // One column built in original order, one rebuilt lexicographic:
-        // the table-wide fold must say "mixed", and the per-index
-        // breakdown must keep each index's honest row order.
-        let a_cells: Vec<Cell> = (0..120u64).map(|i| Cell::Value(i % 4)).collect();
-        let b_cells: Vec<Cell> = (0..120u64).map(|i| Cell::Value((i * 7) % 5)).collect();
-        let a_idx = EncodedBitmapIndex::build(a_cells).unwrap();
-        let b_idx = EncodedBitmapIndex::build_with(
-            b_cells,
-            ebi_core::index::BuildOptions {
-                row_order: ebi_core::RowOrder::Lexicographic,
-                ..ebi_core::index::BuildOptions::default()
-            },
-        )
-        .unwrap();
-        let mut exec = Executor::new(120);
-        exec.register("a", &a_idx);
-        exec.register("b", &b_idx);
-        let (_, report) = exec.run_profiled(
-            &ConjunctiveQuery {
-                clauses: vec![query("a", Predicate::Eq(1))],
-            },
-            "layout probe",
-        );
-        assert_eq!(report.storage.row_order, "mixed");
-        let layouts = &report.storage.index_layouts;
-        assert_eq!(layouts.len(), 2, "one entry per registered index");
-        assert_eq!(layouts[0].index, "a");
-        assert_eq!(layouts[0].row_order, "original");
-        assert_eq!(layouts[1].index, "b");
-        assert_eq!(layouts[1].row_order, "lexicographic");
-        for il in layouts {
-            assert!(
-                il.slice_total_words > 0,
-                "run stats reported for {}",
-                il.index
-            );
-            assert!(il.slice_runs > 0);
-        }
-        // The fold aggregates exactly the per-index numbers.
-        assert_eq!(
-            report.storage.slice_runs,
-            layouts.iter().map(|l| l.slice_runs).sum::<u64>()
-        );
-        // Both renderings expose the breakdown.
-        let explain = report.explain_analyze();
-        assert!(explain.contains("index a: row_order=original"), "{explain}");
-        assert!(
-            explain.contains("index b: row_order=lexicographic"),
-            "{explain}"
-        );
-        let json = report.to_json_line();
-        assert!(json.contains("\"index_layouts\""), "{json}");
-        assert!(json.contains("\"row_order\":\"lexicographic\""), "{json}");
-    }
-
-    #[test]
     fn query_options_do_not_change_executor_results() {
         // The executor runs the registered index however it is
         // configured; results and per-clause costs must be identical
@@ -532,7 +458,7 @@ mod tests {
         let (b2, r2) = exec_tuned.run_dnf(&q);
         assert_eq!(b1, b2, "query options changed query results");
         assert_eq!(
-            r1.vectors_accessed, r2.vectors_accessed,
+            r1.cost.vectors_accessed, r2.cost.vectors_accessed,
             "query options changed the paper's cost metric"
         );
         assert_eq!(r1.matches, r2.matches);
@@ -544,7 +470,7 @@ mod tests {
         let (bitmap, report) = exec.run(&ConjunctiveQuery { clauses: vec![] });
         assert_eq!(bitmap.count_ones(), 5);
         assert_eq!(report.matches, 5);
-        assert_eq!(report.vectors_accessed, 0);
+        assert_eq!(report.cost.vectors_accessed, 0);
     }
 
     #[test]
@@ -591,24 +517,14 @@ mod tests {
         let (plain_bitmap, plain) = exec.run_dnf(&q);
         let (bitmap, report) = exec.run_dnf_profiled(&q, "parity check");
         assert_eq!(bitmap, plain_bitmap, "profiling changed the result");
-        assert_eq!(
-            report.cost.vectors_accessed, plain.vectors_accessed as u64,
-            "profiling changed the paper's cost metric"
-        );
-        assert_eq!(report.cost.literal_ops, plain.literal_ops as u64);
+        assert_eq!(report.cost, plain.cost, "profiling changed the cost");
         assert_eq!(report.matches, plain.matches as u64);
         assert_eq!(report.expressions, plain.expressions);
         assert_eq!(report.rows, 200);
         assert_eq!(report.label, "parity check");
         assert!(report.query_id > 0);
-        // No storage attached: I/O counters stay zeroed, but the
-        // physical-layout section still reports the indexes' runs.
-        assert_eq!(report.storage.pager_reads, 0);
-        assert_eq!(report.storage.buffer_hits, 0);
-        assert_eq!(report.storage.buffer_misses, 0);
-        assert!(report.storage.slice_runs > 0);
-        assert!(report.storage.slice_total_words > 0);
-        assert_eq!(report.storage.row_order, "original");
+        // No storage attached: I/O counters stay zeroed.
+        assert_eq!(report.storage, StorageCounters::default());
     }
 
     #[test]

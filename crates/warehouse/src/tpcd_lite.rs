@@ -51,7 +51,7 @@ pub struct TemplateResult {
     /// with key 0 for ungrouped templates.
     pub groups: Vec<(u64, u128)>,
     /// Distinct bitmap vectors read (selection + aggregation).
-    pub vectors_accessed: usize,
+    pub vectors_accessed: u64,
 }
 
 impl TpcdLite {

@@ -44,7 +44,7 @@ fn main() {
         let r = idx.eq(v).expect("query");
         println!(
             "  f_{v} = {:<12} rows {:?}",
-            r.stats.expression,
+            r.expression,
             r.bitmap.to_positions()
         );
     }
@@ -61,7 +61,7 @@ fn main() {
     println!(
         "separate-vectors : A=20 -> rows {:?}, expr {}, {} vectors (existence mask read)",
         r.bitmap.to_positions(),
-        r.stats.expression,
+        r.expression,
         r.stats.vectors_accessed
     );
 
@@ -79,7 +79,7 @@ fn main() {
     println!(
         "reserved-code    : A=20 -> rows {:?}, expr {}, {} vectors (Theorem 2.1: no mask)",
         r.bitmap.to_positions(),
-        r.stats.expression,
+        r.expression,
         r.stats.vectors_accessed
     );
 

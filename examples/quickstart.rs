@@ -38,7 +38,7 @@ fn main() {
     let a = dict.id("a").unwrap();
     let q1 = idx.eq(a).expect("query");
     println!("\nQ1  A = 'a'");
-    println!("  retrieval function : {}", q1.stats.expression);
+    println!("  retrieval function : {}", q1.expression);
     println!("  vectors accessed   : {}", q1.stats.vectors_accessed);
     println!("  matching rows      : {:?}", q1.bitmap.to_positions());
 
@@ -46,7 +46,7 @@ fn main() {
     let b = dict.id("b").unwrap();
     let q2 = idx.in_list(&[a, b]).expect("query");
     println!("\nQ2  A IN ('a','b')");
-    println!("  retrieval function : {}", q2.stats.expression);
+    println!("  retrieval function : {}", q2.expression);
     println!(
         "  vectors accessed   : {} (simple bitmap indexing reads 2 here)",
         q2.stats.vectors_accessed
@@ -80,7 +80,7 @@ fn main() {
     let q = idx.eq(a).expect("query");
     println!(
         "A = 'a' after expansion: {} -> rows {:?}",
-        q.stats.expression,
+        q.expression,
         q.bitmap.to_positions()
     );
 }

@@ -46,7 +46,7 @@ fn main() {
     let mut reference: Option<Vec<usize>> = None;
     for (name, idx) in &indexes {
         let start = Instant::now();
-        let mut units = 0usize;
+        let mut units = 0u64;
         let mut pages = 0u64;
         let mut counts = Vec::new();
         for q in &workload {
@@ -105,7 +105,7 @@ fn main() {
     println!(
         "  -> {} rows, {} total vector reads across 3 single-attribute indexes",
         bitmap.count_ones(),
-        report.vectors_accessed
+        report.cost.vectors_accessed
     );
     for (i, e) in report.expressions.iter().enumerate() {
         println!("     clause {i}: {e}");

@@ -41,11 +41,14 @@ COST = [
     "vectors_accessed",
     "literal_ops",
     "cube_evals",
+    "or_ops",
     "words_scanned",
     "bytes_touched",
     "compressed_chunks_skipped",
     "segments_pruned",
     "segments_short_circuited",
+    "dispatch_scalar",
+    "dispatch_avx2",
 ]
 
 STORAGE = [

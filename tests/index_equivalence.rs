@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 /// How one form under test answers a predicate: matching rows and the
 /// `vectors_accessed` it reports.
-type Answer<'a> = Box<dyn Fn(&Predicate) -> (BitVec, usize) + 'a>;
+type Answer<'a> = Box<dyn Fn(&Predicate) -> (BitVec, u64) + 'a>;
 
 /// A form under test: its name, how it answers, and the source index
 /// whose every form must report that source's `vectors_accessed`.
@@ -62,7 +62,7 @@ fn sharded(table: &ShardedTable) -> Answer<'_> {
             disjuncts: vec![vec![Clause { column, predicate }]],
         };
         let (bitmap, cost) = table.eval_local(&table.compile(&request).unwrap());
-        (bitmap, cost.vectors_accessed as usize)
+        (bitmap, cost.vectors_accessed)
     })
 }
 
@@ -73,7 +73,7 @@ fn executed<'a>(exec: &'a Executor<'a>) -> Answer<'a> {
         let (bitmap, report) = exec.run(&ConjunctiveQuery {
             clauses: vec![Query { column, predicate }],
         });
-        (bitmap, report.vectors_accessed)
+        (bitmap, report.cost.vectors_accessed)
     })
 }
 
@@ -388,7 +388,7 @@ fn query_cost_shape_matches_the_paper() {
         let e = encoded.in_list(&sel).unwrap();
         let s = simple.in_list(&sel);
         assert_eq!(e.bitmap, s.bitmap);
-        assert_eq!(s.stats.vectors_accessed as u64, delta, "c_s = δ");
+        assert_eq!(s.stats.vectors_accessed, delta, "c_s = δ");
         assert!(
             e.stats.vectors_accessed <= 8,
             "c_e ≤ k = 8, got {} at δ = {delta}",

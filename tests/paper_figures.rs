@@ -188,7 +188,7 @@ fn fig3_queries_through_real_indexes() {
     .unwrap();
     let r = idx.in_list(&[0, 1, 2, 3]).unwrap();
     assert_eq!(r.stats.vectors_accessed, 1);
-    assert_eq!(r.stats.expression, "B1'");
+    assert_eq!(r.expression, "B1'");
     let expect: Vec<usize> = (0..64).filter(|i| i % 8 < 4).collect();
     assert_eq!(r.bitmap.to_positions(), expect);
 }
@@ -298,7 +298,7 @@ fn footnote3_xor_becomes_or() {
     // And through the index: selecting {b, c} in Figure 1's column.
     let idx = figure1_index();
     let r = idx.in_list(&[1, 2]).unwrap();
-    assert_eq!(r.stats.expression, "B0 + B1");
+    assert_eq!(r.expression, "B0 + B1");
     assert_eq!(r.bitmap.to_positions(), vec![1, 2, 3, 5]);
 }
 

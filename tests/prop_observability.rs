@@ -1,15 +1,36 @@
 //! Property tests for the observability layer: profiling is a pure
 //! observer. Across random DNF selections, random column data and
 //! every slice storage policy, the profiled executor must return the
-//! exact bitmap and the exact legacy cost numbers (`QueryStats` /
-//! `ExecutionReport`) of the untraced path — `vectors_accessed` is the
-//! paper's metric and instrumentation may never move it.
+//! exact bitmap and the exact [`CostCounters`] of the untraced path —
+//! `vectors_accessed` is the paper's metric and instrumentation may
+//! never move it — and the `eval` spans must account for every kernel
+//! counter the report carries.
 
 use ebi::core::index::QueryOptions;
+use ebi::obs::PhaseNode;
 use ebi::prelude::*;
 use ebi::warehouse::DnfQuery;
 use ebi_bitvec::StoragePolicy;
 use proptest::prelude::*;
+
+/// Sum of attribute `attr` over every phase named `name` in the forest.
+fn attr_sum(phases: &[PhaseNode], name: &str, attr: &str) -> u64 {
+    phases
+        .iter()
+        .map(|p| {
+            let own = if p.name == name {
+                p.attrs
+                    .iter()
+                    .filter(|(k, _)| k == attr)
+                    .map(|(_, v)| v)
+                    .sum()
+            } else {
+                0
+            };
+            own + attr_sum(&p.children, name, attr)
+        })
+        .sum()
+}
 
 fn cell_strategy(m: u64) -> impl Strategy<Value = Cell> {
     prop_oneof![
@@ -75,16 +96,31 @@ proptest! {
         exec_prof.register("c", &instrumented);
 
         let (bitmap, legacy) = exec_plain.run_dnf(&query);
+        // The only test in this binary, so the global subscriber is
+        // this test's to switch.
+        ebi::obs::set_enabled(true);
         let (profiled_bitmap, report) = exec_prof.run_dnf_profiled(&query, "prop");
+        ebi::obs::set_enabled(false);
 
         prop_assert_eq!(profiled_bitmap, bitmap, "profiling changed the result bitmap");
         prop_assert_eq!(
-            report.cost.vectors_accessed,
-            legacy.vectors_accessed as u64,
-            "profiling changed the paper's c_e metric (policy {:?})",
+            report.cost,
+            legacy.cost,
+            "profiling changed the cost record (policy {:?})",
             policy
         );
-        prop_assert_eq!(report.cost.literal_ops, legacy.literal_ops as u64);
+        let c = &report.cost;
+        for (attr, total) in [
+            ("words_scanned", c.words_scanned),
+            ("bytes_touched", c.bytes_touched),
+            ("segments_pruned", c.segments_pruned),
+            ("segments_short_circuited", c.segments_short_circuited),
+            ("compressed_chunks_skipped", c.compressed_chunks_skipped),
+            ("kernel_scalar", c.dispatch_scalar),
+            ("kernel_avx2", c.dispatch_avx2),
+        ] {
+            prop_assert_eq!(attr_sum(&report.phases, "eval", attr), total, "eval spans' {}", attr);
+        }
         prop_assert_eq!(report.matches, legacy.matches as u64);
         prop_assert_eq!(report.expressions, legacy.expressions);
         prop_assert_eq!(report.rows, rows as u64);
