@@ -8,7 +8,7 @@
 
 use ebi_storage::Cell;
 use ebi_warehouse::generator::{generate_column, ColumnSpec};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Default row count used by the measured sides of the figures.
 pub const DEFAULT_ROWS: usize = 100_000;
@@ -49,55 +49,6 @@ pub fn write_result(name: &str, content: &str) {
     let path = out_dir().join(name);
     std::fs::write(&path, content).expect("write bench result");
     println!("[written] {}", path.display());
-}
-
-/// Writes a `BENCH_*.json` artefact into `out_dir`, or the workspace
-/// root when `None` (`--out-dir` regenerates committed baselines).
-///
-/// # Panics
-///
-/// Panics on I/O failure.
-pub fn write_json(out_dir: Option<&Path>, name: &str, json: &str) {
-    let root;
-    let dir = match out_dir {
-        Some(d) => d,
-        None => {
-            root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-            &root
-        }
-    };
-    std::fs::create_dir_all(dir).expect("create output directory");
-    let path = dir.join(name);
-    std::fs::write(&path, json).expect("write benchmark json");
-    eprintln!("wrote {}", path.display());
-}
-
-/// The fixed query mix every service-bench client cycles through.
-/// Mid-selectivity DNF shapes so evaluation reads real data on every
-/// shard.
-pub const SERVICE_QUERIES: &[&str] = &["a=1", "a IN 1,3,5 AND b BETWEEN 2 9", "a=0 OR b=1"];
-
-/// The service benches' deterministic two-column fact table
-/// (xorshift, no NULLs): `a` of cardinality 7, `b` of cardinality 13.
-#[must_use]
-pub fn service_columns(rows: usize) -> Vec<ebi_service::ColumnSpec> {
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut a = Vec::with_capacity(rows);
-    let mut b = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        a.push(Cell::Value(next() % 7));
-        b.push(Cell::Value(next() % 13));
-    }
-    vec![
-        ebi_service::ColumnSpec::new("a", a),
-        ebi_service::ColumnSpec::new("b", b),
-    ]
 }
 
 #[cfg(test)]

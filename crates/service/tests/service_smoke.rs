@@ -191,6 +191,63 @@ fn tcp_protocol_answers_match_library() {
     assert!(summary.served >= 3, "summary: {summary:?}");
 }
 
+/// More closed-loop clients than `max_inflight`: some requests are
+/// refused with `BUSY` and retried, every answered one equals the
+/// library count, and the drain summary accounts for every reply.
+#[test]
+fn concurrent_clients_over_the_admission_bound_agree_with_the_library() {
+    const CLIENTS: usize = 8;
+    const PER_CLIENT: usize = 50;
+    let table = small_table(4);
+    let expected: Vec<(&str, u64)> = ["a=1", "a IN 1,3,5 AND b BETWEEN 2 7", "a=0 OR b=1"]
+        .into_iter()
+        .map(|q| {
+            let compiled = table
+                .compile(&parse_dnf(q).expect("parses"))
+                .expect("compiles");
+            (q, table.eval_local(&compiled).0.count_ones() as u64)
+        })
+        .collect();
+    let expected = &expected;
+
+    let mut busy = 0;
+    let summary = with_service(&table, &test_config(), |h| {
+        let tcp = h.tcp_addr();
+        busy = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|client| {
+                    s.spawn(move || {
+                        let stream = TcpStream::connect(tcp).expect("connect");
+                        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                        let mut writer = stream;
+                        let (mut ok, mut busy) = (0, 0u64);
+                        while ok < PER_CLIENT {
+                            let (query, want) = expected[(client + ok) % expected.len()];
+                            writeln!(writer, "COUNT {query}").expect("write");
+                            let mut line = String::new();
+                            reader.read_line(&mut line).expect("read");
+                            let line = line.trim_end();
+                            if line == "BUSY" {
+                                busy += 1;
+                                std::thread::sleep(Duration::from_micros(200));
+                                continue;
+                            }
+                            assert!(line.starts_with("OK {"), "got {line:?}");
+                            assert_eq!(json_u64(line, "matches"), Some(want), "{query}: {line}");
+                            ok += 1;
+                        }
+                        busy
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().expect("client")).sum()
+        });
+    });
+    assert_eq!(summary.served, (CLIENTS * PER_CLIENT) as u64, "{summary:?}");
+    assert_eq!(summary.rejected_busy, busy, "{summary:?}");
+    assert_eq!(summary.timeouts, 0, "{summary:?}");
+}
+
 #[test]
 fn http_frontend_answers_match_library_and_metrics_render() {
     let table = small_table(3);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Regenerates every paper artefact: figure CSVs, the digest, test and
-# bench transcripts. Run from the workspace root.
+# Regenerates every paper artefact: figure CSVs, the digest, the
+# SIMD-vs-scalar kernel comparison and the observability transcripts.
+# Run from the workspace root.
 set -euo pipefail
 
 cargo build --release -p ebi-bench --bins
@@ -18,6 +19,7 @@ bins=(
   buffer_sweep
   tpcd_lite_report
   base_sweep
+  well_defined_report
 )
 for b in "${bins[@]}"; do
   echo "==== $b ===="
@@ -28,24 +30,9 @@ done
 echo "==== eval_kernels (full) ===="
 ./target/release/eval_kernels
 
-echo "==== service_bench (full) ===="
-./target/release/service_bench
-python3 scripts/validate_bench_schema.py \
-  BENCH_eval.json BENCH_compressed.json BENCH_service.json
-
-echo "==== bench baselines (smoke, committed for CI regression gate) ===="
-./target/release/eval_kernels --smoke --check --out-dir bench_baselines
-./target/release/service_bench --smoke --out-dir bench_baselines
-for f in BENCH_eval BENCH_compressed BENCH_service; do
-  mv "bench_baselines/$f.json" "bench_baselines/$f.smoke.json"
-done
-python3 scripts/validate_bench_schema.py bench_baselines/*.smoke.json
-
-echo "==== observability artefacts (reports, overhead, service telemetry) ===="
+echo "==== observability artefacts (query reports, service telemetry) ===="
 ./target/release/explain
 python3 scripts/validate_obs_schema.py bench_results/obs_queries.jsonl
-./target/release/obs_overhead --check
-python3 -m json.tool BENCH_obs.json > /dev/null
 
 # Live service telemetry: run a short ebi_serve session with worst-case
 # tail sampling (every query slow) and a file log sink, dump the trace
@@ -76,6 +63,3 @@ python3 scripts/validate_obs_schema.py bench_results/service_log.jsonl
 echo "==== ebi-lint (committed lint report) ===="
 cargo run --release -p ebi-lint -- --check --deny-warnings
 python3 scripts/validate_lint_schema.py bench_results/lint_report.jsonl
-
-cargo test --workspace 2>&1 | tee test_output.txt
-cargo bench --workspace 2>&1 | tee bench_output.txt
