@@ -42,7 +42,7 @@ struct SimdRow {
 
 /// Scalar-tier versus detected-tier latency for the dense fused plans.
 /// The two runs are correctness-gated bit-identical before timing, and
-/// the dispatched tier is read back from [`CostCounters::kernel_path`].
+/// the scalar pin is read back from [`simd::selected_path`].
 fn measure_simd(rows: usize, iters: usize) -> Vec<SimdRow> {
     eprintln!("building {rows}-row dense index for the SIMD comparison…");
     let cells = uniform_cells(M, rows, 0x51D ^ rows as u64);
@@ -61,17 +61,20 @@ fn measure_simd(rows: usize, iters: usize) -> Vec<SimdRow> {
         let plan = lowered.bind(&dense, Some(&summaries), rows);
 
         let best = simd::detected_path();
-        let mut ks_scalar = CostCounters::default();
-        let scalar_result =
-            simd::with_forced_path(KernelPath::Scalar, || plan.eval(&mut ks_scalar));
-        assert_eq!(ks_scalar.kernel_path(), "scalar", "scalar pin ignored");
-        let mut ks_best = CostCounters::default();
-        let best_result = plan.eval(&mut ks_best);
+        let scalar_result = simd::with_forced_path(KernelPath::Scalar, || {
+            assert_eq!(
+                simd::selected_path(),
+                KernelPath::Scalar,
+                "scalar pin ignored"
+            );
+            plan.eval(&mut CostCounters::default())
+        });
+        let best_result = plan.eval(&mut CostCounters::default());
         assert_eq!(
             best_result,
             scalar_result,
             "{} tier != scalar tier at δ={delta}",
-            ks_best.kernel_path()
+            best.name()
         );
 
         // Interleave the two tiers so scheduler interference hits both
@@ -105,7 +108,7 @@ fn measure_simd(rows: usize, iters: usize) -> Vec<SimdRow> {
             delta,
             scalar_ns,
             simd_ns,
-            kernel_path: ks_best.kernel_path(),
+            kernel_path: best.name(),
             speedup,
         };
         eprintln!(

@@ -44,7 +44,7 @@
 
 use crate::core::{BitVec, WORD_BITS};
 use crate::roaring::{RoaringBitmap, WindowFill, WindowKind};
-use crate::simd::{self, KernelPath};
+use crate::simd;
 use crate::store::SliceStorage;
 use crate::summary::SegmentSummary;
 use crate::wah::{WahBitmap, WahCursor};
@@ -145,7 +145,7 @@ impl Step {
 /// A retrieval expression lowered for the kernel.
 ///
 /// Every product term is split into a *high part* and a *low part* (its
-/// literals on the [`LOW_SLOTS`] lowest referenced slices). The terms
+/// literals on the `LOW_SLOTS` lowest referenced slices). The terms
 /// are sorted by high-part literal sequence (highest slice first) so
 /// that terms with a common prefix are adjacent, and each is recorded as
 /// the depth it shares with its predecessor plus its own literals. The
@@ -560,10 +560,6 @@ impl BoundPlan<'_> {
     pub fn eval(&self, stats: &mut CostCounters) -> BitVec {
         let mut out = BitVec::zeros(self.rows);
         let path = simd::selected_path();
-        match path {
-            KernelPath::Scalar => stats.dispatch_scalar += 1,
-            KernelPath::Avx2 => stats.dispatch_avx2 += 1,
-        }
         let plan = self.plan;
         if plan.tautology {
             out.words.fill(u64::MAX);
@@ -1023,14 +1019,16 @@ mod tests {
     }
 
     #[test]
-    fn evaluation_records_the_selected_dispatch() {
-        let slices = [stripes(SEGMENT_BITS, 2, 0)];
+    fn a_forced_scalar_tier_runs_and_matches_the_detected_one() {
+        use crate::simd::KernelPath;
+        let slices = [stripes(SEGMENT_BITS, 2, 0), stripes(SEGMENT_BITS, 3, 1)];
+        let terms: &[&[(usize, bool)]] = &[&[(0, false), (1, true)]];
         let mut stats = CostCounters::default();
-        crate::simd::with_forced_path(crate::simd::KernelPath::Scalar, || {
-            let _ = eval(&[&[(0, false)]], &slices, &mut stats);
+        let scalar = simd::with_forced_path(KernelPath::Scalar, || {
+            assert_eq!(simd::selected_path(), KernelPath::Scalar);
+            eval(terms, &slices, &mut stats)
         });
-        assert_eq!(stats.dispatch_scalar, 1);
-        assert_eq!(stats.kernel_path(), "scalar");
+        assert_eq!(scalar, eval(terms, &slices, &mut stats));
     }
 
     #[test]

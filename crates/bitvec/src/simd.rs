@@ -15,10 +15,11 @@
 //!   correct; the AVX2 tier is verified against it by the `prop_simd`
 //!   differential suite.
 //! * **avx2** — explicit 256-bit `core::arch::x86_64` intrinsics,
-//!   reached only when the `simd` feature is on, the binary runs on
-//!   `x86_64`, and `is_x86_feature_detected!("avx2")` says the host has
-//!   the instructions. This is the only `unsafe` code in the crate; the
-//!   unsafety is confined to [`avx2`] and vetted by Miri in CI.
+//!   compiled on every `x86_64` build and reached only when
+//!   `is_x86_feature_detected!("avx2")` says the host has the
+//!   instructions. This is the only `unsafe` code in the crate; the
+//!   unsafety is confined to the private `avx2` module and vetted by
+//!   Miri in CI.
 //!
 //! Negation is folded into every pass as an XOR mask (`x ^ 0 = x`,
 //! `x ^ !0 = !x`), so a single implementation covers all operand
@@ -32,19 +33,16 @@
 //! anything else, which means auto), and finally runtime CPU detection.
 //! Forcing a path the build or host cannot execute clamps down to the
 //! best available path, never up, so the selected path is always
-//! executable. The kernels resolve the path once per evaluation and
-//! count it in the caller's [`ebi_obs::CostCounters`]
-//! (`dispatch_scalar` / `dispatch_avx2`), the record every layer above
-//! sums unchanged up to the query report, the `eval` span attributes
-//! and `EXPLAIN ANALYZE`.
+//! executable. The kernels resolve the path once per evaluation; the
+//! tier is a process constant, so no per-query record carries it.
 
 // The workspace denies `unsafe_code`; this module is the one sanctioned
-// exception — the AVX2 tier and its dispatch calls. Every unsafe block
-// carries a SAFETY comment and the whole tier is vetted by Miri in CI.
+// exception — the AVX2 tier and its dispatch calls. Clippy denies an
+// unsafe block without a SAFETY comment and an unsafe fn without a
+// `# Safety` section, and Miri vets the whole tier in CI.
 #![allow(unsafe_code)]
 
 use std::cell::Cell;
-#[cfg(feature = "simd")]
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which word-pass implementation tier ran.
@@ -85,37 +83,27 @@ thread_local! {
 
 /// The best path this build + host can execute, detected once.
 ///
-/// Without the `simd` feature this is always [`KernelPath::Scalar`];
-/// with it, [`KernelPath::Avx2`] when the x86_64 host reports the
-/// feature and `EBI_KERNEL=scalar` does not veto it. Under Miri,
-/// runtime CPU detection is unavailable, so detection falls back to
-/// compile-time target features.
+/// [`KernelPath::Avx2`] when the x86_64 host reports the feature and
+/// `EBI_KERNEL=scalar` does not veto it, else [`KernelPath::Scalar`].
+/// Under Miri, runtime CPU detection is unavailable, so detection falls
+/// back to compile-time target features.
 #[must_use]
 pub fn detected_path() -> KernelPath {
-    #[cfg(feature = "simd")]
-    {
-        static DETECTED: AtomicU8 = AtomicU8::new(AUTO);
-        if let Some(p) = KernelPath::from_u8(DETECTED.load(Ordering::Relaxed)) {
-            return p;
-        }
-        let p = detect();
-        DETECTED.store(p as u8, Ordering::Relaxed);
-        p
+    static DETECTED: AtomicU8 = AtomicU8::new(AUTO);
+    if let Some(p) = KernelPath::from_u8(DETECTED.load(Ordering::Relaxed)) {
+        return p;
     }
-    #[cfg(not(feature = "simd"))]
-    {
-        KernelPath::Scalar
-    }
+    let p = detect();
+    DETECTED.store(p as u8, Ordering::Relaxed);
+    p
 }
 
-#[cfg(feature = "simd")]
 fn detect() -> KernelPath {
     resolve_env(std::env::var("EBI_KERNEL").ok().as_deref(), hardware_best())
 }
 
 /// `EBI_KERNEL=scalar` vetoes the vector tier; any other value (or
 /// none) leaves the choice to the hardware.
-#[cfg(feature = "simd")]
 fn resolve_env(env: Option<&str>, hw: KernelPath) -> KernelPath {
     if env == Some("scalar") {
         KernelPath::Scalar
@@ -125,7 +113,6 @@ fn resolve_env(env: Option<&str>, hw: KernelPath) -> KernelPath {
 }
 
 /// Best path the hardware supports, ignoring overrides.
-#[cfg(feature = "simd")]
 fn hardware_best() -> KernelPath {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
@@ -219,7 +206,7 @@ pub fn fused_pass2(
     let (m1, m2) = (polarity(neg1), polarity(neg2));
     match path {
         KernelPath::Scalar => scalar::fused_pass2(acc, s1, s2, m1, m2),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: `path` is clamped to `detected_path()`, which only
         // reports Avx2 after runtime (or, under Miri, compile-time)
         // feature detection.
@@ -241,7 +228,7 @@ pub fn and_pass(path: KernelPath, acc: &mut [u64], src: &[u64], negated: bool) -
     let m = polarity(negated);
     match path {
         KernelPath::Scalar => scalar::and_pass(acc, src, m),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `fused_pass2`.
         KernelPath::Avx2 => unsafe { avx2::and_pass(acc, src, m) },
         #[allow(unreachable_patterns)]
@@ -261,7 +248,7 @@ pub fn or_into(path: KernelPath, dst: &mut [u64], src: &[u64]) -> bool {
     assert_eq!(dst.len(), src.len());
     match path {
         KernelPath::Scalar => scalar::or_into(dst, src),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `fused_pass2`.
         KernelPath::Avx2 => unsafe { avx2::or_into(dst, src) },
         #[allow(unreachable_patterns)]
@@ -292,7 +279,7 @@ pub fn or_and_into(
     let (m1, m2) = (polarity(neg1), polarity(neg2));
     match path {
         KernelPath::Scalar => scalar::or_and_into(dst, s1, s2, m1, m2),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `fused_pass2`.
         KernelPath::Avx2 => unsafe { avx2::or_and_into(dst, s1, s2, m1, m2) },
         #[allow(unreachable_patterns)]
@@ -349,7 +336,7 @@ mod scalar {
 // reachable only after runtime detection.
 // ---------------------------------------------------------------------------
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use core::arch::x86_64::{
         __m256i, _mm256_and_si256, _mm256_loadu_si256, _mm256_or_si256, _mm256_set1_epi64x,
@@ -600,7 +587,6 @@ mod tests {
         assert_eq!(selected_path(), best);
     }
 
-    #[cfg(feature = "simd")]
     #[test]
     fn only_scalar_is_a_recognised_kernel_override() {
         use KernelPath::{Avx2, Scalar};
@@ -623,7 +609,7 @@ mod tests {
         let paths = available_paths();
         assert_eq!(paths[0], KernelPath::Scalar);
         assert!(paths.windows(2).all(|w| w[0] < w[1]));
-        if cfg!(not(feature = "simd")) {
+        if cfg!(not(target_arch = "x86_64")) {
             assert_eq!(paths.len(), 1);
         }
     }

@@ -2,14 +2,14 @@
 //! drop-in replacement for the scalar reference.
 //!
 //! Every tier the host can run ([`simd::available_paths`]) must
-//! produce **bit-identical** output and **identical work counters**
+//! produce **bit-identical** output and **identical cost counters**
 //! for every kernel, over random operand mixes (1–6 literals per
 //! term, arbitrary negation patterns), odd tail lengths that leave
 //! the 4-word vector blocks ragged, and all-zero / all-one operands
 //! that drive the saturation short-circuits. The DNF kernel is checked
 //! end-to-end over plain vectors and every container (Dense / Roaring
-//! / WAH) under a forced dispatch override; only the dispatch counters
-//! themselves may differ between tiers.
+//! / WAH) under a forced dispatch override, which must select the
+//! forced tier.
 
 use ebi_bitvec::simd::{self, KernelPath};
 use ebi_bitvec::summary::summarize_slices;
@@ -50,18 +50,6 @@ fn random_bits(len: usize, density_ppt: u64, seed: u64) -> BitVec {
 /// Densities including both constant extremes.
 fn density_ppt() -> impl Strategy<Value = u64> {
     prop::sample::select(vec![0u64, 1, 200, 500, 999, 1000])
-}
-
-/// Work counters that must be invariant across kernel tiers (the
-/// dispatch counters themselves legitimately differ).
-fn work_counters(s: &CostCounters) -> (u64, u64, u64, u64, u64) {
-    (
-        s.words_scanned,
-        s.bytes_touched,
-        s.compressed_chunks_skipped,
-        s.segments_pruned,
-        s.segments_short_circuited,
-    )
 }
 
 proptest! {
@@ -166,8 +154,8 @@ proptest! {
     /// End-to-end DNF evaluation under a forced dispatch override:
     /// every tier × every container family (plain vectors, Dense,
     /// Roaring, WAH) matches the scalar result over plain vectors, with
-    /// tier-invariant work counters per family, and the dispatch report
-    /// names the forced tier.
+    /// tier-invariant cost counters per family, and the override selects
+    /// the forced tier.
     #[test]
     fn dnf_eval_is_tier_invariant_across_containers(
         seed in any::<u64>(),
@@ -198,20 +186,14 @@ proptest! {
         let reference = simd::with_forced_path(KernelPath::Scalar, || {
             plan.bind(&dense, summaries, rows).eval(&mut ref_stats)
         });
-        prop_assert_eq!(ref_stats.kernel_path(), "scalar");
         for path in simd::available_paths() {
             let mut stats = CostCounters::default();
-            let got = simd::with_forced_path(path, || {
-                plan.bind(&dense, summaries, rows).eval(&mut stats)
+            let (selected, got) = simd::with_forced_path(path, || {
+                (simd::selected_path(), plan.bind(&dense, summaries, rows).eval(&mut stats))
             });
+            prop_assert_eq!(selected, path, "forced tier not selected");
             prop_assert_eq!(&got, &reference, "plain-vector result on {}", path.name());
-            prop_assert_eq!(
-                work_counters(&stats),
-                work_counters(&ref_stats),
-                "work counters on {}",
-                path.name()
-            );
-            prop_assert_eq!(stats.kernel_path(), path.name(), "dispatch report");
+            prop_assert_eq!(stats, ref_stats, "cost counters on {}", path.name());
         }
 
         for policy in [StoragePolicy::Dense, StoragePolicy::Roaring, StoragePolicy::Wah] {
@@ -228,9 +210,9 @@ proptest! {
                 let got = simd::with_forced_path(path, || bound.eval(&mut stats));
                 prop_assert_eq!(&got, &scalar, "result for {:?} on {}", policy, path.name());
                 prop_assert_eq!(
-                    work_counters(&stats),
-                    work_counters(&ref_stats),
-                    "work counters for {:?} on {}",
+                    stats,
+                    ref_stats,
+                    "cost counters for {:?} on {}",
                     policy,
                     path.name()
                 );

@@ -137,17 +137,20 @@ fn check<S: SliceSource>(
 ) -> Result<(), TestCaseError> {
     for path in simd::available_paths() {
         let mut tracker = AccessTracker::new();
-        let whole = simd::with_forced_path(path, || {
-            eval_expr_tracked(expr, slices, summaries, rows, &mut tracker)
+        let (selected, whole) = simd::with_forced_path(path, || {
+            (
+                simd::selected_path(),
+                eval_expr_tracked(expr, slices, summaries, rows, &mut tracker),
+            )
         });
         let what = format!(
             "tier {}, summaries {}, rows {rows}, expr {expr}",
             path.name(),
             summaries.is_some()
         );
+        prop_assert_eq!(selected, path, "forced tier not selected: {}", what);
         prop_assert_eq!(&whole, naive, "kernel != naive: {}", what);
         let cost = tracker.finish();
-        prop_assert_eq!(cost.kernel_path(), path.name());
         // Structural: no evaluation strategy may move them.
         prop_assert_eq!(cost.vectors_accessed, expr.vectors_accessed() as u64);
         prop_assert_eq!(cost.cube_evals, expr.cubes().len() as u64);

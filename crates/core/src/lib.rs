@@ -38,7 +38,7 @@
 //!   rebuild;
 //! * [`reorder`] — build-time row reordering (lexicographic /
 //!   reflected-Gray with histogram-aware column priority) for run
-//!   maximization, with the [`RowPermutation`](mapping::RowPermutation)
+//!   maximization, with the [`RowPermutation`]
 //!   translating every result back to original row ids.
 //!
 //! # Quick start

@@ -280,7 +280,7 @@ mod tests {
             idx
         };
         let updated = {
-            let mut idx = built.clone();
+            let mut idx = built;
             idx.update(3, Cell::Value(7)).unwrap();
             idx
         };

@@ -28,8 +28,10 @@ const MIN_CHUNK: usize = 4_096;
 
 /// Cores the host exposes, read once per process: the query is a
 /// `sched_getaffinity` call plus cgroup file reads, far too slow for a
-/// per-request path.
+/// per-request path. The one sanctioned caller (clippy.toml disallows
+/// the std call everywhere else).
 #[must_use]
+#[allow(clippy::disallowed_methods)]
 pub fn host_cores() -> usize {
     static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))

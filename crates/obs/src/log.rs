@@ -211,8 +211,8 @@ impl Logger {
         level >= self.min_level()
     }
 
-    /// Starts a record; it is rendered and written when dropped.
-    #[must_use]
+    /// Starts a record; it is rendered and written when dropped, so a
+    /// bare `logger.record(..);` statement emits it at once.
     pub fn record<'a>(&'a self, level: Level, target: &str, msg: &str) -> LogRecord<'a> {
         if !self.enabled(level) {
             return LogRecord {

@@ -109,7 +109,7 @@ impl PhaseNode {
 /// What a selection cost — the one record every layer from the kernel
 /// to the report writes and sums: the paper's logical metric
 /// (`vectors_accessed`, footnote 4's `c_e`), the expression's shape,
-/// and the kernel's work and dispatch counters.
+/// and the kernel's work counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostCounters {
     /// Distinct bitmap vectors read — the paper's `c_e` / `c_s`.
@@ -139,10 +139,6 @@ pub struct CostCounters {
     /// (term, segment) pairs cut short by an all-zero partial product,
     /// including terms skipped below such a prefix.
     pub segments_short_circuited: u64,
-    /// Kernel entries that ran the scalar word-pass tier.
-    pub dispatch_scalar: u64,
-    /// Kernel entries that ran the AVX2 intrinsic tier.
-    pub dispatch_avx2: u64,
 }
 
 impl std::ops::AddAssign for CostCounters {
@@ -162,8 +158,6 @@ impl std::ops::AddAssign for CostCounters {
             compressed_chunks_skipped,
             segments_pruned,
             segments_short_circuited,
-            dispatch_scalar,
-            dispatch_avx2,
         } = self;
         let Self {
             vectors_accessed: r_vectors_accessed,
@@ -175,8 +169,6 @@ impl std::ops::AddAssign for CostCounters {
             compressed_chunks_skipped: r_compressed_chunks_skipped,
             segments_pruned: r_segments_pruned,
             segments_short_circuited: r_segments_short_circuited,
-            dispatch_scalar: r_dispatch_scalar,
-            dispatch_avx2: r_dispatch_avx2,
         } = rhs;
         *vectors_accessed += r_vectors_accessed;
         *literal_ops += r_literal_ops;
@@ -187,28 +179,10 @@ impl std::ops::AddAssign for CostCounters {
         *compressed_chunks_skipped += r_compressed_chunks_skipped;
         *segments_pruned += r_segments_pruned;
         *segments_short_circuited += r_segments_short_circuited;
-        *dispatch_scalar += r_dispatch_scalar;
-        *dispatch_avx2 += r_dispatch_avx2;
     }
 }
 
 impl CostCounters {
-    /// Name of the dominant kernel tier these counters saw (`"scalar"`
-    /// / `"avx2"`), or `"none"` when no kernel entry was recorded. With
-    /// mixed dispatch (a benchmark forcing paths mid-run) the most-used
-    /// tier wins; ties break towards the more capable tier.
-    #[must_use]
-    pub fn kernel_path(&self) -> &'static str {
-        let (s, a) = (self.dispatch_scalar, self.dispatch_avx2);
-        if s == 0 && a == 0 {
-            "none"
-        } else if a >= s {
-            "avx2"
-        } else {
-            "scalar"
-        }
-    }
-
     /// Adds the kernel counters to the process-wide
     /// `ebi_kernel_*_total` families in `registry`, skipping zeros so a
     /// counter no query moved is never registered.
@@ -225,8 +199,6 @@ impl CostCounters {
                 "ebi_kernel_segments_short_circuited_total",
                 self.segments_short_circuited,
             ),
-            ("ebi_kernel_dispatch_scalar_total", self.dispatch_scalar),
-            ("ebi_kernel_dispatch_avx2_total", self.dispatch_avx2),
         ];
         for (name, v) in counters {
             if v != 0 {
@@ -246,8 +218,6 @@ impl CostCounters {
             .u64("compressed_chunks_skipped", self.compressed_chunks_skipped)
             .u64("segments_pruned", self.segments_pruned)
             .u64("segments_short_circuited", self.segments_short_circuited)
-            .u64("dispatch_scalar", self.dispatch_scalar)
-            .u64("dispatch_avx2", self.dispatch_avx2)
             .finish()
     }
 }
@@ -418,7 +388,7 @@ impl QueryReport {
         let _ = writeln!(
             out,
             "cost: vectors_accessed={} literal_ops={} cube_evals={} or_ops={} words_scanned={} \
-             bytes_touched={} chunks_skipped={} segments_pruned={} short_circuited={} kernel={}",
+             bytes_touched={} chunks_skipped={} segments_pruned={} short_circuited={}",
             c.vectors_accessed,
             c.literal_ops,
             c.cube_evals,
@@ -428,7 +398,6 @@ impl QueryReport {
             c.compressed_chunks_skipped,
             c.segments_pruned,
             c.segments_short_circuited,
-            c.kernel_path()
         );
         let s = &self.storage;
         let _ = writeln!(
@@ -616,8 +585,6 @@ mod tests {
             compressed_chunks_skipped: 64,
             segments_pruned: 128,
             segments_short_circuited: 256,
-            dispatch_scalar: 512,
-            dispatch_avx2: 1024,
         };
         let mut sum = a;
         sum += a;
@@ -633,22 +600,8 @@ mod tests {
                 compressed_chunks_skipped: 128,
                 segments_pruned: 256,
                 segments_short_circuited: 512,
-                dispatch_scalar: 1024,
-                dispatch_avx2: 2048,
             }
         );
-    }
-
-    #[test]
-    fn kernel_path_reports_the_dominant_tier() {
-        let mut c = CostCounters::default();
-        assert_eq!(c.kernel_path(), "none");
-        c.dispatch_scalar = 1;
-        assert_eq!(c.kernel_path(), "scalar");
-        c.dispatch_avx2 = 1;
-        assert_eq!(c.kernel_path(), "avx2", "a tie goes to the wider tier");
-        c.dispatch_scalar = 2;
-        assert_eq!(c.kernel_path(), "scalar");
     }
 
     #[test]

@@ -34,6 +34,10 @@
 //! [`FanOut`]: pool::FanOut
 //! [`QueryReport`]: ebi_obs::QueryReport
 
+// The service logs through `ebi_obs::log` (schema `ebi.log.v1`), never
+// to bare stdout/stderr. `src/bin/` roots are crates of their own.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod error;
 pub mod http;
 pub mod pool;

@@ -27,7 +27,7 @@
 //! pool — queued shard jobs still run; (3) wakes the accept loops with
 //! a loopback connect; (4) joins every scoped thread. No request
 //! holding a permit is ever dropped. Connections poll the handle every
-//! [`IDLE_POLL`]; the poll never discards buffered bytes, so a request
+//! `IDLE_POLL` (150 ms); the poll never discards buffered bytes, so a request
 //! that arrives in pieces across polls is answered like any other.
 
 use crate::error::ServiceError;

@@ -554,3 +554,16 @@ fn incomplete_requests_are_given_up_at_the_deadline() {
         assert!(raw.starts_with("HTTP/1.1 408 Request Timeout\r\n"), "{raw}");
     });
 }
+
+/// `ebi_serve` shares the bins' convention: an unknown flag prints the
+/// usage text on stderr and exits with status 2 before binding a port.
+#[test]
+fn ebi_serve_rejects_an_unknown_flag_with_its_usage() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ebi_serve"))
+        .arg("--no-such-flag")
+        .output()
+        .expect("ebi_serve runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("USAGE:"), "no usage printed: {stderr}");
+}

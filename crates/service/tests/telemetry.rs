@@ -341,3 +341,57 @@ fn served_queries_export_kernel_counters() {
         "missing kernel counter: {body}"
     );
 }
+
+/// The subsystem prefixes every exported metric family starts with.
+const METRIC_PREFIXES: [&str; 6] = [
+    "ebi_query_",
+    "ebi_queries_",
+    "ebi_kernel_",
+    "ebi_pager_",
+    "ebi_buffer_",
+    "ebi_service_",
+];
+
+#[test]
+fn every_exported_metric_family_is_in_the_ebi_namespace() {
+    // Every request kind on both frontends, so each path that registers
+    // a metric has run before the scrape. Asserted after shutdown, as
+    // above.
+    let table = small_table(3);
+    let mut metrics = (0, String::new());
+    with_service(&table, &test_config(), |h| {
+        let (tcp, http) = (h.tcp_addr(), h.http_addr());
+        for _ in 0..4 {
+            for line in [
+                "COUNT a=1 AND b IN 2,3",
+                "QUERY a BETWEEN 1 4 OR b=0 LIMIT 5",
+                "EXPLAIN b=2",
+            ] {
+                let resp = tcp_line(tcp, line);
+                assert!(resp.starts_with("OK"), "{line}: {resp}");
+            }
+            for target in [
+                "/count?q=a%3D1",
+                "/query?q=b%3D2&limit=3",
+                "/explain?q=a%3D4",
+            ] {
+                assert_eq!(http_get(http, target).0, 200, "{target}");
+            }
+        }
+        metrics = http_get(http, "/metrics");
+    });
+    let (status, body) = metrics;
+    assert_eq!(status, 200);
+    let families: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert!(families.len() > 10, "too few families: {body}");
+    for family in families {
+        assert!(
+            METRIC_PREFIXES.iter().any(|p| family.starts_with(p)),
+            "metric family {family} is outside the ebi_<subsystem>_ namespace"
+        );
+    }
+}

@@ -118,16 +118,21 @@ impl<'a> BufferPool<'a> {
         publish("ebi_buffer_misses_total");
         let mut inner = self.inner.lock();
         inner.stats.misses += 1;
+        let mut evicted = false;
         if inner.cached.len() >= self.capacity {
             // Evict the least recently used frame.
             if let Some((&victim, _)) = inner.cached.iter().min_by_key(|(_, (_, last))| *last) {
                 inner.cached.remove(&victim);
                 inner.stats.evictions += 1;
-                publish("ebi_buffer_evictions_total");
+                evicted = true;
             }
         }
         let tick = inner.tick;
         inner.cached.insert(id.0, (data.clone(), tick));
+        drop(inner); // the registry has a lock of its own
+        if evicted {
+            publish("ebi_buffer_evictions_total");
+        }
         Ok(data)
     }
 

@@ -34,16 +34,23 @@ pub struct IoStats {
     pub pages_allocated: u64,
 }
 
+/// The pages and their counters, behind the pager's one lock.
+#[derive(Debug, Default)]
+struct PagerInner {
+    pages: Vec<Box<[u8]>>,
+    stats: IoStats,
+}
+
 /// An in-memory page store with a fixed page size and read/write counters.
 ///
 /// Counters use interior mutability so reads can be counted through
 /// shared references, mirroring how a buffer manager observes traffic.
+/// Pages and counters share one lock, so no method ever holds two; the
+/// metrics registry is written after that lock is released.
 #[derive(Debug)]
-// LINT_LOCK_ORDER: pages < stats  (registry copy: lint.toml [[lock_domain]] storage.pager; see DESIGN.md §12)
 pub struct Pager {
     page_size: usize,
-    pages: Mutex<Vec<Box<[u8]>>>,
-    stats: Mutex<IoStats>,
+    inner: Mutex<PagerInner>,
 }
 
 impl Pager {
@@ -63,8 +70,7 @@ impl Pager {
         assert!(page_size > 0, "page size must be positive");
         Self {
             page_size,
-            pages: Mutex::new(Vec::new()),
-            stats: Mutex::new(IoStats::default()),
+            inner: Mutex::new(PagerInner::default()),
         }
     }
 
@@ -77,23 +83,26 @@ impl Pager {
     /// Number of allocated pages.
     #[must_use]
     pub fn page_count(&self) -> u64 {
-        self.pages.lock().len() as u64
+        self.inner.lock().pages.len() as u64
     }
 
     /// Total bytes of allocated storage.
     #[must_use]
     pub fn storage_bytes(&self) -> usize {
-        self.pages.lock().len() * self.page_size
+        self.inner.lock().pages.len() * self.page_size
     }
 
     /// Allocates `n` zeroed pages, returning the id of the first.
     pub fn allocate(&self, n: u64) -> PageId {
-        let mut pages = self.pages.lock();
-        let first = pages.len() as u64;
+        let mut inner = self.inner.lock();
+        let first = inner.pages.len() as u64;
         for _ in 0..n {
-            pages.push(vec![0u8; self.page_size].into_boxed_slice());
+            inner
+                .pages
+                .push(vec![0u8; self.page_size].into_boxed_slice());
         }
-        self.stats.lock().pages_allocated += n;
+        inner.stats.pages_allocated += n;
+        drop(inner);
         publish("ebi_pager_pages_allocated_total", n);
         PageId(first)
     }
@@ -112,16 +121,18 @@ impl Pager {
                 page_size: self.page_size,
             });
         }
-        let mut pages = self.pages.lock();
-        let allocated = pages.len() as u64;
-        let page = pages
+        let mut inner = self.inner.lock();
+        let allocated = inner.pages.len() as u64;
+        let page = inner
+            .pages
             .get_mut(id.0 as usize)
             .ok_or(StorageError::PageOutOfRange {
                 page: id.0,
                 allocated,
             })?;
         page[..data.len()].copy_from_slice(data);
-        self.stats.lock().page_writes += 1;
+        inner.stats.page_writes += 1;
+        drop(inner);
         publish("ebi_pager_page_writes_total", 1);
         Ok(())
     }
@@ -132,27 +143,31 @@ impl Pager {
     ///
     /// [`StorageError::PageOutOfRange`] for unallocated ids.
     pub fn read_page(&self, id: PageId) -> Result<Vec<u8>, StorageError> {
-        let pages = self.pages.lock();
-        let page = pages
+        let mut inner = self.inner.lock();
+        let allocated = inner.pages.len() as u64;
+        let page = inner
+            .pages
             .get(id.0 as usize)
             .ok_or(StorageError::PageOutOfRange {
                 page: id.0,
-                allocated: pages.len() as u64,
-            })?;
-        self.stats.lock().page_reads += 1;
+                allocated,
+            })?
+            .to_vec();
+        inner.stats.page_reads += 1;
+        drop(inner);
         publish("ebi_pager_page_reads_total", 1);
-        Ok(page.to_vec())
+        Ok(page)
     }
 
     /// Snapshot of the I/O counters.
     #[must_use]
     pub fn stats(&self) -> IoStats {
-        *self.stats.lock()
+        self.inner.lock().stats
     }
 
     /// Resets the I/O counters (allocation count included).
     pub fn reset_stats(&self) {
-        *self.stats.lock() = IoStats::default();
+        self.inner.lock().stats = IoStats::default();
     }
 
     /// Pages needed to store `bytes` bytes at this page size.

@@ -59,7 +59,3 @@ wait "$obs_pid"
 rm -rf "$obs_work"
 python3 scripts/validate_obs_schema.py bench_results/service_traces.jsonl
 python3 scripts/validate_obs_schema.py bench_results/service_log.jsonl
-
-echo "==== ebi-lint (committed lint report) ===="
-cargo run --release -p ebi-lint -- --check --deny-warnings
-python3 scripts/validate_lint_schema.py bench_results/lint_report.jsonl

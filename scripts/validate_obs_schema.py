@@ -47,8 +47,6 @@ COST = [
     "compressed_chunks_skipped",
     "segments_pruned",
     "segments_short_circuited",
-    "dispatch_scalar",
-    "dispatch_avx2",
 ]
 
 STORAGE = [

@@ -87,7 +87,6 @@ proptest! {
         instrumented.set_query_options(QueryOptions {
             storage_policy: policy,
             profile: true,
-            ..Default::default()
         });
 
         let mut exec_plain = Executor::new(rows);
@@ -116,8 +115,6 @@ proptest! {
             ("segments_pruned", c.segments_pruned),
             ("segments_short_circuited", c.segments_short_circuited),
             ("compressed_chunks_skipped", c.compressed_chunks_skipped),
-            ("kernel_scalar", c.dispatch_scalar),
-            ("kernel_avx2", c.dispatch_avx2),
         ] {
             prop_assert_eq!(attr_sum(&report.phases, "eval", attr), total, "eval spans' {}", attr);
         }
