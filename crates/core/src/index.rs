@@ -134,10 +134,6 @@ pub struct EncodedBitmapIndex {
     pub(crate) permutation: Option<RowPermutation>,
     /// The row-order strategy the build used.
     pub(crate) row_order: RowOrder,
-    /// Aggregate run statistics across the slices, cached at build /
-    /// load / repack / summary refresh (a full scan per query would
-    /// dwarf evaluation cost).
-    pub(crate) run_stats: RunStats,
     /// Evaluation strategy for queries.
     pub(crate) query_options: QueryOptions,
 }
@@ -311,7 +307,6 @@ impl EncodedBitmapIndex {
             .into_iter()
             .map(|b| SliceStorage::from_dense(b, policy))
             .collect();
-        let run_stats = aggregate_run_stats(&slices);
         Ok(Self {
             mapping,
             slices,
@@ -327,7 +322,6 @@ impl EncodedBitmapIndex {
             summaries,
             permutation,
             row_order,
-            run_stats,
             query_options: QueryOptions::default(),
         })
     }
@@ -374,12 +368,10 @@ impl EncodedBitmapIndex {
 
     /// Rebuilds the per-slice segment summaries after maintenance.
     /// One popcount pass over the slices: `O(k · rows / 64)`.
-    /// Also refreshes the cached aggregate run statistics. The slices
-    /// stay in whatever containers they are in: those that maintenance
-    /// densified are not recompressed.
+    /// The slices stay in whatever containers they are in: those that
+    /// maintenance densified are not recompressed.
     pub fn refresh_summaries(&mut self) {
         self.summaries = Some(summarize_storage(&self.slices));
-        self.run_stats = aggregate_run_stats(&self.slices);
     }
 
     /// The row-order strategy the build used.
@@ -395,11 +387,15 @@ impl EncodedBitmapIndex {
         self.permutation.as_ref()
     }
 
-    /// Aggregate run statistics across the encoded slices, cached at
-    /// build / load / repack / [`EncodedBitmapIndex::refresh_summaries`].
+    /// Aggregate run statistics across the encoded slices, computed
+    /// from the slices as they are now: one pass over each container.
     #[must_use]
     pub fn run_stats(&self) -> RunStats {
-        self.run_stats
+        let mut st = RunStats::default();
+        for s in &self.slices {
+            st.merge(&s.run_stats());
+        }
+        st
     }
 
     /// Current query evaluation options.
@@ -420,7 +416,6 @@ impl EncodedBitmapIndex {
             for s in &mut self.slices {
                 *s = s.repack(options.storage_policy);
             }
-            self.run_stats = aggregate_run_stats(&self.slices);
         }
         self.query_options = options;
     }
@@ -677,7 +672,7 @@ impl EncodedBitmapIndex {
 
     /// A query-lifecycle span when this index profiles, else a dead
     /// guard: an unprofiled query makes no observability call at all.
-    fn phase(&self, name: &str) -> ebi_obs::Span {
+    fn phase(&self, name: &'static str) -> ebi_obs::Span {
         if self.query_options.profile {
             ebi_obs::active_child(name)
         } else {
@@ -875,15 +870,6 @@ impl EncodedBitmapIndex {
             .enumerate()
             .fold(0u64, |acc, (i, s)| acc | (u64::from(s.bit(row)) << i))
     }
-}
-
-/// Aggregate run statistics across a slice family.
-pub(crate) fn aggregate_run_stats(slices: &[SliceStorage]) -> RunStats {
-    let mut st = RunStats::default();
-    for s in slices {
-        st.merge(&s.run_stats());
-    }
-    st
 }
 
 /// Sorted, deduplicated predicate key for the expression cache.
@@ -1184,7 +1170,7 @@ mod tests {
         }
         ebi_obs::set_enabled(false);
         let records = trace.finish();
-        let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
+        let names: Vec<&str> = records.iter().map(|r| r.name).collect();
         for phase in ["query", "reduce", "plan", "eval"] {
             assert!(names.contains(&phase), "missing {phase} span in {names:?}");
         }
@@ -1196,7 +1182,7 @@ mod tests {
             .filter(|r| r.name == "reduce")
             .map(|r| {
                 ["minterms", "cover_method", "vectors_out"].map(|name| {
-                    let attr = r.attrs.iter().find(|(k, _)| k == name);
+                    let attr = r.attrs.iter().find(|(k, _)| *k == name);
                     attr.unwrap_or_else(|| panic!("reduce span lacks {name}")).1
                 })
             })
@@ -1209,7 +1195,7 @@ mod tests {
         // The eval span carries the kernel's work counters.
         let eval = records.iter().find(|r| r.name == "eval").unwrap();
         assert!(
-            eval.attrs.iter().any(|(k, _)| k == "words_scanned"),
+            eval.attrs.iter().any(|(k, _)| *k == "words_scanned"),
             "eval span should carry words_scanned: {:?}",
             eval.attrs
         );

@@ -300,6 +300,20 @@ mod tests {
     }
 
     #[test]
+    fn run_stats_follow_maintenance() {
+        let mut idx = EncodedBitmapIndex::build((0..1_000u64).map(|i| Cell::Value(i % 5))).unwrap();
+        idx.update(3, Cell::Value(4)).unwrap();
+        for i in 0..64u64 {
+            idx.append(Cell::Value(i % 7)).unwrap();
+        }
+        let mut folded = ebi_bitvec::RunStats::default();
+        for s in idx.slices() {
+            folded.merge(&s.run_stats());
+        }
+        assert_eq!(idx.run_stats(), folded);
+    }
+
+    #[test]
     fn append_known_value_is_o_h() {
         let mut idx = base_index();
         let out = idx.append(Cell::Value(1)).unwrap();

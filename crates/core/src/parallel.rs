@@ -154,7 +154,6 @@ pub fn build_parallel(
         .into_iter()
         .map(|b| ebi_bitvec::SliceStorage::from_dense(b, policy))
         .collect();
-    let run_stats = crate::index::aggregate_run_stats(&slices);
     Ok(EncodedBitmapIndex {
         mapping,
         slices,
@@ -171,7 +170,6 @@ pub fn build_parallel(
         query_options: crate::index::QueryOptions::default(),
         permutation: None,
         row_order: crate::reorder::RowOrder::Original,
-        run_stats,
     })
 }
 

@@ -204,10 +204,9 @@ pub fn load_index(pager: &Pager, handle: &IndexHandle) -> Result<EncodedBitmapIn
             });
         }
     }
-    // Summaries and run statistics are derived data: cheaper to rebuild
-    // on load than to persist and cross-validate.
+    // Summaries are derived data: cheaper to rebuild on load than to
+    // persist and cross-validate.
     let summaries = Some(ebi_bitvec::summary::summarize_storage(&slices));
-    let run_stats = crate::index::aggregate_run_stats(&slices);
     Ok(EncodedBitmapIndex {
         mapping,
         slices,
@@ -224,7 +223,6 @@ pub fn load_index(pager: &Pager, handle: &IndexHandle) -> Result<EncodedBitmapIn
         query_options: crate::index::QueryOptions::default(),
         permutation,
         row_order: meta.row_order,
-        run_stats,
     })
 }
 

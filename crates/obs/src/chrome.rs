@@ -1,4 +1,4 @@
-//! Chrome trace-event rendering for retained traces.
+//! Chrome trace-event rendering of a query report's spans.
 //!
 //! `/debug/trace/<id>` serves one retained request as a Chrome
 //! trace-event JSON document (the `traceEvents` array format), which
@@ -13,8 +13,8 @@
 //! survive.
 
 use crate::export::{json_array, JsonObject};
-use crate::report::{PhaseNode, QueryReport};
-use crate::trace_ring::RetainedTrace;
+use crate::report::{children, QueryReport};
+use crate::span::SpanRecord;
 
 /// Thread id of the request's main lane.
 const MAIN_TID: u64 = 1;
@@ -35,25 +35,31 @@ fn metadata(name: &str, tid: u64, value: &str) -> String {
         .finish()
 }
 
-fn event(node: &PhaseNode, tid: u64) -> String {
+fn event(span: &SpanRecord, tid: u64) -> String {
     let mut args = JsonObject::new();
-    for (k, v) in &node.attrs {
+    for (k, v) in &span.attrs {
         args.u64(k, *v);
     }
     JsonObject::new()
-        .str("name", &node.name)
+        .str("name", span.name)
         .str("ph", "X")
         .u64("pid", 1)
         .u64("tid", tid)
-        .f64("ts", us(node.start_ns))
+        .f64("ts", us(span.start_ns))
         // Zero-length events vanish in viewers; floor at 1ns.
-        .f64("dur", us(node.wall_ns.max(1)))
+        .f64("dur", us(span.wall_ns.max(1)))
         .raw("args", &args.finish())
         .finish()
 }
 
-fn walk(node: &PhaseNode, tid: u64, next_worker_tid: &mut u64, events: &mut Vec<String>) {
-    let own_tid = if node.name == "eval.worker" {
+fn walk(
+    spans: &[SpanRecord],
+    span: &SpanRecord,
+    tid: u64,
+    next_worker_tid: &mut u64,
+    events: &mut Vec<String>,
+) {
+    let own_tid = if span.name == "eval.worker" {
         let t = *next_worker_tid;
         *next_worker_tid += 1;
         events.push(metadata(
@@ -65,13 +71,13 @@ fn walk(node: &PhaseNode, tid: u64, next_worker_tid: &mut u64, events: &mut Vec<
     } else {
         tid
     };
-    events.push(event(node, own_tid));
-    for child in &node.children {
-        walk(child, own_tid, next_worker_tid, events);
+    events.push(event(span, own_tid));
+    for child in children(spans, Some(span)) {
+        walk(spans, child, own_tid, next_worker_tid, events);
     }
 }
 
-/// Renders a query report's phase forest as a Chrome trace-event JSON
+/// Renders a query report's spans as a Chrome trace-event JSON
 /// document. `trace_hex` labels the process lane and is echoed in
 /// `otherData`.
 #[must_use]
@@ -81,8 +87,14 @@ pub fn chrome_trace_json(trace_hex: &str, report: &QueryReport) -> String {
         metadata("thread_name", MAIN_TID, "request"),
     ];
     let mut next_worker_tid = MAIN_TID + 1;
-    for phase in &report.phases {
-        walk(phase, MAIN_TID, &mut next_worker_tid, &mut events);
+    for root in children(&report.spans, None) {
+        walk(
+            &report.spans,
+            root,
+            MAIN_TID,
+            &mut next_worker_tid,
+            &mut events,
+        );
     }
     let other = JsonObject::new()
         .str("trace", trace_hex)
@@ -100,29 +112,20 @@ pub fn chrome_trace_json(trace_hex: &str, report: &QueryReport) -> String {
         .finish()
 }
 
-/// Renders a retained trace (see [`crate::trace_ring`]) for
-/// `/debug/trace/<id>`.
-#[must_use]
-pub fn retained_to_chrome(t: &RetainedTrace) -> String {
-    chrome_trace_json(&t.context.trace_hex(), &t.report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::TraceContext;
-    use crate::span::SpanRecord;
 
-    fn record(id: u64, parent: u64, name: &str, start_ns: u64, wall_ns: u64) -> SpanRecord {
+    fn record(id: u64, parent: u64, name: &'static str, start_ns: u64, wall_ns: u64) -> SpanRecord {
         SpanRecord {
             trace: 1,
             id,
             parent,
-            name: name.to_string(),
+            name,
             start_ns,
             wall_ns,
             attrs: if name == "eval.worker" {
-                vec![("shard".to_string(), id)]
+                vec![("shard", id)]
             } else {
                 Vec::new()
             },
@@ -142,7 +145,7 @@ mod tests {
             query_id: 9,
             label: "a=1".into(),
             wall_ns: 2_000,
-            phases: PhaseNode::forest(&records),
+            spans: records,
             ..Default::default()
         }
     }
@@ -179,14 +182,5 @@ mod tests {
         let doc = chrome_trace_json("beef", &QueryReport::default());
         assert!(doc.contains("\"traceEvents\":["));
         assert!(doc.contains("\"displayTimeUnit\":\"ns\""));
-    }
-
-    #[test]
-    fn retained_wrapper_uses_the_context_hex() {
-        let ring = crate::trace_ring::TraceRing::default();
-        let ctx = TraceContext::mint();
-        let retained = ring.record(ctx, 1, report());
-        let doc = retained_to_chrome(&retained);
-        assert!(doc.contains(&ctx.trace_hex()));
     }
 }

@@ -16,8 +16,8 @@
 //! ```
 //!
 //! The context is identity only — span timing stays in [`crate::span`];
-//! the service stitches the two together when it retains a trace in the
-//! [`crate::trace_ring`].
+//! the service stitches the two together when it retains a trace in its
+//! trace ring.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};

@@ -185,47 +185,6 @@ pub fn prometheus_render(samples: &[MetricSample]) -> String {
     out
 }
 
-/// Renders metric samples as JSON lines (one instrument per line):
-/// `{"name":…,"labels":{…},"kind":…,…}`.
-#[must_use]
-pub fn metrics_json_lines(samples: &[MetricSample]) -> String {
-    let mut out = String::new();
-    for s in samples {
-        let mut labels = JsonObject::new();
-        for (k, v) in &s.labels {
-            labels.str(k, v);
-        }
-        let mut obj = JsonObject::new();
-        obj.str("name", &s.name).raw("labels", &labels.finish());
-        match &s.value {
-            MetricValue::Counter(v) => {
-                obj.str("kind", "counter").u64("value", *v);
-            }
-            MetricValue::Histogram(h) => {
-                // Full cumulative series, mirroring the Prometheus
-                // `_bucket{le=…}` output, so the JSON dump is a
-                // complete distribution rather than three quantile
-                // point estimates.
-                let buckets: Vec<String> = cumulative_buckets(h)
-                    .into_iter()
-                    .map(|(le, cum)| format!("[{le},{cum}]"))
-                    .collect();
-                obj.str("kind", "histogram")
-                    .u64("count", h.count)
-                    .u64("sum", h.sum)
-                    .f64("mean", h.mean())
-                    .u64("p50", h.p50())
-                    .u64("p95", h.p95())
-                    .u64("p99", h.p99())
-                    .raw("buckets", &json_array(&buckets));
-            }
-        }
-        out.push_str(&obj.finish());
-        out.push('\n');
-    }
-    out
-}
-
 /// Formats nanoseconds human-readably (`412ns`, `3.1µs`, `2.45ms`,
 /// `1.20s`) for the `EXPLAIN ANALYZE` tree.
 #[must_use]
@@ -284,25 +243,6 @@ mod tests {
         assert!(text.contains("lat_ns_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("lat_ns_sum 901"));
         assert!(text.contains("lat_ns_count 2"));
-    }
-
-    #[test]
-    fn metrics_json_lines_are_one_object_per_line() {
-        let reg = MetricsRegistry::new();
-        reg.counter("a_total", &[]).inc();
-        reg.histogram("h_ns", &[("phase", "eval")]).record(5);
-        let rendered = reg.render_json_lines();
-        let lines: Vec<&str> = rendered.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"name\":\"a_total\""));
-        assert!(lines[1].contains("\"phase\":\"eval\""));
-        assert!(lines[1].contains("\"p50\":7"), "log2 bound of 5 is 7");
-        assert!(
-            lines[1].contains("\"buckets\":[[7,1]]"),
-            "histograms carry the full cumulative bucket series: {}",
-            lines[1]
-        );
-        assert!(lines[1].contains("\"mean\":5"));
     }
 
     #[test]

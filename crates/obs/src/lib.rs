@@ -10,31 +10,28 @@
 //!
 //! * [`metrics`] — a process-global, sharded, lock-cheap registry of
 //!   monotonic [`metrics::Counter`]s and log2-bucketed
-//!   [`metrics::Histogram`]s (p50/p95/p99 summaries),
+//!   [`metrics::Histogram`]s (quantile estimates),
 //!   keyed by name plus free-form labels (`query`, `slice`, `phase`);
 //! * [`span`] — an RAII span API ([`span::Trace`], [`span::Span`])
-//!   recording a structured event tree per query. Spans carry explicit
-//!   parent ids so worker threads can attach to the spawning phase, and
-//!   cost **one relaxed atomic load** when the global subscriber is
-//!   disabled ([`enabled`]);
+//!   recording flat [`span::SpanRecord`]s per query, each naming its
+//!   parent. Spans carry explicit parent ids so worker threads can
+//!   attach to the spawning phase, and cost **one relaxed atomic load**
+//!   when the global subscriber is disabled ([`enabled`]);
 //! * [`report`] — [`report::CostCounters`], the one cost record the
 //!   kernel, the evaluator, every index and every report write and sum,
-//!   and [`report::QueryReport`], the query-lifecycle record (phase
-//!   tree, cost counters, storage counters) that `ebi-warehouse`'s
+//!   and [`report::QueryReport`], the query-lifecycle record (span
+//!   records, cost counters, storage counters) that `ebi-warehouse`'s
 //!   executor and `ebi-service` assemble from it plus pager and
-//!   buffer-pool deltas;
-//! * [`export`] — the shared renderers: JSON lines, Prometheus text
-//!   format, and the human-readable `EXPLAIN ANALYZE` tree;
+//!   buffer-pool deltas, with its JSON-line and `EXPLAIN ANALYZE`
+//!   renderings;
+//! * [`export`] — the shared writers: JSON objects and the Prometheus
+//!   text format;
 //! * [`context`] — [`context::TraceContext`], the per-request trace
 //!   identity propagated in `traceparent` form across frontends and
 //!   worker threads;
-//! * [`trace_ring`] — tail sampling: a lock-sharded ring of the most
-//!   recent completed traces plus a slow-query log (rolling p99 or
-//!   fixed threshold), each entry carrying its full
-//!   [`report::QueryReport`];
 //! * [`log`] — leveled structured JSONL logging (schema `ebi.log.v1`)
 //!   with request correlation and a stderr / rotating-file sink;
-//! * [`chrome`] — Chrome trace-event rendering of retained traces,
+//! * [`chrome`] — Chrome trace-event rendering of a report's spans,
 //!   loadable in Perfetto.
 //!
 //! The crate depends on nothing but `parking_lot`, so every other
@@ -62,13 +59,11 @@ pub mod log;
 pub mod metrics;
 pub mod report;
 pub mod span;
-pub mod trace_ring;
 
 pub use context::TraceContext;
 pub use metrics::{Counter, Histogram, MetricsRegistry};
-pub use report::{CostCounters, PhaseNode, QueryReport, StorageCounters};
+pub use report::{CostCounters, QueryReport, StorageCounters};
 pub use span::{Span, SpanHandle, SpanRecord, Trace};
-pub use trace_ring::{RetainedTrace, TraceRing, TraceRingConfig};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -104,7 +99,7 @@ pub fn next_query_id() -> u64 {
 /// this thread (see [`span::active_child`]). No-op span when the
 /// subscriber is disabled or no trace is active here.
 #[must_use]
-pub fn active_child(name: &str) -> Span {
+pub fn active_child(name: &'static str) -> Span {
     span::active_child(name)
 }
 

@@ -6,8 +6,7 @@
 //! * [`Counter`] — monotonic `u64` (one relaxed `fetch_add` per
 //!   update);
 //! * [`Histogram`] — log2-bucketed distribution of latencies or byte
-//!   counts, with `p50`/`p95`/`p99` summaries read from a lock-free
-//!   snapshot.
+//!   counts, with quantile estimates read from a lock-free snapshot.
 //!
 //! Instruments are keyed by *name plus labels* (e.g.
 //! `ebi_query_latency_ns{phase="eval"}`). Lookup takes one shard
@@ -148,32 +147,10 @@ impl HistogramSnapshot {
         u64::MAX
     }
 
-    /// Median estimate.
-    #[must_use]
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th-percentile estimate.
-    #[must_use]
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
     /// 99th-percentile estimate.
     #[must_use]
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
-    }
-
-    /// Arithmetic mean of the samples; `0.0` when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 }
 
@@ -340,12 +317,6 @@ impl MetricsRegistry {
     pub fn render_prometheus(&self) -> String {
         crate::export::prometheus_render(&self.snapshot())
     }
-
-    /// Renders the registry as JSON lines, one instrument per line.
-    #[must_use]
-    pub fn render_json_lines(&self) -> String {
-        crate::export::metrics_json_lines(&self.snapshot())
-    }
 }
 
 /// Export-friendly bucket bounds: `(le, cumulative_count)` pairs for
@@ -398,19 +369,17 @@ mod tests {
         assert_eq!(s.sum, 104_105);
         // Ceil-rank 5 of 10 falls in the bucket holding 100 (upper
         // bound 127); p99 lands in the 100_000s bucket.
-        assert_eq!(s.p50(), 127);
+        assert_eq!(s.quantile(0.5), 127);
         assert_eq!(s.quantile(0.9), 1023);
         assert!(s.p99() >= 100_000);
         assert!(s.quantile(0.0) <= s.quantile(1.0));
-        assert!((s.mean() - 10_410.5).abs() < 1e-9);
     }
 
     #[test]
     fn empty_histogram_is_all_zero() {
         let s = Histogram::default().snapshot();
-        assert_eq!(s.p50(), 0);
+        assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.p99(), 0);
-        assert_eq!(s.mean(), 0.0);
         assert!(cumulative_buckets(&s).is_empty());
     }
 

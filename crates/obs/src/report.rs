@@ -1,9 +1,11 @@
 //! The unified query-lifecycle record.
 //!
-//! [`QueryReport`] is what a profiled query yields: the span tree of
-//! its phases (reduce → plan → eval → fetch), its [`CostCounters`] and
-//! the storage-layer traffic — one struct, three renderings (JSON line,
-//! Prometheus text, `EXPLAIN ANALYZE` tree). [`CostCounters`] is the
+//! [`QueryReport`] is what a profiled query yields: the span records of
+//! its phases (reduce → plan → eval → fetch) as [`crate::Trace::finish`]
+//! returns them, its [`CostCounters`] and the storage-layer traffic —
+//! one struct, three renderings (JSON line, Prometheus text,
+//! `EXPLAIN ANALYZE` tree), each read straight off the flat records;
+//! the tree ones follow the records' parent ids. [`CostCounters`] is the
 //! one record the kernel writes and every layer above sums unchanged,
 //! so by construction `cost.vectors_accessed` is the *same number* the
 //! untraced path reports. What an index *is* (row order, run
@@ -20,90 +22,19 @@ use std::fmt::Write as _;
 /// Schema tag stamped on every [`QueryReport`] JSON line.
 pub const QUERY_REPORT_SCHEMA: &str = "ebi.query_report.v1";
 
-/// One node of the per-query phase tree, built from finished spans.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PhaseNode {
-    /// Phase name (span name).
-    pub name: String,
-    /// Start offset from the query's begin, nanoseconds.
-    pub start_ns: u64,
-    /// Wall-clock nanoseconds spent in the phase.
-    pub wall_ns: u64,
-    /// Numeric attributes recorded by the span.
-    pub attrs: Vec<(String, u64)>,
-    /// Child phases, ordered by start time.
-    pub children: Vec<PhaseNode>,
-}
-
-impl PhaseNode {
-    /// Builds the forest of phase trees from finished span records
-    /// (roots first, children ordered by start time). Records whose
-    /// parent is missing become roots, so partial traces still render.
-    #[must_use]
-    pub fn forest(records: &[SpanRecord]) -> Vec<PhaseNode> {
-        let known: std::collections::HashSet<u64> = records.iter().map(|r| r.id).collect();
-        let mut nodes: std::collections::HashMap<u64, PhaseNode> = records
-            .iter()
-            .map(|r| {
-                (
-                    r.id,
-                    PhaseNode {
-                        name: r.name.clone(),
-                        start_ns: r.start_ns,
-                        wall_ns: r.wall_ns,
-                        attrs: r.attrs.clone(),
-                        children: Vec::new(),
-                    },
-                )
-            })
-            .collect();
-        // Attach children to parents deepest-first: records are sorted
-        // by start time, so reverse order guarantees a child is folded
-        // into its parent before the parent moves.
-        let mut roots: Vec<(u64, u64)> = Vec::new(); // (start_ns, id)
-        for r in records.iter().rev() {
-            if r.parent != 0 && known.contains(&r.parent) && r.parent != r.id {
-                if let Some(node) = nodes.remove(&r.id) {
-                    if let Some(parent) = nodes.get_mut(&r.parent) {
-                        parent.children.insert(0, node);
-                    }
-                }
-            } else {
-                roots.push((r.start_ns, r.id));
-            }
-        }
-        roots.sort_unstable();
-        roots
-            .into_iter()
-            .filter_map(|(_, id)| nodes.remove(&id))
-            .collect()
-    }
-
-    /// Sum of `wall_ns` over this subtree's nodes named `name`.
-    #[must_use]
-    pub fn wall_ns_of(&self, name: &str) -> u64 {
-        let own = if self.name == name { self.wall_ns } else { 0 };
-        own + self
-            .children
-            .iter()
-            .map(|c| c.wall_ns_of(name))
-            .sum::<u64>()
-    }
-
-    fn to_json(&self) -> String {
-        let mut attrs = JsonObject::new();
-        for (k, v) in &self.attrs {
-            attrs.u64(k, *v);
-        }
-        let children: Vec<String> = self.children.iter().map(PhaseNode::to_json).collect();
-        JsonObject::new()
-            .str("name", &self.name)
-            .u64("start_ns", self.start_ns)
-            .u64("wall_ns", self.wall_ns)
-            .raw("attrs", &attrs.finish())
-            .raw("children", &json_array(&children))
-            .finish()
-    }
+/// The spans directly under `parent` in the phase tree, in start order;
+/// `None` selects the roots, which are the spans whose parent is not
+/// among `spans`, so a partial trace still renders. `spans` is sorted
+/// by start as [`crate::Trace::finish`] returns it, so every parent
+/// precedes its children.
+pub(crate) fn children<'a>(
+    spans: &'a [SpanRecord],
+    parent: Option<&'a SpanRecord>,
+) -> impl Iterator<Item = &'a SpanRecord> {
+    spans.iter().filter(move |s| match parent {
+        Some(p) => s.parent == p.id && s.id != p.id,
+        None => s.parent == 0 || s.parent == s.id || spans.iter().all(|p| p.id != s.parent),
+    })
 }
 
 /// What a selection cost — the one record every layer from the kernel
@@ -277,8 +208,10 @@ pub struct QueryReport {
     pub wall_ns: u64,
     /// Reduced retrieval expressions, one per clause.
     pub expressions: Vec<String>,
-    /// The phase tree (empty when the subscriber was disabled).
-    pub phases: Vec<PhaseNode>,
+    /// The phase spans as [`crate::Trace::finish`] returned them:
+    /// sorted by start, each naming its parent (empty when the
+    /// subscriber was disabled).
+    pub spans: Vec<SpanRecord>,
     /// Evaluation cost counters.
     pub cost: CostCounters,
     /// Storage traffic counters.
@@ -286,26 +219,28 @@ pub struct QueryReport {
 }
 
 impl QueryReport {
-    /// Sum of wall time over every phase named `name` anywhere in the
-    /// tree; `None` when no such phase was recorded.
-    #[must_use]
-    pub fn phase_wall_ns(&self, name: &str) -> Option<u64> {
-        let has = self.has_phase(name);
-        has.then(|| self.phases.iter().map(|p| p.wall_ns_of(name)).sum())
+    /// The top-level spans, as every renderer sees them: a span whose
+    /// parent is missing from [`Self::spans`] counts as a root.
+    pub fn roots(&self) -> impl Iterator<Item = &SpanRecord> {
+        children(&self.spans, None)
     }
 
-    fn has_phase(&self, name: &str) -> bool {
-        fn walk(n: &PhaseNode, name: &str) -> bool {
-            n.name == name || n.children.iter().any(|c| walk(c, name))
-        }
-        self.phases.iter().any(|p| walk(p, name))
+    /// Sum of wall time over every span named `name`; `None` when no
+    /// such span was recorded.
+    #[must_use]
+    pub fn phase_wall_ns(&self, name: &str) -> Option<u64> {
+        self.spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.wall_ns)
+            .reduce(|a, b| a + b)
     }
 
     /// Renders the report as one compact JSON line (schema
     /// `ebi.query_report.v1`, documented in DESIGN.md §8).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let phases: Vec<String> = self.phases.iter().map(PhaseNode::to_json).collect();
+        let phases: Vec<String> = self.roots().map(|s| phase_json(&self.spans, s)).collect();
         JsonObject::new()
             .str("schema", QUERY_REPORT_SCHEMA)
             .u64("query_id", self.query_id)
@@ -320,23 +255,6 @@ impl QueryReport {
             .finish()
     }
 
-    /// Distinct phase names in tree order (first occurrence wins).
-    fn phase_names(&self) -> Vec<String> {
-        fn walk(n: &PhaseNode, out: &mut Vec<String>) {
-            if !out.contains(&n.name) {
-                out.push(n.name.clone());
-            }
-            for c in &n.children {
-                walk(c, out);
-            }
-        }
-        let mut out = Vec::new();
-        for p in &self.phases {
-            walk(p, &mut out);
-        }
-        out
-    }
-
     /// Records this query into a metrics registry: one count, the
     /// total and per-phase latency histograms (`phase` label), the cost
     /// distributions, and the kernel counters (`ebi_kernel_*_total`).
@@ -348,10 +266,16 @@ impl QueryReport {
         registry
             .histogram("ebi_query_latency_ns", &[("phase", "total")])
             .record(self.wall_ns);
-        for phase in self.phase_names() {
-            let ns: u64 = self.phases.iter().map(|p| p.wall_ns_of(&phase)).sum();
+        let mut phases: Vec<(&str, u64)> = Vec::new();
+        for s in &self.spans {
+            match phases.iter_mut().find(|(name, _)| *name == s.name) {
+                Some((_, ns)) => *ns += s.wall_ns,
+                None => phases.push((s.name, s.wall_ns)),
+            }
+        }
+        for (phase, ns) in phases {
             registry
-                .histogram("ebi_query_latency_ns", &[("phase", &phase)])
+                .histogram("ebi_query_latency_ns", &[("phase", phase)])
                 .record(ns);
         }
         registry
@@ -378,12 +302,10 @@ impl QueryReport {
             self.matches,
             fmt_ns(self.wall_ns)
         );
-        if self.phases.is_empty() {
+        if self.spans.is_empty() {
             let _ = writeln!(out, "  (no spans recorded — subscriber disabled)");
         }
-        for (i, p) in self.phases.iter().enumerate() {
-            render_node(&mut out, p, "", i + 1 == self.phases.len());
-        }
+        render_level(&mut out, &self.spans, None, "");
         let c = &self.cost;
         let _ = writeln!(
             out,
@@ -418,23 +340,45 @@ impl QueryReport {
     }
 }
 
-fn render_node(out: &mut String, node: &PhaseNode, prefix: &str, last: bool) {
-    let branch = if last { "└─ " } else { "├─ " };
-    let attrs = if node.attrs.is_empty() {
-        String::new()
-    } else {
-        let body: Vec<String> = node.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        format!("  [{}]", body.join(" "))
-    };
-    let _ = writeln!(
-        out,
-        "{prefix}{branch}{}  {}{attrs}",
-        node.name,
-        fmt_ns(node.wall_ns)
-    );
-    let child_prefix = format!("{prefix}{}", if last { "   " } else { "│  " });
-    for (i, c) in node.children.iter().enumerate() {
-        render_node(out, c, &child_prefix, i + 1 == node.children.len());
+/// One phase and, nested under `children`, the phases below it.
+fn phase_json(spans: &[SpanRecord], span: &SpanRecord) -> String {
+    let mut attrs = JsonObject::new();
+    for (k, v) in &span.attrs {
+        attrs.u64(k, *v);
+    }
+    let children: Vec<String> = children(spans, Some(span))
+        .map(|c| phase_json(spans, c))
+        .collect();
+    JsonObject::new()
+        .str("name", span.name)
+        .u64("start_ns", span.start_ns)
+        .u64("wall_ns", span.wall_ns)
+        .raw("attrs", &attrs.finish())
+        .raw("children", &json_array(&children))
+        .finish()
+}
+
+/// Writes the tree lines of the spans under `parent` (the roots when
+/// `None`), each followed by its own subtree.
+fn render_level(out: &mut String, spans: &[SpanRecord], parent: Option<&SpanRecord>, prefix: &str) {
+    let level: Vec<&SpanRecord> = children(spans, parent).collect();
+    for (i, span) in level.iter().enumerate() {
+        let last = i + 1 == level.len();
+        let branch = if last { "└─ " } else { "├─ " };
+        let attrs = if span.attrs.is_empty() {
+            String::new()
+        } else {
+            let body: Vec<String> = span.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            format!("  [{}]", body.join(" "))
+        };
+        let _ = writeln!(
+            out,
+            "{prefix}{branch}{}  {}{attrs}",
+            span.name,
+            fmt_ns(span.wall_ns)
+        );
+        let child_prefix = format!("{prefix}{}", if last { "   " } else { "│  " });
+        render_level(out, spans, Some(span), &child_prefix);
     }
 }
 
@@ -442,12 +386,12 @@ fn render_node(out: &mut String, node: &PhaseNode, prefix: &str, last: bool) {
 mod tests {
     use super::*;
 
-    fn record(id: u64, parent: u64, name: &str, start_ns: u64, wall_ns: u64) -> SpanRecord {
+    fn record(id: u64, parent: u64, name: &'static str, start_ns: u64, wall_ns: u64) -> SpanRecord {
         SpanRecord {
             trace: 1,
             id,
             parent,
-            name: name.to_string(),
+            name,
             start_ns,
             wall_ns,
             attrs: Vec::new(),
@@ -469,7 +413,7 @@ mod tests {
             matches: 52,
             wall_ns: 1000,
             expressions: vec!["B1'".into()],
-            phases: PhaseNode::forest(&records),
+            spans: records,
             cost: CostCounters {
                 vectors_accessed: 1,
                 literal_ops: 2,
@@ -485,25 +429,6 @@ mod tests {
                 ..Default::default()
             },
         }
-    }
-
-    #[test]
-    fn forest_builds_the_parent_tree() {
-        let r = sample_report();
-        assert_eq!(r.phases.len(), 1);
-        let root = &r.phases[0];
-        assert_eq!(root.name, "query");
-        let names: Vec<&str> = root.children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["reduce", "eval", "fetch"]);
-        assert_eq!(root.children[1].children[0].name, "eval.worker");
-    }
-
-    #[test]
-    fn orphan_spans_become_roots() {
-        let records = vec![record(7, 99, "lost", 0, 10)];
-        let forest = PhaseNode::forest(&records);
-        assert_eq!(forest.len(), 1);
-        assert_eq!(forest[0].name, "lost");
     }
 
     #[test]

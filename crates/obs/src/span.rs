@@ -38,13 +38,13 @@ pub struct SpanRecord {
     /// Parent span id; `0` for a root span.
     pub parent: u64,
     /// Span name (phase label).
-    pub name: String,
+    pub name: &'static str,
     /// Start offset from the trace's begin, in nanoseconds.
     pub start_ns: u64,
     /// Wall-clock duration in nanoseconds.
     pub wall_ns: u64,
     /// Numeric attributes attached via [`Span::attr`].
-    pub attrs: Vec<(String, u64)>,
+    pub attrs: Vec<(&'static str, u64)>,
 }
 
 struct TraceBuf {
@@ -55,10 +55,10 @@ struct TraceBuf {
 struct PendingRecord {
     id: u64,
     parent: u64,
-    name: String,
+    name: &'static str,
     start: Instant,
     wall_ns: u64,
-    attrs: Vec<(String, u64)>,
+    attrs: Vec<(&'static str, u64)>,
 }
 
 fn collector() -> &'static Mutex<HashMap<u64, TraceBuf>> {
@@ -112,7 +112,7 @@ impl Trace {
 
     /// Opens a root span (no parent) in this trace.
     #[must_use]
-    pub fn root_span(&self, name: &str) -> Span {
+    pub fn root_span(&self, name: &'static str) -> Span {
         Span::open(self.id, 0, name)
     }
 
@@ -173,7 +173,7 @@ impl SpanHandle {
     /// Opens a child span of the referenced span. Workers on any
     /// thread may call this concurrently.
     #[must_use]
-    pub fn child(&self, name: &str) -> Span {
+    pub fn child(&self, name: &'static str) -> Span {
         Span::open(self.trace, self.id, name)
     }
 
@@ -199,9 +199,9 @@ pub struct Span {
     trace: u64,
     id: u64,
     parent: u64,
-    name: String,
+    name: &'static str,
     start: Instant,
-    attrs: Vec<(String, u64)>,
+    attrs: Vec<(&'static str, u64)>,
 }
 
 impl Span {
@@ -216,13 +216,13 @@ impl Span {
             trace: 0,
             id: 0,
             parent: 0,
-            name: String::new(),
+            name: "",
             start: *DEAD_START.get_or_init(Instant::now),
             attrs: Vec::new(),
         }
     }
 
-    fn open(trace: u64, parent: u64, name: &str) -> Self {
+    fn open(trace: u64, parent: u64, name: &'static str) -> Self {
         if trace == 0 {
             return Self::none();
         }
@@ -232,7 +232,7 @@ impl Span {
             trace,
             id,
             parent,
-            name: name.to_string(),
+            name,
             start: Instant::now(),
             attrs: Vec::new(),
         }
@@ -256,15 +256,15 @@ impl Span {
 
     /// Opens a child span of this one (same thread or not).
     #[must_use]
-    pub fn child(&self, name: &str) -> Span {
+    pub fn child(&self, name: &'static str) -> Span {
         Span::open(self.trace, self.id, name)
     }
 
     /// Attaches a numeric attribute, kept in record order. No-op on a
     /// dead guard.
-    pub fn attr(&mut self, key: &str, value: u64) {
+    pub fn attr(&mut self, key: &'static str, value: u64) {
         if self.trace != 0 {
-            self.attrs.push((key.to_string(), value));
+            self.attrs.push((key, value));
         }
     }
 }
@@ -289,7 +289,7 @@ impl Drop for Span {
             buf.records.push(PendingRecord {
                 id: self.id,
                 parent: self.parent,
-                name: std::mem::take(&mut self.name),
+                name: self.name,
                 start: self.start,
                 wall_ns,
                 attrs: std::mem::take(&mut self.attrs),
@@ -303,7 +303,7 @@ impl Drop for Span {
 /// This is how deep call sites (kernels, pager) attach to the current
 /// query phase without signature changes.
 #[must_use]
-pub fn active_child(name: &str) -> Span {
+pub fn active_child(name: &'static str) -> Span {
     if !crate::enabled() {
         return Span::none();
     }
@@ -366,7 +366,7 @@ mod tests {
         assert_eq!(eval.parent, root.id);
         assert!(reduce.wall_ns >= 1_000_000, "slept a millisecond");
         assert!(root.wall_ns >= reduce.wall_ns);
-        assert_eq!(reduce.attrs, vec![("cubes".to_string(), 3)]);
+        assert_eq!(reduce.attrs, vec![("cubes", 3)]);
         assert!(eval.start_ns >= reduce.start_ns);
     }
 

@@ -54,6 +54,7 @@ TELEMETRY:
     (EBI_LOG_LEVEL, EBI_LOG_MAX_BYTES). A tail-sampling ring keeps the most
     recent 64 traces plus the last 256 slower than rolling p99 (or a fixed
     EBI_SLOW_QUERY_MS). /debug/trace/<id> emits Chrome trace-event JSON.
+    /metrics is the metrics registry; /debug/vars is admission and ring state.
 ";
 
 fn die(msg: &str) -> ! {

@@ -21,11 +21,16 @@
 //!   only frame, parse and render. No async runtime: blocking threads,
 //!   scoped borrows, vendored deps only.
 //! * [`server`] — one connection loop and one request path: admission
-//!   → compile → fan-out → merge → report. Every query produces an
-//!   `ebi-obs` [`QueryReport`] with per-shard `eval.worker` spans;
-//!   graceful shutdown drains in-flight queries before the listeners
-//!   close. A query whose post-pruning work estimate is below
+//!   → compile → fan-out → merge → retain. Every query leaves its
+//!   request, its `ebi-obs` span records (per-shard `eval.worker`
+//!   spans included) and its cost counters in the trace ring; graceful
+//!   shutdown drains in-flight queries before the listeners close. A
+//!   query whose post-pruning work estimate is below
 //!   [`pool::MIN_PARALLEL_WORK_WORDS`] bypasses the pool.
+//! * `trace_ring` — tail sampling: the most recent traces and the slow
+//!   ones, each kept as its request and raw records, and rendered as an
+//!   `ebi-obs` [`QueryReport`] only when `TRACES`, `SLOW`, `EXPLAIN`,
+//!   `/debug/*` or the slow-query log reads it.
 //!
 //! [`Shard`]: shard::Shard
 //! [`Mapping`]: ebi_core::Mapping
@@ -44,6 +49,7 @@ pub mod pool;
 pub mod protocol;
 pub mod server;
 pub mod shard;
+mod trace_ring;
 
 pub use error::ServiceError;
 pub use pool::{AdmissionGate, FanOut, Refusal, WorkerPool};

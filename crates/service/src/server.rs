@@ -34,16 +34,13 @@ use crate::error::ServiceError;
 use crate::http::{self, HttpRequest};
 use crate::pool::{AdmissionGate, FanOut, Refusal, WorkerPool, MIN_PARALLEL_WORK_WORDS};
 use crate::protocol::{self, Reply, Request};
-use crate::shard::{
-    Clause, CompiledQuery, DnfRequest, Predicate, Shard, ShardOutcome, ShardedTable,
-};
-use ebi_obs::export::{json_array, json_str_array, JsonObject};
+use crate::shard::{CompiledQuery, DnfRequest, Shard, ShardOutcome, ShardedTable};
+use crate::trace_ring::{self, RetainedTrace, TraceRing};
+use ebi_obs::export::{json_str_array, JsonObject};
 use ebi_obs::log as obslog;
-use ebi_obs::{
-    CostCounters, PhaseNode, QueryReport, RetainedTrace, StorageCounters, TraceContext, TraceRing,
-    TraceRingConfig,
-};
+use ebi_obs::{CostCounters, QueryReport, StorageCounters, TraceContext};
 use ebi_storage::BufferPool;
+use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,11 +49,6 @@ use std::time::{Duration, Instant};
 
 /// Poll interval at which idle connections notice a shutdown.
 const IDLE_POLL: Duration = Duration::from_millis(150);
-
-/// Capacity of the recent-trace ring ([`ebi_obs::trace_ring`]).
-const TRACE_RING: usize = 64;
-/// Slow-query log capacity.
-const SLOW_RING: usize = 256;
 
 /// Service configuration; every knob has an `EBI_SERVICE_*` env
 /// override (see [`ServiceConfig::from_env`] and the README env table).
@@ -216,8 +208,7 @@ struct ServeCtx<'p, 'env: 'p> {
 
 /// The result of one executed query.
 struct Answer {
-    /// The retained trace, which owns the full query report (phases,
-    /// cost, per-shard layouts).
+    /// The retained trace: the request and how it ran.
     retained: Arc<RetainedTrace>,
     /// The answer object, the same on both protocols.
     body: String,
@@ -260,11 +251,7 @@ pub fn run(
     // and buffer pools those jobs reference.
     let gate = AdmissionGate::new(cfg.max_inflight);
     let counters = Counters::default();
-    let ring = TraceRing::new(TraceRingConfig {
-        capacity: TRACE_RING,
-        slow_capacity: SLOW_RING,
-        slow_threshold_ns: cfg.slow_query_ms.map(|ms| ms.saturating_mul(1_000_000)),
-    });
+    let ring = TraceRing::new(cfg.slow_query_ms.map(|ms| ms.saturating_mul(1_000_000)));
     let workers = WorkerPool::new(cfg.workers);
     let ctx = ServeCtx {
         table,
@@ -494,7 +481,10 @@ fn dump(ctx: &ServeCtx<'_, '_>, req: &HttpRequest) -> Reply {
         ("GET", path) if path.starts_with("/debug/trace/") => {
             match ctx.ring.find(&path["/debug/trace/".len()..]) {
                 Some(t) => Reply::Answer {
-                    body: ebi_obs::chrome::retained_to_chrome(&t),
+                    body: ebi_obs::chrome::chrome_trace_json(
+                        &t.context.trace_hex(),
+                        &t.report(ctx.table),
+                    ),
                     traceparent: t.traceparent(),
                 },
                 None => Reply::NotFound("no such trace"),
@@ -522,8 +512,8 @@ fn respond(
             ctx.handle.shutdown();
             return Reply::ShuttingDown;
         }
-        Ok(Request::Traces(n)) => return trace_page(&ctx.ring.recent(), n),
-        Ok(Request::Slow(n)) => return trace_page(&ctx.ring.slow(), n),
+        Ok(Request::Traces(n)) => return trace_page(ctx.table, &ctx.ring.recent(), n),
+        Ok(Request::Slow(n)) => return trace_page(ctx.table, &ctx.ring.slow(), n),
         Ok(Request::Count(d)) => (d, 0, false),
         Ok(Request::Query(d, limit)) => (d, limit, false),
         Ok(Request::Explain(d)) => (d, 0, true),
@@ -543,13 +533,13 @@ fn respond(
             return reply;
         }
     };
-    let reply = match execute(ctx, &dnf, limit, *tctx) {
+    let reply = match execute(ctx, dnf, limit, *tctx) {
         Ok(Answer { retained, mut body }) => {
             ctx.counters.served.fetch_add(1, Ordering::Relaxed);
             if explain {
                 body = JsonObject::new()
                     .raw("result", &body)
-                    .str("explain", &retained.report.explain_analyze())
+                    .str("explain", &retained.report(ctx.table).explain_analyze())
                     .finish();
             }
             Reply::Answer {
@@ -574,21 +564,27 @@ fn respond(
 }
 
 /// The newest `n` of `traces` as a page of JSON lines.
-fn trace_page(traces: &[Arc<RetainedTrace>], n: usize) -> Reply {
-    let tail = &traces[traces.len().saturating_sub(n)..];
-    Reply::Page(TraceRing::render_json_lines(tail))
+fn trace_page(table: &ShardedTable, traces: &[Arc<RetainedTrace>], n: usize) -> Reply {
+    let mut page = String::new();
+    for t in &traces[traces.len().saturating_sub(n)..] {
+        page.push_str(&t.to_json_line(table));
+        page.push('\n');
+    }
+    Reply::Page(page)
 }
 
-/// Compiles, fans out, merges and reports one query in flight; the
+/// Compiles, fans out, merges and retains one query in flight; the
 /// error is the reply of a query that produced no answer. `tctx` is
 /// the request's trace identity: it correlates the retained trace, the
 /// structured log lines, and the `traceparent` echoed in the answer.
 ///
 /// The answer body is `{query_id, trace, matches, rows[], wall_ns,
-/// dispatched, vectors_accessed}`.
+/// dispatched, vectors_accessed}`. Nothing else is rendered here: the
+/// ring keeps `dnf` itself, and the trace's label and expressions are
+/// built when something reads them.
 fn execute(
     ctx: &ServeCtx<'_, '_>,
-    dnf: &DnfRequest,
+    dnf: DnfRequest,
     limit: usize,
     tctx: TraceContext,
 ) -> Result<Answer, Reply> {
@@ -603,7 +599,7 @@ fn execute(
 
     let compiled = {
         let _span = root.child("compile");
-        match table.compile(dnf) {
+        match table.compile(&dnf) {
             Ok(c) => Arc::new(c),
             Err(e) => return Err(Reply::Bad(e.to_string())),
         }
@@ -668,53 +664,54 @@ fn execute(
     };
 
     drop(root);
-    let records = trace.finish();
-    let rows: Vec<String> = bitmap
-        .iter_ones()
-        .take(limit)
-        .map(|r| r.to_string())
-        .collect();
-    let report = QueryReport {
+    let mut rows = String::from("[");
+    for (i, r) in bitmap.iter_ones().take(limit).enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(rows, "{sep}{r}");
+    }
+    rows.push(']');
+    let wall_ns = started.elapsed().as_nanos() as u64;
+    let run = QueryReport {
         query_id,
-        label: render_label(dnf),
         rows: table.rows() as u64,
         matches,
-        wall_ns: started.elapsed().as_nanos() as u64,
-        expressions: compiled.rendered(),
-        phases: PhaseNode::forest(&records),
+        wall_ns,
+        spans: trace.finish(),
         cost,
         storage,
+        ..QueryReport::default()
     };
     if ebi_obs::enabled() {
-        report.publish(ebi_obs::metrics::global());
+        run.publish(ebi_obs::metrics::global());
     }
     // Tail sampling is always on: the ring keeps the N most recent
     // traces plus everything over the slow threshold, independent of
-    // the span subscriber (with it disabled the retained report simply
-    // has no phase tree). The ring owns the report from here on.
-    let retained = ctx.ring.record(tctx, query_id, report);
+    // the span subscriber (with it disabled a trace simply has no
+    // spans). The ring owns the request and the run from here on.
+    let retained = ctx.ring.record(tctx, dnf, run);
     if retained.slow {
         if ebi_obs::enabled() {
             ebi_obs::metrics::global()
                 .counter("ebi_service_slow_queries_total", &[])
                 .inc();
         }
-        obslog::warn("service.server", "slow query")
-            .ctx(&tctx)
-            .query(query_id)
-            .u64("wall_ns", retained.wall_ns)
-            .u64("threshold_ns", retained.threshold_ns)
-            .str("label", &retained.report.label);
+        let log = obslog::warn("service.server", "slow query");
+        if log.is_live() {
+            log.ctx(&tctx)
+                .query(query_id)
+                .u64("wall_ns", wall_ns)
+                .u64("threshold_ns", retained.threshold_ns)
+                .str("label", &trace_ring::render_label(&retained.request));
+        }
     }
-    let report = &retained.report;
     let body = JsonObject::new()
         .u64("query_id", query_id)
         .str("trace", &retained.traceparent())
         .u64("matches", matches)
-        .raw("rows", &json_array(&rows))
-        .u64("wall_ns", report.wall_ns)
+        .raw("rows", &rows)
+        .u64("wall_ns", wall_ns)
         .bool("dispatched", dispatched)
-        .u64("vectors_accessed", report.cost.vectors_accessed)
+        .u64("vectors_accessed", cost.vectors_accessed)
         .finish();
     Ok(Answer { retained, body })
 }
@@ -774,21 +771,6 @@ pub fn eval_shard(
     }
 }
 
-/// The query as the grammar would spell it, for reports and logs.
-fn render_label(dnf: &DnfRequest) -> String {
-    let clause = |c: &Clause| match &c.predicate {
-        Predicate::Eq(v) => format!("{}={v}", c.column),
-        Predicate::In(vs) => {
-            let list: Vec<String> = vs.iter().map(u64::to_string).collect();
-            format!("{} IN {}", c.column, list.join(","))
-        }
-        Predicate::Between(lo, hi) => format!("{} BETWEEN {lo} {hi}", c.column),
-    };
-    let conjunction = |d: &Vec<Clause>| d.iter().map(clause).collect::<Vec<_>>().join(" AND ");
-    let disjuncts: Vec<String> = dnf.disjuncts.iter().map(conjunction).collect();
-    disjuncts.join(" OR ")
-}
-
 /// Admission state and lifetime totals, in the order `STATS` and
 /// `/debug/vars` both print them.
 fn admission_json<'o>(ctx: &ServeCtx<'_, '_>, obj: &'o mut JsonObject) -> &'o mut JsonObject {
@@ -816,15 +798,9 @@ fn stats_json(ctx: &ServeCtx<'_, '_>) -> String {
         .finish()
 }
 
-/// `/debug/vars`: build identity, uptime, admission/ring state, and a
-/// full JSON dump of the metrics registry (one object per instrument,
-/// histograms with their complete cumulative bucket series).
+/// `/debug/vars`: build identity, uptime, and admission and ring
+/// state. The metrics registry is `/metrics`' alone.
 fn vars_json(ctx: &ServeCtx<'_, '_>) -> String {
-    let metrics: Vec<String> = ebi_obs::metrics::global()
-        .render_json_lines()
-        .lines()
-        .map(str::to_string)
-        .collect();
     let mut obj = JsonObject::new();
     obj.str("build", concat!("ebi-service/", env!("CARGO_PKG_VERSION")))
         .u64("uptime_ms", ctx.started.elapsed().as_millis() as u64);
@@ -834,9 +810,8 @@ fn vars_json(ctx: &ServeCtx<'_, '_>) -> String {
         .u64("slow_queries", ctx.ring.slow_total())
         .u64("slow_retained", ctx.ring.slow().len() as u64)
         .u64("slow_threshold_ns", ctx.ring.threshold_ns())
-        .u64("trace_ring_capacity", TRACE_RING as u64)
-        .u64("slow_ring_capacity", SLOW_RING as u64)
+        .u64("trace_ring_capacity", trace_ring::RECENT_CAPACITY as u64)
+        .u64("slow_ring_capacity", trace_ring::SLOW_CAPACITY as u64)
         .bool("draining", ctx.handle.is_stopping())
-        .raw("metrics", &json_array(&metrics))
         .finish()
 }

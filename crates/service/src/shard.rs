@@ -78,8 +78,6 @@ pub struct CompiledClause {
     pub expr: DnfExpr,
     /// `expr` lowered for the evaluation kernel, once for all shards.
     pub plan: DnfPlan,
-    /// The expression in the paper's notation, for reports.
-    pub rendered: String,
 }
 
 /// A query compiled once against the table-wide mappings: a
@@ -88,18 +86,6 @@ pub struct CompiledClause {
 pub struct CompiledQuery {
     /// Outer OR of inner ANDs.
     pub disjuncts: Vec<Vec<CompiledClause>>,
-}
-
-impl CompiledQuery {
-    /// Every clause expression in the paper's notation, in evaluation
-    /// order (for `QueryReport::expressions`).
-    #[must_use]
-    pub fn rendered(&self) -> Vec<String> {
-        self.disjuncts
-            .iter()
-            .flat_map(|d| d.iter().map(|c| c.rendered.clone()))
-            .collect()
-    }
 }
 
 /// A predicate on one column, in value (not code) space.
@@ -377,12 +363,10 @@ impl ShardedTable {
                     Predicate::Between(lo, hi) => self.mappings[column].values_between(*lo, *hi),
                 };
                 let expr = self.shards[0].indexes[column].explain_in_list(&values);
-                let rendered = format!("{}: {expr}", clause.column);
                 clauses.push(CompiledClause {
                     column,
                     plan: expr.lower(),
                     expr,
-                    rendered,
                 });
             }
             disjuncts.push(clauses);

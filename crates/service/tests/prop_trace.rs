@@ -98,7 +98,7 @@ proptest! {
             let attr = rec
                 .attrs
                 .iter()
-                .find(|(k, _)| k == "trace")
+                .find(|(k, _)| *k == "trace")
                 .map(|(_, v)| *v);
             prop_assert_eq!(
                 attr, Some(root_trace),

@@ -12,7 +12,7 @@ use ebi_baselines::SelectionIndex;
 use ebi_bitvec::BitVec;
 use ebi_core::index::QueryResult;
 use ebi_core::{and_fold, or_fold, Selected};
-use ebi_obs::{CostCounters, PhaseNode, QueryReport, StorageCounters};
+use ebi_obs::{CostCounters, QueryReport, StorageCounters};
 use ebi_storage::{read_row_pages, BufferPool, BufferStats, IoStats, PageId, Pager};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -250,7 +250,6 @@ impl<'a> Executor<'a> {
             (bitmap, cost)
         };
         let wall_ns = start.elapsed().as_nanos() as u64;
-        let records = trace.finish();
         let report = QueryReport {
             query_id,
             label: label.to_string(),
@@ -258,7 +257,7 @@ impl<'a> Executor<'a> {
             matches: bitmap.count_ones() as u64,
             wall_ns,
             expressions,
-            phases: PhaseNode::forest(&records),
+            spans: trace.finish(),
             cost,
             storage: self.storage_delta(pager_before, pool_before),
         };
@@ -564,8 +563,8 @@ mod tests {
         assert_eq!(bitmap.count_ones(), rows / 4);
         assert_eq!(report.matches, (rows / 4) as u64);
         // Phase tree: query → disjunct → clause, plus the fetch phase.
-        assert_eq!(report.phases.len(), 1, "one root span");
-        assert_eq!(report.phases[0].name, "query");
+        let roots: Vec<&str> = report.roots().map(|s| s.name).collect();
+        assert_eq!(roots, ["query"], "one root span");
         assert!(report.phase_wall_ns("disjunct").is_some());
         assert!(report.phase_wall_ns("clause").is_some());
         assert!(report.phase_wall_ns("fetch").is_some());

@@ -49,6 +49,7 @@ import sys
 import threading
 import urllib.request
 import urllib.parse
+from collections import Counter
 
 tcp_host, tcp_port = sys.argv[1].rsplit(":", 1)
 http_base = f"http://{sys.argv[2]}"
@@ -179,11 +180,31 @@ assert "eval.worker" in names, f"Chrome export lost worker spans: {sorted(names)
 status, _ = http_get("/debug/trace/ffffffffffffffffffffffffffffffff", ok_codes=(404,))
 assert status == 404
 
+
+# Both renderings of one trace come from the same span records: the
+# Chrome events and the JSON line's phase tree name the same spans.
+def phase_names(nodes):
+    for node in nodes:
+        yield node["name"]
+        yield from phase_names(node["children"])
+
+
+probe = trace_lines[-1]
+status, probe_chrome = http_get(f"/debug/trace/{probe['query_id']}")
+assert status == 200
+probe_doc = json.loads(probe_chrome)
+assert probe_doc["otherData"]["query_id"] == probe["query_id"], probe_doc["otherData"]
+assert probe_doc["otherData"]["trace"] == probe["trace"], probe_doc["otherData"]
+events = Counter(e["name"] for e in probe_doc["traceEvents"] if e["ph"] == "X")
+phases = Counter(phase_names(probe["report"]["phases"]))
+assert phases and events == phases, f"Chrome {events} != phases {phases}"
+
 status, vars_body = http_get("/debug/vars")
 assert status == 200
 vars_doc = json.loads(vars_body)
-for key in ("uptime_ms", "served", "slow_queries", "traces_recorded", "metrics"):
+for key in ("uptime_ms", "served", "slow_queries", "traces_recorded"):
     assert key in vars_doc, f"/debug/vars missing {key}"
+assert "metrics" not in vars_doc, "/debug/vars repeats /metrics"
 assert vars_doc["slow_queries"] > 0
 
 with socket.create_connection((tcp_host, int(tcp_port)), timeout=10) as s:

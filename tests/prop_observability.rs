@@ -7,28 +7,20 @@
 //! counter the report carries.
 
 use ebi::core::index::QueryOptions;
-use ebi::obs::PhaseNode;
+use ebi::obs::SpanRecord;
 use ebi::prelude::*;
 use ebi::warehouse::DnfQuery;
 use ebi_bitvec::StoragePolicy;
 use proptest::prelude::*;
 
-/// Sum of attribute `attr` over every phase named `name` in the forest.
-fn attr_sum(phases: &[PhaseNode], name: &str, attr: &str) -> u64 {
-    phases
+/// Sum of attribute `attr` over every span named `name`.
+fn attr_sum(spans: &[SpanRecord], name: &str, attr: &str) -> u64 {
+    spans
         .iter()
-        .map(|p| {
-            let own = if p.name == name {
-                p.attrs
-                    .iter()
-                    .filter(|(k, _)| k == attr)
-                    .map(|(_, v)| v)
-                    .sum()
-            } else {
-                0
-            };
-            own + attr_sum(&p.children, name, attr)
-        })
+        .filter(|s| s.name == name)
+        .flat_map(|s| &s.attrs)
+        .filter(|(k, _)| *k == attr)
+        .map(|(_, v)| v)
         .sum()
 }
 
@@ -116,7 +108,7 @@ proptest! {
             ("segments_short_circuited", c.segments_short_circuited),
             ("compressed_chunks_skipped", c.compressed_chunks_skipped),
         ] {
-            prop_assert_eq!(attr_sum(&report.phases, "eval", attr), total, "eval spans' {}", attr);
+            prop_assert_eq!(attr_sum(&report.spans, "eval", attr), total, "eval spans' {}", attr);
         }
         prop_assert_eq!(report.matches, legacy.matches as u64);
         prop_assert_eq!(report.expressions, legacy.expressions);
