@@ -5,7 +5,7 @@
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ebi_bitvec::wah::WahBitmap;
+use ebi_baselines::wah::WahBitmap;
 use ebi_bitvec::BitVec;
 use std::hint::black_box;
 use std::time::Duration;

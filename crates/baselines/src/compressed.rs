@@ -1,23 +1,23 @@
-//! A WAH-compressed encoded bitmap index.
+//! An encoded bitmap index with every slice compressed.
 //!
-//! §2.1/§4 discuss run-length compression as the classic answer to
-//! simple-bitmap sparsity. Encoded vectors sit near density ½ on
-//! *uniform* data and barely compress — but under **skew** (the common
-//! warehouse case) the high-order slices are mostly zero and compress
-//! well. This variant stores every slice as a WAH container via the
-//! shared [`ebi_bitvec::SliceStorage`] layer and evaluates retrieval
-//! expressions **compressed-domain**: the kernel materialises 64-word
-//! windows on demand and resolves uniform runs straight from fill words,
-//! so no slice is ever fully decompressed. Answers are identical to the
-//! uncompressed index.
+//! §2.1/§4 discuss compression as the classic answer to simple-bitmap
+//! sparsity. Encoded vectors sit near density ½ on *uniform* data and
+//! barely compress — but under **skew** (the common warehouse case) the
+//! high-order slices are mostly zero and compress well. This variant
+//! stores every slice as a Roaring container via the shared
+//! [`ebi_bitvec::SliceStorage`] layer, whatever its density, and
+//! evaluates retrieval expressions **compressed-domain**: the kernel
+//! materialises 64-word windows on demand and resolves uniform windows
+//! straight from container metadata, so no slice is ever fully
+//! decompressed. Answers are identical to the uncompressed index.
 
 use crate::traits::SelectionIndex;
-use ebi_bitvec::{BitVec, RunStats, StoragePolicy};
+use ebi_bitvec::{RunStats, StoragePolicy, WORD_BITS};
 use ebi_core::index::{EncodedBitmapIndex, QueryOptions, QueryResult};
 use ebi_storage::Cell;
 
-/// Encoded bitmap index with WAH-compressed slices: an
-/// [`EncodedBitmapIndex`] repacked under [`StoragePolicy::Wah`], so it
+/// Encoded bitmap index with Roaring-compressed slices: an
+/// [`EncodedBitmapIndex`] repacked under [`StoragePolicy::Roaring`], so it
 /// answers through the one selection path — reduction, compressed-domain
 /// evaluation, `B_NULL` / `B_NotExist` masks, row-id translation — and
 /// differs from its source in the slice containers alone.
@@ -45,7 +45,7 @@ impl CompressedEncodedIndex {
 
     fn pack(mut inner: EncodedBitmapIndex) -> Self {
         inner.set_query_options(QueryOptions {
-            storage_policy: StoragePolicy::Wah,
+            storage_policy: StoragePolicy::Roaring,
             ..inner.query_options()
         });
         Self { inner }
@@ -58,7 +58,7 @@ impl CompressedEncodedIndex {
             .inner
             .slices()
             .iter()
-            .map(|s| BitVec::zeros(s.len()).storage_bytes())
+            .map(|s| s.len().div_ceil(WORD_BITS) * 8)
             .sum();
         if raw == 0 {
             return 1.0;
@@ -114,7 +114,8 @@ mod tests {
         // Time-clustered skew (the realistic load pattern): the bulk of
         // the table carries a handful of hot values; the long tail of
         // the domain only appears in the most recent rows. High-order
-        // slices are then zero over long runs — WAH's sweet spot.
+        // slices are then zero over long runs — a compressed
+        // container's sweet spot.
         let head = rows * 9 / 10;
         (0..rows as u64)
             .map(|i| {
@@ -131,8 +132,8 @@ mod tests {
         let packed = CompressedEncodedIndex::from_uncompressed(&plain);
         let mut kinds = packed.inner.slices().iter().map(|s| s.kind());
         assert!(
-            kinds.all(|k| k == StorageKind::Wah),
-            "every slice stored as WAH"
+            kinds.all(|k| k == StorageKind::Roaring),
+            "every slice stored as Roaring"
         );
         for sel in [vec![0u64], vec![1, 2, 3], (0..64).collect::<Vec<_>>()] {
             let a = plain.in_list(&sel).unwrap();
@@ -155,20 +156,20 @@ mod tests {
         let r = CompressedEncodedIndex::from_uncompressed(&plain).in_list(&[300]);
         assert!(r.stats.segments_pruned > 0, "{:?}", r.stats);
         assert_eq!(r.stats.words_scanned, 0, "no dense slices were read");
-        // Maintenance drops the summaries; the WAH fill words then
+        // Maintenance drops the summaries; the Roaring containers then
         // classify the same windows themselves.
         plain.append(Cell::Value(0)).unwrap();
         let r = CompressedEncodedIndex::from_uncompressed(&plain).in_list(&[300]);
         assert!(
             r.stats.compressed_chunks_skipped > 0,
-            "uniform WAH windows should skip: {:?}",
+            "uniform Roaring windows should skip: {:?}",
             r.stats
         );
         assert_eq!(r.stats.words_scanned, 0, "no dense slices were read");
     }
 
     #[test]
-    fn skewed_data_compresses_uniform_does_not() {
+    fn skewed_slices_compress_under_roaring_uniform_do_not() {
         let skew = CompressedEncodedIndex::build(skewed_cells(50_000, 512));
         let uni = CompressedEncodedIndex::build((0..50_000u64).map(|i| Cell::Value(i % 512)));
         assert!(

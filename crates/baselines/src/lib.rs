@@ -9,13 +9,18 @@
 //! | [`DynamicBitmapIndex`] | §4 | Sarawagi's dynamic bitmaps — an EBI with the trivial continuous-integer encoding |
 //! | [`RangeBasedBitmapIndex`] | §4 | Wu & Yu equal-population range bitmaps for skewed high-cardinality attributes |
 //! | [`HybridBTreeBitmapIndex`] | §3.2/§4 | B-tree over values whose leaves hold bitmaps, degrading to RID lists when sparse |
-//! | [`CompressedEncodedIndex`] | §2.1/§4 (extension) | the EBI with WAH-compressed slices — skew compresses, uniform does not |
+//! | [`CompressedEncodedIndex`] | §2.1/§4 (extension) | the EBI with every slice a Roaring container — skew compresses, uniform does not |
 //! | [`MultiComponentIndex`] | §4 | non-binary-base bit slicing (O'Neil & Quass): base b interpolates between bit-sliced (b=2) and simple (b≥m) |
 //!
 //! All of them — and [`ebi_core::EncodedBitmapIndex`] itself — implement
 //! [`SelectionIndex`], so the executor and every experiment can swap
 //! index types freely and compare the paper's cost metrics apples to
 //! apples.
+//!
+//! [`wah`] is the run-length codec the paper cites as the remedy for
+//! simple bitmaps' sparsity (§2.1, §4): the sparsity experiment applies
+//! it to [`SimpleBitmapIndex`] vectors and, for contrast, to encoded
+//! slices. No index here stores its vectors in it.
 
 mod bit_sliced;
 mod compressed;
@@ -27,6 +32,7 @@ mod range_based;
 mod simple;
 mod traits;
 mod value_list;
+pub mod wah;
 
 pub use bit_sliced::BitSlicedIndex;
 pub use compressed::CompressedEncodedIndex;

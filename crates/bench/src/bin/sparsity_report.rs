@@ -6,9 +6,9 @@
 //! are only `ceil(log2 m)` of them.
 
 use ebi_analysis::report::TextTable;
+use ebi_baselines::wah::WahBitmap;
 use ebi_baselines::{SelectionIndex, SimpleBitmapIndex};
 use ebi_bench::{uniform_cells, write_result};
-use ebi_bitvec::wah::WahBitmap;
 use ebi_core::EncodedBitmapIndex;
 
 fn main() {

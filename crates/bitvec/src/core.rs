@@ -100,17 +100,6 @@ impl BitVec {
         &self.words
     }
 
-    /// Mutable raw storage words, for evaluation kernels that write
-    /// disjoint word ranges in parallel (see [`crate::kernels`]).
-    ///
-    /// Callers must uphold the tail invariant: bits at positions
-    /// `>= len()` in the final word stay zero. The kernels re-mask the
-    /// tail after writing.
-    #[must_use]
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
     /// Size of the heap storage in bytes (the paper's `|T| / 8` cost unit,
     /// rounded up to whole words).
     #[must_use]

@@ -14,9 +14,9 @@
 //! * **window-once fetch** — per segment, each slice the expression
 //!   references is fetched exactly once, however many terms and literals
 //!   name it: a dense slice lends its words, a Roaring slice fills one
-//!   scratch window, a WAH slice advances one resumable cursor. A window
-//!   that a [`SegmentSummary`] or the container's own metadata proves
-//!   all-zero or all-one is classified without reading a word.
+//!   scratch window. A window that a [`SegmentSummary`] or the
+//!   container's own metadata proves all-zero or all-one is classified
+//!   without reading a word.
 //! * **prefix-shared product tree** — a [`DnfPlan`] sorts the product
 //!   terms by literal sequence (highest slice first) and lowers each to
 //!   `(shared_depth, suffix)`: how many leading literals it shares with
@@ -36,18 +36,14 @@
 //!
 //! No intermediate `BitVec` is ever allocated; the product stack, the
 //! low parts and the scratch windows are `(depth + low parts + slices)
-//! × 512` bytes per evaluation.
-//!
-//! Evaluation over a *word range* underpins segment-parallel execution:
-//! disjoint ranges of the destination can be filled by different threads
-//! with bit-identical results.
+//! × 512` bytes per evaluation. One evaluation runs on one thread, from
+//! the first segment to the last.
 
 use crate::core::{BitVec, WORD_BITS};
 use crate::roaring::{RoaringBitmap, WindowFill, WindowKind};
 use crate::simd;
 use crate::store::SliceStorage;
 use crate::summary::SegmentSummary;
-use crate::wah::{WahBitmap, WahCursor};
 use ebi_obs::CostCounters;
 use std::cmp::{Ordering, Reverse};
 
@@ -64,8 +60,6 @@ pub enum SliceRef<'a> {
     Dense(&'a BitVec),
     /// Roaring chunked containers.
     Roaring(&'a RoaringBitmap),
-    /// WAH run-length code.
-    Wah(&'a WahBitmap),
 }
 
 impl SliceRef<'_> {
@@ -73,7 +67,6 @@ impl SliceRef<'_> {
         match self {
             Self::Dense(b) => b.len(),
             Self::Roaring(r) => r.len(),
-            Self::Wah(w) => w.len(),
         }
     }
 }
@@ -96,7 +89,6 @@ impl SliceSource for SliceStorage {
         match self {
             Self::Dense(b) => SliceRef::Dense(b),
             Self::Roaring(r) => SliceRef::Roaring(r),
-            Self::Wah(w) => SliceRef::Wah(w),
         }
     }
 }
@@ -388,13 +380,6 @@ pub struct BoundPlan<'a> {
     rows: usize,
 }
 
-/// Where one slot's windows come from during an evaluation.
-enum Fetch<'a> {
-    Dense(&'a [u64]),
-    Roaring(&'a RoaringBitmap),
-    Wah(WahCursor<'a>),
-}
-
 /// A product of literals on one segment.
 #[derive(Clone, Copy)]
 enum Product {
@@ -468,7 +453,7 @@ fn compressed(fill: WindowFill, stats: &mut CostCounters) -> WindowKind {
 /// One segment's fetched windows, and the count of dense ones the
 /// passes have consumed.
 struct Windows<'a> {
-    fetch: &'a [Fetch<'a>],
+    slots: &'a [BoundSlot<'a>],
     scratch: &'a [u64],
     w0: usize,
     nw: usize,
@@ -479,12 +464,12 @@ impl<'a> Windows<'a> {
     /// The window of `lit`'s slice, as an operand about to be read.
     fn read(&mut self, lit: PlanLit) -> &'a [u64] {
         let slot = lit.slot as usize;
-        match &self.fetch[slot] {
-            Fetch::Dense(words) => {
+        match self.slots[slot].src {
+            SliceRef::Dense(b) => {
                 self.scanned += 1;
-                &words[self.w0..self.w0 + self.nw]
+                &b.words()[self.w0..self.w0 + self.nw]
             }
-            _ => &self.scratch[slot * SEGMENT_WORDS..][..self.nw],
+            SliceRef::Roaring(_) => &self.scratch[slot * SEGMENT_WORDS..][..self.nw],
         }
     }
 }
@@ -581,17 +566,6 @@ impl BoundPlan<'_> {
         let product_rows = plan.depth + 1 + plan.lows.len();
         let mut buf = vec![0u64; (product_rows + self.slots.len()) * SEGMENT_WORDS];
         let (rows, scratch) = buf.split_at_mut(product_rows * SEGMENT_WORDS);
-        // WAH cursors persist across the ascending segment sweep so each
-        // code word is decoded at most once.
-        let mut fetch: Vec<Fetch<'_>> = self
-            .slots
-            .iter()
-            .map(|s| match s.src {
-                SliceRef::Dense(b) => Fetch::Dense(b.words()),
-                SliceRef::Roaring(r) => Fetch::Roaring(r),
-                SliceRef::Wah(w) => Fetch::Wah(WahCursor::new(w)),
-            })
-            .collect();
         let mut lows = vec![Low::Zero; plan.lows.len()];
         // `levels[d]` is the product of the current term's first `d`
         // high-part literals, kept for as deep as a later term shares.
@@ -603,22 +577,16 @@ impl BoundPlan<'_> {
             // Window-once fetch: classify or materialise every
             // referenced slice's window for this segment.
             let mut uniform = Uniform::default();
-            for ((slot, fetch), window) in self
-                .slots
-                .iter()
-                .zip(&mut fetch)
-                .zip(scratch.chunks_mut(SEGMENT_WORDS))
-            {
+            for (slot, window) in self.slots.iter().zip(scratch.chunks_mut(SEGMENT_WORDS)) {
                 let w0 = seg * SEGMENT_WORDS;
-                let kind = slot.summarized(seg).unwrap_or_else(|| match fetch {
-                    Fetch::Dense(_) => WindowKind::Mixed,
-                    Fetch::Roaring(r) => compressed(r.fill_window(w0, &mut window[..nw]), stats),
-                    Fetch::Wah(c) => compressed(c.fill_window(w0, &mut window[..nw]), stats),
+                let kind = slot.summarized(seg).unwrap_or_else(|| match slot.src {
+                    SliceRef::Dense(_) => WindowKind::Mixed,
+                    SliceRef::Roaring(r) => compressed(r.fill_window(w0, &mut window[..nw]), stats),
                 });
                 uniform.note(slot.slice, kind);
             }
             let mut windows = Windows {
-                fetch: &fetch,
+                slots: &self.slots,
                 scratch,
                 w0: seg * SEGMENT_WORDS,
                 nw,
@@ -1071,7 +1039,6 @@ mod tests {
         vec![
             SliceStorage::from_dense(bits.clone(), StoragePolicy::Dense),
             SliceStorage::from_dense(bits.clone(), StoragePolicy::Roaring),
-            SliceStorage::from_dense(bits.clone(), StoragePolicy::Wah),
         ]
     }
 

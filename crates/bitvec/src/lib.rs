@@ -8,14 +8,13 @@
 //!   and position iterators. This is the physical representation of one
 //!   *bitmap vector* in the sense of Wu & Buchmann (ICDE 1998): bit `j`
 //!   corresponds to tuple `j` of the indexed table.
-//! * [`wah::WahBitmap`] — a word-aligned-hybrid run-length-compressed
-//!   container, covering the "compression techniques (e.g. run-length)
-//!   for simple bitmap indexes" the paper lists as related work, and
-//!   used by the sparsity experiments.
 //! * [`roaring::RoaringBitmap`] — a chunked hybrid array/bitmap/run
 //!   compressed container in the style of Chambi et al.
-//! * [`store::SliceStorage`] — the per-slice adaptive container choice
-//!   (dense word-packed, Roaring, or WAH) driven by measured density.
+//! * [`store::SliceStorage`] — the per-slice container choice (dense
+//!   word-packed or Roaring) driven by measured density; these are the
+//!   only two containers the density policy picks. (The WAH codec the
+//!   sparsity experiments apply to simple bitmaps lives beside them, in
+//!   `ebi-baselines`.)
 //!   A compressed container is built from and expanded to a [`BitVec`],
 //!   counted, probed, measured, read one evaluation window at a time
 //!   and persisted; it has no set algebra of its own, because queries
@@ -62,7 +61,6 @@ pub mod serial;
 pub mod simd;
 pub mod store;
 pub mod summary;
-pub mod wah;
 
 pub use crate::core::{BitVec, WORD_BITS};
 pub use crate::error::BitVecError;

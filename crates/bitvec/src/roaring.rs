@@ -2,7 +2,7 @@
 //!
 //! The encoded index stores `k = ceil(log2 m)` bit-slices whose density
 //! hovers near 1/2 on *uniform* data — the regime where run-length
-//! schemes gain nothing (see [`crate::wah`]). On skewed domains,
+//! schemes gain nothing. On skewed domains,
 //! however, individual slices can be very sparse or very dense, and the
 //! hybrid container layout of *Better bitmap performance with Roaring
 //! bitmaps* (Chambi, Lemire, Kaser, Godin) adapts per 2^16-row chunk:
@@ -250,7 +250,7 @@ impl RoaringBitmap {
             let n = CHUNK_WORDS.min(total_words - base);
             scratch.fill(0);
             c.materialize_into(&mut scratch);
-            out.words_mut()[base..base + n].copy_from_slice(&scratch[..n]);
+            out.words[base..base + n].copy_from_slice(&scratch[..n]);
         }
         out
     }

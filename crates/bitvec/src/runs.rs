@@ -2,26 +2,18 @@
 //!
 //! Row reordering (Lemire/Kaser/Aouiche: sorting the fact table before
 //! building the index) pays off exactly when it lengthens the runs of
-//! identical bits inside each slice — longer runs mean more WAH fill
-//! words, more Roaring run containers, and more uniform evaluation
-//! windows the stored kernels can skip from metadata alone.
-//! [`RunStats`] is the per-container measurement of that quantity, so
-//! the reordering win is observable per slice rather than only in
-//! aggregate storage bytes.
+//! identical bits inside each slice — longer runs mean more Roaring run
+//! containers and more uniform evaluation windows the stored kernels
+//! can skip from metadata alone. [`RunStats`] is the per-slice
+//! measurement of that quantity, so the reordering win is observable
+//! per slice rather than only in aggregate storage bytes.
 //!
-//! All three containers report the same logical statistics over the
-//! same bit sequence:
+//! Both containers report the same statistics over the same bit
+//! sequence, in 64-bit words:
 //!
 //! * `runs` / `longest_run` — maximal runs of **set** bits, in bits.
-//!   These are container-independent (the same bitmap yields the same
-//!   values dense, Roaring, or WAH).
-//! * `fill_words` / `total_words` — how many of the container's
-//!   scanning granules were uniform (all-zero or all-one). Dense and
-//!   Roaring count 64-bit words; WAH counts its native 63-bit groups.
-//!   The granule size differs, so compare [`fill_word_fraction`]
-//!   (dimensionless) across containers, not raw counts.
-//!
-//! [`fill_word_fraction`]: RunStats::fill_word_fraction
+//! * `fill_words` / `total_words` — how many words were uniform
+//!   (all-zero or all-one over their valid bits).
 
 /// Run statistics of one bitmap: how run-friendly its bit layout is.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,10 +22,10 @@ pub struct RunStats {
     pub runs: u64,
     /// Length in bits of the longest run of set bits.
     pub longest_run: u64,
-    /// Scanning granules (words or WAH groups) that were uniform —
-    /// all-zero or all-one over their valid bits.
+    /// Words that were uniform — all-zero or all-one over their valid
+    /// bits.
     pub fill_words: u64,
-    /// Total scanning granules examined.
+    /// Total words examined.
     pub total_words: u64,
 }
 
@@ -48,7 +40,7 @@ impl RunStats {
         st
     }
 
-    /// Fraction of uniform granules, in `[0, 1]`; `0.0` when empty.
+    /// Fraction of uniform words, in `[0, 1]`; `0.0` when empty.
     #[must_use]
     pub fn fill_word_fraction(&self) -> f64 {
         if self.total_words == 0 {
@@ -92,9 +84,8 @@ impl RunStats {
         }
     }
 
-    /// Run accounting for one granule of `valid` bits (word accounting
-    /// is the caller's job — WAH granules are 63 bits wide).
-    pub(crate) fn scan_word(&mut self, cur: &mut u64, w: u64, valid: u32) {
+    /// Run accounting for one word of `valid` bits.
+    fn scan_word(&mut self, cur: &mut u64, w: u64, valid: u32) {
         let mut bit = 0u32;
         while bit < valid {
             let rest = w >> bit;
@@ -120,7 +111,6 @@ mod tests {
     use crate::core::BitVec;
     use crate::roaring::RoaringBitmap;
     use crate::store::{SliceStorage, StoragePolicy};
-    use crate::wah::WahBitmap;
 
     #[test]
     fn empty_and_uniform() {
@@ -184,16 +174,7 @@ mod tests {
             let bits: BitVec = (0..len).map(&f).collect();
             let dense = bits.run_stats();
             let roar = RoaringBitmap::from_bitvec(&bits).run_stats();
-            let wah = WahBitmap::compress(&bits).run_stats();
-            // Run structure is container-independent.
-            for st in [&roar, &wah] {
-                assert_eq!(st.runs, dense.runs);
-                assert_eq!(st.longest_run, dense.longest_run);
-            }
-            // Granule sizes differ (63 vs 64 bits) but fractions are
-            // close on these run-heavy layouts.
-            assert!((roar.fill_word_fraction() - dense.fill_word_fraction()).abs() < 1e-12);
-            assert!((wah.fill_word_fraction() - dense.fill_word_fraction()).abs() < 0.05);
+            assert_eq!(roar, dense);
         }
     }
 
@@ -201,11 +182,7 @@ mod tests {
     fn slice_storage_dispatches() {
         let bits: BitVec = (0..150_000).map(|i| i % 1000 < 10).collect();
         let reference = bits.run_stats();
-        for policy in [
-            StoragePolicy::Dense,
-            StoragePolicy::Roaring,
-            StoragePolicy::Wah,
-        ] {
+        for policy in [StoragePolicy::Dense, StoragePolicy::Roaring] {
             let st = SliceStorage::from_dense(bits.clone(), policy).run_stats();
             assert_eq!(st.runs, reference.runs, "{policy:?}");
             assert_eq!(st.longest_run, reference.longest_run, "{policy:?}");

@@ -1,4 +1,4 @@
-//! Adaptive per-slice storage: dense, Roaring, or WAH.
+//! Adaptive per-slice storage: dense or Roaring.
 //!
 //! The encoded index keeps `k = ceil(log2 m)` bit-slices. On uniform
 //! data each slice has density ≈ 1/2 and the word-packed [`BitVec`] is
@@ -11,12 +11,12 @@
 //! [`StoragePolicy::Adaptive`] policy measures the slice density and
 //! keeps mid-density slices dense (compression would only add
 //! overhead), switching to Roaring containers outside the
-//! `[0.20, 0.80]` band on large vectors.
+//! `[0.20, 0.80]` band on large vectors. Roaring is the one compressed
+//! container (DESIGN.md §7).
 
 use crate::core::BitVec;
 use crate::error::BitVecError;
 use crate::roaring::{RoaringBitmap, CHUNK_BITS};
-use crate::wah::WahBitmap;
 
 /// Density band (inclusive) within which compression is not attempted
 /// by [`StoragePolicy::Adaptive`].
@@ -34,8 +34,6 @@ pub enum StoragePolicy {
     Dense,
     /// Roaring chunked containers for every slice.
     Roaring,
-    /// WAH run-length compression for every slice.
-    Wah,
     /// Per-slice choice from measured density: dense inside the
     /// `[0.20, 0.80]` band or below two chunks of rows, Roaring
     /// otherwise.
@@ -50,19 +48,12 @@ pub enum StorageKind {
     Dense,
     /// [`RoaringBitmap`] chunked containers.
     Roaring,
-    /// [`WahBitmap`] run-length code.
+    /// A name only: [`SliceStorage::kind`] never returns it and nothing
+    /// in the workspace matches on it. WAH is not a slice container; the
+    /// repository benchmark (`benchmark/src/{serve,maintain}.rs`, its own
+    /// workspace, changed only together with its workloads) still
+    /// matches on it to fill `bitvec.store.wah_slices`, which reads 0.
     Wah,
-}
-
-impl StorageKind {
-    /// Stable one-byte tag used by the serialised form.
-    fn tag(self) -> u8 {
-        match self {
-            Self::Dense => 0,
-            Self::Roaring => 1,
-            Self::Wah => 2,
-        }
-    }
 }
 
 /// One encoded bit-slice in whichever container the build policy chose.
@@ -82,8 +73,6 @@ pub enum SliceStorage {
     Dense(BitVec),
     /// Roaring chunked containers.
     Roaring(RoaringBitmap),
-    /// WAH run-length code.
-    Wah(WahBitmap),
 }
 
 impl SliceStorage {
@@ -93,7 +82,6 @@ impl SliceStorage {
         match policy {
             StoragePolicy::Dense => Self::Dense(bits),
             StoragePolicy::Roaring => Self::Roaring(RoaringBitmap::from_bitvec(&bits)),
-            StoragePolicy::Wah => Self::Wah(WahBitmap::compress(&bits)),
             StoragePolicy::Adaptive => {
                 if bits.len() < ADAPTIVE_MIN_BITS {
                     return Self::Dense(bits);
@@ -114,7 +102,6 @@ impl SliceStorage {
         match self {
             Self::Dense(_) => StorageKind::Dense,
             Self::Roaring(_) => StorageKind::Roaring,
-            Self::Wah(_) => StorageKind::Wah,
         }
     }
 
@@ -124,7 +111,6 @@ impl SliceStorage {
         match self {
             Self::Dense(b) => b.len(),
             Self::Roaring(r) => r.len(),
-            Self::Wah(w) => w.len(),
         }
     }
 
@@ -140,7 +126,6 @@ impl SliceStorage {
         match self {
             Self::Dense(b) => b.count_ones(),
             Self::Roaring(r) => r.count_ones(),
-            Self::Wah(w) => w.count_ones(),
         }
     }
 
@@ -165,7 +150,6 @@ impl SliceStorage {
         match self {
             Self::Dense(b) => b.bit(i),
             Self::Roaring(r) => r.bit(i),
-            Self::Wah(w) => w.bit(i),
         }
     }
 
@@ -175,18 +159,16 @@ impl SliceStorage {
         match self {
             Self::Dense(b) => b.storage_bytes(),
             Self::Roaring(r) => r.storage_bytes(),
-            Self::Wah(w) => w.storage_bytes(),
         }
     }
 
-    /// Run statistics in the container's native domain (WAH counts
-    /// 63-bit groups; see [`crate::runs::RunStats`]).
+    /// Run statistics over the slice's 64-bit words (see
+    /// [`crate::runs::RunStats`]).
     #[must_use]
     pub fn run_stats(&self) -> crate::runs::RunStats {
         match self {
             Self::Dense(b) => b.run_stats(),
             Self::Roaring(r) => r.run_stats(),
-            Self::Wah(w) => w.run_stats(),
         }
     }
 
@@ -196,7 +178,6 @@ impl SliceStorage {
         match self {
             Self::Dense(b) => b.clone(),
             Self::Roaring(r) => r.to_bitvec(),
-            Self::Wah(w) => w.decompress(),
         }
     }
 
@@ -205,7 +186,7 @@ impl SliceStorage {
     pub fn as_dense(&self) -> Option<&BitVec> {
         match self {
             Self::Dense(b) => Some(b),
-            _ => None,
+            Self::Roaring(_) => None,
         }
     }
 
@@ -213,13 +194,12 @@ impl SliceStorage {
     /// dense). Index maintenance densifies before mutating because the
     /// compressed containers are immutable.
     pub fn densify(&mut self) -> &mut BitVec {
-        if let Self::Dense(_) = self {
-        } else {
-            *self = Self::Dense(self.to_dense());
+        if let Self::Roaring(r) = self {
+            *self = Self::Dense(r.to_bitvec());
         }
         match self {
             Self::Dense(b) => b,
-            _ => unreachable!("just densified"),
+            Self::Roaring(_) => unreachable!("just densified"),
         }
     }
 
@@ -240,25 +220,24 @@ impl SliceStorage {
         Self::from_dense(self.to_dense(), policy)
     }
 
-    /// Serialises as a one-byte container tag followed by the
-    /// container's own byte layout.
+    /// Serialises as a one-byte container tag (0 dense, 1 Roaring)
+    /// followed by the container's own byte layout.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![self.kind().tag()];
-        match self {
-            Self::Dense(b) => out.extend_from_slice(&b.to_bytes()),
-            Self::Roaring(r) => out.extend_from_slice(&r.to_bytes()),
-            Self::Wah(w) => out.extend_from_slice(&w.to_bytes()),
-        }
-        out
+        let (tag, body) = match self {
+            Self::Dense(b) => (0, b.to_bytes()),
+            Self::Roaring(r) => (1, r.to_bytes()),
+        };
+        [vec![tag], body].concat()
     }
 
     /// Parses the layout from [`SliceStorage::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Returns [`BitVecError::Corrupt`] on an unknown tag or when the
-    /// container payload fails its own validation.
+    /// Returns [`BitVecError::Corrupt`] on a tag other than 0 (dense) or
+    /// 1 (Roaring), or when the container payload fails its own
+    /// validation.
     pub fn from_bytes(raw: &[u8]) -> Result<Self, BitVecError> {
         let (&tag, body) = raw.split_first().ok_or_else(|| BitVecError::Corrupt {
             detail: "empty slice-storage buffer".into(),
@@ -266,7 +245,6 @@ impl SliceStorage {
         match tag {
             0 => Ok(Self::Dense(BitVec::from_bytes(body)?)),
             1 => Ok(Self::Roaring(RoaringBitmap::from_bytes(body)?)),
-            2 => Ok(Self::Wah(WahBitmap::from_bytes(body)?)),
             other => Err(BitVecError::Corrupt {
                 detail: format!("unknown slice-storage tag {other}"),
             }),
@@ -321,11 +299,7 @@ mod tests {
     #[test]
     fn forced_policies_and_accessors_agree_across_kinds() {
         let bits = patterned(200_000, |i| i % 97 == 0 || (30_000..90_000).contains(&i));
-        for policy in [
-            StoragePolicy::Dense,
-            StoragePolicy::Roaring,
-            StoragePolicy::Wah,
-        ] {
+        for policy in [StoragePolicy::Dense, StoragePolicy::Roaring] {
             let s = SliceStorage::from_dense(bits.clone(), policy);
             assert_eq!(s.len(), bits.len(), "{policy:?}");
             assert_eq!(s.count_ones(), bits.count_ones(), "{policy:?}");
@@ -353,11 +327,7 @@ mod tests {
     #[test]
     fn byte_roundtrip_every_kind() {
         let bits = patterned(150_000, |i| i % 53 == 0);
-        for policy in [
-            StoragePolicy::Dense,
-            StoragePolicy::Roaring,
-            StoragePolicy::Wah,
-        ] {
+        for policy in [StoragePolicy::Dense, StoragePolicy::Roaring] {
             let s = SliceStorage::from_dense(bits.clone(), policy);
             let restored = SliceStorage::from_bytes(&s.to_bytes()).unwrap();
             assert_eq!(restored, s, "{policy:?}");

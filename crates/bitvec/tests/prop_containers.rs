@@ -1,16 +1,15 @@
-//! Differential property tests for the compressed slice containers.
+//! Differential property tests for the compressed slice container.
 //!
-//! Roaring and WAH are alternate physical layouts of the same logical
-//! bit vector: everything a container provides — population counts,
-//! point probes, window fills, expansion, byte round-trips — must be
+//! Roaring is an alternate physical layout of the same logical bit
+//! vector: everything the container provides — population counts, point
+//! probes, window fills, expansion, byte round-trips — must be
 //! **bit-identical** to the uncompressed [`BitVec`] it came from, at
 //! every density. The strategies sweep densities from ~0.1% (long zero
 //! runs, the run/array sweet spot) through 50% (incompressible) to
 //! ~99.9% (long one runs), with lengths that straddle the 65 536-bit
-//! Roaring chunk boundary and WAH's 63-bit groups.
+//! Roaring chunk boundary.
 
 use ebi_bitvec::roaring::{RoaringBitmap, WindowKind};
-use ebi_bitvec::wah::{WahBitmap, WahCursor};
 use ebi_bitvec::{BitVec, SliceStorage, StorageKind, StoragePolicy};
 use proptest::prelude::*;
 
@@ -51,18 +50,6 @@ proptest! {
     }
 
     #[test]
-    fn wah_count_and_roundtrip_match_dense(
-        seed in any::<u64>(),
-        len in 0usize..60_000,
-        density in density_ppt(),
-    ) {
-        let bits = random_bits(len, density, seed);
-        let wah = WahBitmap::compress(&bits);
-        prop_assert_eq!(wah.count_ones(), bits.count_ones());
-        prop_assert_eq!(wah.decompress(), bits, "lossless round-trip");
-    }
-
-    #[test]
     fn point_probes_match_dense(
         seed in any::<u64>(),
         len in 1usize..150_000,
@@ -71,11 +58,9 @@ proptest! {
     ) {
         let bits = random_bits(len, density, seed);
         let roaring = RoaringBitmap::from_bitvec(&bits);
-        let wah = WahBitmap::compress(&bits);
         for p in probes {
             let i = p.index(len);
             prop_assert_eq!(roaring.bit(i), bits.bit(i), "roaring bit {}", i);
-            prop_assert_eq!(wah.bit(i), bits.bit(i), "wah bit {}", i);
         }
     }
 
@@ -87,15 +72,12 @@ proptest! {
     ) {
         let bits = random_bits(len, density, seed);
         let roaring = RoaringBitmap::from_bitvec(&bits);
-        let wah = WahBitmap::compress(&bits);
-        let mut cursor = WahCursor::new(&wah);
         let words = bits.words();
         // Odd window width exercises unaligned starts; Roaring's
         // contract keeps each window inside one 1024-word chunk, so
         // clip at chunk edges (64-word segment windows always fit).
         const CHUNK_WORDS: usize = 1024;
         let mut buf_r = [0u64; 17];
-        let mut buf_w = [0u64; 17];
         let mut start = 0usize;
         while start < words.len() {
             let take = buf_r
@@ -103,24 +85,17 @@ proptest! {
                 .min(words.len() - start)
                 .min(CHUNK_WORDS - start % CHUNK_WORDS);
             let fr = roaring.fill_window(start, &mut buf_r[..take]);
-            let fw = cursor.fill_window(start, &mut buf_w[..take]);
             for (j, &want) in words[start..start + take].iter().enumerate() {
                 let got_r = match fr.kind {
                     WindowKind::Zeros => 0,
                     WindowKind::Ones => !0u64,
                     WindowKind::Mixed => buf_r[j],
                 };
-                let got_w = match fw.kind {
-                    WindowKind::Zeros => 0,
-                    WindowKind::Ones => !0u64,
-                    WindowKind::Mixed => buf_w[j],
-                };
                 // The final word may carry garbage past `len` in the
                 // container fills; compare only the valid lanes.
                 let tail_bits = len - (start + j) * 64;
                 let mask = if tail_bits >= 64 { !0u64 } else { (1u64 << tail_bits) - 1 };
                 prop_assert_eq!(got_r & mask, want & mask, "roaring word {}", start + j);
-                prop_assert_eq!(got_w & mask, want & mask, "wah word {}", start + j);
             }
             start += take;
         }
@@ -136,7 +111,6 @@ proptest! {
         for (policy, kind) in [
             (StoragePolicy::Dense, StorageKind::Dense),
             (StoragePolicy::Roaring, StorageKind::Roaring),
-            (StoragePolicy::Wah, StorageKind::Wah),
         ] {
             let stored = SliceStorage::from_dense(bits.clone(), policy);
             prop_assert_eq!(stored.kind(), kind);
@@ -165,7 +139,6 @@ proptest! {
         let policies = [
             StoragePolicy::Dense,
             StoragePolicy::Roaring,
-            StoragePolicy::Wah,
             StoragePolicy::Adaptive,
         ];
         for from in policies {
@@ -194,9 +167,5 @@ fn window_fill_reports_uniform_runs_without_touching_the_buffer() {
     let roaring = RoaringBitmap::from_bitvec(&bits);
     let mut buf = [0u64; 64];
     let fill = roaring.fill_window(0, &mut buf);
-    assert_eq!(fill.kind, WindowKind::Zeros);
-    let wah = WahBitmap::compress(&bits);
-    let mut cursor = WahCursor::new(&wah);
-    let fill = cursor.fill_window(0, &mut buf);
     assert_eq!(fill.kind, WindowKind::Zeros);
 }

@@ -7,8 +7,8 @@
 //! term, arbitrary negation patterns), odd tail lengths that leave
 //! the 4-word vector blocks ragged, and all-zero / all-one operands
 //! that drive the saturation short-circuits. The DNF kernel is checked
-//! end-to-end over plain vectors and every container (Dense / Roaring
-//! / WAH) under a forced dispatch override, which must select the
+//! end-to-end over plain vectors and both containers (Dense /
+//! Roaring) under a forced dispatch override, which must select the
 //! forced tier.
 
 use ebi_bitvec::simd::{self, KernelPath};
@@ -153,7 +153,7 @@ proptest! {
 
     /// End-to-end DNF evaluation under a forced dispatch override:
     /// every tier × every container family (plain vectors, Dense,
-    /// Roaring, WAH) matches the scalar result over plain vectors, with
+    /// Roaring) matches the scalar result over plain vectors, with
     /// tier-invariant cost counters per family, and the override selects
     /// the forced tier.
     #[test]
@@ -196,7 +196,7 @@ proptest! {
             prop_assert_eq!(stats, ref_stats, "cost counters on {}", path.name());
         }
 
-        for policy in [StoragePolicy::Dense, StoragePolicy::Roaring, StoragePolicy::Wah] {
+        for policy in [StoragePolicy::Dense, StoragePolicy::Roaring] {
             let family: Vec<SliceStorage> = dense
                 .iter()
                 .map(|b| SliceStorage::from_dense(b.clone(), policy))

@@ -410,15 +410,14 @@ mod tests {
         );
         assert_eq!(t_dense.cost.compressed_chunks_skipped, 0);
 
-        // One slice per container kind, then all of one kind.
+        // Both container kinds mixed, then all compressed.
         let mixes = [
             [
                 StoragePolicy::Dense,
                 StoragePolicy::Roaring,
-                StoragePolicy::Wah,
+                StoragePolicy::Dense,
             ],
             [StoragePolicy::Roaring; 3],
-            [StoragePolicy::Wah; 3],
         ];
         for policies in mixes {
             let stored: Vec<SliceStorage> = dense
@@ -453,8 +452,8 @@ mod tests {
         let policies = [
             StoragePolicy::Roaring,
             StoragePolicy::Dense,
-            StoragePolicy::Wah,
             StoragePolicy::Roaring,
+            StoragePolicy::Dense,
         ];
         let stored: Vec<SliceStorage> = dense
             .iter()

@@ -9,7 +9,7 @@
 //!   tautology cubes, the empty expression, duplicate cubes, and cubes
 //!   of differing supports so that literal prefixes diverge at every
 //!   depth;
-//! * every mixture of Dense / Roaring / WAH slices, and plain `BitVec`s;
+//! * every mixture of Dense / Roaring slices, and plain `BitVec`s;
 //! * segment summaries on and off;
 //! * row counts that are not multiples of the word or the 4096-bit
 //!   segment, and zero rows;
@@ -115,10 +115,9 @@ fn mixed_storage(dense: &[BitVec], seed: u64) -> Vec<SliceStorage> {
     dense
         .iter()
         .map(|b| {
-            let policy = match next(&mut state) % 4 {
+            let policy = match next(&mut state) % 3 {
                 0 => StoragePolicy::Dense,
                 1 => StoragePolicy::Roaring,
-                2 => StoragePolicy::Wah,
                 _ => StoragePolicy::Adaptive,
             };
             SliceStorage::from_dense(b.clone(), policy)
@@ -258,7 +257,6 @@ proptest! {
         for policy in [
             StoragePolicy::Dense,
             StoragePolicy::Roaring,
-            StoragePolicy::Wah,
             StoragePolicy::Adaptive,
         ] {
             let stored: Vec<SliceStorage> = dense

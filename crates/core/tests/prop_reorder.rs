@@ -42,7 +42,6 @@ fn policy_strategy() -> impl Strategy<Value = StoragePolicy> {
     prop_oneof![
         Just(StoragePolicy::Dense),
         Just(StoragePolicy::Roaring),
-        Just(StoragePolicy::Wah),
         Just(StoragePolicy::Adaptive),
     ]
 }

@@ -7,8 +7,10 @@
 //! * [`shard`] — a fact table partitioned into contiguous row-range
 //!   [`Shard`]s, each owning per-column encoded bitmap indexes and its
 //!   own heap pager. All shards share one table-wide [`Mapping`] per
-//!   column, so a query is **compiled once** (Quine–McCluskey
-//!   minimization over the shared code space) and evaluated everywhere;
+//!   column, so a query is **compiled once** (logical reduction over the
+//!   shared code space: the interval cover for a point or a range,
+//!   Quine–McCluskey minimization for any other value set) and
+//!   evaluated everywhere;
 //!   shard-relative result bitmaps are merged back at global row
 //!   offsets with `BitVec::or_shifted`.
 //! * [`pool`] — a [`WorkerPool`] over one locked queue for shard fan-out, an

@@ -9,12 +9,12 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`bitvec`] | `ebi-bitvec` | bitmap vectors, logical ops, dense / Roaring / WAH slice containers, the window kernel |
+//! | [`bitvec`] | `ebi-bitvec` | bitmap vectors, logical ops, dense / Roaring slice containers, the window kernel |
 //! | [`boolean`] | `ebi-boolean` | min-terms, Quine–McCluskey reduction, expression evaluation |
 //! | [`storage`] | `ebi-storage` | pager with I/O accounting, segments, column tables |
 //! | [`btree`] | `ebi-btree` | page-oriented B+tree baseline and the §2.1 cost model |
 //! | [`core`] | `ebi-core` | **the encoded bitmap index**, encodings, maintenance, theorems |
-//! | [`baselines`] | `ebi-baselines` | simple bitmap, bit-sliced, projection, value-list, dynamic, range-based, hybrid |
+//! | [`baselines`] | `ebi-baselines` | simple bitmap, bit-sliced, projection, value-list, dynamic, range-based, hybrid, compressed-encoded, multi-component; the WAH codec |
 //! | [`warehouse`] | `ebi-warehouse` | star schemas, generators, workloads, executor, group-set |
 //! | [`analysis`] | `ebi-analysis` | the paper's analytical figures as executable series |
 //!

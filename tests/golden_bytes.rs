@@ -7,7 +7,6 @@
 //! decode it to the same value, so an index saved then still loads.
 
 use ebi::bitvec::roaring::RoaringBitmap;
-use ebi::bitvec::wah::WahBitmap;
 use ebi::core::persist::{load_index, save_index};
 use ebi::prelude::*;
 use ebi::storage::pager::Pager;
@@ -25,8 +24,7 @@ fn unhex(s: &str) -> Vec<u8> {
     digits.chunks(2).map(|d| d[0] << 4 | d[1]).collect()
 }
 
-/// 130 bits: a literal group, an all-zero group (a WAH fill) and a
-/// 4-bit tail; sparse enough to be a Roaring array container.
+/// 130 bits, sparse enough to be a Roaring array container.
 fn pattern() -> BitVec {
     BitVec::from_positions(130, &[0, 3, 62, 126, 129])
 }
@@ -36,14 +34,6 @@ fn bitvec_image_is_stable() {
     let golden = "8200000000000000090000000000004000000000000000400200000000000000";
     assert_eq!(hex(&pattern().to_bytes()), golden);
     assert_eq!(BitVec::from_bytes(&unhex(golden)).unwrap(), pattern());
-}
-
-#[test]
-fn wah_image_is_stable() {
-    let golden = "8200000000000000090000000000004001000000000000800900000000000000";
-    assert_eq!(hex(&WahBitmap::compress(&pattern()).to_bytes()), golden);
-    let decoded = WahBitmap::from_bytes(&unhex(golden)).unwrap();
-    assert_eq!(decoded.decompress(), pattern());
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Property-based invariants across the whole stack (proptest).
 
+use ebi::baselines::wah::WahBitmap;
 use ebi::boolean::{eval_expr, qm, support, DnfExpr};
 use ebi::prelude::*;
-use ebi_bitvec::wah::WahBitmap;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -44,8 +44,6 @@ proptest! {
         let wah = WahBitmap::compress(&v);
         prop_assert_eq!(wah.decompress(), v);
         prop_assert_eq!(wah.count_ones(), v.count_ones());
-        let restored = WahBitmap::from_bytes(&wah.to_bytes()).unwrap();
-        prop_assert_eq!(restored.decompress(), v);
     }
 }
 

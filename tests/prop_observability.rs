@@ -51,11 +51,7 @@ fn dnf_strategy(m: u64) -> impl Strategy<Value = DnfQuery> {
 }
 
 fn policy_strategy() -> impl Strategy<Value = StoragePolicy> {
-    prop::sample::select(vec![
-        StoragePolicy::Dense,
-        StoragePolicy::Roaring,
-        StoragePolicy::Wah,
-    ])
+    prop::sample::select(vec![StoragePolicy::Dense, StoragePolicy::Roaring])
 }
 
 proptest! {
