@@ -2,12 +2,8 @@
 //! through the profiled executor with a real pager + buffer pool and
 //! prints the `EXPLAIN ANALYZE` tree per query.
 //!
-//! Artefacts written to `bench_results/`:
-//!
-//! * `obs_queries.jsonl` — one `ebi.query_report.v1` JSON line per
-//!   query (schema documented in DESIGN.md §8);
-//! * `obs_metrics.prom` — the process-global metrics registry in
-//!   Prometheus text format after the run.
+//! Writes `bench_results/obs_queries.jsonl`: one `ebi.query_report.v1`
+//! JSON line per query (schema documented in DESIGN.md §8).
 //!
 //! `--smoke` shrinks the dataset for CI and self-checks the output
 //! (schema tags, phase presence, cost parity with the untraced path).
@@ -82,10 +78,10 @@ fn main() {
     exec.attach_storage(
         &pager,
         Some(&pool),
-        Some(FetchModel {
+        FetchModel {
             base_page,
             rows_per_page,
-        }),
+        },
     );
 
     // The query mix: point, in-list, range, conjunction, disjunction —
@@ -178,10 +174,6 @@ fn main() {
     ebi_obs::set_enabled(false);
 
     write_result("obs_queries.jsonl", &jsonl);
-    write_result(
-        "obs_metrics.prom",
-        &ebi_obs::metrics::global().render_prometheus(),
-    );
     if smoke {
         println!("explain --smoke: {} queries ok", mix.len());
     }

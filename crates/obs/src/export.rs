@@ -1,9 +1,9 @@
 //! Shared renderers: a minimal JSON writer (the vendored `serde` shim
 //! has no derive, so observability exports are hand-rolled against a
-//! stable, documented schema) and the Prometheus text exposition
-//! format.
+//! stable, documented schema) and the duration format of the
+//! `EXPLAIN ANALYZE` tree. The Prometheus writers are in
+//! [`crate::metrics`].
 
-use crate::metrics::{cumulative_buckets, MetricSample, MetricValue};
 use std::fmt::Write as _;
 
 /// Escapes `s` as the *contents* of a JSON string literal.
@@ -109,82 +109,6 @@ pub fn json_str_array(elems: &[String]) -> String {
     json_array(&rendered)
 }
 
-/// Escapes a Prometheus label value (backslash, quote, newline).
-fn prom_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-/// Renders a `{k="v",…}` label block; empty string for no labels.
-#[must_use]
-pub fn prom_labels(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let body: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", prom_escape(v)))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-fn prom_labels_with(labels: &[(String, String)], extra_key: &str, extra_val: &str) -> String {
-    let mut all = labels.to_vec();
-    all.push((extra_key.to_string(), extra_val.to_string()));
-    prom_labels(&all)
-}
-
-/// Renders metric samples in the Prometheus text exposition format.
-/// Histograms become cumulative `_bucket{le=…}` series plus `_sum`
-/// and `_count`.
-#[must_use]
-pub fn prometheus_render(samples: &[MetricSample]) -> String {
-    let mut out = String::new();
-    let mut last_name: Option<&str> = None;
-    for s in samples {
-        if last_name != Some(s.name.as_str()) {
-            let kind = match &s.value {
-                MetricValue::Counter(_) => "counter",
-                MetricValue::Histogram(_) => "histogram",
-            };
-            let _ = writeln!(out, "# TYPE {} {kind}", s.name);
-            last_name = Some(s.name.as_str());
-        }
-        match &s.value {
-            MetricValue::Counter(v) => {
-                let _ = writeln!(out, "{}{} {v}", s.name, prom_labels(&s.labels));
-            }
-            MetricValue::Histogram(h) => {
-                for (le, cum) in cumulative_buckets(h) {
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{} {cum}",
-                        s.name,
-                        prom_labels_with(&s.labels, "le", &le.to_string())
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "{}_bucket{} {}",
-                    s.name,
-                    prom_labels_with(&s.labels, "le", "+Inf"),
-                    h.count
-                );
-                let _ = writeln!(out, "{}_sum{} {}", s.name, prom_labels(&s.labels), h.sum);
-                let _ = writeln!(
-                    out,
-                    "{}_count{} {}",
-                    s.name,
-                    prom_labels(&s.labels),
-                    h.count
-                );
-            }
-        }
-    }
-    out
-}
-
 /// Formats nanoseconds human-readably (`412ns`, `3.1µs`, `2.45ms`,
 /// `1.20s`) for the `EXPLAIN ANALYZE` tree.
 #[must_use]
@@ -203,7 +127,6 @@ pub fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
 
     #[test]
     fn json_object_renders_compact_and_escaped() {
@@ -227,22 +150,6 @@ mod tests {
             json_str_array(&["a".into(), "b\"c".into()]),
             "[\"a\",\"b\\\"c\"]"
         );
-    }
-
-    #[test]
-    fn prometheus_render_covers_all_kinds() {
-        let reg = MetricsRegistry::new();
-        reg.counter("reads_total", &[("dev", "pager")]).add(3);
-        let h = reg.histogram("lat_ns", &[]);
-        h.record(1);
-        h.record(900);
-        let text = reg.render_prometheus();
-        assert!(text.contains("# TYPE reads_total counter"));
-        assert!(text.contains("reads_total{dev=\"pager\"} 3"));
-        assert!(text.contains("lat_ns_bucket{le=\"1\"} 1"));
-        assert!(text.contains("lat_ns_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("lat_ns_sum 901"));
-        assert!(text.contains("lat_ns_count 2"));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! the logical metric to real time, storage traffic and per-phase
 //! breakdowns, for every query, in every crate of the workspace:
 //!
-//! * [`metrics`] — a process-global, sharded, lock-cheap registry of
-//!   monotonic [`metrics::Counter`]s and log2-bucketed
-//!   [`metrics::Histogram`]s (quantile estimates),
-//!   keyed by name plus free-form labels (`query`, `slice`, `phase`);
+//! * [`metrics`] — monotonic [`metrics::Counter`]s and log2-bucketed
+//!   [`metrics::Histogram`]s (quantile estimates), plain atomics that
+//!   live with whoever owns the event they count, and the Prometheus
+//!   text writers a scrape renders them with;
 //! * [`span`] — an RAII span API ([`span::Trace`], [`span::Span`])
 //!   recording flat [`span::SpanRecord`]s per query, each naming its
 //!   parent. Spans carry explicit parent ids so worker threads can
@@ -21,11 +21,10 @@
 //!   kernel, the evaluator, every index and every report write and sum,
 //!   and [`report::QueryReport`], the query-lifecycle record (span
 //!   records, cost counters, storage counters) that `ebi-warehouse`'s
-//!   executor and `ebi-service` assemble from it plus pager and
-//!   buffer-pool deltas, with its JSON-line and `EXPLAIN ANALYZE`
+//!   executor and `ebi-service` assemble from it plus the page walk's
+//!   own buffer-pool counts, with its JSON-line and `EXPLAIN ANALYZE`
 //!   renderings;
-//! * [`export`] — the shared writers: JSON objects and the Prometheus
-//!   text format;
+//! * [`export`] — the shared JSON writer;
 //! * [`context`] — [`context::TraceContext`], the per-request trace
 //!   identity propagated in `traceparent` form across frontends and
 //!   worker threads;
@@ -38,6 +37,9 @@
 //! workspace crate can link it without cycles.
 //!
 //! # Enabling the subscriber
+//!
+//! The subscriber gates spans and nothing else: metrics count whether
+//! it is on or off.
 //!
 //! ```
 //! ebi_obs::set_enabled(true);
@@ -61,14 +63,14 @@ pub mod report;
 pub mod span;
 
 pub use context::TraceContext;
-pub use metrics::{Counter, Histogram, MetricsRegistry};
+pub use metrics::{Counter, Histogram};
 pub use report::{CostCounters, QueryReport, StorageCounters};
 pub use span::{Span, SpanHandle, SpanRecord, Trace};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Global subscriber switch. All spans and the hot-path metric hooks
-/// no-op while this is `false` (the default).
+/// Global subscriber switch. All spans no-op while this is `false`
+/// (the default).
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Monotonic query-id source for [`report::QueryReport`]s.

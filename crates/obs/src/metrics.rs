@@ -1,36 +1,19 @@
-//! A process-global, sharded, lock-cheap metrics registry.
+//! Metric instruments and their Prometheus text rendering.
 //!
-//! Two instrument kinds, both safe to clone and update from any
-//! thread without touching the registry again:
+//! Two instrument kinds, each a handful of atomics that can live in a
+//! `static` or a plain struct field:
 //!
 //! * [`Counter`] — monotonic `u64` (one relaxed `fetch_add` per
 //!   update);
 //! * [`Histogram`] — log2-bucketed distribution of latencies or byte
 //!   counts, with quantile estimates read from a lock-free snapshot.
 //!
-//! Instruments are keyed by *name plus labels* (e.g.
-//! `ebi_query_latency_ns{phase="eval"}`). Lookup takes one shard
-//! mutex chosen by key hash; the returned handle is an `Arc` of the
-//! atomics, so hot paths resolve their instruments once and update
-//! them registry-free afterwards.
+//! Whoever owns an event counts it in an instrument of its own, and
+//! whoever serves a scrape reads those instruments and writes them with
+//! [`write_counter`] and [`write_histogram`].
 
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::OnceLock;
-
-/// Shards in a [`MetricsRegistry`]; keys spread by hash so concurrent
-/// registrations rarely contend on one mutex.
-const SHARDS: usize = 16;
-
-/// The process-global registry — shorthand for
-/// [`MetricsRegistry::global`].
-#[must_use]
-pub fn global() -> &'static MetricsRegistry {
-    MetricsRegistry::global()
-}
 
 /// Histogram buckets: bucket `0` holds value `0`, bucket `b >= 1`
 /// holds values with `floor(log2(v)) == b - 1`, i.e. upper bound
@@ -38,10 +21,16 @@ pub fn global() -> &'static MetricsRegistry {
 const BUCKETS: usize = 65;
 
 /// A monotonically increasing counter.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
 
 impl Counter {
+    /// A counter at zero.
+    #[must_use]
+    pub const fn new() -> Self {
+        Self(AtomicU64::new(0))
+    }
+
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
@@ -59,27 +48,20 @@ impl Counter {
     }
 }
 
+/// A log2-bucketed histogram of `u64` samples (nanoseconds, bytes,
+/// word counts…). Recording is three relaxed atomic adds; quantiles
+/// are estimated from bucket upper bounds, which for log2 buckets
+/// means at most 2× overestimation — adequate for latency summaries.
 #[derive(Debug)]
-struct HistogramInner {
+pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
-/// A log2-bucketed histogram of `u64` samples (nanoseconds, bytes,
-/// word counts…). Recording is three relaxed atomic adds; quantiles
-/// are estimated from bucket upper bounds, which for log2 buckets
-/// means at most 2× overestimation — adequate for latency summaries.
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramInner>);
-
 impl Default for Histogram {
     fn default() -> Self {
-        Self(Arc::new(HistogramInner {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }))
+        Self::new()
     }
 }
 
@@ -99,20 +81,30 @@ fn bucket_bound(b: usize) -> u64 {
 }
 
 impl Histogram {
+    /// An empty histogram.
+    #[must_use]
+    pub const fn new() -> Self {
+        Self {
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+        }
+    }
+
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        self.0.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(v, Ordering::Relaxed);
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the distribution.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.0.buckets[i].load(Ordering::Relaxed)),
-            count: self.0.count.load(Ordering::Relaxed),
-            sum: self.0.sum.load(Ordering::Relaxed),
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            count: self.count.load(Ordering::Relaxed),
+            sum: self.sum.load(Ordering::Relaxed),
         }
     }
 }
@@ -152,186 +144,62 @@ impl HistogramSnapshot {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
+
+    /// `(le, cumulative count)` for each non-empty bucket, in bucket
+    /// order; the `+Inf` bucket is [`Self::count`].
+    fn cumulative_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut cum = 0u64;
+        self.buckets.iter().enumerate().filter_map(move |(b, &n)| {
+            cum += n;
+            (n > 0).then(|| (bucket_bound(b), cum))
+        })
+    }
 }
 
-/// Sorted `(key, value)` label pairs identifying one instrument of a
-/// metric family.
-pub type Labels = Vec<(String, String)>;
-
-fn normalise_labels(labels: &[(&str, &str)]) -> Labels {
-    let mut out: Labels = labels
-        .iter()
-        .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
-        .collect();
-    out.sort();
-    out
+/// `{labels}`, or nothing for an unlabelled series.
+fn braced(labels: &str) -> String {
+    if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{{{labels}}}")
+    }
 }
 
-#[derive(Debug, Clone)]
-enum Instrument {
-    Counter(Counter),
-    Histogram(Histogram),
+/// Appends one counter family in the Prometheus text format: its
+/// `# TYPE` line, then one sample per `(labels, value)`. `labels` is
+/// what goes between the braces (`proto="tcp",status="ok"`), empty for
+/// none; label values are identifiers or numbers, so nothing is escaped.
+pub fn write_counter<L: AsRef<str>>(
+    out: &mut String,
+    name: &str,
+    series: impl IntoIterator<Item = (L, u64)>,
+) {
+    let _ = writeln!(out, "# TYPE {name} counter");
+    for (labels, v) in series {
+        let _ = writeln!(out, "{name}{} {v}", braced(labels.as_ref()));
+    }
 }
 
-impl Instrument {
-    fn kind(&self) -> &'static str {
-        match self {
-            Self::Counter(_) => "counter",
-            Self::Histogram(_) => "histogram",
+/// Appends one histogram family in the Prometheus text format: per
+/// `(labels, snapshot)`, cumulative `_bucket{…,le=…}` series for the
+/// non-empty buckets and `+Inf`, then `_sum` and `_count`. `labels` is
+/// as for [`write_counter`].
+pub fn write_histogram<L: AsRef<str>>(
+    out: &mut String,
+    name: &str,
+    series: impl IntoIterator<Item = (L, HistogramSnapshot)>,
+) {
+    let _ = writeln!(out, "# TYPE {name} histogram");
+    for (labels, h) in series {
+        let labels = labels.as_ref();
+        let sep = if labels.is_empty() { "" } else { "," };
+        for (le, cum) in h.cumulative_buckets() {
+            let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cum}");
         }
+        let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", h.count);
+        let _ = writeln!(out, "{name}_sum{} {}", braced(labels), h.sum);
+        let _ = writeln!(out, "{name}_count{} {}", braced(labels), h.count);
     }
-}
-
-/// One instrument's state in a [`MetricsRegistry::snapshot`].
-#[derive(Debug, Clone)]
-pub enum MetricValue {
-    /// Counter value.
-    Counter(u64),
-    /// Histogram distribution (boxed: 65 buckets dwarf the scalars).
-    Histogram(Box<HistogramSnapshot>),
-}
-
-/// One `(name, labels)` instrument plus its current value.
-#[derive(Debug, Clone)]
-pub struct MetricSample {
-    /// Metric family name (`ebi_query_latency_ns` style).
-    pub name: String,
-    /// Sorted label pairs.
-    pub labels: Labels,
-    /// The value at snapshot time.
-    pub value: MetricValue,
-}
-
-type Shard = Mutex<HashMap<(String, Labels), Instrument>>;
-
-/// A sharded name+labels → instrument registry.
-///
-/// ```
-/// let reg = ebi_obs::MetricsRegistry::new();
-/// let c = reg.counter("ebi_pager_page_reads_total", &[]);
-/// c.inc();
-/// let h = reg.histogram("ebi_query_latency_ns", &[("phase", "eval")]);
-/// h.record(1500);
-/// assert!(reg.render_prometheus().contains("ebi_pager_page_reads_total 1"));
-/// ```
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    shards: [Shard; SHARDS],
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The process-global registry.
-    #[must_use]
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
-    }
-
-    fn shard(&self, name: &str, labels: &Labels) -> &Shard {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        name.hash(&mut h);
-        labels.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
-    }
-
-    fn get_or_insert(&self, name: &str, labels: &[(&str, &str)], make: &Instrument) -> Instrument {
-        let labels = normalise_labels(labels);
-        let mut shard = self.shard(name, &labels).lock();
-        let entry = shard
-            .entry((name.to_string(), labels))
-            .or_insert_with(|| make.clone());
-        assert_eq!(
-            entry.kind(),
-            make.kind(),
-            "metric {name:?} already registered as a {}",
-            entry.kind()
-        );
-        entry.clone()
-    }
-
-    /// Returns (registering on first use) the counter `name{labels}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is already registered as a different kind.
-    #[must_use]
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.get_or_insert(name, labels, &Instrument::Counter(Counter::default())) {
-            Instrument::Counter(c) => c,
-            _ => unreachable!("kind checked in get_or_insert"),
-        }
-    }
-
-    /// Returns (registering on first use) the histogram `name{labels}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is already registered as a different kind.
-    #[must_use]
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        match self.get_or_insert(name, labels, &Instrument::Histogram(Histogram::default())) {
-            Instrument::Histogram(h) => h,
-            _ => unreachable!("kind checked in get_or_insert"),
-        }
-    }
-
-    /// Point-in-time copy of every instrument, sorted by name then
-    /// labels for deterministic export.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<MetricSample> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for ((name, labels), inst) in shard.lock().iter() {
-                out.push(MetricSample {
-                    name: name.clone(),
-                    labels: labels.clone(),
-                    value: match inst {
-                        Instrument::Counter(c) => MetricValue::Counter(c.get()),
-                        Instrument::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
-                    },
-                });
-            }
-        }
-        out.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        out
-    }
-
-    /// Drops every instrument (handles already held keep working but
-    /// are no longer exported).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-    }
-
-    /// Renders the registry in the Prometheus text exposition format.
-    /// Histograms emit cumulative `_bucket{le=…}` series plus `_sum`
-    /// and `_count`.
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        crate::export::prometheus_render(&self.snapshot())
-    }
-}
-
-/// Export-friendly bucket bounds: `(le, cumulative_count)` pairs for
-/// non-empty prefixes plus the `+Inf` bucket.
-#[must_use]
-pub fn cumulative_buckets(snap: &HistogramSnapshot) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    let mut cum = 0u64;
-    for (b, &n) in snap.buckets.iter().enumerate() {
-        cum += n;
-        if n > 0 {
-            out.push((bucket_bound(b), cum));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -340,22 +208,10 @@ mod tests {
 
     #[test]
     fn counter_roundtrip() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("hits", &[("phase", "eval")]);
+        let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        // Same key returns the same underlying atomic.
-        assert_eq!(reg.counter("hits", &[("phase", "eval")]).get(), 5);
-    }
-
-    #[test]
-    fn label_order_does_not_split_instruments() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c", &[("a", "1"), ("b", "2")]).inc();
-        reg.counter("c", &[("b", "2"), ("a", "1")]).inc();
-        assert_eq!(reg.counter("c", &[("a", "1"), ("b", "2")]).get(), 2);
-        assert_eq!(reg.snapshot().len(), 1);
     }
 
     #[test]
@@ -380,7 +236,7 @@ mod tests {
         let s = Histogram::default().snapshot();
         assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.p99(), 0);
-        assert!(cumulative_buckets(&s).is_empty());
+        assert_eq!(s.cumulative_buckets().count(), 0);
     }
 
     #[test]
@@ -399,33 +255,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already registered")]
-    fn kind_mismatch_panics() {
-        let reg = MetricsRegistry::new();
-        let _ = reg.counter("x", &[]);
-        let _ = reg.histogram("x", &[]);
-    }
-
-    #[test]
-    fn snapshot_is_sorted_and_clear_empties() {
-        let reg = MetricsRegistry::new();
-        reg.counter("zeta", &[]).inc();
-        reg.counter("alpha", &[]).inc();
-        reg.histogram("mid", &[("q", "1")]).record(9);
-        let names: Vec<String> = reg.snapshot().into_iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["alpha", "mid", "zeta"]);
-        reg.clear();
-        assert!(reg.snapshot().is_empty());
-    }
-
-    #[test]
     fn concurrent_updates_do_not_lose_counts() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("n", &[]);
+        let c = Counter::new();
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let c = c.clone();
-                s.spawn(move || {
+                s.spawn(|| {
                     for _ in 0..10_000 {
                         c.inc();
                     }
@@ -433,5 +267,25 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 40_000);
+    }
+
+    #[test]
+    fn prometheus_writers_cover_both_kinds() {
+        let h = Histogram::new();
+        h.record(1);
+        h.record(900);
+        let mut text = String::new();
+        write_counter(&mut text, "reads_total", [("dev=\"pager\"", 3)]);
+        write_histogram(&mut text, "lat_ns", [("", h.snapshot())]);
+        write_histogram(&mut text, "eval_ns", [("shard=\"0\"", h.snapshot())]);
+        assert!(text.contains("# TYPE reads_total counter"));
+        assert!(text.contains("reads_total{dev=\"pager\"} 3"));
+        assert!(text.contains("# TYPE lat_ns histogram"));
+        assert!(text.contains("lat_ns_bucket{le=\"1\"} 1"));
+        assert!(text.contains("lat_ns_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("lat_ns_sum 901"));
+        assert!(text.contains("lat_ns_count 2"));
+        assert!(text.contains("eval_ns_bucket{shard=\"0\",le=\"1023\"} 2"));
+        assert!(text.contains("eval_ns_count{shard=\"0\"} 2"));
     }
 }

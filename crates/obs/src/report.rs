@@ -3,19 +3,17 @@
 //! [`QueryReport`] is what a profiled query yields: the span records of
 //! its phases (reduce → plan → eval → fetch) as [`crate::Trace::finish`]
 //! returns them, its [`CostCounters`] and the storage-layer traffic —
-//! one struct, three renderings (JSON line, Prometheus text,
-//! `EXPLAIN ANALYZE` tree), each read straight off the flat records;
-//! the tree ones follow the records' parent ids. [`CostCounters`] is the
-//! one record the kernel writes and every layer above sums unchanged,
-//! so by construction `cost.vectors_accessed` is the *same number* the
-//! untraced path reports. What an index *is* (row order, run
+//! one struct, two renderings (JSON line, `EXPLAIN ANALYZE` tree), each
+//! read straight off the flat records by following their parent ids.
+//! [`CostCounters`] is the one record the kernel writes and every layer
+//! above sums unchanged, so by construction `cost.vectors_accessed` is
+//! the *same number* the untraced path reports. What an index *is* (row order, run
 //! statistics) is asked of the index, not carried per query.
 //!
 //! The JSON schema is stable and documented (DESIGN.md §8): every line
 //! carries `"schema":"ebi.query_report.v1"`.
 
 use crate::export::{fmt_ns, json_array, json_str_array, JsonObject};
-use crate::metrics::MetricsRegistry;
 use crate::span::SpanRecord;
 use std::fmt::Write as _;
 
@@ -114,30 +112,6 @@ impl std::ops::AddAssign for CostCounters {
 }
 
 impl CostCounters {
-    /// Adds the kernel counters to the process-wide
-    /// `ebi_kernel_*_total` families in `registry`, skipping zeros so a
-    /// counter no query moved is never registered.
-    fn publish_kernel(&self, registry: &MetricsRegistry) {
-        let counters = [
-            ("ebi_kernel_words_scanned_total", self.words_scanned),
-            ("ebi_kernel_bytes_touched_total", self.bytes_touched),
-            (
-                "ebi_kernel_compressed_chunks_skipped_total",
-                self.compressed_chunks_skipped,
-            ),
-            ("ebi_kernel_segments_pruned_total", self.segments_pruned),
-            (
-                "ebi_kernel_segments_short_circuited_total",
-                self.segments_short_circuited,
-            ),
-        ];
-        for (name, v) in counters {
-            if v != 0 {
-                registry.counter(name, &[]).add(v);
-            }
-        }
-    }
-
     fn to_json(self) -> String {
         JsonObject::new()
             .u64("vectors_accessed", self.vectors_accessed)
@@ -153,8 +127,9 @@ impl CostCounters {
     }
 }
 
-/// Storage-layer traffic attributable to the query: pager I/O deltas
-/// and buffer-pool hit/miss accounting.
+/// Storage-layer traffic attributable to the query, as its own page
+/// walk counted it: pager reads and buffer-pool hits, misses and
+/// evictions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StorageCounters {
     /// Pages read from the pager (buffer misses reach here).
@@ -253,40 +228,6 @@ impl QueryReport {
             .raw("storage", &self.storage.to_json())
             .raw("phases", &json_array(&phases))
             .finish()
-    }
-
-    /// Records this query into a metrics registry: one count, the
-    /// total and per-phase latency histograms (`phase` label), the cost
-    /// distributions, and the kernel counters (`ebi_kernel_*_total`).
-    /// Label cardinality stays bounded by phase names; per-query detail
-    /// belongs in the JSON-lines export.
-    pub fn publish(&self, registry: &MetricsRegistry) {
-        self.cost.publish_kernel(registry);
-        registry.counter("ebi_queries_total", &[]).inc();
-        registry
-            .histogram("ebi_query_latency_ns", &[("phase", "total")])
-            .record(self.wall_ns);
-        let mut phases: Vec<(&str, u64)> = Vec::new();
-        for s in &self.spans {
-            match phases.iter_mut().find(|(name, _)| *name == s.name) {
-                Some((_, ns)) => *ns += s.wall_ns,
-                None => phases.push((s.name, s.wall_ns)),
-            }
-        }
-        for (phase, ns) in phases {
-            registry
-                .histogram("ebi_query_latency_ns", &[("phase", phase)])
-                .record(ns);
-        }
-        registry
-            .histogram("ebi_query_vectors_accessed", &[])
-            .record(self.cost.vectors_accessed);
-        registry
-            .histogram("ebi_query_words_scanned", &[])
-            .record(self.cost.words_scanned);
-        registry
-            .histogram("ebi_query_bytes_touched", &[])
-            .record(self.cost.bytes_touched);
     }
 
     /// Renders the human-readable `EXPLAIN ANALYZE` tree.
@@ -469,23 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn publish_records_into_a_registry() {
-        let reg = MetricsRegistry::new();
-        let r = sample_report();
-        r.publish(&reg);
-        r.publish(&reg);
-        assert_eq!(reg.counter("ebi_queries_total", &[]).get(), 2);
-        let snap = reg
-            .histogram("ebi_query_latency_ns", &[("phase", "total")])
-            .snapshot();
-        assert_eq!(snap.count, 2);
-        let eval = reg
-            .histogram("ebi_query_latency_ns", &[("phase", "eval")])
-            .snapshot();
-        assert_eq!(eval.count, 2);
-    }
-
-    #[test]
     fn disabled_subscriber_report_still_renders() {
         let r = QueryReport {
             query_id: 1,
@@ -527,21 +451,5 @@ mod tests {
                 segments_short_circuited: 512,
             }
         );
-    }
-
-    #[test]
-    fn publish_adds_nonzero_kernel_counters() {
-        let reg = MetricsRegistry::new();
-        let r = sample_report();
-        r.publish(&reg);
-        r.publish(&reg);
-        assert_eq!(reg.counter("ebi_kernel_words_scanned_total", &[]).get(), 32);
-        assert_eq!(
-            reg.counter("ebi_kernel_bytes_touched_total", &[]).get(),
-            256
-        );
-        // Zero-valued counters are skipped, not registered as zeros.
-        let names: Vec<String> = reg.snapshot().into_iter().map(|s| s.name).collect();
-        assert!(!names.contains(&"ebi_kernel_compressed_chunks_skipped_total".to_string()));
     }
 }

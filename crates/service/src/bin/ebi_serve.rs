@@ -37,7 +37,7 @@ OPTIONS:
     --timeout-ms N    per-request deadline             [env EBI_SERVICE_TIMEOUT_MS]
     --tcp ADDR        TCP bind address                 [default: 127.0.0.1:0, env EBI_SERVICE_ADDR]
     --http ADDR       HTTP bind address                [default: 127.0.0.1:0, env EBI_SERVICE_HTTP_ADDR]
-    --quiet-obs       leave the observability subscriber off
+    --quiet-obs       record no spans (metrics count regardless)
     -h, --help        print this help
 
 PROTOCOLS:
@@ -54,7 +54,8 @@ TELEMETRY:
     (EBI_LOG_LEVEL, EBI_LOG_MAX_BYTES). A tail-sampling ring keeps the most
     recent 64 traces plus the last 256 slower than rolling p99 (or a fixed
     EBI_SLOW_QUERY_MS). /debug/trace/<id> emits Chrome trace-event JSON.
-    /metrics is the metrics registry; /debug/vars is admission and ring state.
+    /metrics reads every metric family when scraped; /debug/vars is admission
+    and ring state.
 ";
 
 fn die(msg: &str) -> ! {

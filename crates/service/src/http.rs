@@ -218,6 +218,7 @@ pub fn render(reply: &Reply, tctx: Option<&TraceContext>, keep_alive: bool) -> V
                 Reply::Busy => 429,
                 Reply::Draining => 503,
                 Reply::TimedOut => 504,
+                Reply::Internal => 500,
                 Reply::NotFound(_) => 404,
                 Reply::TooLarge => 431,
                 Reply::Incomplete => 408,
@@ -237,6 +238,7 @@ pub fn render(reply: &Reply, tctx: Option<&TraceContext>, keep_alive: bool) -> V
         408 => "Request Timeout",
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
+        500 => "Internal Server Error",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
         _ => "",
@@ -402,6 +404,12 @@ mod tests {
         assert!(large.starts_with("HTTP/1.1 431 "), "{large}");
         assert!(!large.contains("traceparent"), "{large}");
         assert!(text(render(&Reply::Incomplete, None, false)).starts_with("HTTP/1.1 408 "));
+        let internal = text(render(&Reply::Internal, None, false));
+        assert!(
+            internal.starts_with("HTTP/1.1 500 Internal Server Error\r\n"),
+            "{internal}"
+        );
+        assert!(internal.ends_with("{\"error\":\"internal\"}"), "{internal}");
         assert_eq!(
             text(render(&Reply::Pong, None, false)),
             "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 3\r\nConnection: close\r\n\r\nok\n"

@@ -28,7 +28,10 @@
 //!   spans included) and its cost counters in the trace ring; graceful
 //!   shutdown drains in-flight queries before the listeners close. A
 //!   query whose post-pruning work estimate is below
-//!   [`pool::MIN_PARALLEL_WORK_WORDS`] bypasses the pool.
+//!   [`pool::MIN_PARALLEL_WORK_WORDS`] bypasses the pool. A shard
+//!   evaluation that panics is contained and answered `ERR internal` /
+//!   HTTP 500. Metrics are counted where their events happen, whether
+//!   or not spans are on, and `/metrics` reads them when scraped.
 //! * `trace_ring` — tail sampling: the most recent traces and the slow
 //!   ones, each kept as its request and raw records, and rendered as an
 //!   `ebi-obs` [`QueryReport`] only when `TRACES`, `SLOW`, `EXPLAIN`,

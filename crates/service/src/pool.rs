@@ -21,6 +21,7 @@
 //!   workers.
 
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -93,7 +94,10 @@ impl<'env> WorkerPool<'env> {
 
     /// The worker loop; call from a dedicated thread (`_label` only
     /// names the worker at the call site). Returns once the pool is
-    /// closed and the queue is empty. Jobs run with the lock released.
+    /// closed and the queue is empty. Jobs run with the lock released,
+    /// and a job that panics costs only itself: the worker takes the
+    /// next one. A job that must report its failure catches its own
+    /// panic, as the service's shard jobs do.
     pub fn run_worker(&self, _label: usize) {
         loop {
             let job = {
@@ -108,7 +112,7 @@ impl<'env> WorkerPool<'env> {
                     q = self.cv.wait(q).expect("pool queue poisoned");
                 }
             };
-            job();
+            let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
         }
     }
 
@@ -386,6 +390,23 @@ mod tests {
             pool.close();
         })
         .expect("workers joined");
+    }
+
+    /// A panicking job used to take its worker down with it: with one
+    /// worker the next job never ran, and its waiter timed out.
+    #[test]
+    fn a_worker_survives_a_panicking_job() {
+        let pool = WorkerPool::new(1);
+        crossbeam::thread::scope(|scope| {
+            scope.spawn(|_| pool.run_worker(0));
+            pool.submit(Box::new(|| panic!("a shard job panicked")));
+            let fan = Arc::new(FanOut::<u64>::new(1));
+            let done = Arc::clone(&fan);
+            pool.submit(Box::new(move || done.complete(0, Some(7))));
+            assert_eq!(fan.wait(Duration::from_secs(1)), Some(vec![Some(7)]));
+            pool.close();
+        })
+        .expect("worker joined");
     }
 
     #[test]

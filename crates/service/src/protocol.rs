@@ -88,6 +88,8 @@ pub enum Reply {
     Draining,
     /// The query hit its per-request deadline.
     TimedOut,
+    /// A shard evaluation panicked; the panic was contained.
+    Internal,
     /// The request did not parse or compile.
     Bad(String),
     /// Nothing is served under that name.
@@ -98,6 +100,9 @@ pub enum Reply {
     Incomplete,
 }
 
+/// Every value [`Reply::status`] returns.
+pub(crate) const STATUSES: [&str; 3] = ["ok", "busy", "error"];
+
 impl Reply {
     /// The message of a reply that is a refusal or an error.
     #[must_use]
@@ -106,6 +111,7 @@ impl Reply {
             Self::Busy => "busy",
             Self::Draining => "draining",
             Self::TimedOut => "timeout",
+            Self::Internal => "internal",
             Self::Bad(msg) => msg,
             Self::NotFound(msg) => msg,
             Self::TooLarge => "request too large",
@@ -114,7 +120,8 @@ impl Reply {
         })
     }
 
-    /// The `status` label of `ebi_service_requests_total`.
+    /// The `status` label the request counter files this reply under:
+    /// `ok`, `busy` or `error`.
     #[must_use]
     pub fn status(&self) -> &'static str {
         match self.error() {
@@ -474,6 +481,7 @@ mod tests {
         assert_eq!(Reply::Busy.to_line(), "BUSY\n");
         assert_eq!(Reply::Draining.to_line(), "ERR draining\n");
         assert_eq!(Reply::TimedOut.to_line(), "ERR timeout\n");
+        assert_eq!(Reply::Internal.to_line(), "ERR internal\n");
         assert_eq!(Reply::TooLarge.to_line(), "ERR request too large\n");
         assert_eq!(
             Reply::Bad("empty query".into()).to_line(),
@@ -482,6 +490,7 @@ mod tests {
         assert_eq!(Reply::Pong.status(), "ok");
         assert_eq!(Reply::Busy.status(), "busy");
         assert_eq!(Reply::Incomplete.status(), "error");
+        assert_eq!(Reply::Internal.status(), "error");
     }
 
     #[test]

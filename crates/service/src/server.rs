@@ -33,18 +33,20 @@
 use crate::error::ServiceError;
 use crate::http::{self, HttpRequest};
 use crate::pool::{AdmissionGate, FanOut, Refusal, WorkerPool, MIN_PARALLEL_WORK_WORDS};
-use crate::protocol::{self, Reply, Request};
+use crate::protocol::{self, Reply, Request, STATUSES};
 use crate::shard::{CompiledQuery, DnfRequest, Shard, ShardOutcome, ShardedTable};
 use crate::trace_ring::{self, RetainedTrace, TraceRing};
 use ebi_obs::export::{json_str_array, JsonObject};
 use ebi_obs::log as obslog;
-use ebi_obs::{CostCounters, QueryReport, StorageCounters, TraceContext};
-use ebi_storage::BufferPool;
+use ebi_obs::metrics::{write_counter, write_histogram};
+use ebi_obs::{CostCounters, Counter, Histogram, QueryReport, StorageCounters, TraceContext};
+use ebi_storage::{BufferPool, BufferStats};
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Poll interval at which idle connections notice a shutdown.
@@ -178,12 +180,50 @@ pub struct ServiceSummary {
     pub timeouts: u64,
 }
 
+/// What the service counts, each event once, where it happens.
+/// `/metrics` ([`metrics_text`]) reads these with the shards' pager and
+/// pool counters and the trace ring's latency and slow count.
 #[derive(Default)]
 struct Counters {
-    served: AtomicU64,
-    rejected_busy: AtomicU64,
-    rejected_draining: AtomicU64,
-    timeouts: AtomicU64,
+    served: Counter,
+    rejected_busy: Counter,
+    rejected_draining: Counter,
+    timeouts: Counter,
+    /// Shard evaluations that panicked.
+    panics: Counter,
+    /// Requests by [`Proto`] and by reply status ([`STATUSES`]).
+    requests: [[Counter; STATUSES.len()]; 2],
+    /// Request latency by [`Proto`], from framing to the written reply.
+    request_ns: [Histogram; 2],
+    /// Evaluation-and-fetch latency, by shard id.
+    shard_eval_ns: Vec<Histogram>,
+    /// The cost of every answered query, summed.
+    cost: Mutex<CostCounters>,
+    vectors_accessed: Histogram,
+    words_scanned: Histogram,
+    bytes_touched: Histogram,
+}
+
+impl Counters {
+    fn new(shards: usize) -> Self {
+        Self {
+            shard_eval_ns: (0..shards).map(|_| Histogram::new()).collect(),
+            ..Self::default()
+        }
+    }
+
+    fn record_request(&self, proto: Proto, status: &str, ns: u64) {
+        let s = STATUSES.iter().position(|&known| known == status);
+        self.requests[proto as usize][s.unwrap_or(STATUSES.len() - 1)].inc();
+        self.request_ns[proto as usize].record(ns);
+    }
+
+    fn record_query(&self, cost: CostCounters) {
+        self.vectors_accessed.record(cost.vectors_accessed);
+        self.words_scanned.record(cost.words_scanned);
+        self.bytes_touched.record(cost.bytes_touched);
+        *self.cost.lock().expect("cost sum poisoned") += cost;
+    }
 }
 
 /// Everything a connection thread needs, borrowed for the serve scope.
@@ -250,7 +290,7 @@ pub fn run(
     // jobs borrow everything above) must drop before the gate, counters
     // and buffer pools those jobs reference.
     let gate = AdmissionGate::new(cfg.max_inflight);
-    let counters = Counters::default();
+    let counters = Counters::new(table.shards().len());
     let ring = TraceRing::new(cfg.slow_query_ms.map(|ms| ms.saturating_mul(1_000_000)));
     let workers = WorkerPool::new(cfg.workers);
     let ctx = ServeCtx {
@@ -291,18 +331,21 @@ pub fn run(
     })
     .expect("service threads joined");
     Ok(ServiceSummary {
-        served: counters.served.load(Ordering::Relaxed),
-        rejected_busy: counters.rejected_busy.load(Ordering::Relaxed),
-        rejected_draining: counters.rejected_draining.load(Ordering::Relaxed),
-        timeouts: counters.timeouts.load(Ordering::Relaxed),
+        served: counters.served.get(),
+        rejected_busy: counters.rejected_busy.get(),
+        rejected_draining: counters.rejected_draining.get(),
+        timeouts: counters.timeouts.get(),
     })
 }
 
+/// A frontend; its discriminant indexes the per-protocol counters.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Proto {
     Tcp,
     Http,
 }
+
+const PROTOS: [Proto; 2] = [Proto::Tcp, Proto::Http];
 
 impl Proto {
     fn label(self) -> &'static str {
@@ -329,20 +372,6 @@ fn accept_loop<'scope, 'env, 'p, 'data>(
         let Ok(stream) = stream else { continue };
         scope.spawn(move |_| serve_conn(ctx, stream, proto));
     }
-}
-
-fn record_request(proto: Proto, status: &'static str, ns: u64) {
-    if !ebi_obs::enabled() {
-        return;
-    }
-    let reg = ebi_obs::metrics::global();
-    reg.counter(
-        "ebi_service_requests_total",
-        &[("proto", proto.label()), ("status", status)],
-    )
-    .inc();
-    reg.histogram("ebi_service_request_ns", &[("proto", proto.label())])
-        .record(ns);
 }
 
 /// One request framed off the connection buffer and answered, not yet
@@ -416,7 +445,8 @@ fn serve_conn(ctx: &ServeCtx<'_, '_>, mut stream: TcpStream, proto: Proto) {
         };
         let sent = stream.write_all(&out).is_ok();
         let ns = started.elapsed().as_nanos() as u64;
-        record_request(proto, answered.reply.status(), ns);
+        ctx.counters
+            .record_request(proto, answered.reply.status(), ns);
         if !keep || !sent {
             return;
         }
@@ -472,11 +502,11 @@ fn trace_context(traceparent: Option<&str>) -> TraceContext {
         .unwrap_or_else(TraceContext::mint)
 }
 
-/// The HTTP-only pages — registry and trace dumps with no line-protocol
+/// The HTTP-only pages — metrics and trace dumps with no line-protocol
 /// counterpart — and the 404 for everything else.
 fn dump(ctx: &ServeCtx<'_, '_>, req: &HttpRequest) -> Reply {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/metrics") => Reply::Text(ebi_obs::metrics::global().render_prometheus()),
+        ("GET", "/metrics") => Reply::Text(metrics_text(ctx)),
         ("GET", "/debug/vars") => Reply::Json(vars_json(ctx)),
         ("GET", path) if path.starts_with("/debug/trace/") => {
             match ctx.ring.find(&path["/debug/trace/".len()..]) {
@@ -525,7 +555,7 @@ fn respond(
                 Refusal::Busy => (&ctx.counters.rejected_busy, Reply::Busy),
                 Refusal::Draining => (&ctx.counters.rejected_draining, Reply::Draining),
             };
-            counter.fetch_add(1, Ordering::Relaxed);
+            counter.inc();
             obslog::debug("service.server", "admission rejected")
                 .ctx(tctx)
                 .str("proto", proto.label())
@@ -535,7 +565,7 @@ fn respond(
     };
     let reply = match execute(ctx, dnf, limit, *tctx) {
         Ok(Answer { retained, mut body }) => {
-            ctx.counters.served.fetch_add(1, Ordering::Relaxed);
+            ctx.counters.served.inc();
             if explain {
                 body = JsonObject::new()
                     .raw("result", &body)
@@ -548,7 +578,7 @@ fn respond(
             }
         }
         Err(Reply::TimedOut) => {
-            ctx.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+            ctx.counters.timeouts.inc();
             obslog::warn("service.server", "query timeout")
                 .ctx(tctx)
                 .str("proto", proto.label())
@@ -611,6 +641,8 @@ fn execute(
     let estimate = table.estimated_work_words(&compiled);
     let dispatched = ctx.workers.workers() > 0 && n > 1 && estimate >= ctx.cfg.min_dispatch_words;
 
+    // A slot with no outcome is a shard whose evaluation panicked: a
+    // cancelled slot only follows a timeout, which returns no slots.
     let outcomes: Vec<Option<ShardOutcome>> = {
         let mut fan_span = root.child("fanout");
         fan_span.attr("shards", n as u64);
@@ -627,8 +659,12 @@ fn execute(
                 ctx.workers.submit(Box::new(move || {
                     // A job that starts after the waiter gave up skips
                     // its work but still counts as complete.
-                    let live = !fan.is_cancelled();
-                    fan.complete(i, live.then(|| eval_shard(shard, pool, &compiled, parent)));
+                    let outcome = if fan.is_cancelled() {
+                        None
+                    } else {
+                        eval_contained(shard, pool, &compiled, parent)
+                    };
+                    fan.complete(i, outcome);
                 }));
             }
             match fan.wait(ctx.cfg.timeout) {
@@ -639,23 +675,32 @@ fn execute(
             table
                 .shards()
                 .iter()
-                .map(|s| Some(eval_shard(s, &ctx.pools[s.id()], &compiled, parent)))
+                .map(|s| eval_contained(s, &ctx.pools[s.id()], &compiled, parent))
                 .collect()
         }
     };
+    let panicked = outcomes.iter().filter(|o| o.is_none()).count() as u64;
+    if panicked > 0 {
+        ctx.counters.panics.add(panicked);
+        obslog::error("service.server", "shard evaluation panicked")
+            .ctx(&tctx)
+            .query(query_id)
+            .u64("shards", panicked);
+        return Err(Reply::Internal);
+    }
 
     let (bitmap, matches, cost, storage) = {
         let mut span = root.child("merge");
         let mut cost = CostCounters::default();
         let mut storage = StorageCounters::default();
-        // Cancelled shards left no outcome and contribute nothing.
         let answered = || outcomes.iter().flatten();
         for o in answered() {
+            ctx.counters.shard_eval_ns[o.shard].record(o.wall_ns);
             cost += o.cost;
-            storage.pager_reads += o.buffer.1; // misses reach the pager
-            storage.buffer_hits += o.buffer.0;
-            storage.buffer_misses += o.buffer.1;
-            storage.buffer_evictions += o.buffer.2;
+            storage.pager_reads += o.walk.pager_reads();
+            storage.buffer_hits += o.walk.hits;
+            storage.buffer_misses += o.walk.misses;
+            storage.buffer_evictions += o.walk.evictions;
         }
         let bitmap = table.merge(answered().map(|o| (o.shard, &o.bitmap)));
         let matches = bitmap.count_ones() as u64;
@@ -681,20 +726,13 @@ fn execute(
         storage,
         ..QueryReport::default()
     };
-    if ebi_obs::enabled() {
-        run.publish(ebi_obs::metrics::global());
-    }
+    ctx.counters.record_query(cost);
     // Tail sampling is always on: the ring keeps the N most recent
     // traces plus everything over the slow threshold, independent of
     // the span subscriber (with it disabled a trace simply has no
     // spans). The ring owns the request and the run from here on.
     let retained = ctx.ring.record(tctx, dnf, run);
     if retained.slow {
-        if ebi_obs::enabled() {
-            ebi_obs::metrics::global()
-                .counter("ebi_service_slow_queries_total", &[])
-                .inc();
-        }
         let log = obslog::warn("service.server", "slow query");
         if log.is_live() {
             log.ctx(&tctx)
@@ -720,9 +758,9 @@ fn execute(
 /// of work a pool worker runs, wrapped in an `eval.worker` span hung
 /// off the query's `fanout` span (cross-thread parentage via the
 /// captured handle). The span carries the owning trace id (`trace`
-/// attribute) so pool hand-off is checkable end to end, and per-shard
-/// latency lands in `shard`-labelled service metrics so fan-out skew
-/// shows in a scrape.
+/// attribute) so pool hand-off is checkable end to end. The outcome
+/// carries the walk's own page counts and the shard's wall time, which
+/// the service files per shard so fan-out skew shows in a scrape.
 ///
 /// Public for the telemetry proptests and benches, which drive real
 /// shard evaluations through a [`WorkerPool`] without a socket.
@@ -735,14 +773,7 @@ pub fn eval_shard(
     let started = Instant::now();
     let mut span = parent.child("eval.worker");
     let (bitmap, cost) = shard.eval(compiled);
-    let before = pool.stats();
-    let fetched = shard.fetch_pages(&bitmap, Some(pool));
-    let after = pool.stats();
-    let buffer = (
-        after.hits.saturating_sub(before.hits),
-        after.misses.saturating_sub(before.misses),
-        after.evictions.saturating_sub(before.evictions),
-    );
+    let walk = shard.fetch_pages(&bitmap, Some(pool));
     let wall_ns = started.elapsed().as_nanos() as u64;
     if span.is_live() {
         span.attr("trace", parent.trace());
@@ -750,38 +781,45 @@ pub fn eval_shard(
         span.attr("rows", shard.rows() as u64);
         span.attr("matches", bitmap.count_ones() as u64);
         span.attr("vectors_accessed", cost.vectors_accessed);
-        span.attr("pages", fetched.pages);
-        if fetched.errors > 0 {
-            span.attr("errors", fetched.errors);
+        span.attr("pages", walk.pages);
+        if walk.errors > 0 {
+            span.attr("errors", walk.errors);
         }
-    }
-    if ebi_obs::enabled() {
-        let reg = ebi_obs::metrics::global();
-        let sid = shard.id().to_string();
-        reg.counter("ebi_service_shard_evals_total", &[("shard", &sid)])
-            .inc();
-        reg.histogram("ebi_service_shard_eval_ns", &[("shard", &sid)])
-            .record(wall_ns);
     }
     ShardOutcome {
         shard: shard.id(),
         bitmap,
         cost,
-        buffer,
+        walk,
+        wall_ns,
     }
+}
+
+/// [`eval_shard`] with a panic contained: `None` when it panicked, so
+/// the request answers `ERR internal` and the worker lives on.
+fn eval_contained(
+    shard: &Shard,
+    pool: &BufferPool<'_>,
+    compiled: &CompiledQuery,
+    parent: ebi_obs::SpanHandle,
+) -> Option<ShardOutcome> {
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
+        eval_shard(shard, pool, compiled, parent)
+    }))
+    .ok()
 }
 
 /// Admission state and lifetime totals, in the order `STATS` and
 /// `/debug/vars` both print them.
 fn admission_json<'o>(ctx: &ServeCtx<'_, '_>, obj: &'o mut JsonObject) -> &'o mut JsonObject {
-    let total = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    let c = ctx.counters;
     obj.u64("inflight", ctx.gate.inflight() as u64)
         .u64("max_inflight", ctx.gate.max_inflight() as u64)
         .u64("workers", ctx.workers.workers() as u64)
-        .u64("served", total(&ctx.counters.served))
-        .u64("rejected_busy", total(&ctx.counters.rejected_busy))
-        .u64("rejected_draining", total(&ctx.counters.rejected_draining))
-        .u64("timeouts", total(&ctx.counters.timeouts))
+        .u64("served", c.served.get())
+        .u64("rejected_busy", c.rejected_busy.get())
+        .u64("rejected_draining", c.rejected_draining.get())
+        .u64("timeouts", c.timeouts.get())
 }
 
 fn stats_json(ctx: &ServeCtx<'_, '_>) -> String {
@@ -799,7 +837,7 @@ fn stats_json(ctx: &ServeCtx<'_, '_>) -> String {
 }
 
 /// `/debug/vars`: build identity, uptime, and admission and ring
-/// state. The metrics registry is `/metrics`' alone.
+/// state. Metric families are `/metrics`' alone.
 fn vars_json(ctx: &ServeCtx<'_, '_>) -> String {
     let mut obj = JsonObject::new();
     obj.str("build", concat!("ebi-service/", env!("CARGO_PKG_VERSION")))
@@ -814,4 +852,98 @@ fn vars_json(ctx: &ServeCtx<'_, '_>) -> String {
         .u64("slow_ring_capacity", trace_ring::SLOW_CAPACITY as u64)
         .bool("draining", ctx.handle.is_stopping())
         .finish()
+}
+
+/// `/metrics`: every family in the Prometheus text format, read from
+/// its owner now — the service's [`Counters`], the trace ring's latency
+/// histogram and slow count, and each shard's pager and buffer pool.
+fn metrics_text(ctx: &ServeCtx<'_, '_>) -> String {
+    let c = ctx.counters;
+    let mut out = String::new();
+    let requests = PROTOS.iter().flat_map(|&p| {
+        let counts = STATUSES.iter().zip(&c.requests[p as usize]);
+        counts.map(move |(status, n)| {
+            (
+                format!("proto=\"{}\",status=\"{status}\"", p.label()),
+                n.get(),
+            )
+        })
+    });
+    write_counter(&mut out, "ebi_service_requests_total", requests);
+    let by_proto = PROTOS.iter().map(|&p| {
+        let h = &c.request_ns[p as usize];
+        (format!("proto=\"{}\"", p.label()), h.snapshot())
+    });
+    write_histogram(&mut out, "ebi_service_request_ns", by_proto);
+    let by_shard = c.shard_eval_ns.iter().enumerate();
+    let by_shard = by_shard.map(|(i, h)| (format!("shard=\"{i}\""), h.snapshot()));
+    write_histogram(&mut out, "ebi_service_shard_eval_ns", by_shard);
+    for (name, h) in [
+        ("ebi_query_latency_ns", ctx.ring.latency()),
+        ("ebi_query_vectors_accessed", c.vectors_accessed.snapshot()),
+        ("ebi_query_words_scanned", c.words_scanned.snapshot()),
+        ("ebi_query_bytes_touched", c.bytes_touched.snapshot()),
+    ] {
+        write_histogram(&mut out, name, [("", h)]);
+    }
+    let cost = *c.cost.lock().expect("cost sum poisoned");
+    let mut buffer = BufferStats::default();
+    for s in ctx.pools.iter().map(BufferPool::stats) {
+        buffer.hits += s.hits;
+        buffer.misses += s.misses;
+        buffer.evictions += s.evictions;
+    }
+    let shards = ctx.table.shards();
+    for (name, n) in [
+        ("ebi_service_slow_queries_total", ctx.ring.slow_total()),
+        ("ebi_service_panics_total", c.panics.get()),
+        (
+            "ebi_kernel_compressed_chunks_skipped_total",
+            cost.compressed_chunks_skipped,
+        ),
+        ("ebi_kernel_segments_pruned_total", cost.segments_pruned),
+        (
+            "ebi_kernel_segments_short_circuited_total",
+            cost.segments_short_circuited,
+        ),
+        (
+            "ebi_pager_page_reads_total",
+            shards.iter().map(|s| s.pager().stats().page_reads).sum(),
+        ),
+        ("ebi_buffer_hits_total", buffer.hits),
+        ("ebi_buffer_misses_total", buffer.misses),
+        ("ebi_buffer_evictions_total", buffer.evictions),
+    ] {
+        write_counter(&mut out, name, [("", n)]);
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_shard_evaluation_is_contained() {
+        let cells = (0..100u64)
+            .map(|i| ebi_storage::Cell::Value(i % 3))
+            .collect();
+        let table = ShardedTable::build(
+            vec![crate::ColumnSpec::new("a", cells)],
+            &crate::TableOptions::default(),
+        )
+        .expect("table builds");
+        let shard = &table.shards()[0];
+        let pool = BufferPool::new(shard.pager(), 4);
+        let request = crate::parse_dnf("a=1").expect("parses");
+        let mut compiled = table.compile(&request).expect("compiles");
+        let trace = ebi_obs::Trace::begin();
+        let root = trace.root_span("query");
+        let answered = eval_contained(shard, &pool, &compiled, root.handle());
+        assert_eq!(answered.map(|o| o.bitmap.count_ones()), Some(33));
+        // A column the shard does not have: evaluation indexes past its
+        // indexes and panics.
+        compiled.disjuncts[0][0].column = 9;
+        assert!(eval_contained(shard, &pool, &compiled, root.handle()).is_none());
+    }
 }

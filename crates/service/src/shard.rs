@@ -124,8 +124,10 @@ pub struct ShardOutcome {
     pub bitmap: BitVec,
     /// Evaluation cost counters for this shard.
     pub cost: CostCounters,
-    /// Buffer-pool (hits, misses, evictions) deltas for the fetch.
-    pub buffer: (u64, u64, u64),
+    /// The page walk that fetched the matches, as it counted itself.
+    pub walk: PageWalk,
+    /// Wall time of evaluation and fetch, nanoseconds.
+    pub wall_ns: u64,
 }
 
 /// One row-range shard: per-column indexes over `rows` rows starting

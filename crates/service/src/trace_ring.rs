@@ -30,7 +30,8 @@
 
 use crate::shard::{Clause, DnfRequest, Predicate, ShardedTable};
 use ebi_obs::export::JsonObject;
-use ebi_obs::{Histogram, QueryReport, TraceContext};
+use ebi_obs::metrics::HistogramSnapshot;
+use ebi_obs::{Counter, Histogram, QueryReport, TraceContext};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -135,7 +136,7 @@ pub(crate) struct TraceRing {
     recent: Mutex<VecDeque<Arc<RetainedTrace>>>,
     slow: Mutex<VecDeque<Arc<RetainedTrace>>>,
     seq: AtomicU64,
-    slow_total: AtomicU64,
+    slow_total: Counter,
     latency: Histogram,
     /// Fixed slow threshold; `None` uses the rolling p99 estimate.
     slow_threshold_ns: Option<u64>,
@@ -149,7 +150,7 @@ impl TraceRing {
             recent: Mutex::new(VecDeque::with_capacity(RECENT_CAPACITY)),
             slow: Mutex::new(VecDeque::new()),
             seq: AtomicU64::new(0),
-            slow_total: AtomicU64::new(0),
+            slow_total: Counter::new(),
             latency: Histogram::default(),
             slow_threshold_ns,
         }
@@ -202,7 +203,7 @@ impl TraceRing {
             retained
         };
         if slow {
-            self.slow_total.fetch_add(1, Ordering::Relaxed);
+            self.slow_total.inc();
             let mut log = self.slow.lock().expect("slow log poisoned");
             if log.len() == SLOW_CAPACITY {
                 log.pop_front();
@@ -256,7 +257,13 @@ impl TraceRing {
     /// Total traces ever classified slow (not just those still in the
     /// bounded slow log).
     pub(crate) fn slow_total(&self) -> u64 {
-        self.slow_total.load(Ordering::Relaxed)
+        self.slow_total.get()
+    }
+
+    /// The wall time of every recorded trace, as the rolling slow
+    /// threshold sees it.
+    pub(crate) fn latency(&self) -> HistogramSnapshot {
+        self.latency.snapshot()
     }
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end telemetry tests: trace propagation and echo on both
 //! frontends, tail-sampled trace/slow rings, `/debug/*` endpoints,
-//! and the Chrome trace-event export.
+//! the Chrome trace-event export, and `/metrics`.
 
 use ebi_service::{ColumnSpec, ServiceConfig, ServiceHandle, ShardedTable, TableOptions};
 use ebi_storage::Cell;
@@ -45,7 +45,15 @@ fn with_service<F>(table: &ShardedTable, cfg: &ServiceConfig, f: F)
 where
     F: FnOnce(&ServiceHandle) + Send,
 {
-    ebi_obs::set_enabled(true);
+    with_service_spans(true, table, cfg, f);
+}
+
+/// Runs `f` against a live service, with the span subscriber `spans`.
+fn with_service_spans<F>(spans: bool, table: &ShardedTable, cfg: &ServiceConfig, f: F)
+where
+    F: FnOnce(&ServiceHandle) + Send,
+{
+    ebi_obs::set_enabled(spans);
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|s| {
         let server = s.spawn(move || ebi_service::run(table, cfg, |h| tx.send(h).expect("send")));
@@ -282,7 +290,7 @@ fn debug_endpoints_serve_traces_vars_and_chrome_export() {
         assert_eq!(status, 404);
 
         // /debug/vars: admission and ring state in one page; the
-        // metrics registry is `/metrics`' alone.
+        // metric families are `/metrics`' alone.
         let (status, body) = http_get(http, "/debug/vars");
         assert_eq!(status, 200);
         for key in [
@@ -369,8 +377,8 @@ fn shard_labelled_metrics_appear_in_prometheus_export() {
         let (status, body) = http_get(h.http_addr(), "/metrics");
         assert_eq!(status, 200);
         assert!(
-            body.contains("ebi_service_shard_evals_total{shard=\"0\"}"),
-            "missing shard-labelled counter: {body}"
+            body.contains("ebi_service_shard_eval_ns_count{shard=\"0\"} 1"),
+            "missing shard-labelled count: {body}"
         );
         assert!(
             body.contains("ebi_service_shard_eval_ns_bucket{shard=\"0\",le=\""),
@@ -382,8 +390,9 @@ fn shard_labelled_metrics_appear_in_prometheus_export() {
 
 #[test]
 fn served_queries_export_kernel_counters() {
-    // No shard index profiles, so the kernel counters reach `/metrics`
-    // only through the query report the service publishes.
+    // No shard index profiles, so the kernel's word and byte counts
+    // reach `/metrics` only through the cost histograms the service
+    // records once per answered query.
     // Asserted after the service shut down: a panic inside
     // `with_service` would leave the server running and the test hung.
     let table = small_table(2);
@@ -395,16 +404,99 @@ fn served_queries_export_kernel_counters() {
     assert!(reply.starts_with("OK {"), "got {reply}");
     let (status, body) = metrics;
     assert_eq!(status, 200);
+    for family in ["ebi_query_words_scanned", "ebi_query_bytes_touched"] {
+        let sum = metric(&body, &format!("{family}_sum")).unwrap_or(0);
+        assert!(sum > 0, "{family}_sum missing or zero: {body}");
+    }
+}
+
+/// The value of the sample named `series` (labels included) in a
+/// Prometheus text page.
+fn metric(body: &str, series: &str) -> Option<u64> {
+    body.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+}
+
+#[test]
+fn metrics_count_with_spans_off_and_agree_with_the_traces() {
+    // Four clients at once, two per frontend, on two workers with every
+    // query dispatched and two frames per shard pool: page walks on one
+    // shard interleave and evict each other's frames. Fewer than 64
+    // queries, so the ring retains every one.
+    const PER_CLIENT: usize = 10;
+    const TCP_OK: &str = r#"ebi_service_requests_total{proto="tcp",status="ok"}"#;
+    let n = 2 * PER_CLIENT as u64;
+    let table = small_table(3);
+    let cfg = ServiceConfig {
+        buffer_frames: 2,
+        ..test_config()
+    };
+    let (mut traces, mut metrics) = (String::new(), String::new());
+    with_service_spans(false, &table, &cfg, |h| {
+        let (tcp, http) = (h.tcp_addr(), h.http_addr());
+        std::thread::scope(|s| {
+            for c in 0..2 {
+                s.spawn(move || {
+                    for i in 0..PER_CLIENT {
+                        let q = ["a=1", "b IN 2,3", "a BETWEEN 2 4", "b=0 OR a=5"][(c + i) % 4];
+                        let resp = tcp_line(tcp, &format!("COUNT {q}"));
+                        assert!(resp.starts_with("OK {"), "{q}: {resp}");
+                    }
+                });
+                s.spawn(move || {
+                    for i in 0..PER_CLIENT {
+                        let q = ["a%3D1", "b%3D2", "a%3D4"][(c + i) % 3];
+                        assert_eq!(http_get(http, &format!("/count?q={q}")).0, 200, "{q}");
+                    }
+                });
+            }
+        });
+        traces = http_get(http, "/debug/traces").1;
+        // A request is counted once its reply is written, which the
+        // client may see first: scrape until the last one is in.
+        for _ in 0..100 {
+            metrics = http_get(http, "/metrics").1;
+            if metric(&metrics, TCP_OK) == Some(n) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    });
+    assert_eq!(metric(&metrics, TCP_OK), Some(n), "{metrics}");
+    assert_eq!(
+        metric(&metrics, "ebi_query_latency_ns_count"),
+        Some(2 * n),
+        "{metrics}"
+    );
+    let lines: Vec<&str> = traces.lines().filter(|l| !l.is_empty()).collect();
+    assert_eq!(lines.len() as u64, 2 * n, "every query retained: {traces}");
+    let retained = |key: &str| {
+        lines
+            .iter()
+            .map(|l| json_u64(l, key).expect(key))
+            .sum::<u64>()
+    };
+    for (family, key) in [
+        ("ebi_buffer_hits_total", "buffer_hits"),
+        ("ebi_buffer_misses_total", "buffer_misses"),
+        ("ebi_buffer_evictions_total", "buffer_evictions"),
+        ("ebi_pager_page_reads_total", "pager_reads"),
+    ] {
+        assert_eq!(
+            metric(&metrics, family),
+            Some(retained(key)),
+            "{family}: {metrics}"
+        );
+    }
     assert!(
-        body.contains("ebi_kernel_words_scanned_total"),
-        "missing kernel counter: {body}"
+        retained("buffer_evictions") > 0,
+        "two frames per shard must evict"
     );
 }
 
 /// The subsystem prefixes every exported metric family starts with.
-const METRIC_PREFIXES: [&str; 6] = [
+const METRIC_PREFIXES: [&str; 5] = [
     "ebi_query_",
-    "ebi_queries_",
     "ebi_kernel_",
     "ebi_pager_",
     "ebi_buffer_",

@@ -12,15 +12,6 @@ use crate::pager::{PageId, Pager};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
-/// Mirrors one buffer-pool event into the global metrics registry when
-/// the observability subscriber is on. Off path: one relaxed load.
-#[inline]
-fn publish(name: &'static str) {
-    if ebi_obs::enabled() {
-        ebi_obs::metrics::global().counter(name, &[]).inc();
-    }
-}
-
 /// Hit/miss counters for a buffer pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferStats {
@@ -42,6 +33,15 @@ impl BufferStats {
         }
         self.hits as f64 / total as f64
     }
+}
+
+/// How the pool served one read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Served {
+    /// From a resident frame.
+    Hit,
+    /// From the pager; `evicted` says whether a frame made room.
+    Miss { evicted: bool },
 }
 
 struct PoolInner {
@@ -102,6 +102,12 @@ impl<'a> BufferPool<'a> {
     ///
     /// Propagates pager errors on a miss.
     pub fn read_page(&self, id: PageId) -> Result<Vec<u8>, StorageError> {
+        self.fetch(id).map(|(data, _)| data)
+    }
+
+    /// [`Self::read_page`], also saying how the read was served, so a
+    /// caller can count its own reads while others share the pool.
+    fn fetch(&self, id: PageId) -> Result<(Vec<u8>, Served), StorageError> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -109,13 +115,10 @@ impl<'a> BufferPool<'a> {
             *last = tick;
             let out = data.clone();
             inner.stats.hits += 1;
-            drop(inner);
-            publish("ebi_buffer_hits_total");
-            return Ok(out);
+            return Ok((out, Served::Hit));
         }
         drop(inner); // do not hold the lock across the pager read
         let data = self.pager.read_page(id)?;
-        publish("ebi_buffer_misses_total");
         let mut inner = self.inner.lock();
         inner.stats.misses += 1;
         let mut evicted = false;
@@ -129,11 +132,7 @@ impl<'a> BufferPool<'a> {
         }
         let tick = inner.tick;
         inner.cached.insert(id.0, (data.clone(), tick));
-        drop(inner); // the registry has a lock of its own
-        if evicted {
-            publish("ebi_buffer_evictions_total");
-        }
-        Ok(data)
+        Ok((data, Served::Miss { evicted }))
     }
 
     /// Current counters.
@@ -160,13 +159,29 @@ impl<'a> BufferPool<'a> {
     }
 }
 
-/// What one [`read_row_pages`] walk touched.
+/// What one [`read_row_pages`] walk touched, counted by the walk
+/// itself: exact for this walk however many others share the pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PageWalk {
     /// Distinct pages read.
     pub pages: u64,
     /// Of those, reads the page store refused.
     pub errors: u64,
+    /// Reads the pool served from a resident frame (0 with no pool).
+    pub hits: u64,
+    /// Reads the pool passed to the pager (0 with no pool).
+    pub misses: u64,
+    /// Frames this walk's misses evicted.
+    pub evictions: u64,
+}
+
+impl PageWalk {
+    /// Reads that reached the pager: the pool's misses, or every read
+    /// that succeeded when the walk had no pool.
+    #[must_use]
+    pub fn pager_reads(&self) -> u64 {
+        self.pages - self.errors - self.hits
+    }
 }
 
 /// The fetch that follows a selection: reads each page holding one of
@@ -191,11 +206,15 @@ pub fn read_row_pages(
         }
         last = Some(page);
         walk.pages += 1;
-        let read = match pool {
-            Some(pool) => pool.read_page(page),
-            None => pager.read_page(page),
-        };
-        walk.errors += u64::from(read.is_err());
+        match pool.map(|pool| pool.fetch(page)) {
+            Some(Ok((_, Served::Hit))) => walk.hits += 1,
+            Some(Ok((_, Served::Miss { evicted }))) => {
+                walk.misses += 1;
+                walk.evictions += u64::from(evicted);
+            }
+            Some(Err(_)) => walk.errors += 1,
+            None => walk.errors += u64::from(pager.read_page(page).is_err()),
+        }
     }
     walk
 }
@@ -303,28 +322,12 @@ mod tests {
     }
 
     #[test]
-    fn global_metrics_mirror_traffic_when_enabled() {
-        let reg = ebi_obs::metrics::global();
-        let hits0 = reg.counter("ebi_buffer_hits_total", &[]).get();
-        let miss0 = reg.counter("ebi_buffer_misses_total", &[]).get();
-        let reads0 = reg.counter("ebi_pager_page_reads_total", &[]).get();
-
-        let pager = pager_with_pages(2);
+    fn a_walk_counts_the_evictions_its_misses_cause() {
+        let pager = pager_with_pages(3);
         let pool = BufferPool::new(&pager, 2);
-        // Disabled: the registry must not move for these reads.
-        ebi_obs::set_enabled(false);
-        pool.read_page(PageId(0)).unwrap();
-        assert_eq!(reg.counter("ebi_buffer_misses_total", &[]).get(), miss0);
-
-        ebi_obs::set_enabled(true);
-        pool.read_page(PageId(0)).unwrap(); // hit
-        pool.read_page(PageId(1)).unwrap(); // miss → pager read
-        ebi_obs::set_enabled(false);
-
-        // Deltas are >= because parallel tests may also publish.
-        assert!(reg.counter("ebi_buffer_hits_total", &[]).get() > hits0);
-        assert!(reg.counter("ebi_buffer_misses_total", &[]).get() > miss0);
-        assert!(reg.counter("ebi_pager_page_reads_total", &[]).get() > reads0);
+        let walk = read_row_pages([0usize, 1, 2], PageId(0), 1, &pager, Some(&pool));
+        assert_eq!((walk.misses, walk.evictions), (3, 1));
+        assert_eq!(pool.stats().evictions, 1);
     }
 
     #[test]
@@ -339,15 +342,30 @@ mod tests {
             walk,
             PageWalk {
                 pages: 3,
-                errors: 1
+                errors: 1,
+                misses: 2,
+                ..PageWalk::default()
             }
         );
         assert_eq!(pool.stats().misses, 2, "the failed read caches nothing");
+        assert_eq!(walk.pager_reads(), 2);
+        // Again through the now warm pool: the walk counts its own hits.
+        let warm = read_row_pages(rows, PageId(1), 4, &pager, Some(&pool));
+        assert_eq!((warm.hits, warm.misses, warm.errors), (2, 0, 1));
+        assert_eq!(warm.pager_reads(), 0);
         pager.reset_stats();
-        assert_eq!(read_row_pages(rows, PageId(1), 4, &pager, None), walk);
+        let direct = read_row_pages(rows, PageId(1), 4, &pager, None);
+        assert_eq!(
+            direct,
+            PageWalk {
+                pages: 3,
+                errors: 1,
+                ..PageWalk::default()
+            }
+        );
         assert_eq!(
             pager.stats().page_reads,
-            2,
+            direct.pager_reads(),
             "no pool: straight to the pager"
         );
         // rows_per_page 0 is treated as 1; no rows, no reads.

@@ -13,7 +13,14 @@
 //! * [`table`] — row-id addressed column tables with NULL and deletion
 //!   tracking, the physical home of fact/dimension data;
 //! * [`buffer::BufferPool`] — a bounded LRU page cache with hit/miss
-//!   accounting, for working-set experiments.
+//!   accounting, for working-set experiments, and
+//!   [`buffer::read_row_pages`], the fetch after a selection, which
+//!   counts its own hits, misses and evictions in a [`PageWalk`].
+//!
+//! Every counter lives with the structure whose event it counts
+//! ([`Pager::stats`], [`BufferPool::stats`], [`PageWalk`]), and the
+//! crate depends on nothing but `parking_lot`. A service that exports
+//! these counters reads them when scraped.
 //!
 //! The paper used an analytical model rather than a real disk; this pager
 //! preserves the observable quantity (pages touched) while keeping

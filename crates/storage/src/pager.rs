@@ -3,15 +3,6 @@
 use crate::error::StorageError;
 use parking_lot::Mutex;
 
-/// Mirrors one pager event into the global metrics registry when the
-/// observability subscriber is on. Off path: one relaxed atomic load.
-#[inline]
-fn publish(name: &'static str, n: u64) {
-    if ebi_obs::enabled() {
-        ebi_obs::metrics::global().counter(name, &[]).add(n);
-    }
-}
-
 /// Default page size: 4 KiB, the `p = 4K` of the paper's §2.1 cost
 /// analysis.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
@@ -45,8 +36,7 @@ struct PagerInner {
 ///
 /// Counters use interior mutability so reads can be counted through
 /// shared references, mirroring how a buffer manager observes traffic.
-/// Pages and counters share one lock, so no method ever holds two; the
-/// metrics registry is written after that lock is released.
+/// Pages and counters share one lock, so no method ever holds two.
 #[derive(Debug)]
 pub struct Pager {
     page_size: usize,
@@ -102,8 +92,6 @@ impl Pager {
                 .push(vec![0u8; self.page_size].into_boxed_slice());
         }
         inner.stats.pages_allocated += n;
-        drop(inner);
-        publish("ebi_pager_pages_allocated_total", n);
         PageId(first)
     }
 
@@ -132,8 +120,6 @@ impl Pager {
             })?;
         page[..data.len()].copy_from_slice(data);
         inner.stats.page_writes += 1;
-        drop(inner);
-        publish("ebi_pager_page_writes_total", 1);
         Ok(())
     }
 
@@ -154,8 +140,6 @@ impl Pager {
             })?
             .to_vec();
         inner.stats.page_reads += 1;
-        drop(inner);
-        publish("ebi_pager_page_reads_total", 1);
         Ok(page)
     }
 

@@ -13,7 +13,7 @@ use ebi_bitvec::BitVec;
 use ebi_core::index::QueryResult;
 use ebi_core::{and_fold, or_fold, Selected};
 use ebi_obs::{CostCounters, QueryReport, StorageCounters};
-use ebi_storage::{read_row_pages, BufferPool, BufferStats, IoStats, PageId, Pager};
+use ebi_storage::{read_row_pages, BufferPool, PageId, PageWalk, Pager};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -45,7 +45,7 @@ pub struct FetchModel {
 struct StorageAttachment<'a> {
     pager: &'a Pager,
     pool: Option<&'a BufferPool<'a>>,
-    fetch: Option<FetchModel>,
+    fetch: FetchModel,
 }
 
 /// Cost summary of one executed query.
@@ -93,14 +93,14 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Attaches the storage layer so profiled runs report pager /
-    /// buffer-pool deltas, and — when `fetch` is given — read the
-    /// matching rows' pages through the pool as a traced `fetch` phase.
+    /// Attaches the storage layer: profiled runs read the matching
+    /// rows' pages (`fetch` places them) through the pool, when one is
+    /// given, as a traced `fetch` phase, and report what that walk read.
     pub fn attach_storage(
         &mut self,
         pager: &'a Pager,
         pool: Option<&'a BufferPool<'a>>,
-        fetch: Option<FetchModel>,
+        fetch: FetchModel,
     ) {
         self.storage = Some(StorageAttachment { pager, pool, fetch });
     }
@@ -225,29 +225,23 @@ impl<'a> Executor<'a> {
         self.run_dnf_profiled(query, label).1.explain_analyze()
     }
 
-    /// The shared profiled wrapper: snapshots storage stats, opens the
-    /// root `query` span, runs `body`, charges the fetch phase, and
-    /// assembles the [`QueryReport`].
+    /// The shared profiled wrapper: opens the root `query` span, runs
+    /// `body`, charges the fetch phase, and assembles the
+    /// [`QueryReport`].
     fn profiled<F>(&self, label: &str, body: F) -> (BitVec, QueryReport)
     where
         F: FnOnce(&mut Vec<String>) -> Selected,
     {
         let query_id = ebi_obs::next_query_id();
-        let pager_before = self.storage.as_ref().map(|s| s.pager.stats());
-        let pool_before = self
-            .storage
-            .as_ref()
-            .and_then(|s| s.pool)
-            .map(BufferPool::stats);
         let start = Instant::now();
         let trace = ebi_obs::Trace::begin();
         let mut expressions = Vec::new();
-        let (bitmap, cost) = {
+        let (bitmap, cost, walk) = {
             let mut root = trace.root_span("query");
             root.attr("query_id", query_id);
             let (bitmap, cost) = body(&mut expressions);
-            self.fetch_matches(&bitmap);
-            (bitmap, cost)
+            let walk = self.fetch_matches(&bitmap);
+            (bitmap, cost, walk)
         };
         let wall_ns = start.elapsed().as_nanos() as u64;
         let report = QueryReport {
@@ -259,24 +253,29 @@ impl<'a> Executor<'a> {
             expressions,
             spans: trace.finish(),
             cost,
-            storage: self.storage_delta(pager_before, pool_before),
+            storage: StorageCounters {
+                pager_reads: walk.pager_reads(),
+                buffer_hits: walk.hits,
+                buffer_misses: walk.misses,
+                buffer_evictions: walk.evictions,
+                ..StorageCounters::default()
+            },
         };
-        if ebi_obs::enabled() {
-            report.publish(ebi_obs::metrics::global());
-        }
         (bitmap, report)
     }
 
     /// Reads every page holding a matching row ([`read_row_pages`]),
-    /// through the buffer pool when one is attached, as a `fetch` phase.
-    fn fetch_matches(&self, bitmap: &BitVec) {
-        let Some(att) = &self.storage else { return };
-        let Some(fetch) = att.fetch else { return };
+    /// through the buffer pool when one is attached, as a `fetch` phase;
+    /// an empty walk when no storage is attached.
+    fn fetch_matches(&self, bitmap: &BitVec) -> PageWalk {
+        let Some(att) = &self.storage else {
+            return PageWalk::default();
+        };
         let mut span = ebi_obs::active_child("fetch");
         let walk = read_row_pages(
             bitmap.iter_ones(),
-            fetch.base_page,
-            fetch.rows_per_page,
+            att.fetch.base_page,
+            att.fetch.rows_per_page,
             att.pager,
             att.pool,
         );
@@ -284,29 +283,7 @@ impl<'a> Executor<'a> {
         if walk.errors > 0 {
             span.attr("errors", walk.errors);
         }
-    }
-
-    /// Storage traffic since the pre-query snapshots.
-    fn storage_delta(
-        &self,
-        pager_before: Option<IoStats>,
-        pool_before: Option<BufferStats>,
-    ) -> StorageCounters {
-        let mut out = StorageCounters::default();
-        if let (Some(att), Some(before)) = (self.storage.as_ref(), pager_before) {
-            let now = att.pager.stats();
-            out.pager_reads = now.page_reads.saturating_sub(before.page_reads);
-            out.pager_writes = now.page_writes.saturating_sub(before.page_writes);
-        }
-        if let (Some(pool), Some(before)) =
-            (self.storage.as_ref().and_then(|s| s.pool), pool_before)
-        {
-            let now = pool.stats();
-            out.buffer_hits = now.hits.saturating_sub(before.hits);
-            out.buffer_misses = now.misses.saturating_sub(before.misses);
-            out.buffer_evictions = now.evictions.saturating_sub(before.evictions);
-        }
-        out
+        walk
     }
 
     /// COUNT(*) of a conjunction.
@@ -545,10 +522,10 @@ mod tests {
         exec.attach_storage(
             &pager,
             Some(&pool),
-            Some(FetchModel {
+            FetchModel {
                 base_page: base,
                 rows_per_page: 16,
-            }),
+            },
         );
 
         ebi_obs::set_enabled(true);

@@ -36,7 +36,7 @@ python3 scripts/validate_obs_schema.py bench_results/obs_queries.jsonl
 
 # Live service telemetry: run a short ebi_serve session with worst-case
 # tail sampling (every query slow) and a file log sink, dump the trace
-# ring, and commit both JSONL artefacts.
+# ring and the server's /metrics, and commit the three artefacts.
 cargo build --release -p ebi-service --bin ebi_serve
 rm -f bench_results/service_log.jsonl
 obs_work=$(mktemp -d)
@@ -54,6 +54,7 @@ for q in "a=1" "a IN 1,3,5 AND b BETWEEN 0 3" "c BETWEEN 1 9" "b=0 OR a=2"; do
   curl -sf "http://$obs_http/count?q=$(python3 -c 'import sys,urllib.parse; print(urllib.parse.quote(sys.argv[1]))' "$q")" > /dev/null
 done
 curl -sf "http://$obs_http/debug/traces" > bench_results/service_traces.jsonl
+curl -sf "http://$obs_http/metrics" > bench_results/obs_metrics.prom
 curl -sf -X POST "http://$obs_http/shutdown" > /dev/null
 wait "$obs_pid"
 rm -rf "$obs_work"

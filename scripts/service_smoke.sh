@@ -237,16 +237,33 @@ for key in ("uptime_ms", "inflight", "rejected_busy", "rejected_draining", "slow
     assert key in tcp_stats, f"STATS missing {key}"
 print("stats parity ok:", sorted(tcp_stats))
 
-# --- /metrics must parse as Prometheus text ---
+# --- /metrics must parse as Prometheus text and carry every family ---
 status, metrics = http_get("/metrics")
 assert status == 200
-assert "ebi_service_requests_total" in metrics
-assert 'ebi_service_shard_evals_total{shard="0"}' in metrics, "per-shard counters missing"
-assert "ebi_service_request_ns_bucket" in metrics
+FAMILIES = {
+    "ebi_service_requests_total", "ebi_service_request_ns", "ebi_service_shard_eval_ns",
+    "ebi_service_slow_queries_total", "ebi_service_panics_total",
+    "ebi_query_latency_ns", "ebi_query_vectors_accessed", "ebi_query_words_scanned",
+    "ebi_query_bytes_touched", "ebi_kernel_compressed_chunks_skipped_total",
+    "ebi_kernel_segments_pruned_total", "ebi_kernel_segments_short_circuited_total",
+    "ebi_pager_page_reads_total", "ebi_buffer_hits_total", "ebi_buffer_misses_total",
+    "ebi_buffer_evictions_total",
+}
+families = {l.split()[2] for l in metrics.splitlines() if l.startswith("# TYPE ")}
+assert families == FAMILIES, f"families differ: {sorted(families ^ FAMILIES)}"
+samples = {}
 for line in metrics.splitlines():
     if not line or line.startswith("#"):
         continue
-    float(line.rsplit(" ", 1)[1])
+    series, value = line.rsplit(" ", 1)
+    samples[series] = float(value)
+assert samples['ebi_service_shard_eval_ns_count{shard="4"}'] > 0, "per-shard latency missing"
+assert samples['ebi_service_requests_total{proto="http",status="ok"}'] > 0
+assert samples["ebi_service_panics_total"] == 0
+# Every answered query so far is in the ring's latency histogram, and
+# every slow one (all of them at a 0 ms threshold) in the slow count.
+assert samples["ebi_query_latency_ns_count"] == tcp_stats["served"], (samples, tcp_stats)
+assert samples["ebi_service_slow_queries_total"] == samples["ebi_query_latency_ns_count"]
 print("metrics ok:", sum(1 for l in metrics.splitlines() if l and not l.startswith("#")), "samples")
 
 # --- graceful shutdown with requests in flight ---
