@@ -93,6 +93,43 @@ impl BitVec {
     pub fn first_one(&self) -> Option<usize> {
         self.iter_ones().next()
     }
+
+    /// Index of each block of `block_bits` consecutive bits that holds
+    /// at least one set bit, ascending: block `b` covers positions
+    /// `b * block_bits ..`, the last block ends at `len()`. This is the
+    /// set `iter_ones().map(|i| i / block_bits)` deduplicated, found in
+    /// `O(words + blocks)`: each step masks the first word of the next
+    /// unvisited block below its start and skips zero words from there,
+    /// so a block size need not be a multiple of 64.
+    ///
+    /// ```
+    /// use ebi_bitvec::BitVec;
+    ///
+    /// let v = BitVec::from_positions(300, &[1, 2, 150, 299]);
+    /// assert_eq!(v.occupied_blocks(100).collect::<Vec<_>>(), [0, 1, 2]);
+    /// assert_eq!(v.occupied_blocks(7).collect::<Vec<_>>(), [0, 21, 42]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_bits == 0`.
+    pub fn occupied_blocks(&self, block_bits: usize) -> impl Iterator<Item = usize> + '_ {
+        assert!(block_bits > 0, "a block holds at least one bit");
+        let words = self.words();
+        // First position not yet covered by a yielded block.
+        let mut from = 0usize;
+        std::iter::from_fn(move || {
+            let mut w = from / WORD_BITS;
+            let mut word = words.get(w)? & (u64::MAX << (from % WORD_BITS));
+            while word == 0 {
+                w += 1;
+                word = *words.get(w)?;
+            }
+            let block = (w * WORD_BITS + word.trailing_zeros() as usize) / block_bits;
+            from = (block + 1).saturating_mul(block_bits);
+            Some(block)
+        })
+    }
 }
 
 impl<'a> IntoIterator for &'a BitVec {
@@ -138,6 +175,44 @@ mod tests {
         assert_eq!(v.to_positions(), vec![9_999]);
         assert_eq!(v.first_one(), Some(9_999));
         assert_eq!(BitVec::zeros(10).first_one(), None);
+    }
+
+    #[test]
+    fn occupied_blocks_are_the_deduplicated_ones_over_the_block_size() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut patterns: Vec<BitVec> = Vec::new();
+        for len in [0usize, 1, 63, 64, 65, 130, 1_000, 4_097] {
+            patterns.push(BitVec::zeros(len));
+            patterns.push(BitVec::ones(len));
+            patterns.push((0..len).map(|i| i % 97 == 5).collect());
+            patterns.push((0..len).map(|i| (i / 200) % 3 == 1).collect());
+            patterns.push(
+                (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state.is_multiple_of(11)
+                    })
+                    .collect(),
+            );
+        }
+        for v in &patterns {
+            for b in [1usize, 3, 64, 100, 512, v.len() + 1] {
+                let mut want: Vec<usize> = v.iter_ones().map(|i| i / b).collect();
+                want.dedup();
+                // One past the expected count, so a block yielded twice
+                // fails here rather than repeating forever.
+                let got: Vec<usize> = v.occupied_blocks(b).take(want.len() + 1).collect();
+                assert_eq!(got, want, "len {} block {b}", v.len());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one bit")]
+    fn occupied_blocks_refuse_an_empty_block() {
+        let _ = BitVec::ones(3).occupied_blocks(0);
     }
 
     #[test]

@@ -30,8 +30,10 @@
 //!   query whose post-pruning work estimate is below
 //!   [`pool::MIN_PARALLEL_WORK_WORDS`] bypasses the pool. A shard
 //!   evaluation that panics is contained and answered `ERR internal` /
-//!   HTTP 500. Metrics are counted where their events happen, whether
-//!   or not spans are on, and `/metrics` reads them when scraped.
+//!   HTTP 500; a connection loop that panics closes only its own
+//!   connection. Both are counted. Metrics are counted where their
+//!   events happen, whether or not spans are on, and `/metrics` reads
+//!   them when scraped.
 //! * `trace_ring` — tail sampling: the most recent traces and the slow
 //!   ones, each kept as its request and raw records, and rendered as an
 //!   `ebi-obs` [`QueryReport`] only when `TRACES`, `SLOW`, `EXPLAIN`,

@@ -189,7 +189,7 @@ struct Counters {
     rejected_busy: Counter,
     rejected_draining: Counter,
     timeouts: Counter,
-    /// Shard evaluations that panicked.
+    /// Shard evaluations and connections that panicked.
     panics: Counter,
     /// Requests by [`Proto`] and by reply status ([`STATUSES`]).
     requests: [[Counter; STATUSES.len()]; 2],
@@ -370,7 +370,20 @@ fn accept_loop<'scope, 'env, 'p, 'data>(
             break;
         }
         let Ok(stream) = stream else { continue };
-        scope.spawn(move |_| serve_conn(ctx, stream, proto));
+        scope.spawn(move |_| {
+            contain_conn(ctx.counters, proto, || serve_conn(ctx, stream, proto));
+        });
+    }
+}
+
+/// Runs one connection's loop with a panic contained: it counts in
+/// `ebi_service_panics_total` and logs at error level, the connection
+/// (owned by `conn`) closes as it unwinds, and every other connection
+/// is served on.
+fn contain_conn(counters: &Counters, proto: Proto, conn: impl FnOnce()) {
+    if std::panic::catch_unwind(AssertUnwindSafe(conn)).is_err() {
+        counters.panics.inc();
+        obslog::error("service.server", "connection panicked").str("proto", proto.label());
     }
 }
 
@@ -945,5 +958,18 @@ mod tests {
         // indexes and panics.
         compiled.disjuncts[0][0].column = 9;
         assert!(eval_contained(shard, &pool, &compiled, root.handle()).is_none());
+    }
+
+    #[test]
+    fn a_panicking_connection_is_counted_and_contained() {
+        let counters = Counters::new(1);
+        let mut served = 0;
+        contain_conn(&counters, Proto::Tcp, || served += 1);
+        assert_eq!((served, counters.panics.get()), (1, 0));
+        contain_conn(&counters, Proto::Http, || panic!("connection loop bug"));
+        assert_eq!(counters.panics.get(), 1, "the panic is counted, not raised");
+        // The next connection is served as before.
+        contain_conn(&counters, Proto::Tcp, || served += 1);
+        assert_eq!((served, counters.panics.get()), (2, 1));
     }
 }

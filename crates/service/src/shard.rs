@@ -23,7 +23,7 @@ use ebi_core::index::{BuildOptions, EncodedBitmapIndex};
 use ebi_core::total_order::dense_order_mapping;
 use ebi_core::{and_fold, or_fold, CoreError, Mapping, RowOrder};
 use ebi_obs::CostCounters;
-use ebi_storage::{read_row_pages, BufferPool, Cell, PageId, PageWalk, Pager};
+use ebi_storage::{read_pages, BufferPool, Cell, PageId, PageWalk, Pager};
 
 /// One input column: a name plus its cell values for every row.
 #[derive(Debug, Clone)]
@@ -197,13 +197,14 @@ impl Shard {
             .sum()
     }
 
-    /// Reads every heap page holding a matching row
-    /// ([`read_row_pages`], the walk the warehouse executor uses),
-    /// through `pool` when given, else straight from the shard's pager.
+    /// Reads every heap page holding a matching row ([`read_pages`]
+    /// over the bitmap's occupied blocks, the walk the warehouse
+    /// executor uses), through `pool` when given, else straight from
+    /// the shard's pager.
     #[must_use]
     pub fn fetch_pages(&self, bitmap: &BitVec, pool: Option<&BufferPool<'_>>) -> PageWalk {
-        let rows = bitmap.iter_ones();
-        read_row_pages(rows, PageId(0), self.rows_per_page, &self.pager, pool)
+        let pages = bitmap.occupied_blocks(self.rows_per_page);
+        read_pages(pages.map(|p| PageId(p as u64)), &self.pager, pool)
     }
 
     /// The number of pages [`Shard::fetch_pages`] touches.

@@ -13,9 +13,12 @@
 //! * [`table`] — row-id addressed column tables with NULL and deletion
 //!   tracking, the physical home of fact/dimension data;
 //! * [`buffer::BufferPool`] — a bounded LRU page cache with hit/miss
-//!   accounting, for working-set experiments, and
-//!   [`buffer::read_row_pages`], the fetch after a selection, which
-//!   counts its own hits, misses and evictions in a [`PageWalk`].
+//!   accounting, for working-set experiments: O(1) per hit and per
+//!   eviction, with misses read into a spare frame outside the pool's
+//!   lock; and [`buffer::read_pages`], the fetch after a selection,
+//!   which walks the selection's pages (picked from the bitmap's words
+//!   by `BitVec::occupied_blocks`) and counts its own hits, misses and
+//!   evictions in a [`PageWalk`].
 //!
 //! Every counter lives with the structure whose event it counts
 //! ([`Pager::stats`], [`BufferPool::stats`], [`PageWalk`]), and the
@@ -32,7 +35,7 @@ pub mod pager;
 pub mod segment;
 pub mod table;
 
-pub use buffer::{read_row_pages, BufferPool, BufferStats, PageWalk};
+pub use buffer::{read_pages, BufferPool, BufferStats, PageWalk, Served};
 pub use error::StorageError;
 pub use pager::{IoStats, PageId, Pager, DEFAULT_PAGE_SIZE};
 pub use segment::SegmentHandle;

@@ -129,6 +129,24 @@ impl Pager {
     ///
     /// [`StorageError::PageOutOfRange`] for unallocated ids.
     pub fn read_page(&self, id: PageId) -> Result<Vec<u8>, StorageError> {
+        let mut page = vec![0u8; self.page_size];
+        self.read_into(id, &mut page)?;
+        Ok(page)
+    }
+
+    /// Reads page `id` into `buf`, counting one page read: the read a
+    /// buffer pool makes into a frame it already owns.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::PageOutOfRange`] for unallocated ids; `buf` is
+    /// then left as it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is not exactly one page long.
+    pub fn read_into(&self, id: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
+        assert_eq!(buf.len(), self.page_size, "a page read fills one page");
         let mut inner = self.inner.lock();
         let allocated = inner.pages.len() as u64;
         let page = inner
@@ -137,10 +155,10 @@ impl Pager {
             .ok_or(StorageError::PageOutOfRange {
                 page: id.0,
                 allocated,
-            })?
-            .to_vec();
+            })?;
+        buf.copy_from_slice(page);
         inner.stats.page_reads += 1;
-        Ok(page)
+        Ok(())
     }
 
     /// Snapshot of the I/O counters.
@@ -183,6 +201,11 @@ mod tests {
         assert_eq!(back.len(), 64);
         // Unwritten page reads back zeroed.
         assert!(pager.read_page(PageId(2)).unwrap().iter().all(|&b| b == 0));
+        // Reading into a caller's frame gives the same bytes.
+        let mut frame = [0xFFu8; 64];
+        pager.read_into(PageId(1), &mut frame).unwrap();
+        assert_eq!(frame[..], back[..]);
+        assert_eq!(pager.stats().page_reads, 3);
     }
 
     #[test]
@@ -209,6 +232,11 @@ mod tests {
         ));
         pager.allocate(1);
         assert!(pager.write_page(PageId(5), b"z").is_err());
+        // A refused read leaves the frame as it was and counts nothing.
+        let mut frame = [7u8; 32];
+        assert!(pager.read_into(PageId(1), &mut frame).is_err());
+        assert_eq!(frame, [7u8; 32]);
+        assert_eq!(pager.stats().page_reads, 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use ebi_bitvec::BitVec;
 use ebi_core::index::QueryResult;
 use ebi_core::{and_fold, or_fold, Selected};
 use ebi_obs::{CostCounters, QueryReport, StorageCounters};
-use ebi_storage::{read_row_pages, BufferPool, PageId, PageWalk, Pager};
+use ebi_storage::{read_pages, BufferPool, PageId, PageWalk, Pager};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -264,21 +264,18 @@ impl<'a> Executor<'a> {
         (bitmap, report)
     }
 
-    /// Reads every page holding a matching row ([`read_row_pages`]),
-    /// through the buffer pool when one is attached, as a `fetch` phase;
-    /// an empty walk when no storage is attached.
+    /// Reads every page holding a matching row ([`read_pages`] over the
+    /// bitmap's occupied blocks), through the buffer pool when one is
+    /// attached, as a `fetch` phase; an empty walk when no storage is
+    /// attached.
     fn fetch_matches(&self, bitmap: &BitVec) -> PageWalk {
         let Some(att) = &self.storage else {
             return PageWalk::default();
         };
         let mut span = ebi_obs::active_child("fetch");
-        let walk = read_row_pages(
-            bitmap.iter_ones(),
-            att.fetch.base_page,
-            att.fetch.rows_per_page,
-            att.pager,
-            att.pool,
-        );
+        let base = att.fetch.base_page.0;
+        let pages = bitmap.occupied_blocks(att.fetch.rows_per_page.max(1));
+        let walk = read_pages(pages.map(|p| PageId(base + p as u64)), att.pager, att.pool);
         span.attr("pages", walk.pages);
         if walk.errors > 0 {
             span.attr("errors", walk.errors);

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# ThreadSanitizer stress run over the concurrency-heavy service crate:
-# the worker pool's submit and claim over its one locked queue, and the
-# sharded query service. Needs a nightly toolchain with the rust-src
-# component (-Zbuild-std rebuilds std with TSan instrumentation).
+# ThreadSanitizer stress run over the concurrency-heavy crates: the
+# worker pool's submit and claim over its one locked queue, the sharded
+# query service, and the buffer pool, whose misses read outside its
+# lock and swap the frame in under it. Needs a nightly toolchain with
+# the rust-src component (-Zbuild-std rebuilds std with TSan
+# instrumentation).
 #
 # Usage: scripts/tsan_stress.sh [extra cargo test args]
 set -euo pipefail
@@ -21,7 +23,7 @@ export RUSTFLAGS="-Zsanitizer=thread ${RUSTFLAGS:-}"
 # Instrumented tests interleave aggressively; keep runtimes bounded.
 export RUST_TEST_THREADS="${RUST_TEST_THREADS:-4}"
 
-exec cargo +nightly test -p ebi-service \
+exec cargo +nightly test -p ebi-service -p ebi-storage \
   -Zbuild-std \
   --target "$TARGET" \
   --release \
