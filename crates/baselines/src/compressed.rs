@@ -99,10 +99,6 @@ impl SelectionIndex for CompressedEncodedIndex {
     fn run_stats(&self) -> Option<RunStats> {
         SelectionIndex::run_stats(&self.inner)
     }
-
-    fn row_order(&self) -> &'static str {
-        SelectionIndex::row_order(&self.inner)
-    }
 }
 
 #[cfg(test)]
@@ -198,40 +194,6 @@ mod tests {
                 "value {v}"
             );
         }
-    }
-
-    #[test]
-    fn reordered_source_answers_in_original_row_ids() {
-        use ebi_core::index::BuildOptions;
-        use ebi_core::RowOrder;
-        // Scattered values with NULLs, so the lexicographic sort moves
-        // nearly every row, NULL rows included.
-        let cells: Vec<Cell> = (0..3_000u64)
-            .map(|i| {
-                if i % 11 == 3 {
-                    Cell::Null
-                } else {
-                    Cell::Value(i * 7 % 13)
-                }
-            })
-            .collect();
-        let plain = EncodedBitmapIndex::build_with(
-            cells,
-            BuildOptions {
-                row_order: RowOrder::Lexicographic,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(plain.permutation().is_some_and(|p| !p.is_identity()));
-        let packed = CompressedEncodedIndex::from_uncompressed(&plain);
-        for sel in [vec![0u64], vec![1, 2, 3], (0..13).collect::<Vec<_>>()] {
-            let r = packed.in_list(&sel);
-            assert_eq!(r.bitmap, plain.in_list(&sel).unwrap().bitmap, "{sel:?}");
-        }
-        // Asked what it is, the index answers with the source's layout.
-        assert_eq!(packed.row_order(), "lexicographic");
-        assert!(packed.run_stats().is_some_and(|rs| rs.total_words > 0));
     }
 
     #[test]

@@ -38,7 +38,6 @@ impl DynamicBitmapIndex {
             BuildOptions {
                 policy: NullPolicy::SeparateVectors,
                 mapping: Some(mapping),
-                ..Default::default()
             },
         )
         .expect("mapping covers the column");

@@ -47,12 +47,6 @@ pub trait SelectionIndex {
     fn run_stats(&self) -> Option<ebi_bitvec::RunStats> {
         None
     }
-
-    /// Physical row order the index was built with. Non-reordering
-    /// index families always answer `"original"`.
-    fn row_order(&self) -> &'static str {
-        "original"
-    }
 }
 
 /// Disk pages read under the paper's storage model: every accessed
@@ -92,10 +86,6 @@ impl SelectionIndex for EncodedBitmapIndex {
 
     fn run_stats(&self) -> Option<ebi_bitvec::RunStats> {
         Some(EncodedBitmapIndex::run_stats(self))
-    }
-
-    fn row_order(&self) -> &'static str {
-        EncodedBitmapIndex::row_order(self).as_str()
     }
 }
 

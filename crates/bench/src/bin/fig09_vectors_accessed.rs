@@ -29,7 +29,6 @@ fn run_for_cardinality(m: u64, deltas: &[u64]) -> TextTable {
         BuildOptions {
             policy: NullPolicy::SeparateVectors,
             mapping: Some(Mapping::sequential(m as usize)),
-            ..Default::default()
         },
     )
     .expect("build aligned EBI");

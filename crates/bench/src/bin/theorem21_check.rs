@@ -21,7 +21,6 @@ fn main() {
             BuildOptions {
                 policy,
                 mapping: None,
-                ..Default::default()
             },
         )
         .expect("build");

@@ -22,8 +22,8 @@
 //! * [`builder::SliceFamilyBuilder`] — the streaming construction every
 //!   index build uses: one code per tuple, spread over `k` slices.
 //! * [`serial::ByteReader`] — the checked little-endian reader through
-//!   which every persisted image (containers here; mapping, permutation
-//!   and metadata in `ebi-core`) is decoded.
+//!   which every persisted image (containers here; mapping and metadata
+//!   in `ebi-core`) is decoded.
 //! * [`kernels`] — fused, segment-streaming evaluation kernels that
 //!   compute an entire product term (AND of up to 64 optionally negated
 //!   vectors) in one pass with no intermediate allocation, OR-ing terms

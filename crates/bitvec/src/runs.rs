@@ -1,12 +1,12 @@
 //! Run statistics for bitmap containers.
 //!
-//! Row reordering (Lemire/Kaser/Aouiche: sorting the fact table before
-//! building the index) pays off exactly when it lengthens the runs of
-//! identical bits inside each slice — longer runs mean more Roaring run
-//! containers and more uniform evaluation windows the stored kernels
-//! can skip from metadata alone. [`RunStats`] is the per-slice
-//! measurement of that quantity, so the reordering win is observable
-//! per slice rather than only in aggregate storage bytes.
+//! Sorting the fact table before building its index (Lemire/Kaser/
+//! Aouiche) pays off exactly when it lengthens the runs of identical
+//! bits inside each slice — longer runs mean more Roaring run containers
+//! and more uniform evaluation windows the stored kernels can skip from
+//! metadata alone. [`RunStats`] is the per-slice measurement of that
+//! quantity, so the sorting win is observable per slice rather than only
+//! in aggregate storage bytes.
 //!
 //! Both containers report the same statistics over the same bit
 //! sequence, in 64-bit words:

@@ -12,8 +12,8 @@
 //! (page granularity, read counting) lives in `ebi-storage`.
 //!
 //! A persisted image is input from outside the program, so the compressed
-//! containers here and the mapping, permutation and metadata decoders of
-//! `ebi-core` all read through [`ByteReader`]: a header field is never
+//! containers here and the mapping and metadata decoders of `ebi-core`
+//! all read through [`ByteReader`]: a header field is never
 //! trusted before the bytes it promises are known to be there.
 
 use crate::core::{BitVec, WORD_BITS};

@@ -1,9 +1,8 @@
 //! The encoded bitmap index (Definition 2.1).
 
 use crate::error::CoreError;
-use crate::mapping::{Mapping, RowPermutation};
+use crate::mapping::Mapping;
 use crate::nulls::{NullPolicy, VOID_CODE};
-use crate::reorder::RowOrder;
 use crate::total_order::dense_order_mapping_after;
 use ebi_bitvec::builder::SliceFamilyBuilder;
 use ebi_bitvec::summary::{summarize_slices, summarize_storage};
@@ -46,17 +45,6 @@ pub struct BuildOptions {
     /// ([`crate::total_order::dense_order_mapping`]), so that a value
     /// range is a code interval.
     pub mapping: Option<Mapping>,
-    /// Physical row order of the build. Anything other than
-    /// [`RowOrder::Original`] sorts the rows before slice construction
-    /// (lengthening runs so compressed containers shrink) and keeps a
-    /// [`RowPermutation`] so every query result is still reported in
-    /// original row ids.
-    pub row_order: RowOrder,
-    /// Externally computed permutation (e.g. a table-wide sort across
-    /// several columns by the warehouse layer), applied instead of
-    /// sorting this column alone. `row_order` then only labels the
-    /// strategy that produced it. Must cover exactly the column's rows.
-    pub permutation: Option<RowPermutation>,
 }
 
 /// How retrieval expressions are evaluated at query time (see
@@ -128,12 +116,6 @@ pub struct EncodedBitmapIndex {
     /// construction. `None` after maintenance mutated the slices; call
     /// [`EncodedBitmapIndex::refresh_summaries`] to rebuild.
     pub(crate) summaries: Option<Vec<SegmentSummary>>,
-    /// Row permutation of a reordered build (`None` = original order).
-    /// Slices are in the internal (permuted) domain; every public
-    /// result bitmap is translated back to original row ids.
-    pub(crate) permutation: Option<RowPermutation>,
-    /// The row-order strategy the build used.
-    pub(crate) row_order: RowOrder,
     /// Evaluation strategy for queries.
     pub(crate) query_options: QueryOptions,
 }
@@ -212,95 +194,8 @@ impl EncodedBitmapIndex {
             }
         };
 
-        // Per-row codes and NULL flags, still in insertion order.
         let rows = cells.len();
-        let mut codes: Vec<u64> = Vec::with_capacity(rows);
-        let mut nulls: Vec<bool> = Vec::new();
-        for cell in &cells {
-            match cell {
-                Cell::Value(v) => {
-                    codes.push(mapping.code_of(*v).expect("mapping covers the column"));
-                }
-                Cell::Null => match options.policy {
-                    NullPolicy::SeparateVectors => {
-                        // Placeholder code; B_NULL masks these rows.
-                        codes.push(0);
-                        if nulls.is_empty() {
-                            nulls = vec![false; rows];
-                        }
-                        nulls[codes.len() - 1] = true;
-                    }
-                    NullPolicy::EncodedReserved => {
-                        codes.push(null_code.expect("null code reserved"));
-                    }
-                },
-            }
-        }
-
-        // Row ordering: an externally computed (table-wide) permutation
-        // wins; otherwise sort this column's codes, clustering NULL
-        // placeholder rows at the end so B_NULL compresses too. Builds
-        // that didn't opt into an order can still be forced into one via
-        // `EBI_ROW_ORDER` (CI sweeps the whole suite reordered that way).
-        let row_order = if options.permutation.is_none() && options.row_order == RowOrder::Original
-        {
-            RowOrder::from_env().unwrap_or(RowOrder::Original)
-        } else {
-            options.row_order
-        };
-        let permutation: Option<RowPermutation> = match (options.permutation, row_order) {
-            (Some(p), _) => {
-                if p.len() != rows {
-                    return Err(CoreError::Encoding {
-                        detail: format!(
-                            "permutation covers {} rows but the column has {rows}",
-                            p.len()
-                        ),
-                    });
-                }
-                if p.is_identity() {
-                    None
-                } else {
-                    Some(p)
-                }
-            }
-            (None, RowOrder::Original) => None,
-            (None, order) => {
-                let keys: Vec<u64> = codes
-                    .iter()
-                    .enumerate()
-                    .map(|(row, &c)| {
-                        if nulls.get(row).copied().unwrap_or(false) {
-                            u64::MAX
-                        } else {
-                            c
-                        }
-                    })
-                    .collect();
-                let p = crate::reorder::compute_permutation(&[&keys], order);
-                if p.is_identity() {
-                    None
-                } else {
-                    Some(p)
-                }
-            }
-        };
-
-        let mut fam = SliceFamilyBuilder::new(mapping.width() as usize);
-        let mut b_null: Option<BitVec> = None;
-        for internal in 0..rows {
-            let original = permutation
-                .as_ref()
-                .map_or(internal, |p| p.to_original(internal));
-            fam.push_code(codes[original]);
-            if nulls.get(original).copied().unwrap_or(false) {
-                b_null
-                    .get_or_insert_with(|| BitVec::zeros(rows))
-                    .set(internal, true);
-            }
-        }
-
-        let dense = fam.finish();
+        let (dense, b_null) = encode_cells(&cells, &mapping, null_code);
         let summaries = Some(summarize_slices(&dense));
         let policy = QueryOptions::default().storage_policy;
         let slices: Vec<SliceStorage> = dense
@@ -320,8 +215,6 @@ impl EncodedBitmapIndex {
             free_runs: OnceLock::new(),
             dont_cares: OnceLock::new(),
             summaries,
-            permutation,
-            row_order,
             query_options: QueryOptions::default(),
         })
     }
@@ -372,19 +265,6 @@ impl EncodedBitmapIndex {
     /// maintenance densified are not recompressed.
     pub fn refresh_summaries(&mut self) {
         self.summaries = Some(summarize_storage(&self.slices));
-    }
-
-    /// The row-order strategy the build used.
-    #[must_use]
-    pub fn row_order(&self) -> RowOrder {
-        self.row_order
-    }
-
-    /// The row permutation of a reordered build (`None` when internal
-    /// and original row ids coincide).
-    #[must_use]
-    pub fn permutation(&self) -> Option<&RowPermutation> {
-        self.permutation.as_ref()
     }
 
     /// Aggregate run statistics across the encoded slices, computed
@@ -660,7 +540,11 @@ impl EncodedBitmapIndex {
                     tracker.cost.literal_ops += 1;
                     bitmap.and_not_assign(ne);
                 }
-                self.finish(bitmap, &tracker, "B_NULL".into())
+                QueryResult {
+                    bitmap,
+                    stats: tracker.finish(),
+                    expression: "B_NULL".into(),
+                }
             }
             NullPolicy::EncodedReserved => {
                 let codes = self.null_code.into_iter().collect();
@@ -736,10 +620,10 @@ impl EncodedBitmapIndex {
     /// The selection path below reduction, written once for every form
     /// of the index: evaluate `expr` (lowered as `plan`) with the kernel
     /// over whichever containers hold the slices — bit-identical to naive
-    /// whole-vector evaluation over dense ones — mask the companions,
-    /// translate to original row ids, account. The in-memory index passes
-    /// its own vectors; [`crate::paged::PagedIndex`] passes the ones it
-    /// fetched through its pool. No text is formatted here: a caller that
+    /// whole-vector evaluation over dense ones — mask the companions and
+    /// account. The in-memory index passes its own vectors;
+    /// [`crate::paged::PagedIndex`] passes the ones it fetched through
+    /// its pool. No text is formatted here: a caller that
     /// reports the expression fills `expression` from
     /// [`EncodedBitmapIndex::render`].
     pub(crate) fn select(
@@ -784,7 +668,11 @@ impl EncodedBitmapIndex {
                 bitmap.and_not_assign(ne);
             }
         }
-        self.finish(bitmap, &tracker, String::new())
+        QueryResult {
+            bitmap,
+            stats: tracker.finish(),
+            expression: String::new(),
+        }
     }
 
     /// Method 1 of §2.2: value selections must mask NULL rows (their
@@ -810,26 +698,6 @@ impl EncodedBitmapIndex {
         rendered
     }
 
-    /// Hands a selection back in original row ids with its cost.
-    /// Evaluation ran entirely in the internal (permuted) domain; a
-    /// reordered build translates the final bitmap here, after all
-    /// masks — O(matches) — so callers only ever see original row ids.
-    fn finish(
-        &self,
-        mut bitmap: BitVec,
-        tracker: &AccessTracker,
-        expression: String,
-    ) -> QueryResult {
-        if let Some(p) = &self.permutation {
-            bitmap = p.bitmap_to_original(&bitmap);
-        }
-        QueryResult {
-            bitmap,
-            stats: tracker.finish(),
-            expression,
-        }
-    }
-
     /// Decodes the value of a live row (for verification / projection).
     /// Returns `None` for deleted rows, NULL rows, or rows out of range.
     #[must_use]
@@ -837,12 +705,6 @@ impl EncodedBitmapIndex {
         if row >= self.rows {
             return None;
         }
-        // Callers address rows by original id; the slices and companion
-        // vectors live in the internal (permuted) domain.
-        let row = self
-            .permutation
-            .as_ref()
-            .map_or(row, |p| p.to_internal(row));
         if let Some(ne) = &self.b_not_exist {
             if ne.bit(row) {
                 return None;
@@ -862,14 +724,41 @@ impl EncodedBitmapIndex {
         self.mapping.value_of(code)
     }
 
-    /// Raw code stored at *internal* row `row` (callers translate
-    /// original ids through the permutation first).
+    /// Raw code stored at row `row`.
     pub(crate) fn row_code(&self, row: usize) -> u64 {
         self.slices
             .iter()
             .enumerate()
             .fold(0u64, |acc, (i, s)| acc | (u64::from(s.bit(row)) << i))
     }
+}
+
+/// Encodes `cells` row by row into the `k` vectors of Definition 2.1:
+/// bit `j` of every vector is row `j` of `cells`, so a caller that wants
+/// clustered runs sorts the cells first ([`crate::reorder::sort_order`]).
+/// A NULL takes `null_code` when one is reserved; otherwise it stores a
+/// placeholder `0` and is marked in the returned `B_NULL`.
+pub(crate) fn encode_cells(
+    cells: &[Cell],
+    mapping: &Mapping,
+    null_code: Option<u64>,
+) -> (Vec<BitVec>, Option<BitVec>) {
+    let mut fam = SliceFamilyBuilder::new(mapping.width() as usize);
+    let mut b_null: Option<BitVec> = None;
+    for (row, cell) in cells.iter().enumerate() {
+        let code = match (cell, null_code) {
+            (Cell::Value(v), _) => mapping.code_of(*v).expect("mapping covers the column"),
+            (Cell::Null, Some(code)) => code,
+            (Cell::Null, None) => {
+                b_null
+                    .get_or_insert_with(|| BitVec::zeros(cells.len()))
+                    .set(row, true);
+                0
+            }
+        };
+        fam.push_code(code);
+    }
+    (fam.finish(), b_null)
 }
 
 /// Sorted, deduplicated predicate key for the expression cache.
@@ -1013,7 +902,6 @@ mod tests {
             BuildOptions {
                 policy: NullPolicy::EncodedReserved,
                 mapping: None,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -1037,7 +925,6 @@ mod tests {
             BuildOptions {
                 policy: NullPolicy::EncodedReserved,
                 mapping: None,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -1051,7 +938,6 @@ mod tests {
             BuildOptions {
                 policy: NullPolicy::EncodedReserved,
                 mapping: Some(bad),
-                ..Default::default()
             },
         )
         .unwrap_err();
@@ -1066,7 +952,6 @@ mod tests {
             BuildOptions {
                 policy: NullPolicy::SeparateVectors,
                 mapping: Some(custom),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -1080,7 +965,6 @@ mod tests {
             BuildOptions {
                 policy: NullPolicy::SeparateVectors,
                 mapping: Some(incomplete),
-                ..Default::default()
             },
         )
         .is_err());
@@ -1267,7 +1151,6 @@ mod tests {
             BuildOptions {
                 policy: NullPolicy::EncodedReserved,
                 mapping: None,
-                ..Default::default()
             },
         )
         .unwrap();

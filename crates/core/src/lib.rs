@@ -36,10 +36,11 @@
 //! * [`persist`] — page-store persistence with I/O accounting;
 //! * [`reencoding`] — the §5 dynamic re-encoding cost model and
 //!   rebuild;
-//! * [`reorder`] — build-time row reordering (lexicographic /
-//!   reflected-Gray with histogram-aware column priority) for run
-//!   maximization, with the [`RowPermutation`]
-//!   translating every result back to original row ids.
+//! * [`reorder`] — the row order a caller sorts its cells into before
+//!   the build (lexicographic / reflected-Gray with histogram-aware
+//!   column priority) for run maximization; bit `j` of every index is
+//!   row `j` of the cells it was built from, so no row id is ever
+//!   translated.
 //!
 //! # Quick start
 //!
@@ -79,5 +80,5 @@ pub mod well_defined;
 pub use error::CoreError;
 pub use fold::{and_fold, or_fold, Selected};
 pub use index::{EncodedBitmapIndex, QueryResult};
-pub use mapping::{Mapping, RowPermutation};
+pub use mapping::Mapping;
 pub use reorder::RowOrder;

@@ -71,12 +71,6 @@ impl EncodedBitmapIndex {
         if let Some(ne) = &mut self.b_not_exist {
             ne.push(false);
         }
-        // A reordered index appends at the end of both domains: the new
-        // row keeps its original id. Run quality degrades until a
-        // rebuild re-sorts; the permutation stays exact throughout.
-        if let Some(p) = &mut self.permutation {
-            p.push_identity();
-        }
         self.rows += 1;
         Ok(AppendOutcome { row, added_slice })
     }
@@ -94,12 +88,6 @@ impl EncodedBitmapIndex {
                 rows: self.rows,
             });
         }
-        // Callers address rows by original id; slice bits and companion
-        // vectors live in the internal (permuted) domain.
-        let row = self
-            .permutation
-            .as_ref()
-            .map_or(row, |p| p.to_internal(row));
         match self.policy {
             NullPolicy::EncodedReserved => {
                 // Recode the row to the void code (0): Theorem 2.1.
@@ -138,10 +126,6 @@ impl EncodedBitmapIndex {
                 rows: self.rows,
             });
         }
-        let row = self
-            .permutation
-            .as_ref()
-            .map_or(row, |p| p.to_internal(row));
         let code = match cell {
             Cell::Value(v) => {
                 if self.mapping.code_of(v).is_none() {
@@ -375,7 +359,6 @@ mod tests {
             BuildOptions {
                 policy: NullPolicy::EncodedReserved,
                 mapping: None,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -408,7 +391,6 @@ mod tests {
             BuildOptions {
                 policy: NullPolicy::EncodedReserved,
                 mapping: None,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -466,7 +448,6 @@ mod tests {
             BuildOptions {
                 policy: NullPolicy::EncodedReserved,
                 mapping: None,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -569,7 +550,6 @@ mod tests {
             BuildOptions {
                 policy: NullPolicy::EncodedReserved,
                 mapping: None,
-                ..Default::default()
             },
         )
         .unwrap();

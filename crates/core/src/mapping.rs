@@ -1,9 +1,7 @@
-//! The mapping table `M^A : A → {<b_{k-1} … b_0>}` of Definition 2.1,
-//! and the row permutation `RowPermutation` of a reordered build.
+//! The mapping table `M^A : A → {<b_{k-1} … b_0>}` of Definition 2.1.
 
 use crate::error::CoreError;
 use ebi_bitvec::serial::ByteReader;
-use ebi_bitvec::BitVec;
 use ebi_storage::Cell;
 use std::collections::{BTreeMap, HashSet};
 
@@ -302,192 +300,6 @@ impl Mapping {
     }
 }
 
-/// The row permutation of a reordered index build.
-///
-/// A build with `RowOrder::Lexicographic` or `RowOrder::Gray` sorts the
-/// fact table's rows before slice construction, so bit `j` of every
-/// slice corresponds to *internal* row `j`, not to the caller's row
-/// `j`. This type is the bridge: `original_of[internal] = original`
-/// and `internal_of[original] = internal`, held as a validated
-/// bijection over `0..rows`.
-///
-/// The RID-translation contract: evaluation runs entirely in the
-/// internal (permuted) domain, and the index translates the final
-/// result bitmap back through [`RowPermutation::bitmap_to_original`],
-/// so **every public result is in original row ids**. Callers never
-/// see internal RIDs.
-///
-/// Row ids are `u32` — the permutation caps indexed tables at
-/// `u32::MAX` rows, far above what a single in-process index holds.
-///
-/// ```
-/// use ebi_core::RowPermutation;
-///
-/// // Internal row 0 was original row 2, and so on.
-/// let p = RowPermutation::from_original_of(vec![2, 0, 1]).unwrap();
-/// assert_eq!(p.to_original(0), 2);
-/// assert_eq!(p.to_internal(2), 0);
-/// assert!(!p.is_identity());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowPermutation {
-    /// `original_of[internal] = original row id`.
-    original_of: Vec<u32>,
-    /// `internal_of[original] = internal row id` (inverse).
-    internal_of: Vec<u32>,
-}
-
-impl RowPermutation {
-    /// Builds from the `internal → original` direction, validating that
-    /// `original_of` is a permutation of `0..len`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidCode`] if any id is out of range or repeated.
-    pub fn from_original_of(original_of: Vec<u32>) -> Result<Self, CoreError> {
-        let n = original_of.len();
-        let mut internal_of = vec![u32::MAX; n];
-        for (internal, &original) in original_of.iter().enumerate() {
-            let slot =
-                internal_of
-                    .get_mut(original as usize)
-                    .ok_or_else(|| CoreError::InvalidCode {
-                        detail: format!("permutation entry {original} out of range for {n} rows"),
-                    })?;
-            if *slot != u32::MAX {
-                return Err(CoreError::InvalidCode {
-                    detail: format!("original row {original} appears twice in permutation"),
-                });
-            }
-            *slot = internal as u32;
-        }
-        Ok(Self {
-            original_of,
-            internal_of,
-        })
-    }
-
-    /// The identity permutation over `rows` rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` exceeds `u32::MAX`.
-    #[must_use]
-    pub fn identity(rows: usize) -> Self {
-        assert!(rows <= u32::MAX as usize, "row count exceeds u32 range");
-        let ids: Vec<u32> = (0..rows as u32).collect();
-        Self {
-            original_of: ids.clone(),
-            internal_of: ids,
-        }
-    }
-
-    /// `true` when internal and original row ids coincide.
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
-        self.original_of
-            .iter()
-            .enumerate()
-            .all(|(i, &o)| i as u32 == o)
-    }
-
-    /// Number of rows covered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.original_of.len()
-    }
-
-    /// `true` when no rows are covered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.original_of.is_empty()
-    }
-
-    /// Original row id of internal row `internal`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `internal >= self.len()`.
-    #[must_use]
-    pub fn to_original(&self, internal: usize) -> usize {
-        self.original_of[internal] as usize
-    }
-
-    /// Internal row id of original row `original`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `original >= self.len()`.
-    #[must_use]
-    pub fn to_internal(&self, original: usize) -> usize {
-        self.internal_of[original] as usize
-    }
-
-    /// Appends one row mapped to itself (appends land at the end in
-    /// both domains; run quality degrades until a rebuild reorders).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new row id would exceed `u32::MAX`.
-    pub fn push_identity(&mut self) {
-        let next = self.original_of.len();
-        assert!(next <= u32::MAX as usize, "row count exceeds u32 range");
-        self.original_of.push(next as u32);
-        self.internal_of.push(next as u32);
-    }
-
-    /// Translates an internal-domain result bitmap into original row
-    /// ids — `O(matches)`, not `O(rows)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is longer than the permutation.
-    #[must_use]
-    pub fn bitmap_to_original(&self, bits: &BitVec) -> BitVec {
-        assert!(
-            bits.len() <= self.original_of.len(),
-            "bitmap of {} bits exceeds permutation over {} rows",
-            bits.len(),
-            self.original_of.len()
-        );
-        let mut out = BitVec::zeros(bits.len());
-        for internal in bits.iter_ones() {
-            out.set(self.original_of[internal] as usize, true);
-        }
-        out
-    }
-
-    /// Serialises as `rows: u64` followed by `original_of` as
-    /// little-endian `u32`s (the inverse is rebuilt on load).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.original_of.len() * 4);
-        out.extend_from_slice(&(self.original_of.len() as u64).to_le_bytes());
-        for &o in &self.original_of {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parses the layout of [`RowPermutation::to_bytes`], re-validating
-    /// the bijection.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidCode`] on truncated input or a non-bijective
-    /// id list.
-    pub fn from_bytes(raw: &[u8]) -> Result<Self, CoreError> {
-        let mut r = ByteReader::new(raw);
-        let n = r.length()?;
-        let mut original_of = Vec::with_capacity(r.counted(n, 4)?);
-        for _ in 0..n {
-            original_of.push(r.u32()?);
-        }
-        r.finish()?;
-        Self::from_original_of(original_of)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,70 +456,5 @@ mod tests {
         let m = Mapping::from_pairs(&[(30, 0), (10, 1), (20, 2)]).unwrap();
         let values: Vec<u64> = m.iter().map(|(v, _)| v).collect();
         assert_eq!(values, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn permutation_identity_and_inverse() {
-        let id = RowPermutation::identity(5);
-        assert!(id.is_identity());
-        assert_eq!(id.len(), 5);
-        for i in 0..5 {
-            assert_eq!(id.to_original(i), i);
-            assert_eq!(id.to_internal(i), i);
-        }
-
-        let p = RowPermutation::from_original_of(vec![3, 1, 4, 0, 2]).unwrap();
-        assert!(!p.is_identity());
-        for internal in 0..5 {
-            assert_eq!(p.to_internal(p.to_original(internal)), internal);
-        }
-    }
-
-    #[test]
-    fn permutation_rejects_non_bijections() {
-        assert!(RowPermutation::from_original_of(vec![0, 0, 1]).is_err());
-        assert!(RowPermutation::from_original_of(vec![0, 3]).is_err());
-        assert!(RowPermutation::from_original_of(vec![]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn permutation_translates_bitmaps() {
-        let p = RowPermutation::from_original_of(vec![3, 1, 4, 0, 2]).unwrap();
-        // Internal rows {0, 2} are original rows {3, 4}.
-        let internal = BitVec::from_positions(5, &[0, 2]);
-        let original = p.bitmap_to_original(&internal);
-        assert_eq!(original.iter_ones().collect::<Vec<_>>(), vec![3, 4]);
-        // Identity translation is a no-op.
-        let id = RowPermutation::identity(5);
-        assert_eq!(id.bitmap_to_original(&internal), internal);
-    }
-
-    #[test]
-    fn permutation_push_identity_extends_both_domains() {
-        let mut p = RowPermutation::from_original_of(vec![1, 0]).unwrap();
-        p.push_identity();
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.to_original(2), 2);
-        assert_eq!(p.to_internal(2), 2);
-        assert_eq!(p.to_original(0), 1, "existing rows untouched");
-    }
-
-    #[test]
-    fn permutation_serialisation_roundtrip() {
-        let p = RowPermutation::from_original_of(vec![2, 0, 1]).unwrap();
-        let restored = RowPermutation::from_bytes(&p.to_bytes()).unwrap();
-        assert_eq!(restored, p);
-        assert!(RowPermutation::from_bytes(&[1, 2]).is_err());
-        let mut raw = p.to_bytes();
-        raw.pop();
-        assert!(RowPermutation::from_bytes(&raw).is_err());
-        // Corrupt an id so the list is no longer a bijection.
-        let mut raw = p.to_bytes();
-        raw[8] = 9;
-        assert!(RowPermutation::from_bytes(&raw).is_err());
-        // 8 bytes declaring 2^62 rows: `8 + n * 4` used to overflow, and
-        // in release the id list was collected to that size.
-        let err = RowPermutation::from_bytes(&(1u64 << 62).to_le_bytes()).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidCode { .. }), "{err}");
     }
 }

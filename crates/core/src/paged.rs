@@ -22,9 +22,9 @@ use ebi_storage::segment::{read_segment_buffered, SegmentHandle};
 /// an LRU buffer pool.
 pub struct PagedIndex<'a> {
     handle: IndexHandle,
-    /// The loaded index minus its bitmap vectors: the mapping, policy,
-    /// reserved codes and row permutation that reduce a selection and
-    /// finish it exactly as the in-memory index does.
+    /// The loaded index minus its bitmap vectors: the mapping, policy
+    /// and reserved codes that reduce a selection and finish it exactly
+    /// as the in-memory index does.
     index: EncodedBitmapIndex,
     pool: BufferPool<'a>,
     page_size: usize,
@@ -248,30 +248,6 @@ mod tests {
         let _ = paged.eq(7).unwrap();
         let s = paged.pool_stats();
         assert!(s.misses > 0, "thrashing pool must miss: {s:?}");
-    }
-
-    #[test]
-    fn reordered_index_answers_in_original_row_ids() {
-        use crate::index::BuildOptions;
-        let cells: Vec<Cell> = (0..4_000u64)
-            .map(|i| Cell::Value(i.wrapping_mul(2654435761) % 16))
-            .collect();
-        let plain = EncodedBitmapIndex::build(cells.iter().copied()).unwrap();
-        let sorted = EncodedBitmapIndex::build_with(
-            cells.iter().copied(),
-            BuildOptions {
-                row_order: crate::reorder::RowOrder::Lexicographic,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let pager = Pager::with_page_size(256);
-        let paged = persist_and_open(&sorted, &pager, 128).unwrap();
-        for sel in [vec![0u64], vec![3, 7, 11], (0..8).collect::<Vec<_>>()] {
-            let a = plain.in_list(&sel).unwrap();
-            let b = paged.in_list(&sel).unwrap();
-            assert_eq!(a.bitmap, b.bitmap, "{sel:?}");
-        }
     }
 
     #[test]

@@ -14,10 +14,8 @@
 //! shards on its own pool (DESIGN.md §9).
 
 use crate::error::CoreError;
-use crate::index::{BuildOptions, EncodedBitmapIndex};
+use crate::index::{encode_cells, BuildOptions, EncodedBitmapIndex};
 use crate::mapping::Mapping;
-use crate::nulls::NullPolicy;
-use ebi_bitvec::builder::SliceFamilyBuilder;
 use ebi_bitvec::summary::summarize_slices;
 use ebi_bitvec::BitVec;
 use ebi_storage::Cell;
@@ -57,16 +55,8 @@ pub fn build_parallel(
     threads: usize,
 ) -> Result<EncodedBitmapIndex, CoreError> {
     assert!(threads > 0, "at least one thread");
-    // Small inputs: the serial path is faster than spawning. Reordered
-    // builds also go serial — the permutation decides every row's
-    // destination, so chunk-local encoding would shuffle across chunk
-    // boundaries anyway.
-    if threads == 1
-        || cells.len() < MIN_CHUNK * 2
-        || options.row_order != crate::reorder::RowOrder::Original
-        || options.permutation.is_some()
-        || crate::reorder::RowOrder::from_env().is_some()
-    {
+    // Small inputs: the serial path is faster than spawning.
+    if threads == 1 || cells.len() < MIN_CHUNK * 2 {
         return EncodedBitmapIndex::build_with(cells.iter().copied(), options);
     }
 
@@ -86,29 +76,7 @@ pub fn build_parallel(
         .next_multiple_of(64);
     let chunks: Vec<&[Cell]> = cells.chunks(chunk_rows).collect();
     let width = mapping.width() as usize;
-
-    let encode_chunk = |chunk: &[Cell]| -> (Vec<BitVec>, Option<BitVec>) {
-        let mut fam = SliceFamilyBuilder::new(width);
-        let mut b_null: Option<BitVec> = None;
-        for (row, cell) in chunk.iter().enumerate() {
-            match cell {
-                Cell::Value(v) => {
-                    fam.push_code(mapping.code_of(*v).expect("pre-scan covered all values"));
-                }
-                Cell::Null => match options.policy {
-                    NullPolicy::SeparateVectors => {
-                        fam.push_code(0);
-                        let bn = b_null.get_or_insert_with(|| BitVec::zeros(chunk.len()));
-                        bn.set(row, true);
-                    }
-                    NullPolicy::EncodedReserved => {
-                        fam.push_code(null_code.expect("null code reserved in pre-scan"));
-                    }
-                },
-            }
-        }
-        (fam.finish(), b_null)
-    };
+    let encode_chunk = |chunk: &[Cell]| encode_cells(chunk, &mapping, null_code);
 
     let mut results: Vec<Option<(Vec<BitVec>, Option<BitVec>)>> = Vec::new();
     results.resize_with(chunks.len(), || None);
@@ -168,8 +136,6 @@ pub fn build_parallel(
         dont_cares: std::sync::OnceLock::new(),
         summaries,
         query_options: crate::index::QueryOptions::default(),
-        permutation: None,
-        row_order: crate::reorder::RowOrder::Original,
     })
 }
 
@@ -192,7 +158,6 @@ fn resolve_layout(
         BuildOptions {
             policy: options.policy,
             mapping: options.mapping.clone(),
-            ..Default::default()
         },
     )?;
     Ok((
@@ -205,6 +170,7 @@ fn resolve_layout(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nulls::NullPolicy;
 
     fn column(rows: usize, m: u64, with_nulls: bool) -> Vec<Cell> {
         (0..rows as u64)
@@ -240,7 +206,6 @@ mod tests {
         let options = BuildOptions {
             policy: NullPolicy::EncodedReserved,
             mapping: None,
-            ..Default::default()
         };
         let serial =
             EncodedBitmapIndex::build_with(cells.iter().copied(), options.clone()).unwrap();
@@ -267,7 +232,6 @@ mod tests {
         let options = BuildOptions {
             policy: NullPolicy::SeparateVectors,
             mapping: Some(custom),
-            ..Default::default()
         };
         let parallel = build_parallel(&cells, options, 4).unwrap();
         assert_eq!(parallel.mapping().code_of(0), Some(7));

@@ -8,9 +8,8 @@
 
 use crate::error::CoreError;
 use crate::index::EncodedBitmapIndex;
-use crate::mapping::{Mapping, RowPermutation};
+use crate::mapping::Mapping;
 use crate::nulls::NullPolicy;
-use crate::reorder::RowOrder;
 use ebi_bitvec::serial::ByteReader;
 use ebi_bitvec::{BitVec, SliceStorage};
 use ebi_storage::pager::Pager;
@@ -30,8 +29,6 @@ pub struct IndexHandle {
     pub b_not_exist: Option<SegmentHandle>,
     /// Companion `B_NULL`, if the index had one.
     pub b_null: Option<SegmentHandle>,
-    /// Row permutation, if the index was built reordered.
-    pub permutation: Option<SegmentHandle>,
 }
 
 impl IndexHandle {
@@ -44,18 +41,20 @@ impl IndexHandle {
             .chain(std::iter::once(&self.meta))
             .chain(self.b_not_exist.iter())
             .chain(self.b_null.iter())
-            .chain(self.permutation.iter())
             .map(SegmentHandle::page_span)
             .sum()
     }
 }
 
 /// Metadata layout: `rows u64 | policy u8 | has_null_code u8 |
-/// null_code u64 | reserved_len u64 | reserved codes… | row_order u8`.
-/// The trailing row-order tag is optional on read (older images end at
-/// the reserved codes and load as [`RowOrder::Original`]).
+/// null_code u64 | reserved_len u64 | reserved codes…`.
+///
+/// Images written while an index could keep its own row permutation end
+/// in a row-order byte. `0` (an unsorted build) still loads; any other
+/// value is refused, because those slices were stored in a sorted row
+/// order that nothing now translates back.
 fn encode_meta(index: &EncodedBitmapIndex) -> Vec<u8> {
-    let mut out = Vec::with_capacity(27 + index.reserved.len() * 8);
+    let mut out = Vec::with_capacity(26 + index.reserved.len() * 8);
     out.extend_from_slice(&(index.rows() as u64).to_le_bytes());
     out.push(match index.policy() {
         NullPolicy::SeparateVectors => 0,
@@ -67,7 +66,6 @@ fn encode_meta(index: &EncodedBitmapIndex) -> Vec<u8> {
     for &c in &index.reserved {
         out.extend_from_slice(&c.to_le_bytes());
     }
-    out.push(index.row_order().tag());
     out
 }
 
@@ -76,7 +74,6 @@ struct Meta {
     policy: NullPolicy,
     null_code: Option<u64>,
     reserved: Vec<u64>,
-    row_order: RowOrder,
 }
 
 fn decode_meta(raw: &[u8]) -> Result<Meta, CoreError> {
@@ -94,19 +91,22 @@ fn decode_meta(raw: &[u8]) -> Result<Meta, CoreError> {
     let null_code = r.u64()?;
     let n_reserved = r.length()?;
     let reserved = r.u64s(n_reserved)?;
-    let row_order = if r.remaining() == 0 {
-        RowOrder::Original
-    } else {
-        let tag = r.u8()?;
-        RowOrder::from_tag(tag).ok_or_else(|| corrupt(format!("unknown row-order tag {tag}")))?
-    };
+    if r.remaining() > 0 {
+        match r.u8()? {
+            0 => {}
+            tag => {
+                return Err(CoreError::InvalidCode {
+                    detail: format!("row-order tag {tag}: slices stored permuted; rebuild"),
+                })
+            }
+        }
+    }
     r.finish()?;
     Ok(Meta {
         rows,
         policy,
         null_code: has_null.then_some(null_code),
         reserved,
-        row_order,
     })
 }
 
@@ -133,17 +133,12 @@ pub fn save_index(index: &EncodedBitmapIndex, pager: &Pager) -> Result<IndexHand
         .as_ref()
         .map(|b| write_segment(pager, &b.to_bytes()))
         .transpose()?;
-    let permutation = index
-        .permutation()
-        .map(|p| write_segment(pager, &p.to_bytes()))
-        .transpose()?;
     Ok(IndexHandle {
         slices,
         mapping,
         meta,
         b_not_exist,
         b_null,
-        permutation,
     })
 }
 
@@ -169,18 +164,6 @@ pub fn load_index(pager: &Pager, handle: &IndexHandle) -> Result<EncodedBitmapIn
     };
     let b_not_exist = read_companion(&handle.b_not_exist)?;
     let b_null = read_companion(&handle.b_null)?;
-    let permutation = handle
-        .permutation
-        .as_ref()
-        .map(|h| RowPermutation::from_bytes(&read_segment(pager, h)?))
-        .transpose()?;
-    if let Some(p) = &permutation {
-        if p.len() != meta.rows {
-            return Err(CoreError::InvalidCode {
-                detail: format!("permutation of {} rows vs {} rows", p.len(), meta.rows),
-            });
-        }
-    }
 
     // Cross-checks: widths and lengths must be mutually consistent.
     if slices.len() != mapping.width() as usize {
@@ -221,8 +204,6 @@ pub fn load_index(pager: &Pager, handle: &IndexHandle) -> Result<EncodedBitmapIn
         dont_cares: std::sync::OnceLock::new(),
         summaries,
         query_options: crate::index::QueryOptions::default(),
-        permutation,
-        row_order: meta.row_order,
     })
 }
 
@@ -282,7 +263,6 @@ mod tests {
             BuildOptions {
                 policy: NullPolicy::EncodedReserved,
                 mapping: None,
-                ..Default::default()
             },
         )
         .unwrap();

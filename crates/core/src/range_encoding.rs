@@ -117,7 +117,6 @@ impl RangeBasedIndex {
             BuildOptions {
                 policy: NullPolicy::SeparateVectors,
                 mapping: interval_mapping,
-                ..Default::default()
             },
         )?;
         Ok(Self {

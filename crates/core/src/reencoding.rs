@@ -111,7 +111,6 @@ pub fn reencode(
         BuildOptions {
             policy: index.policy(),
             mapping: Some(new_mapping),
-            ..Default::default()
         },
     )?;
     for row in deleted_rows {

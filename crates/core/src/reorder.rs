@@ -1,18 +1,20 @@
-//! Build-time row reordering for run maximization.
+//! Row order for run maximization: sort the rows, then build.
 //!
-//! The encoded index's compressed containers (PR 3) and uniform-window
-//! skips win exactly in proportion to how long the runs of identical
-//! bits inside each slice are — and run length is decided by the
-//! physical row order of the fact table, which the paper takes as
-//! given. Lemire/Kaser/Aouiche (*Sorting improves word-aligned bitmap
-//! indexes*) show that sorting rows before building can shrink
+//! The encoded index's compressed containers and uniform-window skips
+//! win exactly in proportion to how long the runs of identical bits
+//! inside each slice are — and run length is decided by the physical
+//! row order of the fact table, which the paper takes as given.
+//! Lemire/Kaser/Aouiche (*Sorting improves word-aligned bitmap
+//! indexes*) show that sorting the table before building can shrink
 //! word-aligned indexes by multiples, and their histogram-aware
 //! follow-up shows the column priority order is what makes the sort pay
 //! off: putting low-effective-cardinality (skewed) columns first keeps
 //! their values in few long runs, spending the rapid alternation on the
 //! columns that would not compress anyway.
 //!
-//! This module computes that ordering:
+//! This module computes that order; the caller applies it to its cells
+//! (and heap) before the build, so bit `j` of every index is still row
+//! `j` of the table and nothing translates row ids:
 //!
 //! * [`ColumnHistogram`] — per-column value counts reduced to the
 //!   *effective cardinality* `1 / Σ pᵢ²` (inverse Simpson index): the
@@ -22,10 +24,9 @@
 //!   dominate, so it sorts first.
 //! * [`column_priority`] — ascending effective cardinality, the
 //!   Kaser–Lemire heuristic.
-//! * [`compute_permutation`] — stable sort of row ids by the
-//!   prioritised columns, [`RowOrder::Lexicographic`] or the
-//!   reflected-Gray variant ([`RowOrder::Gray`]), returned as a
-//!   validated [`RowPermutation`].
+//! * [`sort_order`] — stable sort of row ids by the prioritised
+//!   columns, [`RowOrder::Lexicographic`] or the reflected-Gray variant
+//!   ([`RowOrder::Gray`]), NULLs after every value.
 //!
 //! The reflected-Gray comparator flips the comparison direction of each
 //! successive column whenever the prefix rank above it is odd, so
@@ -33,18 +34,15 @@
 //! — fewer run breaks in the low-priority columns than plain
 //! lexicographic order at identical cost.
 
-use crate::mapping::RowPermutation;
+use ebi_storage::Cell;
 use std::cmp::Ordering;
 
-/// Physical row order of an index build (see
-/// [`BuildOptions::row_order`](crate::index::BuildOptions)).
+/// The order [`sort_order`] puts rows in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RowOrder {
-    /// Rows stay in insertion order; internal and original row ids
-    /// coincide and no permutation is kept. Right when the table is
-    /// already clustered (e.g. loads sorted by date), when rows arrive
-    /// through streaming appends, or when build-time sorting cost
-    /// cannot be afforded.
+    /// Rows stay in insertion order. Right when the table is already
+    /// clustered (e.g. loads sorted by date), when rows arrive through
+    /// streaming appends, or when sorting cost cannot be afforded.
     #[default]
     Original,
     /// Rows sorted lexicographically by the prioritised columns.
@@ -54,67 +52,11 @@ pub enum RowOrder {
     Gray,
 }
 
-impl RowOrder {
-    /// Stable lower-case name, for reports and the `EBI_ROW_ORDER`
-    /// environment variable.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Original => "original",
-            Self::Lexicographic => "lexicographic",
-            Self::Gray => "gray",
-        }
-    }
-
-    /// Parses [`RowOrder::as_str`] names (plus the `lex` shorthand).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "original" => Some(Self::Original),
-            "lexicographic" | "lex" => Some(Self::Lexicographic),
-            "gray" => Some(Self::Gray),
-            _ => None,
-        }
-    }
-
-    /// Order forced by the `EBI_ROW_ORDER` environment variable, if set
-    /// to a recognised name (unrecognised values are ignored, like
-    /// `EBI_KERNEL`).
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        std::env::var("EBI_ROW_ORDER")
-            .ok()
-            .as_deref()
-            .and_then(Self::parse)
-    }
-
-    /// Stable one-byte tag used by the persisted index meta.
-    #[must_use]
-    pub fn tag(self) -> u8 {
-        match self {
-            Self::Original => 0,
-            Self::Lexicographic => 1,
-            Self::Gray => 2,
-        }
-    }
-
-    /// Inverse of [`RowOrder::tag`].
-    #[must_use]
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(Self::Original),
-            1 => Some(Self::Lexicographic),
-            2 => Some(Self::Gray),
-            _ => None,
-        }
-    }
-}
-
 /// Histogram summary of one column, reduced to what the ordering
 /// heuristic needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnHistogram {
-    /// Distinct values observed.
+    /// Distinct cells observed (NULL counts as one).
     pub distinct: usize,
     /// Inverse Simpson index `1 / Σ pᵢ²` — the equivalent number of
     /// uniform values. Equals `distinct` on uniform data, collapses
@@ -122,34 +64,51 @@ pub struct ColumnHistogram {
     pub effective_cardinality: f64,
 }
 
-/// Builds the [`ColumnHistogram`] of one column of value ids.
-#[must_use]
-pub fn column_histogram(column: &[u64]) -> ColumnHistogram {
-    if column.is_empty() {
-        return ColumnHistogram {
-            distinct: 0,
-            effective_cardinality: 0.0,
-        };
+/// Dense ascending rank of each cell; NULL ranks after every value.
+fn dense_ranks(column: &[Cell]) -> Vec<u32> {
+    let mut distinct = column.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    column
+        .iter()
+        .map(|c| distinct.partition_point(|d| d < c) as u32)
+        .collect()
+}
+
+fn histogram_of_ranks(ranks: &[u32]) -> ColumnHistogram {
+    let mut counts = vec![0u64; ranks.iter().max().map_or(0, |&r| r as usize + 1)];
+    for &r in ranks {
+        counts[r as usize] += 1;
     }
-    let mut counts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    for &v in column {
-        *counts.entry(v).or_insert(0) += 1;
-    }
-    let n = column.len() as f64;
-    let collision_mass: f64 = counts.values().map(|&c| (c as f64 / n).powi(2)).sum();
+    let n = ranks.len() as f64;
+    let collision_mass: f64 = counts.iter().map(|&c| (c as f64 / n).powi(2)).sum();
     ColumnHistogram {
         distinct: counts.len(),
-        effective_cardinality: 1.0 / collision_mass,
+        effective_cardinality: if ranks.is_empty() {
+            0.0
+        } else {
+            1.0 / collision_mass
+        },
     }
+}
+
+/// Builds the [`ColumnHistogram`] of one column.
+#[must_use]
+pub fn column_histogram(column: &[Cell]) -> ColumnHistogram {
+    histogram_of_ranks(&dense_ranks(column))
 }
 
 /// Column priority for the sort: ascending effective cardinality (the
 /// Kaser–Lemire histogram-aware heuristic — most skewed first), ties
 /// broken by distinct count then original position for determinism.
 #[must_use]
-pub fn column_priority(columns: &[&[u64]]) -> Vec<usize> {
+pub fn column_priority(columns: &[&[Cell]]) -> Vec<usize> {
     let hists: Vec<ColumnHistogram> = columns.iter().map(|c| column_histogram(c)).collect();
-    let mut order: Vec<usize> = (0..columns.len()).collect();
+    priority_of(&hists)
+}
+
+fn priority_of(hists: &[ColumnHistogram]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..hists.len()).collect();
     order.sort_by(|&a, &b| {
         hists[a]
             .effective_cardinality
@@ -161,144 +120,139 @@ pub fn column_priority(columns: &[&[u64]]) -> Vec<usize> {
     order
 }
 
-/// Computes the row permutation that sorts `columns` under `order`,
-/// with histogram-aware column priority. All columns must have the same
-/// length. [`RowOrder::Original`] returns the identity.
+/// The row ids of `columns` in the order `order` puts them: entry `i` is
+/// the row that belongs at position `i`. Columns are compared in
+/// histogram-aware priority, and NULLs sort after every value so
+/// `B_NULL` clusters too. [`RowOrder::Original`] returns `0..rows`.
 ///
 /// The sort is stable: rows with identical keys keep their relative
-/// insertion order, so the permutation is deterministic.
+/// insertion order, so the order is deterministic.
 ///
 /// # Panics
 ///
 /// Panics if the columns have differing lengths or the row count
 /// exceeds `u32::MAX`.
 #[must_use]
-pub fn compute_permutation(columns: &[&[u64]], order: RowOrder) -> RowPermutation {
+pub fn sort_order(columns: &[&[Cell]], order: RowOrder) -> Vec<u32> {
     let rows = columns.first().map_or(0, |c| c.len());
     assert!(
         columns.iter().all(|c| c.len() == rows),
         "all columns must have the same row count"
     );
-    if order == RowOrder::Original || rows == 0 || columns.is_empty() {
-        return RowPermutation::identity(rows);
+    let rows = u32::try_from(rows).expect("row count fits u32");
+    let mut ids: Vec<u32> = (0..rows).collect();
+    if order == RowOrder::Original {
+        return ids;
     }
 
-    let priority = column_priority(columns);
-    // Dense ranks per column (ascending value order), so the Gray
-    // comparator has the parity information and comparisons are on
-    // small integers regardless of the value-id spread.
-    let ranks: Vec<Vec<u32>> = priority
-        .iter()
-        .map(|&c| {
-            let col = columns[c];
-            let mut distinct: Vec<u64> = col.to_vec();
-            distinct.sort_unstable();
-            distinct.dedup();
-            col.iter()
-                .map(|v| distinct.partition_point(|d| d < v) as u32)
-                .collect()
-        })
-        .collect();
-
-    let mut ids: Vec<u32> = (0..rows as u32).collect();
-    match order {
-        RowOrder::Original => unreachable!("handled above"),
-        RowOrder::Lexicographic => {
-            ids.sort_by(|&a, &b| {
-                for col in &ranks {
-                    match col[a as usize].cmp(&col[b as usize]) {
-                        Ordering::Equal => {}
-                        other => return other,
-                    }
-                }
-                Ordering::Equal
-            });
+    // Dense ranks per column, so the Gray comparator has the parity
+    // information and comparisons are on small integers.
+    let ranks: Vec<Vec<u32>> = columns.iter().map(|c| dense_ranks(c)).collect();
+    let hists: Vec<ColumnHistogram> = ranks.iter().map(|r| histogram_of_ranks(r)).collect();
+    let ranks: Vec<&[u32]> = priority_of(&hists).iter().map(|&c| &ranks[c][..]).collect();
+    let gray = order == RowOrder::Gray;
+    ids.sort_by(|&a, &b| {
+        let mut flip = false;
+        for col in &ranks {
+            let (ra, rb) = (col[a as usize], col[b as usize]);
+            if ra != rb {
+                return if flip { rb.cmp(&ra) } else { ra.cmp(&rb) };
+            }
+            flip ^= gray && ra & 1 == 1;
         }
-        RowOrder::Gray => {
-            ids.sort_by(|&a, &b| {
-                let mut flip = false;
-                for col in &ranks {
-                    let (ra, rb) = (col[a as usize], col[b as usize]);
-                    if ra != rb {
-                        return if flip { rb.cmp(&ra) } else { ra.cmp(&rb) };
-                    }
-                    flip ^= ra & 1 == 1;
-                }
-                Ordering::Equal
-            });
-        }
-    }
-    RowPermutation::from_original_of(ids).expect("sorted row ids form a permutation")
+        Ordering::Equal
+    });
+    ids
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn row_order_names_round_trip() {
-        for order in [RowOrder::Original, RowOrder::Lexicographic, RowOrder::Gray] {
-            assert_eq!(RowOrder::parse(order.as_str()), Some(order));
-            assert_eq!(RowOrder::from_tag(order.tag()), Some(order));
-        }
-        assert_eq!(RowOrder::parse("LEX"), Some(RowOrder::Lexicographic));
-        assert_eq!(RowOrder::parse("nope"), None);
-        assert_eq!(RowOrder::from_tag(9), None);
+    fn cells(values: &[u64]) -> Vec<Cell> {
+        values.iter().copied().map(Cell::Value).collect()
+    }
+
+    /// The rows of `cols` in `order`, as tuples.
+    fn sorted_tuples(cols: &[&[Cell]], order: &[u32]) -> Vec<Vec<Cell>> {
+        order
+            .iter()
+            .map(|&r| cols.iter().map(|c| c[r as usize]).collect())
+            .collect()
     }
 
     #[test]
     fn histogram_effective_cardinality() {
-        let uniform: Vec<u64> = (0..1000).map(|i| i % 10).collect();
+        let uniform = cells(&(0..1000).map(|i| i % 10).collect::<Vec<_>>());
         let h = column_histogram(&uniform);
         assert_eq!(h.distinct, 10);
         assert!((h.effective_cardinality - 10.0).abs() < 1e-9);
 
         // 99% mass on one value (i == 0 also maps to 0): effective
         // cardinality collapses.
-        let skewed: Vec<u64> = (0..1000)
-            .map(|i| if i % 100 == 0 { i } else { 0 })
-            .collect();
+        let skewed = cells(
+            &(0..1000)
+                .map(|i| if i % 100 == 0 { i } else { 0 })
+                .collect::<Vec<_>>(),
+        );
         let h = column_histogram(&skewed);
         assert_eq!(h.distinct, 10);
         assert!(h.effective_cardinality < 1.3, "{h:?}");
 
         assert_eq!(column_histogram(&[]).distinct, 0);
+        assert_eq!(column_histogram(&[Cell::Null, Cell::Value(3)]).distinct, 2);
     }
 
     #[test]
     fn priority_puts_skewed_columns_first() {
-        let uniform: Vec<u64> = (0..600).map(|i| i % 30).collect();
-        let skewed: Vec<u64> = (0..600).map(|i| u64::from(i % 100 == 0)).collect();
-        let mid: Vec<u64> = (0..600).map(|i| i % 4).collect();
+        let uniform = cells(&(0..600).map(|i| i % 30).collect::<Vec<_>>());
+        let skewed = cells(
+            &(0..600)
+                .map(|i| u64::from(i % 100 == 0))
+                .collect::<Vec<_>>(),
+        );
+        let mid = cells(&(0..600).map(|i| i % 4).collect::<Vec<_>>());
         let order = column_priority(&[&uniform, &skewed, &mid]);
         assert_eq!(order, vec![1, 2, 0]);
     }
 
     #[test]
     fn original_is_identity() {
-        let col = [3u64, 1, 2];
-        let p = compute_permutation(&[&col], RowOrder::Original);
-        assert!(p.is_identity());
+        let col = cells(&[3, 1, 2]);
+        assert_eq!(sort_order(&[&col], RowOrder::Original), vec![0, 1, 2]);
+        assert!(sort_order(&[], RowOrder::Gray).is_empty());
     }
 
     #[test]
     fn lexicographic_sorts_and_is_stable() {
-        let a = [2u64, 1, 2, 1, 0];
-        let b = [9u64, 8, 7, 8, 6];
-        let p = compute_permutation(&[&a, &b], RowOrder::Lexicographic);
-        // Column a is more skewed? Both have similar histograms; the
-        // priority tie-break keeps column 0 first. Sorted (a, b) tuples:
-        // (0,6) (1,8) (1,8) (2,9) (2,7) -> but lexicographic on b too:
-        // (1,8)x2 keep insertion order (stable), (2,7) before (2,9).
-        let sorted: Vec<(u64, u64)> = (0..5)
-            .map(|i| {
-                let o = p.to_original(i);
-                (a[o], b[o])
-            })
-            .collect();
-        assert_eq!(sorted, vec![(0, 6), (1, 8), (1, 8), (2, 7), (2, 9)]);
-        // Stability: the two equal (1, 8) rows keep original order.
-        assert!(p.to_original(1) < p.to_original(2));
+        let a = cells(&[2, 1, 2, 1, 0]);
+        let b = cells(&[9, 8, 7, 8, 6]);
+        let order = sort_order(&[&a, &b], RowOrder::Lexicographic);
+        // Both columns have similar histograms; the priority tie-break
+        // keeps column 0 first. The two equal (1, 8) rows keep insertion
+        // order (stable), and (2, 7) sorts before (2, 9).
+        assert_eq!(
+            sorted_tuples(&[&a, &b], &order),
+            [[0, 6], [1, 8], [1, 8], [2, 7], [2, 9]].map(|t| cells(&t))
+        );
+        assert_eq!(
+            order[1..3],
+            [1, 3],
+            "stability: equal rows keep their order"
+        );
+    }
+
+    #[test]
+    fn nulls_sort_after_every_value() {
+        let a = vec![
+            Cell::Null,
+            Cell::Value(u64::MAX),
+            Cell::Null,
+            Cell::Value(0),
+        ];
+        for order in [RowOrder::Lexicographic, RowOrder::Gray] {
+            assert_eq!(sort_order(&[&a], order), vec![3, 1, 0, 2], "{order:?}");
+        }
     }
 
     #[test]
@@ -306,27 +260,22 @@ mod tests {
         // One prioritised column with ranks 0,1; second column 0..3.
         // Under rank-0 the second column ascends; under rank-1 (odd) it
         // descends — the reflected ordering.
-        let a: Vec<u64> = (0..8).map(|i| u64::from(i >= 4)).collect();
-        let b: Vec<u64> = (0..8).map(|i| i % 4).collect();
-        let p = compute_permutation(&[&a, &b], RowOrder::Gray);
-        let sorted: Vec<(u64, u64)> = (0..8)
-            .map(|i| {
-                let o = p.to_original(i);
-                (a[o], b[o])
-            })
-            .collect();
+        let a = cells(&(0..8).map(|i| u64::from(i >= 4)).collect::<Vec<_>>());
+        let b = cells(&(0..8).map(|i| i % 4).collect::<Vec<_>>());
+        let order = sort_order(&[&a, &b], RowOrder::Gray);
         assert_eq!(
-            sorted,
-            vec![
-                (0, 0),
-                (0, 1),
-                (0, 2),
-                (0, 3),
-                (1, 3),
-                (1, 2),
-                (1, 1),
-                (1, 0),
-            ],
+            sorted_tuples(&[&a, &b], &order),
+            [
+                [0, 0],
+                [0, 1],
+                [0, 2],
+                [0, 3],
+                [1, 3],
+                [1, 2],
+                [1, 1],
+                [1, 0]
+            ]
+            .map(|t| cells(&t)),
             "second column reflects when the first column's rank is odd"
         );
     }
@@ -341,22 +290,23 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
-        let cols: Vec<Vec<u64>> = (0..3)
-            .map(|c| (0..500).map(|_| next() % (4 << c)).collect())
+        let cols: Vec<Vec<Cell>> = (0..3)
+            .map(|c| (0..500).map(|_| Cell::Value(next() % (4 << c))).collect())
             .collect();
-        let refs: Vec<&[u64]> = cols.iter().map(Vec::as_slice).collect();
-        let transitions = |p: &RowPermutation| -> usize {
-            (1..500)
-                .map(|i| {
+        let refs: Vec<&[Cell]> = cols.iter().map(Vec::as_slice).collect();
+        let transitions = |order: &[u32]| -> usize {
+            order
+                .windows(2)
+                .map(|w| {
                     cols.iter()
-                        .filter(|c| c[p.to_original(i)] != c[p.to_original(i - 1)])
+                        .filter(|c| c[w[0] as usize] != c[w[1] as usize])
                         .count()
                 })
                 .sum()
         };
-        let lex = transitions(&compute_permutation(&refs, RowOrder::Lexicographic));
-        let gray = transitions(&compute_permutation(&refs, RowOrder::Gray));
-        let orig = transitions(&RowPermutation::identity(500));
+        let lex = transitions(&sort_order(&refs, RowOrder::Lexicographic));
+        let gray = transitions(&sort_order(&refs, RowOrder::Gray));
+        let orig = transitions(&sort_order(&refs, RowOrder::Original));
         assert!(lex < orig, "sorting reduces transitions: {lex} vs {orig}");
         assert!(
             gray <= lex,
@@ -365,13 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn permutations_are_bijective() {
-        let col: Vec<u64> = (0..100).map(|i| (i * 37) % 11).collect();
+    fn orders_are_bijective() {
+        let col = cells(&(0..100).map(|i| (i * 37) % 11).collect::<Vec<_>>());
         for order in [RowOrder::Lexicographic, RowOrder::Gray] {
-            let p = compute_permutation(&[&col], order);
-            for i in 0..100 {
-                assert_eq!(p.to_internal(p.to_original(i)), i);
-            }
+            let mut ids = sort_order(&[&col], order);
+            ids.sort_unstable();
+            assert_eq!(ids, (0..100).collect::<Vec<u32>>(), "{order:?}");
         }
     }
 }

@@ -61,7 +61,7 @@ mod trace_ring;
 pub use error::ServiceError;
 pub use pool::{AdmissionGate, FanOut, Refusal, WorkerPool};
 pub use protocol::{parse_dnf, parse_request, Reply, Request};
-pub use server::{eval_shard, run, ServiceConfig, ServiceHandle, ServiceSummary};
+pub use server::{eval_shard, run, ServiceConfig, ServiceHandle, ServiceSummary, MAX_CONNECTIONS};
 pub use shard::{
     Clause, ColumnSpec, CompiledClause, CompiledQuery, DnfRequest, Predicate, Shard, ShardOutcome,
     ShardedTable, TableOptions,

@@ -13,11 +13,14 @@
 //! Admission is a counting gate ([`AdmissionGate`]): at most
 //! `max_inflight` queries hold permits, the rest get `BUSY`/429
 //! immediately (closed-loop clients back off, so the bound is also the
-//! concurrency ceiling the bench measures against). Fan-out is gated
-//! on the plan's work estimate: when the whole query's post-pruning
-//! estimate is below [`MIN_PARALLEL_WORK_WORDS`], shard slices are
-//! evaluated serially on the connection thread — dispatching tiny
-//! bitmaps to workers costs more than scanning them.
+//! concurrency ceiling the bench measures against). Connections are
+//! capped the same way: past [`MAX_CONNECTIONS`] live ones, the accept
+//! loop answers `BUSY`/429 itself and closes, spawning nothing.
+//!
+//! Fan-out is gated on the plan's work estimate: when the whole query's
+//! post-pruning estimate is below [`MIN_PARALLEL_WORK_WORDS`], shard
+//! slices are evaluated serially on the connection thread — dispatching
+//! tiny bitmaps to workers costs more than scanning them.
 //!
 //! ## Shutdown protocol
 //!
@@ -43,14 +46,19 @@ use ebi_obs::{CostCounters, Counter, Histogram, QueryReport, StorageCounters, Tr
 use ebi_storage::{BufferPool, BufferStats};
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Poll interval at which idle connections notice a shutdown.
 const IDLE_POLL: Duration = Duration::from_millis(150);
+
+/// Connections served at once, both protocols together; each holds one
+/// thread. Far above any admission bound a host can use, so a refused
+/// connection means a connection storm, not load.
+pub const MAX_CONNECTIONS: usize = 128;
 
 /// Service configuration; every knob has an `EBI_SERVICE_*` env
 /// override (see [`ServiceConfig::from_env`] and the README env table).
@@ -191,6 +199,8 @@ struct Counters {
     timeouts: Counter,
     /// Shard evaluations and connections that panicked.
     panics: Counter,
+    /// Connections being served now, against [`MAX_CONNECTIONS`].
+    live_connections: AtomicUsize,
     /// Requests by [`Proto`] and by reply status ([`STATUSES`]).
     requests: [[Counter; STATUSES.len()]; 2],
     /// Request latency by [`Proto`], from framing to the written reply.
@@ -370,10 +380,36 @@ fn accept_loop<'scope, 'env, 'p, 'data>(
             break;
         }
         let Ok(stream) = stream else { continue };
+        // A count that publishes no other data: `Relaxed` suffices.
+        let live = &ctx.counters.live_connections;
+        if live.fetch_add(1, Ordering::Relaxed) >= MAX_CONNECTIONS {
+            live.fetch_sub(1, Ordering::Relaxed);
+            ctx.counters.rejected_busy.inc();
+            refuse_connection(stream, proto);
+            continue;
+        }
         scope.spawn(move |_| {
+            // `contain_conn` returns even when the connection panics, so
+            // the place is always given back.
             contain_conn(ctx.counters, proto, || serve_conn(ctx, stream, proto));
+            live.fetch_sub(1, Ordering::Relaxed);
         });
     }
+}
+
+/// Answers a connection over [`MAX_CONNECTIONS`] with its protocol's
+/// busy reply and closes it, on the accept thread without blocking it.
+/// Bytes the client already sent are read first, so the close does not
+/// reset the connection before the reply arrives.
+fn refuse_connection(mut stream: TcpStream, proto: Proto) {
+    let reply = match proto {
+        Proto::Tcp => Reply::Busy.to_line().into_bytes(),
+        Proto::Http => http::render(&Reply::Busy, None, false),
+    };
+    let _ = stream.set_nonblocking(true);
+    let _ = stream.read(&mut [0u8; 4096]);
+    let _ = stream.write_all(&reply);
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 /// Runs one connection's loop with a panic contained: it counts in

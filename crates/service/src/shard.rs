@@ -11,6 +11,11 @@
 //! sets are identical, only the slice contents differ. That is the
 //! service's compile-once / evaluate-everywhere contract.
 //!
+//! A shard may sort its rows before the build
+//! ([`TableOptions::row_orders`]): its indexes and its heap pages are
+//! then laid out in that order, and a row id is the row's stored
+//! position, as in any clustered table. Nothing translates ids.
+//!
 //! Shard results are shard-relative bitmaps; [`ShardedTable::merge`]
 //! writes each one back at the shard's global row offset with
 //! [`BitVec::or_shifted`]. Shard boundaries are *not* rounded to word
@@ -20,6 +25,7 @@ use crate::error::ServiceError;
 use ebi_bitvec::{BitVec, DnfPlan};
 use ebi_boolean::DnfExpr;
 use ebi_core::index::{BuildOptions, EncodedBitmapIndex};
+use ebi_core::reorder::sort_order;
 use ebi_core::total_order::dense_order_mapping;
 use ebi_core::{and_fold, or_fold, CoreError, Mapping, RowOrder};
 use ebi_obs::CostCounters;
@@ -50,9 +56,11 @@ impl ColumnSpec {
 pub struct TableOptions {
     /// Number of row-range shards (clamped to `1..=rows`).
     pub shards: usize,
-    /// Physical row order per shard, cycled by shard id; empty means
-    /// every shard keeps original order. Each shard sorts its own
-    /// slice independently, so a table can be partially reordered.
+    /// Row order per shard, cycled by shard id; empty means every shard
+    /// keeps its input order. A shard sorts its own rows across all its
+    /// columns before it builds. A list rather than one order, so a
+    /// table can be partly sorted (settled shards sorted, the newest in
+    /// load order), and because the `benchmark/` package constructs it.
     pub row_orders: Vec<RowOrder>,
     /// Heap rows represented by one pager page (fetch granularity).
     pub rows_per_page: usize,
@@ -225,7 +233,8 @@ pub struct ShardedTable {
 }
 
 impl ShardedTable {
-    /// Partitions `columns` into `opts.shards` contiguous row ranges
+    /// Partitions `columns` into `opts.shards` contiguous row ranges,
+    /// sorts each range as its [`TableOptions::row_orders`] entry asks,
     /// and builds one index per (shard, column) over a shared
     /// table-wide mapping per column.
     ///
@@ -270,13 +279,16 @@ impl ShardedTable {
             } else {
                 opts.row_orders[id % opts.row_orders.len()]
             };
+            // One order for all of the shard's columns: its indexes and
+            // its heap pages hold row `j` at the same place.
+            let cells: Vec<&[Cell]> = columns.iter().map(|c| &c.cells[lo..lo + len]).collect();
+            let sorted = sort_order(&cells, order);
             let mut indexes = Vec::with_capacity(columns.len());
-            for (c, col) in columns.iter().enumerate() {
+            for (col, mapping) in cells.iter().zip(&mappings) {
                 let idx = EncodedBitmapIndex::build_with(
-                    col.cells[lo..lo + len].iter().copied(),
+                    sorted.iter().map(|&r| col[r as usize]),
                     BuildOptions {
-                        mapping: Some(mappings[c].clone()),
-                        row_order: order,
+                        mapping: Some(mapping.clone()),
                         ..BuildOptions::default()
                     },
                 )

@@ -1,13 +1,14 @@
 //! Property tests for the sharding contract: a row-range-sharded table
-//! is *observationally identical* to a single-index build — same
-//! selection bitmap in global row ids, same paper cost metric — across
-//! shard counts, storage containers, kernel tiers, per-shard row
-//! orders and the states maintenance leaves the segment summaries in,
-//! with shard-edge rows checked explicitly.
+//! is *observationally identical* to a single-index build over the rows
+//! as its shards store them — same selection bitmap in global row ids,
+//! same paper cost metric — across shard counts, storage containers,
+//! kernel tiers, per-shard row orders and the states maintenance leaves
+//! the segment summaries in, with shard-edge rows checked explicitly.
 
 use ebi_bitvec::simd::{available_paths, with_forced_path};
 use ebi_bitvec::StoragePolicy;
 use ebi_core::index::QueryOptions;
+use ebi_core::reorder::sort_order;
 use ebi_core::RowOrder;
 use ebi_service::{parse_dnf, ColumnSpec, ShardedTable, TableOptions};
 use ebi_storage::Cell;
@@ -137,6 +138,30 @@ fn build(
     table
 }
 
+/// One unsorted index over `columns` as `table`'s shards store them:
+/// each shard's rows in its order from `orders`, concatenated in shard
+/// order. A sorted shard answers in those stored positions.
+fn stored(columns: &[ColumnSpec], table: &ShardedTable, orders: &[RowOrder]) -> ShardedTable {
+    let mut rows: Vec<ColumnSpec> = columns
+        .iter()
+        .map(|c| ColumnSpec::new(&c.name, Vec::new()))
+        .collect();
+    for shard in table.shards() {
+        let range = shard.lo()..shard.lo() + shard.rows();
+        let cells: Vec<&[Cell]> = columns.iter().map(|c| &c.cells[range.clone()]).collect();
+        let order = orders
+            .get(shard.id() % orders.len().max(1))
+            .copied()
+            .unwrap_or_default();
+        for r in sort_order(&cells, order) {
+            for (column, shard_cells) in rows.iter_mut().zip(&cells) {
+                column.cells.push(shard_cells[r as usize]);
+            }
+        }
+    }
+    build(&rows, 1, &[], StoragePolicy::Adaptive, Summaries::Built)
+}
+
 const QUERIES: &[&str] = &[
     "a=1",
     "a=0 AND b=1",
@@ -148,9 +173,9 @@ const QUERIES: &[&str] = &[
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharded evaluation ≡ single-index evaluation, bit for bit in
-    /// global row ids, for every shard count × container × per-shard
-    /// row-order mix × summaries state.
+    /// Sharded evaluation ≡ single-index evaluation over the stored
+    /// rows, bit for bit in global row ids, for every shard count ×
+    /// container × per-shard row-order mix × summaries state.
     #[test]
     fn sharded_bitmap_matches_single_index(
         columns in columns_strategy(),
@@ -160,7 +185,7 @@ proptest! {
         summaries in summaries_strategy(),
     ) {
         let sharded = build(&columns, shards, &orders, policy, summaries);
-        let single = build(&columns, 1, &[], StoragePolicy::Adaptive, Summaries::Built);
+        let single = stored(&columns, &sharded, &orders);
         for query in QUERIES {
             let dnf = parse_dnf(query).expect("parses");
             let cq_sharded = sharded.compile(&dnf).expect("compiles");
@@ -188,7 +213,7 @@ proptest! {
         summaries in summaries_strategy(),
     ) {
         let sharded = build(&columns, shards, &orders, StoragePolicy::Adaptive, summaries);
-        let single = build(&columns, 1, &[], StoragePolicy::Adaptive, Summaries::Built);
+        let single = stored(&columns, &sharded, &orders);
         let n = sharded.shards().len() as u64; // may be < shards on tiny tables
         for query in QUERIES {
             let dnf = parse_dnf(query).expect("parses");

@@ -2,12 +2,15 @@
 //! read: on every shard of a table whose shard boundaries fall inside
 //! words, at 1, 7 and 512 rows per page, `eval_shard`'s `PageWalk`
 //! (pages, hits, misses, evictions) equals the walk that visits each
-//! matching row in turn, run through the reference LRU pool.
+//! matching row in turn, run through the reference LRU pool. A shard
+//! that sorts its rows also lays its heap out in that order, so an
+//! equality on its lead column walks one run of pages.
 
 #[path = "../../storage/tests/lru_model/mod.rs"]
 mod lru_model;
 
 use ebi_bitvec::BitVec;
+use ebi_core::RowOrder;
 use ebi_service::{eval_shard, parse_dnf, ColumnSpec, ShardedTable, TableOptions};
 use ebi_storage::{BufferPool, Cell, PageId, PageWalk, Served};
 use lru_model::LruModel;
@@ -90,4 +93,45 @@ fn the_served_walk_reads_what_the_row_walk_read() {
             assert_eq!(pool.stats(), model.stats, "shard {}", shard.id());
         }
     }
+}
+
+#[test]
+fn a_sorted_shard_walks_one_run_of_pages() {
+    // `a` has the lowest effective cardinality, so it leads the sort.
+    let rows = 2_000u64;
+    let a: Vec<Cell> = (0..rows).map(|i| Cell::Value(i % 3)).collect();
+    let b: Vec<Cell> = (0..rows).map(|i| Cell::Value(i * 7 % 50)).collect();
+    let rows_per_page = 16;
+    let table = ShardedTable::build(
+        vec![ColumnSpec::new("a", a), ColumnSpec::new("b", b)],
+        &TableOptions {
+            shards: 2,
+            row_orders: vec![RowOrder::Lexicographic, RowOrder::Original],
+            rows_per_page,
+        },
+    )
+    .expect("table builds");
+    let compiled = table
+        .compile(&parse_dnf("a=1").expect("parses"))
+        .expect("compiles");
+    let trace = ebi_obs::Trace::begin();
+    let root = trace.root_span("query");
+    let walks: Vec<(u64, u64)> = table
+        .shards()
+        .iter()
+        .map(|shard| {
+            let pool = BufferPool::new(shard.pager(), FRAMES);
+            let outcome = eval_shard(shard, &pool, &compiled, root.handle());
+            (outcome.bitmap.count_ones() as u64, outcome.walk.pages)
+        })
+        .collect();
+    let bound = |matches: u64| matches.div_ceil(rows_per_page as u64) + 1;
+    let [(sorted_matches, sorted_pages), (matches, pages)] = walks[..] else {
+        panic!("two shards: {walks:?}");
+    };
+    assert!(
+        sorted_matches > 0 && sorted_pages <= bound(sorted_matches),
+        "{walks:?}"
+    );
+    assert!(pages > bound(matches), "{walks:?}");
 }

@@ -3,7 +3,8 @@
 //! graceful shutdown with traffic in flight.
 
 use ebi_service::{
-    parse_dnf, ColumnSpec, ServiceConfig, ServiceHandle, ServiceSummary, ShardedTable, TableOptions,
+    parse_dnf, ColumnSpec, ServiceConfig, ServiceHandle, ServiceSummary, ShardedTable,
+    TableOptions, MAX_CONNECTIONS,
 };
 use ebi_storage::Cell;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -566,4 +567,40 @@ fn ebi_serve_rejects_an_unknown_flag_with_its_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("USAGE:"), "no usage printed: {stderr}");
+}
+
+#[test]
+fn connections_over_the_cap_are_refused_until_one_closes() {
+    let table = small_table(1);
+    let mut refused = 0;
+    let summary = with_service(&table, &test_config(), |h| {
+        // The cap's worth of connections, each answered once so the
+        // server is serving all of them, then left idle.
+        let mut held: Vec<BufReader<TcpStream>> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let mut stream = TcpStream::connect(h.tcp_addr()).expect("connect");
+                stream.write_all(b"PING\n").expect("write");
+                let mut reader = BufReader::new(stream);
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("read");
+                assert_eq!(line, "PONG\n");
+                reader
+            })
+            .collect();
+        assert_eq!(tcp_line(h.tcp_addr(), "PING"), "BUSY");
+        let (status, _) = http_get(h.http_addr(), "/healthz");
+        assert_eq!(status, 429, "the cap spans both protocols");
+        refused += 2;
+        // A closed connection gives its place back once its thread sees
+        // the close.
+        drop(held.pop());
+        let mut answer = tcp_line(h.tcp_addr(), "PING");
+        while answer == "BUSY" && refused < 200 {
+            refused += 1;
+            std::thread::sleep(Duration::from_millis(10));
+            answer = tcp_line(h.tcp_addr(), "PING");
+        }
+        assert_eq!(answer, "PONG");
+    });
+    assert_eq!(summary.rejected_busy, refused);
 }

@@ -23,8 +23,8 @@
 //! * [`join`] — bitmapped join indexes for one-hop star joins (§4);
 //! * [`advisor`] — measurement-based index selection per column under
 //!   an optional storage budget;
-//! * [`reorder`] — table-wide build-time row reordering: one
-//!   histogram-prioritised sort shared by every column's index;
+//! * [`reorder`] — the table sorted before its indexes are built: one
+//!   histogram-prioritised row order that every column's index shares;
 //! * [`tpcd_lite`] — a runnable five-template TPC-D-flavoured suite
 //!   exercising selections, roll-ups and direct-bitmap aggregates.
 

@@ -1,88 +1,47 @@
-//! Table-wide row reordering: one sort, every column's index benefits.
+//! Table-wide row order: sort the fact table, then build its indexes.
 //!
-//! [`ebi_core::reorder`] sorts a *single* column's rows; a warehouse
-//! table wants one physical order shared by all its indexes, chosen so
-//! the most compressible (lowest effective cardinality) columns come
-//! first in the sort key — the Kaser–Lemire column-priority heuristic,
-//! applied across the table. This module computes that table-wide
-//! [`RowPermutation`] and builds every per-column index against it, so
-//! conjunctive queries run over consistently reordered slices and every
-//! result still comes back in original row ids.
+//! [`ebi_core::reorder::sort_order`] picks one physical order for a
+//! table, chosen so the most compressible (lowest effective cardinality)
+//! columns come first in the sort key — the Kaser–Lemire
+//! column-priority heuristic, applied across the table. This module
+//! applies it to the table itself, as Lemire, Kaser & Aouiche do: every
+//! index built over the sorted table then shares its row ids, so
+//! conjunctive queries combine bit for bit and nothing is translated. A
+//! caller that needs the old positions keeps them as a column.
 
-use ebi_core::index::{BuildOptions, EncodedBitmapIndex};
-use ebi_core::mapping::RowPermutation;
-use ebi_core::reorder::compute_permutation;
-use ebi_core::{CoreError, RowOrder};
+use ebi_core::reorder::sort_order;
+use ebi_core::RowOrder;
 use ebi_storage::{Cell, Table};
-use std::collections::BTreeMap;
 
-/// Sort key of one cell: NULLs cluster after every real value so
-/// `B_NULL` compresses alongside the value slices.
-fn sort_key(cell: &Cell) -> u64 {
-    cell.value().unwrap_or(u64::MAX)
-}
-
-/// Computes the table-wide permutation for `columns` of `table` under
-/// `order` (the column-priority heuristic inside
-/// [`compute_permutation`] decides which column leads the sort key).
+/// `table` with its rows in the order `order` gives `columns` (the sort
+/// key; every column of the table moves with it). Tombstoned rows move
+/// with their cells and stay tombstoned.
 ///
 /// # Panics
 ///
-/// Panics if a named column does not exist — registering indexes over
-/// missing columns is a programming error, matching the executor.
+/// Panics if a named column does not exist — sorting by a missing
+/// column is a programming error, matching the executor.
 #[must_use]
-pub fn table_permutation(table: &Table, columns: &[&str], order: RowOrder) -> RowPermutation {
-    let keys: Vec<Vec<u64>> = columns
-        .iter()
-        .map(|name| {
-            table
-                .column(name)
-                .unwrap_or_else(|| panic!("no column named {name:?}"))
-                .cells()
-                .iter()
-                .map(sort_key)
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[u64]> = keys.iter().map(Vec::as_slice).collect();
-    compute_permutation(&refs, order)
-}
-
-/// Builds one [`EncodedBitmapIndex`] per named column, all sharing the
-/// table-wide permutation of [`table_permutation`]. With
-/// [`RowOrder::Original`] this degenerates to plain per-column builds
-/// (no permutation is kept).
-///
-/// # Errors
-///
-/// Propagates index-build errors.
-///
-/// # Panics
-///
-/// Panics if a named column does not exist.
-pub fn build_reordered_indexes(
-    table: &Table,
-    columns: &[&str],
-    order: RowOrder,
-) -> Result<BTreeMap<String, EncodedBitmapIndex>, CoreError> {
-    let permutation = table_permutation(table, columns, order);
-    let mut out = BTreeMap::new();
-    for name in columns {
-        let cells = table
+pub fn sorted_table(table: &Table, columns: &[&str], order: RowOrder) -> Table {
+    let column = |name: &str| {
+        table
             .column(name)
             .unwrap_or_else(|| panic!("no column named {name:?}"))
-            .cells();
-        let idx = EncodedBitmapIndex::build_with(
-            cells.iter().copied(),
-            BuildOptions {
-                row_order: order,
-                permutation: Some(permutation.clone()),
-                ..Default::default()
-            },
-        )?;
-        out.insert((*name).to_string(), idx);
+            .cells()
+    };
+    let keys: Vec<&[Cell]> = columns.iter().map(|name| column(name)).collect();
+    let names: Vec<&str> = table.column_names().iter().map(String::as_str).collect();
+    let all: Vec<&[Cell]> = names.iter().map(|name| column(name)).collect();
+    let mut out = Table::new(table.name(), &names);
+    for old in sort_order(&keys, order) {
+        let old = old as usize;
+        let cells: Vec<Cell> = all.iter().map(|c| c[old]).collect();
+        let row = out.append_row(&cells).expect("same schema");
+        if table.is_deleted(old) {
+            out.delete_row(row).expect("row just appended");
+        }
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -91,13 +50,25 @@ mod tests {
     use crate::executor::{ConjunctiveQuery, Executor};
     use crate::generator::{generate_profiled_table, SkewProfile};
     use crate::workload::{Predicate, Query};
+    use ebi_core::EncodedBitmapIndex;
+
+    fn indexes(table: &Table, cols: &[&str]) -> Vec<(String, EncodedBitmapIndex)> {
+        cols.iter()
+            .map(|&c| {
+                let cells = table.column(c).unwrap().cells().iter().copied();
+                (c.to_string(), EncodedBitmapIndex::build(cells).unwrap())
+            })
+            .collect()
+    }
 
     #[test]
-    fn reordered_indexes_answer_like_original_ones() {
-        let table = generate_profiled_table("t", &SkewProfile::reorder_friendly(), 4_000, 11);
+    fn sorted_table_answers_like_the_original() {
+        let mut table = generate_profiled_table("t", &SkewProfile::reorder_friendly(), 4_000, 11);
+        table.delete_row(17).unwrap();
         let cols = ["c0", "c1", "c2"];
-        let plain = build_reordered_indexes(&table, &cols, RowOrder::Original).unwrap();
-        let sorted = build_reordered_indexes(&table, &cols, RowOrder::Lexicographic).unwrap();
+        let sorted = sorted_table(&table, &cols, RowOrder::Lexicographic);
+        assert_eq!(sorted.row_count(), table.row_count());
+        assert_eq!(sorted.live_row_count(), table.live_row_count());
 
         let q = ConjunctiveQuery {
             clauses: vec![
@@ -111,40 +82,35 @@ mod tests {
                 },
             ],
         };
-        let run = |indexes: &BTreeMap<String, EncodedBitmapIndex>| {
-            let mut exec = Executor::new(table.row_count());
-            for (name, idx) in indexes {
+        let count = |t: &Table| {
+            let built = indexes(t, &cols);
+            let mut exec = Executor::new(t.row_count());
+            for (name, idx) in &built {
                 exec.register(name, idx);
             }
-            exec.run(&q).0
+            exec.run(&q).0.count_ones()
         };
-        assert_eq!(run(&plain), run(&sorted));
+        assert_eq!(count(&table), count(&sorted));
     }
 
     #[test]
     fn table_wide_sort_lengthens_runs_on_friendly_data() {
         let table = generate_profiled_table("t", &SkewProfile::reorder_friendly(), 8_000, 13);
         let cols = ["c0", "c1", "c2"];
-        let plain = build_reordered_indexes(&table, &cols, RowOrder::Original).unwrap();
-        let sorted = build_reordered_indexes(&table, &cols, RowOrder::Lexicographic).unwrap();
-        let runs = |m: &BTreeMap<String, EncodedBitmapIndex>| -> u64 {
-            m.values().map(|i| i.run_stats().runs).sum()
+        let runs = |t: &Table| -> u64 {
+            indexes(t, &cols)
+                .iter()
+                .map(|(_, i)| i.run_stats().runs)
+                .sum()
         };
-        assert!(
-            runs(&sorted) < runs(&plain),
-            "sorted {} vs original {}",
-            runs(&sorted),
-            runs(&plain)
-        );
-        for idx in sorted.values() {
-            assert_eq!(idx.row_order(), RowOrder::Lexicographic);
+        for order in [RowOrder::Lexicographic, RowOrder::Gray] {
+            let sorted = sorted_table(&table, &cols, order);
+            assert!(runs(&sorted) < runs(&table), "{order:?}");
         }
-    }
-
-    #[test]
-    fn original_order_keeps_no_permutation() {
-        let table = generate_profiled_table("t", &SkewProfile::reorder_hostile(), 500, 17);
-        let plain = build_reordered_indexes(&table, &["c0"], RowOrder::Original).unwrap();
-        assert!(plain["c0"].permutation().is_none());
+        let same = sorted_table(&table, &cols, RowOrder::Original);
+        assert_eq!(
+            same.column("c0").unwrap().cells(),
+            table.column("c0").unwrap().cells()
+        );
     }
 }

@@ -85,7 +85,6 @@ impl TpcdLite {
             BuildOptions {
                 policy: NullPolicy::SeparateVectors,
                 mapping: sp_mapping,
-                ..Default::default()
             },
         )?;
         let to_cells = |vals: &[Option<u64>]| -> Vec<Cell> {

@@ -70,7 +70,6 @@ fn main() {
         BuildOptions {
             policy: NullPolicy::EncodedReserved,
             mapping: None,
-            ..Default::default()
         },
     )
     .expect("build");
@@ -99,7 +98,6 @@ fn main() {
         BuildOptions {
             policy: NullPolicy::EncodedReserved,
             mapping: None,
-            ..Default::default()
         },
     )
     .expect("build");

@@ -48,7 +48,6 @@ fn main() {
         BuildOptions {
             policy: NullPolicy::SeparateVectors,
             mapping: Some(paper_figure5_mapping()),
-            ..Default::default()
         },
     )
     .expect("build hierarchy-encoded index");

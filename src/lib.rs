@@ -53,7 +53,8 @@ pub mod prelude {
     };
     pub use ebi_core::index::{BuildOptions, EncodedBitmapIndex, QueryResult};
     pub use ebi_core::nulls::NullPolicy;
-    pub use ebi_core::{Mapping, RowOrder, RowPermutation};
+    pub use ebi_core::reorder::sort_order;
+    pub use ebi_core::{Mapping, RowOrder};
     pub use ebi_obs::CostCounters;
     pub use ebi_storage::{Cell, Table};
     pub use ebi_warehouse::{

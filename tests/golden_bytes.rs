@@ -8,6 +8,7 @@
 
 use ebi::bitvec::roaring::RoaringBitmap;
 use ebi::core::persist::{load_index, save_index};
+use ebi::core::CoreError;
 use ebi::prelude::*;
 use ebi::storage::pager::Pager;
 use ebi::storage::segment::{read_segment, write_segment};
@@ -67,7 +68,7 @@ fn roaring_images_are_stable_in_every_container_kind() {
 }
 
 #[test]
-fn mapping_and_permutation_images_are_stable() {
+fn mapping_image_is_stable() {
     let mapping = Mapping::from_pairs(&[(10, 3), (20, 0), (30, 5), (40, 1), (50, 6)]).unwrap();
     let golden = concat!(
         "03000000",         // width
@@ -85,27 +86,22 @@ fn mapping_and_permutation_images_are_stable() {
     );
     assert_eq!(hex(&mapping.to_bytes()), golden);
     assert_eq!(Mapping::from_bytes(&unhex(golden)).unwrap(), mapping);
-
-    let permutation = RowPermutation::from_original_of(vec![2, 0, 3, 1]).unwrap();
-    let golden = "040000000000000002000000000000000300000001000000";
-    assert_eq!(hex(&permutation.to_bytes()), golden);
-    assert_eq!(
-        RowPermutation::from_bytes(&unhex(golden)).unwrap(),
-        permutation
-    );
 }
 
 /// The metadata blob has no public encoder; it is what `save_index`
-/// writes to the `meta` segment. Six rows, reserved-code NULLs (NULL
-/// code 1, codes 0 and 1 reserved) and a lexicographic row order fill
-/// every field of the layout.
+/// writes to the `meta` segment. Six rows and reserved-code NULLs (NULL
+/// code 1, codes 0 and 1 reserved) fill every field of the layout.
+///
+/// Images written while an index could keep its own row permutation end
+/// in a row-order byte. One that ends `00` (an unsorted build) still
+/// loads; `01` (lexicographic) or `02` (Gray) stored its slices permuted,
+/// and is refused now that no segment undoes that.
 #[test]
 fn meta_image_is_stable() {
     let cells = [3u64, 1, 2, 1, 3, 0].map(|v| if v == 0 { Cell::Null } else { Cell::Value(v) });
     let options = BuildOptions {
         policy: NullPolicy::EncodedReserved,
-        row_order: RowOrder::Lexicographic,
-        ..Default::default()
+        mapping: None,
     };
     let index = EncodedBitmapIndex::build_with(cells, options).unwrap();
     let pager = Pager::new();
@@ -118,12 +114,18 @@ fn meta_image_is_stable() {
         "0200000000000000", // reserved codes, then each
         "0000000000000000",
         "0100000000000000",
-        "01", // row order: lexicographic
     );
     assert_eq!(hex(&read_segment(&pager, &handle.meta).unwrap()), golden);
-    handle.meta = write_segment(&pager, &unhex(golden)).unwrap();
-    let loaded = load_index(&pager, &handle).unwrap();
-    assert_eq!(loaded.policy(), NullPolicy::EncodedReserved);
-    assert_eq!(loaded.row_order(), RowOrder::Lexicographic);
-    assert_eq!(loaded.is_null().bitmap, index.is_null().bitmap);
+    for image in [golden.to_string(), format!("{golden}00")] {
+        handle.meta = write_segment(&pager, &unhex(&image)).unwrap();
+        let loaded = load_index(&pager, &handle).unwrap();
+        assert_eq!(loaded.policy(), NullPolicy::EncodedReserved);
+        assert_eq!(loaded.is_null().bitmap, index.is_null().bitmap);
+        assert_eq!(loaded.slices(), index.slices());
+    }
+    for tag in ["01", "02"] {
+        handle.meta = write_segment(&pager, &unhex(&format!("{golden}{tag}"))).unwrap();
+        let err = load_index(&pager, &handle).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidCode { .. }), "{tag}: {err}");
+    }
 }

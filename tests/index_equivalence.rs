@@ -205,7 +205,6 @@ fn sources(cells: &[Cell], shuffled: Option<u64>) -> (EncodedBitmapIndex, Encode
                 // Codes 0 and 1 stay out of a reserved source's mapping:
                 // void, and room for the NULL code.
                 mapping: shuffled.map(|seed| shuffled_mapping(cells, reserved, seed)),
-                ..Default::default()
             },
         )
         .unwrap()
@@ -228,14 +227,20 @@ fn run_all(cells: &[Cell], m: u64, queries: usize, seed: u64) {
         })
         .collect();
     let workload = WorkloadSpec::tpcd_like("c", m, queries, seed).generate();
-    for shuffled in [None, Some(seed)] {
-        let (encoded, reserved) = sources(&cells, shuffled);
-        assert_eq!(
-            encoded.mapping().is_total_order_preserving(),
-            shuffled.is_none() || m <= 2
-        );
-        compare(&cells, &encoded, &reserved, &workload);
-        maintained_pass(cells.clone(), encoded, reserved, &workload, m);
+    // The same cells clustered, as a caller sorts them before the build:
+    // every form then answers in the sorted positions, with long runs.
+    for order in [RowOrder::Original, RowOrder::Lexicographic, RowOrder::Gray] {
+        let sorted = sort_order(&[&cells], order);
+        let cells: Vec<Cell> = sorted.iter().map(|&r| cells[r as usize]).collect();
+        for shuffled in [None, Some(seed)] {
+            let (encoded, reserved) = sources(&cells, shuffled);
+            assert_eq!(
+                encoded.mapping().is_total_order_preserving(),
+                shuffled.is_none() || m <= 2
+            );
+            compare(&cells, &encoded, &reserved, &workload);
+            maintained_pass(cells.clone(), encoded, reserved, &workload, m);
+        }
     }
 }
 
@@ -331,7 +336,6 @@ fn deletion_consistency_across_policies_and_families() {
         BuildOptions {
             policy: NullPolicy::EncodedReserved,
             mapping: None,
-            ..Default::default()
         },
     )
     .unwrap();

@@ -182,7 +182,6 @@ fn fig3_queries_through_real_indexes() {
         BuildOptions {
             policy: NullPolicy::SeparateVectors,
             mapping: Some(proper),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -215,7 +214,6 @@ fn fig5_index_answers_rollups_exactly() {
         BuildOptions {
             policy: NullPolicy::SeparateVectors,
             mapping: Some(paper_figure5_mapping()),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -247,7 +245,6 @@ fn fig6_mapping_properties() {
         BuildOptions {
             policy: NullPolicy::SeparateVectors,
             mapping: Some(m),
-            ..Default::default()
         },
     )
     .unwrap();

@@ -135,7 +135,7 @@ proptest! {
         let policy = if reserved { NullPolicy::EncodedReserved } else { NullPolicy::SeparateVectors };
         let mut idx = EncodedBitmapIndex::build_with(
             cells.iter().copied(),
-            BuildOptions { policy, mapping: None, ..Default::default() },
+            BuildOptions { policy, mapping: None },
         ).unwrap();
         let mut dead = vec![false; cells.len()];
         for d in &deletes {

@@ -105,7 +105,6 @@ proptest! {
             BuildOptions {
                 policy: NullPolicy::SeparateVectors,
                 mapping: Some(mapping),
-                ..Default::default()
             },
         )
         .unwrap();

@@ -60,7 +60,6 @@ fn soak(policy: NullPolicy, seed: u64, ops: usize) {
         BuildOptions {
             policy,
             mapping: None,
-            ..Default::default()
         },
     )
     .unwrap();

@@ -22,7 +22,7 @@ proptest! {
         let cells: Vec<Cell> = values.iter().map(|&v| Cell::Value(v)).collect();
         let mut idx = EncodedBitmapIndex::build_with(
             cells.clone(),
-            BuildOptions { policy: NullPolicy::EncodedReserved, mapping: None, ..Default::default() },
+            BuildOptions { policy: NullPolicy::EncodedReserved, mapping: None },
         ).unwrap();
         let mut dead = vec![false; cells.len()];
         for d in &delete_picks {
