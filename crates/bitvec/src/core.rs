@@ -107,15 +107,15 @@ impl BitVec {
         self.words.len() * (WORD_BITS / 8)
     }
 
-    /// Appends one bit.
+    /// Appends one bit. The bit is shifted into its word, not tested: a
+    /// column of coin-flip bits costs no mispredicted branch per push.
     pub fn push(&mut self, bit: bool) {
         let (w, b) = (self.len / WORD_BITS, self.len % WORD_BITS);
         if w == self.words.len() {
             self.words.push(0);
         }
-        if bit {
-            self.words[w] |= 1u64 << b;
-        }
+        // The tail invariant keeps bit `b` zero until now.
+        self.words[w] |= u64::from(bit) << b;
         self.len += 1;
     }
 
@@ -166,7 +166,8 @@ impl BitVec {
         self.words[i / WORD_BITS] >> (i % WORD_BITS) & 1 == 1
     }
 
-    /// Sets bit `i` to `value`.
+    /// Sets bit `i` to `value`: one read-modify-write of its word that
+    /// clears the bit and ORs the value in, with no branch on `value`.
     ///
     /// # Panics
     ///
@@ -178,11 +179,8 @@ impl BitVec {
             self.len
         );
         let (w, b) = (i / WORD_BITS, i % WORD_BITS);
-        if value {
-            self.words[w] |= 1u64 << b;
-        } else {
-            self.words[w] &= !(1u64 << b);
-        }
+        let word = &mut self.words[w];
+        *word = (*word & !(1u64 << b)) | (u64::from(value) << b);
     }
 
     /// Number of one bits (the bitmap's *population count*).
@@ -435,6 +433,60 @@ mod tests {
         v.set(64, false);
         assert_eq!(v.count_ones(), 2);
         assert!(v.bit(0) && v.bit(99) && !v.bit(64));
+    }
+
+    #[test]
+    fn a_bit_write_changes_exactly_one_bit() {
+        // Two full words and a partial tail word of 37 bits.
+        const LEN: usize = 2 * WORD_BITS + 37;
+        let patterns = [0u64, u64::MAX, 0x5555_5555_5555_5555];
+        let from_word = |pattern: u64, len: usize| {
+            let mut v = BitVec {
+                words: vec![pattern; len.div_ceil(WORD_BITS)],
+                len,
+            };
+            v.mask_tail();
+            let model: Vec<bool> = (0..len)
+                .map(|i| pattern >> (i % WORD_BITS) & 1 == 1)
+                .collect();
+            (v, model)
+        };
+        let agrees = |v: &BitVec, model: &[bool], what: &str| {
+            let bits: Vec<bool> = (0..v.len()).map(|i| v.bit(i)).collect();
+            assert_eq!(bits, model, "{what}");
+            let ones = model.iter().filter(|&&b| b).count();
+            assert_eq!(v.count_ones(), ones, "{what}");
+            assert_eq!(v.words.len(), model.len().div_ceil(WORD_BITS), "{what}");
+            let tail = model.len() % WORD_BITS;
+            if tail != 0 {
+                assert_eq!(
+                    v.words[v.words.len() - 1] >> tail,
+                    0,
+                    "{what}: bits past len"
+                );
+            }
+        };
+        for pattern in patterns {
+            for value in [false, true] {
+                for at in [0, 63, 64, LEN - 1] {
+                    let (mut v, mut model) = from_word(pattern, LEN);
+                    v.set(at, value);
+                    model[at] = value;
+                    agrees(&v, &model, &format!("set({at}, {value}) on {pattern:#x}"));
+                }
+                // A push lands at bit `len`: 0, 63, 64 and inside the tail.
+                for len in [0, 63, 64, LEN - 1] {
+                    let (mut v, mut model) = from_word(pattern, len);
+                    v.push(value);
+                    model.push(value);
+                    agrees(
+                        &v,
+                        &model,
+                        &format!("push({value}) at {len} on {pattern:#x}"),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,11 +58,8 @@ impl EncodingStrategy for AffinityEncoding {
 
         // i-th value in the final order gets the i-th allowed code.
         let allowed = problem.allowed_codes();
-        let mut mapping = Mapping::new(problem.width);
-        for (slot, &vi) in order.iter().enumerate() {
-            mapping.insert(values[vi], allowed[slot])?;
-        }
-        Ok(mapping)
+        let pairs = order.iter().map(|&vi| values[vi]).zip(allowed).collect();
+        Mapping::with_pairs(problem.width, pairs)
     }
 }
 

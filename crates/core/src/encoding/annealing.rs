@@ -58,13 +58,8 @@ impl EncodingStrategy for AnnealingEncoding {
 
         let mut rng = StdRng::seed_from_u64(self.seed);
         let rebuild = |codes: &[u64]| -> Mapping {
-            let pairs: Vec<(u64, u64)> =
-                values.iter().copied().zip(codes.iter().copied()).collect();
-            let mut m = Mapping::new(problem.width);
-            for (v, c) in pairs {
-                m.insert(v, c).expect("permutation stays bijective");
-            }
-            m
+            let pairs = values.iter().copied().zip(codes.iter().copied()).collect();
+            Mapping::with_pairs(problem.width, pairs).expect("permutation stays bijective")
         };
 
         let mut current_cost = workload_cost(&start, problem.predicates) as f64;

@@ -49,14 +49,10 @@ impl EncodingStrategy for GrayEncoding {
         problem.validate()?;
         let mut values = problem.values.to_vec();
         values.sort_unstable();
-        let mut mapping = Mapping::new(problem.width);
         let codes = (0..(1u64 << problem.width))
             .map(gray)
             .filter(|c| !problem.forbidden_codes.contains(c));
-        for (v, c) in values.into_iter().zip(codes) {
-            mapping.insert(v, c)?;
-        }
-        Ok(mapping)
+        Mapping::with_pairs(problem.width, values.into_iter().zip(codes).collect())
     }
 }
 

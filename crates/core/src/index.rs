@@ -394,7 +394,7 @@ impl EncodedBitmapIndex {
             return DnfExpr::empty(self.width());
         };
         let reserved = self.reserved.iter().filter(|c| (lo..=hi).contains(c));
-        let taken = self.mapping.assigned_between(lo, hi, codes.len() + 1) + reserved.count();
+        let taken = self.mapping.assigned_between(lo, hi) + reserved.count();
         if taken == codes.len() {
             interval::cover(lo, hi, self.free_runs(), self.width(), stats)
         } else {

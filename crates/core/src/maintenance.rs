@@ -10,6 +10,12 @@
 //! * **Deletion** — under the reserved-code policy the row is recoded to
 //!   the void code 0 (Theorem 2.1); under separate-vectors the row is
 //!   marked in `B_NotExist`.
+//!
+//! An update of a row to a known value costs one binary search in the
+//! mapping's value-ordered table, then one read-modify-write of the
+//! row's word in each of the `k` dense vectors (and in `B_NULL` and
+//! `B_NotExist` when they exist). No write branches on the bit it
+//! stores, so the cost is the `k` scattered word accesses themselves.
 
 use crate::error::CoreError;
 use crate::index::EncodedBitmapIndex;
@@ -26,33 +32,15 @@ impl EncodedBitmapIndex {
     /// Propagates mapping errors (exhausted 63-bit code space).
     pub fn append(&mut self, cell: Cell) -> Result<AppendOutcome, CoreError> {
         let row = self.rows;
-        let mut added_slice = false;
-        let code = match cell {
-            Cell::Value(v) => match self.mapping.code_of(v) {
-                Some(c) => c,
-                None => {
-                    added_slice = self.admit_value(v)?;
-                    self.mapping.code_of(v).expect("just admitted")
-                }
-            },
-            Cell::Null => match self.policy {
-                NullPolicy::SeparateVectors => {
-                    let rows = self.rows;
-                    let bn = self.b_null.get_or_insert_with(|| BitVec::zeros(rows));
-                    bn.grow(rows);
-                    // Placeholder code 0; the push below extends slices,
-                    // and B_NULL gets its bit after the row exists.
-                    0
-                }
-                NullPolicy::EncodedReserved => match self.null_code {
-                    Some(c) => c,
-                    None => {
-                        added_slice = self.reserve_null_code()?;
-                        self.null_code.expect("just reserved")
-                    }
-                },
-            },
-        };
+        let (code, added_slice) = self.code_for(&cell)?;
+        let is_null = matches!(cell, Cell::Null) && self.policy == NullPolicy::SeparateVectors;
+        if is_null {
+            // B_NULL exists for the existing rows; it gets this row's bit
+            // after the slices do.
+            let rows = self.rows;
+            let bn = self.b_null.get_or_insert_with(|| BitVec::zeros(rows));
+            bn.grow(rows);
+        }
 
         // Compressed containers are immutable: densify before mutating.
         // The slices then stay dense: `set_query_options` repacks only
@@ -66,7 +54,7 @@ impl EncodedBitmapIndex {
         // rebuilds after a maintenance batch.
         self.summaries = None;
         if let Some(bn) = &mut self.b_null {
-            bn.push(matches!(cell, Cell::Null) && self.policy == NullPolicy::SeparateVectors);
+            bn.push(is_null);
         }
         if let Some(ne) = &mut self.b_not_exist {
             ne.push(false);
@@ -126,24 +114,7 @@ impl EncodedBitmapIndex {
                 rows: self.rows,
             });
         }
-        let code = match cell {
-            Cell::Value(v) => {
-                if self.mapping.code_of(v).is_none() {
-                    self.admit_value(v)?;
-                }
-                self.mapping.code_of(v).expect("admitted")
-            }
-            Cell::Null => match self.policy {
-                NullPolicy::SeparateVectors => 0, // placeholder; B_NULL marks it
-                NullPolicy::EncodedReserved => match self.null_code {
-                    Some(c) => c,
-                    None => {
-                        self.reserve_null_code()?;
-                        self.null_code.expect("just reserved")
-                    }
-                },
-            },
-        };
+        let (code, _) = self.code_for(&cell)?;
         for (i, slice) in self.slices.iter_mut().enumerate() {
             slice.densify().set(row, code >> i & 1 == 1);
         }
@@ -163,6 +134,31 @@ impl EncodedBitmapIndex {
             ne.set(row, false);
         }
         Ok(())
+    }
+
+    /// The code `cell` is written with, and whether resolving it added a
+    /// bitmap vector: a known value's code (one lookup), a new value's
+    /// admitted code, the reserved NULL code, or under separate vectors
+    /// the placeholder 0 that `B_NULL` masks. Companions are the
+    /// caller's.
+    fn code_for(&mut self, cell: &Cell) -> Result<(u64, bool), CoreError> {
+        match (*cell, self.policy) {
+            (Cell::Value(v), _) => match self.mapping.code_of(v) {
+                Some(code) => Ok((code, false)),
+                None => {
+                    let grew = self.admit_value(v)?;
+                    Ok((self.mapping.code_of(v).expect("just admitted"), grew))
+                }
+            },
+            (Cell::Null, NullPolicy::SeparateVectors) => Ok((0, false)),
+            (Cell::Null, NullPolicy::EncodedReserved) => match self.null_code {
+                Some(code) => Ok((code, false)),
+                None => {
+                    let grew = self.reserve_null_code()?;
+                    Ok((self.null_code.expect("just reserved"), grew))
+                }
+            },
+        }
     }
 
     /// Admits a new value to the domain, applying Equation (1): returns

@@ -1,9 +1,20 @@
 //! The mapping table `M^A : A → {<b_{k-1} … b_0>}` of Definition 2.1.
+//!
+//! The table is held twice, as two flat sorted arrays of pairs: one in
+//! value order, one in code order. A lookup either way is one binary
+//! search over contiguous memory (13 probes at m = 8 160, no pointer
+//! chase), and every ordered read is a slice of one array:
+//! `values_between`, `iter`, `is_total_order_preserving` and the
+//! serialised image read the value-ordered one, `free_runs` and
+//! `assigned_between` the code-ordered one. An insert shifts the tail of
+//! both arrays; it shifts nothing when the key lands at the end, which is
+//! where value-ordered builders and an admission above the maximum put
+//! it. The bulk constructors sort once: `O(m log m)` in any input order.
 
 use crate::error::CoreError;
 use ebi_bitvec::serial::ByteReader;
 use ebi_storage::Cell;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 /// A one-to-one mapping from value ids to `k`-bit codes.
 ///
@@ -27,8 +38,10 @@ use std::collections::{BTreeMap, HashSet};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mapping {
     width: u32,
-    code_of: BTreeMap<u64, u64>,
-    value_of: BTreeMap<u64, u64>,
+    /// `(value, code)`, ascending by value.
+    by_value: Vec<(u64, u64)>,
+    /// `(code, value)`, ascending by code.
+    by_code: Vec<(u64, u64)>,
 }
 
 impl Mapping {
@@ -42,9 +55,42 @@ impl Mapping {
         assert!(width <= 63, "mapping width {width} exceeds 63 bits");
         Self {
             width,
-            code_of: BTreeMap::new(),
-            value_of: BTreeMap::new(),
+            by_value: Vec::new(),
+            by_code: Vec::new(),
         }
+    }
+
+    /// A mapping of the given width from `(value, code)` pairs in any
+    /// order: one sort per table, then a check of neighbours for a
+    /// repeated value or code.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidCode`] on a code that does not fit `width`, or
+    /// on duplicate values or codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 63`.
+    pub(crate) fn with_pairs(width: u32, mut by_value: Vec<(u64, u64)>) -> Result<Self, CoreError> {
+        let empty = Self::new(width);
+        if let Some(&(_, code)) = by_value.iter().find(|&&(_, c)| c >> width != 0) {
+            return Err(too_wide(code, width));
+        }
+        by_value.sort_unstable();
+        if let Some(w) = by_value.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(value_taken(w[0].0));
+        }
+        let mut by_code: Vec<(u64, u64)> = by_value.iter().map(|&(v, c)| (c, v)).collect();
+        by_code.sort_unstable();
+        if let Some(w) = by_code.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(code_taken(w[0].0));
+        }
+        Ok(Self {
+            by_value,
+            by_code,
+            ..empty
+        })
     }
 
     /// The minimal width for a domain of `m` values: `ceil(log2 m)`,
@@ -62,12 +108,8 @@ impl Mapping {
     /// build-time encoding.
     #[must_use]
     pub fn sequential(m: usize) -> Self {
-        let mut map = Self::new(Self::width_for(m));
-        for v in 0..m as u64 {
-            map.insert(v, v)
-                .expect("sequential codes are unique and fit");
-        }
-        map
+        let pairs = (0..m as u64).map(|v| (v, v)).collect();
+        Self::with_pairs(Self::width_for(m), pairs).expect("sequential codes are unique and fit")
     }
 
     /// Sequential mapping over an explicit value list (first value gets
@@ -77,11 +119,8 @@ impl Mapping {
     ///
     /// [`CoreError::InvalidCode`] if `values` contains duplicates.
     pub fn from_values(values: &[u64]) -> Result<Self, CoreError> {
-        let mut map = Self::new(Self::width_for(values.len()));
-        for (code, &v) in values.iter().enumerate() {
-            map.insert(v, code as u64)?;
-        }
-        Ok(map)
+        let pairs = values.iter().zip(0..).map(|(&v, c)| (v, c)).collect();
+        Self::with_pairs(Self::width_for(values.len()), pairs)
     }
 
     /// Builds from explicit `(value, code)` pairs, inferring the width
@@ -93,11 +132,7 @@ impl Mapping {
     pub fn from_pairs(pairs: &[(u64, u64)]) -> Result<Self, CoreError> {
         let max_code = pairs.iter().map(|&(_, c)| c).max().unwrap_or(0);
         let width = Self::width_for((max_code + 1) as usize).max(1);
-        let mut map = Self::new(width);
-        for &(v, c) in pairs {
-            map.insert(v, c)?;
-        }
-        Ok(map)
+        Self::with_pairs(width, pairs.to_vec())
     }
 
     /// Inserts `value ↦ code`.
@@ -107,23 +142,17 @@ impl Mapping {
     /// [`CoreError::InvalidCode`] if the value or code is already mapped,
     /// or the code does not fit the width.
     pub fn insert(&mut self, value: u64, code: u64) -> Result<(), CoreError> {
-        if self.width < 64 && code >> self.width != 0 {
-            return Err(CoreError::InvalidCode {
-                detail: format!("code {code:#b} does not fit width {}", self.width),
-            });
+        if code >> self.width != 0 {
+            return Err(too_wide(code, self.width));
         }
-        if self.code_of.contains_key(&value) {
-            return Err(CoreError::InvalidCode {
-                detail: format!("value {value} already mapped"),
-            });
-        }
-        if self.value_of.contains_key(&code) {
-            return Err(CoreError::InvalidCode {
-                detail: format!("code {code:#b} already assigned"),
-            });
-        }
-        self.code_of.insert(value, code);
-        self.value_of.insert(code, value);
+        let Err(at_value) = seek(&self.by_value, value) else {
+            return Err(value_taken(value));
+        };
+        let Err(at_code) = seek(&self.by_code, code) else {
+            return Err(code_taken(code));
+        };
+        self.by_value.insert(at_value, (value, code));
+        self.by_code.insert(at_code, (code, value));
         Ok(())
     }
 
@@ -136,25 +165,27 @@ impl Mapping {
     /// Number of mapped values (`m`).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.code_of.len()
+        self.by_value.len()
     }
 
     /// `true` if no values are mapped.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.code_of.is_empty()
+        self.by_value.is_empty()
     }
 
-    /// The code of `value`.
+    /// The code of `value`: one binary search.
     #[must_use]
     pub fn code_of(&self, value: u64) -> Option<u64> {
-        self.code_of.get(&value).copied()
+        let at = seek(&self.by_value, value).ok()?;
+        Some(self.by_value[at].1)
     }
 
-    /// The value holding `code`.
+    /// The value holding `code`: one binary search.
     #[must_use]
     pub fn value_of(&self, code: u64) -> Option<u64> {
-        self.value_of.get(&code).copied()
+        let at = seek(&self.by_code, code).ok()?;
+        Some(self.by_code[at].1)
     }
 
     /// Codes for a set of values; fails on the first unknown one.
@@ -171,7 +202,7 @@ impl Mapping {
 
     /// `(value, code)` pairs in value order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.code_of.iter().map(|(&v, &c)| (v, c))
+        self.by_value.iter().copied()
     }
 
     /// The mapped values in `lo..=hi`, ascending: §2.2 rewrites a range
@@ -179,8 +210,8 @@ impl Mapping {
     /// covers. Every form of the index rewrites a range through this.
     #[must_use]
     pub fn values_between(&self, lo: u64, hi: u64) -> Vec<u64> {
-        let from_lo = self.code_of.range(lo..).map(|(&v, _)| v);
-        from_lo.take_while(|&v| v <= hi).collect()
+        let run = &self.by_value[between(&self.by_value, lo, hi)];
+        run.iter().map(|&(v, _)| v).collect()
     }
 
     /// A column's distinct values in first-seen order. The default
@@ -205,7 +236,7 @@ impl Mapping {
     pub fn free_runs(&self) -> Vec<(u64, u64)> {
         let mut runs = Vec::new();
         let mut next = 0u64;
-        for &code in self.value_of.keys() {
+        for &(code, _) in &self.by_code {
             if code > next {
                 runs.push((next, code - 1));
             }
@@ -227,12 +258,11 @@ impl Mapping {
         runs.flat_map(|(a, b)| a..=b).collect()
     }
 
-    /// How many codes in `lo..=hi` are assigned, counting no further
-    /// than `limit`: a caller that asks whether the interval holds more
-    /// than the codes it selected need not walk a wide one to its end.
+    /// How many codes in `lo..=hi` are assigned: two binary searches in
+    /// the code-ordered table, however wide the interval.
     #[must_use]
-    pub fn assigned_between(&self, lo: u64, hi: u64, limit: usize) -> usize {
-        self.value_of.range(lo..=hi).take(limit).count()
+    pub fn assigned_between(&self, lo: u64, hi: u64) -> usize {
+        between(&self.by_code, lo, hi).len()
     }
 
     /// Smallest unassigned code, if any.
@@ -244,7 +274,7 @@ impl Mapping {
     /// `true` once every code at the current width is taken.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.code_of.len() as u64 == 1u64 << self.width
+        self.by_value.len() as u64 == 1u64 << self.width
     }
 
     /// Widens the mapping by one bit (existing codes keep their value —
@@ -258,19 +288,18 @@ impl Mapping {
     /// codes — the *total-order preserving* property of §2.3.
     #[must_use]
     pub fn is_total_order_preserving(&self) -> bool {
-        // code_of iterates by ascending value; codes must then ascend.
-        let codes: Vec<u64> = self.code_of.values().copied().collect();
-        codes.windows(2).all(|w| w[0] < w[1])
+        // Pairs ascend by value; their codes must then ascend too.
+        self.by_value.windows(2).all(|w| w[0].1 < w[1].1)
     }
 
     /// Serialises as `(value, code)` pairs — the physical mapping table
     /// (16 bytes per entry).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.code_of.len() * 16 + 12);
+        let mut out = Vec::with_capacity(self.by_value.len() * 16 + 12);
         out.extend_from_slice(&self.width.to_le_bytes());
-        out.extend_from_slice(&(self.code_of.len() as u64).to_le_bytes());
-        for (&v, &c) in &self.code_of {
+        out.extend_from_slice(&(self.by_value.len() as u64).to_le_bytes());
+        for &(v, c) in &self.by_value {
             out.extend_from_slice(&v.to_le_bytes());
             out.extend_from_slice(&c.to_le_bytes());
         }
@@ -291,12 +320,42 @@ impl Mapping {
                 detail: format!("mapping width {width} exceeds 63 bits"),
             });
         }
-        let mut map = Self::new(width);
-        for _ in 0..r.counted(n, 16)? {
-            map.insert(r.u64()?, r.u64()?)?;
-        }
+        let pairs = (0..r.counted(n, 16)?)
+            .map(|_| Ok((r.u64()?, r.u64()?)))
+            .collect::<Result<_, CoreError>>()?;
         r.finish()?;
-        Ok(map)
+        Self::with_pairs(width, pairs)
+    }
+}
+
+/// Where `key` sits in `table`, which ascends by its first field: `Ok`
+/// at its index, or `Err` at the index that keeps the order.
+fn seek(table: &[(u64, u64)], key: u64) -> Result<usize, usize> {
+    table.binary_search_by_key(&key, |&(k, _)| k)
+}
+
+/// The entries of `table` whose first field lies in `lo..=hi`.
+fn between(table: &[(u64, u64)], lo: u64, hi: u64) -> std::ops::Range<usize> {
+    let from = table.partition_point(|&(k, _)| k < lo);
+    let to = table.partition_point(|&(k, _)| k <= hi);
+    from..to.max(from)
+}
+
+fn too_wide(code: u64, width: u32) -> CoreError {
+    CoreError::InvalidCode {
+        detail: format!("code {code:#b} does not fit width {width}"),
+    }
+}
+
+fn value_taken(value: u64) -> CoreError {
+    CoreError::InvalidCode {
+        detail: format!("value {value} already mapped"),
+    }
+}
+
+fn code_taken(code: u64) -> CoreError {
+    CoreError::InvalidCode {
+        detail: format!("code {code:#b} already assigned"),
     }
 }
 
