@@ -13,7 +13,7 @@
 
 use crate::traits::SelectionIndex;
 use ebi_bitvec::{RunStats, StoragePolicy, WORD_BITS};
-use ebi_core::index::{EncodedBitmapIndex, QueryOptions, QueryResult};
+use ebi_core::index::{EncodedBitmapIndex, QueryResult};
 use ebi_storage::Cell;
 
 /// Encoded bitmap index with Roaring-compressed slices: an
@@ -44,10 +44,7 @@ impl CompressedEncodedIndex {
     }
 
     fn pack(mut inner: EncodedBitmapIndex) -> Self {
-        inner.set_query_options(QueryOptions {
-            storage_policy: StoragePolicy::Roaring,
-            ..inner.query_options()
-        });
+        inner.set_storage_policy(StoragePolicy::Roaring);
         Self { inner }
     }
 

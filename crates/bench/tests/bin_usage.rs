@@ -21,8 +21,3 @@ fn assert_rejects_unknown_flag(bin: &str) {
 fn eval_kernels_rejects_an_unknown_flag_with_its_usage() {
     assert_rejects_unknown_flag(env!("CARGO_BIN_EXE_eval_kernels"));
 }
-
-#[test]
-fn explain_rejects_an_unknown_flag_with_its_usage() {
-    assert_rejects_unknown_flag(env!("CARGO_BIN_EXE_explain"));
-}

@@ -681,8 +681,6 @@ mod tests {
         assert_eq!(CoverMethod::Petrick.as_str(), "petrick");
         assert_eq!(CoverMethod::Greedy.as_str(), "greedy");
         assert_eq!(CoverMethod::Interval.as_str(), "interval");
-        // The `reduce` span exports the discriminant.
-        assert_eq!(CoverMethod::Interval as u64, 3);
     }
 
     #[test]

@@ -47,40 +47,6 @@ pub struct BuildOptions {
     pub mapping: Option<Mapping>,
 }
 
-/// How retrieval expressions are evaluated at query time (see
-/// [`EncodedBitmapIndex::set_query_options`]).
-///
-/// These options never change *what* a query returns — only how the
-/// selection bitmap is computed. Results are bit-identical across every
-/// combination, and `vectors_accessed` (the paper's cost metric) is
-/// unaffected: it counts which vectors a query must fetch, not how many
-/// of their words the kernels end up reading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryOptions {
-    /// Per-slice container choice. [`StoragePolicy::Adaptive`] (the
-    /// default) keeps mid-density slices dense and compresses skewed
-    /// ones; changing the policy via
-    /// [`EncodedBitmapIndex::set_query_options`] repacks every slice.
-    /// Maintenance that mutates slice bits leaves the slices dense
-    /// whatever the policy says.
-    /// Results and `vectors_accessed` are identical for every policy.
-    pub storage_policy: StoragePolicy,
-    /// Emit query-lifecycle spans (reduce / plan / eval). Spans only
-    /// record when the global subscriber is also on
-    /// (`ebi_obs::set_enabled(true)`); with `profile: false` (the
-    /// default) the query path contains no observability calls at all.
-    pub profile: bool,
-}
-
-impl Default for QueryOptions {
-    fn default() -> Self {
-        Self {
-            storage_policy: StoragePolicy::Adaptive,
-            profile: false,
-        }
-    }
-}
-
 /// An encoded bitmap index on one attribute.
 ///
 /// Per Definition 2.1 the index is a set of `k = ceil(log2 m)` bitmap
@@ -116,8 +82,9 @@ pub struct EncodedBitmapIndex {
     /// construction. `None` after maintenance mutated the slices; call
     /// [`EncodedBitmapIndex::refresh_summaries`] to rebuild.
     pub(crate) summaries: Option<Vec<SegmentSummary>>,
-    /// Evaluation strategy for queries.
-    pub(crate) query_options: QueryOptions,
+    /// The rule that chose each slice's container
+    /// ([`EncodedBitmapIndex::set_storage_policy`]).
+    pub(crate) storage_policy: StoragePolicy,
 }
 
 impl EncodedBitmapIndex {
@@ -197,10 +164,9 @@ impl EncodedBitmapIndex {
         let rows = cells.len();
         let (dense, b_null) = encode_cells(&cells, &mapping, null_code);
         let summaries = Some(summarize_slices(&dense));
-        let policy = QueryOptions::default().storage_policy;
         let slices: Vec<SliceStorage> = dense
             .into_iter()
-            .map(|b| SliceStorage::from_dense(b, policy))
+            .map(|b| SliceStorage::from_dense(b, StoragePolicy::default()))
             .collect();
         Ok(Self {
             mapping,
@@ -215,7 +181,7 @@ impl EncodedBitmapIndex {
             free_runs: OnceLock::new(),
             dont_cares: OnceLock::new(),
             summaries,
-            query_options: QueryOptions::default(),
+            storage_policy: StoragePolicy::default(),
         })
     }
 
@@ -278,26 +244,26 @@ impl EncodedBitmapIndex {
         st
     }
 
-    /// Current query evaluation options.
+    /// The slice container policy ([`StoragePolicy::Adaptive`] unless
+    /// set).
     #[must_use]
-    pub fn query_options(&self) -> QueryOptions {
-        self.query_options
+    pub fn storage_policy(&self) -> StoragePolicy {
+        self.storage_policy
     }
 
-    /// Sets the query evaluation strategy (slice storage, profiling).
-    /// Never affects query results — only how fast they are produced. A
-    /// [`QueryOptions::storage_policy`] that *differs* from the current
-    /// one repacks every slice under the new policy; setting the policy
-    /// the index already has repacks nothing, so it does not undo the
-    /// all-dense state maintenance leaves behind
+    /// Chooses the slice containers. Never affects query results or
+    /// `vectors_accessed` — only how the selection bitmap is computed. A
+    /// policy that *differs* from the current one repacks every slice;
+    /// setting the policy the index already has repacks nothing, so it
+    /// does not undo the all-dense state maintenance leaves behind
     /// ([`crate::maintenance`]).
-    pub fn set_query_options(&mut self, options: QueryOptions) {
-        if options.storage_policy != self.query_options.storage_policy {
+    pub fn set_storage_policy(&mut self, policy: StoragePolicy) {
+        if policy != self.storage_policy {
             for s in &mut self.slices {
-                *s = s.repack(options.storage_policy);
+                *s = s.repack(policy);
             }
         }
-        self.query_options = options;
+        self.storage_policy = policy;
     }
 
     /// Total bitmap vectors held, companions included.
@@ -410,10 +376,8 @@ impl EncodedBitmapIndex {
     /// interval cover and Quine–McCluskey (`reduce`).
     #[must_use]
     pub fn explain_in_list(&self, values: &[u64]) -> DnfExpr {
-        let mut span = self.phase("reduce");
         if !self.expr_cache.is_empty() {
             if let Some(cached) = self.expr_cache.get(&normalise_values(values)) {
-                span.attr("cached", 1);
                 return cached.clone();
             }
         }
@@ -421,23 +385,7 @@ impl EncodedBitmapIndex {
             .iter()
             .filter_map(|&v| self.mapping.code_of(v))
             .collect();
-        let mut rs = qm::ReduceStats::default();
-        let expr = self.reduce(codes, &mut rs);
-        if span.is_live() {
-            span.attr("minterms", rs.minterms);
-            span.attr("dont_cares", rs.dont_cares);
-            span.attr("prime_implicants", rs.prime_implicants);
-            span.attr("essential_primes", rs.essential_primes);
-            span.attr("cover_candidates", rs.cover_candidates);
-            span.attr("petrick_products_peak", rs.petrick_products_peak);
-            // 0 = essential_only, 1 = petrick, 2 = greedy, 3 = interval
-            // (Quine–McCluskey did not run).
-            span.attr("cover_method", rs.cover_method as u64);
-            span.attr("cubes_out", rs.cubes_out);
-            span.attr("literals_out", rs.literals_out);
-            span.attr("vectors_out", rs.vectors_out);
-        }
-        expr
+        self.reduce(codes, &mut qm::ReduceStats::default())
     }
 
     /// Reduces and caches the retrieval expressions of predefined
@@ -554,16 +502,6 @@ impl EncodedBitmapIndex {
         }
     }
 
-    /// A query-lifecycle span when this index profiles, else a dead
-    /// guard: an unprofiled query makes no observability call at all.
-    fn phase(&self, name: &'static str) -> ebi_obs::Span {
-        if self.query_options.profile {
-            ebi_obs::active_child(name)
-        } else {
-            ebi_obs::Span::none()
-        }
-    }
-
     /// This index's own vectors, summaries included while they are valid.
     fn vectors(&self) -> Vectors<'_> {
         Vectors {
@@ -632,30 +570,10 @@ impl EncodedBitmapIndex {
         plan: &DnfPlan,
         vectors: &Vectors<'_>,
     ) -> QueryResult {
-        let mut plan_span = self.phase("plan");
         let bound = plan.bind(vectors.slices, vectors.summaries, self.rows);
-        if plan_span.is_live() {
-            plan_span.attr("terms", expr.cubes().len() as u64);
-            plan_span.attr("literals", expr.literal_count() as u64);
-            plan_span.attr("unshared_literals", plan.unshared_literals());
-            plan_span.attr("summaries", u64::from(vectors.summaries.is_some()));
-        }
-        drop(plan_span);
-
         let mut tracker = AccessTracker::new();
         ebi_boolean::record_access(expr, &mut tracker);
-        let mut eval_span = self.phase("eval");
         let mut bitmap = bound.eval(&mut tracker.cost);
-        if eval_span.is_live() {
-            let stats = &tracker.cost;
-            eval_span.attr("words_scanned", stats.words_scanned);
-            eval_span.attr("bytes_touched", stats.bytes_touched);
-            eval_span.attr("segments_pruned", stats.segments_pruned);
-            eval_span.attr("segments_short_circuited", stats.segments_short_circuited);
-            eval_span.attr("compressed_chunks_skipped", stats.compressed_chunks_skipped);
-        }
-        drop(eval_span);
-
         if self.masks_companions(expr) {
             if let Some(bn) = vectors.b_null {
                 tracker.touch(self.width());
@@ -1036,61 +954,30 @@ mod tests {
     }
 
     #[test]
-    fn profiled_query_records_reduce_plan_eval_spans() {
+    fn reduce_takes_the_interval_cover_exactly_where_the_codes_fill_one() {
         let cells: Vec<Cell> = (0..5000u64).map(|i| Cell::Value(i % 50)).collect();
-        let mut idx = EncodedBitmapIndex::build(cells).unwrap();
-        idx.set_query_options(QueryOptions {
-            profile: true,
-            ..Default::default()
-        });
-        ebi_obs::set_enabled(true);
-        let trace = ebi_obs::Trace::begin();
-        let baseline;
-        {
-            let _root = trace.root_span("query");
-            baseline = idx.in_list(&[1, 2, 3, 7]).unwrap();
-            idx.range(10, 30).unwrap();
-            idx.eq(9).unwrap();
-        }
-        ebi_obs::set_enabled(false);
-        let records = trace.finish();
-        let names: Vec<&str> = records.iter().map(|r| r.name).collect();
-        for phase in ["query", "reduce", "plan", "eval"] {
-            assert!(names.contains(&phase), "missing {phase} span in {names:?}");
-        }
-        // The reduce span says which path reduced: codes 1, 2, 3, 7 leave
-        // 4..=6 out and go through Quine–McCluskey; the range and the
-        // point are code intervals, covered without a min-term.
-        let reduced: Vec<[u64; 3]> = records
-            .iter()
-            .filter(|r| r.name == "reduce")
-            .map(|r| {
-                ["minterms", "cover_method", "vectors_out"].map(|name| {
-                    let attr = r.attrs.iter().find(|(k, _)| *k == name);
-                    attr.unwrap_or_else(|| panic!("reduce span lacks {name}")).1
-                })
-            })
-            .collect();
-        let interval = qm::CoverMethod::Interval as u64;
-        assert_eq!(reduced.len(), 3);
-        assert!(reduced[0][0] == 4 && reduced[0][1] != interval);
-        assert_eq!(reduced[1][..2], [0, interval]);
-        assert_eq!(reduced[2], [0, interval, 6]);
-        // The eval span carries the kernel's work counters.
-        let eval = records.iter().find(|r| r.name == "eval").unwrap();
-        assert!(
-            eval.attrs.iter().any(|(k, _)| *k == "words_scanned"),
-            "eval span should carry words_scanned: {:?}",
-            eval.attrs
-        );
-
-        // Profiling must not change results or the paper's cost metric.
-        idx.set_query_options(QueryOptions::default());
-        let plain = idx.in_list(&[1, 2, 3, 7]).unwrap();
-        assert_eq!(plain.bitmap, baseline.bitmap);
+        let idx = EncodedBitmapIndex::build(cells).unwrap();
+        let reduced = |values: &[u64]| {
+            let codes = values.iter().filter_map(|&v| idx.mapping.code_of(v));
+            let mut stats = qm::ReduceStats::default();
+            idx.reduce(codes.collect(), &mut stats);
+            stats
+        };
+        // Codes 1, 2, 3, 7 leave 4..=6 out: Quine–McCluskey over them.
+        let scattered = reduced(&[1, 2, 3, 7]);
+        assert_eq!(scattered.minterms, 4);
+        assert_ne!(scattered.cover_method, qm::CoverMethod::Interval);
+        // A range and a point are code intervals, covered without a
+        // min-term; a point reads all k = 6 vectors.
+        let range = reduced(&idx.mapping.values_between(10, 30));
         assert_eq!(
-            plain.stats.vectors_accessed,
-            baseline.stats.vectors_accessed
+            (range.minterms, range.cover_method),
+            (0, qm::CoverMethod::Interval)
+        );
+        let point = reduced(&[9]);
+        assert_eq!(
+            (point.minterms, point.cover_method, point.vectors_out),
+            (0, qm::CoverMethod::Interval, 6)
         );
     }
 

@@ -43,7 +43,7 @@ impl EncodedBitmapIndex {
         }
 
         // Compressed containers are immutable: densify before mutating.
-        // The slices then stay dense: `set_query_options` repacks only
+        // The slices then stay dense: `set_storage_policy` repacks only
         // when its policy differs from the current one, and
         // `refresh_summaries` rebuilds summaries, not containers.
         for (i, slice) in self.slices.iter_mut().enumerate() {
@@ -272,7 +272,7 @@ mod tests {
             // Summaries come back; containers do not, and re-setting the
             // policy the index already has repacks nothing.
             idx.refresh_summaries();
-            idx.set_query_options(idx.query_options());
+            idx.set_storage_policy(idx.storage_policy());
             assert!(idx.summaries().is_some());
             assert!(kinds(&idx).iter().all(|k| *k == StorageKind::Dense));
             assert_eq!(idx.eq(7).unwrap().bitmap, before);

@@ -17,7 +17,7 @@ use crate::error::CoreError;
 use crate::index::{encode_cells, BuildOptions, EncodedBitmapIndex};
 use crate::mapping::Mapping;
 use ebi_bitvec::summary::summarize_slices;
-use ebi_bitvec::BitVec;
+use ebi_bitvec::{BitVec, StoragePolicy};
 use ebi_storage::Cell;
 
 /// Minimum rows per chunk; chunks are rounded to multiples of 64 so the
@@ -117,10 +117,9 @@ pub fn build_parallel(
     }
 
     let summaries = Some(summarize_slices(&slices));
-    let policy = crate::index::QueryOptions::default().storage_policy;
     let slices: Vec<ebi_bitvec::SliceStorage> = slices
         .into_iter()
-        .map(|b| ebi_bitvec::SliceStorage::from_dense(b, policy))
+        .map(|b| ebi_bitvec::SliceStorage::from_dense(b, StoragePolicy::default()))
         .collect();
     Ok(EncodedBitmapIndex {
         mapping,
@@ -135,7 +134,7 @@ pub fn build_parallel(
         free_runs: std::sync::OnceLock::new(),
         dont_cares: std::sync::OnceLock::new(),
         summaries,
-        query_options: crate::index::QueryOptions::default(),
+        storage_policy: StoragePolicy::default(),
     })
 }
 

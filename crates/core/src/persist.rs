@@ -203,7 +203,7 @@ pub fn load_index(pager: &Pager, handle: &IndexHandle) -> Result<EncodedBitmapIn
         free_runs: std::sync::OnceLock::new(),
         dont_cares: std::sync::OnceLock::new(),
         summaries,
-        query_options: crate::index::QueryOptions::default(),
+        storage_policy: ebi_bitvec::StoragePolicy::default(),
     })
 }
 

@@ -20,10 +20,9 @@
 //! * [`report`] — [`report::CostCounters`], the one cost record the
 //!   kernel, the evaluator, every index and every report write and sum,
 //!   and [`report::QueryReport`], the query-lifecycle record (span
-//!   records, cost counters, storage counters) that `ebi-warehouse`'s
-//!   executor and `ebi-service` assemble from it plus the page walk's
-//!   own buffer-pool counts, with its JSON-line and `EXPLAIN ANALYZE`
-//!   renderings;
+//!   records, cost counters, storage counters) that `ebi-service`'s
+//!   `execute` assembles from it plus the page walk's own buffer-pool
+//!   counts, with its JSON-line and `EXPLAIN ANALYZE` renderings;
 //! * [`export`] — the shared JSON writer;
 //! * [`context`] — [`context::TraceContext`], the per-request trace
 //!   identity propagated in `traceparent` form across frontends and
@@ -95,22 +94,6 @@ pub fn set_enabled(on: bool) {
 #[must_use]
 pub fn next_query_id() -> u64 {
     NEXT_QUERY_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Convenience: opens a child of the innermost span currently open on
-/// this thread (see [`span::active_child`]). No-op span when the
-/// subscriber is disabled or no trace is active here.
-#[must_use]
-pub fn active_child(name: &'static str) -> Span {
-    span::active_child(name)
-}
-
-/// Convenience: handle of the innermost span currently open on this
-/// thread, for handing to worker threads (see
-/// [`span::current_handle`]).
-#[must_use]
-pub fn current_handle() -> Option<SpanHandle> {
-    span::current_handle()
 }
 
 #[cfg(test)]

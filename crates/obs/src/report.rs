@@ -1,13 +1,14 @@
 //! The unified query-lifecycle record.
 //!
-//! [`QueryReport`] is what a profiled query yields: the span records of
-//! its phases (reduce → plan → eval → fetch) as [`crate::Trace::finish`]
-//! returns them, its [`CostCounters`] and the storage-layer traffic —
+//! [`QueryReport`] is what a served query yields: the span records of
+//! its phases (compile → fanout → eval.worker, merge) as
+//! [`crate::Trace::finish`] returns them, its [`CostCounters`] and the
+//! storage-layer traffic —
 //! one struct, two renderings (JSON line, `EXPLAIN ANALYZE` tree), each
 //! read straight off the flat records by following their parent ids.
 //! [`CostCounters`] is the one record the kernel writes and every layer
 //! above sums unchanged, so by construction `cost.vectors_accessed` is
-//! the *same number* the untraced path reports. What an index *is* (row order, run
+//! the *same number* the untraced path reports. What an index *is* (run
 //! statistics) is asked of the index, not carried per query.
 //!
 //! The JSON schema is stable and documented (DESIGN.md §8): every line
@@ -168,7 +169,7 @@ impl StorageCounters {
     }
 }
 
-/// One profiled query, end to end.
+/// One served query, end to end.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryReport {
     /// Process-unique id ([`crate::next_query_id`]).
@@ -198,17 +199,6 @@ impl QueryReport {
     /// parent is missing from [`Self::spans`] counts as a root.
     pub fn roots(&self) -> impl Iterator<Item = &SpanRecord> {
         children(&self.spans, None)
-    }
-
-    /// Sum of wall time over every span named `name`; `None` when no
-    /// such span was recorded.
-    #[must_use]
-    pub fn phase_wall_ns(&self, name: &str) -> Option<u64> {
-        self.spans
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.wall_ns)
-            .reduce(|a, b| a + b)
     }
 
     /// Renders the report as one compact JSON line (schema
@@ -370,15 +360,6 @@ mod tests {
                 ..Default::default()
             },
         }
-    }
-
-    #[test]
-    fn phase_wall_ns_sums_matching_nodes() {
-        let r = sample_report();
-        assert_eq!(r.phase_wall_ns("eval"), Some(700));
-        assert_eq!(r.phase_wall_ns("eval.worker"), Some(650));
-        assert_eq!(r.phase_wall_ns("reduce"), Some(100));
-        assert_eq!(r.phase_wall_ns("missing"), None);
     }
 
     #[test]

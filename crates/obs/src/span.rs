@@ -2,11 +2,9 @@
 //!
 //! A [`Trace`] owns one query's event buffer; [`Span`] guards record
 //! into it on drop. Spans form a tree through **explicit parent ids**:
-//! a guard hands its [`SpanHandle`] to worker threads, which open
-//! children of it without any thread-local magic. For convenience on a
-//! single thread, a per-thread stack of open spans also lets deep call
-//! sites attach to the innermost open span via [`active_child`]
-//! without threading handles through every signature.
+//! a child is opened from its parent guard ([`Span::child`]), or from
+//! the [`SpanHandle`] a guard hands to worker threads. No span state
+//! lives in a thread-local.
 //!
 //! Cost model: when the global subscriber is disabled
 //! ([`crate::enabled`]), every entry point returns a no-op guard after
@@ -15,7 +13,6 @@
 //! takes the collector mutex once to push the finished record.
 
 use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -64,11 +61,6 @@ struct PendingRecord {
 fn collector() -> &'static Mutex<HashMap<u64, TraceBuf>> {
     static COLLECTOR: OnceLock<Mutex<HashMap<u64, TraceBuf>>> = OnceLock::new();
     COLLECTOR.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-thread_local! {
-    /// Stack of `(trace, span id)` for spans open on this thread.
-    static OPEN: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// One query's span buffer. Begin before the work, finish after to
@@ -226,11 +218,9 @@ impl Span {
         if trace == 0 {
             return Self::none();
         }
-        let id = next_id();
-        OPEN.with(|s| s.borrow_mut().push((trace, id)));
         Self {
             trace,
-            id,
+            id: next_id(),
             parent,
             name,
             start: Instant::now(),
@@ -275,15 +265,6 @@ impl Drop for Span {
             return;
         }
         let wall_ns = self.start.elapsed().as_nanos() as u64;
-        OPEN.with(|s| {
-            let mut stack = s.borrow_mut();
-            if let Some(pos) = stack
-                .iter()
-                .rposition(|&(t, i)| t == self.trace && i == self.id)
-            {
-                stack.remove(pos);
-            }
-        });
         let mut collector = collector().lock();
         if let Some(buf) = collector.get_mut(&self.trace) {
             buf.records.push(PendingRecord {
@@ -296,37 +277,6 @@ impl Drop for Span {
             });
         }
     }
-}
-
-/// Opens a child of the innermost span open on *this thread*; a no-op
-/// guard when the subscriber is disabled or no span is open here.
-/// This is how deep call sites (kernels, pager) attach to the current
-/// query phase without signature changes.
-#[must_use]
-pub fn active_child(name: &'static str) -> Span {
-    if !crate::enabled() {
-        return Span::none();
-    }
-    match current_handle() {
-        Some(h) => h.child(name),
-        None => Span::none(),
-    }
-}
-
-/// Handle of the innermost span open on this thread, if any. Capture
-/// before spawning workers; have each worker open
-/// [`SpanHandle::child`] spans so cross-thread parentage stays
-/// explicit.
-#[must_use]
-pub fn current_handle() -> Option<SpanHandle> {
-    if !crate::enabled() {
-        return None;
-    }
-    OPEN.with(|s| {
-        s.borrow()
-            .last()
-            .map(|&(trace, id)| SpanHandle { trace, id })
-    })
 }
 
 #[cfg(test)]
@@ -379,8 +329,6 @@ mod tests {
         let root = trace.root_span("query");
         assert!(!root.is_live());
         assert!(!root.child("x").is_live());
-        assert!(!active_child("y").is_live());
-        assert!(current_handle().is_none());
         drop(root);
         assert!(trace.finish().is_empty());
     }
@@ -407,35 +355,6 @@ mod tests {
         let workers: Vec<_> = records.iter().filter(|r| r.name == "worker").collect();
         assert_eq!(workers.len(), 3);
         assert!(workers.iter().all(|w| w.parent == root_id));
-    }
-
-    #[test]
-    fn active_child_attaches_to_innermost_open_span() {
-        let _gate = lock_enabled();
-        let trace = Trace::begin();
-        {
-            let root = trace.root_span("query");
-            let inner = root.child("eval");
-            let leaf = active_child("kernel");
-            assert!(leaf.is_live());
-            drop(leaf);
-            drop(inner);
-            // After the inner span closes, the root is innermost again.
-            let leaf2 = active_child("mask");
-            assert!(leaf2.is_live());
-        }
-        crate::set_enabled(false);
-        let records = trace.finish();
-        let eval_id = records.iter().find(|r| r.name == "eval").unwrap().id;
-        let root_id = records.iter().find(|r| r.name == "query").unwrap().id;
-        assert_eq!(
-            records.iter().find(|r| r.name == "kernel").unwrap().parent,
-            eval_id
-        );
-        assert_eq!(
-            records.iter().find(|r| r.name == "mask").unwrap().parent,
-            root_id
-        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! multiples, so the unaligned merge path is exercised by construction.
 
 use crate::error::ServiceError;
-use ebi_bitvec::{BitVec, DnfPlan};
+use ebi_bitvec::{BitVec, DnfPlan, StoragePolicy};
 use ebi_boolean::DnfExpr;
 use ebi_core::index::{BuildOptions, EncodedBitmapIndex};
 use ebi_core::reorder::sort_order;
@@ -206,9 +206,8 @@ impl Shard {
     }
 
     /// Reads every heap page holding a matching row ([`read_pages`]
-    /// over the bitmap's occupied blocks, the walk the warehouse
-    /// executor uses), through `pool` when given, else straight from
-    /// the shard's pager.
+    /// over the bitmap's occupied blocks), through `pool` when given,
+    /// else straight from the shard's pager.
     #[must_use]
     pub fn fetch_pages(&self, bitmap: &BitVec, pool: Option<&BufferPool<'_>>) -> PageWalk {
         let pages = bitmap.occupied_blocks(self.rows_per_page);
@@ -426,12 +425,12 @@ impl ShardedTable {
         self.shards.iter_mut().flat_map(|s| s.indexes.iter_mut())
     }
 
-    /// Applies query-time options (storage policy, profiling) to every
-    /// shard index. Results stay bit-identical across every
-    /// combination — the core contract sharding must preserve.
-    pub fn set_query_options(&mut self, options: ebi_core::index::QueryOptions) {
+    /// Sets every shard index's slice container policy. Results stay
+    /// bit-identical under every policy — the core contract sharding
+    /// must preserve.
+    pub fn set_storage_policy(&mut self, policy: StoragePolicy) {
         for index in self.indexes_mut() {
-            index.set_query_options(options);
+            index.set_storage_policy(policy);
         }
     }
 

@@ -7,7 +7,6 @@
 
 use ebi_bitvec::simd::{available_paths, with_forced_path};
 use ebi_bitvec::StoragePolicy;
-use ebi_core::index::QueryOptions;
 use ebi_core::reorder::sort_order;
 use ebi_core::RowOrder;
 use ebi_service::{parse_dnf, ColumnSpec, ShardedTable, TableOptions};
@@ -117,10 +116,7 @@ fn build(
         },
     )
     .expect("table builds");
-    table.set_query_options(QueryOptions {
-        storage_policy: policy,
-        ..QueryOptions::default()
-    });
+    table.set_storage_policy(policy);
     for index in table.indexes_mut() {
         if !matches!(summaries, Summaries::Built) {
             let held = index.decode_row(0).map_or(Cell::Null, Cell::Value);

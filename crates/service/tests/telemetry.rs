@@ -369,6 +369,61 @@ fn a_retained_trace_renders_what_was_served() {
     }
 }
 
+/// The row ids of a `QUERY` reply, as the `"rows"` array spells them.
+fn json_rows(json: &str) -> Option<String> {
+    let rest = json.split_once("\"rows\":[")?.1;
+    Some(rest[..rest.find(']')?].to_string())
+}
+
+#[test]
+fn spans_are_a_pure_observer_of_the_served_answers() {
+    // Telemetry never moves an answer or the paper's cost metric: each
+    // query answers the same matches, `vectors_accessed` and first row
+    // ids with spans on and off, and the same as the library's serial
+    // evaluation. Asserted after shutdown, as below.
+    const QUERIES: [&str; 4] = [
+        "a=1",
+        "b IN 1,4,6",
+        "a BETWEEN 2 4",
+        "a=1 AND b IN 2,3 OR b BETWEEN 5 7",
+    ];
+    const LIMIT: usize = 40;
+    let table = small_table(3);
+    let served = |spans| {
+        let mut replies = Vec::new();
+        with_service_spans(spans, &table, &test_config(), |h| {
+            for q in QUERIES {
+                replies.push(tcp_line(h.tcp_addr(), &format!("QUERY {q} LIMIT {LIMIT}")));
+            }
+        });
+        replies
+    };
+    let (on, off) = (served(true), served(false));
+    for (i, q) in QUERIES.into_iter().enumerate() {
+        let request = ebi_service::parse_dnf(q).expect("parses");
+        let (bitmap, cost) = table.eval_local(&table.compile(&request).expect("compiles"));
+        let ids: Vec<String> = bitmap
+            .iter_ones()
+            .take(LIMIT)
+            .map(|r| r.to_string())
+            .collect();
+        let expected = (
+            Some(bitmap.count_ones() as u64),
+            Some(cost.vectors_accessed),
+            Some(ids.join(",")),
+        );
+        for reply in [&on[i], &off[i]] {
+            assert!(reply.starts_with("OK {"), "{q}: {reply}");
+            let answered = (
+                json_u64(reply, "matches"),
+                json_u64(reply, "vectors_accessed"),
+                json_rows(reply),
+            );
+            assert_eq!(answered, expected, "{q}: {reply}");
+        }
+    }
+}
+
 #[test]
 fn shard_labelled_metrics_appear_in_prometheus_export() {
     let table = small_table(3);
@@ -390,9 +445,8 @@ fn shard_labelled_metrics_appear_in_prometheus_export() {
 
 #[test]
 fn served_queries_export_kernel_counters() {
-    // No shard index profiles, so the kernel's word and byte counts
-    // reach `/metrics` only through the cost histograms the service
-    // records once per answered query.
+    // The kernel's word and byte counts reach `/metrics` through the
+    // cost histograms the service records once per answered query.
     // Asserted after the service shut down: a panic inside
     // `with_service` would leave the server running and the test hung.
     let table = small_table(2);

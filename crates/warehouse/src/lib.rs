@@ -41,7 +41,7 @@ pub mod tpcd_lite;
 pub mod workload;
 
 pub use dictionary::Dictionary;
-pub use executor::{ConjunctiveQuery, DnfQuery, ExecutionReport, Executor, FetchModel};
+pub use executor::{ConjunctiveQuery, DnfQuery, ExecutionReport, Executor};
 pub use generator::{ColumnSpec, Distribution};
 pub use star::{Dimension, StarSchema};
 pub use workload::{Predicate, Query, WorkloadSpec};

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates every paper artefact: figure CSVs, the digest, the
-# SIMD-vs-scalar kernel comparison and the observability transcripts.
+# SIMD-vs-scalar kernel comparison and the service telemetry transcripts.
 # Run from the workspace root.
 set -euo pipefail
 
@@ -30,10 +30,7 @@ done
 echo "==== eval_kernels (full) ===="
 ./target/release/eval_kernels
 
-echo "==== observability artefacts (query reports, service telemetry) ===="
-./target/release/explain
-python3 scripts/validate_obs_schema.py bench_results/obs_queries.jsonl
-
+echo "==== service telemetry (traces with their query reports, metrics, log) ===="
 # Live service telemetry: run a short ebi_serve session with worst-case
 # tail sampling (every query slow) and a file log sink, dump the trace
 # ring and the server's /metrics, and commit the three artefacts.

@@ -3,7 +3,8 @@
 
 Dispatches per line on the "schema" field:
 
-* ebi.query_report.v1 — profiled query reports (DESIGN.md §8)
+* ebi.query_report.v1 — query reports, as the service's `execute`
+                        assembles them (DESIGN.md §8)
 * ebi.trace.v1        — retained traces from the service tail-sampling
                         ring, each embedding a full query report
                         (DESIGN.md §13)
@@ -13,7 +14,7 @@ A file may mix schemas (e.g. a service log interleaved with nothing
 else, or a trace dump). Exits non-zero on the first malformed line so
 CI fails loudly.
 
-Usage: validate_obs_schema.py [path/to/file.jsonl]
+Usage: validate_obs_schema.py path/to/file.jsonl
 """
 
 import json
@@ -89,8 +90,6 @@ LOG_TOP = {
 
 LOG_LEVELS = {"debug", "info", "warn", "error"}
 
-COVER_METHODS = {0: "essential_only", 1: "petrick", 2: "greedy", 3: "interval"}
-
 TRACEPARENT_RE = re.compile(r"^00-[0-9a-f]{32}-[0-9a-f]{16}-[0-9a-f]{2}$")
 
 _path = "<input>"
@@ -109,23 +108,6 @@ def check_keys(lineno, doc, spec, what):
             fail(lineno, f"{what}.{key}: expected {typ.__name__}, got {type(doc[key]).__name__}")
 
 
-def check_reduce(lineno, attrs, path):
-    """Which path reduced: 0 essential_only, 1 petrick, 2 greedy (all
-    three Quine-McCluskey), 3 interval (no min-term, no prime implicant)."""
-    method = attrs["cover_method"]
-    if method not in COVER_METHODS:
-        fail(lineno, f"{path}.attrs['cover_method']: {method} names no cover method")
-    if COVER_METHODS[method] == "interval":
-        for key in ("minterms", "prime_implicants"):
-            if attrs.get(key) != 0:
-                fail(lineno, f"{path}.attrs[{key!r}]: the interval path expands none, got {attrs.get(key)!r}")
-    elif attrs.get("minterms", 0) == 0:
-        fail(lineno, f"{path}: Quine-McCluskey ran on no min-term")
-    for key in ("cubes_out", "literals_out", "vectors_out"):
-        if key not in attrs:
-            fail(lineno, f"{path}.attrs: missing {key!r}")
-
-
 def check_phase(lineno, node, path):
     for key, typ in PHASE.items():
         if key not in node:
@@ -135,8 +117,6 @@ def check_phase(lineno, node, path):
     for k, v in node["attrs"].items():
         if not isinstance(v, int) or v < 0:
             fail(lineno, f"{path}.attrs[{k!r}]: expected non-negative int")
-    if node["name"] == "reduce" and "cover_method" in node["attrs"]:
-        check_reduce(lineno, node["attrs"], path)
     for i, child in enumerate(node["children"]):
         check_phase(lineno, child, f"{path}.children[{i}]")
 
@@ -210,7 +190,10 @@ def check_line(lineno, line):
 
 def main():
     global _path
-    _path = sys.argv[1] if len(sys.argv) > 1 else "bench_results/obs_queries.jsonl"
+    if len(sys.argv) != 2:
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        sys.exit(2)
+    _path = sys.argv[1]
     with open(_path, encoding="utf-8") as f:
         lines = [ln for ln in f.read().splitlines() if ln.strip()]
     if not lines:

@@ -13,7 +13,6 @@
 //! this file in both profiles.
 
 use ebi::bitvec::{StorageKind, StoragePolicy};
-use ebi::core::index::QueryOptions;
 use ebi::core::persist::{load_index, save_index, IndexHandle};
 use ebi::core::CoreError;
 use ebi::obs::TraceContext;
@@ -66,10 +65,7 @@ fn one_container_kind_per_slice() -> EncodedBitmapIndex {
 /// The skewed 5 000-row column with every slice a Roaring container.
 fn all_roaring() -> EncodedBitmapIndex {
     let mut index = EncodedBitmapIndex::build(skewed(5_000, false)).unwrap();
-    index.set_query_options(QueryOptions {
-        storage_policy: StoragePolicy::Roaring,
-        ..Default::default()
-    });
+    index.set_storage_policy(StoragePolicy::Roaring);
     assert!(index
         .slices()
         .iter()
