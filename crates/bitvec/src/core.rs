@@ -260,32 +260,6 @@ impl BitVec {
         }
     }
 
-    /// Appends every bit of `other` after this vector's bits.
-    ///
-    /// Word-aligned fast path when `len() % 64 == 0` (a plain word copy,
-    /// used by parallel builders stitching chunk results); otherwise a
-    /// shifted word merge.
-    pub fn extend_bits(&mut self, other: &Self) {
-        let shift = self.len % WORD_BITS;
-        if shift == 0 {
-            self.words.extend_from_slice(&other.words);
-            self.len += other.len;
-            return;
-        }
-        self.words.reserve(other.words.len());
-        for &w in &other.words {
-            // Low part of w goes into the current tail word, high part
-            // starts the next word.
-            let last = self.words.last_mut().expect("non-aligned => non-empty");
-            *last |= w << shift;
-            self.words.push(w >> (WORD_BITS - shift));
-        }
-        self.len += other.len;
-        // Trim any excess word introduced by the final push.
-        self.words.truncate(self.len.div_ceil(WORD_BITS));
-        self.mask_tail();
-    }
-
     /// ORs every bit of `other` into this vector starting at bit
     /// position `offset`, leaving all other bits untouched.
     ///
@@ -570,36 +544,6 @@ mod tests {
         assert_eq!(BitVec::zeros(1).storage_bytes(), 8);
         assert_eq!(BitVec::zeros(64).storage_bytes(), 8);
         assert_eq!(BitVec::zeros(65).storage_bytes(), 16);
-    }
-
-    #[test]
-    fn extend_bits_aligned_and_unaligned() {
-        for first_len in [0usize, 1, 37, 64, 65, 128, 200] {
-            for second_len in [0usize, 1, 63, 64, 100] {
-                let a: BitVec = (0..first_len).map(|i| i % 3 == 0).collect();
-                let b: BitVec = (0..second_len).map(|i| i % 5 != 0).collect();
-                let mut joined = a.clone();
-                joined.extend_bits(&b);
-                let expect: BitVec = (0..first_len)
-                    .map(|i| i % 3 == 0)
-                    .chain((0..second_len).map(|i| i % 5 != 0))
-                    .collect();
-                assert_eq!(joined, expect, "{first_len}+{second_len}");
-            }
-        }
-    }
-
-    #[test]
-    fn extend_bits_preserves_tail_invariant() {
-        let mut a: BitVec = (0..10).map(|_| true).collect();
-        let b: BitVec = (0..10).map(|_| true).collect();
-        a.extend_bits(&b);
-        assert_eq!(a.count_ones(), 20);
-        assert_eq!(
-            a.words().iter().map(|w| w.count_ones()).sum::<u32>(),
-            20,
-            "no stray bits beyond len"
-        );
     }
 
     #[test]

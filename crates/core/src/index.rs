@@ -656,7 +656,7 @@ impl EncodedBitmapIndex {
 /// clustered runs sorts the cells first ([`crate::reorder::sort_order`]).
 /// A NULL takes `null_code` when one is reserved; otherwise it stores a
 /// placeholder `0` and is marked in the returned `B_NULL`.
-pub(crate) fn encode_cells(
+fn encode_cells(
     cells: &[Cell],
     mapping: &Mapping,
     null_code: Option<u64>,

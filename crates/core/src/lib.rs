@@ -69,7 +69,6 @@ pub mod maintenance;
 pub mod mapping;
 pub mod nulls;
 pub mod paged;
-pub mod parallel;
 pub mod persist;
 pub mod range_encoding;
 pub mod reencoding;

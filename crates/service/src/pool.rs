@@ -1,7 +1,7 @@
 //! Admission control and the worker pool.
 //!
-//! Three concerns live here, all built on `std::sync` primitives so
-//! the service runs on vendored deps only:
+//! Three concerns live here, each one `parking_lot` mutex and condvar
+//! (poison-free, so a panic under a lock does not stop the service):
 //!
 //! - [`AdmissionGate`] bounds in-flight queries. A query holds a
 //!   [`Permit`] from admission until its response is written; once the
@@ -20,10 +20,10 @@
 //!   jobs check so an abandoned (timed-out) query stops consuming
 //!   workers.
 
+use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default dispatch floor: estimated kernel traffic (in 64-bit words)
@@ -81,7 +81,7 @@ impl<'env> WorkerPool<'env> {
     /// submission never silently drops work.
     pub fn submit(&self, job: Job<'env>) {
         if self.workers > 0 {
-            let mut q = self.queue.lock().expect("pool queue poisoned");
+            let mut q = self.queue.lock();
             if q.open {
                 q.jobs.push_back(job);
                 drop(q);
@@ -101,7 +101,7 @@ impl<'env> WorkerPool<'env> {
     pub fn run_worker(&self, _label: usize) {
         loop {
             let job = {
-                let mut q = self.queue.lock().expect("pool queue poisoned");
+                let mut q = self.queue.lock();
                 loop {
                     if let Some(job) = q.jobs.pop_front() {
                         break job;
@@ -109,7 +109,7 @@ impl<'env> WorkerPool<'env> {
                     if !q.open {
                         return;
                     }
-                    q = self.cv.wait(q).expect("pool queue poisoned");
+                    self.cv.wait(&mut q);
                 }
             };
             let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
@@ -119,7 +119,7 @@ impl<'env> WorkerPool<'env> {
     /// Closes the pool: queued jobs still run, new submits run inline,
     /// workers exit once drained.
     pub fn close(&self) {
-        self.queue.lock().expect("pool queue poisoned").open = false;
+        self.queue.lock().open = false;
         self.cv.notify_all();
     }
 }
@@ -179,7 +179,7 @@ impl AdmissionGate {
     /// [`Refusal::Draining`] once shutdown began, [`Refusal::Busy`]
     /// at the in-flight bound.
     pub fn try_admit(&self) -> Result<Permit<'_>, Refusal> {
-        let mut st = self.state.lock().expect("gate poisoned");
+        let mut st = self.state.lock();
         if st.draining {
             return Err(Refusal::Draining);
         }
@@ -193,7 +193,7 @@ impl AdmissionGate {
     /// Queries currently holding permits.
     #[must_use]
     pub fn inflight(&self) -> usize {
-        self.state.lock().expect("gate poisoned").inflight
+        self.state.lock().inflight
     }
 
     /// The admission bound.
@@ -205,22 +205,21 @@ impl AdmissionGate {
     /// Stops admitting new queries. In-flight queries keep their
     /// permits.
     pub fn begin_drain(&self) {
-        self.state.lock().expect("gate poisoned").draining = true;
-        self.cv.notify_all();
+        self.state.lock().draining = true;
     }
 
     /// Blocks until every query holding a permit has released it.
     /// Call after [`AdmissionGate::begin_drain`].
     pub fn await_drain(&self) {
-        let mut st = self.state.lock().expect("gate poisoned");
+        let mut st = self.state.lock();
         while st.inflight > 0 {
-            st = self.cv.wait(st).expect("gate poisoned");
+            self.cv.wait(&mut st);
         }
     }
 }
 
-/// RAII admission permit; dropping it releases the slot and wakes
-/// drain waiters.
+/// RAII admission permit; dropping it releases the slot, and the last
+/// one wakes [`AdmissionGate::await_drain`].
 #[derive(Debug)]
 pub struct Permit<'g> {
     gate: &'g AdmissionGate,
@@ -228,9 +227,9 @@ pub struct Permit<'g> {
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        let mut st = self.gate.state.lock().expect("gate poisoned");
+        let mut st = self.gate.state.lock();
         st.inflight -= 1;
-        if st.inflight == 0 || st.inflight + 1 >= self.gate.max {
+        if st.inflight == 0 {
             drop(st);
             self.gate.cv.notify_all();
         }
@@ -260,7 +259,7 @@ impl<T> FanOut<T> {
     /// Records slot `i` (possibly `None` for a cancelled job) and
     /// counts the completion; the last one wakes the waiter.
     pub fn complete(&self, i: usize, value: Option<T>) {
-        let mut st = self.state.lock().expect("fanout poisoned");
+        let mut st = self.state.lock();
         st.0[i] = value;
         st.1 = st.1.saturating_sub(1);
         if st.1 == 0 {
@@ -275,18 +274,12 @@ impl<T> FanOut<T> {
     /// returned.
     pub fn wait(&self, timeout: Duration) -> Option<Vec<Option<T>>> {
         let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock().expect("fanout poisoned");
+        let mut st = self.state.lock();
         while st.1 > 0 {
-            let now = Instant::now();
-            if now >= deadline {
+            if self.cv.wait_until(&mut st, deadline).timed_out() && st.1 > 0 {
                 self.cancelled.store(true, Ordering::Release);
                 return None;
             }
-            let (next, _) = self
-                .cv
-                .wait_timeout(st, deadline - now)
-                .expect("fanout poisoned");
-            st = next;
         }
         Some(std::mem::take(&mut st.0))
     }
@@ -309,10 +302,10 @@ mod tests {
     fn pool_runs_every_submitted_job() {
         let counter = AtomicU64::new(0);
         let pool = WorkerPool::new(3);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for i in 0..3 {
                 let p = &pool;
-                scope.spawn(move |_| p.run_worker(i));
+                scope.spawn(move || p.run_worker(i));
             }
             for _ in 0..100 {
                 pool.submit(Box::new(|| {
@@ -327,8 +320,7 @@ mod tests {
                 }));
             }
             pool.close();
-        })
-        .expect("workers joined");
+        });
         assert_eq!(counter.load(Ordering::Relaxed), 150);
     }
 
@@ -341,16 +333,16 @@ mod tests {
     fn concurrent_submitters_do_not_deadlock_with_claimers() {
         let counter = AtomicU64::new(0);
         let pool = WorkerPool::new(2);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for i in 0..2 {
                 let p = &pool;
-                scope.spawn(move |_| p.run_worker(i));
+                scope.spawn(move || p.run_worker(i));
             }
             let submitters: Vec<_> = (0..4)
                 .map(|_| {
                     let p = &pool;
                     let c = &counter;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for _ in 0..2_000 {
                             p.submit(Box::new(move || {
                                 c.fetch_add(1, Ordering::Relaxed);
@@ -363,8 +355,7 @@ mod tests {
                 s.join().expect("submitter");
             }
             pool.close();
-        })
-        .expect("workers joined");
+        });
         assert_eq!(counter.load(Ordering::Relaxed), 4 * 2_000);
     }
 
@@ -374,10 +365,10 @@ mod tests {
     #[test]
     fn sleeping_workers_wake_for_each_job_and_for_close() {
         let pool = WorkerPool::new(2);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for i in 0..2 {
                 let p = &pool;
-                scope.spawn(move |_| p.run_worker(i));
+                scope.spawn(move || p.run_worker(i));
             }
             for round in 0..200u64 {
                 let fan = Arc::new(FanOut::<u64>::new(1));
@@ -388,8 +379,7 @@ mod tests {
                 assert_eq!(fan.wait(Duration::from_secs(10)), Some(vec![Some(round)]));
             }
             pool.close();
-        })
-        .expect("workers joined");
+        });
     }
 
     /// A panicking job used to take its worker down with it: with one
@@ -397,16 +387,15 @@ mod tests {
     #[test]
     fn a_worker_survives_a_panicking_job() {
         let pool = WorkerPool::new(1);
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| pool.run_worker(0));
+        std::thread::scope(|scope| {
+            scope.spawn(|| pool.run_worker(0));
             pool.submit(Box::new(|| panic!("a shard job panicked")));
             let fan = Arc::new(FanOut::<u64>::new(1));
             let done = Arc::clone(&fan);
             pool.submit(Box::new(move || done.complete(0, Some(7))));
             assert_eq!(fan.wait(Duration::from_secs(1)), Some(vec![Some(7)]));
             pool.close();
-        })
-        .expect("worker joined");
+        });
     }
 
     #[test]
@@ -428,10 +417,9 @@ mod tests {
             ran.store(true, Ordering::Relaxed);
         }));
         assert!(ran.load(Ordering::Relaxed));
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| pool.run_worker(0)); // exits: closed + empty
-        })
-        .expect("worker joined");
+        std::thread::scope(|scope| {
+            scope.spawn(|| pool.run_worker(0)); // exits: closed + empty
+        });
     }
 
     #[test]
@@ -454,6 +442,36 @@ mod tests {
             gate.await_drain();
         });
         assert_eq!(gate.inflight(), 0);
+    }
+
+    /// Takes `lock` on a scoped thread that then panics: a std mutex
+    /// would be poisoned after this.
+    fn panic_holding<T: Send>(lock: &Mutex<T>) {
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = lock.lock();
+                panic!("a thread panics holding a service lock");
+            })
+            .join()
+        });
+        assert!(holder.is_err());
+    }
+
+    #[test]
+    fn a_panic_under_a_service_lock_does_not_poison_the_service() {
+        let gate = AdmissionGate::new(2);
+        panic_holding(&gate.state);
+        let permit = gate.try_admit().expect("still admits");
+        assert_eq!(gate.inflight(), 1);
+        gate.begin_drain();
+        drop(permit);
+        gate.await_drain();
+        assert_eq!(gate.inflight(), 0);
+
+        let fan = FanOut::<u64>::new(1);
+        panic_holding(&fan.state);
+        fan.complete(0, Some(5));
+        assert_eq!(fan.wait(Duration::from_secs(1)), Some(vec![Some(5)]));
     }
 
     #[test]

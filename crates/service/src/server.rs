@@ -44,12 +44,13 @@ use ebi_obs::log as obslog;
 use ebi_obs::metrics::{write_counter, write_histogram};
 use ebi_obs::{CostCounters, Counter, Histogram, QueryReport, StorageCounters, TraceContext};
 use ebi_storage::{BufferPool, BufferStats};
+use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Poll interval at which idle connections notice a shutdown.
@@ -90,7 +91,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let cores = ebi_core::parallel::host_cores();
+        let cores = host_cores();
         Self {
             tcp_addr: "127.0.0.1:0".into(),
             http_addr: "127.0.0.1:0".into(),
@@ -102,6 +103,16 @@ impl Default for ServiceConfig {
             slow_query_ms: None,
         }
     }
+}
+
+/// Cores the host exposes, read once per process: the query is a
+/// `sched_getaffinity` call plus cgroup file reads, far too slow for a
+/// per-request path. The one sanctioned caller (clippy.toml disallows
+/// the std call everywhere else).
+#[allow(clippy::disallowed_methods)]
+fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
 }
 
 impl ServiceConfig {
@@ -232,7 +243,7 @@ impl Counters {
         self.vectors_accessed.record(cost.vectors_accessed);
         self.words_scanned.record(cost.words_scanned);
         self.bytes_touched.record(cost.bytes_touched);
-        *self.cost.lock().expect("cost sum poisoned") += cost;
+        *self.cost.lock() += cost;
     }
 }
 
@@ -319,14 +330,14 @@ pub fn run(
         .str("http", &handle.http_addr().to_string())
         .u64("workers", cfg.workers as u64)
         .u64("max_inflight", cfg.max_inflight as u64);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for i in 0..cfg.workers {
             let w = &workers;
-            scope.spawn(move |_| w.run_worker(i));
+            scope.spawn(move || w.run_worker(i));
         }
         let ctx_ref = &ctx;
-        scope.spawn(move |s| accept_loop(s, &tcp, ctx_ref, Proto::Tcp));
-        scope.spawn(move |s| accept_loop(s, &http, ctx_ref, Proto::Http));
+        scope.spawn(move || accept_loop(scope, &tcp, ctx_ref, Proto::Tcp));
+        scope.spawn(move || accept_loop(scope, &http, ctx_ref, Proto::Http));
         on_ready(handle.clone());
         handle.wait();
         // Drain: refuse new work, let every query in flight answer.
@@ -338,8 +349,7 @@ pub fn run(
         for addr in [handle.tcp_addr(), handle.http_addr()] {
             let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
         }
-    })
-    .expect("service threads joined");
+    });
     Ok(ServiceSummary {
         served: counters.served.get(),
         rejected_busy: counters.rejected_busy.get(),
@@ -370,7 +380,7 @@ impl Proto {
 // inside `ServeCtx` are deliberately distinct parameters: unifying them
 // would drag every scoped-thread capture into the pool's dropck region.
 fn accept_loop<'scope, 'env, 'p, 'data>(
-    scope: &crossbeam::thread::Scope<'scope, 'env>,
+    scope: &'scope std::thread::Scope<'scope, 'env>,
     listener: &TcpListener,
     ctx: &'scope ServeCtx<'p, 'data>,
     proto: Proto,
@@ -388,7 +398,7 @@ fn accept_loop<'scope, 'env, 'p, 'data>(
             refuse_connection(stream, proto);
             continue;
         }
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             // `contain_conn` returns even when the connection panics, so
             // the place is always given back.
             contain_conn(ctx.counters, proto, || serve_conn(ctx, stream, proto));
@@ -935,7 +945,7 @@ fn metrics_text(ctx: &ServeCtx<'_, '_>) -> String {
     ] {
         write_histogram(&mut out, name, [("", h)]);
     }
-    let cost = *c.cost.lock().expect("cost sum poisoned");
+    let cost = *c.cost.lock();
     let mut buffer = BufferStats::default();
     for s in ctx.pools.iter().map(BufferPool::stats) {
         buffer.hits += s.hits;

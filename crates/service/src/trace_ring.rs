@@ -32,9 +32,10 @@ use crate::shard::{Clause, DnfRequest, Predicate, ShardedTable};
 use ebi_obs::export::JsonObject;
 use ebi_obs::metrics::HistogramSnapshot;
 use ebi_obs::{Counter, Histogram, QueryReport, TraceContext};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Schema tag stamped on every retained-trace JSON line.
 const TRACE_SCHEMA: &str = "ebi.trace.v1";
@@ -186,7 +187,7 @@ impl TraceRing {
         self.latency.record(run.wall_ns);
         let slow = run.wall_ns >= threshold_ns;
         let retained = {
-            let mut recent = self.recent.lock().expect("trace ring poisoned");
+            let mut recent = self.recent.lock();
             // Numbered under the lock, so the ring is in `seq` order.
             let retained = Arc::new(RetainedTrace {
                 seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
@@ -204,7 +205,7 @@ impl TraceRing {
         };
         if slow {
             self.slow_total.inc();
-            let mut log = self.slow.lock().expect("slow log poisoned");
+            let mut log = self.slow.lock();
             if log.len() == SLOW_CAPACITY {
                 log.pop_front();
             }
@@ -215,13 +216,13 @@ impl TraceRing {
 
     /// The retained recent traces, oldest first.
     pub(crate) fn recent(&self) -> Vec<Arc<RetainedTrace>> {
-        let recent = self.recent.lock().expect("trace ring poisoned");
+        let recent = self.recent.lock();
         recent.iter().cloned().collect()
     }
 
     /// The retained slow traces, oldest first.
     pub(crate) fn slow(&self) -> Vec<Arc<RetainedTrace>> {
-        let slow = self.slow.lock().expect("slow log poisoned");
+        let slow = self.slow.lock();
         slow.iter().cloned().collect()
     }
 
@@ -245,8 +246,8 @@ impl TraceRing {
         };
         // One lock at a time: the slow log's guard drops with this
         // statement.
-        let slow = newest(&self.slow.lock().expect("slow log poisoned"));
-        slow.or_else(|| newest(&self.recent.lock().expect("trace ring poisoned")))
+        let slow = newest(&self.slow.lock());
+        slow.or_else(|| newest(&self.recent.lock()))
     }
 
     /// Total traces ever recorded.
@@ -361,6 +362,21 @@ mod tests {
         );
         assert!(ring.find("abc").is_none(), "short prefixes don't match");
         assert!(ring.find("424242").is_none());
+    }
+
+    #[test]
+    fn a_panic_under_the_ring_lock_does_not_poison_it() {
+        let ring = TraceRing::new(Some(u64::MAX));
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = ring.recent.lock();
+                panic!("a thread panics holding the ring");
+            })
+            .join()
+        });
+        assert!(holder.is_err());
+        let _ = record(&ring, 9, 10);
+        assert_eq!(ring.find("9").expect("retained").run.query_id, 9);
     }
 
     #[test]

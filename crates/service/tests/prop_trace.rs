@@ -64,10 +64,10 @@ proptest! {
             let fan_span = root.child("fanout");
             let parent = fan_span.handle();
             let fan = Arc::new(FanOut::new(n));
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for w in 0..workers {
                     let p = &pool;
-                    scope.spawn(move |_| p.run_worker(w));
+                    scope.spawn(move || p.run_worker(w));
                 }
                 for shard in table.shards() {
                     let fan = Arc::clone(&fan);
@@ -82,8 +82,7 @@ proptest! {
                 prop_assert_eq!(results.iter().flatten().count(), n);
                 pool.close();
                 Ok(())
-            })
-            .expect("workers joined")?;
+            })?;
         }
         drop(root);
         let records = trace.finish();
