@@ -4,16 +4,22 @@
 //! (pages, hits, misses, evictions) equals the walk that visits each
 //! matching row in turn, run through the reference LRU pool. A shard
 //! that sorts its rows also lays its heap out in that order, so an
-//! equality on its lead column walks one run of pages.
+//! equality on its lead column walks one run of pages. Every request
+//! kind that evaluates a selection walks its pages today: `COUNT`,
+//! `QUERY … LIMIT` and `EXPLAIN` of one range read the same pages.
 
 #[path = "../../storage/tests/lru_model/mod.rs"]
 mod lru_model;
 
 use ebi_bitvec::BitVec;
 use ebi_core::RowOrder;
-use ebi_service::{eval_shard, parse_dnf, ColumnSpec, ShardedTable, TableOptions};
-use ebi_storage::{BufferPool, Cell, PageId, PageWalk, Served};
+use ebi_service::{eval_shard, parse_dnf, ColumnSpec, ServiceConfig, ShardedTable, TableOptions};
+use ebi_storage::{BufferPool, Cell, PageId, PageWalk};
 use lru_model::LruModel;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// 7 shards of 143 or 144 rows: no boundary after the first is a
 /// multiple of 64.
@@ -33,25 +39,12 @@ const QUERIES: &[&str] = &[
 /// Every matching row in ascending order, skipping a row whose page
 /// the row before it already read.
 fn row_walk(bitmap: &BitVec, rows_per_page: usize, model: &mut LruModel<'_>) -> PageWalk {
-    let mut walk = PageWalk::default();
-    let mut last = None;
-    for row in bitmap.iter_ones() {
-        let page = PageId((row / rows_per_page) as u64);
-        if last == Some(page) {
-            continue;
-        }
-        last = Some(page);
-        walk.pages += 1;
-        match model.read(page) {
-            Ok((_, Served::Hit)) => walk.hits += 1,
-            Ok((_, Served::Miss { evicted })) => {
-                walk.misses += 1;
-                walk.evictions += u64::from(evicted);
-            }
-            Err(_) => walk.errors += 1,
-        }
-    }
-    walk
+    let mut pages: Vec<PageId> = bitmap
+        .iter_ones()
+        .map(|row| PageId((row / rows_per_page) as u64))
+        .collect();
+    pages.dedup();
+    model.walk(pages)
 }
 
 #[test]
@@ -134,4 +127,90 @@ fn a_sorted_shard_walks_one_run_of_pages() {
         "{walks:?}"
     );
     assert!(pages > bound(matches), "{walks:?}");
+}
+
+/// GET over a fresh connection: (status, body).
+fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let req = format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    stream.write_all(req.as_bytes()).expect("write");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read");
+    let status = raw
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status line");
+    let (_, body) = raw.split_once("\r\n\r\n").expect("header terminator");
+    (status, body.to_string())
+}
+
+/// The pages the service's pools have served so far: hits plus misses,
+/// from `/metrics`.
+fn pages_served(addr: SocketAddr) -> u64 {
+    let (status, body) = http_get(addr, "/metrics");
+    assert_eq!(status, 200);
+    ["ebi_buffer_hits_total", "ebi_buffer_misses_total"]
+        .iter()
+        .map(|family| {
+            body.lines()
+                .find_map(|l| {
+                    l.strip_prefix(family)?
+                        .strip_prefix(' ')?
+                        .parse::<u64>()
+                        .ok()
+                })
+                .unwrap_or_else(|| panic!("{family} missing: {body}"))
+        })
+        .sum()
+}
+
+#[test]
+fn count_query_and_explain_of_one_range_walk_the_same_pages() {
+    let column = |m: u64, mul: u64| (0..ROWS).map(|i| Cell::Value(i * mul % m)).collect();
+    let table = ShardedTable::build(
+        vec![
+            ColumnSpec::new("a", column(11, 7)),
+            ColumnSpec::new("b", column(5, 13)),
+        ],
+        &TableOptions {
+            shards: 3,
+            rows_per_page: 7,
+            ..TableOptions::default()
+        },
+    )
+    .expect("table builds");
+    let cfg = ServiceConfig {
+        workers: 2,
+        buffer_frames: FRAMES,
+        timeout: Duration::from_secs(5),
+        min_dispatch_words: 0,
+        ..ServiceConfig::default()
+    };
+    let (tx, rx) = mpsc::channel();
+    let mut walked = Vec::new();
+    std::thread::scope(|s| {
+        let server = s.spawn(|| ebi_service::run(&table, &cfg, |h| tx.send(h).expect("send")));
+        let handle = rx.recv().expect("service came up");
+        let http = handle.http_addr();
+        for target in [
+            "/count?q=a+BETWEEN+2+8",
+            "/query?q=a+BETWEEN+2+8&limit=5",
+            "/explain?q=a+BETWEEN+2+8",
+        ] {
+            let before = pages_served(http);
+            let (status, body) = http_get(http, target);
+            assert_eq!(status, 200, "{target}: {body}");
+            walked.push((target, pages_served(http) - before));
+        }
+        handle.shutdown();
+        server.join().expect("service thread").expect("service ran");
+    });
+    let (_, count_pages) = walked[0];
+    assert!(count_pages > 0, "{walked:?}");
+    // A `COUNT` needs no page; when it stops walking, this changes.
+    assert!(
+        walked.iter().all(|&(_, pages)| pages == count_pages),
+        "{walked:?}"
+    );
 }

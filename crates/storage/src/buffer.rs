@@ -8,16 +8,23 @@
 //! smaller than the simple index's footprint.
 //!
 //! The pool is an arena of at most `capacity` page-sized frames, a map
-//! from page to frame, and a recency list threaded through the frames,
-//! so a hit and an eviction each cost O(1). A miss reads the page into
-//! a spare frame with no pool lock held, then swaps it with the
-//! victim's buffer under the lock: no lock is held across a pager read,
-//! and a full pool allocates nothing.
+//! from page to frame hashed by one multiply, and a recency list
+//! threaded through the frames, so a hit and an eviction each cost
+//! O(1). A miss reads the page into a spare buffer with no pool lock
+//! held, then swaps it with the victim's buffer under the lock: no lock
+//! is held across a pager read, and a full pool allocates nothing.
+//!
+//! [`read_pages`] serves a walk a chunk of up to 32 ascending pages at
+//! a time, with three lock round trips per chunk instead of up to three
+//! per page: it looks the chunk up under the pool lock, reads the
+//! absent pages under one pager lock, then files the chunk's hits and
+//! misses in walk order under the pool lock again.
 
 use crate::error::StorageError;
 use crate::pager::{PageId, Pager};
 use parking_lot::Mutex;
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hit/miss counters for a buffer pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -57,6 +64,32 @@ pub enum Served {
 /// The end of the recency list.
 const NIL: usize = usize::MAX;
 
+/// Pages a walk serves per round of locks: one bit each in a `u32`
+/// mask. Also the most spare buffers a pool keeps.
+const CHUNK: usize = u32::BITS as usize;
+
+/// Fx-style hashing: a page id is dense and picked by nothing
+/// untrusted, so one multiply by 2^64 / φ spreads ids over the buckets
+/// without SipHash's flood resistance or its cost.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One page-sized frame and its links in the recency list.
 struct Frame {
     page: u64,
@@ -71,13 +104,13 @@ struct PoolInner {
     /// At most `capacity` frames; eviction reuses one in place.
     frames: Vec<Frame>,
     /// page → index into `frames`.
-    resident: HashMap<u64, usize>,
+    resident: HashMap<u64, usize, BuildHasherDefault<PageHasher>>,
     /// Ends of the recency list (`NIL` when no frame is resident).
     newest: usize,
     oldest: usize,
-    /// A page-sized buffer for the next miss to read into: the buffer
-    /// the last eviction freed.
-    spare: Option<Box<[u8]>>,
+    /// Page-sized buffers for the next misses to read into: the buffers
+    /// evictions freed, at most one chunk's worth.
+    spares: Vec<Box<[u8]>>,
     stats: BufferStats,
 }
 
@@ -111,6 +144,20 @@ impl PoolInner {
         }
     }
 
+    /// Serves `page` from its frame if it is resident.
+    fn hit(&mut self, page: u64) -> Option<usize> {
+        let f = *self.resident.get(&page)?;
+        self.stats.hits += 1;
+        self.touch(f);
+        Some(f)
+    }
+
+    fn keep_spare(&mut self, data: Box<[u8]>) {
+        if self.spares.len() < CHUNK {
+            self.spares.push(data);
+        }
+    }
+
     /// Files `page`, just read from the pager into `data`, as the most
     /// recently used frame, evicting the least recently used one when
     /// all `capacity` are taken. Returns whether a frame was evicted.
@@ -127,7 +174,7 @@ impl PoolInner {
                 // Another reader brought the page in while this one read it.
                 let f = *resident.get();
                 self.touch(f);
-                self.spare = Some(data);
+                self.keep_spare(data);
                 return false;
             }
             Entry::Vacant(slot) => {
@@ -140,7 +187,7 @@ impl PoolInner {
             self.resident.remove(&frame.page);
             frame.page = page;
             std::mem::swap(&mut frame.data, &mut data);
-            self.spare = Some(data);
+            self.keep_spare(data);
             self.stats.evictions += 1;
         } else {
             self.frames.push(Frame {
@@ -188,10 +235,13 @@ impl<'a> BufferPool<'a> {
             capacity,
             inner: Mutex::new(PoolInner {
                 frames: Vec::with_capacity(capacity),
-                resident: HashMap::with_capacity(capacity),
+                resident: HashMap::with_capacity_and_hasher(
+                    capacity,
+                    BuildHasherDefault::default(),
+                ),
                 newest: NIL,
                 oldest: NIL,
-                spare: None,
+                spares: Vec::new(),
                 stats: BufferStats::default(),
             }),
         }
@@ -234,18 +284,83 @@ impl<'a> BufferPool<'a> {
     ) -> Result<(T, Served), StorageError> {
         let spare = {
             let mut inner = self.inner.lock();
-            if let Some(&f) = inner.resident.get(&id.0) {
-                inner.stats.hits += 1;
-                inner.touch(f);
+            if let Some(f) = inner.hit(id.0) {
                 return Ok((view(&inner.frames[f].data), Served::Hit));
             }
-            inner.spare.take()
+            inner.spares.pop()
         };
-        let mut data = spare.unwrap_or_else(|| vec![0; self.pager.page_size()].into_boxed_slice());
+        let mut data = spare.unwrap_or_else(|| self.new_buffer());
         self.pager.read_into(id, &mut data)?;
         let out = view(&data);
         let evicted = self.inner.lock().admit(id.0, data, self.capacity);
         Ok((out, Served::Miss { evicted }))
+    }
+
+    fn new_buffer(&self) -> Box<[u8]> {
+        vec![0; self.pager.page_size()].into_boxed_slice()
+    }
+
+    /// Serves one chunk of a walk, distinct pages in walk order, as
+    /// [`BufferPool::fetch`] would serve each in turn, in three steps:
+    ///
+    /// 1. under the pool lock, mark the pages that are not resident and
+    ///    take a spare buffer for each;
+    /// 2. under one pager lock and no pool lock, read them;
+    /// 3. under the pool lock, file each read page (`admit`) and touch
+    ///    each resident one, in walk order, so every eviction falls as
+    ///    it would page by page.
+    ///
+    /// A page absent at step 1 is still absent at its turn in step 3
+    /// unless another reader filed it meanwhile, which `admit` already
+    /// covers. A page resident at step 1 may have been evicted since,
+    /// by an earlier miss of this chunk or by another reader; it is
+    /// then read by [`BufferPool::fetch`] at its turn.
+    fn walk_chunk(&self, chunk: &[PageId], bufs: &mut Vec<Box<[u8]>>, walk: &mut PageWalk) {
+        // Bit i: `chunk[i]` is read in step 2, into `bufs[k]` for the
+        // k-th set bit.
+        let mut absent = 0u32;
+        {
+            let mut inner = self.inner.lock();
+            for (i, id) in chunk.iter().enumerate() {
+                if !inner.resident.contains_key(&id.0) {
+                    absent |= 1 << i;
+                    bufs.extend(inner.spares.pop());
+                }
+            }
+        }
+        bufs.resize_with(absent.count_ones() as usize, || self.new_buffer());
+        let reads = (0..chunk.len()).filter(|i| absent >> i & 1 == 1);
+        // Bit k: the pager refused the k-th read.
+        let (mut refused, mut k) = (0u32, 0);
+        self.pager.read_many(
+            reads
+                .map(|i| chunk[i])
+                .zip(bufs.iter_mut().map(|b| &mut b[..])),
+            |read| {
+                refused |= u32::from(read.is_err()) << k;
+                k += 1;
+            },
+        );
+        let mut read = bufs.drain(..).enumerate();
+        let mut inner = self.inner.lock();
+        for (i, &id) in chunk.iter().enumerate() {
+            if absent >> i & 1 == 1 {
+                let (k, data) = read.next().expect("a buffer per absent page");
+                if refused >> k & 1 == 1 {
+                    inner.keep_spare(data);
+                    walk.record(None);
+                } else {
+                    let evicted = inner.admit(id.0, data, self.capacity);
+                    walk.record(Some(Served::Miss { evicted }));
+                }
+            } else if inner.hit(id.0).is_some() {
+                walk.record(Some(Served::Hit));
+            } else {
+                drop(inner);
+                walk.record(self.fetch(id).ok());
+                inner = self.inner.lock();
+            }
+        }
     }
 
     /// Current counters.
@@ -292,6 +407,20 @@ pub struct PageWalk {
 }
 
 impl PageWalk {
+    /// Counts one read through a pool: how it was served, or `None`
+    /// when the page store refused it.
+    fn record(&mut self, served: Option<Served>) {
+        self.pages += 1;
+        match served {
+            Some(Served::Hit) => self.hits += 1,
+            Some(Served::Miss { evicted }) => {
+                self.misses += 1;
+                self.evictions += u64::from(evicted);
+            }
+            None => self.errors += 1,
+        }
+    }
+
     /// Reads that reached the pager: the pool's misses, or every read
     /// that succeeded when the walk had no pool.
     #[must_use]
@@ -306,27 +435,39 @@ impl PageWalk {
 /// hold a match (`BitVec::occupied_blocks` over the rows per page),
 /// so each comes once and in ascending order. A failed read is counted,
 /// never dropped.
+///
+/// Through a pool, the walk takes its pages a strictly ascending run of
+/// at most 32 at a time and serves each run with one pool look, one
+/// pager read and one pool update ([`BufferPool::fetch`]'s outcomes,
+/// counters and evictions, page for page). A page that does not
+/// ascend starts the next run, so the pages of a run are distinct.
 pub fn read_pages(
     pages: impl IntoIterator<Item = PageId>,
     pager: &Pager,
     pool: Option<&BufferPool<'_>>,
 ) -> PageWalk {
     let mut walk = PageWalk::default();
-    let mut scratch = Vec::new();
-    for page in pages {
-        walk.pages += 1;
-        match pool.map(|pool| pool.fetch(page)) {
-            Some(Ok(Served::Hit)) => walk.hits += 1,
-            Some(Ok(Served::Miss { evicted })) => {
-                walk.misses += 1;
-                walk.evictions += u64::from(evicted);
-            }
-            Some(Err(_)) => walk.errors += 1,
-            None => {
-                scratch.resize(pager.page_size(), 0);
-                walk.errors += u64::from(pager.read_into(page, &mut scratch).is_err());
-            }
+    let mut pages = pages.into_iter().peekable();
+    let Some(pool) = pool else {
+        let mut scratch = vec![0; pager.page_size()];
+        for page in pages {
+            walk.pages += 1;
+            walk.errors += u64::from(pager.read_into(page, &mut scratch).is_err());
         }
+        return walk;
+    };
+    let (mut chunk, mut bufs) = ([PageId(0); CHUNK], Vec::new());
+    while let Some(first) = pages.next() {
+        chunk[0] = first;
+        let mut len = 1;
+        while len < CHUNK {
+            let Some(next) = pages.next_if(|&p| p > chunk[len - 1]) else {
+                break;
+            };
+            chunk[len] = next;
+            len += 1;
+        }
+        pool.walk_chunk(&chunk[..len], &mut bufs, &mut walk);
     }
     walk
 }
@@ -520,6 +661,89 @@ mod tests {
         );
         assert_eq!(pool.fetch(PageId(1)).unwrap(), Served::Hit);
         assert_eq!(pool.read_page(PageId(1)).unwrap(), page_bytes(1));
+    }
+
+    #[test]
+    fn concurrent_walks_count_what_the_pool_counts() {
+        const THREADS: u64 = 4;
+        const WALKS: u64 = 500;
+        // Page `PAGES` is never allocated; every walk ends on it.
+        const PAGES: u64 = 40;
+        const FRAMES: usize = 5;
+        let pager = pager_with_pages(PAGES);
+        let pool = BufferPool::new(&pager, FRAMES);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let walks: Vec<PageWalk> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (pool, pager, start) = (&pool, &pager, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let mut sum = PageWalk::default();
+                        for i in 0..WALKS {
+                            // Overlapping strided runs, from a few pages
+                            // to more than one chunk long.
+                            let stride = 1 + (t + i) as usize % 3;
+                            let from = i * (t + 1) % 8;
+                            let to = PAGES.min(from + [3, 12, PAGES][i as usize % 3]);
+                            let ids = (from..to).step_by(stride);
+                            let ids = ids.chain([PAGES]).map(PageId);
+                            let walk = read_pages(ids, pager, Some(pool));
+                            assert!(pool.resident() <= FRAMES, "thread {t} walk {i}");
+                            sum.pages += walk.pages;
+                            sum.errors += walk.errors;
+                            sum.hits += walk.hits;
+                            sum.misses += walk.misses;
+                            sum.evictions += walk.evictions;
+                        }
+                        sum
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let sum = |field: fn(&PageWalk) -> u64| walks.iter().map(field).sum::<u64>();
+        assert_eq!(sum(|w| w.errors), THREADS * WALKS);
+        assert_eq!(
+            pool.stats(),
+            BufferStats {
+                hits: sum(|w| w.hits),
+                misses: sum(|w| w.misses),
+                evictions: sum(|w| w.evictions),
+            }
+        );
+        assert_eq!(pager.stats().page_reads, pool.stats().misses);
+        assert!(pool.stats().evictions > 0);
+        for p in 0..PAGES {
+            assert_eq!(
+                pool.read_page(PageId(p)).unwrap(),
+                page_bytes(p),
+                "page {p}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_chunk_rereads_a_page_its_own_misses_evicted() {
+        let pager = pager_with_pages(4);
+        let pool = BufferPool::new(&pager, 2);
+        pool.fetch(PageId(3)).unwrap();
+        pager.reset_stats();
+        // 3 is resident when the chunk is looked up, but 1 evicts it
+        // before its turn; 3 then evicts 0.
+        let walk = read_pages(pages(&[0, 1, 3]), &pager, Some(&pool));
+        assert_eq!(
+            walk,
+            PageWalk {
+                pages: 3,
+                misses: 3,
+                evictions: 2,
+                ..PageWalk::default()
+            }
+        );
+        assert_eq!(pager.stats().page_reads, 3);
+        assert_eq!(pool.fetch(PageId(3)).unwrap(), Served::Hit);
+        assert_eq!(pool.fetch(PageId(1)).unwrap(), Served::Hit);
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //!   tracking, the physical home of fact/dimension data;
 //! * [`buffer::BufferPool`] — a bounded LRU page cache with hit/miss
 //!   accounting, for working-set experiments: O(1) per hit and per
-//!   eviction, with misses read into a spare frame outside the pool's
+//!   eviction, with misses read into a spare buffer outside the pool's
 //!   lock; and [`buffer::read_pages`], the fetch after a selection,
 //!   which walks the selection's pages (picked from the bitmap's words
 //!   by `BitVec::occupied_blocks`) and counts its own hits, misses and
-//!   evictions in a [`PageWalk`].
+//!   evictions in a [`PageWalk`]. A walk looks up, reads and files its
+//!   pages a chunk of 32 at a time, taking the pool lock twice and the
+//!   pager lock once per chunk, never one across a pager read.
 //!
 //! Every counter lives with the structure whose event it counts
 //! ([`Pager::stats`], [`BufferPool::stats`], [`PageWalk`]), and the
