@@ -5,7 +5,7 @@
 //! make a perf trajectory credible: the compression literature the
 //! benches compare against reports per-query wall time *and*
 //! bytes-touched side by side. This crate is the substrate that ties
-//! the logical metric to real time, storage traffic and per-phase
+//! the logical metric to real time, pages spanned and per-phase
 //! breakdowns, for every query, in every crate of the workspace:
 //!
 //! * [`metrics`] — monotonic [`metrics::Counter`]s and log2-bucketed
@@ -20,9 +20,9 @@
 //! * [`report`] — [`report::CostCounters`], the one cost record the
 //!   kernel, the evaluator, every index and every report write and sum,
 //!   and [`report::QueryReport`], the query-lifecycle record (span
-//!   records, cost counters, storage counters) that `ebi-service`'s
-//!   `execute` assembles from it plus the page walk's own buffer-pool
-//!   counts, with its JSON-line and `EXPLAIN ANALYZE` renderings;
+//!   records, cost counters and, for an `EXPLAIN`, the heap pages its
+//!   answer spans) that `ebi-service`'s `execute` assembles, with its
+//!   JSON-line and `EXPLAIN ANALYZE` renderings;
 //! * [`export`] — the shared JSON writer;
 //! * [`context`] — [`context::TraceContext`], the per-request trace
 //!   identity propagated in `traceparent` form across frontends and
@@ -63,7 +63,7 @@ pub mod span;
 
 pub use context::TraceContext;
 pub use metrics::{Counter, Histogram};
-pub use report::{CostCounters, QueryReport, StorageCounters};
+pub use report::{CostCounters, QueryReport};
 pub use span::{Span, SpanHandle, SpanRecord, Trace};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

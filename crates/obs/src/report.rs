@@ -1,9 +1,9 @@
 //! The unified query-lifecycle record.
 //!
 //! [`QueryReport`] is what a served query yields: the span records of
-//! its phases (compile → fanout → eval.worker, merge) as
-//! [`crate::Trace::finish`] returns them, its [`CostCounters`] and the
-//! storage-layer traffic —
+//! its phases (compile → fanout → eval.worker, gather) as
+//! [`crate::Trace::finish`] returns them, its [`CostCounters`] and, for
+//! an `EXPLAIN`, the heap pages its answer spans —
 //! one struct, two renderings (JSON line, `EXPLAIN ANALYZE` tree), each
 //! read straight off the flat records by following their parent ids.
 //! [`CostCounters`] is the one record the kernel writes and every layer
@@ -128,47 +128,6 @@ impl CostCounters {
     }
 }
 
-/// Storage-layer traffic attributable to the query, as its own page
-/// walk counted it: pager reads and buffer-pool hits, misses and
-/// evictions.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StorageCounters {
-    /// Pages read from the pager (buffer misses reach here).
-    pub pager_reads: u64,
-    /// Pages written to the pager.
-    pub pager_writes: u64,
-    /// Buffer-pool reads served from memory.
-    pub buffer_hits: u64,
-    /// Buffer-pool reads that went to the pager.
-    pub buffer_misses: u64,
-    /// Buffer-pool frames evicted.
-    pub buffer_evictions: u64,
-}
-
-impl StorageCounters {
-    /// Buffer hit ratio in `[0, 1]`; `0` when the pool saw no reads.
-    #[must_use]
-    pub fn buffer_hit_ratio(&self) -> f64 {
-        let total = self.buffer_hits + self.buffer_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.buffer_hits as f64 / total as f64
-        }
-    }
-
-    fn to_json(&self) -> String {
-        JsonObject::new()
-            .u64("pager_reads", self.pager_reads)
-            .u64("pager_writes", self.pager_writes)
-            .u64("buffer_hits", self.buffer_hits)
-            .u64("buffer_misses", self.buffer_misses)
-            .u64("buffer_evictions", self.buffer_evictions)
-            .f64("buffer_hit_ratio", self.buffer_hit_ratio())
-            .finish()
-    }
-}
-
 /// One served query, end to end.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryReport {
@@ -190,8 +149,10 @@ pub struct QueryReport {
     pub spans: Vec<SpanRecord>,
     /// Evaluation cost counters.
     pub cost: CostCounters,
-    /// Storage traffic counters.
-    pub storage: StorageCounters,
+    /// Heap pages holding a matching row, counted from the result
+    /// bitmaps (no page is read); only `EXPLAIN` counts them, so every
+    /// other request's report reads 0.
+    pub pages: u64,
 }
 
 impl QueryReport {
@@ -215,7 +176,7 @@ impl QueryReport {
             .u64("wall_ns", self.wall_ns)
             .raw("expressions", &json_str_array(&self.expressions))
             .raw("cost", &self.cost.to_json())
-            .raw("storage", &self.storage.to_json())
+            .u64("pages", self.pages)
             .raw("phases", &json_array(&phases))
             .finish()
     }
@@ -252,18 +213,7 @@ impl QueryReport {
             c.segments_pruned,
             c.segments_short_circuited,
         );
-        let s = &self.storage;
-        let _ = writeln!(
-            out,
-            "storage: pager_reads={} pager_writes={} buffer_hits={} buffer_misses={} \
-             evictions={} hit_ratio={:.1}%",
-            s.pager_reads,
-            s.pager_writes,
-            s.buffer_hits,
-            s.buffer_misses,
-            s.buffer_evictions,
-            s.buffer_hit_ratio() * 100.0
-        );
+        let _ = writeln!(out, "pages: {}", self.pages);
         if !self.expressions.is_empty() {
             let _ = writeln!(out, "expressions: {}", self.expressions.join("  |  "));
         }
@@ -353,12 +303,7 @@ mod tests {
                 bytes_touched: 128,
                 ..Default::default()
             },
-            storage: StorageCounters {
-                pager_reads: 3,
-                buffer_hits: 9,
-                buffer_misses: 3,
-                ..Default::default()
-            },
+            pages: 12,
         }
     }
 
@@ -369,8 +314,7 @@ mod tests {
         for key in [
             "\"query_id\":42",
             "\"cost\":{\"vectors_accessed\":1",
-            "\"storage\":{\"pager_reads\":3",
-            "\"buffer_hit_ratio\":0.75",
+            "\"pages\":12",
             "\"phases\":[{\"name\":\"query\"",
             "\"expressions\":[\"B1'\"]",
         ] {
@@ -387,7 +331,7 @@ mod tests {
         assert!(text.contains("├─ reduce"));
         assert!(text.contains("│  └─ eval.worker") || text.contains("   └─ eval.worker"));
         assert!(text.contains("vectors_accessed=1"));
-        assert!(text.contains("hit_ratio=75.0%"));
+        assert!(text.contains("pages: 12"));
     }
 
     #[test]

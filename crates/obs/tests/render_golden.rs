@@ -6,7 +6,7 @@
 //! viewers read: a deliberate change here is a schema change.
 
 use ebi_obs::chrome::chrome_trace_json;
-use ebi_obs::{CostCounters, QueryReport, SpanRecord, StorageCounters};
+use ebi_obs::{CostCounters, QueryReport, SpanRecord};
 
 fn record(id: u64, parent: u64, name: &'static str, start_ns: u64, wall_ns: u64) -> SpanRecord {
     SpanRecord {
@@ -51,12 +51,7 @@ fn sample() -> QueryReport {
             bytes_touched: 128,
             ..Default::default()
         },
-        storage: StorageCounters {
-            pager_reads: 3,
-            buffer_hits: 9,
-            buffer_misses: 3,
-            ..Default::default()
-        },
+        pages: 12,
     }
 }
 

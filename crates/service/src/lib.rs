@@ -5,14 +5,14 @@
 //! warehouse literature assumes:
 //!
 //! * [`shard`] — a fact table partitioned into contiguous row-range
-//!   [`Shard`]s, each owning per-column encoded bitmap indexes and its
-//!   own heap pager. All shards share one table-wide [`Mapping`] per
-//!   column, so a query is **compiled once** (logical reduction over the
-//!   shared code space: the interval cover for a point or a range,
-//!   Quine–McCluskey minimization for any other value set) and
-//!   evaluated everywhere;
-//!   shard-relative result bitmaps are merged back at global row
-//!   offsets with `BitVec::or_shifted`.
+//!   [`Shard`]s, each owning per-column encoded bitmap indexes. All
+//!   shards share one table-wide [`Mapping`] per column, so a query is
+//!   **compiled once** (logical reduction over the shared code space:
+//!   the interval cover for a point or a range, Quine–McCluskey
+//!   minimization for any other value set) and evaluated everywhere.
+//!   An answer is read off the shard-relative result bitmaps: a count
+//!   is the sum of their popcounts, row ids are each shard's local ids
+//!   plus its first row, and no heap page is read.
 //! * [`pool`] — a [`WorkerPool`] over one locked queue for shard fan-out, an
 //!   [`AdmissionGate`] bounding in-flight queries (backpressure:
 //!   `BUSY` / HTTP 429), and a [`FanOut`] latch with per-request
@@ -23,7 +23,7 @@
 //!   only frame, parse and render. No async runtime: blocking threads,
 //!   scoped borrows, vendored deps only.
 //! * [`server`] — one connection loop and one request path: admission
-//!   → compile → fan-out → merge → retain. Every query leaves its
+//!   → compile → fan-out → gather → retain. Every query leaves its
 //!   request, its `ebi-obs` span records (per-shard `eval.worker`
 //!   spans included) and its cost counters in the trace ring; graceful
 //!   shutdown drains in-flight queries before the listeners close. A

@@ -1,14 +1,19 @@
 //! The long-running query service: one connection loop, one request
-//! path (admission, shard fan-out, merge, report), two frontends that
+//! path (admission, shard fan-out, gather, report), two frontends that
 //! only frame, parse and render.
 //!
 //! ## Request lifecycle
 //!
 //! ```text
 //! accept → buffer → frame → parse → admit (Permit) → compile once →
-//!   fan out to shards on the worker pool → merge at RID offsets →
-//!   report → render → one write → release Permit
+//!   fan out to shards on the worker pool → gather (sum the shards'
+//!   counts) → report → render (ids `lo + j`, shard by shard) →
+//!   one write → release Permit
 //! ```
+//!
+//! An answer reads only the shard bitmaps: no table-sized bitmap is
+//! built and no heap page is read. `EXPLAIN` alone counts the pages its
+//! answer spans, from the same bitmaps.
 //!
 //! Admission is a counting gate ([`AdmissionGate`]): at most
 //! `max_inflight` queries hold permits, the rest get `BUSY`/429
@@ -42,8 +47,7 @@ use crate::trace_ring::{self, RetainedTrace, TraceRing};
 use ebi_obs::export::{json_str_array, JsonObject};
 use ebi_obs::log as obslog;
 use ebi_obs::metrics::{write_counter, write_histogram};
-use ebi_obs::{CostCounters, Counter, Histogram, QueryReport, StorageCounters, TraceContext};
-use ebi_storage::{BufferPool, BufferStats};
+use ebi_obs::{CostCounters, Counter, Histogram, QueryReport, TraceContext};
 use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
@@ -61,8 +65,8 @@ const IDLE_POLL: Duration = Duration::from_millis(150);
 /// connection means a connection storm, not load.
 pub const MAX_CONNECTIONS: usize = 128;
 
-/// Service configuration; every knob has an `EBI_SERVICE_*` env
-/// override (see [`ServiceConfig::from_env`] and the README env table).
+/// Service configuration. [`ServiceConfig::from_env`] reads the env
+/// overrides it names (the README env table); `buffer_frames` has none.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// TCP line-protocol bind address (`127.0.0.1:0` = ephemeral).
@@ -78,7 +82,8 @@ pub struct ServiceConfig {
     /// / 504 and its remaining shard jobs are cancelled, and a request
     /// still incomplete this long after its first byte gets `ERR` / 408.
     pub timeout: Duration,
-    /// Buffer-pool frames per shard.
+    /// Unused: the service reads no page. Kept for `benchmark/`'s
+    /// replay; goes with B2.
     pub buffer_frames: usize,
     /// Work-estimate floor (words) below which a query is evaluated
     /// serially on the connection thread instead of fanned out.
@@ -200,8 +205,8 @@ pub struct ServiceSummary {
 }
 
 /// What the service counts, each event once, where it happens.
-/// `/metrics` ([`metrics_text`]) reads these with the shards' pager and
-/// pool counters and the trace ring's latency and slow count.
+/// `/metrics` ([`metrics_text`]) reads these with the trace ring's
+/// latency and slow count.
 #[derive(Default)]
 struct Counters {
     served: Counter,
@@ -216,7 +221,7 @@ struct Counters {
     requests: [[Counter; STATUSES.len()]; 2],
     /// Request latency by [`Proto`], from framing to the written reply.
     request_ns: [Histogram; 2],
-    /// Evaluation-and-fetch latency, by shard id.
+    /// Shard evaluation latency, by shard id.
     shard_eval_ns: Vec<Histogram>,
     /// The cost of every answered query, summed.
     cost: Mutex<CostCounters>,
@@ -250,14 +255,13 @@ impl Counters {
 /// Everything a connection thread needs, borrowed for the serve scope.
 ///
 /// Two lifetimes by necessity: `'env` is the data region the worker
-/// pool's queued jobs may borrow (table, buffer pools, gate — all
+/// pool's queued jobs may borrow (table, gate, counters — all
 /// declared before the pool so they outlive its drop), while `'p` is
 /// the strictly shorter region in which the pool itself is borrowed
 /// (dropck forbids `&'env WorkerPool<'env>`: the pool's destructor may
 /// run queued `'env` jobs, so `'env` must outlive the pool).
 struct ServeCtx<'p, 'env: 'p> {
     table: &'env ShardedTable,
-    pools: &'env [BufferPool<'env>],
     workers: &'p WorkerPool<'env>,
     gate: &'env AdmissionGate,
     counters: &'env Counters,
@@ -278,10 +282,10 @@ struct Answer {
 /// Runs the service until a graceful shutdown completes.
 ///
 /// Binds both listeners, spawns the worker pool and accept loops on
-/// scoped threads (so shards and buffer pools are *borrowed*, never
-/// leaked), then hands a [`ServiceHandle`] to `on_ready` — typically
-/// sent over a channel to the controlling thread or used to print the
-/// bound addresses.
+/// scoped threads (so the shards are *borrowed*, never leaked), then
+/// hands a [`ServiceHandle`] to `on_ready` — typically sent over a
+/// channel to the controlling thread or used to print the bound
+/// addresses.
 ///
 /// # Errors
 ///
@@ -302,21 +306,15 @@ pub fn run(
             http: http.local_addr()?,
         }),
     };
-    let pools: Vec<BufferPool<'_>> = table
-        .shards()
-        .iter()
-        .map(|s| BufferPool::new(s.pager(), cfg.buffer_frames.max(1)))
-        .collect();
     // Declaration order fixes drop order: the worker pool (whose queued
-    // jobs borrow everything above) must drop before the gate, counters
-    // and buffer pools those jobs reference.
+    // jobs borrow everything above) must drop before the gate and
+    // counters those jobs reference.
     let gate = AdmissionGate::new(cfg.max_inflight);
     let counters = Counters::new(table.shards().len());
     let ring = TraceRing::new(cfg.slow_query_ms.map(|ms| ms.saturating_mul(1_000_000)));
     let workers = WorkerPool::new(cfg.workers);
     let ctx = ServeCtx {
         table,
-        pools: &pools,
         workers: &workers,
         gate: &gate,
         counters: &counters,
@@ -622,7 +620,7 @@ fn respond(
             return reply;
         }
     };
-    let reply = match execute(ctx, dnf, limit, *tctx) {
+    let reply = match execute(ctx, dnf, limit, explain, *tctx) {
         Ok(Answer { retained, mut body }) => {
             ctx.counters.served.inc();
             if explain {
@@ -662,10 +660,15 @@ fn trace_page(table: &ShardedTable, traces: &[Arc<RetainedTrace>], n: usize) -> 
     Reply::Page(page)
 }
 
-/// Compiles, fans out, merges and retains one query in flight; the
+/// Compiles, fans out, gathers and retains one query in flight; the
 /// error is the reply of a query that produced no answer. `tctx` is
 /// the request's trace identity: it correlates the retained trace, the
 /// structured log lines, and the `traceparent` echoed in the answer.
+///
+/// `matches` is the sum of the shards' counts, and the first `limit`
+/// row ids are read off the shard bitmaps in shard order, each shard's
+/// local ids offset by its `lo`. Only `explain` counts the heap pages
+/// the answer spans, into the report.
 ///
 /// The answer body is `{query_id, trace, matches, rows[], wall_ns,
 /// dispatched, vectors_accessed}`. Nothing else is rendered here: the
@@ -675,6 +678,7 @@ fn execute(
     ctx: &ServeCtx<'_, '_>,
     dnf: DnfRequest,
     limit: usize,
+    explain: bool,
     tctx: TraceContext,
 ) -> Result<Answer, Reply> {
     let started = Instant::now();
@@ -714,14 +718,13 @@ fn execute(
                 let fan = Arc::clone(&fan);
                 let compiled = Arc::clone(&compiled);
                 let i = shard.id();
-                let pool = &ctx.pools[i];
                 ctx.workers.submit(Box::new(move || {
                     // A job that starts after the waiter gave up skips
                     // its work but still counts as complete.
                     let outcome = if fan.is_cancelled() {
                         None
                     } else {
-                        eval_contained(shard, pool, &compiled, parent)
+                        eval_contained(shard, &compiled, parent)
                     };
                     fan.complete(i, outcome);
                 }));
@@ -734,7 +737,7 @@ fn execute(
             table
                 .shards()
                 .iter()
-                .map(|s| eval_contained(s, &ctx.pools[s.id()], &compiled, parent))
+                .map(|s| eval_contained(s, &compiled, parent))
                 .collect()
         }
     };
@@ -748,28 +751,34 @@ fn execute(
         return Err(Reply::Internal);
     }
 
-    let (bitmap, matches, cost, storage) = {
-        let mut span = root.child("merge");
+    // Shard order, so row ids come out ascending.
+    let answered = || outcomes.iter().flatten();
+    let (matches, cost) = {
+        let mut span = root.child("gather");
+        let mut matches = 0;
         let mut cost = CostCounters::default();
-        let mut storage = StorageCounters::default();
-        let answered = || outcomes.iter().flatten();
         for o in answered() {
             ctx.counters.shard_eval_ns[o.shard].record(o.wall_ns);
+            matches += o.matches;
             cost += o.cost;
-            storage.pager_reads += o.walk.pager_reads();
-            storage.buffer_hits += o.walk.hits;
-            storage.buffer_misses += o.walk.misses;
-            storage.buffer_evictions += o.walk.evictions;
         }
-        let bitmap = table.merge(answered().map(|o| (o.shard, &o.bitmap)));
-        let matches = bitmap.count_ones() as u64;
         span.attr("matches", matches);
-        (bitmap, matches, cost, storage)
+        (matches, cost)
+    };
+    let pages = if explain {
+        let spanned = |o: &ShardOutcome| table.shards()[o.shard].pages_spanned(&o.bitmap);
+        answered().map(spanned).sum()
+    } else {
+        0
     };
 
     drop(root);
     let mut rows = String::from("[");
-    for (i, r) in bitmap.iter_ones().take(limit).enumerate() {
+    let ids = answered().flat_map(|o| {
+        let lo = table.shards()[o.shard].lo();
+        o.bitmap.iter_ones().map(move |j| lo + j)
+    });
+    for (i, r) in ids.take(limit).enumerate() {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(rows, "{sep}{r}");
     }
@@ -782,7 +791,7 @@ fn execute(
         wall_ns,
         spans: trace.finish(),
         cost,
-        storage,
+        pages,
         ..QueryReport::default()
     };
     ctx.counters.record_query(cost);
@@ -813,43 +822,38 @@ fn execute(
     Ok(Answer { retained, body })
 }
 
-/// Evaluates one shard and fetches its matching heap pages — the unit
-/// of work a pool worker runs, wrapped in an `eval.worker` span hung
-/// off the query's `fanout` span (cross-thread parentage via the
-/// captured handle). The span carries the owning trace id (`trace`
-/// attribute) so pool hand-off is checkable end to end. The outcome
-/// carries the walk's own page counts and the shard's wall time, which
-/// the service files per shard so fan-out skew shows in a scrape.
+/// Evaluates one shard — the unit of work a pool worker runs, wrapped
+/// in an `eval.worker` span hung off the query's `fanout` span
+/// (cross-thread parentage via the captured handle). The span carries
+/// the owning trace id (`trace` attribute) so pool hand-off is
+/// checkable end to end. The outcome carries the shard's match count
+/// and wall time, which the service files per shard so fan-out skew
+/// shows in a scrape.
 ///
 /// Public for the telemetry proptests and benches, which drive real
 /// shard evaluations through a [`WorkerPool`] without a socket.
 pub fn eval_shard(
     shard: &Shard,
-    pool: &BufferPool<'_>,
     compiled: &CompiledQuery,
     parent: ebi_obs::SpanHandle,
 ) -> ShardOutcome {
     let started = Instant::now();
     let mut span = parent.child("eval.worker");
     let (bitmap, cost) = shard.eval(compiled);
-    let walk = shard.fetch_pages(&bitmap, Some(pool));
+    let matches = bitmap.count_ones() as u64;
     let wall_ns = started.elapsed().as_nanos() as u64;
     if span.is_live() {
         span.attr("trace", parent.trace());
         span.attr("shard", shard.id() as u64);
         span.attr("rows", shard.rows() as u64);
-        span.attr("matches", bitmap.count_ones() as u64);
+        span.attr("matches", matches);
         span.attr("vectors_accessed", cost.vectors_accessed);
-        span.attr("pages", walk.pages);
-        if walk.errors > 0 {
-            span.attr("errors", walk.errors);
-        }
     }
     ShardOutcome {
         shard: shard.id(),
         bitmap,
+        matches,
         cost,
-        walk,
         wall_ns,
     }
 }
@@ -858,14 +862,10 @@ pub fn eval_shard(
 /// the request answers `ERR internal` and the worker lives on.
 fn eval_contained(
     shard: &Shard,
-    pool: &BufferPool<'_>,
     compiled: &CompiledQuery,
     parent: ebi_obs::SpanHandle,
 ) -> Option<ShardOutcome> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        eval_shard(shard, pool, compiled, parent)
-    }))
-    .ok()
+    std::panic::catch_unwind(AssertUnwindSafe(|| eval_shard(shard, compiled, parent))).ok()
 }
 
 /// Admission state and lifetime totals, in the order `STATS` and
@@ -914,8 +914,8 @@ fn vars_json(ctx: &ServeCtx<'_, '_>) -> String {
 }
 
 /// `/metrics`: every family in the Prometheus text format, read from
-/// its owner now — the service's [`Counters`], the trace ring's latency
-/// histogram and slow count, and each shard's pager and buffer pool.
+/// its owner now — the service's [`Counters`] and the trace ring's
+/// latency histogram and slow count.
 fn metrics_text(ctx: &ServeCtx<'_, '_>) -> String {
     let c = ctx.counters;
     let mut out = String::new();
@@ -946,13 +946,6 @@ fn metrics_text(ctx: &ServeCtx<'_, '_>) -> String {
         write_histogram(&mut out, name, [("", h)]);
     }
     let cost = *c.cost.lock();
-    let mut buffer = BufferStats::default();
-    for s in ctx.pools.iter().map(BufferPool::stats) {
-        buffer.hits += s.hits;
-        buffer.misses += s.misses;
-        buffer.evictions += s.evictions;
-    }
-    let shards = ctx.table.shards();
     for (name, n) in [
         ("ebi_service_slow_queries_total", ctx.ring.slow_total()),
         ("ebi_service_panics_total", c.panics.get()),
@@ -965,13 +958,6 @@ fn metrics_text(ctx: &ServeCtx<'_, '_>) -> String {
             "ebi_kernel_segments_short_circuited_total",
             cost.segments_short_circuited,
         ),
-        (
-            "ebi_pager_page_reads_total",
-            shards.iter().map(|s| s.pager().stats().page_reads).sum(),
-        ),
-        ("ebi_buffer_hits_total", buffer.hits),
-        ("ebi_buffer_misses_total", buffer.misses),
-        ("ebi_buffer_evictions_total", buffer.evictions),
     ] {
         write_counter(&mut out, name, [("", n)]);
     }
@@ -993,17 +979,16 @@ mod tests {
         )
         .expect("table builds");
         let shard = &table.shards()[0];
-        let pool = BufferPool::new(shard.pager(), 4);
         let request = crate::parse_dnf("a=1").expect("parses");
         let mut compiled = table.compile(&request).expect("compiles");
         let trace = ebi_obs::Trace::begin();
         let root = trace.root_span("query");
-        let answered = eval_contained(shard, &pool, &compiled, root.handle());
+        let answered = eval_contained(shard, &compiled, root.handle());
         assert_eq!(answered.map(|o| o.bitmap.count_ones()), Some(33));
         // A column the shard does not have: evaluation indexes past its
         // indexes and panics.
         compiled.disjuncts[0][0].column = 9;
-        assert!(eval_contained(shard, &pool, &compiled, root.handle()).is_none());
+        assert!(eval_contained(shard, &compiled, root.handle()).is_none());
     }
 
     #[test]

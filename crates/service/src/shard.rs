@@ -3,8 +3,7 @@
 //! A [`ShardedTable`] splits a table's rows into contiguous, disjoint
 //! ranges. Each [`Shard`] owns a full encoded bitmap index per column
 //! over *its* rows — slice containers, segment summaries, run
-//! statistics — plus its own [`Pager`] standing in for the shard's heap
-//! pages. Because every shard is built over the **same table-wide
+//! statistics. Because every shard is built over the **same table-wide
 //! [`Mapping`]** per column — codes in value order over the whole
 //! column, what a default build assigns — a retrieval expression reduced
 //! once (on any shard) is valid on all of them: codes and don't-care
@@ -12,14 +11,19 @@
 //! service's compile-once / evaluate-everywhere contract.
 //!
 //! A shard may sort its rows before the build
-//! ([`TableOptions::row_orders`]): its indexes and its heap pages are
-//! then laid out in that order, and a row id is the row's stored
-//! position, as in any clustered table. Nothing translates ids.
+//! ([`TableOptions::row_orders`]): its indexes are then laid out in
+//! that order, and a row id is the row's stored position, as in any
+//! clustered table. Nothing translates ids.
 //!
-//! Shard results are shard-relative bitmaps; [`ShardedTable::merge`]
-//! writes each one back at the shard's global row offset with
-//! [`BitVec::or_shifted`]. Shard boundaries are *not* rounded to word
-//! multiples, so the unaligned merge path is exercised by construction.
+//! Shard results are shard-relative bitmaps, and a served answer reads
+//! them where they are: a count is the sum of their popcounts, global
+//! row id `lo + j` is bit `j` of its shard's bitmap, and the heap pages
+//! an answer spans are counted from each bitmap's words
+//! ([`Shard::pages_spanned`]); no page is read. [`ShardedTable::merge`]
+//! writes them into one table-sized bitmap with [`BitVec::or_shifted`]
+//! for the library reference path, [`ShardedTable::eval_local`]. Shard
+//! boundaries are *not* rounded to word multiples, so the unaligned
+//! merge path is exercised by construction.
 
 use crate::error::ServiceError;
 use ebi_bitvec::{BitVec, DnfPlan, StoragePolicy};
@@ -29,7 +33,7 @@ use ebi_core::reorder::sort_order;
 use ebi_core::total_order::dense_order_mapping;
 use ebi_core::{and_fold, or_fold, CoreError, Mapping, RowOrder};
 use ebi_obs::CostCounters;
-use ebi_storage::{read_pages, BufferPool, Cell, PageId, PageWalk, Pager};
+use ebi_storage::{BufferPool, Cell, Pager};
 
 /// One input column: a name plus its cell values for every row.
 #[derive(Debug, Clone)]
@@ -62,7 +66,7 @@ pub struct TableOptions {
     /// table can be partly sorted (settled shards sorted, the newest in
     /// load order), and because the `benchmark/` package constructs it.
     pub row_orders: Vec<RowOrder>,
-    /// Heap rows represented by one pager page (fetch granularity).
+    /// Heap rows per page, the unit [`Shard::pages_spanned`] counts in.
     pub rows_per_page: usize,
 }
 
@@ -130,16 +134,16 @@ pub struct ShardOutcome {
     pub shard: usize,
     /// Shard-relative selection bitmap.
     pub bitmap: BitVec,
+    /// Rows set in `bitmap`.
+    pub matches: u64,
     /// Evaluation cost counters for this shard.
     pub cost: CostCounters,
-    /// The page walk that fetched the matches, as it counted itself.
-    pub walk: PageWalk,
-    /// Wall time of evaluation and fetch, nanoseconds.
+    /// Wall time of the evaluation, nanoseconds.
     pub wall_ns: u64,
 }
 
 /// One row-range shard: per-column indexes over `rows` rows starting
-/// at global row `lo`, plus the shard's own heap pager.
+/// at global row `lo`.
 #[derive(Debug)]
 pub struct Shard {
     id: usize,
@@ -169,7 +173,7 @@ impl Shard {
         self.rows
     }
 
-    /// The shard's heap pager (for attaching a buffer pool).
+    /// An empty pager; kept for `benchmark/`'s replay; goes with B2.
     #[must_use]
     pub fn pager(&self) -> &Pager {
         &self.pager
@@ -205,19 +209,18 @@ impl Shard {
             .sum()
     }
 
-    /// Reads every heap page holding a matching row ([`read_pages`]
-    /// over the bitmap's occupied blocks), through `pool` when given,
-    /// else straight from the shard's pager.
+    /// Heap pages holding a row of `bitmap`, counted from its words
+    /// (`BitVec::occupied_blocks` over the rows per page); none is read.
     #[must_use]
-    pub fn fetch_pages(&self, bitmap: &BitVec, pool: Option<&BufferPool<'_>>) -> PageWalk {
-        let pages = bitmap.occupied_blocks(self.rows_per_page);
-        read_pages(pages.map(|p| PageId(p as u64)), &self.pager, pool)
+    pub fn pages_spanned(&self, bitmap: &BitVec) -> u64 {
+        bitmap.occupied_blocks(self.rows_per_page).count() as u64
     }
 
-    /// The number of pages [`Shard::fetch_pages`] touches.
+    /// [`Shard::pages_spanned`]; `pool` is unused and nothing is read.
+    /// Kept for `benchmark/`'s replay; goes with B2.
     #[must_use]
-    pub fn fetch_matches(&self, bitmap: &BitVec, pool: Option<&BufferPool<'_>>) -> u64 {
-        self.fetch_pages(bitmap, pool).pages
+    pub fn fetch_matches(&self, bitmap: &BitVec, _pool: Option<&BufferPool<'_>>) -> u64 {
+        self.pages_spanned(bitmap)
     }
 }
 
@@ -278,8 +281,8 @@ impl ShardedTable {
             } else {
                 opts.row_orders[id % opts.row_orders.len()]
             };
-            // One order for all of the shard's columns: its indexes and
-            // its heap pages hold row `j` at the same place.
+            // One order for all of the shard's columns: each index holds
+            // row `j` at the same place.
             let cells: Vec<&[Cell]> = columns.iter().map(|c| &c.cells[lo..lo + len]).collect();
             let sorted = sort_order(&cells, order);
             let mut indexes = Vec::with_capacity(columns.len());
@@ -294,24 +297,13 @@ impl ShardedTable {
                 .map_err(|e| core_err(&e))?;
                 indexes.push(idx);
             }
-            let rows_per_page = opts.rows_per_page.max(1);
-            let pager = Pager::with_page_size(64);
-            let pages = (len.max(1)).div_ceil(rows_per_page) as u64;
-            pager.allocate(pages);
-            for p in 0..pages {
-                // A token heap payload so fetches read real pages.
-                pager
-                    .write_page(PageId(p), &[(p % 251) as u8; 64])
-                    .map_err(|e| ServiceError::Build(e.to_string()))?;
-            }
-            pager.reset_stats();
             shards.push(Shard {
                 id,
                 lo,
                 rows: len,
                 indexes,
-                pager,
-                rows_per_page,
+                pager: Pager::default(),
+                rows_per_page: opts.rows_per_page.max(1),
             });
             lo += len;
         }
@@ -390,7 +382,9 @@ impl ShardedTable {
 
     /// Merges shard-relative bitmaps back into one global bitmap: each
     /// part is OR-written at its shard's row offset. Parts may arrive
-    /// in any order; missing parts (cancelled shards) leave zeros.
+    /// in any order; missing parts leave zeros. Called by
+    /// [`ShardedTable::eval_local`] and kept for `benchmark/`'s replay;
+    /// the service never builds a table-sized bitmap.
     #[must_use]
     pub fn merge<'a>(&self, parts: impl IntoIterator<Item = (usize, &'a BitVec)>) -> BitVec {
         let mut global = BitVec::zeros(self.rows);

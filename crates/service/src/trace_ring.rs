@@ -11,8 +11,8 @@
 //!
 //! A retained trace owns what the request *was* — the parsed
 //! [`DnfRequest`] — and how it ran: the flat span
-//! records, the cost and storage counters, the match count and the wall
-//! time. It holds no text. The label and the clause expressions are
+//! records, the cost counters, the match count, the pages an `EXPLAIN`
+//! spans and the wall time. It holds no text. The label and the clause expressions are
 //! built only when something reads the trace ([`RetainedTrace::report`]):
 //! the label from the request, the expressions by compiling the request
 //! again against the table, which the service borrows immutably for

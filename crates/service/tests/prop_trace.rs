@@ -8,7 +8,7 @@
 use ebi_service::{
     eval_shard, parse_dnf, ColumnSpec, FanOut, ShardedTable, TableOptions, WorkerPool,
 };
-use ebi_storage::{BufferPool, Cell};
+use ebi_storage::Cell;
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -49,11 +49,6 @@ proptest! {
                 .compile(&parse_dnf(QUERIES[qsel]).expect("parses"))
                 .expect("compiles"),
         );
-        let pools: Vec<BufferPool<'_>> = table
-            .shards()
-            .iter()
-            .map(|s| BufferPool::new(s.pager(), 8))
-            .collect();
         let pool = WorkerPool::new(workers);
         let n = table.shards().len();
 
@@ -73,9 +68,8 @@ proptest! {
                     let fan = Arc::clone(&fan);
                     let compiled = Arc::clone(&compiled);
                     let i = shard.id();
-                    let bp = &pools[i];
                     pool.submit(Box::new(move || {
-                        fan.complete(i, Some(eval_shard(shard, bp, &compiled, parent)));
+                        fan.complete(i, Some(eval_shard(shard, &compiled, parent)));
                     }));
                 }
                 let results = fan.wait(Duration::from_secs(10)).expect("fan-out completes");

@@ -474,19 +474,14 @@ fn metric(body: &str, series: &str) -> Option<u64> {
 #[test]
 fn metrics_count_with_spans_off_and_agree_with_the_traces() {
     // Four clients at once, two per frontend, on two workers with every
-    // query dispatched and two frames per shard pool: page walks on one
-    // shard interleave and evict each other's frames. Fewer than 64
-    // queries, so the ring retains every one.
+    // query dispatched, so shard evaluations of different queries
+    // interleave. Fewer than 64 queries, so the ring retains every one.
     const PER_CLIENT: usize = 10;
     const TCP_OK: &str = r#"ebi_service_requests_total{proto="tcp",status="ok"}"#;
     let n = 2 * PER_CLIENT as u64;
     let table = small_table(3);
-    let cfg = ServiceConfig {
-        buffer_frames: 2,
-        ..test_config()
-    };
     let (mut traces, mut metrics) = (String::new(), String::new());
-    with_service_spans(false, &table, &cfg, |h| {
+    with_service_spans(false, &table, &test_config(), |h| {
         let (tcp, http) = (h.tcp_addr(), h.http_addr());
         std::thread::scope(|s| {
             for c in 0..2 {
@@ -531,10 +526,9 @@ fn metrics_count_with_spans_off_and_agree_with_the_traces() {
             .sum::<u64>()
     };
     for (family, key) in [
-        ("ebi_buffer_hits_total", "buffer_hits"),
-        ("ebi_buffer_misses_total", "buffer_misses"),
-        ("ebi_buffer_evictions_total", "buffer_evictions"),
-        ("ebi_pager_page_reads_total", "pager_reads"),
+        ("ebi_query_vectors_accessed_sum", "vectors_accessed"),
+        ("ebi_query_words_scanned_sum", "words_scanned"),
+        ("ebi_query_bytes_touched_sum", "bytes_touched"),
     ] {
         assert_eq!(
             metric(&metrics, family),
@@ -542,20 +536,15 @@ fn metrics_count_with_spans_off_and_agree_with_the_traces() {
             "{family}: {metrics}"
         );
     }
-    assert!(
-        retained("buffer_evictions") > 0,
-        "two frames per shard must evict"
-    );
+    assert!(retained("vectors_accessed") > 0, "{traces}");
+    // No request reads a page, so nothing counts one.
+    for prefix in ["ebi_pager_", "ebi_buffer_"] {
+        assert!(!metrics.contains(prefix), "{prefix}: {metrics}");
+    }
 }
 
 /// The subsystem prefixes every exported metric family starts with.
-const METRIC_PREFIXES: [&str; 5] = [
-    "ebi_query_",
-    "ebi_kernel_",
-    "ebi_pager_",
-    "ebi_buffer_",
-    "ebi_service_",
-];
+const METRIC_PREFIXES: [&str; 3] = ["ebi_query_", "ebi_kernel_", "ebi_service_"];
 
 #[test]
 fn every_exported_metric_family_is_in_the_ebi_namespace() {

@@ -13,12 +13,6 @@
 //! O(1). A miss reads the page into a spare buffer with no pool lock
 //! held, then swaps it with the victim's buffer under the lock: no lock
 //! is held across a pager read, and a full pool allocates nothing.
-//!
-//! [`read_pages`] serves a walk a chunk of up to 32 ascending pages at
-//! a time, with three lock round trips per chunk instead of up to three
-//! per page: it looks the chunk up under the pool lock, reads the
-//! absent pages under one pager lock, then files the chunk's hits and
-//! misses in walk order under the pool lock again.
 
 use crate::error::StorageError;
 use crate::pager::{PageId, Pager};
@@ -64,10 +58,6 @@ pub enum Served {
 /// The end of the recency list.
 const NIL: usize = usize::MAX;
 
-/// Pages a walk serves per round of locks: one bit each in a `u32`
-/// mask. Also the most spare buffers a pool keeps.
-const CHUNK: usize = u32::BITS as usize;
-
 /// Fx-style hashing: a page id is dense and picked by nothing
 /// untrusted, so one multiply by 2^64 / φ spreads ids over the buckets
 /// without SipHash's flood resistance or its cost.
@@ -108,9 +98,9 @@ struct PoolInner {
     /// Ends of the recency list (`NIL` when no frame is resident).
     newest: usize,
     oldest: usize,
-    /// Page-sized buffers for the next misses to read into: the buffers
-    /// evictions freed, at most one chunk's worth.
-    spares: Vec<Box<[u8]>>,
+    /// A page-sized buffer for the next miss to read into: the buffer
+    /// the last eviction freed.
+    spare: Option<Box<[u8]>>,
     stats: BufferStats,
 }
 
@@ -144,20 +134,6 @@ impl PoolInner {
         }
     }
 
-    /// Serves `page` from its frame if it is resident.
-    fn hit(&mut self, page: u64) -> Option<usize> {
-        let f = *self.resident.get(&page)?;
-        self.stats.hits += 1;
-        self.touch(f);
-        Some(f)
-    }
-
-    fn keep_spare(&mut self, data: Box<[u8]>) {
-        if self.spares.len() < CHUNK {
-            self.spares.push(data);
-        }
-    }
-
     /// Files `page`, just read from the pager into `data`, as the most
     /// recently used frame, evicting the least recently used one when
     /// all `capacity` are taken. Returns whether a frame was evicted.
@@ -174,7 +150,7 @@ impl PoolInner {
                 // Another reader brought the page in while this one read it.
                 let f = *resident.get();
                 self.touch(f);
-                self.keep_spare(data);
+                self.spare = Some(data);
                 return false;
             }
             Entry::Vacant(slot) => {
@@ -187,7 +163,7 @@ impl PoolInner {
             self.resident.remove(&frame.page);
             frame.page = page;
             std::mem::swap(&mut frame.data, &mut data);
-            self.keep_spare(data);
+            self.spare = Some(data);
             self.stats.evictions += 1;
         } else {
             self.frames.push(Frame {
@@ -241,7 +217,7 @@ impl<'a> BufferPool<'a> {
                 ),
                 newest: NIL,
                 oldest: NIL,
-                spares: Vec::new(),
+                spare: None,
                 stats: BufferStats::default(),
             }),
         }
@@ -284,83 +260,18 @@ impl<'a> BufferPool<'a> {
     ) -> Result<(T, Served), StorageError> {
         let spare = {
             let mut inner = self.inner.lock();
-            if let Some(f) = inner.hit(id.0) {
+            if let Some(&f) = inner.resident.get(&id.0) {
+                inner.stats.hits += 1;
+                inner.touch(f);
                 return Ok((view(&inner.frames[f].data), Served::Hit));
             }
-            inner.spares.pop()
+            inner.spare.take()
         };
-        let mut data = spare.unwrap_or_else(|| self.new_buffer());
+        let mut data = spare.unwrap_or_else(|| vec![0; self.pager.page_size()].into_boxed_slice());
         self.pager.read_into(id, &mut data)?;
         let out = view(&data);
         let evicted = self.inner.lock().admit(id.0, data, self.capacity);
         Ok((out, Served::Miss { evicted }))
-    }
-
-    fn new_buffer(&self) -> Box<[u8]> {
-        vec![0; self.pager.page_size()].into_boxed_slice()
-    }
-
-    /// Serves one chunk of a walk, distinct pages in walk order, as
-    /// [`BufferPool::fetch`] would serve each in turn, in three steps:
-    ///
-    /// 1. under the pool lock, mark the pages that are not resident and
-    ///    take a spare buffer for each;
-    /// 2. under one pager lock and no pool lock, read them;
-    /// 3. under the pool lock, file each read page (`admit`) and touch
-    ///    each resident one, in walk order, so every eviction falls as
-    ///    it would page by page.
-    ///
-    /// A page absent at step 1 is still absent at its turn in step 3
-    /// unless another reader filed it meanwhile, which `admit` already
-    /// covers. A page resident at step 1 may have been evicted since,
-    /// by an earlier miss of this chunk or by another reader; it is
-    /// then read by [`BufferPool::fetch`] at its turn.
-    fn walk_chunk(&self, chunk: &[PageId], bufs: &mut Vec<Box<[u8]>>, walk: &mut PageWalk) {
-        // Bit i: `chunk[i]` is read in step 2, into `bufs[k]` for the
-        // k-th set bit.
-        let mut absent = 0u32;
-        {
-            let mut inner = self.inner.lock();
-            for (i, id) in chunk.iter().enumerate() {
-                if !inner.resident.contains_key(&id.0) {
-                    absent |= 1 << i;
-                    bufs.extend(inner.spares.pop());
-                }
-            }
-        }
-        bufs.resize_with(absent.count_ones() as usize, || self.new_buffer());
-        let reads = (0..chunk.len()).filter(|i| absent >> i & 1 == 1);
-        // Bit k: the pager refused the k-th read.
-        let (mut refused, mut k) = (0u32, 0);
-        self.pager.read_many(
-            reads
-                .map(|i| chunk[i])
-                .zip(bufs.iter_mut().map(|b| &mut b[..])),
-            |read| {
-                refused |= u32::from(read.is_err()) << k;
-                k += 1;
-            },
-        );
-        let mut read = bufs.drain(..).enumerate();
-        let mut inner = self.inner.lock();
-        for (i, &id) in chunk.iter().enumerate() {
-            if absent >> i & 1 == 1 {
-                let (k, data) = read.next().expect("a buffer per absent page");
-                if refused >> k & 1 == 1 {
-                    inner.keep_spare(data);
-                    walk.record(None);
-                } else {
-                    let evicted = inner.admit(id.0, data, self.capacity);
-                    walk.record(Some(Served::Miss { evicted }));
-                }
-            } else if inner.hit(id.0).is_some() {
-                walk.record(Some(Served::Hit));
-            } else {
-                drop(inner);
-                walk.record(self.fetch(id).ok());
-                inner = self.inner.lock();
-            }
-        }
     }
 
     /// Current counters.
@@ -390,88 +301,6 @@ impl<'a> BufferPool<'a> {
     }
 }
 
-/// What one [`read_pages`] walk touched, counted by the walk itself:
-/// exact for this walk however many others share the pool.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PageWalk {
-    /// Pages read.
-    pub pages: u64,
-    /// Of those, reads the page store refused.
-    pub errors: u64,
-    /// Reads the pool served from a resident frame (0 with no pool).
-    pub hits: u64,
-    /// Reads the pool passed to the pager (0 with no pool).
-    pub misses: u64,
-    /// Frames this walk's misses evicted.
-    pub evictions: u64,
-}
-
-impl PageWalk {
-    /// Counts one read through a pool: how it was served, or `None`
-    /// when the page store refused it.
-    fn record(&mut self, served: Option<Served>) {
-        self.pages += 1;
-        match served {
-            Some(Served::Hit) => self.hits += 1,
-            Some(Served::Miss { evicted }) => {
-                self.misses += 1;
-                self.evictions += u64::from(evicted);
-            }
-            None => self.errors += 1,
-        }
-    }
-
-    /// Reads that reached the pager: the pool's misses, or every read
-    /// that succeeded when the walk had no pool.
-    #[must_use]
-    pub fn pager_reads(&self) -> u64 {
-        self.pages - self.errors - self.hits
-    }
-}
-
-/// The fetch that follows a selection: reads each of `pages` once, in
-/// the order given, through `pool` when one is given, else straight
-/// from `pager`. A selection's pages are the blocks of its bitmap that
-/// hold a match (`BitVec::occupied_blocks` over the rows per page),
-/// so each comes once and in ascending order. A failed read is counted,
-/// never dropped.
-///
-/// Through a pool, the walk takes its pages a strictly ascending run of
-/// at most 32 at a time and serves each run with one pool look, one
-/// pager read and one pool update ([`BufferPool::fetch`]'s outcomes,
-/// counters and evictions, page for page). A page that does not
-/// ascend starts the next run, so the pages of a run are distinct.
-pub fn read_pages(
-    pages: impl IntoIterator<Item = PageId>,
-    pager: &Pager,
-    pool: Option<&BufferPool<'_>>,
-) -> PageWalk {
-    let mut walk = PageWalk::default();
-    let mut pages = pages.into_iter().peekable();
-    let Some(pool) = pool else {
-        let mut scratch = vec![0; pager.page_size()];
-        for page in pages {
-            walk.pages += 1;
-            walk.errors += u64::from(pager.read_into(page, &mut scratch).is_err());
-        }
-        return walk;
-    };
-    let (mut chunk, mut bufs) = ([PageId(0); CHUNK], Vec::new());
-    while let Some(first) = pages.next() {
-        chunk[0] = first;
-        let mut len = 1;
-        while len < CHUNK {
-            let Some(next) = pages.next_if(|&p| p > chunk[len - 1]) else {
-                break;
-            };
-            chunk[len] = next;
-            len += 1;
-        }
-        pool.walk_chunk(&chunk[..len], &mut bufs, &mut walk);
-    }
-    walk
-}
-
 impl std::fmt::Debug for BufferPool<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferPool")
@@ -499,10 +328,6 @@ mod tests {
             pager.write_page(PageId(i), &page_bytes(i)).unwrap();
         }
         pager
-    }
-
-    fn pages(ids: &[u64]) -> impl Iterator<Item = PageId> + '_ {
-        ids.iter().map(|&i| PageId(i))
     }
 
     #[test]
@@ -661,137 +486,5 @@ mod tests {
         );
         assert_eq!(pool.fetch(PageId(1)).unwrap(), Served::Hit);
         assert_eq!(pool.read_page(PageId(1)).unwrap(), page_bytes(1));
-    }
-
-    #[test]
-    fn concurrent_walks_count_what_the_pool_counts() {
-        const THREADS: u64 = 4;
-        const WALKS: u64 = 500;
-        // Page `PAGES` is never allocated; every walk ends on it.
-        const PAGES: u64 = 40;
-        const FRAMES: usize = 5;
-        let pager = pager_with_pages(PAGES);
-        let pool = BufferPool::new(&pager, FRAMES);
-        let start = std::sync::Barrier::new(THREADS as usize);
-        let walks: Vec<PageWalk> = std::thread::scope(|s| {
-            let threads: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let (pool, pager, start) = (&pool, &pager, &start);
-                    s.spawn(move || {
-                        start.wait();
-                        let mut sum = PageWalk::default();
-                        for i in 0..WALKS {
-                            // Overlapping strided runs, from a few pages
-                            // to more than one chunk long.
-                            let stride = 1 + (t + i) as usize % 3;
-                            let from = i * (t + 1) % 8;
-                            let to = PAGES.min(from + [3, 12, PAGES][i as usize % 3]);
-                            let ids = (from..to).step_by(stride);
-                            let ids = ids.chain([PAGES]).map(PageId);
-                            let walk = read_pages(ids, pager, Some(pool));
-                            assert!(pool.resident() <= FRAMES, "thread {t} walk {i}");
-                            sum.pages += walk.pages;
-                            sum.errors += walk.errors;
-                            sum.hits += walk.hits;
-                            sum.misses += walk.misses;
-                            sum.evictions += walk.evictions;
-                        }
-                        sum
-                    })
-                })
-                .collect();
-            threads.into_iter().map(|t| t.join().unwrap()).collect()
-        });
-        let sum = |field: fn(&PageWalk) -> u64| walks.iter().map(field).sum::<u64>();
-        assert_eq!(sum(|w| w.errors), THREADS * WALKS);
-        assert_eq!(
-            pool.stats(),
-            BufferStats {
-                hits: sum(|w| w.hits),
-                misses: sum(|w| w.misses),
-                evictions: sum(|w| w.evictions),
-            }
-        );
-        assert_eq!(pager.stats().page_reads, pool.stats().misses);
-        assert!(pool.stats().evictions > 0);
-        for p in 0..PAGES {
-            assert_eq!(
-                pool.read_page(PageId(p)).unwrap(),
-                page_bytes(p),
-                "page {p}"
-            );
-        }
-    }
-
-    #[test]
-    fn a_chunk_rereads_a_page_its_own_misses_evicted() {
-        let pager = pager_with_pages(4);
-        let pool = BufferPool::new(&pager, 2);
-        pool.fetch(PageId(3)).unwrap();
-        pager.reset_stats();
-        // 3 is resident when the chunk is looked up, but 1 evicts it
-        // before its turn; 3 then evicts 0.
-        let walk = read_pages(pages(&[0, 1, 3]), &pager, Some(&pool));
-        assert_eq!(
-            walk,
-            PageWalk {
-                pages: 3,
-                misses: 3,
-                evictions: 2,
-                ..PageWalk::default()
-            }
-        );
-        assert_eq!(pager.stats().page_reads, 3);
-        assert_eq!(pool.fetch(PageId(3)).unwrap(), Served::Hit);
-        assert_eq!(pool.fetch(PageId(1)).unwrap(), Served::Hit);
-    }
-
-    #[test]
-    fn a_walk_counts_the_evictions_its_misses_cause() {
-        let pager = pager_with_pages(3);
-        let pool = BufferPool::new(&pager, 2);
-        let walk = read_pages(pages(&[0, 1, 2]), &pager, Some(&pool));
-        assert_eq!((walk.misses, walk.evictions), (3, 1));
-        assert_eq!(pool.stats().evictions, 1);
-    }
-
-    #[test]
-    fn a_walk_reads_each_page_once_and_counts_failures() {
-        let pager = pager_with_pages(3);
-        let pool = BufferPool::new(&pager, 2);
-        // Page 3 is not allocated.
-        let ids = [1, 2, 3];
-        let walk = read_pages(pages(&ids), &pager, Some(&pool));
-        assert_eq!(
-            walk,
-            PageWalk {
-                pages: 3,
-                errors: 1,
-                misses: 2,
-                ..PageWalk::default()
-            }
-        );
-        assert_eq!(pool.stats().misses, 2, "the failed read caches nothing");
-        assert_eq!(walk.pager_reads(), 2);
-        // Again through the now warm pool: the walk counts its own hits.
-        let warm = read_pages(pages(&ids), &pager, Some(&pool));
-        assert_eq!((warm.hits, warm.misses, warm.errors), (2, 0, 1));
-        assert_eq!(warm.pager_reads(), 0);
-        pager.reset_stats();
-        let direct = read_pages(pages(&ids), &pager, None);
-        assert_eq!(
-            direct,
-            PageWalk {
-                pages: 3,
-                errors: 1,
-                ..PageWalk::default()
-            }
-        );
-        assert_eq!(
-            pager.stats().page_reads,
-            direct.pager_reads(),
-            "no pool: straight to the pager"
-        );
-        assert_eq!(read_pages(pages(&[]), &pager, None), PageWalk::default());
     }
 }

@@ -13,19 +13,14 @@
 //! * [`table`] — row-id addressed column tables with NULL and deletion
 //!   tracking, the physical home of fact/dimension data;
 //! * [`buffer::BufferPool`] — a bounded LRU page cache with hit/miss
-//!   accounting, for working-set experiments: O(1) per hit and per
+//!   accounting, for working-set experiments (`ebi_core::paged` reads
+//!   an index's bitmap vectors through it): O(1) per hit and per
 //!   eviction, with misses read into a spare buffer outside the pool's
-//!   lock; and [`buffer::read_pages`], the fetch after a selection,
-//!   which walks the selection's pages (picked from the bitmap's words
-//!   by `BitVec::occupied_blocks`) and counts its own hits, misses and
-//!   evictions in a [`PageWalk`]. A walk looks up, reads and files its
-//!   pages a chunk of 32 at a time, taking the pool lock twice and the
-//!   pager lock once per chunk, never one across a pager read.
+//!   lock.
 //!
 //! Every counter lives with the structure whose event it counts
-//! ([`Pager::stats`], [`BufferPool::stats`], [`PageWalk`]), and the
-//! crate depends on nothing but `parking_lot`. A service that exports
-//! these counters reads them when scraped.
+//! ([`Pager::stats`], [`BufferPool::stats`]), and the crate depends on
+//! nothing but `parking_lot`.
 //!
 //! The paper used an analytical model rather than a real disk; this pager
 //! preserves the observable quantity (pages touched) while keeping
@@ -37,7 +32,7 @@ pub mod pager;
 pub mod segment;
 pub mod table;
 
-pub use buffer::{read_pages, BufferPool, BufferStats, PageWalk, Served};
+pub use buffer::{BufferPool, BufferStats, Served};
 pub use error::StorageError;
 pub use pager::{IoStats, PageId, Pager, DEFAULT_PAGE_SIZE};
 pub use segment::SegmentHandle;

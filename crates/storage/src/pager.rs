@@ -32,28 +32,6 @@ struct PagerInner {
     stats: IoStats,
 }
 
-impl PagerInner {
-    fn read_into(
-        &mut self,
-        page_size: usize,
-        id: PageId,
-        buf: &mut [u8],
-    ) -> Result<(), StorageError> {
-        assert_eq!(buf.len(), page_size, "a page read fills one page");
-        let allocated = self.pages.len() as u64;
-        let page = self
-            .pages
-            .get(id.0 as usize)
-            .ok_or(StorageError::PageOutOfRange {
-                page: id.0,
-                allocated,
-            })?;
-        buf.copy_from_slice(page);
-        self.stats.page_reads += 1;
-        Ok(())
-    }
-}
-
 /// An in-memory page store with a fixed page size and read/write counters.
 ///
 /// Counters use interior mutability so reads can be counted through
@@ -168,26 +146,19 @@ impl Pager {
     ///
     /// Panics if `buf` is not exactly one page long.
     pub fn read_into(&self, id: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
-        self.inner.lock().read_into(self.page_size, id, buf)
-    }
-
-    /// Reads a batch of pages under one lock: [`Pager::read_into`] for
-    /// each `(id, buf)` in turn, with `done` told each outcome in the
-    /// same order. A read counts once per page that succeeds; a refused
-    /// page's buffer is left as it was.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a buffer is not exactly one page long.
-    pub fn read_many<'b>(
-        &self,
-        reads: impl IntoIterator<Item = (PageId, &'b mut [u8])>,
-        mut done: impl FnMut(Result<(), StorageError>),
-    ) {
+        assert_eq!(buf.len(), self.page_size, "a page read fills one page");
         let mut inner = self.inner.lock();
-        for (id, buf) in reads {
-            done(inner.read_into(self.page_size, id, buf));
-        }
+        let allocated = inner.pages.len() as u64;
+        let page = inner
+            .pages
+            .get(id.0 as usize)
+            .ok_or(StorageError::PageOutOfRange {
+                page: id.0,
+                allocated,
+            })?;
+        buf.copy_from_slice(page);
+        inner.stats.page_reads += 1;
+        Ok(())
     }
 
     /// Snapshot of the I/O counters.
@@ -266,32 +237,6 @@ mod tests {
         assert!(pager.read_into(PageId(1), &mut frame).is_err());
         assert_eq!(frame, [7u8; 32]);
         assert_eq!(pager.stats().page_reads, 0);
-    }
-
-    #[test]
-    fn a_batch_read_is_one_read_into_per_page() {
-        let pager = Pager::with_page_size(4);
-        pager.allocate(2);
-        pager.write_page(PageId(0), b"abcd").unwrap();
-        pager.write_page(PageId(1), b"efgh").unwrap();
-        let mut frames = [[7u8; 4]; 3];
-        let [a, b, c] = &mut frames;
-        let mut outcomes = Vec::new();
-        pager.read_many(
-            [
-                (PageId(1), &mut a[..]),
-                (PageId(5), &mut b[..]),
-                (PageId(0), &mut c[..]),
-            ],
-            |r| outcomes.push(r.is_ok()),
-        );
-        assert_eq!(outcomes, [true, false, true]);
-        assert_eq!(frames, [*b"efgh", [7; 4], *b"abcd"]);
-        assert_eq!(
-            pager.stats().page_reads,
-            2,
-            "the refused read counts nothing"
-        );
     }
 
     #[test]

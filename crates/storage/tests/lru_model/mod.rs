@@ -1,11 +1,9 @@
 //! The reference LRU pool: a map from page to its bytes and last-use
 //! tick, where a miss in a full pool evicts the page with the smallest
 //! tick by scanning every resident page. `BufferPool` must serve every
-//! sequence of reads exactly as this does. Shared by the storage and
-//! service test suites, each of which uses part of it.
-#![allow(dead_code)]
+//! sequence of reads exactly as this does (`prop_buffer.rs`).
 
-use ebi_storage::{BufferStats, PageId, PageWalk, Pager, Served, StorageError};
+use ebi_storage::{BufferStats, PageId, Pager, Served, StorageError};
 use std::collections::HashMap;
 
 /// The reference pool over `pager`, holding at most `capacity` pages.
@@ -49,23 +47,6 @@ impl<'a> LruModel<'a> {
         }
         self.cached.insert(id.0, (data.clone(), self.tick));
         Ok((data, Served::Miss { evicted }))
-    }
-
-    /// Reads each of `pages` in turn, counting as `read_pages` counts.
-    pub fn walk(&mut self, pages: impl IntoIterator<Item = PageId>) -> PageWalk {
-        let mut walk = PageWalk::default();
-        for page in pages {
-            walk.pages += 1;
-            match self.read(page) {
-                Ok((_, Served::Hit)) => walk.hits += 1,
-                Ok((_, Served::Miss { evicted })) => {
-                    walk.misses += 1;
-                    walk.evictions += u64::from(evicted);
-                }
-                Err(_) => walk.errors += 1,
-            }
-        }
-        walk
     }
 
     pub fn resident(&self) -> usize {

@@ -1,23 +1,16 @@
 //! The O(1) buffer pool serves every read as the reference LRU does:
 //! the same `Served` outcome and bytes per read, the same counters,
 //! resident set and pager traffic after every step, over random
-//! sequences of reads, walks, clears and counter resets, at every
-//! capacity from 1 to 8, with some page ids never allocated. A walk
-//! (`read_pages`, served a chunk of pages at a time) counts what the
-//! reference LRU counts reading its pages one by one.
+//! sequences of reads, clears and counter resets, at every capacity
+//! from 1 to 8, with some page ids never allocated.
 
 mod lru_model;
 
-use ebi_storage::{read_pages, BufferPool, BufferStats, PageId, Pager};
+use ebi_storage::{BufferPool, BufferStats, PageId, Pager};
 use lru_model::LruModel;
 use proptest::prelude::*;
 
-/// Pages `0..ALLOCATED` exist; single reads pick among the top `HOT`
-/// of them and the three ids above, walks among every id up to
-/// `ALLOCATED + 3`, so a walk runs to several chunks and crosses the
-/// pages single reads keep resident.
-const ALLOCATED: u64 = 80;
-const HOT: u64 = 10;
+const ALLOCATED: u64 = 10;
 const PAGE_SIZE: usize = 32;
 
 fn pager() -> Pager {
@@ -32,34 +25,24 @@ fn pager() -> Pager {
     pager
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Op {
     /// `BufferPool::fetch`: compared by `Served`.
     Fetch(u64),
     /// `BufferPool::read_page`: compared by bytes.
     Read(u64),
-    /// `read_pages` over ascending ids: compared by `PageWalk`.
-    Walk(Vec<u64>),
     Clear,
     ResetStats,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Ids from ALLOCATED on are unallocated: about one read in five.
-    let single = (0u32..40, ALLOCATED - HOT..ALLOCATED + 3).prop_map(|(kind, page)| match kind {
+    (0u32..40, 0u64..ALLOCATED + 3).prop_map(|(kind, page)| match kind {
         0 => Op::Clear,
         1 => Op::ResetStats,
         k if k % 2 == 0 => Op::Fetch(page),
         _ => Op::Read(page),
-    });
-    // Dense walks over the hot pages are the ones whose misses evict a
-    // page that was resident when their chunk began.
-    let walk = prop_oneof![
-        proptest::collection::btree_set(0..ALLOCATED + 3, 0..64),
-        proptest::collection::btree_set(ALLOCATED - 2 * HOT..ALLOCATED + 3, 0..23),
-    ]
-    .prop_map(|ids| Op::Walk(ids.into_iter().collect()));
-    prop_oneof![8 => single, 1 => walk]
+    })
 }
 
 proptest! {
@@ -73,8 +56,8 @@ proptest! {
         let (pool_pager, model_pager) = (pager(), pager());
         let pool = BufferPool::new(&pool_pager, capacity);
         let mut model = LruModel::new(&model_pager, capacity);
-        for (step, op) in ops.iter().enumerate() {
-            match *op {
+        for (step, &op) in ops.iter().enumerate() {
+            match op {
                 Op::Fetch(p) => {
                     let want = model.read(PageId(p)).map(|(_, served)| served);
                     prop_assert_eq!(pool.fetch(PageId(p)), want, "step {} {:?}", step, op);
@@ -82,12 +65,6 @@ proptest! {
                 Op::Read(p) => {
                     let want = model.read(PageId(p)).map(|(bytes, _)| bytes);
                     prop_assert_eq!(pool.read_page(PageId(p)), want, "step {} {:?}", step, op);
-                }
-                Op::Walk(ref ids) => {
-                    let pages = || ids.iter().map(|&p| PageId(p));
-                    let want = model.walk(pages());
-                    let got = read_pages(pages(), &pool_pager, Some(&pool));
-                    prop_assert_eq!(got, want, "step {} {:?}", step, op);
                 }
                 Op::Clear => {
                     pool.clear();

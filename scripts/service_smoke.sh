@@ -246,8 +246,6 @@ FAMILIES = {
     "ebi_query_latency_ns", "ebi_query_vectors_accessed", "ebi_query_words_scanned",
     "ebi_query_bytes_touched", "ebi_kernel_compressed_chunks_skipped_total",
     "ebi_kernel_segments_pruned_total", "ebi_kernel_segments_short_circuited_total",
-    "ebi_pager_page_reads_total", "ebi_buffer_hits_total", "ebi_buffer_misses_total",
-    "ebi_buffer_evictions_total",
 }
 families = {l.split()[2] for l in metrics.splitlines() if l.startswith("# TYPE ")}
 assert families == FAMILIES, f"families differ: {sorted(families ^ FAMILIES)}"

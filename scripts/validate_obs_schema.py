@@ -34,7 +34,7 @@ TOP_LEVEL = {
     "wall_ns": int,
     "expressions": list,
     "cost": dict,
-    "storage": dict,
+    "pages": int,
     "phases": list,
 }
 
@@ -48,15 +48,6 @@ COST = [
     "compressed_chunks_skipped",
     "segments_pruned",
     "segments_short_circuited",
-]
-
-STORAGE = [
-    "pager_reads",
-    "pager_writes",
-    "buffer_hits",
-    "buffer_misses",
-    "buffer_evictions",
-    "buffer_hit_ratio",
 ]
 
 PHASE = {
@@ -127,12 +118,8 @@ def check_query_report(lineno, doc, require_phases=True):
         v = doc["cost"].get(key)
         if not isinstance(v, int) or v < 0:
             fail(lineno, f"cost.{key}: expected non-negative int, got {v!r}")
-    for key in STORAGE:
-        if key not in doc["storage"]:
-            fail(lineno, f"storage: missing key {key!r}")
-    ratio = doc["storage"]["buffer_hit_ratio"]
-    if not isinstance(ratio, (int, float)) or not 0.0 <= ratio <= 1.0:
-        fail(lineno, f"storage.buffer_hit_ratio: expected number in [0,1], got {ratio!r}")
+    if doc["pages"] < 0:
+        fail(lineno, f"pages: expected non-negative int, got {doc['pages']!r}")
     if not all(isinstance(e, str) for e in doc["expressions"]):
         fail(lineno, "expressions: expected list of strings")
     for i, phase in enumerate(doc["phases"]):
