@@ -1,6 +1,7 @@
-//! Collects every CSV in `bench_results/` into one Markdown digest
-//! (`bench_results/DIGEST.md`) — the quick artefact to eyeball after a
-//! full regeneration run.
+//! Collects every figure CSV in `bench_results/` into one Markdown
+//! digest (`bench_results/DIGEST.md`) — the quick artefact to eyeball
+//! after a full regeneration run. `timing.csv` is left out: its time
+//! columns differ on every run, and the digest regenerates to the byte.
 
 use ebi_bench::out_dir;
 use std::fmt::Write as _;
@@ -11,7 +12,7 @@ fn main() {
         .expect("bench_results/ readable")
         .filter_map(|e| e.ok())
         .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".csv"))
+        .filter(|n| n.ends_with(".csv") && n != "timing.csv")
         .collect();
     names.sort();
 

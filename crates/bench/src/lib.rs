@@ -1,10 +1,12 @@
-//! Shared harness code for the figure generators (`src/bin`) and the
-//! Criterion benches (`benches/`).
+//! Shared harness code for the bins in `src/bin`.
 //!
 //! Each paper artefact (figure, table, quantitative claim) has one
 //! binary that prints the regenerated series next to the analytical
-//! model and writes a CSV under `bench_results/`. See DESIGN.md §3 for
-//! the experiment index and EXPERIMENTS.md for paper-vs-measured notes.
+//! model and writes a CSV under `bench_results/`. Every wall-clock
+//! number is the `timing` bin's: each timed case with its quartiles and
+//! exact work counts, in `bench_results/timing.csv`. See DESIGN.md §3
+//! for the experiment index and EXPERIMENTS.md for paper-vs-measured
+//! notes.
 
 use ebi_storage::Cell;
 use ebi_warehouse::generator::{generate_column, ColumnSpec};

@@ -46,7 +46,7 @@ PROTOCOLS:
            (any request may be prefixed with `TRACEPARENT <w3c-traceparent>`)
     HTTP : GET /healthz | GET /stats | GET /metrics | GET /query?q=<dnf>&limit=k
            GET /count?q=<dnf> | GET /explain?q=<dnf> | POST /shutdown
-           GET /debug/traces | GET /debug/slow | GET /debug/trace/<id> | GET /debug/vars
+           GET /debug/traces | GET /debug/slow | GET /debug/trace/<id>
     <dnf>: clause {AND|OR clause}*   clause: col=v | col IN a,b,c | col BETWEEN lo hi
 
 TELEMETRY:
@@ -54,8 +54,8 @@ TELEMETRY:
     (EBI_LOG_LEVEL, EBI_LOG_MAX_BYTES). A tail-sampling ring keeps the most
     recent 64 traces plus the last 256 slower than rolling p99 (or a fixed
     EBI_SLOW_QUERY_MS). /debug/trace/<id> emits Chrome trace-event JSON.
-    /metrics reads every metric family when scraped; /debug/vars is admission
-    and ring state.
+    /metrics reads every metric family when scraped; STATS and /stats are
+    admission and ring state.
 ";
 
 fn die(msg: &str) -> ! {

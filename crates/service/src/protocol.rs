@@ -66,7 +66,7 @@ pub enum Request {
 pub enum Reply {
     /// Liveness answer.
     Pong,
-    /// One JSON object (`STATS`, `/debug/vars`).
+    /// One JSON object (`STATS`, `/stats`).
     Json(String),
     /// Plain text (`/metrics`).
     Text(String),

@@ -564,7 +564,6 @@ fn trace_context(traceparent: Option<&str>) -> TraceContext {
 fn dump(ctx: &ServeCtx<'_, '_>, req: &HttpRequest) -> Reply {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/metrics") => Reply::Text(metrics_text(ctx)),
-        ("GET", "/debug/vars") => Reply::Json(vars_json(ctx)),
         ("GET", path) if path.starts_with("/debug/trace/") => {
             match ctx.ring.find(&path["/debug/trace/".len()..]) {
                 Some(t) => Reply::Answer {
@@ -868,44 +867,28 @@ fn eval_contained(
     std::panic::catch_unwind(AssertUnwindSafe(|| eval_shard(shard, compiled, parent))).ok()
 }
 
-/// Admission state and lifetime totals, in the order `STATS` and
-/// `/debug/vars` both print them.
-fn admission_json<'o>(ctx: &ServeCtx<'_, '_>, obj: &'o mut JsonObject) -> &'o mut JsonObject {
+/// `STATS` and `/stats`: build identity, the table, admission state,
+/// lifetime totals and the trace rings' occupancy. Metric families are
+/// `/metrics`' alone.
+fn stats_json(ctx: &ServeCtx<'_, '_>) -> String {
     let c = ctx.counters;
-    obj.u64("inflight", ctx.gate.inflight() as u64)
+    let mut obj = JsonObject::new();
+    obj.str("build", concat!("ebi-service/", env!("CARGO_PKG_VERSION")))
+        .u64("rows", ctx.table.rows() as u64)
+        .u64("shards", ctx.table.shards().len() as u64)
+        .raw("columns", &json_str_array(ctx.table.columns()))
+        .u64("inflight", ctx.gate.inflight() as u64)
         .u64("max_inflight", ctx.gate.max_inflight() as u64)
         .u64("workers", ctx.workers.workers() as u64)
         .u64("served", c.served.get())
         .u64("rejected_busy", c.rejected_busy.get())
         .u64("rejected_draining", c.rejected_draining.get())
         .u64("timeouts", c.timeouts.get())
-}
-
-fn stats_json(ctx: &ServeCtx<'_, '_>) -> String {
-    let mut obj = JsonObject::new();
-    obj.u64("rows", ctx.table.rows() as u64)
-        .u64("shards", ctx.table.shards().len() as u64)
-        .raw("columns", &json_str_array(ctx.table.columns()));
-    admission_json(ctx, &mut obj)
         .u64("uptime_ms", ctx.started.elapsed().as_millis() as u64)
         .u64("slow_queries", ctx.ring.slow_total())
-        .u64("traces_recorded", ctx.ring.total())
-        .u64("slow_threshold_ns", ctx.ring.threshold_ns())
-        .bool("draining", ctx.handle.is_stopping())
-        .finish()
-}
-
-/// `/debug/vars`: build identity, uptime, and admission and ring
-/// state. Metric families are `/metrics`' alone.
-fn vars_json(ctx: &ServeCtx<'_, '_>) -> String {
-    let mut obj = JsonObject::new();
-    obj.str("build", concat!("ebi-service/", env!("CARGO_PKG_VERSION")))
-        .u64("uptime_ms", ctx.started.elapsed().as_millis() as u64);
-    admission_json(ctx, &mut obj)
+        .u64("slow_retained", ctx.ring.slow().len() as u64)
         .u64("traces_recorded", ctx.ring.total())
         .u64("traces_retained", ctx.ring.recent().len() as u64)
-        .u64("slow_queries", ctx.ring.slow_total())
-        .u64("slow_retained", ctx.ring.slow().len() as u64)
         .u64("slow_threshold_ns", ctx.ring.threshold_ns())
         .u64("trace_ring_capacity", trace_ring::RECENT_CAPACITY as u64)
         .u64("slow_ring_capacity", trace_ring::SLOW_CAPACITY as u64)

@@ -247,7 +247,7 @@ fn slow_queries_land_in_the_slow_ring_with_full_reports() {
 }
 
 #[test]
-fn debug_endpoints_serve_traces_vars_and_chrome_export() {
+fn debug_endpoints_serve_traces_stats_and_chrome_export() {
     let table = small_table(3);
     with_service(&table, &test_config(), |h| {
         let tcp = h.tcp_addr();
@@ -289,21 +289,26 @@ fn debug_endpoints_serve_traces_vars_and_chrome_export() {
         let (status, _) = http_get(http, "/debug/trace/ffffffffffffffff");
         assert_eq!(status, 404);
 
-        // /debug/vars: admission and ring state in one page; the
-        // metric families are `/metrics`' alone.
-        let (status, body) = http_get(http, "/debug/vars");
+        // /stats: admission and ring state in one page; the metric
+        // families are `/metrics`' alone, and /debug/vars is gone.
+        let (status, body) = http_get(http, "/stats");
         assert_eq!(status, 200);
         for key in [
             "uptime_ms",
             "served",
             "traces_recorded",
+            "traces_retained",
             "slow_queries",
+            "slow_retained",
             "slow_threshold_ns",
             "trace_ring_capacity",
+            "slow_ring_capacity",
         ] {
             assert!(json_u64(&body, key).is_some(), "missing {key}: {body}");
         }
+        assert!(json_str(&body, "build").is_some(), "got {body}");
         assert!(!body.contains("\"metrics\""), "got {body}");
+        assert_eq!(http_get(http, "/debug/vars").0, 404);
 
         // TCP equivalents page the same rings.
         let (n, lines) = tcp_page(tcp, "TRACES");

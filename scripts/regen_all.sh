@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Regenerates every paper artefact: figure CSVs, the digest, the
-# SIMD-vs-scalar kernel comparison and the service telemetry transcripts.
-# Run from the workspace root.
+# Regenerates every paper artefact: figure CSVs, the digest, the timing
+# table, the SIMD-vs-scalar kernel comparison and the service telemetry
+# transcripts. Run from the workspace root.
 set -euo pipefail
 
 cargo build --release -p ebi-bench --bins
@@ -26,6 +26,19 @@ for b in "${bins[@]}"; do
   "./target/release/$b"
 done
 ./target/release/results_digest
+
+echo "==== timing (pinned to one CPU) ===="
+# Every timed case, interleaved, into bench_results/timing.csv. The
+# whole process runs on one CPU, the last one allowed, as
+# benchmark/run.sh pins its runs.
+pin=""
+if command -v taskset >/dev/null; then
+  cpu=$(taskset -cp $$ | sed 's/.*[:,-] *//')
+  if taskset -c "$cpu" true 2>/dev/null; then
+    pin="taskset -c $cpu"
+  fi
+fi
+$pin ./target/release/timing > /dev/null
 
 echo "==== eval_kernels (full) ===="
 ./target/release/eval_kernels

@@ -3,7 +3,7 @@
 # process, fires concurrent mixed-protocol traffic from both frontends,
 # asserts the two protocols answer bit-identically and deterministically,
 # checks /metrics parses, exercises every /debug/* telemetry endpoint
-# (trace ring, slow log, Chrome export, vars) plus trace propagation,
+# (trace ring, slow log, Chrome export) and /stats plus trace propagation,
 # validates the structured JSONL log and trace dumps against their
 # schemas, then exercises graceful shutdown with requests still in
 # flight. Run from the workspace root (CI: service-smoke job).
@@ -199,13 +199,16 @@ events = Counter(e["name"] for e in probe_doc["traceEvents"] if e["ph"] == "X")
 phases = Counter(phase_names(probe["report"]["phases"]))
 assert phases and events == phases, f"Chrome {events} != phases {phases}"
 
-status, vars_body = http_get("/debug/vars")
+status, stats_body = http_get("/stats")
 assert status == 200
-vars_doc = json.loads(vars_body)
-for key in ("uptime_ms", "served", "slow_queries", "traces_recorded"):
-    assert key in vars_doc, f"/debug/vars missing {key}"
-assert "metrics" not in vars_doc, "/debug/vars repeats /metrics"
-assert vars_doc["slow_queries"] > 0
+stats_doc = json.loads(stats_body)
+for key in ("build", "uptime_ms", "served", "slow_queries", "slow_retained",
+            "traces_recorded", "traces_retained", "trace_ring_capacity",
+            "slow_ring_capacity"):
+    assert key in stats_doc, f"/stats missing {key}"
+assert "metrics" not in stats_doc, "/stats repeats /metrics"
+assert stats_doc["slow_queries"] > 0
+assert http_get("/debug/vars", ok_codes=(404,))[0] == 404, "/debug/vars still answers"
 
 with socket.create_connection((tcp_host, int(tcp_port)), timeout=10) as s:
     s.sendall(b"TRACES 3\n")
