@@ -7,7 +7,7 @@
 //! stores every slice as a Roaring container via the shared
 //! [`ebi_bitvec::SliceStorage`] layer, whatever its density, and
 //! evaluates retrieval expressions **compressed-domain**: the kernel
-//! materialises 64-word windows on demand and resolves uniform windows
+//! materialises 512-word windows on demand and resolves uniform windows
 //! straight from container metadata, so no slice is ever fully
 //! decompressed. Answers are identical to the uncompressed index.
 

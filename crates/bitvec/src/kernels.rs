@@ -8,8 +8,8 @@
 //! `B_3 · B_1'` is computed twice.
 //!
 //! This module has **one** kernel, over every container kind, that works
-//! segment by segment ([`SEGMENT_WORDS`] = 64 words = [`SEGMENT_BITS`] =
-//! 4096 rows at a time):
+//! segment by segment ([`SEGMENT_WORDS`] = 512 words = [`SEGMENT_BITS`] =
+//! 32 768 rows at a time):
 //!
 //! * **window-once fetch** — per segment, each slice the expression
 //!   references is fetched exactly once, however many terms and literals
@@ -21,7 +21,7 @@
 //!   terms by literal sequence (highest slice first) and lowers each to
 //!   `(shared_depth, suffix)`: how many leading literals it shares with
 //!   the term before it, and the literals it adds. The kernel keeps the
-//!   partial products of the current term on a small stack of 64-word
+//!   partial products of the current term on a small stack of 512-word
 //!   rows, so a term costs only its unshared suffix.
 //! * **low parts once** — the tail of a term hardly ever continues a
 //!   shared prefix, but tails repeat: the literals on the three lowest
@@ -34,10 +34,13 @@
 //!   below that prefix; a segment whose destination saturates to
 //!   all-ones skips its remaining terms.
 //!
-//! No intermediate `BitVec` is ever allocated; the product stack, the
-//! low parts and the scratch windows are `(depth + low parts + slices)
-//! × 512` bytes per evaluation. One evaluation runs on one thread, from
-//! the first segment to the last.
+//! Everything the kernel classifies, tabulates or walks, it does once
+//! per segment, so a wide segment spreads that fixed cost over many
+//! words. No intermediate `BitVec` is ever allocated; the product
+//! stack, the accumulator, the low parts and the scratch windows are
+//! `(depth + 1 + low parts + slices) × 4 KiB`, taken from a per-thread
+//! scratch that outlives the call (see [`BoundPlan::eval`]). One
+//! evaluation runs on one thread, from the first segment to the last.
 
 use crate::core::{BitVec, WORD_BITS};
 use crate::roaring::{RoaringBitmap, WindowFill, WindowKind};
@@ -45,13 +48,21 @@ use crate::simd;
 use crate::store::SliceStorage;
 use crate::summary::SegmentSummary;
 use ebi_obs::CostCounters;
+use std::cell::Cell;
 use std::cmp::{Ordering, Reverse};
 
-/// Words per evaluation segment.
-pub const SEGMENT_WORDS: usize = 64;
+/// Words per evaluation segment: the one granularity of the kernel's
+/// windows and of [`SegmentSummary`].
+pub const SEGMENT_WORDS: usize = 512;
 
 /// Rows (bits) per evaluation segment.
 pub const SEGMENT_BITS: usize = SEGMENT_WORDS * WORD_BITS;
+
+// A Roaring window is filled from one chunk (`fill_window` panics on a
+// window that crosses one), and a summary counts a segment's ones in a
+// `u16`.
+const _: () = assert!(crate::roaring::CHUNK_WORDS.is_multiple_of(SEGMENT_WORDS));
+const _: () = assert!(SEGMENT_BITS <= u16::MAX as usize);
 
 /// A borrowed view of one bitmap vector in whichever container holds it.
 #[derive(Debug, Clone, Copy)]
@@ -95,7 +106,7 @@ impl SliceSource for SliceStorage {
 
 /// Slices, counted from the lowest referenced one, whose literals are
 /// the *low part* of a term. `3^3 = 27` distinct low parts at most, so
-/// their products fit in 14 KiB beside the product stack.
+/// their products fit in 108 KiB beside the product stack.
 const LOW_SLOTS: usize = 3;
 
 /// [`Step::low`] of a term with no low-part literals.
@@ -401,6 +412,19 @@ enum Low {
     Live(Product),
 }
 
+/// The working rows and low-part table of the evaluations on one
+/// thread, kept between calls so that a call neither allocates nor
+/// zeroes them.
+#[derive(Default)]
+struct Scratch {
+    rows: Vec<u64>,
+    lows: Vec<Low>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+}
+
 /// Uniform windows of one segment as slice-indexed bit masks, from
 /// which a product's fate is decided in O(1).
 #[derive(Clone, Copy, Default)]
@@ -481,22 +505,23 @@ impl BoundPlan<'_> {
         self.rows
     }
 
-    /// Estimated kernel word traffic of evaluating this plan: one
+    /// Estimated kernel word traffic of evaluating this plan: a
     /// segment's words per literal left after sharing, per segment,
-    /// minus the products a summary proves zero on a segment. Zero
-    /// products and saturation are not predictable from summaries, so
-    /// real work can only be lower — which is what a parallel splitter
-    /// needs to decide whether fanning out pays.
+    /// minus the products a summary proves zero on a segment. The last
+    /// segment is charged the words it has. Zero products and
+    /// saturation are not predictable from summaries, so real work can
+    /// only be lower — which is what a parallel splitter needs to decide
+    /// whether fanning out pays.
     #[must_use]
     pub fn estimated_work_words(&self) -> u64 {
         let plan = self.plan;
-        let segments = self.rows.div_ceil(SEGMENT_BITS);
-        let live = plan.unshared_lits * SEGMENT_WORDS as u64;
+        let total_words = self.rows.div_ceil(WORD_BITS);
         if self.slots.iter().all(|s| s.summary.is_none()) {
-            return segments as u64 * live;
+            return plan.unshared_lits * total_words as u64;
         }
         let mut words = 0u64;
-        for seg in 0..segments {
+        for seg in 0..total_words.div_ceil(SEGMENT_WORDS) {
+            let nw = (total_words - seg * SEGMENT_WORDS).min(SEGMENT_WORDS) as u64;
             let mut uniform = Uniform::default();
             for slot in &self.slots {
                 if let Some(kind) = slot.summarized(seg) {
@@ -504,7 +529,7 @@ impl BoundPlan<'_> {
                 }
             }
             if uniform.zeros | uniform.ones == 0 {
-                words += live;
+                words += plan.unshared_lits * nw;
                 continue;
             }
             // The same walk as `eval`, counting instead of
@@ -535,16 +560,23 @@ impl BoundPlan<'_> {
                 lits += step.len() - valid;
                 valid = step.len();
             }
-            words += (lits * SEGMENT_WORDS) as u64;
+            words += lits as u64 * nw;
         }
         words
     }
 
     /// Evaluates the whole plan into a fresh selection bitmap.
+    ///
+    /// The working rows come from this thread's scratch: taken out for
+    /// the call and put back after it, so an evaluation nested in this
+    /// one, or one after a panic, starts from an empty scratch rather
+    /// than share rows. The scratch grows to the largest plan the thread
+    /// has evaluated, at most `(64 + 1 + 27 + 64) × 4 KiB` ≈ 624 KiB
+    /// (product stack, accumulator, low parts, slice windows), and is
+    /// never zeroed: every row is written before it is read.
     #[must_use]
     pub fn eval(&self, stats: &mut CostCounters) -> BitVec {
         let mut out = BitVec::zeros(self.rows);
-        let path = simd::selected_path();
         let plan = self.plan;
         if plan.tautology {
             out.words.fill(u64::MAX);
@@ -554,30 +586,52 @@ impl BoundPlan<'_> {
         if plan.steps.is_empty() {
             return out;
         }
+        let mut scratch = SCRATCH.take();
+        self.eval_into(&mut out.words, &mut scratch, stats);
+        SCRATCH.set(scratch);
+        // Negated literals set garbage bits beyond the last row in the
+        // final word; restore the tail invariant.
+        out.mask_tail();
+        out
+    }
 
-        // Per evaluation, never per index. Rows `1 ..= depth` are the
-        // product stack (row `r` holds a high-part product of `r`
-        // literals that a later term resumes from), the next is the
-        // accumulator for the rest of a term, the next `lows.len()` hold
-        // the low-part products, and after them comes one scratch window
-        // per slot for the compressed containers to materialise into.
+    /// ORs the plan's terms into `dst`, segment by segment, working in
+    /// `scratch`.
+    fn eval_into(&self, dst: &mut [u64], scratch: &mut Scratch, stats: &mut CostCounters) {
+        let path = simd::selected_path();
+        let plan = self.plan;
+
+        // Rows `1 ..= depth` are the product stack (row `r` holds a
+        // high-part product of `r` literals that a later term resumes
+        // from), the next is the accumulator for the rest of a term, the
+        // next `lows.len()` hold the low-part products, and after them
+        // comes one scratch window per slot for the compressed
+        // containers to materialise into.
         let acc_row = plan.depth + 1;
         let low_row = plan.depth + 2;
         let product_rows = plan.depth + 1 + plan.lows.len();
-        let mut buf = vec![0u64; (product_rows + self.slots.len()) * SEGMENT_WORDS];
-        let (rows, scratch) = buf.split_at_mut(product_rows * SEGMENT_WORDS);
-        let mut lows = vec![Low::Zero; plan.lows.len()];
+        let need = (product_rows + self.slots.len()) * SEGMENT_WORDS;
+        if scratch.rows.len() < need {
+            scratch.rows.resize(need, 0);
+        }
+        let (rows, slot_windows) = scratch.rows[..need].split_at_mut(product_rows * SEGMENT_WORDS);
+        let lows = &mut scratch.lows;
+        lows.resize(plan.lows.len(), Low::Zero);
         // `levels[d]` is the product of the current term's first `d`
         // high-part literals, kept for as deep as a later term shares.
         let mut levels = [Product::Ones; 65];
 
-        for (seg, seg_dst) in out.words.chunks_mut(SEGMENT_WORDS).enumerate() {
+        for (seg, seg_dst) in dst.chunks_mut(SEGMENT_WORDS).enumerate() {
             let nw = seg_dst.len();
 
             // Window-once fetch: classify or materialise every
             // referenced slice's window for this segment.
             let mut uniform = Uniform::default();
-            for (slot, window) in self.slots.iter().zip(scratch.chunks_mut(SEGMENT_WORDS)) {
+            for (slot, window) in self
+                .slots
+                .iter()
+                .zip(slot_windows.chunks_mut(SEGMENT_WORDS))
+            {
                 let w0 = seg * SEGMENT_WORDS;
                 let kind = slot.summarized(seg).unwrap_or_else(|| match slot.src {
                     SliceRef::Dense(_) => WindowKind::Mixed,
@@ -587,7 +641,7 @@ impl BoundPlan<'_> {
             }
             let mut windows = Windows {
                 slots: &self.slots,
-                scratch,
+                scratch: slot_windows,
                 w0: seg * SEGMENT_WORDS,
                 nw,
                 scanned: 0,
@@ -595,7 +649,7 @@ impl BoundPlan<'_> {
 
             // Each distinct low part, once for all the terms that end
             // in it.
-            for (i, (low, slot)) in plan.lows.iter().zip(&mut lows).enumerate() {
+            for (i, (low, slot)) in plan.lows.iter().zip(lows.iter_mut()).enumerate() {
                 if uniform.dead_depth(low).is_some() {
                     *slot = Low::Pruned;
                     continue;
@@ -742,10 +796,6 @@ impl BoundPlan<'_> {
             stats.words_scanned += windows.scanned * nw as u64;
             stats.bytes_touched += windows.scanned * 8 * nw as u64;
         }
-        // Negated literals set garbage bits beyond the last row in the
-        // final word; restore the tail invariant.
-        out.mask_tail();
-        out
     }
 }
 
@@ -924,7 +974,7 @@ mod tests {
         expect.and_assign(&slices[1]);
         assert_eq!(r, expect);
         assert_eq!(stats.segments_pruned, 2, "segments 0 and 2 pruned");
-        // Only segment 1's words were read: 64 words × 2 literals.
+        // Only segment 1's words were read: one window × 2 literals.
         assert_eq!(stats.words_scanned, 2 * SEGMENT_WORDS as u64);
     }
 
@@ -976,7 +1026,7 @@ mod tests {
     #[should_panic(expected = "slice length")]
     fn short_slice_panics() {
         let slices = [BitVec::zeros(64)];
-        let _ = plan(&[&[(0, false)]]).bind(&slices, None, 4096);
+        let _ = plan(&[&[(0, false)]]).bind(&slices, None, SEGMENT_BITS);
     }
 
     #[test]
@@ -1007,7 +1057,7 @@ mod tests {
         let slices = [a, BitVec::ones(len), stripes(len, 2, 0), stripes(len, 3, 0)];
         let summaries = summarize_slices(&slices[..2]);
 
-        // No summaries: 2 literals × 4 segments × 64 words.
+        // No summaries: 2 literals × 4 segments' words.
         let p = plan(&[&[(0, false), (1, false)]]);
         assert_eq!(
             p.bind(&slices[..2], None, len).estimated_work_words(),
@@ -1035,6 +1085,36 @@ mod tests {
         );
     }
 
+    #[test]
+    fn work_estimate_charges_the_last_window_its_words() {
+        // 25 000 rows are 391 words: less than one window.
+        let len = 25_000;
+        let slices: Vec<BitVec> = (0..4).map(|i| stripes(len, i + 2, 0)).collect();
+        let shared = plan(&[
+            &[(3, false), (2, false), (1, false)],
+            &[(3, false), (0, false)],
+        ]);
+        assert_eq!(
+            shared.bind(&slices, None, len).estimated_work_words(),
+            shared.unshared_literals() * 391
+        );
+        // With summaries, the same words per live literal.
+        let summaries = summarize_slices(&slices);
+        assert_eq!(
+            shared
+                .bind(&slices, Some(&summaries), len)
+                .estimated_work_words(),
+            shared.unshared_literals() * 391
+        );
+        // Over a window and a part: each is charged the words it has.
+        let len = SEGMENT_BITS + 25_000;
+        let slices: Vec<BitVec> = (0..4).map(|i| stripes(len, i + 2, 0)).collect();
+        assert_eq!(
+            shared.bind(&slices, None, len).estimated_work_words(),
+            shared.unshared_literals() * (SEGMENT_WORDS as u64 + 391)
+        );
+    }
+
     fn storages_for(bits: &BitVec) -> Vec<SliceStorage> {
         vec![
             SliceStorage::from_dense(bits.clone(), StoragePolicy::Dense),
@@ -1044,11 +1124,14 @@ mod tests {
 
     #[test]
     fn every_container_mix_matches_dense() {
-        let len = SEGMENT_BITS * 5 + 300;
+        // Three windows, the last ragged and in the second Roaring chunk.
+        let len = SEGMENT_BITS * 2 + 300;
         let dense = [
             stripes(len, 3, 0),
-            (0..len).map(|i| (20_000..290_000).contains(&i)).collect(),
-            BitVec::from_positions(len, &[5, 9000, len - 1]),
+            (0..len)
+                .map(|i| (SEGMENT_BITS * 5 / 8..SEGMENT_BITS * 3 / 2).contains(&i))
+                .collect(),
+            BitVec::from_positions(len, &[5, SEGMENT_BITS + 808, len - 1]),
         ];
         let terms: &[&[(usize, bool)]] = &[
             &[(0, false), (1, true)],
@@ -1074,7 +1157,7 @@ mod tests {
     fn uniform_compressed_windows_are_classified_once_and_never_read() {
         // A very sparse slice: almost every window classifies as Zeros
         // and kills the term without materialisation.
-        let len = SEGMENT_BITS * 64;
+        let len = SEGMENT_BITS * 8;
         let family = [
             SliceStorage::from_dense(stripes(len, 2, 0), StoragePolicy::Dense),
             SliceStorage::from_dense(BitVec::from_positions(len, &[17]), StoragePolicy::Roaring),
@@ -1086,8 +1169,8 @@ mod tests {
             .bind(&family, None, len)
             .eval(&mut stats);
         assert_eq!(got.to_positions(), vec![17]);
-        assert_eq!(stats.compressed_chunks_skipped, 63, "all but one window");
-        assert_eq!(stats.segments_pruned, 2 * 63);
+        assert_eq!(stats.compressed_chunks_skipped, 7, "all but one window");
+        assert_eq!(stats.segments_pruned, 2 * 7);
         // Only the one mixed window's dense partner was ever scanned.
         assert_eq!(stats.words_scanned, 2 * SEGMENT_WORDS as u64);
     }

@@ -28,7 +28,7 @@
 //!   compute an entire product term (AND of up to 64 optionally negated
 //!   vectors) in one pass with no intermediate allocation, OR-ing terms
 //!   into a shared destination, with per-segment short-circuiting.
-//! * [`summary::SegmentSummary`] — per-4096-row one-counts built at
+//! * [`summary::SegmentSummary`] — per-32 768-row one-counts built at
 //!   index construction, letting the kernels skip whole segments before
 //!   reading any bitmap word.
 //!

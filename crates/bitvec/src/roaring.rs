@@ -15,13 +15,14 @@
 //! Chunks with no set bits are simply absent. There is no pairwise set
 //! algebra here: queries never combine two compressed bitmaps, they read
 //! each slice one window at a time. [`RoaringBitmap::fill_window`]
-//! materialises one 64-word evaluation window (the fused kernels'
-//! 4096-row segment) on demand, classifying all-zero / all-one windows
-//! without writing any words so the segment-major evaluator can
+//! materialises one 512-word evaluation window (the kernel's 32 768-row
+//! segment, two to a chunk) on demand, classifying all-zero / all-one
+//! windows without writing any words so the segment-major evaluator can
 //! short-circuit in the compressed domain.
 
 use crate::core::BitVec;
 use crate::error::BitVecError;
+use crate::kernels::SEGMENT_WORDS;
 use crate::serial::ByteReader;
 use crate::simd;
 
@@ -294,7 +295,7 @@ impl RoaringBitmap {
         self.chunks.iter().map(|(_, c)| 4 + c.storage_bytes()).sum()
     }
 
-    /// Run statistics, streamed through 64-word evaluation windows so
+    /// Run statistics, streamed through evaluation windows so
     /// uniform windows (absent chunks, saturated containers) resolve
     /// without materialising any words. Granules are 64-bit words,
     /// directly comparable with [`BitVec::run_stats`].
@@ -302,11 +303,11 @@ impl RoaringBitmap {
     pub fn run_stats(&self) -> crate::runs::RunStats {
         let mut st = crate::runs::RunStats::default();
         let mut cur = 0u64;
-        let mut buf = [0u64; 64];
+        let mut buf = [0u64; SEGMENT_WORDS];
         let total_words = self.len.div_ceil(64);
         let mut word = 0usize;
         while word < total_words {
-            let window_words = (total_words - word).min(64);
+            let window_words = (total_words - word).min(SEGMENT_WORDS);
             let valid_bits = (self.len - word * 64).min(window_words * 64);
             let fill = self.fill_window(word, &mut buf[..window_words]);
             match fill.kind {
@@ -338,7 +339,8 @@ impl RoaringBitmap {
     /// `len`) into `out`, or classifies it as uniform without writing.
     ///
     /// The window must lie within a single chunk, which holds for any
-    /// 64-word segment window because 64 divides [`CHUNK_WORDS`].
+    /// evaluation window because [`SEGMENT_WORDS`] divides
+    /// [`CHUNK_WORDS`].
     ///
     /// # Panics
     ///

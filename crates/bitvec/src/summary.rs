@@ -1,10 +1,10 @@
 //! Per-segment population summaries for pruning query evaluation.
 //!
 //! A [`SegmentSummary`] records, for one bitmap vector, the number of set
-//! bits in each fixed-size *segment* ([`SEGMENT_BITS`] = 4096 rows). The
-//! fused evaluation kernels (see [`crate::kernels`]) consult these
-//! summaries to skip whole segments without reading a single bitmap
-//! word:
+//! bits in each fixed-size *segment* ([`SEGMENT_BITS`] = 32 768 rows, the
+//! kernel's evaluation window). The fused evaluation kernel (see
+//! [`crate::kernels`]) consults these summaries to skip whole segments
+//! without reading a single bitmap word:
 //!
 //! * a **positive** literal whose slice has *no* ones in a segment makes
 //!   the whole product term zero there;
@@ -12,8 +12,8 @@
 //!   likewise zeroes the term there.
 //!
 //! Summaries are built once at index-construction time (`O(n)` popcounts
-//! the builder has effectively already paid) and cost 2 bytes per 4096
-//! rows per slice — 0.05% space overhead.
+//! the builder has effectively already paid) and cost 2 bytes per
+//! 32 768 rows per slice — 0.05% of a dense slice's 4 KiB per segment.
 
 use crate::core::BitVec;
 use crate::kernels::{SEGMENT_BITS, SEGMENT_WORDS};
@@ -21,7 +21,8 @@ use crate::kernels::{SEGMENT_BITS, SEGMENT_WORDS};
 /// Per-segment one-counts for a single bitmap vector.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SegmentSummary {
-    /// One count per segment; 4096 fits in `u16`.
+    /// One count per segment; `SEGMENT_BITS` fits in `u16` (the kernel
+    /// asserts it at compile time).
     ones: Vec<u16>,
     /// Bit length of the summarised vector.
     len: usize,
@@ -39,7 +40,7 @@ impl SegmentSummary {
                     .map(|w| w.count_ones())
                     .sum::<u32>()
                     .try_into()
-                    .expect("segment popcount exceeds 4096")
+                    .expect("segment popcount exceeds SEGMENT_BITS")
             })
             .collect();
         Self {
@@ -76,8 +77,8 @@ impl SegmentSummary {
         u32::from(self.ones[seg])
     }
 
-    /// Number of valid bits in segment `seg` (4096 except for a trailing
-    /// partial segment).
+    /// Number of valid bits in segment `seg` ([`SEGMENT_BITS`] except
+    /// for a trailing partial segment).
     #[must_use]
     pub fn segment_bits(&self, seg: usize) -> usize {
         let start = seg * SEGMENT_BITS;
@@ -113,7 +114,7 @@ impl SegmentSummary {
         self.ones
             .extend(bits.words().chunks(SEGMENT_WORDS).map(|seg| {
                 let c: u32 = seg.iter().map(|w| w.count_ones()).sum();
-                u16::try_from(c).expect("segment popcount exceeds 4096")
+                u16::try_from(c).expect("segment popcount exceeds SEGMENT_BITS")
             }));
         self.len = bits.len();
     }
@@ -178,13 +179,14 @@ mod tests {
 
     #[test]
     fn rebuild_tracks_mutation() {
-        let mut v = BitVec::zeros(5000);
+        let len = SEGMENT_BITS + 904;
+        let mut v = BitVec::zeros(len);
         let mut s = SegmentSummary::build(&v);
         assert_eq!(s.total_ones(), 0);
-        v.set(4999, true);
+        v.set(len - 1, true);
         s.rebuild(&v);
         assert_eq!(s.ones_in(1), 1);
-        assert_eq!(s.len(), 5000);
+        assert_eq!(s.len(), len);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! There is one evaluator. [`DnfExpr::lower`] turns the expression into a
 //! [`DnfPlan`] — product terms sorted so that shared literal prefixes are
-//! adjacent — and the [`ebi_bitvec::kernels`] kernel runs it in 4096-row
+//! adjacent — and the [`ebi_bitvec::kernels`] kernel runs it in 32 768-row
 //! segments over slices in any container (plain [`BitVec`]s or
 //! [`ebi_bitvec::SliceStorage`]), fetching each slice's window once per
 //! segment and computing each shared prefix once. With per-slice

@@ -11,15 +11,15 @@
 //!   depth;
 //! * every mixture of Dense / Roaring slices, and plain `BitVec`s;
 //! * segment summaries on and off;
-//! * row counts that are not multiples of the word or the 4096-bit
-//!   segment, and zero rows;
+//! * row counts that are not multiples of the word or the
+//!   [`SEGMENT_BITS`]-row segment, and zero rows;
 //! * every kernel tier the host can run.
 //!
 //! The paper's cost metrics (`vectors_accessed`, `cube_evals`,
 //! `literal_ops`) are properties of the *expression*: none of the above
 //! may move them.
 
-use ebi_bitvec::kernels::SliceSource;
+use ebi_bitvec::kernels::{SliceSource, SEGMENT_BITS};
 use ebi_bitvec::summary::summarize_slices;
 use ebi_bitvec::{simd, BitVec, DnfPlan, SegmentSummary, SliceStorage, StorageKind, StoragePolicy};
 use ebi_boolean::{eval_expr_naive, eval_expr_tracked, AccessTracker, Cube, DnfExpr};
@@ -82,7 +82,7 @@ fn random_slices(k: u32, rows: usize, seed: u64, layout: Layout) -> Vec<BitVec> 
             Layout::Skewed if r.is_multiple_of(4) => wide,
             Layout::Skewed => r % 2,
             Layout::Clustered if run == 0 => {
-                run = 1 + (r >> 20) as usize % (3 * 4096);
+                run = 1 + (r >> 20) as usize % (3 * SEGMENT_BITS);
                 wide
             }
             Layout::Clustered => code,
@@ -184,7 +184,7 @@ proptest! {
     fn kernel_matches_naive_on_random_dnf(
         seed in any::<u64>(),
         k in 1u32..=6,
-        rows in 0usize..30_000,
+        rows in 0usize..7 * SEGMENT_BITS,
         layout in layout(),
         specs in prop::collection::vec((any::<u64>(), any::<u64>(), 0u32..8), 0..8),
     ) {
@@ -197,7 +197,7 @@ proptest! {
     fn prefixes_that_diverge_at_every_depth(
         seed in any::<u64>(),
         k in 2u32..=7,
-        rows in 1usize..20_000,
+        rows in 1usize..5 * SEGMENT_BITS,
         code in any::<u64>(),
         drops in any::<u64>(),
         layout in layout(),
@@ -224,7 +224,7 @@ proptest! {
     fn duplicate_cubes_are_evaluated_once_and_change_nothing(
         seed in any::<u64>(),
         k in 1u32..=5,
-        rows in 1usize..12_000,
+        rows in 1usize..3 * SEGMENT_BITS,
         specs in prop::collection::vec((any::<u64>(), any::<u64>(), 1u32..8), 1..5),
     ) {
         // `DnfExpr` normalises duplicates away, so hand the kernel a raw
@@ -244,7 +244,7 @@ proptest! {
     fn minterm_sums_are_storage_independent(
         seed in any::<u64>(),
         k in 1u32..=5,
-        rows in 1usize..20_000,
+        rows in 1usize..5 * SEGMENT_BITS,
         picks in prop::collection::btree_set(0u64..32, 0..8),
     ) {
         // Min-term sums are what selections actually lower to. The same
@@ -331,7 +331,7 @@ fn live_work_behind_a_long_pruned_prefix() {
     let summaries = summarize_slices(&dense);
     let mut tracker = AccessTracker::new();
     let _ = eval_expr_tracked(&expr, &dense, Some(&summaries), rows, &mut tracker);
-    assert!(tracker.cost.segments_pruned >= (3 * rows / 4 / 4096) as u64);
+    assert!(tracker.cost.segments_pruned >= (3 * rows / 4 / SEGMENT_BITS) as u64);
 }
 
 #[test]
@@ -344,4 +344,42 @@ fn empty_expression_is_all_zero_and_reads_nothing() {
     assert_eq!(got.count_ones(), 0);
     assert_eq!(tracker.finish().vectors_accessed, 0);
     assert_eq!(tracker.cost.words_scanned, 0);
+}
+
+#[test]
+fn the_scratch_carries_nothing_between_evaluations() {
+    // The kernel's working rows are a per-thread scratch that is reused
+    // and never zeroed. A wide plan, a one-literal plan, the wide plan
+    // again and the wide plan on the scalar tier, one after another on
+    // this thread, must each equal the oracle. The wide plan's low parts
+    // (on B2, B1, B0) are B2B0, B1'B0', B2'B1 and B2B1B0; B4 is stored
+    // Roaring, so it is materialised into a slot window.
+    let rows = 2 * SEGMENT_BITS + 4321;
+    let dense = random_slices(5, rows, 0x5C7A, Layout::Uniform);
+    let stored: Vec<SliceStorage> = dense
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let policy = if i == 4 {
+                StoragePolicy::Roaring
+            } else {
+                StoragePolicy::Dense
+            };
+            SliceStorage::from_dense(b.clone(), policy)
+        })
+        .collect();
+    assert_eq!(stored[4].kind(), StorageKind::Roaring);
+    let wide = DnfExpr::parse("B4B3'B2B0 + B4B3B1'B0' + B4'B2'B1 + B3B2B1B0", 5).unwrap();
+    let one = DnfExpr::parse("B1'", 5).unwrap();
+    let eval = |expr: &DnfExpr| {
+        let got = expr
+            .lower()
+            .bind(&stored, None, rows)
+            .eval(&mut CostCounters::default());
+        assert_eq!(got, eval_expr_naive(expr, &dense, rows), "{expr}");
+    };
+    eval(&wide);
+    eval(&one);
+    eval(&wide);
+    simd::with_forced_path(simd::KernelPath::Scalar, || eval(&wide));
 }
