@@ -34,7 +34,7 @@ OPTIONS:
     --shards N        row-range shards                 [default: 4, env EBI_SERVICE_SHARDS]
     --workers N       fan-out worker threads           [env EBI_SERVICE_WORKERS]
     --max-inflight N  admission bound (excess -> BUSY) [env EBI_SERVICE_MAX_INFLIGHT]
-    --timeout-ms N    per-request deadline             [env EBI_SERVICE_TIMEOUT_MS]
+    --timeout-ms N    per-request deadline, N > 0      [env EBI_SERVICE_TIMEOUT_MS]
     --tcp ADDR        TCP bind address                 [default: 127.0.0.1:0, env EBI_SERVICE_ADDR]
     --http ADDR       HTTP bind address                [default: 127.0.0.1:0, env EBI_SERVICE_HTTP_ADDR]
     --quiet-obs       record no spans (metrics count regardless)
@@ -91,10 +91,11 @@ fn main() {
                 cfg.max_inflight = parse_n(&take(&args, &mut i, "--max-inflight")).max(1);
             }
             "--timeout-ms" => {
-                cfg.timeout =
-                    std::time::Duration::from_millis(
-                        parse_n(&take(&args, &mut i, "--timeout-ms")) as u64
-                    );
+                let ms = parse_n(&take(&args, &mut i, "--timeout-ms"));
+                if ms == 0 {
+                    die("--timeout-ms must be positive");
+                }
+                cfg.timeout = std::time::Duration::from_millis(ms as u64);
             }
             "--tcp" => cfg.tcp_addr = take(&args, &mut i, "--tcp"),
             "--http" => cfg.http_addr = take(&args, &mut i, "--http"),

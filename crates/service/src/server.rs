@@ -124,7 +124,9 @@ impl ServiceConfig {
     /// Defaults overridden by `EBI_SERVICE_ADDR`,
     /// `EBI_SERVICE_HTTP_ADDR`, `EBI_SERVICE_WORKERS`,
     /// `EBI_SERVICE_MAX_INFLIGHT`, `EBI_SERVICE_TIMEOUT_MS`,
-    /// `EBI_SERVICE_MIN_DISPATCH_WORDS` and `EBI_SLOW_QUERY_MS`.
+    /// `EBI_SERVICE_MIN_DISPATCH_WORDS` and `EBI_SLOW_QUERY_MS`. A
+    /// timeout of 0 keeps the default, as an unparsable one does: a zero
+    /// deadline would fail every query the pool is handed.
     #[must_use]
     pub fn from_env() -> Self {
         let text = |name: &str| std::env::var(name).ok();
@@ -136,7 +138,9 @@ impl ServiceConfig {
             workers: number("EBI_SERVICE_WORKERS").map_or(d.workers, |v| v as usize),
             max_inflight: number("EBI_SERVICE_MAX_INFLIGHT")
                 .map_or(d.max_inflight, |v| v.max(1) as usize),
-            timeout: number("EBI_SERVICE_TIMEOUT_MS").map_or(d.timeout, Duration::from_millis),
+            timeout: number("EBI_SERVICE_TIMEOUT_MS")
+                .filter(|&ms| ms > 0)
+                .map_or(d.timeout, Duration::from_millis),
             buffer_frames: d.buffer_frames,
             min_dispatch_words: number("EBI_SERVICE_MIN_DISPATCH_WORDS")
                 .unwrap_or(d.min_dispatch_words),
@@ -950,6 +954,17 @@ fn metrics_text(ctx: &ServeCtx<'_, '_>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_zero_timeout_in_the_environment_keeps_the_default() {
+        std::env::set_var("EBI_SERVICE_TIMEOUT_MS", "0");
+        let zero = ServiceConfig::from_env().timeout;
+        std::env::set_var("EBI_SERVICE_TIMEOUT_MS", "250");
+        let set = ServiceConfig::from_env().timeout;
+        std::env::remove_var("EBI_SERVICE_TIMEOUT_MS");
+        assert_eq!(zero, ServiceConfig::default().timeout);
+        assert_eq!(set, Duration::from_millis(250));
+    }
 
     #[test]
     fn a_panicking_shard_evaluation_is_contained() {

@@ -569,6 +569,19 @@ fn ebi_serve_rejects_an_unknown_flag_with_its_usage() {
     assert!(stderr.contains("USAGE:"), "no usage printed: {stderr}");
 }
 
+/// A zero deadline would answer `ERR timeout` to every dispatched query,
+/// so the flag refuses it before `--rows 0` is looked at.
+#[test]
+fn ebi_serve_refuses_a_zero_deadline() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ebi_serve"))
+        .args(["--timeout-ms", "0", "--rows", "0"])
+        .output()
+        .expect("ebi_serve runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--timeout-ms must be positive"), "{stderr}");
+}
+
 #[test]
 fn connections_over_the_cap_are_refused_until_one_closes() {
     let table = small_table(1);

@@ -21,14 +21,11 @@
 //!   *observed* attribute combinations (footnote 5's density argument);
 //! * [`history`] — query-log mining for encodings (§5, item four);
 //! * [`join`] — bitmapped join indexes for one-hop star joins (§4);
-//! * [`advisor`] — measurement-based index selection per column under
-//!   an optional storage budget;
 //! * [`reorder`] — the table sorted before its indexes are built: one
 //!   histogram-prioritised row order that every column's index shares;
 //! * [`tpcd_lite`] — a runnable five-template TPC-D-flavoured suite
 //!   exercising selections, roll-ups and direct-bitmap aggregates.
 
-pub mod advisor;
 pub mod dictionary;
 pub mod executor;
 pub mod generator;
