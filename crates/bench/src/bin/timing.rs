@@ -40,6 +40,7 @@ use ebi_core::encoding::{
     GrayEncoding, IdentityEncoding,
 };
 use ebi_core::index::BuildOptions;
+use ebi_core::total_order::dense_order_mapping;
 use ebi_core::{EncodedBitmapIndex, Mapping};
 use ebi_obs::CostCounters;
 use ebi_storage::Cell;
@@ -232,7 +233,8 @@ fn fig9(c: &mut Cases) {
 }
 
 /// E13 — build cost against cardinality (§2.1) on 50 000 rows, and the
-/// encoded build at `lib_maintain`'s shape.
+/// encoded build at `lib_maintain`'s shape, with the default mapping and
+/// with an explicit one.
 fn build_cost(c: &mut Cases, lib_maintain: &'static [Cell]) {
     for m in [16u64, 128, 1024, 8192] {
         let cells = keep(uniform_cells(m, 50_000, 0xBC + m));
@@ -256,6 +258,22 @@ fn build_cost(c: &mut Cases, lib_maintain: &'static [Cell]) {
     c.add(
         "build_cost/encoded/lib_maintain",
         move || EncodedBitmapIndex::build(lib_maintain.iter().copied()).expect("build"),
+        |i| Work::storage(i.storage_bytes()),
+    );
+    // A sharded table's per-shard call: the table-wide value-ordered
+    // mapping is made once and handed to every shard's build.
+    let mapping = keep(dense_order_mapping(&Mapping::first_seen_values(
+        lib_maintain,
+    )));
+    c.add_with(
+        "build_cost/encoded/lib_maintain_mapped",
+        move || BuildOptions {
+            mapping: Some(mapping.clone()),
+            ..BuildOptions::default()
+        },
+        move |options| {
+            EncodedBitmapIndex::build_with(lib_maintain.iter().copied(), options).expect("build")
+        },
         |i| Work::storage(i.storage_bytes()),
     );
 }

@@ -8,9 +8,14 @@
 //! runs, the run/array sweet spot) through 50% (incompressible) to
 //! ~99.9% (long one runs), with lengths that straddle the 65 536-bit
 //! Roaring chunk boundary.
+//!
+//! The slice-family builder is checked the same way: the words it
+//! writes a 64-row block at a time must equal one bit pushed per row
+//! and slice.
 
+use ebi_bitvec::builder::SliceFamilyBuilder;
 use ebi_bitvec::roaring::{RoaringBitmap, WindowKind};
-use ebi_bitvec::{BitVec, SliceStorage, StorageKind, StoragePolicy};
+use ebi_bitvec::{BitVec, SliceStorage, StorageKind, StoragePolicy, SEGMENT_BITS, WORD_BITS};
 use proptest::prelude::*;
 
 /// Deterministic xorshift so bit contents derive from one seed.
@@ -151,6 +156,54 @@ proptest! {
                     from,
                     to
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    // Each case builds every width at every row count, two segments and
+    // a ragged word the largest.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn slice_family_words_match_one_bit_per_row(seed in any::<u64>(), sized in any::<bool>()) {
+        // Each row's code is 0, all ones or random bits below the width,
+        // so the blocks hold runs as well as noise; width 64 puts bit 63
+        // in about half the codes.
+        for width in [1usize, 2, 13, 63, 64] {
+            let mask = u64::MAX >> (WORD_BITS - width);
+            for rows in [0usize, 1, 63, 64, 65, 127, 2 * SEGMENT_BITS + 3] {
+                let mut state = seed ^ (width * rows) as u64;
+                let codes: Vec<u64> = (0..rows)
+                    .map(|_| match next(&mut state) % 3 {
+                        0 => 0,
+                        1 => mask,
+                        _ => next(&mut state) & mask,
+                    })
+                    .collect();
+                let mut fam = if sized {
+                    SliceFamilyBuilder::with_capacity(width, rows)
+                } else {
+                    SliceFamilyBuilder::new(width)
+                };
+                for &c in &codes {
+                    fam.push_code(c);
+                }
+                prop_assert_eq!(fam.rows(), rows);
+                let built = fam.finish();
+                prop_assert_eq!(built.len(), width);
+                for (i, slice) in built.iter().enumerate() {
+                    let reference = BitVec::from_bools(codes.iter().map(|c| c >> i & 1 == 1));
+                    prop_assert_eq!(slice.len(), rows, "width {} slice {}", width, i);
+                    prop_assert_eq!(slice.words(), reference.words(), "width {} slice {}", width, i);
+                    prop_assert_eq!(slice.count_ones(), reference.count_ones());
+                    let ragged = rows % WORD_BITS;
+                    if ragged != 0 {
+                        let last = slice.words()[rows / WORD_BITS];
+                        prop_assert_eq!(last >> ragged, 0, "width {} slice {}: bits past the end", width, i);
+                    }
+                }
             }
         }
     }

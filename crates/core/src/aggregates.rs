@@ -62,7 +62,7 @@ impl BitSlicedMeasure {
         let rows = cells.len();
         let max = cells.iter().filter_map(Cell::value).max().unwrap_or(0);
         let width = if max <= 1 { 1 } else { max.ilog2() + 1 };
-        let mut fam = SliceFamilyBuilder::new(width as usize);
+        let mut fam = SliceFamilyBuilder::with_capacity(width as usize, rows);
         let mut b_null: Option<BitVec> = None;
         for (row, cell) in cells.iter().enumerate() {
             match cell.value() {

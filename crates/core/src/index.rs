@@ -1,6 +1,7 @@
 //! The encoded bitmap index (Definition 2.1).
 
 use crate::error::CoreError;
+use crate::intern::{intern_column, NULL_SLOT};
 use crate::mapping::Mapping;
 use crate::nulls::{NullPolicy, VOID_CODE};
 use crate::total_order::dense_order_mapping_after;
@@ -104,45 +105,55 @@ impl EncodedBitmapIndex {
     /// # Errors
     ///
     /// [`CoreError::Encoding`] if a provided mapping misses values of the
-    /// column, uses the reserved void code under
-    /// [`NullPolicy::EncodedReserved`], or has no room for a NULL code.
+    /// column or uses the reserved void code under
+    /// [`NullPolicy::EncodedReserved`]; [`CoreError::DomainFull`] if,
+    /// under that policy, a column with NULLs leaves no code but void
+    /// for them.
     pub fn build_with<I: IntoIterator<Item = Cell>>(
         cells: I,
         options: BuildOptions,
     ) -> Result<Self, CoreError> {
-        let cells: Vec<Cell> = cells.into_iter().collect();
-        let has_nulls = cells.iter().any(Cell::is_null);
-        let distinct = Mapping::first_seen_values(&cells);
+        // One pass over the cells: a row keeps only its value's slot,
+        // and every step below that reads values runs once per value.
+        let (distinct, slots) = intern_column(cells);
+        let has_nulls = slots.contains(&NULL_SLOT);
+        // An explicit mapping is checked against every distinct value
+        // before anything else; the default one covers them by
+        // construction.
+        let explicit = match options.mapping {
+            Some(m) => {
+                let codes = codes_of(&m, &distinct)?;
+                Some((m, codes))
+            }
+            None => None,
+        };
+        let value_ordered = |reserved| {
+            let m = dense_order_mapping_after(&distinct, reserved);
+            codes_of(&m, &distinct).map(|codes| (m, codes))
+        };
 
         // The default mapping is value-ordered under both policies, after
         // the reserved codes: a range then selects a code interval, which
         // `reduce` covers without Quine–McCluskey.
-        let (mapping, reserved, null_code) = match options.policy {
+        let (mapping, slot_code, reserved, null_code) = match options.policy {
             NullPolicy::SeparateVectors => {
-                let mapping = match options.mapping {
-                    Some(m) => {
-                        ensure_covers(&m, &distinct)?;
-                        m
-                    }
-                    None => dense_order_mapping_after(&distinct, 0),
+                let (mapping, codes) = match explicit {
+                    Some(pair) => pair,
+                    None => value_ordered(0)?,
                 };
-                (mapping, Vec::new(), None)
+                (mapping, codes, Vec::new(), None)
             }
             NullPolicy::EncodedReserved => {
-                let mapping = match options.mapping {
-                    Some(m) => {
-                        ensure_covers(&m, &distinct)?;
-                        if m.value_of(VOID_CODE).is_some() {
-                            return Err(CoreError::Encoding {
-                                detail:
-                                    "EncodedReserved requires code 0 to stay free for void tuples"
-                                        .into(),
-                            });
-                        }
-                        m
+                let (mapping, codes) = match explicit {
+                    Some((m, _)) if m.value_of(VOID_CODE).is_some() => {
+                        return Err(CoreError::Encoding {
+                            detail: "EncodedReserved requires code 0 to stay free for void tuples"
+                                .into(),
+                        });
                     }
+                    Some(pair) => pair,
                     // Codes: 0 = void, 1 = NULL (when present), then values.
-                    None => dense_order_mapping_after(&distinct, 1 + u64::from(has_nulls)),
+                    None => value_ordered(1 + u64::from(has_nulls))?,
                 };
                 let mut reserved = vec![VOID_CODE];
                 let null_code = if has_nulls {
@@ -157,12 +168,21 @@ impl EncodedBitmapIndex {
                 } else {
                     None
                 };
-                (mapping, reserved, null_code)
+                (mapping, codes, reserved, null_code)
             }
         };
 
-        let rows = cells.len();
-        let (dense, b_null) = encode_cells(&cells, &mapping, null_code);
+        let rows = slots.len();
+        let dense = encode_slots(&slots, &slot_code, mapping.width(), null_code.unwrap_or(0));
+        // Without a reserved code a NULL row stores the placeholder 0 and
+        // is marked in `B_NULL`.
+        let b_null = (has_nulls && null_code.is_none()).then(|| {
+            let mut b_null = BitVec::zeros(rows);
+            for (row, _) in slots.iter().enumerate().filter(|(_, &s)| s == NULL_SLOT) {
+                b_null.set(row, true);
+            }
+            b_null
+        });
         let summaries = Some(summarize_slices(&dense));
         let slices: Vec<SliceStorage> = dense
             .into_iter()
@@ -651,32 +671,21 @@ impl EncodedBitmapIndex {
     }
 }
 
-/// Encodes `cells` row by row into the `k` vectors of Definition 2.1:
-/// bit `j` of every vector is row `j` of `cells`, so a caller that wants
-/// clustered runs sorts the cells first ([`crate::reorder::sort_order`]).
-/// A NULL takes `null_code` when one is reserved; otherwise it stores a
-/// placeholder `0` and is marked in the returned `B_NULL`.
-fn encode_cells(
-    cells: &[Cell],
-    mapping: &Mapping,
-    null_code: Option<u64>,
-) -> (Vec<BitVec>, Option<BitVec>) {
-    let mut fam = SliceFamilyBuilder::new(mapping.width() as usize);
-    let mut b_null: Option<BitVec> = None;
-    for (row, cell) in cells.iter().enumerate() {
-        let code = match (cell, null_code) {
-            (Cell::Value(v), _) => mapping.code_of(*v).expect("mapping covers the column"),
-            (Cell::Null, Some(code)) => code,
-            (Cell::Null, None) => {
-                b_null
-                    .get_or_insert_with(|| BitVec::zeros(cells.len()))
-                    .set(row, true);
-                0
-            }
-        };
-        fam.push_code(code);
+/// Encodes the rows into the `k` vectors of Definition 2.1: bit `j` of
+/// every vector is row `j`, so a caller that wants clustered runs sorts
+/// the cells first ([`crate::reorder::sort_order`]). Row `j`'s code is
+/// `slot_code[slots[j]]`, and a NULL row's is `null_row_code`.
+fn encode_slots(slots: &[u32], slot_code: &[u64], width: u32, null_row_code: u64) -> Vec<BitVec> {
+    let mut fam = SliceFamilyBuilder::with_capacity(width as usize, slots.len());
+    for &slot in slots {
+        fam.push_code(
+            slot_code
+                .get(slot as usize)
+                .copied()
+                .unwrap_or(null_row_code),
+        );
     }
-    (fam.finish(), b_null)
+    fam.finish()
 }
 
 /// Sorted, deduplicated predicate key for the expression cache.
@@ -687,15 +696,20 @@ fn normalise_values(values: &[u64]) -> Vec<u64> {
     v
 }
 
-fn ensure_covers(mapping: &Mapping, values: &[u64]) -> Result<(), CoreError> {
-    for &v in values {
-        if mapping.code_of(v).is_none() {
-            return Err(CoreError::Encoding {
+/// Each value's code under `mapping`.
+///
+/// # Errors
+///
+/// [`CoreError::Encoding`] on the first value the mapping misses.
+fn codes_of(mapping: &Mapping, values: &[u64]) -> Result<Vec<u64>, CoreError> {
+    values
+        .iter()
+        .map(|&v| {
+            mapping.code_of(v).ok_or_else(|| CoreError::Encoding {
                 detail: format!("provided mapping misses value {v}"),
-            });
-        }
-    }
-    Ok(())
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -860,6 +874,47 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::Encoding { .. }));
+    }
+
+    #[test]
+    fn a_null_with_no_code_left_but_void_fills_the_domain() {
+        // Width 2: void is 0, the values take 1..=3, and nothing is left
+        // for the NULL.
+        let full = Mapping::from_pairs(&[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let mut cells = figure1_cells();
+        cells.insert(2, Cell::Null);
+        let err = EncodedBitmapIndex::build_with(
+            cells,
+            BuildOptions {
+                policy: NullPolicy::EncodedReserved,
+                mapping: Some(full),
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err, CoreError::DomainFull { width: 2 });
+    }
+
+    #[test]
+    fn a_value_only_the_last_row_holds_must_be_mapped() {
+        // Value 9 first appears in the last row, after a NULL; the
+        // mapping covers every other value.
+        let mapping = Mapping::from_pairs(&[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let mut cells = figure1_cells();
+        cells.extend([Cell::Null, Cell::Value(9)]);
+        for policy in [NullPolicy::SeparateVectors, NullPolicy::EncodedReserved] {
+            let err = EncodedBitmapIndex::build_with(
+                cells.iter().copied(),
+                BuildOptions {
+                    policy,
+                    mapping: Some(mapping.clone()),
+                },
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, CoreError::Encoding { detail } if detail.contains("value 9")),
+                "{policy:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

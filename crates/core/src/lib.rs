@@ -65,6 +65,7 @@ pub mod error;
 pub mod fold;
 pub mod hierarchy;
 pub mod index;
+mod intern;
 pub mod maintenance;
 pub mod mapping;
 pub mod nulls;

@@ -12,9 +12,9 @@
 //! it. The bulk constructors sort once: `O(m log m)` in any input order.
 
 use crate::error::CoreError;
+use crate::intern::Interner;
 use ebi_bitvec::serial::ByteReader;
 use ebi_storage::Cell;
-use std::collections::HashSet;
 
 /// A one-to-one mapping from value ids to `k`-bit codes.
 ///
@@ -220,12 +220,11 @@ impl Mapping {
     /// with no regard to order, the worst-case line of Figure 9.
     #[must_use]
     pub fn first_seen_values(cells: &[Cell]) -> Vec<u64> {
-        let mut seen = HashSet::new();
-        cells
-            .iter()
-            .filter_map(Cell::value)
-            .filter(|v| seen.insert(*v))
-            .collect()
+        let mut interner = Interner::default();
+        for v in cells.iter().filter_map(Cell::value) {
+            interner.slot(v);
+        }
+        interner.into_values()
     }
 
     /// The unassigned codes of `0..2^width` as sorted, disjoint,
