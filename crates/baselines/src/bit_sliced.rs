@@ -14,6 +14,7 @@ use ebi_bitvec::builder::SliceFamilyBuilder;
 use ebi_bitvec::BitVec;
 use ebi_boolean::{qm, AccessTracker};
 use ebi_core::index::QueryResult;
+use ebi_core::intern::Interner;
 use ebi_obs::CostCounters;
 use ebi_storage::Cell;
 
@@ -32,32 +33,36 @@ pub struct BitSlicedIndex {
 
 impl BitSlicedIndex {
     /// Builds from a numeric column. The width is the bit length of the
-    /// largest value (minimum 1).
+    /// largest value (minimum 1). The column is read once: a slice is
+    /// added when the first value that needs it arrives, and each
+    /// distinct value is listed once.
     #[must_use]
     pub fn build<I: IntoIterator<Item = Cell>>(cells: I) -> Self {
-        let cells: Vec<Cell> = cells.into_iter().collect();
-        let rows = cells.len();
-        let max = cells.iter().filter_map(Cell::value).max().unwrap_or(0);
-        let width = if max <= 1 { 1 } else { max.ilog2() + 1 };
-        let mut fam = SliceFamilyBuilder::with_capacity(width as usize, rows);
+        let cells = cells.into_iter();
+        let mut fam = SliceFamilyBuilder::with_capacity(1, cells.size_hint().0);
         let mut b_null: Option<BitVec> = None;
-        let mut values: Vec<u64> = Vec::new();
-        for (row, cell) in cells.iter().enumerate() {
+        let mut distinct = Interner::default();
+        for (row, cell) in cells.enumerate() {
             match cell {
                 Cell::Value(v) => {
-                    fam.push_code(*v);
-                    values.push(*v);
+                    fam.widen((u64::BITS - v.leading_zeros()) as usize);
+                    fam.push_code(v);
+                    distinct.slot(v);
                 }
                 Cell::Null => {
                     fam.push_code(0);
-                    b_null
-                        .get_or_insert_with(|| BitVec::zeros(rows))
-                        .set(row, true);
+                    let b = b_null.get_or_insert_with(BitVec::new);
+                    b.grow(row + 1);
+                    b.set(row, true);
                 }
             }
         }
+        let rows = fam.rows();
+        if let Some(b) = &mut b_null {
+            b.grow(rows);
+        }
+        let mut values = distinct.into_values();
         values.sort_unstable();
-        values.dedup();
         Self {
             slices: fam.finish(),
             rows,

@@ -260,8 +260,8 @@ fn build_cost(c: &mut Cases, lib_maintain: &'static [Cell]) {
         move || EncodedBitmapIndex::build(lib_maintain.iter().copied()).expect("build"),
         |i| Work::storage(i.storage_bytes()),
     );
-    // A sharded table's per-shard call: the table-wide value-ordered
-    // mapping is made once and handed to every shard's build.
+    // The served table's call per column: its value-ordered mapping,
+    // made before the clock, handed to the build, which then streams.
     let mapping = keep(dense_order_mapping(&Mapping::first_seen_values(
         lib_maintain,
     )));

@@ -15,7 +15,9 @@
 //! for 64 rows at `h = 13`, where pushing bits took 832. The rows past
 //! the last whole word are padded with code 0, which keeps [`BitVec`]'s
 //! zero tail. A builder made with [`SliceFamilyBuilder::with_capacity`] for
-//! its row count allocates each slice once.
+//! its row count allocates each slice once. A builder whose width is not
+//! known before the column is read ([`SliceFamilyBuilder::widen`]) adds a
+//! slice when a code first needs it, zero over the rows before.
 
 use crate::core::{BitVec, WORD_BITS};
 
@@ -33,6 +35,8 @@ pub struct SliceFamilyBuilder {
     rows: usize,
     /// The code bits no slice holds: set bits at positions `>= h`.
     overflow: u64,
+    /// Words a slice is allocated with.
+    capacity: usize,
 }
 
 impl SliceFamilyBuilder {
@@ -55,15 +59,37 @@ impl SliceFamilyBuilder {
     /// Panics if `h > 64`.
     #[must_use]
     pub fn with_capacity(h: usize, rows: usize) -> Self {
-        assert!(h <= WORD_BITS, "{h} slices exceed a 64-bit code");
-        Self {
-            words: (0..h)
-                .map(|_| Vec::with_capacity(rows.div_ceil(WORD_BITS)))
-                .collect(),
+        let mut fam = Self {
+            words: Vec::new(),
             pending: [0; WORD_BITS],
             rows: 0,
-            overflow: u64::MAX.checked_shl(h as u32).unwrap_or(0),
+            overflow: u64::MAX,
+            capacity: rows.div_ceil(WORD_BITS),
+        };
+        fam.widen(h);
+        fam
+    }
+
+    /// Grows the family to `h` slices, if it has fewer; a new slice is
+    /// zero over the rows already pushed. A build that learns its width
+    /// from the column widens before it pushes a code that needs more.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h > 64`.
+    pub fn widen(&mut self, h: usize) {
+        if h <= self.words.len() {
+            return;
         }
+        assert!(h <= WORD_BITS, "{h} slices exceed a 64-bit code");
+        // The pending block is transposed at the new width when flushed.
+        let flushed = self.rows / WORD_BITS;
+        while self.words.len() < h {
+            let mut slice = Vec::with_capacity(self.capacity.max(flushed));
+            slice.resize(flushed, 0);
+            self.words.push(slice);
+        }
+        self.overflow = u64::MAX.checked_shl(self.words.len() as u32).unwrap_or(0);
     }
 
     /// Number of slices.

@@ -260,51 +260,44 @@ impl BitVec {
         }
     }
 
-    /// ORs every bit of `other` into this vector starting at bit
-    /// position `offset`, leaving all other bits untouched.
-    ///
-    /// This is the shard-merge primitive: a service shard evaluates its
-    /// row range into a local bitmap whose bit `j` is shard-relative,
-    /// and the merge writes it back at the shard's global RID offset.
-    /// Shards are disjoint row ranges, so OR never collides; using OR
-    /// (not assignment) keeps the word-boundary writes safe when
-    /// adjacent shards share a word. Word-aligned fast path when
-    /// `offset % 64 == 0`; otherwise each source word is split across
-    /// two destination words.
+    /// ORs every bit of `part` into this vector from word `word` on, that
+    /// is from bit `word * 64`, leaving all other bits untouched: the
+    /// merge of word-aligned parts, such as the morsels of one evaluation.
     ///
     /// # Panics
     ///
-    /// Panics if `offset + other.len() > self.len()`.
-    pub fn or_shifted(&mut self, other: &Self, offset: usize) {
+    /// Panics if `part` reaches past this vector's length.
+    pub fn or_at_word(&mut self, part: &Self, word: usize) {
+        let offset = word * WORD_BITS;
         assert!(
-            offset + other.len <= self.len,
-            "or_shifted out of range: offset {} + {} bits > {} bits",
-            offset,
-            other.len,
+            offset + part.len <= self.len,
+            "or_at_word out of range: bit {offset} + {} bits > {} bits",
+            part.len,
             self.len
         );
-        if other.len == 0 {
-            return;
+        for (dst, &src) in self.words[word..].iter_mut().zip(&part.words) {
+            *dst |= src;
         }
-        let word0 = offset / WORD_BITS;
-        let shift = offset % WORD_BITS;
-        if shift == 0 {
-            for (dst, &src) in self.words[word0..].iter_mut().zip(&other.words) {
-                *dst |= src;
-            }
-        } else {
-            for (i, &src) in other.words.iter().enumerate() {
-                self.words[word0 + i] |= src << shift;
-                let hi = src >> (WORD_BITS - shift);
-                if let Some(dst) = self.words.get_mut(word0 + i + 1) {
-                    *dst |= hi;
-                }
-            }
+    }
+
+    /// Clears every bit `j` of this vector whose bit `word * 64 + j` of
+    /// `mask` is set: `self &= !mask[word * 64 ..][.. len]`, the mask of
+    /// a table-wide vector applied to a word-aligned part of the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this vector reaches past `mask`'s length.
+    pub fn and_not_at_word(&mut self, mask: &Self, word: usize) {
+        let offset = word * WORD_BITS;
+        assert!(
+            offset + self.len <= mask.len,
+            "and_not_at_word out of range: bit {offset} + {} bits > {} bits",
+            self.len,
+            mask.len
+        );
+        for (dst, &m) in self.words.iter_mut().zip(&mask.words[word..]) {
+            *dst &= !m;
         }
-        // `other` upholds the tail invariant, so no stray bits past
-        // `offset + other.len` were written; re-mask our own tail only
-        // to guard against `other` ending exactly at our length.
-        self.mask_tail();
     }
 
     /// Zeroes any bits beyond `len` in the final word, restoring the tail
@@ -554,57 +547,30 @@ mod tests {
     }
 
     #[test]
-    fn or_shifted_matches_bitwise_reference() {
-        // Sweep offsets across word boundaries (including deliberately
-        // unaligned ones) and fragment lengths around 64.
-        for &offset in &[0usize, 1, 63, 64, 65, 100, 127, 128] {
-            for &frag_len in &[0usize, 1, 63, 64, 65, 130] {
-                let total = offset + frag_len + 37; // uneven global tail
-                let mut global = BitVec::from_positions(total, &[0]);
-                let frag: BitVec = (0..frag_len).map(|i| i % 3 == 0).collect();
-                global.or_shifted(&frag, offset);
-                let expect: BitVec = (0..total)
-                    .map(|i| {
-                        i == 0 || (i >= offset && i < offset + frag_len && (i - offset) % 3 == 0)
-                    })
-                    .collect();
-                assert_eq!(global, expect, "offset={offset} frag_len={frag_len}");
-            }
-        }
-    }
-
-    #[test]
-    fn or_shifted_adjacent_fragments_share_words_safely() {
-        // Two "shards" whose boundary falls mid-word: merging both must
-        // reconstruct the full vector exactly.
+    fn word_aligned_parts_merge_and_mask_at_their_offset() {
+        // Parts of a 200-bit vector cut at words 1 and 3, merged out of
+        // order; each masked by the same rows of a table-wide mask.
         let full: BitVec = (0..200).map(|i| i % 7 == 0 || i % 11 == 3).collect();
-        let cut = 83; // not a multiple of 64
-        let lo: BitVec = (0..cut).map(|i| full.bit(i)).collect();
-        let hi: BitVec = (cut..200).map(|i| full.bit(i)).collect();
+        let mask: BitVec = (0..200).map(|i| i % 5 == 0).collect();
         let mut merged = BitVec::zeros(200);
-        merged.or_shifted(&hi, cut); // out of order on purpose
-        merged.or_shifted(&lo, 0);
+        for (w0, w1) in [(3, 4), (0, 1), (1, 3)] {
+            let rows = w0 * 64..(w1 * 64).min(200);
+            let mut p: BitVec = rows.clone().map(|i| full.bit(i)).collect();
+            merged.or_at_word(&p, w0);
+            p.and_not_at_word(&mask, w0);
+            let want = rows.filter(|&i| full.bit(i) && !mask.bit(i));
+            assert_eq!(
+                p.to_positions(),
+                want.map(|i| i - w0 * 64).collect::<Vec<_>>()
+            );
+        }
         assert_eq!(merged, full);
     }
 
     #[test]
-    fn or_shifted_fragment_ending_at_len_keeps_tail_invariant() {
-        let mut global = BitVec::zeros(70);
-        let frag = BitVec::ones(6);
-        global.or_shifted(&frag, 64);
-        assert_eq!(global.count_ones(), 6);
-        assert_eq!(
-            global.words().iter().map(|w| w.count_ones()).sum::<u32>(),
-            6,
-            "no stray bits beyond len"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "or_shifted out of range")]
-    fn or_shifted_rejects_overflow() {
-        let mut global = BitVec::zeros(64);
-        let frag = BitVec::ones(2);
-        global.or_shifted(&frag, 63);
+    #[should_panic(expected = "or_at_word out of range")]
+    fn or_at_word_rejects_overflow() {
+        let mut global = BitVec::zeros(65);
+        global.or_at_word(&BitVec::ones(2), 1);
     }
 }

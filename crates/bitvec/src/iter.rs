@@ -88,35 +88,35 @@ impl BitVec {
         out
     }
 
-    /// Position of the first set bit, if any.
-    #[must_use]
-    pub fn first_one(&self) -> Option<usize> {
-        self.iter_ones().next()
-    }
-
-    /// Index of each block of `block_bits` consecutive bits that holds
-    /// at least one set bit, ascending: block `b` covers positions
-    /// `b * block_bits ..`, the last block ends at `len()`. This is the
-    /// set `iter_ones().map(|i| i / block_bits)` deduplicated, found in
-    /// `O(words + blocks)`: each step masks the first word of the next
+    /// Index of each block of `block_bits` consecutive positions that
+    /// holds a set bit, ascending, where bit `i` of this vector is
+    /// position `base + i` (a part of a table whose first row is `base`):
+    /// block `b` covers positions `b * block_bits ..`. This is the set
+    /// `iter_ones().map(|i| (base + i) / block_bits)` deduplicated, found
+    /// in `O(words + blocks)`: each step masks the first word of the next
     /// unvisited block below its start and skips zero words from there,
-    /// so a block size need not be a multiple of 64.
+    /// so neither a block size nor `base` need be a multiple of 64.
     ///
     /// ```
     /// use ebi_bitvec::BitVec;
     ///
     /// let v = BitVec::from_positions(300, &[1, 2, 150, 299]);
-    /// assert_eq!(v.occupied_blocks(100).collect::<Vec<_>>(), [0, 1, 2]);
-    /// assert_eq!(v.occupied_blocks(7).collect::<Vec<_>>(), [0, 21, 42]);
+    /// assert_eq!(v.occupied_blocks(100, 0).collect::<Vec<_>>(), [0, 1, 2]);
+    /// assert_eq!(v.occupied_blocks(7, 0).collect::<Vec<_>>(), [0, 21, 42]);
+    /// assert_eq!(v.occupied_blocks(100, 64).collect::<Vec<_>>(), [0, 2, 3]);
     /// ```
     ///
     /// # Panics
     ///
     /// Panics if `block_bits == 0`.
-    pub fn occupied_blocks(&self, block_bits: usize) -> impl Iterator<Item = usize> + '_ {
+    pub fn occupied_blocks(
+        &self,
+        block_bits: usize,
+        base: usize,
+    ) -> impl Iterator<Item = usize> + '_ {
         assert!(block_bits > 0, "a block holds at least one bit");
         let words = self.words();
-        // First position not yet covered by a yielded block.
+        // First bit not yet covered by a yielded block.
         let mut from = 0usize;
         std::iter::from_fn(move || {
             let mut w = from / WORD_BITS;
@@ -125,8 +125,8 @@ impl BitVec {
                 w += 1;
                 word = *words.get(w)?;
             }
-            let block = (w * WORD_BITS + word.trailing_zeros() as usize) / block_bits;
-            from = (block + 1).saturating_mul(block_bits);
+            let block = (base + w * WORD_BITS + word.trailing_zeros() as usize) / block_bits;
+            from = (block + 1).saturating_mul(block_bits).saturating_sub(base);
             Some(block)
         })
     }
@@ -173,8 +173,6 @@ mod tests {
     fn ones_iter_skips_long_zero_runs() {
         let v = BitVec::from_positions(10_000, &[9_999]);
         assert_eq!(v.to_positions(), vec![9_999]);
-        assert_eq!(v.first_one(), Some(9_999));
-        assert_eq!(BitVec::zeros(10).first_one(), None);
     }
 
     #[test]
@@ -199,12 +197,14 @@ mod tests {
         }
         for v in &patterns {
             for b in [1usize, 3, 64, 100, 512, v.len() + 1] {
-                let mut want: Vec<usize> = v.iter_ones().map(|i| i / b).collect();
-                want.dedup();
-                // One past the expected count, so a block yielded twice
-                // fails here rather than repeating forever.
-                let got: Vec<usize> = v.occupied_blocks(b).take(want.len() + 1).collect();
-                assert_eq!(got, want, "len {} block {b}", v.len());
+                for base in [0usize, 64, 32_768, 99] {
+                    let mut want: Vec<usize> = v.iter_ones().map(|i| (base + i) / b).collect();
+                    want.dedup();
+                    // One past the expected count, so a block yielded
+                    // twice fails here rather than repeating forever.
+                    let got: Vec<usize> = v.occupied_blocks(b, base).take(want.len() + 1).collect();
+                    assert_eq!(got, want, "len {} block {b} base {base}", v.len());
+                }
             }
         }
     }
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one bit")]
     fn occupied_blocks_refuse_an_empty_block() {
-        let _ = BitVec::ones(3).occupied_blocks(0);
+        let _ = BitVec::ones(3).occupied_blocks(0, 0);
     }
 
     #[test]

@@ -39,8 +39,9 @@
 //! words. No intermediate `BitVec` is ever allocated; the product
 //! stack, the accumulator, the low parts and the scratch windows are
 //! `(depth + 1 + low parts + slices) × 4 KiB`, taken from a per-thread
-//! scratch that outlives the call (see [`BoundPlan::eval`]). One
-//! evaluation runs on one thread, from the first segment to the last.
+//! scratch that outlives the call (see [`BoundPlan::eval_windows`]). One
+//! evaluation runs on one thread, from its first segment to its last:
+//! every segment, or the morsel a scheduler hands that thread.
 
 use crate::core::{BitVec, WORD_BITS};
 use crate::roaring::{RoaringBitmap, WindowFill, WindowKind};
@@ -50,6 +51,7 @@ use crate::summary::SegmentSummary;
 use ebi_obs::CostCounters;
 use std::cell::Cell;
 use std::cmp::{Ordering, Reverse};
+use std::ops::Range;
 
 /// Words per evaluation segment: the one granularity of the kernel's
 /// windows and of [`SegmentSummary`].
@@ -499,12 +501,6 @@ impl<'a> Windows<'a> {
 }
 
 impl BoundPlan<'_> {
-    /// Rows covered by the plan.
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.rows
-    }
-
     /// Estimated kernel word traffic of evaluating this plan: a
     /// segment's words per literal left after sharing, per segment,
     /// minus the products a summary proves zero on a segment. The last
@@ -565,7 +561,23 @@ impl BoundPlan<'_> {
         words
     }
 
-    /// Evaluates the whole plan into a fresh selection bitmap.
+    /// Kernel windows the plan's rows span, [`SEGMENT_BITS`] rows each.
+    #[must_use]
+    pub fn windows(&self) -> usize {
+        self.rows.div_ceil(SEGMENT_BITS)
+    }
+
+    /// Evaluates the whole plan into a fresh selection bitmap:
+    /// [`BoundPlan::eval_windows`] over every window.
+    #[must_use]
+    pub fn eval(&self, stats: &mut CostCounters) -> BitVec {
+        self.eval_windows(0..self.windows(), stats)
+    }
+
+    /// Evaluates windows `windows` of the plan into a fresh bitmap of
+    /// their rows: bit `j` is row `windows.start * SEGMENT_BITS + j`. The
+    /// parts of any split of `0..windows()` are the whole evaluation's
+    /// words side by side, and their counters sum to its counters.
     ///
     /// The working rows come from this thread's scratch: taken out for
     /// the call and put back after it, so an evaluation nested in this
@@ -574,9 +586,20 @@ impl BoundPlan<'_> {
     /// has evaluated, at most `(64 + 1 + 27 + 64) × 4 KiB` ≈ 624 KiB
     /// (product stack, accumulator, low parts, slice windows), and is
     /// never zeroed: every row is written before it is read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` is not a range within `0..windows()`.
     #[must_use]
-    pub fn eval(&self, stats: &mut CostCounters) -> BitVec {
-        let mut out = BitVec::zeros(self.rows);
+    pub fn eval_windows(&self, windows: Range<usize>, stats: &mut CostCounters) -> BitVec {
+        assert!(
+            windows.start <= windows.end && windows.end <= self.windows(),
+            "windows {windows:?} outside the plan's 0..{}",
+            self.windows()
+        );
+        let first = windows.start * SEGMENT_BITS;
+        let rows = (windows.end * SEGMENT_BITS).min(self.rows).max(first) - first;
+        let mut out = BitVec::zeros(rows);
         let plan = self.plan;
         if plan.tautology {
             out.words.fill(u64::MAX);
@@ -587,7 +610,7 @@ impl BoundPlan<'_> {
             return out;
         }
         let mut scratch = SCRATCH.take();
-        self.eval_into(&mut out.words, &mut scratch, stats);
+        self.eval_into(&mut out.words, windows.start, &mut scratch, stats);
         SCRATCH.set(scratch);
         // Negated literals set garbage bits beyond the last row in the
         // final word; restore the tail invariant.
@@ -595,9 +618,15 @@ impl BoundPlan<'_> {
         out
     }
 
-    /// ORs the plan's terms into `dst`, segment by segment, working in
-    /// `scratch`.
-    fn eval_into(&self, dst: &mut [u64], scratch: &mut Scratch, stats: &mut CostCounters) {
+    /// ORs the plan's terms into `dst`, the words of the segments from
+    /// `first` on, segment by segment, working in `scratch`.
+    fn eval_into(
+        &self,
+        dst: &mut [u64],
+        first: usize,
+        scratch: &mut Scratch,
+        stats: &mut CostCounters,
+    ) {
         let path = simd::selected_path();
         let plan = self.plan;
 
@@ -621,7 +650,8 @@ impl BoundPlan<'_> {
         // high-part literals, kept for as deep as a later term shares.
         let mut levels = [Product::Ones; 65];
 
-        for (seg, seg_dst) in dst.chunks_mut(SEGMENT_WORDS).enumerate() {
+        for (i, seg_dst) in dst.chunks_mut(SEGMENT_WORDS).enumerate() {
+            let seg = first + i;
             let nw = seg_dst.len();
 
             // Window-once fetch: classify or materialise every

@@ -79,16 +79,6 @@ impl BitVec {
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
     }
 
-    /// `true` if every set bit of `self` is also set in `other`.
-    #[must_use]
-    pub fn is_subset(&self, other: &Self) -> bool {
-        self.check_len(other, "is_subset");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
-    }
-
     /// Population count of `self & other` without materialising it.
     #[must_use]
     pub fn and_count(&self, other: &Self) -> usize {
@@ -231,12 +221,10 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_disjoint_predicates() {
+    fn disjoint_and_intersection_count() {
         let a = BitVec::from_positions(100, &[1, 5, 9]);
         let b = BitVec::from_positions(100, &[1, 5, 9, 50]);
         let c = BitVec::from_positions(100, &[2, 6]);
-        assert!(a.is_subset(&b));
-        assert!(!b.is_subset(&a));
         assert!(a.is_disjoint(&c));
         assert!(!a.is_disjoint(&b));
         assert_eq!(a.and_count(&b), 3);

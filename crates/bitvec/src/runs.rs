@@ -40,16 +40,6 @@ impl RunStats {
         st
     }
 
-    /// Fraction of uniform words, in `[0, 1]`; `0.0` when empty.
-    #[must_use]
-    pub fn fill_word_fraction(&self) -> f64 {
-        if self.total_words == 0 {
-            0.0
-        } else {
-            self.fill_words as f64 / self.total_words as f64
-        }
-    }
-
     /// Folds `other` into `self` for whole-index aggregation. Runs are
     /// summed (slices are independent bitmaps, so no run spans two).
     pub fn merge(&mut self, other: &Self) {
@@ -127,7 +117,6 @@ mod tests {
         let st = ones.run_stats();
         assert_eq!(st.runs, 1);
         assert_eq!(st.longest_run, 1000);
-        assert!((st.fill_word_fraction() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -208,6 +197,5 @@ mod tests {
         assert_eq!(b.longest_run, 40);
         assert_eq!(b.fill_words, 5);
         assert_eq!(b.total_words, 16);
-        assert!((b.fill_word_fraction() - 5.0 / 16.0).abs() < 1e-12);
     }
 }

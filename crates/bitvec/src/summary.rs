@@ -100,13 +100,6 @@ impl SegmentSummary {
         self.ones_in(seg) as usize == self.segment_bits(seg)
     }
 
-    /// Total set bits across all segments (equals `BitVec::count_ones`
-    /// of the source vector).
-    #[must_use]
-    pub fn total_ones(&self) -> u64 {
-        self.ones.iter().map(|&c| u64::from(c)).sum()
-    }
-
     /// Recomputes the summary over `bits` in place, reusing the count
     /// buffer (for index maintenance after appends or deletes).
     pub fn rebuild(&mut self, bits: &BitVec) {
@@ -157,7 +150,6 @@ mod tests {
         assert_eq!(s.ones_in(0), 2);
         assert_eq!(s.ones_in(1), 1);
         assert_eq!(s.ones_in(2), 1);
-        assert_eq!(s.total_ones(), v.count_ones() as u64);
     }
 
     #[test]
@@ -182,7 +174,6 @@ mod tests {
         let len = SEGMENT_BITS + 904;
         let mut v = BitVec::zeros(len);
         let mut s = SegmentSummary::build(&v);
-        assert_eq!(s.total_ones(), 0);
         v.set(len - 1, true);
         s.rebuild(&v);
         assert_eq!(s.ones_in(1), 1);

@@ -167,10 +167,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn slice_family_words_match_one_bit_per_row(seed in any::<u64>(), sized in any::<bool>()) {
+    fn slice_family_words_match_one_bit_per_row(seed in any::<u64>(), build in 0u8..3) {
         // Each row's code is 0, all ones or random bits below the width,
         // so the blocks hold runs as well as noise; width 64 puts bit 63
-        // in about half the codes.
+        // in about half the codes. The builder is sized, or not, or starts
+        // one slice wide and widens to each code that needs more.
         for width in [1usize, 2, 13, 63, 64] {
             let mask = u64::MAX >> (WORD_BITS - width);
             for rows in [0usize, 1, 63, 64, 65, 127, 2 * SEGMENT_BITS + 3] {
@@ -182,17 +183,21 @@ proptest! {
                         _ => next(&mut state) & mask,
                     })
                     .collect();
-                let mut fam = if sized {
-                    SliceFamilyBuilder::with_capacity(width, rows)
-                } else {
-                    SliceFamilyBuilder::new(width)
+                let mut fam = match build {
+                    0 => SliceFamilyBuilder::with_capacity(width, rows),
+                    1 => SliceFamilyBuilder::new(width),
+                    _ => SliceFamilyBuilder::with_capacity(1, rows),
                 };
                 for &c in &codes {
+                    // A no-op unless the builder started narrower.
+                    fam.widen(WORD_BITS - c.leading_zeros() as usize);
                     fam.push_code(c);
                 }
                 prop_assert_eq!(fam.rows(), rows);
                 let built = fam.finish();
-                prop_assert_eq!(built.len(), width);
+                let needed = codes.iter().map(|c| WORD_BITS - c.leading_zeros() as usize);
+                let want = if build == 2 { needed.max().unwrap_or(0).max(1) } else { width };
+                prop_assert_eq!(built.len(), want);
                 for (i, slice) in built.iter().enumerate() {
                     let reference = BitVec::from_bools(codes.iter().map(|c| c >> i & 1 == 1));
                     prop_assert_eq!(slice.len(), rows, "width {} slice {}", width, i);

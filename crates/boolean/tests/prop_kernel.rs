@@ -13,13 +13,14 @@
 //! * segment summaries on and off;
 //! * row counts that are not multiples of the word or the
 //!   [`SEGMENT_BITS`]-row segment, and zero rows;
-//! * every kernel tier the host can run.
+//! * every kernel tier the host can run;
+//! * the whole evaluation, or its windows one morsel at a time.
 //!
 //! The paper's cost metrics (`vectors_accessed`, `cube_evals`,
 //! `literal_ops`) are properties of the *expression*: none of the above
 //! may move them.
 
-use ebi_bitvec::kernels::{SliceSource, SEGMENT_BITS};
+use ebi_bitvec::kernels::{SliceSource, SEGMENT_BITS, SEGMENT_WORDS};
 use ebi_bitvec::summary::summarize_slices;
 use ebi_bitvec::{simd, BitVec, DnfPlan, SegmentSummary, SliceStorage, StorageKind, StoragePolicy};
 use ebi_boolean::{eval_expr_naive, eval_expr_tracked, AccessTracker, Cube, DnfExpr};
@@ -155,6 +156,22 @@ fn check<S: SliceSource>(
         prop_assert_eq!(cost.cube_evals, expr.cubes().len() as u64);
         prop_assert_eq!(cost.literal_ops, expr.literal_count() as u64);
         prop_assert_eq!(cost.or_ops, expr.cubes().len().saturating_sub(1) as u64);
+
+        // One morsel per window: the parts, side by side, are the whole,
+        // and their kernel counters sum to the whole evaluation's.
+        let plan = expr.lower();
+        let bound = plan.bind(slices, summaries, rows);
+        let (whole, parts, merged) = simd::with_forced_path(path, || {
+            let (mut whole, mut parts) = (CostCounters::default(), CostCounters::default());
+            let _ = bound.eval(&mut whole);
+            let mut merged = BitVec::zeros(rows);
+            for w in 0..bound.windows() {
+                merged.or_at_word(&bound.eval_windows(w..w + 1, &mut parts), w * SEGMENT_WORDS);
+            }
+            (whole, parts, merged)
+        });
+        prop_assert_eq!(&merged, naive, "morsels != naive: {}", what);
+        prop_assert_eq!(parts, whole, "morsel counters: {}", what);
     }
     Ok(())
 }

@@ -55,25 +55,30 @@ pub struct AggregateResult<T> {
 
 impl BitSlicedMeasure {
     /// Builds from a measure column. The slice width is the bit length
-    /// of the largest value (minimum 1).
+    /// of the largest value (minimum 1). The column is read once: a slice
+    /// is added when the first value that needs it arrives.
     #[must_use]
     pub fn build<I: IntoIterator<Item = Cell>>(cells: I) -> Self {
-        let cells: Vec<Cell> = cells.into_iter().collect();
-        let rows = cells.len();
-        let max = cells.iter().filter_map(Cell::value).max().unwrap_or(0);
-        let width = if max <= 1 { 1 } else { max.ilog2() + 1 };
-        let mut fam = SliceFamilyBuilder::with_capacity(width as usize, rows);
+        let cells = cells.into_iter();
+        let mut fam = SliceFamilyBuilder::with_capacity(1, cells.size_hint().0);
         let mut b_null: Option<BitVec> = None;
-        for (row, cell) in cells.iter().enumerate() {
-            match cell.value() {
-                Some(v) => fam.push_code(v),
-                None => {
+        for (row, cell) in cells.enumerate() {
+            match cell {
+                Cell::Value(v) => {
+                    fam.widen((u64::BITS - v.leading_zeros()) as usize);
+                    fam.push_code(v);
+                }
+                Cell::Null => {
                     fam.push_code(0);
-                    b_null
-                        .get_or_insert_with(|| BitVec::zeros(rows))
-                        .set(row, true);
+                    let b = b_null.get_or_insert_with(BitVec::new);
+                    b.grow(row + 1);
+                    b.set(row, true);
                 }
             }
+        }
+        let rows = fam.rows();
+        if let Some(b) = &mut b_null {
+            b.grow(rows);
         }
         Self {
             slices: fam.finish(),

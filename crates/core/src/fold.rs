@@ -1,7 +1,7 @@
 //! Joining selections: §2.1's cooperativity argument is that
 //! single-attribute bitmap indexes answer any Boolean combination with
 //! one word-level operation per join. The warehouse executor and the
-//! service's shards both join through these two folds, so a join costs
+//! service's morsels both join through these two folds, so a join costs
 //! one `literal_op` everywhere.
 
 use ebi_bitvec::BitVec;

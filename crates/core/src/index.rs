@@ -1,16 +1,20 @@
 //! The encoded bitmap index (Definition 2.1).
 
 use crate::error::CoreError;
-use crate::intern::{intern_column, NULL_SLOT};
+use crate::intern::{intern_column, Interner, NULL_SLOT};
 use crate::mapping::Mapping;
 use crate::nulls::{NullPolicy, VOID_CODE};
 use crate::total_order::dense_order_mapping_after;
 use ebi_bitvec::builder::SliceFamilyBuilder;
 use ebi_bitvec::summary::{summarize_slices, summarize_storage};
-use ebi_bitvec::{BitVec, DnfPlan, RunStats, SegmentSummary, SliceStorage, StoragePolicy};
+use ebi_bitvec::{
+    BitVec, DnfPlan, RunStats, SegmentSummary, SliceStorage, StoragePolicy, SEGMENT_BITS,
+    SEGMENT_WORDS,
+};
 use ebi_boolean::{interval, qm, AccessTracker, DnfExpr};
 use ebi_obs::CostCounters;
 use ebi_storage::Cell;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Result of one query: the selection bitmap (bit `j` set iff live row
@@ -102,6 +106,12 @@ impl EncodedBitmapIndex {
 
     /// Builds with explicit options.
     ///
+    /// With a mapping given, the build reads the column once and encodes
+    /// as it reads: each distinct value's code is looked up once, and
+    /// nothing is kept per row beside the slices being written. The
+    /// default mapping must see every value before it assigns a code, so
+    /// that build holds a `u32` slot per row until the codes are pushed.
+    ///
     /// # Errors
     ///
     /// [`CoreError::Encoding`] if a provided mapping misses values of the
@@ -113,67 +123,113 @@ impl EncodedBitmapIndex {
         cells: I,
         options: BuildOptions,
     ) -> Result<Self, CoreError> {
-        // One pass over the cells: a row keeps only its value's slot,
-        // and every step below that reads values runs once per value.
+        let policy = options.policy;
+        let Some(mapping) = options.mapping else {
+            return Self::build_value_ordered(cells, policy);
+        };
+        if policy == NullPolicy::EncodedReserved && mapping.value_of(VOID_CODE).is_some() {
+            return Err(CoreError::Encoding {
+                detail: "EncodedReserved requires code 0 to stay free for void tuples".into(),
+            });
+        }
+        // The code a NULL row would take: a reserved one under
+        // `EncodedReserved`, if the mapping leaves one but void; else the
+        // placeholder 0, masked by `B_NULL`.
+        let free_null = match policy {
+            NullPolicy::SeparateVectors => Some(0),
+            NullPolicy::EncodedReserved => null_code_in(&mapping),
+        };
+        // One pass that encodes as it reads: a row's code is pushed at
+        // once, and only each distinct value's code is looked up in the
+        // mapping, the first time the value is seen.
+        let cells = cells.into_iter();
+        let mut fam =
+            SliceFamilyBuilder::with_capacity(mapping.width() as usize, cells.size_hint().0);
+        let mut interner = Interner::default();
+        let mut slot_code: Vec<u64> = Vec::new();
+        let (mut has_nulls, mut b_null) = (false, None::<BitVec>);
+        for (row, cell) in cells.enumerate() {
+            let code = match cell {
+                Cell::Value(v) => {
+                    let slot = interner.slot(v) as usize;
+                    if slot == slot_code.len() {
+                        slot_code.push(mapping.code_of(v).ok_or_else(|| CoreError::Encoding {
+                            detail: format!("provided mapping misses value {v}"),
+                        })?);
+                    }
+                    slot_code[slot]
+                }
+                Cell::Null => {
+                    has_nulls = true;
+                    if policy == NullPolicy::SeparateVectors {
+                        let b = b_null.get_or_insert_with(BitVec::new);
+                        b.grow(row + 1);
+                        b.set(row, true);
+                    }
+                    // A column with no code for its NULLs fails once every
+                    // value has been checked against the mapping.
+                    free_null.unwrap_or(0)
+                }
+            };
+            fam.push_code(code);
+        }
+        if has_nulls && free_null.is_none() {
+            return Err(CoreError::DomainFull {
+                width: mapping.width(),
+            });
+        }
+        let rows = fam.rows();
+        if let Some(b) = &mut b_null {
+            b.grow(rows);
+        }
+        let null_code = free_null.filter(|_| has_nulls && policy == NullPolicy::EncodedReserved);
+        Ok(Self::assemble(
+            mapping,
+            fam.finish(),
+            rows,
+            policy,
+            null_code,
+            b_null,
+        ))
+    }
+
+    /// The build under the default mapping, which must see every value
+    /// before it can assign any code: one pass keeps each row's `u32`
+    /// slot among the distinct values, and the codes are pushed once the
+    /// mapping is made from them.
+    fn build_value_ordered<I: IntoIterator<Item = Cell>>(
+        cells: I,
+        policy: NullPolicy,
+    ) -> Result<Self, CoreError> {
         let (distinct, slots) = intern_column(cells);
         let has_nulls = slots.contains(&NULL_SLOT);
-        // An explicit mapping is checked against every distinct value
-        // before anything else; the default one covers them by
-        // construction.
-        let explicit = match options.mapping {
-            Some(m) => {
-                let codes = codes_of(&m, &distinct)?;
-                Some((m, codes))
-            }
-            None => None,
+        // Value-ordered under both policies, after the reserved codes: a
+        // range then selects a code interval, which `reduce` covers
+        // without Quine–McCluskey. Under `EncodedReserved`: 0 = void,
+        // 1 = NULL (when present), then the values.
+        let reserved = match policy {
+            NullPolicy::SeparateVectors => 0,
+            NullPolicy::EncodedReserved => 1 + u64::from(has_nulls),
         };
-        let value_ordered = |reserved| {
-            let m = dense_order_mapping_after(&distinct, reserved);
-            codes_of(&m, &distinct).map(|codes| (m, codes))
+        let mapping = dense_order_mapping_after(&distinct, reserved);
+        let slot_code = codes_of(&mapping, &distinct)?;
+        let null_code = if policy == NullPolicy::EncodedReserved && has_nulls {
+            Some(null_code_in(&mapping).ok_or(CoreError::DomainFull {
+                width: mapping.width(),
+            })?)
+        } else {
+            None
         };
-
-        // The default mapping is value-ordered under both policies, after
-        // the reserved codes: a range then selects a code interval, which
-        // `reduce` covers without Quine–McCluskey.
-        let (mapping, slot_code, reserved, null_code) = match options.policy {
-            NullPolicy::SeparateVectors => {
-                let (mapping, codes) = match explicit {
-                    Some(pair) => pair,
-                    None => value_ordered(0)?,
-                };
-                (mapping, codes, Vec::new(), None)
-            }
-            NullPolicy::EncodedReserved => {
-                let (mapping, codes) = match explicit {
-                    Some((m, _)) if m.value_of(VOID_CODE).is_some() => {
-                        return Err(CoreError::Encoding {
-                            detail: "EncodedReserved requires code 0 to stay free for void tuples"
-                                .into(),
-                        });
-                    }
-                    Some(pair) => pair,
-                    // Codes: 0 = void, 1 = NULL (when present), then values.
-                    None => value_ordered(1 + u64::from(has_nulls))?,
-                };
-                let mut reserved = vec![VOID_CODE];
-                let null_code = if has_nulls {
-                    let mut free = mapping.free_runs().into_iter().flat_map(|(a, b)| a..=b);
-                    let code = free
-                        .find(|&c| c != VOID_CODE)
-                        .ok_or(CoreError::DomainFull {
-                            width: mapping.width(),
-                        })?;
-                    reserved.push(code);
-                    Some(code)
-                } else {
-                    None
-                };
-                (mapping, codes, reserved, null_code)
-            }
-        };
-
         let rows = slots.len();
-        let dense = encode_slots(&slots, &slot_code, mapping.width(), null_code.unwrap_or(0));
+        let mut fam = SliceFamilyBuilder::with_capacity(mapping.width() as usize, rows);
+        for &slot in &slots {
+            fam.push_code(
+                slot_code
+                    .get(slot as usize)
+                    .copied()
+                    .unwrap_or(null_code.unwrap_or(0)),
+            );
+        }
         // Without a reserved code a NULL row stores the placeholder 0 and
         // is marked in `B_NULL`.
         let b_null = (has_nulls && null_code.is_none()).then(|| {
@@ -183,16 +239,39 @@ impl EncodedBitmapIndex {
             }
             b_null
         });
+        Ok(Self::assemble(
+            mapping,
+            fam.finish(),
+            rows,
+            policy,
+            null_code,
+            b_null,
+        ))
+    }
+
+    /// The index over built slices: summaries taken, containers chosen.
+    fn assemble(
+        mapping: Mapping,
+        dense: Vec<BitVec>,
+        rows: usize,
+        policy: NullPolicy,
+        null_code: Option<u64>,
+        b_null: Option<BitVec>,
+    ) -> Self {
+        let reserved = match policy {
+            NullPolicy::SeparateVectors => Vec::new(),
+            NullPolicy::EncodedReserved => std::iter::once(VOID_CODE).chain(null_code).collect(),
+        };
         let summaries = Some(summarize_slices(&dense));
         let slices: Vec<SliceStorage> = dense
             .into_iter()
             .map(|b| SliceStorage::from_dense(b, StoragePolicy::default()))
             .collect();
-        Ok(Self {
+        Self {
             mapping,
             slices,
             rows,
-            policy: options.policy,
+            policy,
             reserved,
             null_code,
             b_not_exist: None,
@@ -202,7 +281,7 @@ impl EncodedBitmapIndex {
             dont_cares: OnceLock::new(),
             summaries,
             storage_policy: StoragePolicy::default(),
-        })
+        }
     }
 
     /// Number of rows indexed (including deleted slots).
@@ -533,13 +612,9 @@ impl EncodedBitmapIndex {
     }
 
     /// Evaluates a precompiled, reduced DNF expression against this
-    /// index — the fan-out half of compile-once / evaluate-everywhere.
+    /// index — the evaluate half of compile-once / evaluate-many.
     ///
-    /// A sharded table compiles one retrieval expression against the
-    /// shared table-wide [`Mapping`] (see [`BuildOptions::mapping`]) and
-    /// runs it on every shard with this method; codes and don't-care
-    /// sets are identical across shards, so the expression is valid on
-    /// all of them. The expression must have been produced by
+    /// The expression must have been produced by
     /// [`EncodedBitmapIndex::explain_in_list`] (or an equivalent
     /// reduction) against an index built over the *same* mapping —
     /// evaluating an expression compiled under a different mapping
@@ -547,7 +622,7 @@ impl EncodedBitmapIndex {
     #[must_use]
     pub fn run_dnf(&self, expr: &DnfExpr) -> QueryResult {
         let vectors = self.vectors();
-        let mut result = self.select(expr, &expr.lower(), &vectors);
+        let mut result = self.select(expr, &expr.lower(), &vectors, 0..self.windows());
         result.expression = self.render(expr, &vectors);
         result
     }
@@ -556,9 +631,9 @@ impl EncodedBitmapIndex {
     /// lowered expression on this index: its unshared literals times the
     /// segments, less what valid summaries prune.
     ///
-    /// A scheduler that dispatches work across indexes (the sharded
-    /// service) compares it against its dispatch floor to decide whether
-    /// a slice of work is worth handing to another thread at all.
+    /// A scheduler that splits work across threads (the service's
+    /// morsels) compares it against its dispatch floor to decide whether
+    /// the work is worth handing to another thread at all.
     #[must_use]
     pub fn estimated_work_words(&self, plan: &DnfPlan) -> u64 {
         plan.bind(&self.slices, self.summaries.as_deref(), self.rows)
@@ -567,19 +642,50 @@ impl EncodedBitmapIndex {
 
     /// [`EncodedBitmapIndex::run_dnf`] with the expression already
     /// lowered: `plan` must be `expr.lower()`. A caller that runs one
-    /// expression on many indexes (the sharded service) lowers it once.
-    /// `expression` comes back empty: the caller compiled the expression
-    /// and holds its text.
+    /// expression many times (the served table, a morsel at a time)
+    /// lowers it once. `expression` comes back empty: the caller compiled
+    /// the expression and holds its text.
     #[must_use]
     pub fn run_plan(&self, expr: &DnfExpr, plan: &DnfPlan) -> QueryResult {
-        self.select(expr, plan, &self.vectors())
+        self.run_plan_windows(expr, plan, 0..self.windows())
+    }
+
+    /// Kernel windows the index's rows span, [`SEGMENT_BITS`] rows each:
+    /// the unit a scheduler splits an evaluation into.
+    #[must_use]
+    pub fn windows(&self) -> usize {
+        self.rows.div_ceil(SEGMENT_BITS)
+    }
+
+    /// [`EncodedBitmapIndex::run_plan`] over kernel windows `windows`
+    /// only: a *morsel*. The bitmap holds their rows (bit `j` is row
+    /// `windows.start * SEGMENT_BITS + j`), masked by the same rows of
+    /// `B_NULL` and `B_NotExist`. The kernel's counters are the morsel's
+    /// own; the expression's (`vectors_accessed` — footnote 4's `c_e`
+    /// with the companion vectors — `literal_ops`, `cube_evals`,
+    /// `or_ops`) are counted by the morsel that starts at window 0, so
+    /// the morsels of any split of `0..windows()` sum to one evaluation
+    /// of the whole.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` is not a range within `0..windows()`.
+    #[must_use]
+    pub fn run_plan_windows(
+        &self,
+        expr: &DnfExpr,
+        plan: &DnfPlan,
+        windows: Range<usize>,
+    ) -> QueryResult {
+        self.select(expr, plan, &self.vectors(), windows)
     }
 
     /// The selection path below reduction, written once for every form
     /// of the index: evaluate `expr` (lowered as `plan`) with the kernel
-    /// over whichever containers hold the slices — bit-identical to naive
-    /// whole-vector evaluation over dense ones — mask the companions and
-    /// account. The in-memory index passes its own vectors;
+    /// over whichever containers hold the slices, on kernel windows
+    /// `windows` — bit-identical to naive whole-vector evaluation over
+    /// dense ones — mask the companions on the same rows and account. The
+    /// in-memory index passes its own vectors;
     /// [`crate::paged::PagedIndex`] passes the ones it fetched through
     /// its pool. No text is formatted here: a caller that
     /// reports the expression fills `expression` from
@@ -589,21 +695,27 @@ impl EncodedBitmapIndex {
         expr: &DnfExpr,
         plan: &DnfPlan,
         vectors: &Vectors<'_>,
+        windows: Range<usize>,
     ) -> QueryResult {
         let bound = plan.bind(vectors.slices, vectors.summaries, self.rows);
         let mut tracker = AccessTracker::new();
-        ebi_boolean::record_access(expr, &mut tracker);
-        let mut bitmap = bound.eval(&mut tracker.cost);
+        // The expression's counters, once per split (see
+        // `run_plan_windows`).
+        let counted = windows.start == 0;
+        if counted {
+            ebi_boolean::record_access(expr, &mut tracker);
+        }
+        let word = windows.start * SEGMENT_WORDS;
+        let mut bitmap = bound.eval_windows(windows, &mut tracker.cost);
         if self.masks_companions(expr) {
-            if let Some(bn) = vectors.b_null {
-                tracker.touch(self.width());
-                tracker.cost.literal_ops += 1;
-                bitmap.and_not_assign(bn);
-            }
-            if let Some(ne) = vectors.b_not_exist {
-                tracker.touch(self.width() + 1);
-                tracker.cost.literal_ops += 1;
-                bitmap.and_not_assign(ne);
+            let masks = [(vectors.b_null, 0), (vectors.b_not_exist, 1)];
+            for (mask, above) in masks {
+                let Some(mask) = mask else { continue };
+                if counted {
+                    tracker.touch(self.width() + above);
+                    tracker.cost.literal_ops += 1;
+                }
+                bitmap.and_not_at_word(mask, word);
             }
         }
         QueryResult {
@@ -671,21 +783,12 @@ impl EncodedBitmapIndex {
     }
 }
 
-/// Encodes the rows into the `k` vectors of Definition 2.1: bit `j` of
-/// every vector is row `j`, so a caller that wants clustered runs sorts
-/// the cells first ([`crate::reorder::sort_order`]). Row `j`'s code is
-/// `slot_code[slots[j]]`, and a NULL row's is `null_row_code`.
-fn encode_slots(slots: &[u32], slot_code: &[u64], width: u32, null_row_code: u64) -> Vec<BitVec> {
-    let mut fam = SliceFamilyBuilder::with_capacity(width as usize, slots.len());
-    for &slot in slots {
-        fam.push_code(
-            slot_code
-                .get(slot as usize)
-                .copied()
-                .unwrap_or(null_row_code),
-        );
-    }
-    fam.finish()
+/// The code a NULL row takes under `EncodedReserved`: the first code
+/// `mapping` leaves free that is not void; `None` if void is the only
+/// one.
+fn null_code_in(mapping: &Mapping) -> Option<u64> {
+    let mut free = mapping.free_runs().into_iter().flat_map(|(a, b)| a..=b);
+    free.find(|&c| c != VOID_CODE)
 }
 
 /// Sorted, deduplicated predicate key for the expression cache.

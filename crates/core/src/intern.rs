@@ -1,8 +1,9 @@
 //! The one value interner: a column's distinct values in first-seen
 //! order, and each row's slot among them.
 //!
-//! The build, [`crate::Mapping::first_seen_values`] and the row-order
-//! ranks ([`crate::reorder`]) all read a column through it: one hash
+//! The build, [`crate::Mapping::first_seen_values`], the row-order
+//! ranks ([`crate::reorder`]) and the bit-sliced baseline's value list
+//! all read a column through it: one hash
 //! probe per row, after which every per-value step (the mapping's check
 //! or construction, a code lookup, a sort) runs once per distinct value
 //! and a row is only its `u32` slot.
@@ -42,7 +43,7 @@ impl Hasher for ValueHasher {
 /// Distinct values in first-seen order; a value's slot is its place in
 /// that order.
 #[derive(Default)]
-pub(crate) struct Interner {
+pub struct Interner {
     slots: HashMap<u64, u32, BuildHasherDefault<ValueHasher>>,
     values: Vec<u64>,
 }
@@ -53,7 +54,7 @@ impl Interner {
     /// # Panics
     ///
     /// Panics at the `u32::MAX`-th distinct value.
-    pub(crate) fn slot(&mut self, value: u64) -> u32 {
+    pub fn slot(&mut self, value: u64) -> u32 {
         *self.slots.entry(value).or_insert_with(|| {
             let slot = u32::try_from(self.values.len())
                 .ok()
@@ -65,7 +66,8 @@ impl Interner {
     }
 
     /// The distinct values, by slot.
-    pub(crate) fn into_values(self) -> Vec<u64> {
+    #[must_use]
+    pub fn into_values(self) -> Vec<u64> {
         self.values
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! A [`TraceContext`] is minted once per request (or adopted from an
 //! inbound `traceparent` header / line-protocol field) and rides the
-//! request through admission, the worker pool, and per-shard
+//! request through admission, the worker pool, and per-morsel
 //! `eval.worker` spans. The wire format is the W3C Trace Context
 //! `traceparent` shape:
 //!

@@ -73,7 +73,7 @@ pub struct CostCounters {
 
 impl std::ops::AddAssign for CostCounters {
     /// Field-wise sum: every counter is additive across clauses,
-    /// shards and queries. Both sides are destructured without `..`: a
+    /// morsels and queries. Both sides are destructured without `..`: a
     /// field added to the struct does not compile until it is named
     /// here, and a name left unsummed is an unused variable, which CI's
     /// `-D warnings` refuses.

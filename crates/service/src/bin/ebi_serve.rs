@@ -1,12 +1,11 @@
-//! `ebi_serve` — stand-alone sharded query server over a synthetic
-//! fact table.
+//! `ebi_serve` — stand-alone query server over a synthetic fact table.
 //!
 //! ```text
-//! ebi_serve [--rows N] [--shards N] [--workers N] [--max-inflight N]
+//! ebi_serve [--rows N] [--workers N] [--max-inflight N]
 //! ```
 //!
 //! Builds a deterministic three-column table (`a`, `b`, `c` with
-//! cardinalities 7, 5 and 13), shards it, and serves the TCP line
+//! cardinalities 7, 5 and 13), one index per column, and serves the TCP line
 //! protocol and the HTTP/JSON frontend until `SHUTDOWN` /
 //! `POST /shutdown` / SIGPIPE of the controlling pipe. On startup it
 //! prints one machine-parseable line with the bound addresses:
@@ -24,15 +23,14 @@ use ebi_storage::Cell;
 use std::io::Write as _;
 
 const USAGE: &str = "\
-ebi_serve - sharded concurrent query service over encoded bitmap indexes
+ebi_serve - concurrent query service over encoded bitmap indexes
 
 USAGE:
     ebi_serve [OPTIONS]
 
 OPTIONS:
     --rows N          synthetic fact-table rows        [default: 100000, env EBI_SERVICE_ROWS]
-    --shards N        row-range shards                 [default: 4, env EBI_SERVICE_SHARDS]
-    --workers N       fan-out worker threads           [env EBI_SERVICE_WORKERS]
+    --workers N       morsel worker threads            [env EBI_SERVICE_WORKERS]
     --max-inflight N  admission bound (excess -> BUSY) [env EBI_SERVICE_MAX_INFLIGHT]
     --timeout-ms N    per-request deadline, N > 0      [env EBI_SERVICE_TIMEOUT_MS]
     --tcp ADDR        TCP bind address                 [default: 127.0.0.1:0, env EBI_SERVICE_ADDR]
@@ -72,7 +70,6 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 fn main() {
     let mut rows = env_usize("EBI_SERVICE_ROWS", 100_000);
-    let mut shards = env_usize("EBI_SERVICE_SHARDS", 4);
     let mut cfg = ServiceConfig::from_env();
     let mut obs = true;
 
@@ -85,7 +82,6 @@ fn main() {
                 return;
             }
             "--rows" => rows = parse_n(&take(&args, &mut i, "--rows")),
-            "--shards" => shards = parse_n(&take(&args, &mut i, "--shards")),
             "--workers" => cfg.workers = parse_n(&take(&args, &mut i, "--workers")),
             "--max-inflight" => {
                 cfg.max_inflight = parse_n(&take(&args, &mut i, "--max-inflight")).max(1);
@@ -110,13 +106,7 @@ fn main() {
 
     ebi_obs::set_enabled(obs);
 
-    let table = match ShardedTable::build(
-        synthetic_columns(rows),
-        &TableOptions {
-            shards,
-            ..TableOptions::default()
-        },
-    ) {
+    let table = match ShardedTable::build(synthetic_columns(rows), &TableOptions::default()) {
         Ok(t) => t,
         Err(e) => {
             obslog::error("service.bin", "table build failed").str("error", &e.to_string());
@@ -125,7 +115,7 @@ fn main() {
     };
     obslog::info("service.bin", "table built")
         .u64("rows", table.rows() as u64)
-        .u64("shards", table.shards().len() as u64)
+        .u64("windows", table.windows() as u64)
         .u64("workers", cfg.workers as u64)
         .u64("max_inflight", cfg.max_inflight as u64);
 

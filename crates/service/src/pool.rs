@@ -8,14 +8,14 @@
 //!   gate starts draining, new admissions are refused and
 //!   [`AdmissionGate::await_drain`] blocks until the last permit drops
 //!   — that is the graceful-shutdown barrier.
-//! - [`WorkerPool`] runs shard-evaluation jobs on long-lived scoped
-//!   threads that share one locked queue: only connection threads
-//!   submit, at most `shards × max_inflight` jobs are queued, and each
-//!   is at least its share of the dispatch floor, so there is nothing
-//!   for per-worker queues or stealing to balance. It is the only
-//!   scheduler in the workspace: a shard job evaluates its plan
-//!   serially.
-//! - [`FanOut`] is the per-query completion latch: one slot per shard
+//! - [`WorkerPool`] runs morsel jobs on long-lived scoped threads that
+//!   share one locked queue: only connection threads submit, at most
+//!   `workers × max_inflight` jobs are queued (a request splits into at
+//!   most one morsel per worker), and each is at least its share of the
+//!   dispatch floor, so there is nothing for per-worker queues or
+//!   stealing to balance. It is the only scheduler in the workspace: a
+//!   morsel job evaluates its windows serially.
+//! - [`FanOut`] is the per-query completion latch: one slot per morsel
 //!   job, a deadline-aware wait, and a cancellation flag that late
 //!   jobs check so an abandoned (timed-out) query stops consuming
 //!   workers.
@@ -27,14 +27,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Default dispatch floor: estimated kernel traffic (in 64-bit words)
-/// below which a query's shard slices are evaluated on the connection
-/// thread instead of being handed to the pool — 2M rows of one literal.
+/// below which a query is evaluated as one morsel on the connection
+/// thread instead of being split across the pool — 2M rows of one literal.
 /// Under it the hand-off and wake-up cost more than the scan.
 pub const MIN_PARALLEL_WORK_WORDS: u64 = 2_000_000 / 64;
 
 /// A queued unit of work: a boxed closure borrowing at most `'env`
-/// (the service scope), so jobs can reference shards and buffer pools
-/// directly while per-query state travels in `Arc`s.
+/// (the service scope), so jobs can reference the table directly while
+/// per-query state travels in `Arc`s.
 pub type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
 
 struct Queue<'env> {
@@ -97,7 +97,7 @@ impl<'env> WorkerPool<'env> {
     /// closed and the queue is empty. Jobs run with the lock released,
     /// and a job that panics costs only itself: the worker takes the
     /// next one. A job that must report its failure catches its own
-    /// panic, as the service's shard jobs do.
+    /// panic, as the service's morsel jobs do.
     pub fn run_worker(&self, _label: usize) {
         loop {
             let job = {
@@ -236,7 +236,7 @@ impl Drop for Permit<'_> {
     }
 }
 
-/// Per-query completion latch for shard fan-out: `n` result slots, a
+/// Per-query completion latch for a morsel split: `n` result slots, a
 /// deadline-aware wait, and a cancellation flag late jobs observe.
 #[derive(Debug)]
 pub struct FanOut<T> {
@@ -389,7 +389,7 @@ mod tests {
         let pool = WorkerPool::new(1);
         std::thread::scope(|scope| {
             scope.spawn(|| pool.run_worker(0));
-            pool.submit(Box::new(|| panic!("a shard job panicked")));
+            pool.submit(Box::new(|| panic!("a morsel job panicked")));
             let fan = Arc::new(FanOut::<u64>::new(1));
             let done = Arc::clone(&fan);
             pool.submit(Box::new(move || done.complete(0, Some(7))));

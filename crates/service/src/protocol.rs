@@ -88,7 +88,7 @@ pub enum Reply {
     Draining,
     /// The query hit its per-request deadline.
     TimedOut,
-    /// A shard evaluation panicked; the panic was contained.
+    /// A morsel evaluation panicked; the panic was contained.
     Internal,
     /// The request did not parse or compile.
     Bad(String),

@@ -1,19 +1,19 @@
 //! The long-running query service: one connection loop, one request
-//! path (admission, shard fan-out, gather, report), two frontends that
-//! only frame, parse and render.
+//! path (admission, morsel evaluation, gather, report), two frontends
+//! that only frame, parse and render.
 //!
 //! ## Request lifecycle
 //!
 //! ```text
 //! accept → buffer → frame → parse → admit (Permit) → compile once →
-//!   fan out to shards on the worker pool → gather (sum the shards'
-//!   counts) → report → render (ids `lo + j`, shard by shard) →
-//!   one write → release Permit
+//!   evaluate in morsels (inline, or split across the worker pool) →
+//!   gather (sum the morsels' counts) → report → render (ids
+//!   `w0·64 + j`, morsel by morsel) → one write → release Permit
 //! ```
 //!
-//! An answer reads only the shard bitmaps: no table-sized bitmap is
+//! An answer reads only the morsel bitmaps: no table-sized bitmap is
 //! built and no heap page is read. `EXPLAIN` alone counts the pages its
-//! answer spans, from the same bitmaps.
+//! answer spans, from the same bitmaps, on global row ids.
 //!
 //! Admission is a counting gate ([`AdmissionGate`]): at most
 //! `max_inflight` queries hold permits, the rest get `BUSY`/429
@@ -22,17 +22,19 @@
 //! capped the same way: past [`MAX_CONNECTIONS`] live ones, the accept
 //! loop answers `BUSY`/429 itself and closes, spawning nothing.
 //!
-//! Fan-out is gated on the plan's work estimate: when the whole query's
-//! post-pruning estimate is below [`MIN_PARALLEL_WORK_WORDS`], shard
-//! slices are evaluated serially on the connection thread — dispatching
-//! tiny bitmaps to workers costs more than scanning them.
+//! A request splits into `min(workers, windows)` morsels of the table's
+//! kernel windows, and goes to the pool only when that is at least two
+//! and the whole query's post-pruning work estimate reaches the
+//! dispatch floor ([`MIN_PARALLEL_WORK_WORDS`] by default). Otherwise it
+//! runs on the connection thread as one morsel, with no hand-off:
+//! dispatching a small evaluation costs more than running it.
 //!
 //! ## Shutdown protocol
 //!
 //! `SHUTDOWN` (or `POST /shutdown`) flips the handle; the run loop
 //! then (1) drains the gate — no new admissions, every in-flight query
 //! writes its response and releases its permit; (2) closes the worker
-//! pool — queued shard jobs still run; (3) wakes the accept loops with
+//! pool — queued morsel jobs still run; (3) wakes the accept loops with
 //! a loopback connect; (4) joins every scoped thread. No request
 //! holding a permit is ever dropped. Connections poll the handle every
 //! `IDLE_POLL` (150 ms); the poll never discards buffered bytes, so a request
@@ -42,8 +44,9 @@ use crate::error::ServiceError;
 use crate::http::{self, HttpRequest};
 use crate::pool::{AdmissionGate, FanOut, Refusal, WorkerPool, MIN_PARALLEL_WORK_WORDS};
 use crate::protocol::{self, Reply, Request, STATUSES};
-use crate::shard::{CompiledQuery, DnfRequest, Shard, ShardOutcome, ShardedTable};
+use crate::shard::{CompiledQuery, DnfRequest, MorselOutcome, ShardedTable};
 use crate::trace_ring::{self, RetainedTrace, TraceRing};
+use ebi_bitvec::{SEGMENT_WORDS, WORD_BITS};
 use ebi_obs::export::{json_str_array, JsonObject};
 use ebi_obs::log as obslog;
 use ebi_obs::metrics::{write_counter, write_histogram};
@@ -52,6 +55,7 @@ use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -73,21 +77,21 @@ pub struct ServiceConfig {
     pub tcp_addr: String,
     /// HTTP/1.1 bind address.
     pub http_addr: String,
-    /// Worker threads for shard fan-out (0 = evaluate on connection
+    /// Worker threads that evaluate morsels (0 = evaluate on connection
     /// threads).
     pub workers: usize,
     /// Maximum queries in flight at once; excess gets `BUSY`/429.
     pub max_inflight: usize,
     /// Per-request deadline; an expired query answers `ERR timeout`
-    /// / 504 and its remaining shard jobs are cancelled, and a request
+    /// / 504 and its remaining morsel jobs are cancelled, and a request
     /// still incomplete this long after its first byte gets `ERR` / 408.
     pub timeout: Duration,
     /// Unused: the service reads no page. Kept for `benchmark/`'s
     /// replay; goes with B2.
     pub buffer_frames: usize,
-    /// Work-estimate floor (words) below which a query is evaluated
-    /// serially on the connection thread instead of fanned out.
-    /// Defaults to [`MIN_PARALLEL_WORK_WORDS`].
+    /// Work-estimate floor (words) below which a query is evaluated as
+    /// one morsel on the connection thread instead of split across the
+    /// pool. Defaults to [`MIN_PARALLEL_WORK_WORDS`].
     pub min_dispatch_words: u64,
     /// Fixed slow-query threshold in milliseconds; `None` uses the
     /// rolling p99 estimate.
@@ -217,7 +221,7 @@ struct Counters {
     rejected_busy: Counter,
     rejected_draining: Counter,
     timeouts: Counter,
-    /// Shard evaluations and connections that panicked.
+    /// Morsel evaluations and connections that panicked.
     panics: Counter,
     /// Connections being served now, against [`MAX_CONNECTIONS`].
     live_connections: AtomicUsize,
@@ -225,8 +229,8 @@ struct Counters {
     requests: [[Counter; STATUSES.len()]; 2],
     /// Request latency by [`Proto`], from framing to the written reply.
     request_ns: [Histogram; 2],
-    /// Shard evaluation latency, by shard id.
-    shard_eval_ns: Vec<Histogram>,
+    /// Morsel evaluation latency, one sample per morsel.
+    eval_ns: Histogram,
     /// The cost of every answered query, summed.
     cost: Mutex<CostCounters>,
     vectors_accessed: Histogram,
@@ -235,13 +239,6 @@ struct Counters {
 }
 
 impl Counters {
-    fn new(shards: usize) -> Self {
-        Self {
-            shard_eval_ns: (0..shards).map(|_| Histogram::new()).collect(),
-            ..Self::default()
-        }
-    }
-
     fn record_request(&self, proto: Proto, status: &str, ns: u64) {
         let s = STATUSES.iter().position(|&known| known == status);
         self.requests[proto as usize][s.unwrap_or(STATUSES.len() - 1)].inc();
@@ -286,7 +283,7 @@ struct Answer {
 /// Runs the service until a graceful shutdown completes.
 ///
 /// Binds both listeners, spawns the worker pool and accept loops on
-/// scoped threads (so the shards are *borrowed*, never leaked), then
+/// scoped threads (so the table is *borrowed*, never leaked), then
 /// hands a [`ServiceHandle`] to `on_ready` — typically sent over a
 /// channel to the controlling thread or used to print the bound
 /// addresses.
@@ -314,7 +311,7 @@ pub fn run(
     // jobs borrow everything above) must drop before the gate and
     // counters those jobs reference.
     let gate = AdmissionGate::new(cfg.max_inflight);
-    let counters = Counters::new(table.shards().len());
+    let counters = Counters::default();
     let ring = TraceRing::new(cfg.slow_query_ms.map(|ms| ms.saturating_mul(1_000_000)));
     let workers = WorkerPool::new(cfg.workers);
     let ctx = ServeCtx {
@@ -663,15 +660,19 @@ fn trace_page(table: &ShardedTable, traces: &[Arc<RetainedTrace>], n: usize) -> 
     Reply::Page(page)
 }
 
-/// Compiles, fans out, gathers and retains one query in flight; the
-/// error is the reply of a query that produced no answer. `tctx` is
-/// the request's trace identity: it correlates the retained trace, the
-/// structured log lines, and the `traceparent` echoed in the answer.
+/// Compiles, evaluates in morsels, gathers and retains one query in
+/// flight; the error is the reply of a query that produced no answer.
+/// `tctx` is the request's trace identity: it correlates the retained
+/// trace, the structured log lines, and the `traceparent` echoed in the
+/// answer.
 ///
-/// `matches` is the sum of the shards' counts, and the first `limit`
-/// row ids are read off the shard bitmaps in shard order, each shard's
-/// local ids offset by its `lo`. Only `explain` counts the heap pages
-/// the answer spans, into the report.
+/// The request splits into `min(workers, windows)` morsels and goes to
+/// the pool when that is at least two and its work estimate reaches
+/// `min_dispatch_words`; otherwise it runs here as one morsel.
+/// `matches` is the sum of the morsels' counts, and the first `limit`
+/// row ids are read off the morsel bitmaps in morsel order, bit `j` of
+/// a morsel from word `w0` being row `w0·64 + j`. Only `explain` counts
+/// the heap pages the answer spans, into the report.
 ///
 /// The answer body is `{query_id, trace, matches, rows[], wall_ns,
 /// dispatched, vectors_accessed}`. Nothing else is rendered here: the
@@ -688,7 +689,6 @@ fn execute(
     let query_id = ebi_obs::next_query_id();
     let trace = ebi_obs::Trace::begin();
     let table = ctx.table;
-    let n = table.shards().len();
 
     let mut root = trace.root_span("query");
     root.attr("query_id", query_id);
@@ -701,33 +701,31 @@ fn execute(
         }
     };
 
-    // When the whole query's post-pruning kernel traffic is below the
-    // dispatch floor, handing slices to workers costs more than
-    // scanning them on this thread.
     let estimate = table.estimated_work_words(&compiled);
-    let dispatched = ctx.workers.workers() > 0 && n > 1 && estimate >= ctx.cfg.min_dispatch_words;
+    let split = ctx.workers.workers().min(table.windows());
+    let dispatched = split >= 2 && estimate >= ctx.cfg.min_dispatch_words;
+    let morsels = if dispatched { split } else { 1 };
 
-    // A slot with no outcome is a shard whose evaluation panicked: a
+    // A slot with no outcome is a morsel whose evaluation panicked: a
     // cancelled slot only follows a timeout, which returns no slots.
-    let outcomes: Vec<Option<ShardOutcome>> = {
+    let outcomes: Vec<Option<MorselOutcome>> = {
         let mut fan_span = root.child("fanout");
-        fan_span.attr("shards", n as u64);
+        fan_span.attr("morsels", morsels as u64);
         fan_span.attr("estimated_work_words", estimate);
         fan_span.attr("dispatched", u64::from(dispatched));
         let parent = fan_span.handle();
         if dispatched {
-            let fan = Arc::new(FanOut::<ShardOutcome>::new(n));
-            for shard in table.shards() {
+            let fan = Arc::new(FanOut::<MorselOutcome>::new(morsels));
+            for (i, windows) in table.morsels(morsels).enumerate() {
                 let fan = Arc::clone(&fan);
                 let compiled = Arc::clone(&compiled);
-                let i = shard.id();
                 ctx.workers.submit(Box::new(move || {
                     // A job that starts after the waiter gave up skips
                     // its work but still counts as complete.
                     let outcome = if fan.is_cancelled() {
                         None
                     } else {
-                        eval_contained(shard, &compiled, parent)
+                        eval_contained(table, &compiled, windows, parent)
                     };
                     fan.complete(i, outcome);
                 }));
@@ -737,31 +735,27 @@ fn execute(
                 None => return Err(Reply::TimedOut),
             }
         } else {
-            table
-                .shards()
-                .iter()
-                .map(|s| eval_contained(s, &compiled, parent))
-                .collect()
+            vec![eval_contained(table, &compiled, 0..table.windows(), parent)]
         }
     };
     let panicked = outcomes.iter().filter(|o| o.is_none()).count() as u64;
     if panicked > 0 {
         ctx.counters.panics.add(panicked);
-        obslog::error("service.server", "shard evaluation panicked")
+        obslog::error("service.server", "morsel evaluation panicked")
             .ctx(&tctx)
             .query(query_id)
-            .u64("shards", panicked);
+            .u64("morsels", panicked);
         return Err(Reply::Internal);
     }
 
-    // Shard order, so row ids come out ascending.
+    // Morsel order, so row ids come out ascending.
     let answered = || outcomes.iter().flatten();
     let (matches, cost) = {
         let mut span = root.child("gather");
         let mut matches = 0;
         let mut cost = CostCounters::default();
         for o in answered() {
-            ctx.counters.shard_eval_ns[o.shard].record(o.wall_ns);
+            ctx.counters.eval_ns.record(o.wall_ns);
             matches += o.matches;
             cost += o.cost;
         }
@@ -769,8 +763,7 @@ fn execute(
         (matches, cost)
     };
     let pages = if explain {
-        let spanned = |o: &ShardOutcome| table.shards()[o.shard].pages_spanned(&o.bitmap);
-        answered().map(spanned).sum()
+        table.pages_spanned(answered().map(|o| (o.first_word, &o.bitmap)))
     } else {
         0
     };
@@ -778,8 +771,8 @@ fn execute(
     drop(root);
     let mut rows = String::from("[");
     let ids = answered().flat_map(|o| {
-        let lo = table.shards()[o.shard].lo();
-        o.bitmap.iter_ones().map(move |j| lo + j)
+        let first = o.first_word * WORD_BITS;
+        o.bitmap.iter_ones().map(move |j| first + j)
     });
     for (i, r) in ids.take(limit).enumerate() {
         let sep = if i == 0 { "" } else { "," };
@@ -825,35 +818,36 @@ fn execute(
     Ok(Answer { retained, body })
 }
 
-/// Evaluates one shard — the unit of work a pool worker runs, wrapped
-/// in an `eval.worker` span hung off the query's `fanout` span
-/// (cross-thread parentage via the captured handle). The span carries
-/// the owning trace id (`trace` attribute) so pool hand-off is
-/// checkable end to end. The outcome carries the shard's match count
-/// and wall time, which the service files per shard so fan-out skew
-/// shows in a scrape.
+/// Evaluates one morsel, kernel windows `windows` of the table: a pool
+/// worker's job, or the whole request run inline. It runs in an
+/// `eval.worker` span hung off the query's `fanout` span (cross-thread
+/// parentage via the captured handle) that carries the owning trace id
+/// (`trace` attribute), so pool hand-off is checkable end to end. The
+/// wall time is filed in `ebi_service_eval_ns`.
 ///
-/// Public for the telemetry proptests and benches, which drive real
-/// shard evaluations through a [`WorkerPool`] without a socket.
-pub fn eval_shard(
-    shard: &Shard,
+/// Public for the telemetry proptests, which drive real morsel
+/// evaluations through a [`WorkerPool`] without a socket.
+pub fn eval_morsel(
+    table: &ShardedTable,
     compiled: &CompiledQuery,
+    windows: Range<usize>,
     parent: ebi_obs::SpanHandle,
-) -> ShardOutcome {
+) -> MorselOutcome {
     let started = Instant::now();
     let mut span = parent.child("eval.worker");
-    let (bitmap, cost) = shard.eval(compiled);
+    let first_word = windows.start * SEGMENT_WORDS;
+    let (bitmap, cost) = table.eval_morsel(compiled, windows);
     let matches = bitmap.count_ones() as u64;
     let wall_ns = started.elapsed().as_nanos() as u64;
     if span.is_live() {
         span.attr("trace", parent.trace());
-        span.attr("shard", shard.id() as u64);
-        span.attr("rows", shard.rows() as u64);
+        span.attr("first_word", first_word as u64);
+        span.attr("rows", bitmap.len() as u64);
         span.attr("matches", matches);
         span.attr("vectors_accessed", cost.vectors_accessed);
     }
-    ShardOutcome {
-        shard: shard.id(),
+    MorselOutcome {
+        first_word,
         bitmap,
         matches,
         cost,
@@ -861,14 +855,16 @@ pub fn eval_shard(
     }
 }
 
-/// [`eval_shard`] with a panic contained: `None` when it panicked, so
+/// [`eval_morsel`] with a panic contained: `None` when it panicked, so
 /// the request answers `ERR internal` and the worker lives on.
 fn eval_contained(
-    shard: &Shard,
+    table: &ShardedTable,
     compiled: &CompiledQuery,
+    windows: Range<usize>,
     parent: ebi_obs::SpanHandle,
-) -> Option<ShardOutcome> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| eval_shard(shard, compiled, parent))).ok()
+) -> Option<MorselOutcome> {
+    let eval = || eval_morsel(table, compiled, windows, parent);
+    std::panic::catch_unwind(AssertUnwindSafe(eval)).ok()
 }
 
 /// `STATS` and `/stats`: build identity, the table, admission state,
@@ -879,7 +875,6 @@ fn stats_json(ctx: &ServeCtx<'_, '_>) -> String {
     let mut obj = JsonObject::new();
     obj.str("build", concat!("ebi-service/", env!("CARGO_PKG_VERSION")))
         .u64("rows", ctx.table.rows() as u64)
-        .u64("shards", ctx.table.shards().len() as u64)
         .raw("columns", &json_str_array(ctx.table.columns()))
         .u64("inflight", ctx.gate.inflight() as u64)
         .u64("max_inflight", ctx.gate.max_inflight() as u64)
@@ -921,10 +916,8 @@ fn metrics_text(ctx: &ServeCtx<'_, '_>) -> String {
         (format!("proto=\"{}\"", p.label()), h.snapshot())
     });
     write_histogram(&mut out, "ebi_service_request_ns", by_proto);
-    let by_shard = c.shard_eval_ns.iter().enumerate();
-    let by_shard = by_shard.map(|(i, h)| (format!("shard=\"{i}\""), h.snapshot()));
-    write_histogram(&mut out, "ebi_service_shard_eval_ns", by_shard);
     for (name, h) in [
+        ("ebi_service_eval_ns", c.eval_ns.snapshot()),
         ("ebi_query_latency_ns", ctx.ring.latency()),
         ("ebi_query_vectors_accessed", c.vectors_accessed.snapshot()),
         ("ebi_query_words_scanned", c.words_scanned.snapshot()),
@@ -967,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_shard_evaluation_is_contained() {
+    fn a_panicking_morsel_evaluation_is_contained() {
         let cells = (0..100u64)
             .map(|i| ebi_storage::Cell::Value(i % 3))
             .collect();
@@ -976,22 +969,21 @@ mod tests {
             &crate::TableOptions::default(),
         )
         .expect("table builds");
-        let shard = &table.shards()[0];
         let request = crate::parse_dnf("a=1").expect("parses");
         let mut compiled = table.compile(&request).expect("compiles");
         let trace = ebi_obs::Trace::begin();
         let root = trace.root_span("query");
-        let answered = eval_contained(shard, &compiled, root.handle());
+        let answered = eval_contained(&table, &compiled, 0..1, root.handle());
         assert_eq!(answered.map(|o| o.bitmap.count_ones()), Some(33));
-        // A column the shard does not have: evaluation indexes past its
+        // A column the table does not have: evaluation indexes past its
         // indexes and panics.
         compiled.disjuncts[0][0].column = 9;
-        assert!(eval_contained(shard, &compiled, root.handle()).is_none());
+        assert!(eval_contained(&table, &compiled, 0..1, root.handle()).is_none());
     }
 
     #[test]
     fn a_panicking_connection_is_counted_and_contained() {
-        let counters = Counters::new(1);
+        let counters = Counters::default();
         let mut served = 0;
         contain_conn(&counters, Proto::Tcp, || served += 1);
         assert_eq!((served, counters.panics.get()), (1, 0));

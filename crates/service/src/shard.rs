@@ -1,39 +1,40 @@
-//! Row-range sharding of a fact table.
+//! The served table: one encoded bitmap index per column, evaluated in
+//! morsels.
 //!
-//! A [`ShardedTable`] splits a table's rows into contiguous, disjoint
-//! ranges. Each [`Shard`] owns a full encoded bitmap index per column
-//! over *its* rows — slice containers, segment summaries, run
-//! statistics. Because every shard is built over the **same table-wide
-//! [`Mapping`]** per column — codes in value order over the whole
-//! column, what a default build assigns — a retrieval expression reduced
-//! once (on any shard) is valid on all of them: codes and don't-care
-//! sets are identical, only the slice contents differ. That is the
-//! service's compile-once / evaluate-everywhere contract.
+//! [`ShardedTable::build`] builds one [`EncodedBitmapIndex`] per column
+//! over the whole table with the mapping the column's default build
+//! would assign (codes in value order), handed to the build so that it
+//! encodes while it reads and keeps nothing per row. The table may sort
+//! its rows first ([`TableOptions::row_orders`]: one order for the
+//! whole table, as Lemire, Kaser & Aouiche sort a table and not its
+//! parts); a row id is then the row's stored position. Nothing
+//! translates ids.
 //!
-//! A shard may sort its rows before the build
-//! ([`TableOptions::row_orders`]): its indexes are then laid out in
-//! that order, and a row id is the row's stored position, as in any
-//! clustered table. Nothing translates ids.
+//! The unit of parallel work is a *morsel*: a run of the kernel's
+//! windows, [`SEGMENT_BITS`] rows each (morsel-driven scheduling, Leis
+//! et al., SIGMOD 2014). [`ShardedTable::eval_morsel`] evaluates a
+//! compiled query on windows `w0..w1`; bit `j` of the result is row
+//! `w0 · SEGMENT_BITS + j`, bit `j` from word `w0 · 512` on. The morsel
+//! at window 0 counts the clauses' `vectors_accessed`, so any split
+//! costs the one index's `c_e` per clause. An answer reads the morsel
+//! bitmaps where they are: a count sums their popcounts, a row id is
+//! the morsel's first row plus `j`, and the heap pages it spans are
+//! counted on global row ids ([`ShardedTable::pages_spanned`]).
 //!
-//! Shard results are shard-relative bitmaps, and a served answer reads
-//! them where they are: a count is the sum of their popcounts, global
-//! row id `lo + j` is bit `j` of its shard's bitmap, and the heap pages
-//! an answer spans are counted from each bitmap's words
-//! ([`Shard::pages_spanned`]); no page is read. [`ShardedTable::merge`]
-//! writes them into one table-sized bitmap with [`BitVec::or_shifted`]
-//! for the library reference path, [`ShardedTable::eval_local`]. Shard
-//! boundaries are *not* rounded to word multiples, so the unaligned
-//! merge path is exercised by construction.
+//! [`Shard`], [`ShardedTable::shards`], [`ShardedTable::merge`] and
+//! `TableOptions::shards` are what `benchmark/`'s replay compiles
+//! against: one `Shard` spans the table and holds its indexes.
 
 use crate::error::ServiceError;
-use ebi_bitvec::{BitVec, DnfPlan, StoragePolicy};
+use ebi_bitvec::{BitVec, DnfPlan, StoragePolicy, SEGMENT_BITS, WORD_BITS};
 use ebi_boolean::DnfExpr;
 use ebi_core::index::{BuildOptions, EncodedBitmapIndex};
 use ebi_core::reorder::sort_order;
 use ebi_core::total_order::dense_order_mapping;
-use ebi_core::{and_fold, or_fold, CoreError, Mapping, RowOrder};
+use ebi_core::{and_fold, or_fold, Mapping, RowOrder};
 use ebi_obs::CostCounters;
 use ebi_storage::{BufferPool, Cell, Pager};
+use std::ops::Range;
 
 /// One input column: a name plus its cell values for every row.
 #[derive(Debug, Clone)]
@@ -58,15 +59,17 @@ impl ColumnSpec {
 /// Build-time knobs for [`ShardedTable::build`].
 #[derive(Debug, Clone)]
 pub struct TableOptions {
-    /// Number of row-range shards (clamped to `1..=rows`).
+    /// Ignored: the table is one index per column, split into morsels
+    /// per request. Kept for `benchmark/`'s replay; goes with the
+    /// benchmark follow-up.
     pub shards: usize,
-    /// Row order per shard, cycled by shard id; empty means every shard
-    /// keeps its input order. A shard sorts its own rows across all its
-    /// columns before it builds. A list rather than one order, so a
-    /// table can be partly sorted (settled shards sorted, the newest in
-    /// load order), and because the `benchmark/` package constructs it.
+    /// The table's row order: empty keeps the input order, one order
+    /// sorts the rows across all columns before the build. A list only
+    /// because `benchmark/` constructs it; more than one order is a
+    /// build error.
     pub row_orders: Vec<RowOrder>,
-    /// Heap rows per page, the unit [`Shard::pages_spanned`] counts in.
+    /// Heap rows per page, the unit [`ShardedTable::pages_spanned`]
+    /// counts in.
     pub rows_per_page: usize,
 }
 
@@ -81,19 +84,19 @@ impl Default for TableOptions {
 }
 
 /// One compiled clause: a column and its minimized retrieval
-/// expression, valid on every shard (shared mapping).
+/// expression.
 #[derive(Debug, Clone)]
 pub struct CompiledClause {
     /// Column position in the table's column list.
     pub column: usize,
     /// Minimized DNF over the column's bit-slices.
     pub expr: DnfExpr,
-    /// `expr` lowered for the evaluation kernel, once for all shards.
+    /// `expr` lowered for the evaluation kernel, once for all morsels.
     pub plan: DnfPlan,
 }
 
-/// A query compiled once against the table-wide mappings: a
-/// disjunction of conjunctions of [`CompiledClause`]s.
+/// A query compiled once against the column indexes: a disjunction of
+/// conjunctions of [`CompiledClause`]s.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// Outer OR of inner ANDs.
@@ -127,50 +130,37 @@ pub struct DnfRequest {
     pub disjuncts: Vec<Vec<Clause>>,
 }
 
-/// What one shard reports back from evaluating a compiled query.
+/// What one morsel reports back from evaluating a compiled query.
 #[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    /// Shard id.
-    pub shard: usize,
-    /// Shard-relative selection bitmap.
+pub struct MorselOutcome {
+    /// The morsel's first word: bit `j` of `bitmap` is row
+    /// `first_word · 64 + j`.
+    pub first_word: usize,
+    /// The morsel's selection bitmap.
     pub bitmap: BitVec,
     /// Rows set in `bitmap`.
     pub matches: u64,
-    /// Evaluation cost counters for this shard.
+    /// Evaluation cost counters for this morsel.
     pub cost: CostCounters,
     /// Wall time of the evaluation, nanoseconds.
     pub wall_ns: u64,
 }
 
-/// One row-range shard: per-column indexes over `rows` rows starting
-/// at global row `lo`.
+/// The table's column indexes, spanning every row: the one entry of
+/// [`ShardedTable::shards`].
 #[derive(Debug)]
 pub struct Shard {
-    id: usize,
-    lo: usize,
-    rows: usize,
     indexes: Vec<EncodedBitmapIndex>,
     pager: Pager,
     rows_per_page: usize,
 }
 
 impl Shard {
-    /// Shard id (position in the table's shard list).
+    /// Always 0, which [`ShardedTable::merge`] reads as the word this
+    /// shard's bitmaps start at.
     #[must_use]
     pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// First global row id owned by this shard.
-    #[must_use]
-    pub fn lo(&self) -> usize {
-        self.lo
-    }
-
-    /// Rows owned by this shard.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
+        0
     }
 
     /// An empty pager; kept for `benchmark/`'s replay; goes with B2.
@@ -179,71 +169,73 @@ impl Shard {
         &self.pager
     }
 
-    /// This shard's index for column position `column`.
+    /// The index for column position `column`.
     #[must_use]
     pub fn column_index(&self, column: usize) -> &EncodedBitmapIndex {
         &self.indexes[column]
     }
 
-    /// Evaluates a compiled query over this shard's rows. The returned
-    /// bitmap is shard-relative (bit 0 = global row `lo`).
+    /// Evaluates a compiled query over every row: one morsel spanning
+    /// the table.
     #[must_use]
     pub fn eval(&self, query: &CompiledQuery) -> (BitVec, CostCounters) {
-        let clause = |c: &CompiledClause| {
-            let r = self.indexes[c.column].run_plan(&c.expr, &c.plan);
-            (r.bitmap, r.stats)
-        };
-        let conjunction = |d: &Vec<CompiledClause>| and_fold(d.iter().map(clause), self.rows);
-        or_fold(query.disjuncts.iter().map(conjunction), self.rows)
+        self.eval_windows(query, 0..self.indexes[0].windows())
     }
 
-    /// Post-pruning kernel-work estimate (words) for evaluating `query`
-    /// here, summed over every clause's bound plan.
-    #[must_use]
-    pub fn estimated_work_words(&self, query: &CompiledQuery) -> u64 {
-        query
-            .disjuncts
-            .iter()
-            .flatten()
-            .map(|c| self.indexes[c.column].estimated_work_words(&c.plan))
-            .sum()
-    }
-
-    /// Heap pages holding a row of `bitmap`, counted from its words
-    /// (`BitVec::occupied_blocks` over the rows per page); none is read.
-    #[must_use]
-    pub fn pages_spanned(&self, bitmap: &BitVec) -> u64 {
-        bitmap.occupied_blocks(self.rows_per_page).count() as u64
-    }
-
-    /// [`Shard::pages_spanned`]; `pool` is unused and nothing is read.
-    /// Kept for `benchmark/`'s replay; goes with B2.
+    /// Pages of a bitmap over every row, counted as
+    /// [`ShardedTable::pages_spanned`] does; `pool` is unused and nothing
+    /// is read. Kept for `benchmark/`'s replay; goes with B2.
     #[must_use]
     pub fn fetch_matches(&self, bitmap: &BitVec, _pool: Option<&BufferPool<'_>>) -> u64 {
-        self.pages_spanned(bitmap)
+        self.pages([(0, bitmap)])
+    }
+
+    /// Distinct pages holding a row of the parts, in row order: a part's
+    /// first page may be the one before's last.
+    fn pages<'a>(&self, parts: impl IntoIterator<Item = (usize, &'a BitVec)>) -> u64 {
+        let (mut last, mut pages) = (None, 0);
+        for (word, bitmap) in parts {
+            for page in bitmap.occupied_blocks(self.rows_per_page, word * WORD_BITS) {
+                pages += u64::from(last != Some(page));
+                last = Some(page);
+            }
+        }
+        pages
+    }
+
+    /// Each clause on its index's windows `windows`, ANDed per
+    /// disjunct and ORed across them.
+    fn eval_windows(&self, query: &CompiledQuery, windows: Range<usize>) -> (BitVec, CostCounters) {
+        let first = windows.start * SEGMENT_BITS;
+        let rows = (windows.end * SEGMENT_BITS)
+            .min(self.indexes[0].rows())
+            .max(first)
+            - first;
+        let clause = |c: &CompiledClause| {
+            let r = self.indexes[c.column].run_plan_windows(&c.expr, &c.plan, windows.clone());
+            (r.bitmap, r.stats)
+        };
+        let conjunction = |d: &Vec<CompiledClause>| and_fold(d.iter().map(clause), rows);
+        or_fold(query.disjuncts.iter().map(conjunction), rows)
     }
 }
 
-/// A fact table partitioned into row-range shards that share one
-/// mapping per column.
+/// A fact table served as one encoded bitmap index per column.
 #[derive(Debug)]
 pub struct ShardedTable {
     columns: Vec<String>,
-    mappings: Vec<Mapping>,
-    rows: usize,
-    shards: Vec<Shard>,
+    whole: [Shard; 1],
 }
 
 impl ShardedTable {
-    /// Partitions `columns` into `opts.shards` contiguous row ranges,
-    /// sorts each range as its [`TableOptions::row_orders`] entry asks,
-    /// and builds one index per (shard, column) over a shared
-    /// table-wide mapping per column.
+    /// Sorts the rows as [`TableOptions::row_orders`] asks, then builds
+    /// one index per column, each over the column's value-ordered
+    /// mapping.
     ///
     /// # Errors
     ///
-    /// Fails when no columns are given, column lengths disagree, or an
-    /// index build fails.
+    /// Fails when no columns are given, column lengths disagree, more
+    /// than one row order is asked for, or an index build fails.
     pub fn build(columns: Vec<ColumnSpec>, opts: &TableOptions) -> Result<Self, ServiceError> {
         if columns.is_empty() {
             return Err(ServiceError::Build(
@@ -260,65 +252,57 @@ impl ShardedTable {
                     .collect::<Vec<_>>()
             )));
         }
-        // Table-wide mapping per column, the one a default build assigns
-        // (codes in value order over the whole column), so that every
-        // shard holds identical codes and a range is a code interval.
-        let mappings: Vec<Mapping> = columns
-            .iter()
-            .map(|col| dense_order_mapping(&Mapping::first_seen_values(&col.cells)))
-            .collect();
-        let n = opts.shards.clamp(1, rows.max(1));
-        let base = rows / n;
-        let rem = rows % n;
-        let mut shards = Vec::with_capacity(n);
-        let mut lo = 0usize;
-        for id in 0..n {
-            // First `rem` shards take one extra row, so boundaries land
-            // on arbitrary (word-unaligned) offsets.
-            let len = base + usize::from(id < rem);
-            let order = if opts.row_orders.is_empty() {
-                RowOrder::Original
-            } else {
-                opts.row_orders[id % opts.row_orders.len()]
-            };
-            // One order for all of the shard's columns: each index holds
-            // row `j` at the same place.
-            let cells: Vec<&[Cell]> = columns.iter().map(|c| &c.cells[lo..lo + len]).collect();
-            let sorted = sort_order(&cells, order);
-            let mut indexes = Vec::with_capacity(columns.len());
-            for (col, mapping) in cells.iter().zip(&mappings) {
-                let idx = EncodedBitmapIndex::build_with(
-                    sorted.iter().map(|&r| col[r as usize]),
-                    BuildOptions {
-                        mapping: Some(mapping.clone()),
-                        ..BuildOptions::default()
-                    },
-                )
-                .map_err(|e| core_err(&e))?;
-                indexes.push(idx);
+        let order = match opts.row_orders[..] {
+            [] => RowOrder::Original,
+            [order] => order,
+            _ => {
+                return Err(ServiceError::Build(format!(
+                    "one row order for the table, not {}",
+                    opts.row_orders.len()
+                )))
             }
-            shards.push(Shard {
-                id,
-                lo,
-                rows: len,
-                indexes,
-                pager: Pager::default(),
-                rows_per_page: opts.rows_per_page.max(1),
-            });
-            lo += len;
+        };
+        // One order for all columns, so each index holds row `j` at the
+        // same place; the input order needs no permutation.
+        let cells: Vec<&[Cell]> = columns.iter().map(|c| &c.cells[..]).collect();
+        let sorted = (order != RowOrder::Original).then(|| sort_order(&cells, order));
+        let mut indexes = Vec::with_capacity(columns.len());
+        for col in cells {
+            // The mapping a default build assigns, given to the build so
+            // that it streams instead of keeping a slot per row.
+            let options = BuildOptions {
+                mapping: Some(dense_order_mapping(&Mapping::first_seen_values(col))),
+                ..BuildOptions::default()
+            };
+            let built = match &sorted {
+                Some(ids) => {
+                    EncodedBitmapIndex::build_with(ids.iter().map(|&r| col[r as usize]), options)
+                }
+                None => EncodedBitmapIndex::build_with(col.iter().copied(), options),
+            };
+            indexes.push(built.map_err(|e| ServiceError::Build(e.to_string()))?);
         }
         Ok(Self {
             columns: columns.into_iter().map(|c| c.name).collect(),
-            mappings,
-            rows,
-            shards,
+            whole: [Shard {
+                indexes,
+                pager: Pager::default(),
+                rows_per_page: opts.rows_per_page.max(1),
+            }],
         })
     }
 
-    /// Total rows across all shards.
+    /// Rows in the table.
     #[must_use]
     pub fn rows(&self) -> usize {
-        self.rows
+        self.column_index(0).rows()
+    }
+
+    /// Kernel windows the rows span, [`SEGMENT_BITS`] each: what a
+    /// request splits into morsels.
+    #[must_use]
+    pub fn windows(&self) -> usize {
+        self.column_index(0).windows()
     }
 
     /// Column names, in registration order.
@@ -327,23 +311,28 @@ impl ShardedTable {
         &self.columns
     }
 
-    /// The shards, in row order.
+    /// One [`Shard`] spanning the table. Kept for `benchmark/`'s replay.
     #[must_use]
     pub fn shards(&self) -> &[Shard] {
-        &self.shards
+        &self.whole
     }
 
-    /// The shared mapping for column position `column`.
+    /// The index of column position `column`.
+    #[must_use]
+    pub fn column_index(&self, column: usize) -> &EncodedBitmapIndex {
+        &self.whole[0].indexes[column]
+    }
+
+    /// The mapping of column position `column`.
     #[must_use]
     pub fn mapping(&self, column: usize) -> &Mapping {
-        &self.mappings[column]
+        self.column_index(column).mapping()
     }
 
-    /// Compiles a parsed query once against the shared mappings: each
-    /// clause's IN-list is reduced on shard 0's index (a point or a
-    /// range as the code interval it is, a scattered list by
-    /// Quine–McCluskey with don't-cares) and lowered for the kernel;
-    /// expression and plan are valid on every shard.
+    /// Compiles a parsed query once: each clause's IN-list is reduced on
+    /// its column's index (a point or a range as the code interval it
+    /// is, a scattered list by Quine–McCluskey with don't-cares) and
+    /// lowered for the kernel; expression and plan serve every morsel.
     ///
     /// # Errors
     ///
@@ -363,12 +352,13 @@ impl ShardedTable {
                     .ok_or_else(|| {
                         ServiceError::Parse(format!("unknown column {:?}", clause.column))
                     })?;
+                let index = self.column_index(column);
                 let values: Vec<u64> = match &clause.predicate {
                     Predicate::Eq(v) => vec![*v],
                     Predicate::In(vs) => vs.clone(),
-                    Predicate::Between(lo, hi) => self.mappings[column].values_between(*lo, *hi),
+                    Predicate::Between(lo, hi) => index.mapping().values_between(*lo, *hi),
                 };
-                let expr = self.shards[0].indexes[column].explain_in_list(&values);
+                let expr = index.explain_in_list(&values);
                 clauses.push(CompiledClause {
                     column,
                     plan: expr.lower(),
@@ -380,64 +370,86 @@ impl ShardedTable {
         Ok(CompiledQuery { disjuncts })
     }
 
-    /// Merges shard-relative bitmaps back into one global bitmap: each
-    /// part is OR-written at its shard's row offset. Parts may arrive
-    /// in any order; missing parts leave zeros. Called by
-    /// [`ShardedTable::eval_local`] and kept for `benchmark/`'s replay;
-    /// the service never builds a table-sized bitmap.
+    /// The window ranges of a split into `n` morsels (at least one), in
+    /// row order: as equal as whole windows allow, none empty while
+    /// `n` is at most [`ShardedTable::windows`].
+    pub fn morsels(&self, n: usize) -> impl Iterator<Item = Range<usize>> {
+        let (windows, n) = (self.windows(), n.max(1));
+        (0..n).map(move |i| i * windows / n..(i + 1) * windows / n)
+    }
+
+    /// Evaluates a compiled query on kernel windows `windows`: a
+    /// morsel. Bit `j` of the bitmap is row `windows.start ·
+    /// SEGMENT_BITS + j`. The morsel that starts at window 0 carries the
+    /// clauses' `vectors_accessed`, so the morsels of any split sum to
+    /// one index's `c_e` per clause; a join of two clause bitmaps is one
+    /// `literal_op` in every morsel that performs it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` is not a range within
+    /// `0..`[`ShardedTable::windows`].
+    #[must_use]
+    pub fn eval_morsel(
+        &self,
+        query: &CompiledQuery,
+        windows: Range<usize>,
+    ) -> (BitVec, CostCounters) {
+        self.whole[0].eval_windows(query, windows)
+    }
+
+    /// Serial whole-table evaluation: one morsel over every window on the
+    /// calling thread. This is the library reference path the served
+    /// results must stay bit-identical to.
+    #[must_use]
+    pub fn eval_local(&self, query: &CompiledQuery) -> (BitVec, CostCounters) {
+        self.whole[0].eval(query)
+    }
+
+    /// Merges word-aligned parts into one table-sized bitmap: each
+    /// `(first_word, bitmap)` is OR-written from its first word on, in
+    /// any order; missing parts leave zeros. Kept for `benchmark/`'s
+    /// replay; the service never builds a table-sized bitmap.
     #[must_use]
     pub fn merge<'a>(&self, parts: impl IntoIterator<Item = (usize, &'a BitVec)>) -> BitVec {
-        let mut global = BitVec::zeros(self.rows);
-        for (shard, bitmap) in parts {
-            global.or_shifted(bitmap, self.shards[shard].lo);
+        let mut global = BitVec::zeros(self.rows());
+        for (word, bitmap) in parts {
+            global.or_at_word(bitmap, word);
         }
         global
     }
 
-    /// Serial whole-table evaluation: every shard in row order on the
-    /// calling thread, merged. This is the library reference path the
-    /// served results must stay bit-identical to.
+    /// Heap pages holding a row of the word-aligned parts
+    /// `(first_word, bitmap)`, given in row order, counted on global row
+    /// ids from their words (`BitVec::occupied_blocks`): a page that
+    /// straddles two parts counts once. None is read.
     #[must_use]
-    pub fn eval_local(&self, query: &CompiledQuery) -> (BitVec, CostCounters) {
-        let mut cost = CostCounters::default();
-        let parts: Vec<(usize, BitVec)> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let (bitmap, c) = s.eval(query);
-                cost += c;
-                (s.id, bitmap)
-            })
-            .collect();
-        (self.merge(parts.iter().map(|(i, b)| (*i, b))), cost)
+    pub fn pages_spanned<'a>(&self, parts: impl IntoIterator<Item = (usize, &'a BitVec)>) -> u64 {
+        self.whole[0].pages(parts)
     }
 
-    /// Every shard's column indexes, mutably, for in-place maintenance
-    /// (`update`, `delete`, `refresh_summaries`). A shard's row range is
-    /// fixed at build, so nothing may be appended through this.
+    /// The column indexes, mutably, for in-place maintenance (`update`,
+    /// `delete`, `refresh_summaries`). The table's rows are fixed at
+    /// build, so nothing may be appended through this.
     pub fn indexes_mut(&mut self) -> impl Iterator<Item = &mut EncodedBitmapIndex> {
-        self.shards.iter_mut().flat_map(|s| s.indexes.iter_mut())
+        self.whole[0].indexes.iter_mut()
     }
 
-    /// Sets every shard index's slice container policy. Results stay
-    /// bit-identical under every policy — the core contract sharding
-    /// must preserve.
+    /// Sets every index's slice container policy. Results stay
+    /// bit-identical under every policy.
     pub fn set_storage_policy(&mut self, policy: StoragePolicy) {
         for index in self.indexes_mut() {
             index.set_storage_policy(policy);
         }
     }
 
-    /// Sum of every shard's post-pruning work estimate for `query`.
+    /// Post-pruning kernel-work estimate (words) for evaluating `query`
+    /// over every row, summed over every clause's bound plan.
     #[must_use]
     pub fn estimated_work_words(&self, query: &CompiledQuery) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.estimated_work_words(query))
+        let clauses = query.disjuncts.iter().flatten();
+        clauses
+            .map(|c| self.column_index(c.column).estimated_work_words(&c.plan))
             .sum()
     }
-}
-
-fn core_err(e: &CoreError) -> ServiceError {
-    ServiceError::Build(e.to_string())
 }

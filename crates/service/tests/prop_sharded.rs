@@ -1,52 +1,43 @@
-//! Shard edges, checked deterministically: the row-range split and the
-//! offset merge. The sharding contract itself — a sharded table answers
-//! like one index over its stored rows, at the summed cost — is checked
-//! across the configuration grid by the oracle (`tests/oracle.rs`).
+//! Morsel edges, checked deterministically: a split of the kernel
+//! windows and the word-aligned merge. The contract itself — every split
+//! answers like the one index over the stored rows, at its `c_e` — is
+//! checked across the configuration grid by the oracle
+//! (`tests/oracle.rs`).
 
-use ebi_bitvec::SEGMENT_BITS;
+use ebi_bitvec::{SEGMENT_BITS, SEGMENT_WORDS};
 use ebi_service::{parse_dnf, ColumnSpec, ShardedTable, TableOptions};
 use ebi_storage::Cell;
 
-/// Matches planted exactly at every shard's first and last row
-/// (word-unaligned boundaries by construction) survive the offset merge,
-/// and no neighbours leak in — on a small table, and on one whose shard
-/// edges fall inside kernel windows after the first.
+/// Matches planted exactly at every window's first and last row survive
+/// every split of the windows into morsels, one morsel up to one per
+/// window, and no neighbours leak in — on tables of one ragged window,
+/// of whole windows, and of whole windows and a ragged one.
 #[test]
-fn boundary_rows_survive_the_merge() {
-    for (rows, shards) in [1_003, 2 * SEGMENT_BITS + 1_003]
-        .into_iter()
-        .flat_map(|rows| [(rows, 2usize), (rows, 7)])
-    {
-        // Recompute the build's split to find the boundary rows.
-        let base = rows / shards;
-        let rem = rows % shards;
-        let mut boundaries = Vec::new();
-        let mut lo = 0usize;
-        for id in 0..shards {
-            let len = base + usize::from(id < rem);
-            boundaries.push(lo);
-            boundaries.push(lo + len - 1);
-            lo += len;
-        }
-        let cells: Vec<Cell> = (0..rows)
-            .map(|i| Cell::Value(u64::from(boundaries.contains(&i))))
+fn window_edge_rows_survive_every_split() {
+    for rows in [1_003, 2 * SEGMENT_BITS, 3 * SEGMENT_BITS + 1_003] {
+        let edges: Vec<usize> = (0..rows.div_ceil(SEGMENT_BITS))
+            .flat_map(|w| [w * SEGMENT_BITS, ((w + 1) * SEGMENT_BITS).min(rows) - 1])
             .collect();
-        let table = ShardedTable::build(
-            vec![ColumnSpec::new("a", cells)],
-            &TableOptions {
-                shards,
-                ..TableOptions::default()
-            },
-        )
-        .expect("table builds");
+        let cells: Vec<Cell> = (0..rows)
+            .map(|i| Cell::Value(u64::from(edges.contains(&i))))
+            .collect();
+        let table =
+            ShardedTable::build(vec![ColumnSpec::new("a", cells)], &TableOptions::default())
+                .expect("table builds");
         let compiled = table
             .compile(&parse_dnf("a=1").expect("parses"))
             .expect("compiles");
-        let (bitmap, _) = table.eval_local(&compiled);
-        let got: Vec<usize> = bitmap.iter_ones().collect();
-        let mut want = boundaries.clone();
-        want.sort_unstable();
-        want.dedup();
-        assert_eq!(got, want, "boundary rows for {shards} shards over {rows}");
+        let (whole, cost) = table.eval_local(&compiled);
+        assert_eq!(whole.to_positions(), edges, "{rows} rows in one morsel");
+        for n in 1..=table.windows() {
+            let parts: Vec<_> = table
+                .morsels(n)
+                .map(|w| (w.start * SEGMENT_WORDS, table.eval_morsel(&compiled, w)))
+                .collect();
+            let merged = table.merge(parts.iter().map(|(word, (bitmap, _))| (*word, bitmap)));
+            assert_eq!(merged, whole, "{rows} rows in {n} morsels");
+            let vectors: u64 = parts.iter().map(|(_, (_, c))| c.vectors_accessed).sum();
+            assert_eq!(vectors, cost.vectors_accessed, "{rows} rows in {n} morsels");
+        }
     }
 }

@@ -2,89 +2,13 @@
 //! service, answers checked bit-identically against the library path,
 //! graceful shutdown with traffic in flight.
 
-use ebi_service::{
-    parse_dnf, ColumnSpec, ServiceConfig, ServiceHandle, ServiceSummary, ShardedTable,
-    TableOptions, MAX_CONNECTIONS,
-};
-use ebi_storage::Cell;
+mod common;
+
+use common::{json_u64, small_table, tcp_line, test_config, with_service};
+use ebi_service::{parse_dnf, ServiceConfig, ServiceHandle, MAX_CONNECTIONS};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc;
 use std::time::Duration;
-
-fn small_table(shards: usize) -> ShardedTable {
-    let rows = 4_003; // prime-ish: shard boundaries land mid-word
-    let mut a = Vec::with_capacity(rows);
-    let mut b = Vec::with_capacity(rows);
-    for i in 0..rows {
-        a.push(Cell::Value((i as u64 * 7 + 3) % 6));
-        b.push(if i % 97 == 0 {
-            Cell::Null
-        } else {
-            Cell::Value((i as u64 * 13 + 1) % 9)
-        });
-    }
-    ShardedTable::build(
-        vec![ColumnSpec::new("a", a), ColumnSpec::new("b", b)],
-        &TableOptions {
-            shards,
-            ..TableOptions::default()
-        },
-    )
-    .expect("table builds")
-}
-
-fn test_config() -> ServiceConfig {
-    ServiceConfig {
-        workers: 2,
-        max_inflight: 4,
-        timeout: Duration::from_secs(5),
-        // Force the fan-out path: the smoke table is far below the real
-        // auto-serialise floor.
-        min_dispatch_words: 0,
-        ..ServiceConfig::default()
-    }
-}
-
-/// Runs `f` against a live service, then shuts it down and returns the
-/// drain summary.
-fn with_service<F>(table: &ShardedTable, cfg: &ServiceConfig, f: F) -> ServiceSummary
-where
-    F: FnOnce(&ServiceHandle) + Send,
-{
-    ebi_obs::set_enabled(true);
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|s| {
-        let server = s.spawn(move || ebi_service::run(table, cfg, |h| tx.send(h).expect("send")));
-        let handle = rx.recv().expect("service came up");
-        {
-            // Shut down even when `f` panics: the scope joins the server
-            // thread, so a failing assertion would otherwise hang.
-            let _stop = ShutdownOnDrop(&handle);
-            f(&handle);
-        }
-        server.join().expect("service thread").expect("service ran")
-    })
-}
-
-struct ShutdownOnDrop<'h>(&'h ServiceHandle);
-
-impl Drop for ShutdownOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-fn tcp_line(addr: SocketAddr, line: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .expect("write");
-    let mut reader = BufReader::new(stream);
-    let mut out = String::new();
-    reader.read_line(&mut out).expect("read");
-    out.trim_end().to_string()
-}
 
 fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
     let request = format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
@@ -137,19 +61,9 @@ fn http_pieces(addr: SocketAddr, pieces: &[&[u8]]) -> (u16, String) {
     (status, body.unwrap_or_default())
 }
 
-/// Pulls `"key":<number>` out of a flat JSON rendering.
-fn json_u64(json: &str, key: &str) -> Option<u64> {
-    let at = json.find(&format!("\"{key}\":"))?;
-    let digits: String = json[at + key.len() + 3..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
 #[test]
 fn tcp_protocol_answers_match_library() {
-    let table = small_table(5);
+    let table = small_table();
     let query = "a=1 AND b IN 2,3 OR b=7";
     let compiled = table
         .compile(&parse_dnf(query).expect("parses"))
@@ -181,7 +95,6 @@ fn tcp_protocol_answers_match_library() {
         assert!(explain.contains("eval.worker"), "got {explain}");
 
         let stats = tcp_line(addr, "STATS");
-        assert_eq!(json_u64(&stats, "shards"), Some(5));
         assert_eq!(json_u64(&stats, "max_inflight"), Some(4));
 
         let err = tcp_line(addr, "COUNT nosuch=1");
@@ -199,7 +112,7 @@ fn tcp_protocol_answers_match_library() {
 fn concurrent_clients_over_the_admission_bound_agree_with_the_library() {
     const CLIENTS: usize = 8;
     const PER_CLIENT: usize = 50;
-    let table = small_table(4);
+    let table = small_table();
     let expected: Vec<(&str, u64)> = ["a=1", "a IN 1,3,5 AND b BETWEEN 2 7", "a=0 OR b=1"]
         .into_iter()
         .map(|q| {
@@ -251,7 +164,7 @@ fn concurrent_clients_over_the_admission_bound_agree_with_the_library() {
 
 #[test]
 fn http_frontend_answers_match_library_and_metrics_render() {
-    let table = small_table(3);
+    let table = small_table();
     let compiled = table
         .compile(&parse_dnf("a BETWEEN 1 3").expect("parses"))
         .expect("compiles");
@@ -313,7 +226,7 @@ fn http_frontend_answers_match_library_and_metrics_render() {
 /// inflight, admission-rejected and slow-query counts).
 #[test]
 fn tcp_stats_and_http_stats_agree() {
-    let table = small_table(3);
+    let table = small_table();
     with_service(&table, &test_config(), |h| {
         let _ = tcp_line(h.tcp_addr(), "COUNT a=1");
         let stats = tcp_line(h.tcp_addr(), "STATS");
@@ -345,31 +258,68 @@ fn tcp_stats_and_http_stats_agree() {
     });
 }
 
+/// The same queries served inline (no workers) and split into morsels
+/// across three workers: equal counts, row ids and `vectors_accessed`.
 #[test]
-fn sharded_and_unsharded_services_agree() {
-    let sharded = small_table(7);
-    let single = small_table(1);
+fn dispatched_and_inline_services_agree() {
+    let table = small_table();
     let queries = ["a=0", "a IN 1,4 AND b=2", "b BETWEEN 0 8", "a=5 OR b=0"];
-    for query in queries {
-        let dnf = parse_dnf(query).expect("parses");
-        let a = sharded.eval_local(&sharded.compile(&dnf).expect("compiles"));
-        let b = single.eval_local(&single.compile(&dnf).expect("compiles"));
-        assert_eq!(
-            a.0.count_ones(),
-            b.0.count_ones(),
-            "count diverged for {query}"
+    let served = |workers: usize| {
+        let cfg = ServiceConfig {
+            workers,
+            ..test_config()
+        };
+        let mut replies = Vec::new();
+        with_service(&table, &cfg, |h| {
+            for q in queries {
+                replies.push(tcp_line(h.tcp_addr(), &format!("QUERY {q} LIMIT 10000")));
+            }
+        });
+        replies
+    };
+    // `"matches":…,"rows":[…],` and the vectors read.
+    let answer = |r: &str| {
+        let at = |key: &str| r.find(key).unwrap_or_else(|| panic!("{key} in {r}"));
+        let (text, vectors) = (
+            &r[at("\"matches\"")..at("\"wall_ns\"")],
+            json_u64(r, "vectors_accessed"),
         );
-        assert_eq!(
-            a.0.iter_ones().collect::<Vec<_>>(),
-            b.0.iter_ones().collect::<Vec<_>>(),
-            "bitmap diverged for {query}"
-        );
+        (text.to_string(), vectors)
+    };
+    for ((q, a), b) in queries.iter().zip(served(0)).zip(served(3)) {
+        assert_eq!(answer(&a), answer(&b), "{q}");
+        assert!(a.contains("\"dispatched\":false"), "{q}: {a}");
+        assert!(b.contains("\"dispatched\":true"), "{q}: {b}");
     }
+}
+
+/// A request split across the pool that misses its deadline answers
+/// `ERR timeout` and is counted.
+#[test]
+fn a_dispatched_request_past_its_deadline_times_out() {
+    let table = small_table();
+    let cfg = ServiceConfig {
+        timeout: Duration::from_nanos(1),
+        ..test_config()
+    };
+    let mut timed_out = 0;
+    let summary = with_service(&table, &cfg, |h| {
+        for _ in 0..5 {
+            let reply = tcp_line(h.tcp_addr(), "COUNT a IN 1,3,5 AND b BETWEEN 2 7 OR a=0");
+            assert!(
+                reply == "ERR timeout" || reply.starts_with("OK {"),
+                "{reply}"
+            );
+            timed_out += u64::from(reply == "ERR timeout");
+        }
+    });
+    assert!(timed_out > 0, "no request of five missed a 1 ns deadline");
+    assert_eq!(summary.timeouts, timed_out);
 }
 
 #[test]
 fn graceful_shutdown_drains_requests_in_flight() {
-    let table = small_table(4);
+    let table = small_table();
     let cfg = test_config();
     let summary = with_service(&table, &cfg, |h| {
         let tcp = h.tcp_addr();
@@ -430,7 +380,7 @@ fn unsplit_matches(h: &ServiceHandle) -> u64 {
 
 #[test]
 fn tcp_line_split_across_a_read_timeout_is_answered_whole() {
-    let table = small_table(3);
+    let table = small_table();
     with_service(&table, &test_config(), |h| {
         let split = first_line_of_pieces(h.tcp_addr(), &[b"COUNT a", b"=1\n"]);
         assert!(split.starts_with("OK {"), "answered {split:?}");
@@ -440,7 +390,7 @@ fn tcp_line_split_across_a_read_timeout_is_answered_whole() {
 
 #[test]
 fn http_head_split_across_a_read_timeout_is_answered_whole() {
-    let table = small_table(3);
+    let table = small_table();
     with_service(&table, &test_config(), |h| {
         let (status, body) = http_pieces(
             h.http_addr(),
@@ -456,7 +406,7 @@ fn http_head_split_across_a_read_timeout_is_answered_whole() {
 
 #[test]
 fn http_body_split_across_a_read_timeout_is_answered_whole() {
-    let table = small_table(3);
+    let table = small_table();
     with_service(&table, &test_config(), |h| {
         let (status, body) = http_pieces(
             h.http_addr(),
@@ -476,7 +426,7 @@ fn http_body_split_across_a_read_timeout_is_answered_whole() {
 
 #[test]
 fn oversized_tcp_line_is_refused_and_the_service_stays_up() {
-    let table = small_table(2);
+    let table = small_table();
     with_service(&table, &test_config(), |h| {
         let line = vec![b'x'; 1 << 20];
         assert_eq!(
@@ -489,7 +439,7 @@ fn oversized_tcp_line_is_refused_and_the_service_stays_up() {
 
 #[test]
 fn oversized_http_header_is_refused_and_the_service_stays_up() {
-    let table = small_table(2);
+    let table = small_table();
     with_service(&table, &test_config(), |h| {
         let mut request = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
         request.resize(1 << 20, b'x');
@@ -505,7 +455,7 @@ fn oversized_http_header_is_refused_and_the_service_stays_up() {
 /// same connection is answered.
 #[test]
 fn too_many_clauses_are_refused_and_the_connection_answers_the_next_request() {
-    let table = small_table(2);
+    let table = small_table();
     with_service(&table, &test_config(), |h| {
         let clauses = ["a=1"; 65];
         let (over, at_cap) = (clauses.join(" OR "), clauses[..64].join(" OR "));
@@ -538,7 +488,7 @@ fn too_many_clauses_are_refused_and_the_connection_answers_the_next_request() {
 /// up with a typed reply, and the connection closes.
 #[test]
 fn incomplete_requests_are_given_up_at_the_deadline() {
-    let table = small_table(2);
+    let table = small_table();
     let cfg = ServiceConfig {
         timeout: Duration::from_millis(300),
         ..test_config()
@@ -584,7 +534,7 @@ fn ebi_serve_refuses_a_zero_deadline() {
 
 #[test]
 fn connections_over_the_cap_are_refused_until_one_closes() {
-    let table = small_table(1);
+    let table = small_table();
     let mut refused = 0;
     let summary = with_service(&table, &test_config(), |h| {
         // The cap's worth of connections, each answered once so the

@@ -2,79 +2,13 @@
 //! frontends, tail-sampled trace/slow rings, `/debug/*` endpoints,
 //! the Chrome trace-event export, and `/metrics`.
 
-use ebi_service::{ColumnSpec, ServiceConfig, ServiceHandle, ShardedTable, TableOptions};
-use ebi_storage::Cell;
+mod common;
+
+use common::{json_u64, small_table, tcp_line, test_config, with_service, with_service_spans};
+use ebi_service::ServiceConfig;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc;
 use std::time::Duration;
-
-fn small_table(shards: usize) -> ShardedTable {
-    let rows = 4_003;
-    let mut a = Vec::with_capacity(rows);
-    let mut b = Vec::with_capacity(rows);
-    for i in 0..rows {
-        a.push(Cell::Value((i as u64 * 7 + 3) % 6));
-        b.push(if i % 97 == 0 {
-            Cell::Null
-        } else {
-            Cell::Value((i as u64 * 13 + 1) % 9)
-        });
-    }
-    ShardedTable::build(
-        vec![ColumnSpec::new("a", a), ColumnSpec::new("b", b)],
-        &TableOptions {
-            shards,
-            ..TableOptions::default()
-        },
-    )
-    .expect("table builds")
-}
-
-fn test_config() -> ServiceConfig {
-    ServiceConfig {
-        workers: 2,
-        max_inflight: 4,
-        timeout: Duration::from_secs(5),
-        min_dispatch_words: 0,
-        ..ServiceConfig::default()
-    }
-}
-
-fn with_service<F>(table: &ShardedTable, cfg: &ServiceConfig, f: F)
-where
-    F: FnOnce(&ServiceHandle) + Send,
-{
-    with_service_spans(true, table, cfg, f);
-}
-
-/// Runs `f` against a live service, with the span subscriber `spans`.
-fn with_service_spans<F>(spans: bool, table: &ShardedTable, cfg: &ServiceConfig, f: F)
-where
-    F: FnOnce(&ServiceHandle) + Send,
-{
-    ebi_obs::set_enabled(spans);
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|s| {
-        let server = s.spawn(move || ebi_service::run(table, cfg, |h| tx.send(h).expect("send")));
-        let handle = rx.recv().expect("service came up");
-        f(&handle);
-        handle.shutdown();
-        server.join().expect("service thread").expect("service ran");
-    });
-}
-
-/// Sends one line, reads one response line.
-fn tcp_line(addr: SocketAddr, line: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .expect("write");
-    let mut reader = BufReader::new(stream);
-    let mut out = String::new();
-    reader.read_line(&mut out).expect("read");
-    out.trim_end().to_string()
-}
 
 /// Sends one line and reads a multi-line `OK <n>` page terminated by a
 /// lone `.` line: returns (n, payload lines).
@@ -131,15 +65,6 @@ fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
     (status, body)
 }
 
-fn json_u64(json: &str, key: &str) -> Option<u64> {
-    let at = json.find(&format!("\"{key}\":"))?;
-    let digits: String = json[at + key.len() + 3..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
 /// Pulls `"key":"value"` out of a flat JSON rendering.
 fn json_str(json: &str, key: &str) -> Option<String> {
     let at = json.find(&format!("\"{key}\":\""))?;
@@ -152,7 +77,7 @@ const TRACE32: &str = "4bf92f3577b34da6a3ce929d0e0e4736";
 
 #[test]
 fn tcp_traceparent_is_adopted_and_echoed() {
-    let table = small_table(3);
+    let table = small_table();
     with_service(&table, &test_config(), |h| {
         let addr = h.tcp_addr();
         let resp = tcp_line(addr, &format!("TRACEPARENT {TP} COUNT a=1"));
@@ -177,7 +102,7 @@ fn tcp_traceparent_is_adopted_and_echoed() {
 
 #[test]
 fn http_traceparent_is_echoed_on_success_and_error() {
-    let table = small_table(3);
+    let table = small_table();
     with_service(&table, &test_config(), |h| {
         let addr = h.http_addr();
         let (status, head, body) = http_get_full(addr, "/count?q=a%3D1", &[("traceparent", TP)]);
@@ -202,7 +127,7 @@ fn http_traceparent_is_echoed_on_success_and_error() {
 
 #[test]
 fn slow_queries_land_in_the_slow_ring_with_full_reports() {
-    let table = small_table(4);
+    let table = small_table();
     let cfg = ServiceConfig {
         // Threshold 0: every query is "slow", deterministically.
         slow_query_ms: Some(0),
@@ -248,7 +173,7 @@ fn slow_queries_land_in_the_slow_ring_with_full_reports() {
 
 #[test]
 fn debug_endpoints_serve_traces_stats_and_chrome_export() {
-    let table = small_table(3);
+    let table = small_table();
     with_service(&table, &test_config(), |h| {
         let tcp = h.tcp_addr();
         let http = h.http_addr();
@@ -327,7 +252,7 @@ fn a_retained_trace_renders_what_was_served() {
     // The ring keeps the request, not its text: the label and the
     // expressions of a `/debug/traces` line are rendered when read, and
     // must spell the request sent and the expressions EXPLAIN reports.
-    let table = small_table(3);
+    let table = small_table();
     let queries = [
         "a=1",
         "b IN 1,4,6",
@@ -393,7 +318,7 @@ fn spans_are_a_pure_observer_of_the_served_answers() {
         "a=1 AND b IN 2,3 OR b BETWEEN 5 7",
     ];
     const LIMIT: usize = 40;
-    let table = small_table(3);
+    let table = small_table();
     let served = |spans| {
         let mut replies = Vec::new();
         with_service_spans(spans, &table, &test_config(), |h| {
@@ -430,22 +355,23 @@ fn spans_are_a_pure_observer_of_the_served_answers() {
 }
 
 #[test]
-fn shard_labelled_metrics_appear_in_prometheus_export() {
-    let table = small_table(3);
+fn morsel_latency_is_one_unlabelled_histogram() {
+    // One query split across the two workers: two morsels, two samples.
+    let table = small_table();
+    let mut metrics = (0, String::new());
     with_service(&table, &test_config(), |h| {
         let _ = tcp_line(h.tcp_addr(), "COUNT a=1");
-        let (status, body) = http_get(h.http_addr(), "/metrics");
-        assert_eq!(status, 200);
-        assert!(
-            body.contains("ebi_service_shard_eval_ns_count{shard=\"0\"} 1"),
-            "missing shard-labelled count: {body}"
-        );
-        assert!(
-            body.contains("ebi_service_shard_eval_ns_bucket{shard=\"0\",le=\""),
-            "missing shard-labelled histogram buckets: {body}"
-        );
-        assert!(body.contains("ebi_service_shard_eval_ns_sum{shard=\"2\"}"));
+        metrics = http_get(h.http_addr(), "/metrics");
     });
+    let (status, body) = metrics;
+    assert_eq!(status, 200);
+    assert_eq!(
+        metric(&body, "ebi_service_eval_ns_count"),
+        Some(2),
+        "{body}"
+    );
+    assert!(body.contains("ebi_service_eval_ns_bucket{le=\""), "{body}");
+    assert!(!body.contains("shard"), "a shard label or family: {body}");
 }
 
 #[test]
@@ -454,7 +380,7 @@ fn served_queries_export_kernel_counters() {
     // cost histograms the service records once per answered query.
     // Asserted after the service shut down: a panic inside
     // `with_service` would leave the server running and the test hung.
-    let table = small_table(2);
+    let table = small_table();
     let (mut reply, mut metrics) = (String::new(), (0, String::new()));
     with_service(&table, &test_config(), |h| {
         reply = tcp_line(h.tcp_addr(), "COUNT a=1");
@@ -479,12 +405,13 @@ fn metric(body: &str, series: &str) -> Option<u64> {
 #[test]
 fn metrics_count_with_spans_off_and_agree_with_the_traces() {
     // Four clients at once, two per frontend, on two workers with every
-    // query dispatched, so shard evaluations of different queries
-    // interleave. Fewer than 64 queries, so the ring retains every one.
+    // query split into two morsels, so morsel evaluations of different
+    // queries interleave. Fewer than 64 queries, so the ring retains
+    // every one.
     const PER_CLIENT: usize = 10;
     const TCP_OK: &str = r#"ebi_service_requests_total{proto="tcp",status="ok"}"#;
     let n = 2 * PER_CLIENT as u64;
-    let table = small_table(3);
+    let table = small_table();
     let (mut traces, mut metrics) = (String::new(), String::new());
     with_service_spans(false, &table, &test_config(), |h| {
         let (tcp, http) = (h.tcp_addr(), h.http_addr());
@@ -522,6 +449,11 @@ fn metrics_count_with_spans_off_and_agree_with_the_traces() {
         Some(2 * n),
         "{metrics}"
     );
+    assert_eq!(
+        metric(&metrics, "ebi_service_eval_ns_count"),
+        Some(2 * 2 * n),
+        "one sample per morsel: {metrics}"
+    );
     let lines: Vec<&str> = traces.lines().filter(|l| !l.is_empty()).collect();
     assert_eq!(lines.len() as u64, 2 * n, "every query retained: {traces}");
     let retained = |key: &str| {
@@ -556,7 +488,7 @@ fn every_exported_metric_family_is_in_the_ebi_namespace() {
     // Every request kind on both frontends, so each path that registers
     // a metric has run before the scrape. Asserted after shutdown, as
     // above.
-    let table = small_table(3);
+    let table = small_table();
     let mut metrics = (0, String::new());
     with_service(&table, &test_config(), |h| {
         let (tcp, http) = (h.tcp_addr(), h.http_addr());

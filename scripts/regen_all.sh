@@ -52,7 +52,7 @@ rm -f bench_results/service_log.jsonl
 obs_work=$(mktemp -d)
 EBI_SERVICE_MIN_DISPATCH_WORDS=0 EBI_SLOW_QUERY_MS=0 \
   EBI_LOG="bench_results/service_log.jsonl" EBI_LOG_LEVEL=debug \
-  ./target/release/ebi_serve --rows 20000 --shards 4 >"$obs_work/stdout" &
+  ./target/release/ebi_serve --rows 70000 --workers 2 >"$obs_work/stdout" &
 obs_pid=$!
 for _ in $(seq 1 100); do
   grep -q '^EBI_SERVICE ' "$obs_work/stdout" 2>/dev/null && break

@@ -17,13 +17,14 @@ fi
 workdir=$(mktemp -d)
 trap 'kill "$pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
-# Force the fan-out path even for this small table so the smoke
-# exercises the worker pool, not just the serial fallback. A 0ms slow
+# Three kernel windows on two workers, and a dispatch floor of 0: every
+# query splits into two morsels on the worker pool, so the smoke runs
+# the dispatched path, not only the inline one. A 0ms slow
 # threshold classifies every query slow (worst-case tail-sampling), and
 # EBI_LOG routes the structured JSONL log to a file we validate below.
 EBI_SERVICE_MIN_DISPATCH_WORDS=0 EBI_SLOW_QUERY_MS=0 \
   EBI_LOG="$workdir/service_log.jsonl" EBI_LOG_LEVEL=debug \
-  "$BIN" --rows 20000 --shards 5 --max-inflight 6 >"$workdir/stdout" 2>"$workdir/stderr" &
+  "$BIN" --rows 70000 --workers 2 --max-inflight 6 >"$workdir/stdout" 2>"$workdir/stderr" &
 pid=$!
 
 # Wait for the machine-parseable ready line.
@@ -136,9 +137,11 @@ assert tcp_line("COUNT nosuch=1").startswith("ERR")
 status, _ = http_get("/nosuch", ok_codes=(404,))
 assert status == 404
 explain = tcp_line(f"EXPLAIN {QUERIES[1]}")
-assert "eval.worker" in explain, f"EXPLAIN lost the per-shard spans: {explain[:200]}"
+assert "eval.worker" in explain, f"EXPLAIN lost the per-morsel spans: {explain[:200]}"
+assert "morsels=2" in explain and "dispatched=1" in explain, f"not split: {explain[:400]}"
 stats = json.loads(tcp_line("STATS")[3:])
-assert stats["shards"] == 5 and stats["max_inflight"] == 6
+assert "shards" not in stats, stats
+assert stats["workers"] == 2 and stats["max_inflight"] == 6
 
 # --- telemetry: trace propagation + every /debug/* endpoint ---
 TP = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
@@ -244,7 +247,7 @@ print("stats parity ok:", sorted(tcp_stats))
 status, metrics = http_get("/metrics")
 assert status == 200
 FAMILIES = {
-    "ebi_service_requests_total", "ebi_service_request_ns", "ebi_service_shard_eval_ns",
+    "ebi_service_requests_total", "ebi_service_request_ns", "ebi_service_eval_ns",
     "ebi_service_slow_queries_total", "ebi_service_panics_total",
     "ebi_query_latency_ns", "ebi_query_vectors_accessed", "ebi_query_words_scanned",
     "ebi_query_bytes_touched", "ebi_kernel_compressed_chunks_skipped_total",
@@ -258,7 +261,8 @@ for line in metrics.splitlines():
         continue
     series, value = line.rsplit(" ", 1)
     samples[series] = float(value)
-assert samples['ebi_service_shard_eval_ns_count{shard="4"}'] > 0, "per-shard latency missing"
+# Two morsels, so two evaluation samples, per answered query.
+assert samples["ebi_service_eval_ns_count"] == 2 * samples["ebi_query_latency_ns_count"], samples
 assert samples['ebi_service_requests_total{proto="http",status="ok"}'] > 0
 assert samples["ebi_service_panics_total"] == 0
 # Every answered query so far is in the ring's latency histogram, and

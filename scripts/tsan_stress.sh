@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # ThreadSanitizer stress run over the concurrency-heavy crates: the
-# worker pool's submit and claim over its one locked queue, the sharded
-# query service, and the buffer pool, whose misses read outside its
-# lock and swap the frame in under it. Needs a nightly toolchain with
+# worker pool's submit and claim over its one locked queue, the query
+# service splitting requests into morsels across it, and the buffer
+# pool, whose misses read outside its lock and swap the frame in under
+# it. Needs a nightly toolchain with
 # the rust-src component (-Zbuild-std rebuilds std with TSan
 # instrumentation).
 #

@@ -3,15 +3,17 @@
 //!
 //! A [`Case`] is one point of the grid — data shape, NULL share, row
 //! count, NULL policy, code order, row order, slice storage, kernel tier,
-//! shard split, maintenance — plus a seed. `verdict` (in `oracle/grid.rs`,
-//! beside the covering arrays and the shrinker) builds it and asks
-//! every probe of the encoded index in memory, paged, compressed and
-//! behind an executor, of the eight baseline families over the final
-//! cells (two of them taking the deletes), and of the sharded table
-//! (`compile` + `eval_local`), comparing each answer with the scan.
+//! morsel split, maintenance — plus a seed. `verdict` (in
+//! `oracle/grid.rs`, beside the covering arrays and the shrinker) builds
+//! it and asks every probe of the encoded index in memory, paged,
+//! compressed and behind an executor, of the eight baseline families
+//! over the final cells (two of them taking the deletes), and of the
+//! served table (`compile`, then `eval_morsel` over one morsel, two, or
+//! one per kernel window, merged), comparing each answer with the scan.
 //! `vectors_accessed` is pinned to footnote 4's `c_e` of the reduced
 //! expression plus the companion vectors Method 1 masks with: per form
-//! of the index, and summed over the table's shards.
+//! of the index, and for the table summed over its morsels, which must
+//! come to one index's `c_e` per clause however the windows split.
 //!
 //! Tier 1 runs a pairwise covering array over the axes; the full product
 //! is `#[ignore]`d (`cargo test --release --test oracle -- --ignored`). A

@@ -10,7 +10,7 @@ use ebi::baselines::{CompressedEncodedIndex, MultiComponentIndex};
 use ebi::bitvec::simd::{available_paths, with_forced_path};
 use ebi::bitvec::KernelPath::{self, Avx2};
 use ebi::bitvec::StoragePolicy::{self, Adaptive, Dense, Roaring};
-use ebi::bitvec::SEGMENT_BITS;
+use ebi::bitvec::{SEGMENT_BITS, SEGMENT_WORDS};
 use ebi::core::nulls::NullPolicy::{EncodedReserved, SeparateVectors};
 use ebi::core::paged::persist_and_open;
 use ebi::prelude::*;
@@ -22,8 +22,9 @@ use ebi_service::{ColumnSpec as Column, ShardedTable, TableOptions};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::fmt::Debug;
-use Order::{Gray, Lexicographic, Mixed, Original};
+use Order::{Gray, Lexicographic, Original};
 use Shape::{Binary, Runs, Uniform, Zipf};
+use Split::{Halves, Whole, Windows};
 use Upkeep::{Edited, Fresh, Refreshed};
 
 /// Column `c`: uniform over 2 or 64 values, Zipf over 200, or clustered
@@ -36,13 +37,21 @@ enum Shape {
     Runs,
 }
 
-/// One row order for every shard, or the three cycled by shard id.
+/// The table's row order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Order {
     Original,
     Lexicographic,
     Gray,
-    Mixed,
+}
+
+/// How the table's evaluation splits its kernel windows into morsels:
+/// one morsel, two (one when there is one window), or one per window.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Split {
+    Whole,
+    Halves,
+    Windows,
 }
 
 /// No maintenance; or deletes, updates and appends, after which the
@@ -68,7 +77,7 @@ pub struct Case {
     order: Order,
     storage: StoragePolicy,
     tier: KernelPath,
-    shards: usize,
+    split: Split,
     upkeep: Upkeep,
     seed: u64,
     head: usize,
@@ -86,12 +95,13 @@ const PROBES: usize = 15;
 
 /// Shrunk failures, as printed: deletes Roaring slices bring back; a NULL
 /// mask Roaring slices apply twice under `EncodedReserved`; and a merge
-/// dropping the carry of a shard that starts past the first window.
+/// that dropped the carry of a shard starting past the first window,
+/// now a table of two windows whose morsels meet at word 512.
 #[rustfmt::skip]
 pub const REGRESSIONS: &[Case] = &[
-    Case { shape: Binary, nulls: true, rows: 3094, policy: EncodedReserved, shuffled: true, order: Lexicographic, storage: Roaring, tier: Avx2, shards: 2, upkeep: Edited, seed: 44063, head: 3093, ops: 4096, probe: Some(0), clauses: 1, second_column: false },
-    Case { shape: Binary, nulls: true, rows: 3095, policy: EncodedReserved, shuffled: true, order: Lexicographic, storage: Roaring, tier: Avx2, shards: 2, upkeep: Edited, seed: 44063, head: 3094, ops: 1048576, probe: Some(0), clauses: 1, second_column: false },
-    Case { shape: Binary, nulls: false, rows: 65733, policy: EncodedReserved, shuffled: false, order: Gray, storage: Adaptive, tier: Avx2, shards: 7, upkeep: Refreshed, seed: 44064, head: 27503, ops: 0, probe: Some(0), clauses: 1, second_column: false },
+    Case { shape: Binary, nulls: true, rows: 3094, policy: EncodedReserved, shuffled: true, order: Lexicographic, storage: Roaring, tier: Avx2, split: Halves, upkeep: Edited, seed: 44063, head: 3093, ops: 4096, probe: Some(0), clauses: 1, second_column: false },
+    Case { shape: Binary, nulls: true, rows: 3095, policy: EncodedReserved, shuffled: true, order: Lexicographic, storage: Roaring, tier: Avx2, split: Halves, upkeep: Edited, seed: 44063, head: 3094, ops: 1048576, probe: Some(0), clauses: 1, second_column: false },
+    Case { shape: Binary, nulls: false, rows: 65733, policy: EncodedReserved, shuffled: false, order: Gray, storage: Adaptive, tier: Avx2, split: Halves, upkeep: Refreshed, seed: 44064, head: 27503, ops: 0, probe: Some(0), clauses: 1, second_column: false },
 ];
 
 #[derive(Debug, Clone, Copy)]
@@ -155,10 +165,10 @@ impl Case {
             rows: rows[point[2]],
             policy: [SeparateVectors, EncodedReserved][point[3]],
             shuffled: point[4] == 1,
-            order: [Original, Lexicographic, Gray, Mixed][point[5]],
+            order: [Original, Lexicographic, Gray][point[5]],
             storage: [Dense, Roaring, Adaptive][point[6]],
             tier: available_paths()[point[7]],
-            shards: [1, 2, 7][point[8]],
+            split: [Whole, Halves, Windows][point[8]],
             upkeep: [Fresh, Edited, Refreshed][point[9]],
             seed,
             head: 0,
@@ -334,21 +344,12 @@ fn shuffled_mapping(cells: &[Cell], reserved: u64, seed: u64) -> Mapping {
     mapping
 }
 
-/// `columns` as `table`'s shards store them: each shard's rows in its
-/// order, concatenated in shard order.
-fn stored(table: &ShardedTable, columns: &[Vec<Cell>], orders: &[RowOrder]) -> Vec<Vec<Cell>> {
-    let mut stored = vec![Vec::new(); columns.len()];
-    for shard in table.shards() {
-        let range = shard.lo()..shard.lo() + shard.rows();
-        let cells: Vec<&[Cell]> = columns.iter().map(|c| &c[range.clone()]).collect();
-        let order = orders.get(shard.id() % orders.len().max(1)).copied();
-        for r in sort_order(&cells, order.unwrap_or_default()) {
-            for (out, column) in stored.iter_mut().zip(&cells) {
-                out.push(column[r as usize]);
-            }
-        }
-    }
-    stored
+/// `columns` as the table stores them: its rows in `order`.
+fn stored(columns: &[Vec<Cell>], order: Option<RowOrder>) -> Vec<Vec<Cell>> {
+    let cells: Vec<&[Cell]> = columns.iter().map(|c| &c[..]).collect();
+    let ids = sort_order(&cells, order.unwrap_or_default());
+    let column = |c: &[Cell]| ids.iter().map(|&r| c[r as usize]).collect();
+    cells.iter().map(|c| column(c)).collect()
 }
 
 /// Footnote 4's `c_e` of `expr` on `idx`, plus the companion vectors
@@ -427,21 +428,19 @@ type Answer<'a> = Box<dyn Fn(&Pred) -> Option<Got> + 'a>;
 /// answer that differs from the scan or from `c_e`.
 fn verdict(case: &Case) -> Outcome {
     let columns = case.columns();
-    let orders = match case.order {
-        Original => vec![],
-        Lexicographic => vec![RowOrder::Lexicographic],
-        Gray => vec![RowOrder::Gray],
-        Mixed => vec![RowOrder::Original, RowOrder::Lexicographic, RowOrder::Gray],
+    let order = match case.order {
+        Original => None,
+        Lexicographic => Some(RowOrder::Lexicographic),
+        Gray => Some(RowOrder::Gray),
     };
     let named = (0..columns.len()).map(|i| Column::new(["c", "d"][i], columns[i].clone()));
     let options = TableOptions {
-        shards: case.shards,
-        row_orders: orders.clone(),
+        row_orders: order.into_iter().collect(),
         ..TableOptions::default()
     };
     let mut table = ShardedTable::build(named.collect(), &options)?;
     // The single-column forms hold the rows where the table stores them.
-    let stored = stored(&table, &columns, &orders);
+    let stored = stored(&columns, order);
     let reserved = 2 * u64::from(case.policy == EncodedReserved);
     let shuffled = case.shuffled.then_some(reserved);
     let mapping = shuffled.map(|r| shuffled_mapping(&stored[0], r, case.seed));
@@ -476,12 +475,10 @@ fn verdict(case: &Case) -> Outcome {
         if matches!(op, Op::Append(_)) || matches!(cell, Some(Cell::Value(v)) if !known(v)) {
             continue;
         }
-        let shard = &table.shards()[table.shards().partition_point(|s| s.lo() <= row) - 1];
-        let (id, local, width) = (shard.id(), row - shard.lo(), columns.len());
-        for (column, idx) in table.indexes_mut().skip(id * width).take(width).enumerate() {
+        for (column, idx) in table.indexes_mut().enumerate() {
             match cell {
-                None => idx.delete(local)?,
-                Some(cell) if column == 0 => idx.update(local, cell)?,
+                None => idx.delete(row)?,
+                Some(cell) if column == 0 => idx.update(row, cell)?,
                 Some(_) => continue,
             }
             truth[column][row] = cell;
@@ -575,15 +572,21 @@ fn verdict(case: &Case) -> Outcome {
                     }
                 }
             }
-            check_table(&table, &dnf, &truth)?;
+            check_table(&table, case.split, &dnf, &truth)?;
         }
         Ok(())
     })
 }
 
-/// The table's answer to `dnf` against the scan, and its cost against
-/// the sum over shards of each clause's `c_e` on that shard's index.
-fn check_table(table: &ShardedTable, dnf: &Dnf, truth: &[Vec<Option<Cell>>]) -> Outcome {
+/// The table's answer to `dnf`, evaluated in the morsels of `split` and
+/// merged, against the scan; and its cost, summed over the morsels,
+/// against each clause's `c_e` on its column's index.
+fn check_table(
+    table: &ShardedTable,
+    split: Split,
+    dnf: &Dnf,
+    truth: &[Vec<Option<Cell>>],
+) -> Outcome {
     let clause = |(column, pred): &(usize, Pred)| {
         let (_, predicate) = pred.as_query()?;
         Some(Clause {
@@ -597,18 +600,31 @@ fn check_table(table: &ShardedTable, dnf: &Dnf, truth: &[Vec<Option<Cell>>]) -> 
         return Ok(());
     };
     let compiled = table.compile(&DnfRequest { disjuncts })?;
-    let (bitmap, cost) = table.eval_local(&compiled);
+    let n = match split {
+        Whole => 1,
+        Halves => 2.min(table.windows()),
+        Windows => table.windows(),
+    };
+    let morsels: Vec<_> = table
+        .morsels(n)
+        .map(|w| (w.start * SEGMENT_WORDS, table.eval_morsel(&compiled, w)))
+        .collect();
+    let bitmap = table.merge(morsels.iter().map(|(word, (b, _))| (*word, b)));
+    let vectors = morsels
+        .iter()
+        .map(|(_, (_, cost))| cost.vectors_accessed)
+        .sum();
     let hit = |r: &usize| {
         let clause = |(column, pred): &(usize, Pred)| pred.matches(truth[*column][*r]);
         dnf.iter().any(|conjunction| conjunction.iter().all(clause))
     };
     let want: Vec<usize> = (0..table.rows()).filter(hit).collect();
-    let clauses = || compiled.disjuncts.iter().flatten();
-    let shards = table.shards().iter();
-    let model = shards.flat_map(|s| clauses().map(move |c| c_e(s.column_index(c.column), &c.expr)));
-    let form = format!("{} shards", table.shards().len());
-    let got = (bitmap, cost.vectors_accessed);
-    agree(&form, dnf, &got, &want, Some(model.sum()))
+    let clauses = compiled.disjuncts.iter().flatten();
+    let model = clauses
+        .map(|c| c_e(table.column_index(c.column), &c.expr))
+        .sum();
+    let form = format!("the table in {n} morsels");
+    agree(&form, dnf, &(bitmap, vectors), &want, Some(model))
 }
 
 /// `verdict`, with a panic as a failure.
@@ -639,7 +655,7 @@ pub const UPKEEP: usize = 9;
 
 /// Values per axis, in `Case::at`'s order.
 pub fn radices() -> Vec<usize> {
-    vec![4, 2, 3, 2, 2, 4, 3, available_paths().len(), 3, 3]
+    vec![4, 2, 3, 2, 2, 3, 3, available_paths().len(), 3, 3]
 }
 
 /// A strength-2 covering array over `radices`: every pair of values of
