@@ -506,8 +506,7 @@ impl BoundPlan<'_> {
     /// minus the products a summary proves zero on a segment. The last
     /// segment is charged the words it has. Zero products and
     /// saturation are not predictable from summaries, so real work can
-    /// only be lower — which is what a parallel splitter needs to decide
-    /// whether fanning out pays.
+    /// only be lower.
     #[must_use]
     pub fn estimated_work_words(&self) -> u64 {
         let plan = self.plan;

@@ -134,10 +134,10 @@ fn ones_mask(lo: usize, hi: usize) -> u64 {
     (!0u64 >> (63 - hi)) & (!0u64 << lo)
 }
 
-/// Classifies a materialised chunk into its cheapest container, or
-/// `None` when it has no set bits. Costs follow the serialised sizes:
-/// `2·n` for arrays, `4·runs` for run lists, 8 KiB for bitmaps.
-fn classify(words: &[u64; CHUNK_WORDS]) -> Option<Container> {
+/// A chunk's payload bytes as an array, a run list and a bitmap, after
+/// the serialised sizes: `2·ones`, `4·runs` and 8 KiB. A short last
+/// chunk costs what its zero-padded form does.
+fn container_costs(words: &[u64]) -> (usize, usize, usize) {
     let mut ones = 0usize;
     let mut runs = 0usize;
     let mut prev_msb = 0u64;
@@ -147,16 +147,22 @@ fn classify(words: &[u64; CHUNK_WORDS]) -> Option<Container> {
         runs += (w & !(w << 1 | prev_msb)).count_ones() as usize;
         prev_msb = w >> 63;
     }
-    if ones == 0 {
+    (2 * ones, 4 * runs, CHUNK_WORDS * 8)
+}
+
+/// Classifies a materialised chunk into its cheapest container, or
+/// `None` when it has no set bits.
+fn classify(words: &[u64; CHUNK_WORDS]) -> Option<Container> {
+    let (cost_array, cost_run, cost_bitmap) = container_costs(words);
+    if cost_array == 0 {
         return None;
     }
-    let (cost_array, cost_run, cost_bitmap) = (2 * ones, 4 * runs, CHUNK_WORDS * 8);
     Some(if cost_run < cost_array.min(cost_bitmap) {
-        let mut r = Vec::with_capacity(runs);
+        let mut r = Vec::with_capacity(cost_run / 4);
         collect_runs(words, &mut r);
         Container::Run(r)
     } else if cost_array <= cost_bitmap {
-        let mut a = Vec::with_capacity(ones);
+        let mut a = Vec::with_capacity(cost_array / 2);
         for (i, &w) in words.iter().enumerate() {
             let mut bits = w;
             while bits != 0 {
@@ -238,6 +244,17 @@ impl RoaringBitmap {
             len: bits.len(),
             chunks,
         }
+    }
+
+    /// The [`RoaringBitmap::storage_bytes`] that
+    /// [`RoaringBitmap::from_bitvec`] of `bits` has, from each chunk's
+    /// container costs, without building a container.
+    pub(crate) fn compressed_bytes(bits: &BitVec) -> usize {
+        let costs = bits.words().chunks(CHUNK_WORDS).map(container_costs);
+        let stored = costs.filter(|&(array, ..)| array > 0);
+        stored
+            .map(|(array, run, bitmap)| 4 + array.min(run).min(bitmap))
+            .sum()
     }
 
     /// Decompresses back to a plain [`BitVec`].

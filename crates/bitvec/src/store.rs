@@ -8,19 +8,15 @@
 //!
 //! [`SliceStorage`] is the per-slice container choice and
 //! [`StoragePolicy`] the build-time rule that makes it. The default
-//! [`StoragePolicy::Adaptive`] policy measures the slice density and
-//! keeps mid-density slices dense (compression would only add
-//! overhead), switching to Roaring containers outside the
-//! `[0.20, 0.80]` band on large vectors. Roaring is the one compressed
-//! container (DESIGN.md §7).
+//! [`StoragePolicy::Adaptive`] policy keeps the smaller container, as
+//! Roaring itself does per chunk: a slice of at least two chunks goes
+//! Roaring only when its chunks' cheapest containers, summed, take fewer
+//! bytes than the dense words. Roaring is the one compressed container
+//! (DESIGN.md §7).
 
 use crate::core::BitVec;
 use crate::error::BitVecError;
 use crate::roaring::{RoaringBitmap, CHUNK_BITS};
-
-/// Density band (inclusive) within which compression is not attempted
-/// by [`StoragePolicy::Adaptive`].
-const DENSE_BAND: (f64, f64) = (0.20, 0.80);
 
 /// Vectors shorter than this always stay dense under
 /// [`StoragePolicy::Adaptive`]: container bookkeeping would dominate.
@@ -34,9 +30,9 @@ pub enum StoragePolicy {
     Dense,
     /// Roaring chunked containers for every slice.
     Roaring,
-    /// Per-slice choice from measured density: dense inside the
-    /// `[0.20, 0.80]` band or below two chunks of rows, Roaring
-    /// otherwise.
+    /// Per-slice choice of the smaller container: Roaring when its
+    /// bytes are below the dense words', dense otherwise and below two
+    /// chunks of rows.
     #[default]
     Adaptive,
 }
@@ -83,14 +79,12 @@ impl SliceStorage {
             StoragePolicy::Dense => Self::Dense(bits),
             StoragePolicy::Roaring => Self::Roaring(RoaringBitmap::from_bitvec(&bits)),
             StoragePolicy::Adaptive => {
-                if bits.len() < ADAPTIVE_MIN_BITS {
-                    return Self::Dense(bits);
-                }
-                let density = 1.0 - bits.sparsity();
-                if (DENSE_BAND.0..=DENSE_BAND.1).contains(&density) {
-                    Self::Dense(bits)
-                } else {
+                if bits.len() >= ADAPTIVE_MIN_BITS
+                    && RoaringBitmap::compressed_bytes(&bits) < bits.storage_bytes()
+                {
                     Self::Roaring(RoaringBitmap::from_bitvec(&bits))
+                } else {
+                    Self::Dense(bits)
                 }
             }
         }
@@ -267,18 +261,22 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_follows_density() {
+    fn adaptive_policy_keeps_the_smaller_container() {
         // Small vectors stay dense regardless of density.
         let small =
             SliceStorage::from_dense(BitVec::from_positions(1000, &[5]), StoragePolicy::Adaptive);
         assert_eq!(small.kind(), StorageKind::Dense);
 
-        // Mid-density large vectors stay dense (compression is a loss).
-        let mid = SliceStorage::from_dense(
-            patterned(ADAPTIVE_MIN_BITS, |i| i % 2 == 0),
-            StoragePolicy::Adaptive,
-        );
-        assert_eq!(mid.kind(), StorageKind::Dense);
+        // Mid-density large vectors stay dense (compression is a loss),
+        // and so does a density of 1/10: its bitmap containers cost four
+        // bytes a chunk more than the dense words.
+        for every in [2, 10] {
+            let mid = SliceStorage::from_dense(
+                patterned(ADAPTIVE_MIN_BITS, |i| i % every == 0),
+                StoragePolicy::Adaptive,
+            );
+            assert_eq!(mid.kind(), StorageKind::Dense, "one bit in {every}");
+        }
 
         // Sparse and near-full large vectors compress.
         let sparse = SliceStorage::from_dense(

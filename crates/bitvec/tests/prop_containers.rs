@@ -14,7 +14,7 @@
 //! and slice.
 
 use ebi_bitvec::builder::SliceFamilyBuilder;
-use ebi_bitvec::roaring::{RoaringBitmap, WindowKind};
+use ebi_bitvec::roaring::{RoaringBitmap, WindowKind, CHUNK_BITS};
 use ebi_bitvec::{BitVec, SliceStorage, StorageKind, StoragePolicy, SEGMENT_BITS, WORD_BITS};
 use proptest::prelude::*;
 
@@ -158,6 +158,25 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Above its two-chunk floor, Adaptive keeps whichever container is
+    /// smaller for the same bits, scattered or sorted into one run.
+    #[test]
+    fn adaptive_keeps_the_smaller_container_above_its_floor(
+        seed in any::<u64>(),
+        len in 2 * CHUNK_BITS..300_000,
+        density in density_ppt(),
+        sorted in any::<bool>(),
+    ) {
+        let mut bits = random_bits(len, density, seed);
+        if sorted {
+            let ones = bits.count_ones();
+            bits = BitVec::from_bools((0..len).map(|i| i < ones));
+        }
+        let bytes = |policy| SliceStorage::from_dense(bits.clone(), policy).storage_bytes();
+        let smaller = bytes(StoragePolicy::Dense).min(bytes(StoragePolicy::Roaring));
+        prop_assert_eq!(bytes(StoragePolicy::Adaptive), smaller);
     }
 }
 

@@ -629,11 +629,8 @@ impl EncodedBitmapIndex {
 
     /// Kernel traffic estimate (in 64-bit words) for evaluating a
     /// lowered expression on this index: its unshared literals times the
-    /// segments, less what valid summaries prune.
-    ///
-    /// A scheduler that splits work across threads (the service's
-    /// morsels) compares it against its dispatch floor to decide whether
-    /// the work is worth handing to another thread at all.
+    /// segments, less what valid summaries prune. Nothing schedules on
+    /// it; the repository benchmark's replay times it.
     #[must_use]
     pub fn estimated_work_words(&self, plan: &DnfPlan) -> u64 {
         plan.bind(&self.slices, self.summaries.as_deref(), self.rows)

@@ -30,7 +30,7 @@ USAGE:
 
 OPTIONS:
     --rows N          synthetic fact-table rows        [default: 100000, env EBI_SERVICE_ROWS]
-    --workers N       morsel worker threads            [env EBI_SERVICE_WORKERS]
+    --workers N       pool size, max threads per query [env EBI_SERVICE_WORKERS]
     --max-inflight N  admission bound (excess -> BUSY) [env EBI_SERVICE_MAX_INFLIGHT]
     --timeout-ms N    per-request deadline, N > 0      [env EBI_SERVICE_TIMEOUT_MS]
     --tcp ADDR        TCP bind address                 [default: 127.0.0.1:0, env EBI_SERVICE_ADDR]

@@ -12,21 +12,19 @@
 //!   runs of the kernel's 32 768-row windows. An answer is read off the
 //!   morsel bitmaps: a count is the sum of their popcounts, a row id is
 //!   the morsel's first row plus the bit, and no heap page is read.
-//! * [`pool`] — a [`WorkerPool`] over one locked queue for morsel jobs,
-//!   an [`AdmissionGate`] bounding in-flight queries (backpressure:
-//!   `BUSY` / HTTP 429), and a [`FanOut`] latch with per-request
-//!   deadlines.
+//! * [`pool`] — a [`WorkerPool`] over one locked queue whose idle
+//!   workers help requests, an [`AdmissionGate`] bounding in-flight
+//!   queries (backpressure: `BUSY` / HTTP 429), and a [`FanOut`]: one
+//!   request's morsel cursor, result slots and deadline wait.
 //! * [`protocol`] / [`http`] — two frontends over one grammar: a TCP
 //!   line protocol (`COUNT a=1 AND b IN 2,3`) and a hand-rolled
 //!   HTTP/1.1 + JSON layer (`GET /query?q=…`, `GET /metrics`). They
 //!   only frame, parse and render. No async runtime: blocking threads,
 //!   scoped borrows, vendored deps only.
 //! * [`server`] — one connection loop and one request path: admission
-//!   → compile → morsels → gather → retain. A request splits into
-//!   `min(workers, windows)` morsels on the pool only when that is at
-//!   least two and its post-pruning work estimate reaches the dispatch
-//!   floor ([`pool::MIN_PARALLEL_WORK_WORDS`]); otherwise it runs on the
-//!   connection thread as one morsel. Every query leaves its request, its
+//!   → compile → morsels → gather → retain. A request evaluates its
+//!   `min(workers, windows)` morsels on its connection thread, and idle
+//!   workers help. Every query leaves its request, its
 //!   `ebi-obs` span records (one `eval.worker` span per morsel) and its
 //!   cost counters in the trace ring; graceful shutdown drains in-flight
 //!   queries before the listeners close. A morsel evaluation that
@@ -38,6 +36,7 @@
 //!   ones, each kept as its request and raw records, and rendered as an
 //!   `ebi-obs` [`QueryReport`] only when `TRACES`, `SLOW`, `EXPLAIN`,
 //!   `/debug/*` or the slow-query log reads it.
+//! * `replay` — the methods only `benchmark/`'s replay calls.
 //!
 //! [`Mapping`]: ebi_core::Mapping
 //! [`WorkerPool`]: pool::WorkerPool
@@ -53,6 +52,7 @@ pub mod error;
 pub mod http;
 pub mod pool;
 pub mod protocol;
+mod replay;
 pub mod server;
 pub mod shard;
 mod trace_ring;

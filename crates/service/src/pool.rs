@@ -1,36 +1,27 @@
 //! Admission control and the worker pool.
 //!
-//! Three concerns live here, each one `parking_lot` mutex and condvar
-//! (poison-free, so a panic under a lock does not stop the service):
+//! Three concerns live here, each one `parking_lot` mutex (poison-free,
+//! so a panic under a lock does not stop the service):
 //!
 //! - [`AdmissionGate`] bounds in-flight queries. A query holds a
 //!   [`Permit`] from admission until its response is written; once the
 //!   gate starts draining, new admissions are refused and
 //!   [`AdmissionGate::await_drain`] blocks until the last permit drops
 //!   — that is the graceful-shutdown barrier.
-//! - [`WorkerPool`] runs morsel jobs on long-lived scoped threads that
-//!   share one locked queue: only connection threads submit, at most
-//!   `workers × max_inflight` jobs are queued (a request splits into at
-//!   most one morsel per worker), and each is at least its share of the
-//!   dispatch floor, so there is nothing for per-worker queues or
+//! - [`WorkerPool`] runs jobs on long-lived scoped threads that share
+//!   one locked queue. The service offers a request's help only to
+//!   workers waiting for work at that moment, one job each, so no job
+//!   waits behind another and there is nothing for per-worker queues or
 //!   stealing to balance. It is the only scheduler in the workspace: a
-//!   morsel job evaluates its windows serially.
-//! - [`FanOut`] is the per-query completion latch: one slot per morsel
-//!   job, a deadline-aware wait, and a cancellation flag that late
-//!   jobs check so an abandoned (timed-out) query stops consuming
-//!   workers.
+//!   morsel evaluates its windows serially.
+//! - [`FanOut`] is one request's morsels: a cursor its thread and its
+//!   helpers claim from, a result slot each, and a deadline-aware wait.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-
-/// Default dispatch floor: estimated kernel traffic (in 64-bit words)
-/// below which a query is evaluated as one morsel on the connection
-/// thread instead of being split across the pool — 2M rows of one literal.
-/// Under it the hand-off and wake-up cost more than the scan.
-pub const MIN_PARALLEL_WORK_WORDS: u64 = 2_000_000 / 64;
 
 /// A queued unit of work: a boxed closure borrowing at most `'env`
 /// (the service scope), so jobs can reference the table directly while
@@ -42,6 +33,8 @@ struct Queue<'env> {
     /// `false` once [`WorkerPool::close`] ran; workers exit when the
     /// pool is closed *and* the queue is drained.
     open: bool,
+    /// Workers waiting on the condvar for a job.
+    idle: usize,
 }
 
 /// A fixed-size pool over one locked queue. Workers are started
@@ -64,6 +57,7 @@ impl<'env> WorkerPool<'env> {
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),
                 open: true,
+                idle: 0,
             }),
             cv: Condvar::new(),
             workers,
@@ -92,6 +86,22 @@ impl<'env> WorkerPool<'env> {
         job();
     }
 
+    /// Queues up to `max` jobs made by `job`, one for each worker that
+    /// waits for work now and that no queued job will take, and returns
+    /// how many. It never waits: with no idle worker nothing is queued.
+    /// A closed pool has no idle worker once its workers saw the close.
+    pub(crate) fn offer(&self, max: usize, mut job: impl FnMut() -> Job<'env>) -> usize {
+        if max == 0 {
+            return 0;
+        }
+        let mut q = self.queue.lock();
+        let spare = q.idle.saturating_sub(q.jobs.len()).min(max);
+        q.jobs.extend((0..spare).map(|_| job()));
+        drop(q);
+        (0..spare).for_each(|_| self.cv.notify_one());
+        spare
+    }
+
     /// The worker loop; call from a dedicated thread (`_label` only
     /// names the worker at the call site). Returns once the pool is
     /// closed and the queue is empty. Jobs run with the lock released,
@@ -109,7 +119,9 @@ impl<'env> WorkerPool<'env> {
                     if !q.open {
                         return;
                     }
+                    q.idle += 1;
                     self.cv.wait(&mut q);
+                    q.idle -= 1;
                 }
             };
             let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
@@ -236,13 +248,16 @@ impl Drop for Permit<'_> {
     }
 }
 
-/// Per-query completion latch for a morsel split: `n` result slots, a
-/// deadline-aware wait, and a cancellation flag late jobs observe.
+/// One request's morsels: a cursor its thread and its helpers claim
+/// slots from, `n` result slots, and a deadline-aware wait.
 #[derive(Debug)]
 pub struct FanOut<T> {
-    state: Mutex<(Vec<Option<T>>, usize)>,
-    cv: Condvar,
-    cancelled: AtomicBool,
+    slots: Mutex<Vec<Option<T>>>,
+    /// Slots not yet complete.
+    left: AtomicUsize,
+    /// The next slot to claim; `n` or past it once none is left.
+    next: AtomicUsize,
+    n: usize,
 }
 
 impl<T> FanOut<T> {
@@ -250,52 +265,53 @@ impl<T> FanOut<T> {
     #[must_use]
     pub fn new(n: usize) -> Self {
         Self {
-            state: Mutex::new(((0..n).map(|_| None).collect(), n)),
-            cv: Condvar::new(),
-            cancelled: AtomicBool::new(false),
+            slots: Mutex::new((0..n).map(|_| None).collect()),
+            left: AtomicUsize::new(n),
+            next: AtomicUsize::new(0),
+            n,
         }
     }
 
-    /// Records slot `i` (possibly `None` for a cancelled job) and
-    /// counts the completion; the last one wakes the waiter.
+    /// Claims the next slot in slot order; `None` once every slot is
+    /// claimed or the latch is closed. No slot is claimed twice.
+    pub fn claim(&self) -> Option<usize> {
+        Some(self.next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < self.n)
+    }
+
+    /// Closes the latch: no slot is claimed after this, so
+    /// [`FanOut::wait`] times out unless every slot already was.
+    pub fn close(&self) {
+        self.next.fetch_max(self.n, Ordering::Relaxed);
+    }
+
+    /// Records slot `i` (possibly `None` for an evaluation that failed)
+    /// and counts the completion.
     pub fn complete(&self, i: usize, value: Option<T>) {
-        let mut st = self.state.lock();
-        st.0[i] = value;
-        st.1 = st.1.saturating_sub(1);
-        if st.1 == 0 {
-            drop(st);
-            self.cv.notify_all();
-        }
+        self.slots.lock()[i] = value;
+        self.left.fetch_sub(1, Ordering::Release);
     }
 
-    /// Waits until every slot completed or `timeout` elapses. On
-    /// timeout the latch is cancelled (late jobs see
-    /// [`FanOut::is_cancelled`] and skip their work) and `None` is
-    /// returned.
+    /// Waits until every slot completed or `timeout` elapses, yielding
+    /// the CPU between looks rather than sleeping: what it waits for is
+    /// being evaluated now, and a wake-up would cost more. On timeout the
+    /// latch closes and `None` is returned.
     pub fn wait(&self, timeout: Duration) -> Option<Vec<Option<T>>> {
         let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock();
-        while st.1 > 0 {
-            if self.cv.wait_until(&mut st, deadline).timed_out() && st.1 > 0 {
-                self.cancelled.store(true, Ordering::Release);
+        while self.left.load(Ordering::Acquire) > 0 {
+            if Instant::now() >= deadline {
+                self.close();
                 return None;
             }
+            std::thread::yield_now();
         }
-        Some(std::mem::take(&mut st.0))
-    }
-
-    /// Whether the waiter gave up; jobs check this before starting
-    /// expensive work.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire)
+        Some(std::mem::take(&mut self.slots.lock()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::sync::Arc;
 
     #[test]
@@ -469,7 +485,7 @@ mod tests {
         assert_eq!(gate.inflight(), 0);
 
         let fan = FanOut::<u64>::new(1);
-        panic_holding(&fan.state);
+        panic_holding(&fan.slots);
         fan.complete(0, Some(5));
         assert_eq!(fan.wait(Duration::from_secs(1)), Some(vec![Some(5)]));
     }
@@ -486,6 +502,76 @@ mod tests {
 
         let slow = Arc::new(FanOut::<u64>::new(1));
         assert_eq!(slow.wait(Duration::from_millis(10)), None);
-        assert!(slow.is_cancelled());
+        assert_eq!(slow.claim(), None, "a timed-out latch is closed");
+    }
+
+    #[test]
+    fn concurrent_claimers_take_each_morsel_once_and_a_closed_cursor_yields_none() {
+        const MORSELS: usize = 2_000;
+        let fan = FanOut::<usize>::new(MORSELS);
+        let claimed: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let claimers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut mine = Vec::new();
+                        while let Some(i) = fan.claim() {
+                            fan.complete(i, Some(i));
+                            mine.push(i);
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            claimers
+                .into_iter()
+                .map(|c| c.join().expect("claimer"))
+                .collect()
+        });
+        let mut all: Vec<usize> = claimed.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..MORSELS).collect::<Vec<_>>(), "each morsel once");
+        let slots = fan
+            .wait(Duration::from_secs(1))
+            .expect("every slot completed");
+        assert!(slots.iter().enumerate().all(|(i, v)| *v == Some(i)));
+
+        let fan = FanOut::<usize>::new(3);
+        assert_eq!(fan.claim(), Some(0));
+        fan.close();
+        assert_eq!((fan.claim(), fan.claim()), (None, None));
+        fan.complete(0, Some(0));
+        assert_eq!(fan.wait(Duration::ZERO), None, "slots 1 and 2 never ran");
+    }
+
+    /// `offer` queues a job only for a worker that waits now: none
+    /// before the worker starts, one while it waits, none while the job
+    /// it was offered holds it, none once the pool is closed.
+    #[test]
+    fn offer_queues_only_for_waiting_workers() {
+        let release = AtomicBool::new(false);
+        let ran = AtomicU64::new(0);
+        let pool = WorkerPool::new(1);
+        let job = || -> Job<'_> {
+            Box::new(|| {
+                while !release.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+            })
+        };
+        assert_eq!(pool.offer(4, job), 0, "no worker runs yet");
+        std::thread::scope(|s| {
+            s.spawn(|| pool.run_worker(0));
+            while pool.queue.lock().idle == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(pool.offer(0, job), 0);
+            assert_eq!(pool.offer(4, job), 1, "one job for the one idle worker");
+            assert_eq!(pool.offer(4, job), 0, "the worker is taken");
+            release.store(true, Ordering::Release);
+            pool.close();
+        });
+        assert_eq!(pool.offer(4, job), 0, "a closed pool");
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
     }
 }

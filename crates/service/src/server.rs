@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! accept → buffer → frame → parse → admit (Permit) → compile once →
-//!   evaluate in morsels (inline, or split across the worker pool) →
+//!   evaluate in morsels (this thread, and idle workers that help) →
 //!   gather (sum the morsels' counts) → report → render (ids
 //!   `w0·64 + j`, morsel by morsel) → one write → release Permit
 //! ```
@@ -23,18 +23,19 @@
 //! loop answers `BUSY`/429 itself and closes, spawning nothing.
 //!
 //! A request splits into `min(workers, windows)` morsels of the table's
-//! kernel windows, and goes to the pool only when that is at least two
-//! and the whole query's post-pruning work estimate reaches the
-//! dispatch floor ([`MIN_PARALLEL_WORK_WORDS`] by default). Otherwise it
-//! runs on the connection thread as one morsel, with no hand-off:
-//! dispatching a small evaluation costs more than running it.
+//! kernel windows (morsel-driven scheduling, Leis et al., SIGMOD 2014).
+//! It offers help to the pool workers idle at that moment, at most one
+//! fewer than its morsels, then claims and evaluates morsels on the
+//! connection thread until none is left; a helper claims from the same
+//! cursor. The request waits only for morsels a helper already started,
+//! never for a wake-up, and with one morsel it makes no pool operation.
 //!
 //! ## Shutdown protocol
 //!
 //! `SHUTDOWN` (or `POST /shutdown`) flips the handle; the run loop
 //! then (1) drains the gate — no new admissions, every in-flight query
 //! writes its response and releases its permit; (2) closes the worker
-//! pool — queued morsel jobs still run; (3) wakes the accept loops with
+//! pool — queued help jobs still run; (3) wakes the accept loops with
 //! a loopback connect; (4) joins every scoped thread. No request
 //! holding a permit is ever dropped. Connections poll the handle every
 //! `IDLE_POLL` (150 ms); the poll never discards buffered bytes, so a request
@@ -42,7 +43,7 @@
 
 use crate::error::ServiceError;
 use crate::http::{self, HttpRequest};
-use crate::pool::{AdmissionGate, FanOut, Refusal, WorkerPool, MIN_PARALLEL_WORK_WORDS};
+use crate::pool::{AdmissionGate, FanOut, Refusal, WorkerPool};
 use crate::protocol::{self, Reply, Request, STATUSES};
 use crate::shard::{CompiledQuery, DnfRequest, MorselOutcome, ShardedTable};
 use crate::trace_ring::{self, RetainedTrace, TraceRing};
@@ -50,7 +51,7 @@ use ebi_bitvec::{SEGMENT_WORDS, WORD_BITS};
 use ebi_obs::export::{json_str_array, JsonObject};
 use ebi_obs::log as obslog;
 use ebi_obs::metrics::{write_counter, write_histogram};
-use ebi_obs::{CostCounters, Counter, Histogram, QueryReport, TraceContext};
+use ebi_obs::{CostCounters, Counter, Histogram, QueryReport, SpanHandle, TraceContext};
 use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
@@ -77,22 +78,18 @@ pub struct ServiceConfig {
     pub tcp_addr: String,
     /// HTTP/1.1 bind address.
     pub http_addr: String,
-    /// Worker threads that evaluate morsels (0 = evaluate on connection
-    /// threads).
+    /// The pool's size, and the most threads (its own included) and
+    /// morsels one request takes; 0 or 1 = one, its connection thread.
     pub workers: usize,
     /// Maximum queries in flight at once; excess gets `BUSY`/429.
     pub max_inflight: usize,
     /// Per-request deadline; an expired query answers `ERR timeout`
-    /// / 504 and its remaining morsel jobs are cancelled, and a request
+    /// / 504 and no morsel of it starts after, and a request
     /// still incomplete this long after its first byte gets `ERR` / 408.
     pub timeout: Duration,
-    /// Unused: the service reads no page. Kept for `benchmark/`'s
-    /// replay; goes with B2.
+    /// Replay-only: the service reads no page. `benchmark/`'s replay
+    /// sizes its buffer pools with it (`crate::replay`).
     pub buffer_frames: usize,
-    /// Work-estimate floor (words) below which a query is evaluated as
-    /// one morsel on the connection thread instead of split across the
-    /// pool. Defaults to [`MIN_PARALLEL_WORK_WORDS`].
-    pub min_dispatch_words: u64,
     /// Fixed slow-query threshold in milliseconds; `None` uses the
     /// rolling p99 estimate.
     pub slow_query_ms: Option<u64>,
@@ -108,7 +105,6 @@ impl Default for ServiceConfig {
             max_inflight: 8,
             timeout: Duration::from_secs(10),
             buffer_frames: 64,
-            min_dispatch_words: MIN_PARALLEL_WORK_WORDS,
             slow_query_ms: None,
         }
     }
@@ -127,8 +123,8 @@ fn host_cores() -> usize {
 impl ServiceConfig {
     /// Defaults overridden by `EBI_SERVICE_ADDR`,
     /// `EBI_SERVICE_HTTP_ADDR`, `EBI_SERVICE_WORKERS`,
-    /// `EBI_SERVICE_MAX_INFLIGHT`, `EBI_SERVICE_TIMEOUT_MS`,
-    /// `EBI_SERVICE_MIN_DISPATCH_WORDS` and `EBI_SLOW_QUERY_MS`. A
+    /// `EBI_SERVICE_MAX_INFLIGHT`, `EBI_SERVICE_TIMEOUT_MS` and
+    /// `EBI_SLOW_QUERY_MS`. A
     /// timeout of 0 keeps the default, as an unparsable one does: a zero
     /// deadline would fail every query the pool is handed.
     #[must_use]
@@ -146,8 +142,6 @@ impl ServiceConfig {
                 .filter(|&ms| ms > 0)
                 .map_or(d.timeout, Duration::from_millis),
             buffer_frames: d.buffer_frames,
-            min_dispatch_words: number("EBI_SERVICE_MIN_DISPATCH_WORDS")
-                .unwrap_or(d.min_dispatch_words),
             slow_query_ms: number("EBI_SLOW_QUERY_MS").or(d.slow_query_ms),
         }
     }
@@ -660,24 +654,54 @@ fn trace_page(table: &ShardedTable, traces: &[Arc<RetainedTrace>], n: usize) -> 
     Reply::Page(page)
 }
 
+/// One request's morsels, shared by the connection thread that owns the
+/// request and the pool workers that help it.
+struct Morsels {
+    compiled: CompiledQuery,
+    /// How many: `min(workers, windows)`, at least one.
+    n: usize,
+    /// The claim cursor, and one result slot per morsel in row order.
+    fan: FanOut<MorselOutcome>,
+    deadline: Instant,
+    /// The `fanout` span the `eval.worker` spans hang off.
+    parent: SpanHandle,
+}
+
+impl Morsels {
+    /// Claims and evaluates morsels until none is left or the deadline
+    /// passed (the owner's timed-out `wait` then closes the cursor), and
+    /// returns how many. A morsel that panics fills its slot with `None`,
+    /// so the request answers `ERR internal` and a helper lives on.
+    fn evaluate(&self, table: &ShardedTable) -> usize {
+        let mut done = 0;
+        while Instant::now() < self.deadline {
+            let Some(i) = self.fan.claim() else { break };
+            let windows = table.morsels(self.n).nth(i).expect("one range per slot");
+            let eval = || eval_morsel(table, &self.compiled, windows, self.parent);
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(eval)).ok();
+            self.fan.complete(i, outcome);
+            done += 1;
+        }
+        done
+    }
+}
+
 /// Compiles, evaluates in morsels, gathers and retains one query in
 /// flight; the error is the reply of a query that produced no answer.
 /// `tctx` is the request's trace identity: it correlates the retained
 /// trace, the structured log lines, and the `traceparent` echoed in the
 /// answer.
 ///
-/// The request splits into `min(workers, windows)` morsels and goes to
-/// the pool when that is at least two and its work estimate reaches
-/// `min_dispatch_words`; otherwise it runs here as one morsel.
-/// `matches` is the sum of the morsels' counts, and the first `limit`
+/// The morsels run as the module doc says. `matches` is the sum of the morsels' counts, and the first `limit`
 /// row ids are read off the morsel bitmaps in morsel order, bit `j` of
 /// a morsel from word `w0` being row `w0·64 + j`. Only `explain` counts
 /// the heap pages the answer spans, into the report.
 ///
 /// The answer body is `{query_id, trace, matches, rows[], wall_ns,
-/// dispatched, vectors_accessed}`. Nothing else is rendered here: the
-/// ring keeps `dnf` itself, and the trace's label and expressions are
-/// built when something reads them.
+/// dispatched, vectors_accessed}`, `dispatched` saying whether a helper
+/// evaluated a morsel. Nothing else is rendered here: the ring keeps
+/// `dnf` itself, and the trace's label and expressions are built when
+/// something reads them.
 fn execute(
     ctx: &ServeCtx<'_, '_>,
     dnf: DnfRequest,
@@ -695,48 +719,36 @@ fn execute(
 
     let compiled = {
         let _span = root.child("compile");
-        match table.compile(&dnf) {
-            Ok(c) => Arc::new(c),
-            Err(e) => return Err(Reply::Bad(e.to_string())),
-        }
+        table.compile(&dnf).map_err(|e| Reply::Bad(e.to_string()))?
     };
 
-    let estimate = table.estimated_work_words(&compiled);
-    let split = ctx.workers.workers().min(table.windows());
-    let dispatched = split >= 2 && estimate >= ctx.cfg.min_dispatch_words;
-    let morsels = if dispatched { split } else { 1 };
-
     // A slot with no outcome is a morsel whose evaluation panicked: a
-    // cancelled slot only follows a timeout, which returns no slots.
-    let outcomes: Vec<Option<MorselOutcome>> = {
+    // slot never claimed only follows a timeout, which returns no slots.
+    let (outcomes, dispatched) = {
         let mut fan_span = root.child("fanout");
-        fan_span.attr("morsels", morsels as u64);
-        fan_span.attr("estimated_work_words", estimate);
+        let n = ctx.workers.workers().min(table.windows()).max(1);
+        let morsels = Arc::new(Morsels {
+            compiled,
+            n,
+            fan: FanOut::new(n),
+            deadline: started + ctx.cfg.timeout,
+            parent: fan_span.handle(),
+        });
+        let offered = ctx.workers.offer(n - 1, || {
+            let shared = Arc::clone(&morsels);
+            Box::new(move || {
+                shared.evaluate(table);
+            })
+        });
+        let mine = morsels.evaluate(table);
+        let left = morsels.deadline.saturating_duration_since(Instant::now());
+        let outcomes = morsels.fan.wait(left).ok_or(Reply::TimedOut)?;
+        // Every slot completed, so a helper filled those this thread did not.
+        let dispatched = mine < n;
+        fan_span.attr("morsels", n as u64);
+        fan_span.attr("offered", offered as u64);
         fan_span.attr("dispatched", u64::from(dispatched));
-        let parent = fan_span.handle();
-        if dispatched {
-            let fan = Arc::new(FanOut::<MorselOutcome>::new(morsels));
-            for (i, windows) in table.morsels(morsels).enumerate() {
-                let fan = Arc::clone(&fan);
-                let compiled = Arc::clone(&compiled);
-                ctx.workers.submit(Box::new(move || {
-                    // A job that starts after the waiter gave up skips
-                    // its work but still counts as complete.
-                    let outcome = if fan.is_cancelled() {
-                        None
-                    } else {
-                        eval_contained(table, &compiled, windows, parent)
-                    };
-                    fan.complete(i, outcome);
-                }));
-            }
-            match fan.wait(ctx.cfg.timeout) {
-                Some(results) => results,
-                None => return Err(Reply::TimedOut),
-            }
-        } else {
-            vec![eval_contained(table, &compiled, 0..table.windows(), parent)]
-        }
+        (outcomes, dispatched)
     };
     let panicked = outcomes.iter().filter(|o| o.is_none()).count() as u64;
     if panicked > 0 {
@@ -818,8 +830,8 @@ fn execute(
     Ok(Answer { retained, body })
 }
 
-/// Evaluates one morsel, kernel windows `windows` of the table: a pool
-/// worker's job, or the whole request run inline. It runs in an
+/// Evaluates one morsel, kernel windows `windows` of the table, on the
+/// request's own thread or a helping pool worker. It runs in an
 /// `eval.worker` span hung off the query's `fanout` span (cross-thread
 /// parentage via the captured handle) that carries the owning trace id
 /// (`trace` attribute), so pool hand-off is checkable end to end. The
@@ -853,18 +865,6 @@ pub fn eval_morsel(
         cost,
         wall_ns,
     }
-}
-
-/// [`eval_morsel`] with a panic contained: `None` when it panicked, so
-/// the request answers `ERR internal` and the worker lives on.
-fn eval_contained(
-    table: &ShardedTable,
-    compiled: &CompiledQuery,
-    windows: Range<usize>,
-    parent: ebi_obs::SpanHandle,
-) -> Option<MorselOutcome> {
-    let eval = || eval_morsel(table, compiled, windows, parent);
-    std::panic::catch_unwind(AssertUnwindSafe(eval)).ok()
 }
 
 /// `STATS` and `/stats`: build identity, the table, admission state,
@@ -970,15 +970,30 @@ mod tests {
         )
         .expect("table builds");
         let request = crate::parse_dnf("a=1").expect("parses");
-        let mut compiled = table.compile(&request).expect("compiles");
         let trace = ebi_obs::Trace::begin();
         let root = trace.root_span("query");
-        let answered = eval_contained(&table, &compiled, 0..1, root.handle());
+        let evaluated = |compiled| {
+            let morsels = Morsels {
+                compiled,
+                n: 1,
+                fan: FanOut::new(1),
+                deadline: Instant::now() + Duration::from_secs(10),
+                parent: root.handle(),
+            };
+            assert_eq!(morsels.evaluate(&table), 1);
+            let mut slots = morsels
+                .fan
+                .wait(Duration::ZERO)
+                .expect("the slot is filled");
+            slots.pop().expect("one slot")
+        };
+        let mut compiled = table.compile(&request).expect("compiles");
+        let answered = evaluated(compiled.clone());
         assert_eq!(answered.map(|o| o.bitmap.count_ones()), Some(33));
         // A column the table does not have: evaluation indexes past its
         // indexes and panics.
         compiled.disjuncts[0][0].column = 9;
-        assert!(eval_contained(&table, &compiled, 0..1, root.handle()).is_none());
+        assert!(evaluated(compiled).is_none());
     }
 
     #[test]

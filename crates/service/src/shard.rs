@@ -21,19 +21,18 @@
 //! the morsel's first row plus `j`, and the heap pages it spans are
 //! counted on global row ids ([`ShardedTable::pages_spanned`]).
 //!
-//! [`Shard`], [`ShardedTable::shards`], [`ShardedTable::merge`] and
-//! `TableOptions::shards` are what `benchmark/`'s replay compiles
-//! against: one `Shard` spans the table and holds its indexes.
+//! The table is its own one [`Shard`]; what only `benchmark/`'s replay
+//! calls lives in `crate::replay`.
 
 use crate::error::ServiceError;
-use ebi_bitvec::{BitVec, DnfPlan, StoragePolicy, SEGMENT_BITS, WORD_BITS};
+use ebi_bitvec::{BitVec, DnfPlan, SEGMENT_BITS, WORD_BITS};
 use ebi_boolean::DnfExpr;
 use ebi_core::index::{BuildOptions, EncodedBitmapIndex};
 use ebi_core::reorder::sort_order;
 use ebi_core::total_order::dense_order_mapping;
 use ebi_core::{and_fold, or_fold, Mapping, RowOrder};
 use ebi_obs::CostCounters;
-use ebi_storage::{BufferPool, Cell, Pager};
+use ebi_storage::{Cell, Pager};
 use std::ops::Range;
 
 /// One input column: a name plus its cell values for every row.
@@ -59,9 +58,8 @@ impl ColumnSpec {
 /// Build-time knobs for [`ShardedTable::build`].
 #[derive(Debug, Clone)]
 pub struct TableOptions {
-    /// Ignored: the table is one index per column, split into morsels
-    /// per request. Kept for `benchmark/`'s replay; goes with the
-    /// benchmark follow-up.
+    /// Replay-only and ignored: the table is one index per column, split
+    /// into morsels per request. `benchmark/` sets it.
     pub shards: usize,
     /// The table's row order: empty keeps the input order, one order
     /// sorts the rows across all columns before the build. A list only
@@ -146,86 +144,18 @@ pub struct MorselOutcome {
     pub wall_ns: u64,
 }
 
-/// The table's column indexes, spanning every row: the one entry of
-/// [`ShardedTable::shards`].
-#[derive(Debug)]
-pub struct Shard {
-    indexes: Vec<EncodedBitmapIndex>,
-    pager: Pager,
-    rows_per_page: usize,
-}
-
-impl Shard {
-    /// Always 0, which [`ShardedTable::merge`] reads as the word this
-    /// shard's bitmaps start at.
-    #[must_use]
-    pub fn id(&self) -> usize {
-        0
-    }
-
-    /// An empty pager; kept for `benchmark/`'s replay; goes with B2.
-    #[must_use]
-    pub fn pager(&self) -> &Pager {
-        &self.pager
-    }
-
-    /// The index for column position `column`.
-    #[must_use]
-    pub fn column_index(&self, column: usize) -> &EncodedBitmapIndex {
-        &self.indexes[column]
-    }
-
-    /// Evaluates a compiled query over every row: one morsel spanning
-    /// the table.
-    #[must_use]
-    pub fn eval(&self, query: &CompiledQuery) -> (BitVec, CostCounters) {
-        self.eval_windows(query, 0..self.indexes[0].windows())
-    }
-
-    /// Pages of a bitmap over every row, counted as
-    /// [`ShardedTable::pages_spanned`] does; `pool` is unused and nothing
-    /// is read. Kept for `benchmark/`'s replay; goes with B2.
-    #[must_use]
-    pub fn fetch_matches(&self, bitmap: &BitVec, _pool: Option<&BufferPool<'_>>) -> u64 {
-        self.pages([(0, bitmap)])
-    }
-
-    /// Distinct pages holding a row of the parts, in row order: a part's
-    /// first page may be the one before's last.
-    fn pages<'a>(&self, parts: impl IntoIterator<Item = (usize, &'a BitVec)>) -> u64 {
-        let (mut last, mut pages) = (None, 0);
-        for (word, bitmap) in parts {
-            for page in bitmap.occupied_blocks(self.rows_per_page, word * WORD_BITS) {
-                pages += u64::from(last != Some(page));
-                last = Some(page);
-            }
-        }
-        pages
-    }
-
-    /// Each clause on its index's windows `windows`, ANDed per
-    /// disjunct and ORed across them.
-    fn eval_windows(&self, query: &CompiledQuery, windows: Range<usize>) -> (BitVec, CostCounters) {
-        let first = windows.start * SEGMENT_BITS;
-        let rows = (windows.end * SEGMENT_BITS)
-            .min(self.indexes[0].rows())
-            .max(first)
-            - first;
-        let clause = |c: &CompiledClause| {
-            let r = self.indexes[c.column].run_plan_windows(&c.expr, &c.plan, windows.clone());
-            (r.bitmap, r.stats)
-        };
-        let conjunction = |d: &Vec<CompiledClause>| and_fold(d.iter().map(clause), rows);
-        or_fold(query.disjuncts.iter().map(conjunction), rows)
-    }
-}
-
 /// A fact table served as one encoded bitmap index per column.
 #[derive(Debug)]
 pub struct ShardedTable {
     columns: Vec<String>,
-    whole: [Shard; 1],
+    indexes: Vec<EncodedBitmapIndex>,
+    /// Replay-only: an empty pager `benchmark/` sizes buffer pools on.
+    pub(crate) pager: Pager,
+    rows_per_page: usize,
 }
+
+/// The table as the one shard of [`ShardedTable::shards`].
+pub type Shard = ShardedTable;
 
 impl ShardedTable {
     /// Sorts the rows as [`TableOptions::row_orders`] asks, then builds
@@ -284,11 +214,9 @@ impl ShardedTable {
         }
         Ok(Self {
             columns: columns.into_iter().map(|c| c.name).collect(),
-            whole: [Shard {
-                indexes,
-                pager: Pager::default(),
-                rows_per_page: opts.rows_per_page.max(1),
-            }],
+            indexes,
+            pager: Pager::default(),
+            rows_per_page: opts.rows_per_page.max(1),
         })
     }
 
@@ -311,16 +239,10 @@ impl ShardedTable {
         &self.columns
     }
 
-    /// One [`Shard`] spanning the table. Kept for `benchmark/`'s replay.
-    #[must_use]
-    pub fn shards(&self) -> &[Shard] {
-        &self.whole
-    }
-
     /// The index of column position `column`.
     #[must_use]
     pub fn column_index(&self, column: usize) -> &EncodedBitmapIndex {
-        &self.whole[0].indexes[column]
+        &self.indexes[column]
     }
 
     /// The mapping of column position `column`.
@@ -395,7 +317,14 @@ impl ShardedTable {
         query: &CompiledQuery,
         windows: Range<usize>,
     ) -> (BitVec, CostCounters) {
-        self.whole[0].eval_windows(query, windows)
+        let first = windows.start * SEGMENT_BITS;
+        let rows = (windows.end * SEGMENT_BITS).min(self.rows()).max(first) - first;
+        let clause = |c: &CompiledClause| {
+            let r = self.indexes[c.column].run_plan_windows(&c.expr, &c.plan, windows.clone());
+            (r.bitmap, r.stats)
+        };
+        let conjunction = |d: &Vec<CompiledClause>| and_fold(d.iter().map(clause), rows);
+        or_fold(query.disjuncts.iter().map(conjunction), rows)
     }
 
     /// Serial whole-table evaluation: one morsel over every window on the
@@ -403,20 +332,7 @@ impl ShardedTable {
     /// results must stay bit-identical to.
     #[must_use]
     pub fn eval_local(&self, query: &CompiledQuery) -> (BitVec, CostCounters) {
-        self.whole[0].eval(query)
-    }
-
-    /// Merges word-aligned parts into one table-sized bitmap: each
-    /// `(first_word, bitmap)` is OR-written from its first word on, in
-    /// any order; missing parts leave zeros. Kept for `benchmark/`'s
-    /// replay; the service never builds a table-sized bitmap.
-    #[must_use]
-    pub fn merge<'a>(&self, parts: impl IntoIterator<Item = (usize, &'a BitVec)>) -> BitVec {
-        let mut global = BitVec::zeros(self.rows());
-        for (word, bitmap) in parts {
-            global.or_at_word(bitmap, word);
-        }
-        global
+        self.eval_morsel(query, 0..self.windows())
     }
 
     /// Heap pages holding a row of the word-aligned parts
@@ -425,31 +341,20 @@ impl ShardedTable {
     /// straddles two parts counts once. None is read.
     #[must_use]
     pub fn pages_spanned<'a>(&self, parts: impl IntoIterator<Item = (usize, &'a BitVec)>) -> u64 {
-        self.whole[0].pages(parts)
+        let (mut last, mut pages) = (None, 0);
+        for (word, bitmap) in parts {
+            for page in bitmap.occupied_blocks(self.rows_per_page, word * WORD_BITS) {
+                pages += u64::from(last != Some(page));
+                last = Some(page);
+            }
+        }
+        pages
     }
 
     /// The column indexes, mutably, for in-place maintenance (`update`,
     /// `delete`, `refresh_summaries`). The table's rows are fixed at
     /// build, so nothing may be appended through this.
     pub fn indexes_mut(&mut self) -> impl Iterator<Item = &mut EncodedBitmapIndex> {
-        self.whole[0].indexes.iter_mut()
-    }
-
-    /// Sets every index's slice container policy. Results stay
-    /// bit-identical under every policy.
-    pub fn set_storage_policy(&mut self, policy: StoragePolicy) {
-        for index in self.indexes_mut() {
-            index.set_storage_policy(policy);
-        }
-    }
-
-    /// Post-pruning kernel-work estimate (words) for evaluating `query`
-    /// over every row, summed over every clause's bound plan.
-    #[must_use]
-    pub fn estimated_work_words(&self, query: &CompiledQuery) -> u64 {
-        let clauses = query.disjuncts.iter().flatten();
-        clauses
-            .map(|c| self.column_index(c.column).estimated_work_words(&c.plan))
-            .sum()
+        self.indexes.iter_mut()
     }
 }

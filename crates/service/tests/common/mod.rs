@@ -1,5 +1,6 @@
 //! What the service's socket tests share: a three-window table, a
-//! configuration that always splits, a live service, and a line client.
+//! configuration that splits every query, a live service, and a line
+//! client.
 
 // Each test binary that includes this module uses part of it.
 #![allow(dead_code)]
@@ -7,6 +8,7 @@
 use ebi_bitvec::SEGMENT_BITS;
 use ebi_service::{ColumnSpec, ServiceConfig, ServiceHandle, ServiceSummary, ShardedTable};
 use ebi_storage::Cell;
+use parking_lot::RwLock;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
@@ -28,17 +30,31 @@ pub fn small_table() -> ShardedTable {
     ShardedTable::build(columns, &Default::default()).expect("table builds")
 }
 
-/// Two workers, and a dispatch floor of 0: the test table is far below
-/// the real one, and every query splits.
+/// Two workers: every query on the test table splits into two morsels,
+/// which an idle worker may help evaluate.
 pub fn test_config() -> ServiceConfig {
     ServiceConfig {
         workers: 2,
         max_inflight: 4,
         timeout: Duration::from_secs(5),
-        min_dispatch_words: 0,
         ..ServiceConfig::default()
     }
 }
+
+/// The `morsels=` attribute of an `EXPLAIN` reply's `fanout` span.
+pub fn explained_morsels(explain: &str) -> Option<u64> {
+    let at = explain.find("morsels=")? + "morsels=".len();
+    let digits: String = explain[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().ok()
+}
+
+/// The span subscriber is one switch for the whole test binary: a
+/// service run with spans off holds this for writing, so that no run
+/// with spans on (which holds it for reading) loses its spans to it.
+static SPANS: RwLock<()> = RwLock::new(());
 
 /// Runs `f` against a live service with the span subscriber `spans`,
 /// then shuts it down (also when `f` panics: the scope joins the server
@@ -59,6 +75,11 @@ where
             self.0.shutdown();
         }
     }
+    let _switch = if spans {
+        (Some(SPANS.read()), None)
+    } else {
+        (None, Some(SPANS.write()))
+    };
     ebi_obs::set_enabled(spans);
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|s| {

@@ -213,13 +213,12 @@ fn crossing(wants: &[Expected]) -> Vec<usize> {
 
 /// Every query as `COUNT`, `EXPLAIN` and three `QUERY … LIMIT n`, over
 /// TCP and HTTP, against `table` served by `workers` workers; checked
-/// against `wants`. `dispatched` is what every reply must say.
-fn serve_and_check(table: &ShardedTable, workers: usize, wants: &[Expected], dispatched: bool) {
+/// against `wants`. Every `EXPLAIN` must show `morsels` morsels.
+fn serve_and_check(table: &ShardedTable, workers: usize, wants: &[Expected], morsels: u64) {
     let crossing = crossing(wants);
     let cfg = ServiceConfig {
         workers,
         timeout: Duration::from_secs(5),
-        min_dispatch_words: 0,
         ..ServiceConfig::default()
     };
     let mut replies = Vec::new();
@@ -258,11 +257,12 @@ fn serve_and_check(table: &ShardedTable, workers: usize, wants: &[Expected], dis
             "{what}"
         );
         assert_eq!(number_after(&reply, "\"matches\":"), want.matches, "{what}");
-        let split = format!("\"dispatched\":{dispatched}");
-        assert!(reply.contains(&split), "{workers} workers: {what}");
         match ask {
             Ask::Count => assert!(row_ids(&reply).is_empty(), "{what}"),
-            Ask::Explain => assert_eq!(number_after(&reply, "pages: "), want.pages, "{what}"),
+            Ask::Explain => {
+                assert_eq!(number_after(&reply, "pages: "), want.pages, "{what}");
+                assert_eq!(number_after(&reply, "morsels="), morsels, "{what}");
+            }
             Ask::Query(n) => {
                 let n = n.min(want.ids.len()).min(MAX_LIMIT);
                 assert_eq!(row_ids(&reply), want.ids[..n], "{what}");
@@ -275,7 +275,7 @@ fn serve_and_check(table: &ShardedTable, workers: usize, wants: &[Expected], dis
 fn count_query_and_explain_answer_what_the_library_answers() {
     let table = table(7);
     let wants: Vec<Expected> = QUERIES.iter().map(|q| expected(&table, q, 7)).collect();
-    serve_and_check(&table, 2, &wants, true);
+    serve_and_check(&table, 2, &wants, 2);
 }
 
 #[test]
@@ -291,6 +291,6 @@ fn explain_counts_a_page_across_the_morsel_edge_once() {
         }),
         "some query matches on both sides of the edge within one page"
     );
-    serve_and_check(&table, 2, &wants, true);
-    serve_and_check(&table, 0, &wants, false);
+    serve_and_check(&table, 2, &wants, 2);
+    serve_and_check(&table, 0, &wants, 1);
 }

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{json_u64, small_table, tcp_line, test_config, with_service};
+use common::{explained_morsels, json_u64, small_table, tcp_line, test_config, with_service};
 use ebi_service::{parse_dnf, ServiceConfig, ServiceHandle, MAX_CONNECTIONS};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -79,7 +79,6 @@ fn tcp_protocol_answers_match_library() {
         let count = tcp_line(addr, &format!("COUNT {query}"));
         assert!(count.starts_with("OK {"), "got {count}");
         assert_eq!(json_u64(&count, "matches"), Some(want));
-        assert!(count.contains("\"dispatched\":true"), "got {count}");
 
         // QUERY rows must be exactly the library bitmap's first ones,
         // in global row-id space.
@@ -93,6 +92,8 @@ fn tcp_protocol_answers_match_library() {
         let explain = tcp_line(addr, &format!("EXPLAIN {query}"));
         assert!(explain.contains("EXPLAIN ANALYZE"), "got {explain}");
         assert!(explain.contains("eval.worker"), "got {explain}");
+        // min(2 workers, 3 windows)
+        assert_eq!(explained_morsels(&explain), Some(2), "got {explain}");
 
         let stats = tcp_line(addr, "STATS");
         assert_eq!(json_u64(&stats, "max_inflight"), Some(4));
@@ -258,8 +259,9 @@ fn tcp_stats_and_http_stats_agree() {
     });
 }
 
-/// The same queries served inline (no workers) and split into morsels
-/// across three workers: equal counts, row ids and `vectors_accessed`.
+/// The same queries served inline (no workers) and split into one
+/// morsel per window by three workers: equal counts, row ids and
+/// `vectors_accessed`.
 #[test]
 fn dispatched_and_inline_services_agree() {
     let table = small_table();
@@ -273,6 +275,9 @@ fn dispatched_and_inline_services_agree() {
         with_service(&table, &cfg, |h| {
             for q in queries {
                 replies.push(tcp_line(h.tcp_addr(), &format!("QUERY {q} LIMIT 10000")));
+                let explain = tcp_line(h.tcp_addr(), &format!("EXPLAIN {q}"));
+                let morsels = explained_morsels(&explain).expect("a fanout span");
+                assert_eq!(morsels, workers.clamp(1, 3) as u64, "{q}: {explain}");
             }
         });
         replies
@@ -289,8 +294,39 @@ fn dispatched_and_inline_services_agree() {
     for ((q, a), b) in queries.iter().zip(served(0)).zip(served(3)) {
         assert_eq!(answer(&a), answer(&b), "{q}");
         assert!(a.contains("\"dispatched\":false"), "{q}: {a}");
-        assert!(b.contains("\"dispatched\":true"), "{q}: {b}");
     }
+}
+
+/// One worker means one morsel per request, evaluated on its connection
+/// thread: under concurrent clients no help is offered to the pool and
+/// no reply says a helper ran.
+#[test]
+fn one_worker_offers_the_pool_nothing() {
+    let table = small_table();
+    let cfg = ServiceConfig {
+        workers: 1,
+        ..test_config()
+    };
+    with_service(&table, &cfg, |h| {
+        let tcp = h.tcp_addr();
+        std::thread::scope(|s| {
+            for client in 0..3 {
+                s.spawn(move || {
+                    for i in 0..20 {
+                        let q =
+                            ["a=1", "a IN 1,3,5 AND b BETWEEN 2 7", "a=0 OR b=1"][(client + i) % 3];
+                        let reply = tcp_line(tcp, &format!("COUNT {q}"));
+                        assert!(reply.contains("\"dispatched\":false"), "{q}: {reply}");
+                        let explain = tcp_line(tcp, &format!("EXPLAIN {q}"));
+                        assert!(
+                            explain.contains("morsels=1 offered=0 dispatched=0"),
+                            "{explain}"
+                        );
+                    }
+                });
+            }
+        });
+    });
 }
 
 /// A request split across the pool that misses its deadline answers

@@ -50,7 +50,7 @@ echo "==== service telemetry (traces with their query reports, metrics, log) ===
 cargo build --release -p ebi-service --bin ebi_serve
 rm -f bench_results/service_log.jsonl
 obs_work=$(mktemp -d)
-EBI_SERVICE_MIN_DISPATCH_WORDS=0 EBI_SLOW_QUERY_MS=0 \
+EBI_SLOW_QUERY_MS=0 \
   EBI_LOG="bench_results/service_log.jsonl" EBI_LOG_LEVEL=debug \
   ./target/release/ebi_serve --rows 70000 --workers 2 >"$obs_work/stdout" &
 obs_pid=$!

@@ -17,12 +17,12 @@ fi
 workdir=$(mktemp -d)
 trap 'kill "$pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
-# Three kernel windows on two workers, and a dispatch floor of 0: every
-# query splits into two morsels on the worker pool, so the smoke runs
-# the dispatched path, not only the inline one. A 0ms slow
+# Three kernel windows on two workers: every query splits into two
+# morsels, which its connection thread evaluates while an idle worker
+# may help. A 0ms slow
 # threshold classifies every query slow (worst-case tail-sampling), and
 # EBI_LOG routes the structured JSONL log to a file we validate below.
-EBI_SERVICE_MIN_DISPATCH_WORDS=0 EBI_SLOW_QUERY_MS=0 \
+EBI_SLOW_QUERY_MS=0 \
   EBI_LOG="$workdir/service_log.jsonl" EBI_LOG_LEVEL=debug \
   "$BIN" --rows 70000 --workers 2 --max-inflight 6 >"$workdir/stdout" 2>"$workdir/stderr" &
 pid=$!
@@ -138,7 +138,7 @@ status, _ = http_get("/nosuch", ok_codes=(404,))
 assert status == 404
 explain = tcp_line(f"EXPLAIN {QUERIES[1]}")
 assert "eval.worker" in explain, f"EXPLAIN lost the per-morsel spans: {explain[:200]}"
-assert "morsels=2" in explain and "dispatched=1" in explain, f"not split: {explain[:400]}"
+assert "morsels=2" in explain, f"not split into min(workers, windows): {explain[:400]}"
 stats = json.loads(tcp_line("STATS")[3:])
 assert "shards" not in stats, stats
 assert stats["workers"] == 2 and stats["max_inflight"] == 6

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ThreadSanitizer stress run over the concurrency-heavy crates: the
-# worker pool's submit and claim over its one locked queue, the query
-# service splitting requests into morsels across it, and the buffer
+# worker pool's submit, offer and claim over its one locked queue, the
+# query service's requests claiming their morsels from one cursor with
+# idle workers helping (owner plus helpers), and the buffer
 # pool, whose misses read outside its lock and swap the frame in under
 # it. Needs a nightly toolchain with
 # the rust-src component (-Zbuild-std rebuilds std with TSan

@@ -485,7 +485,9 @@ fn verdict(case: &Case) -> Outcome {
         }
     }
     source.set_storage_policy(case.storage);
-    table.set_storage_policy(case.storage);
+    table
+        .indexes_mut()
+        .for_each(|idx| idx.set_storage_policy(case.storage));
     if case.upkeep == Refreshed {
         source.refresh_summaries();
         table
