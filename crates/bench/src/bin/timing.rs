@@ -617,6 +617,13 @@ fn logical_reduction(c: &mut Cases) {
             move || ordered.explain_in_list(values),
             reduced,
         );
+        // The same range as a served `BETWEEN` compiles it: from its two
+        // ends, with no value list.
+        c.add(
+            format!("range_compile/{width}"),
+            move || ordered.explain_range(lo, lo + width),
+            reduced,
+        );
     }
     for len in [8usize, 64] {
         let mut values = std::collections::BTreeSet::new();
@@ -782,6 +789,65 @@ fn sorted(c: &mut Cases) {
     }
 }
 
+/// `benchmark/`'s sub-seed for one purpose of a run's seed.
+fn sub_seed(seed: u64, purpose: u64) -> u64 {
+    seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(purpose.wrapping_mul(0xbf58_476d_1ce4_e5b9))
+}
+
+/// The roofline item's case: `serve_range`'s column as the served table
+/// builds it (Zipf(1.0) over 1 000 values, 1M rows, seed 1998, value-
+/// ordered codes) and its 256 ranges of width 50–400, compiled before
+/// the clock and evaluated through `run_plan`; and the population count
+/// a served `COUNT` takes of a 1M-row bitmap.
+fn eval_range(c: &mut Cases) {
+    const SEED: u64 = 1998;
+    let cells = zipf_cells(1000, 1.0, 1_000_000, sub_seed(SEED, 3));
+    let options = BuildOptions {
+        mapping: Some(dense_order_mapping(&Mapping::first_seen_values(&cells))),
+        ..BuildOptions::default()
+    };
+    let index = keep(EncodedBitmapIndex::build_with(cells, options).expect("build"));
+    // `benchmark/`'s range script: the widths in a seeded order, each at
+    // a drawn place.
+    let mut rng = StdRng::seed_from_u64(sub_seed(SEED, 12));
+    let mut steps: Vec<u64> = (0..256).collect();
+    for i in (1..steps.len()).rev() {
+        steps.swap(i, rng.random_range(0..=i));
+    }
+    let ranges: Vec<(DnfExpr, DnfPlan)> = steps
+        .into_iter()
+        .map(|step| {
+            let delta = 50 + step * 350 / 255;
+            let lo = rng.random_range(0..1000 - delta);
+            let expr = index.explain_range(lo, lo + delta);
+            let plan = expr.lower();
+            (expr, plan)
+        })
+        .collect();
+    let ranges = keep(ranges);
+    c.add(
+        "eval_range/1m",
+        move || {
+            let mut cost = CostCounters::default();
+            for (expr, plan) in ranges {
+                cost += index.run_plan(expr, plan).stats;
+            }
+            cost
+        },
+        Work::of,
+    );
+    let bitmap = keep(index.run_plan(&ranges[0].0, &ranges[0].1).bitmap);
+    c.add(
+        "count_ones/1m",
+        move || bitmap.count_ones(),
+        move |_| Work {
+            bytes_touched: Some(bitmap.storage_bytes() as u64),
+            ..Work::default()
+        },
+    );
+}
+
 /// `(median, q1, q3)` of unsorted samples.
 fn quartiles(mut ns: Vec<u64>) -> (u64, u64, u64) {
     ns.sort_unstable();
@@ -819,6 +885,7 @@ fn main() {
     logical_reduction(&mut cases);
     eval_fused(&mut cases);
     sorted(&mut cases);
+    eval_range(&mut cases);
 
     let rounds = if one_pass { 1 } else { SAMPLES };
     let mut samples = vec![Vec::with_capacity(rounds); cases.0.len()];

@@ -183,10 +183,11 @@ impl BitVec {
         *word = (*word & !(1u64 << b)) | (u64::from(value) << b);
     }
 
-    /// Number of one bits (the bitmap's *population count*).
+    /// Number of one bits (the bitmap's *population count*), by the
+    /// selected tier's counting pass ([`crate::simd::count_ones`]).
     #[must_use]
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        crate::simd::count_ones(crate::simd::selected_path(), &self.words) as usize
     }
 
     /// Number of zero bits.

@@ -23,6 +23,18 @@
 //!   the term before it, and the literals it adds. The kernel keeps the
 //!   partial products of the current term on a small stack of 512-word
 //!   rows, so a term costs only its unshared suffix.
+//! * **interval plans** — a code interval `L ≤ x ≤ H` (a range under
+//!   an order-preserving encoding, §2.3) is not run as its cover's
+//!   product terms but as two bit-sliced comparison chains, O'Neil &
+//!   Quass's range evaluation: `x ≥ L` starts at `L`'s lowest one-bit
+//!   `j` as `B_j` and goes up the slices, `ge = L_i ? B_i·ge : B_i + ge`;
+//!   `x > H` is the same chain for `H + 1`. Per window the uniform
+//!   windows are folded into the chains first (an all-zero `B_i` under
+//!   an AND decides the chain so far), and one pass over 16-word blocks
+//!   then writes `ge · gt'` with both running values in registers: each
+//!   slice the chains still need is read once. [`DnfPlan::interval`]
+//!   makes one; `words_scanned` counts one read per mixed dense slice
+//!   the folded chains read, per window.
 //! * **low parts once** — the tail of a term hardly ever continues a
 //!   shared prefix, but tails repeat: the literals on the three lowest
 //!   referenced slices take at most 27 distinct forms across the whole
@@ -147,14 +159,50 @@ impl Step {
     }
 }
 
+/// A code interval `lo ≤ x ≤ hi` over `k` slices, evaluated as two
+/// bit-sliced comparisons: `x ≥ lo`, and not `x ≥ above` (`hi + 1`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Comparison {
+    lo: u64,
+    above: u64,
+    k: u32,
+}
+
+/// The slices the comparison `x ≥ bound` reads over `k` slices: from
+/// `bound`'s lowest one-bit up. None when `bound` is 0 (always true) or
+/// does not fit `k` bits (never).
+fn chain_slices(bound: u64, k: u32) -> u64 {
+    if bound == 0 || bound >> k != 0 {
+        0
+    } else {
+        (u64::MAX << bound.trailing_zeros()) & ((1 << k) - 1)
+    }
+}
+
+/// The slices an interval plan of `lo..=hi` over `k` slices reads
+/// ([`DnfPlan::interval`]): those of `x ≥ lo` and of `x ≥ hi + 1`.
+///
+/// # Panics
+///
+/// Panics if `k > 63`.
+#[must_use]
+pub fn interval_support(lo: u64, hi: u64, k: u32) -> u64 {
+    assert!(k <= 63, "k = {k} exceeds 63 slices");
+    chain_slices(lo, k) | chain_slices(hi.saturating_add(1), k)
+}
+
 /// A retrieval expression lowered for the kernel.
 ///
-/// Every product term is split into a *high part* and a *low part* (its
-/// literals on the `LOW_SLOTS` lowest referenced slices). The terms
+/// Most plans are sums of products. Every product term is split into a
+/// *high part* and a *low part* (its literals on the `LOW_SLOTS` lowest
+/// referenced slices). The terms
 /// are sorted by high-part literal sequence (highest slice first) so
 /// that terms with a common prefix are adjacent, and each is recorded as
 /// the depth it shares with its predecessor plus its own literals. The
 /// distinct low parts are listed once; a term names its own by index.
+///
+/// An *interval plan* ([`DnfPlan::interval`]) instead holds a code
+/// interval, which the kernel evaluates as two bit-sliced comparisons.
 ///
 /// The plan depends only on the expression, never on slice contents, so
 /// it is lowered once per query and [bound](DnfPlan::bind) to each
@@ -172,8 +220,10 @@ pub struct DnfPlan {
     depth: usize,
     /// Slice windows a fully live segment feeds to the word passes: the
     /// high-part literals beyond the shared prefixes, plus the literals
-    /// of each distinct low part.
+    /// of each distinct low part; for an interval plan, its slices.
     unshared_lits: u64,
+    /// An interval plan's interval; its `steps` and `lows` are empty.
+    comparison: Option<Comparison>,
 }
 
 /// The highest slice at which two (normalised) cubes differ, if any.
@@ -291,6 +341,42 @@ impl DnfPlan {
             prev = Some(high);
         }
         plan
+    }
+
+    /// Lowers the code interval `lo..=hi` over `k` slices as two
+    /// bit-sliced comparisons (O'Neil & Quass, SIGMOD 1997) instead of a
+    /// sum of products: `x ≥ lo` and not `x ≥ hi + 1`, each a chain
+    /// that runs up the slices from its bound's lowest one-bit. A window
+    /// then reads each slice of [`interval_support`] once, and both
+    /// running values stay in registers. It selects every code of the
+    /// interval and no other, so it stands in for a sum of products only
+    /// where no row holds a code on which the two differ (`ebi-boolean`
+    /// lowers a cover this way where the codes it may differ on are
+    /// free).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi`, `k > 63` or `hi` does not fit `k` bits.
+    #[must_use]
+    pub fn interval(lo: u64, hi: u64, k: u32) -> Self {
+        assert!(
+            lo <= hi && k <= 63 && hi >> k == 0,
+            "no interval {lo}..={hi} over {k} slices"
+        );
+        let support = interval_support(lo, hi, k);
+        let slots: Vec<u8> = slices_desc(support).map(|s| s as u8).collect();
+        Self {
+            unshared_lits: slots.len() as u64,
+            slots,
+            // All of 0..2^k: neither comparison reads a slice.
+            tautology: support == 0,
+            comparison: (support != 0).then_some(Comparison {
+                lo,
+                above: hi + 1,
+                k,
+            }),
+            ..Self::default()
+        }
     }
 
     /// Literals left after sharing — high-part prefixes computed once
@@ -460,6 +546,90 @@ impl Uniform {
     fn identities(self, step: &Step) -> u64 {
         step.mask & ((step.value & self.ones) | (!step.value & self.zeros))
     }
+
+    /// How `slice`'s window was classified.
+    fn kind(self, slice: u8) -> WindowKind {
+        if self.zeros >> slice & 1 == 1 {
+            WindowKind::Zeros
+        } else if self.ones >> slice & 1 == 1 {
+            WindowKind::Ones
+        } else {
+            WindowKind::Mixed
+        }
+    }
+}
+
+/// What the comparison `x ≥ bound` comes to on one window once its
+/// uniform windows are folded in: ANDing an all-one window or ORing an
+/// all-zero one changes nothing, and ANDing an all-zero window or ORing
+/// an all-one one decides the chain so far, so only the windows above
+/// the last such one are read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    /// Decided without a read.
+    Uniform(bool),
+    /// The slices still read; the lowest starts the chain.
+    Reads(u64),
+}
+
+impl Fold {
+    fn new(bound: u64, k: u32, uniform: Uniform) -> Self {
+        // 0 bounds nothing; a bound past `k` bits nothing reaches.
+        if bound == 0 || bound >> k != 0 {
+            return Self::Uniform(bound == 0);
+        }
+        // The chain starts as the AND identity.
+        let mut fold = Self::Uniform(true);
+        for slice in bound.trailing_zeros()..k {
+            let and = bound >> slice & 1 == 1;
+            fold = match (uniform.kind(slice as u8), fold) {
+                (WindowKind::Zeros, _) if and => Self::Uniform(false),
+                (WindowKind::Ones, _) if !and => Self::Uniform(true),
+                (WindowKind::Zeros | WindowKind::Ones, _) => fold,
+                // `1 · B` and `0 + B` are `B`: the chain starts here.
+                (WindowKind::Mixed, Self::Uniform(c)) if c == and => Self::Reads(1 << slice),
+                (WindowKind::Mixed, Self::Uniform(_)) => fold,
+                (WindowKind::Mixed, Self::Reads(reads)) => Self::Reads(reads | 1 << slice),
+            };
+        }
+        fold
+    }
+
+    fn reads(self) -> u64 {
+        match self {
+            Self::Reads(reads) => reads,
+            Self::Uniform(_) => 0,
+        }
+    }
+}
+
+/// The chain of `x ≥ bound` that reads the slices `reads` (a
+/// [`Fold::Reads`]), their windows given by `window`: the lowest starts
+/// it, and each above is ANDed in where `bound` has a one, ORed in where
+/// it has a zero. `None` when nothing is read.
+fn chain<'a>(
+    reads: u64,
+    bound: u64,
+    window: impl Fn(u32) -> &'a [u64],
+    ops: &'a mut [&'a [u64]; 63],
+) -> Option<simd::Chain<'a>> {
+    if reads == 0 {
+        return None;
+    }
+    let (mut len, mut ands) = (0, 0u64);
+    let mut rest = reads & (reads - 1);
+    while rest != 0 {
+        let slice = rest.trailing_zeros();
+        ops[len] = window(slice);
+        ands |= (bound >> slice & 1) << len;
+        len += 1;
+        rest &= rest - 1;
+    }
+    Some(simd::Chain {
+        start: window(reads.trailing_zeros()),
+        ops: &ops[..len],
+        ands,
+    })
 }
 
 /// Row `r` (`1 ..`) of an evaluation's row buffer, `nw` words of it.
@@ -513,6 +683,9 @@ impl BoundPlan<'_> {
         let total_words = self.rows.div_ceil(WORD_BITS);
         if self.slots.iter().all(|s| s.summary.is_none()) {
             return plan.unshared_lits * total_words as u64;
+        }
+        if let Some(cmp) = plan.comparison {
+            return self.estimated_compare_words(cmp);
         }
         let mut words = 0u64;
         for seg in 0..total_words.div_ceil(SEGMENT_WORDS) {
@@ -605,16 +778,124 @@ impl BoundPlan<'_> {
             out.mask_tail();
             return out;
         }
-        if plan.steps.is_empty() {
+        if plan.steps.is_empty() && plan.comparison.is_none() {
             return out;
         }
         let mut scratch = SCRATCH.take();
-        self.eval_into(&mut out.words, windows.start, &mut scratch, stats);
+        match plan.comparison {
+            Some(cmp) => self.compare_into(cmp, &mut out.words, windows.start, &mut scratch, stats),
+            None => self.eval_into(&mut out.words, windows.start, &mut scratch, stats),
+        }
         SCRATCH.set(scratch);
         // Negated literals set garbage bits beyond the last row in the
         // final word; restore the tail invariant.
         out.mask_tail();
         out
+    }
+
+    /// Window-once fetch: classifies every referenced slice's window of
+    /// segment `seg` (`nw` words), from its summary or its container,
+    /// and materialises the mixed compressed ones into `slot_windows`,
+    /// one row per slot.
+    fn fetch(
+        &self,
+        seg: usize,
+        nw: usize,
+        slot_windows: &mut [u64],
+        stats: &mut CostCounters,
+    ) -> Uniform {
+        let mut uniform = Uniform::default();
+        let slots = self
+            .slots
+            .iter()
+            .zip(slot_windows.chunks_mut(SEGMENT_WORDS));
+        for (slot, window) in slots {
+            let kind = slot.summarized(seg).unwrap_or_else(|| match slot.src {
+                SliceRef::Dense(_) => WindowKind::Mixed,
+                SliceRef::Roaring(r) => {
+                    compressed(r.fill_window(seg * SEGMENT_WORDS, &mut window[..nw]), stats)
+                }
+            });
+            uniform.note(slot.slice, kind);
+        }
+        uniform
+    }
+
+    /// Writes the interval `cmp` into `dst`, the words of the segments
+    /// from `first` on, segment by segment, working in `scratch`: per
+    /// window the two comparisons are folded over the uniform windows,
+    /// and what is left reads each of its slices once.
+    fn compare_into(
+        &self,
+        cmp: Comparison,
+        dst: &mut [u64],
+        first: usize,
+        scratch: &mut Scratch,
+        stats: &mut CostCounters,
+    ) {
+        let path = simd::selected_path();
+        let need = self.slots.len() * SEGMENT_WORDS;
+        if scratch.rows.len() < need {
+            scratch.rows.resize(need, 0);
+        }
+        let slot_windows = &mut scratch.rows[..need];
+        // The slots run down from slice `k - 1`, so slice `i` is slot
+        // `k - 1 - i`.
+        let slot_of = |slice: u32| (cmp.k - 1 - slice) as usize;
+        let dense = self.slots.iter().fold(0u64, |mask, slot| match slot.src {
+            SliceRef::Dense(_) => mask | 1 << slot.slice,
+            SliceRef::Roaring(_) => mask,
+        });
+        for (i, seg_dst) in dst.chunks_mut(SEGMENT_WORDS).enumerate() {
+            let seg = first + i;
+            let (w0, nw) = (seg * SEGMENT_WORDS, seg_dst.len());
+            let uniform = self.fetch(seg, nw, slot_windows, stats);
+            let ge = Fold::new(cmp.lo, cmp.k, uniform);
+            let gt = Fold::new(cmp.above, cmp.k, uniform);
+            match (ge, gt) {
+                (Fold::Uniform(false), _) | (_, Fold::Uniform(true)) => stats.segments_pruned += 1,
+                (Fold::Uniform(true), Fold::Uniform(false)) => seg_dst.fill(u64::MAX),
+                _ => {
+                    let slot_windows = &*slot_windows;
+                    let window = |slice: u32| {
+                        let slot = slot_of(slice);
+                        match self.slots[slot].src {
+                            SliceRef::Dense(b) => &b.words()[w0..w0 + nw],
+                            SliceRef::Roaring(_) => &slot_windows[slot * SEGMENT_WORDS..][..nw],
+                        }
+                    };
+                    let (mut ge_ops, mut gt_ops) = ([&[][..]; 63], [&[][..]; 63]);
+                    let x = chain(ge.reads(), cmp.lo, window, &mut ge_ops);
+                    let y = chain(gt.reads(), cmp.above, window, &mut gt_ops);
+                    simd::compare_pass(path, seg_dst, x, y);
+                    let read = u64::from(((ge.reads() | gt.reads()) & dense).count_ones());
+                    stats.words_scanned += read * nw as u64;
+                    stats.bytes_touched += read * 8 * nw as u64;
+                }
+            }
+        }
+    }
+
+    /// [`BoundPlan::estimated_work_words`] of an interval plan: the
+    /// slices the two folded comparisons read, per window.
+    fn estimated_compare_words(&self, cmp: Comparison) -> u64 {
+        let total_words = self.rows.div_ceil(WORD_BITS);
+        let mut words = 0u64;
+        for seg in 0..total_words.div_ceil(SEGMENT_WORDS) {
+            let nw = (total_words - seg * SEGMENT_WORDS).min(SEGMENT_WORDS) as u64;
+            let mut uniform = Uniform::default();
+            for slot in &self.slots {
+                if let Some(kind) = slot.summarized(seg) {
+                    uniform.note(slot.slice, kind);
+                }
+            }
+            let ge = Fold::new(cmp.lo, cmp.k, uniform);
+            let gt = Fold::new(cmp.above, cmp.k, uniform);
+            if ge != Fold::Uniform(false) && gt != Fold::Uniform(true) {
+                words += u64::from((ge.reads() | gt.reads()).count_ones()) * nw;
+            }
+        }
+        words
     }
 
     /// ORs the plan's terms into `dst`, the words of the segments from
@@ -653,21 +934,7 @@ impl BoundPlan<'_> {
             let seg = first + i;
             let nw = seg_dst.len();
 
-            // Window-once fetch: classify or materialise every
-            // referenced slice's window for this segment.
-            let mut uniform = Uniform::default();
-            for (slot, window) in self
-                .slots
-                .iter()
-                .zip(slot_windows.chunks_mut(SEGMENT_WORDS))
-            {
-                let w0 = seg * SEGMENT_WORDS;
-                let kind = slot.summarized(seg).unwrap_or_else(|| match slot.src {
-                    SliceRef::Dense(_) => WindowKind::Mixed,
-                    SliceRef::Roaring(r) => compressed(r.fill_window(w0, &mut window[..nw]), stats),
-                });
-                uniform.note(slot.slice, kind);
-            }
+            let uniform = self.fetch(seg, nw, slot_windows, stats);
             let mut windows = Windows {
                 slots: &self.slots,
                 scratch: slot_windows,
@@ -1236,5 +1503,115 @@ mod tests {
         assert_eq!(got, a);
         assert_eq!(stats.segments_pruned, 2);
         assert_eq!(stats.compressed_chunks_skipped, 0, "summary answered first");
+    }
+
+    /// `k` slices holding `code(row)` for `len` rows.
+    fn code_slices(k: usize, len: usize, code: impl Fn(usize) -> u64) -> Vec<BitVec> {
+        (0..k)
+            .map(|i| (0..len).map(|row| code(row) >> i & 1 == 1).collect())
+            .collect()
+    }
+
+    #[test]
+    fn interval_support_runs_up_from_each_bounds_lowest_one() {
+        // 3..=12 of k = 4: x >= 0011 reads B0 up, x >= 1101 too.
+        assert_eq!(interval_support(3, 12, 4), 0b1111);
+        // 4..=11: x >= 0100 reads B2 up, x >= 1100 reads B2 up.
+        assert_eq!(interval_support(4, 11, 4), 0b1100);
+        // A bound of 0, or past the top: that chain reads nothing.
+        assert_eq!(interval_support(0, 5, 4), 0b1110);
+        assert_eq!(interval_support(6, 15, 4), 0b1110);
+        assert_eq!(interval_support(0, 15, 4), 0);
+        let p = DnfPlan::interval(0, 15, 4);
+        assert!(p.tautology && p.slots.is_empty());
+        let p = DnfPlan::interval(3, 12, 4);
+        assert_eq!(
+            (p.slots.clone(), p.unshared_literals()),
+            (vec![3, 2, 1, 0], 4)
+        );
+    }
+
+    #[test]
+    fn interval_plans_select_their_interval_in_every_container_mix() {
+        // Codes 0..16 in runs of 5 rows, over two windows and a ragged
+        // third, so that windows are mixed on every slice.
+        let len = SEGMENT_BITS * 2 + 300;
+        let code = |row: usize| (row / 5 % 16) as u64;
+        let dense = code_slices(4, len, code);
+        let summaries = summarize_slices(&dense);
+        for (lo, hi) in [(3, 12), (5, 5), (0, 6), (9, 15)] {
+            let p = DnfPlan::interval(lo, hi, 4);
+            let want: BitVec = (0..len).map(|row| (lo..=hi).contains(&code(row))).collect();
+            // Bit `i` of `mix`: slice `i` is stored Roaring.
+            for mix in [0b0000usize, 0b0101, 0b1010, 0b1111] {
+                let family: Vec<SliceStorage> = (dense.iter().enumerate())
+                    .map(|(i, b)| {
+                        let roaring = mix >> i & 1 == 1;
+                        let policy =
+                            [StoragePolicy::Dense, StoragePolicy::Roaring][usize::from(roaring)];
+                        SliceStorage::from_dense(b.clone(), policy)
+                    })
+                    .collect();
+                for sums in [None, Some(&summaries[..])] {
+                    let mut stats = CostCounters::default();
+                    let got = p.bind(&family, sums, len).eval(&mut stats);
+                    assert_eq!(got, want, "{lo}..={hi} mix {mix:#b}");
+                    // One read per mixed dense slice per window.
+                    let dense_read = p.slots.iter().filter(|&&s| mix >> s & 1 == 0).count();
+                    let words = len.div_ceil(WORD_BITS) as u64;
+                    assert_eq!(stats.words_scanned, dense_read as u64 * words);
+                    assert_eq!(stats.segments_pruned, 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_windows_fold_into_the_comparisons() {
+        // Sorted codes 0..8, one per half window: B2 and B1 are uniform
+        // in every window, B0 in none.
+        let len = SEGMENT_BITS * 4;
+        let code = |row: usize| (row / (SEGMENT_BITS / 2)) as u64;
+        let dense = code_slices(3, len, code);
+        let summaries = summarize_slices(&dense);
+        // 3..=5 holds code 3 of window 1 and both codes of window 2.
+        let p = DnfPlan::interval(3, 5, 3);
+        let mut stats = CostCounters::default();
+        let got = p.bind(&dense, Some(&summaries), len).eval(&mut stats);
+        let want: BitVec = (0..len).map(|row| (3..=5).contains(&code(row))).collect();
+        assert_eq!(got, want);
+        // Windows 0 and 3 are decided zero, window 2 all-one, and
+        // window 1 reads B0 alone.
+        assert_eq!(stats.segments_pruned, 2);
+        assert_eq!(stats.words_scanned, SEGMENT_WORDS as u64);
+        assert_eq!(
+            p.bind(&dense, Some(&summaries), len).estimated_work_words(),
+            stats.words_scanned
+        );
+        // Without summaries every window reads all three slices once.
+        let mut stats = CostCounters::default();
+        assert_eq!(p.bind(&dense, None, len).eval(&mut stats), want);
+        assert_eq!(stats.words_scanned, 3 * 4 * SEGMENT_WORDS as u64);
+    }
+
+    #[test]
+    fn interval_plans_agree_on_both_tiers_and_by_window() {
+        use crate::simd::KernelPath;
+        let len = SEGMENT_BITS * 3 + 77;
+        let code = |row: usize| (row.wrapping_mul(2_654_435_761) >> 7) as u64 % 32;
+        let dense = code_slices(5, len, code);
+        let p = DnfPlan::interval(7, 26, 5);
+        let bound = p.bind(&dense, None, len);
+        let scalar = simd::with_forced_path(KernelPath::Scalar, || {
+            bound.eval(&mut CostCounters::default())
+        });
+        let want: BitVec = (0..len).map(|row| (7..=26).contains(&code(row))).collect();
+        assert_eq!(scalar, want);
+        let mut merged = BitVec::zeros(len);
+        for w in 0..bound.windows() {
+            let part = bound.eval_windows(w..w + 1, &mut CostCounters::default());
+            merged.or_at_word(&part, w * SEGMENT_WORDS);
+        }
+        assert_eq!(merged, want);
     }
 }

@@ -138,15 +138,9 @@ fn ones_mask(lo: usize, hi: usize) -> u64 {
 /// the serialised sizes: `2·ones`, `4·runs` and 8 KiB. A short last
 /// chunk costs what its zero-padded form does.
 fn container_costs(words: &[u64]) -> (usize, usize, usize) {
-    let mut ones = 0usize;
-    let mut runs = 0usize;
-    let mut prev_msb = 0u64;
-    for &w in words {
-        ones += w.count_ones() as usize;
-        // A run starts wherever a one is not preceded by a one.
-        runs += (w & !(w << 1 | prev_msb)).count_ones() as usize;
-        prev_msb = w >> 63;
-    }
+    let path = simd::selected_path();
+    let ones = simd::count_ones(path, words) as usize;
+    let runs = simd::count_runs(path, words) as usize;
     (2 * ones, 4 * runs, CHUNK_WORDS * 8)
 }
 

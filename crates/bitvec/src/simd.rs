@@ -4,10 +4,14 @@
 //! *word passes* over at most [`crate::kernels::SEGMENT_WORDS`] 64-bit
 //! words: AND two (optionally complemented) operands into a product
 //! row, AND a further operand in, OR a finished product into the
-//! destination (the pass Roaring's chunk expansion borrows), or AND the
-//! last two operands straight into the destination. This module
-//! provides those passes at two implementation tiers and picks one at
-//! runtime:
+//! destination (the pass Roaring's chunk expansion borrows), AND the
+//! last two operands straight into the destination, or run two
+//! bit-sliced comparison chains into the destination
+//! ([`compare_pass`]). Two counting passes sit beside them: the
+//! population count ([`count_ones`]) and the count of runs of ones
+//! ([`count_runs`]) that bitmaps, summaries and Roaring's sizing read.
+//! This module provides those passes at two implementation tiers and
+//! picks one at runtime:
 //!
 //! * **scalar** — word-at-a-time `zip` loops, which the compiler
 //!   auto-vectorises for whatever the target baseline offers (SSE2 on
@@ -287,11 +291,90 @@ pub fn or_and_into(
     }
 }
 
+/// One bit-sliced comparison `x ≥ b` (O'Neil & Quass's range
+/// evaluation) over a window, as [`compare_pass`] reads it: the running
+/// value starts as the window of the lowest slice the comparison reads
+/// (`b`'s lowest one-bit), and each slice above it is ANDed in where
+/// `b` has a one and ORed in where it has a zero.
+#[derive(Debug, Clone, Copy)]
+pub struct Chain<'a> {
+    /// The window the running value starts from.
+    pub start: &'a [u64],
+    /// The windows of the slices above it, lowest first: at most 63.
+    pub ops: &'a [&'a [u64]],
+    /// Bit `t` set: `ops[t]` is ANDed in; clear: ORed in.
+    pub ands: u64,
+}
+
+/// `dst[i] = ge[i] & !gt[i]`, where `ge` and `gt` are comparison
+/// chains (`x ≥ L` and `x ≥ H + 1`, so the result is `L ≤ x ≤ H`),
+/// each evaluated word by word with its running value kept in
+/// registers: every operand word is read once. `None` for `ge` is
+/// all-ones, `None` for `gt` all-zeros.
+///
+/// # Panics
+///
+/// Panics if an operand's length differs from `dst`'s, or a chain has
+/// more than 63 operands above its start.
+#[inline]
+pub fn compare_pass(path: KernelPath, dst: &mut [u64], ge: Option<Chain>, gt: Option<Chain>) {
+    for chain in ge.iter().chain(&gt) {
+        assert!(
+            chain.ops.len() < 64,
+            "{} operands above a start",
+            chain.ops.len()
+        );
+        for operand in std::iter::once(&chain.start).chain(chain.ops) {
+            assert_eq!(operand.len(), dst.len(), "operand length");
+        }
+    }
+    match path {
+        KernelPath::Scalar => scalar::compare_pass(dst, ge.as_ref(), gt.as_ref()),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `fused_pass2`; the operand lengths are checked
+        // above.
+        KernelPath::Avx2 => unsafe { avx2::compare_pass(dst, ge.as_ref(), gt.as_ref()) },
+        #[allow(unreachable_patterns)]
+        _ => scalar::compare_pass(dst, ge.as_ref(), gt.as_ref()),
+    }
+}
+
+/// The number of one bits in `words`.
+#[inline]
+#[must_use]
+pub fn count_ones(path: KernelPath, words: &[u64]) -> u64 {
+    match path {
+        KernelPath::Scalar => scalar::count_ones(words),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `fused_pass2`.
+        KernelPath::Avx2 => unsafe { avx2::count_ones(words) },
+        #[allow(unreachable_patterns)]
+        _ => scalar::count_ones(words),
+    }
+}
+
+/// The number of maximal runs of one bits in `words`, read as one
+/// bitmap from bit 0 of `words[0]` on: the ones not preceded by a one.
+#[inline]
+#[must_use]
+pub fn count_runs(path: KernelPath, words: &[u64]) -> u64 {
+    match path {
+        KernelPath::Scalar => scalar::count_runs(words),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `fused_pass2`.
+        KernelPath::Avx2 => unsafe { avx2::count_runs(words) },
+        #[allow(unreachable_patterns)]
+        _ => scalar::count_runs(words),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scalar tier: the reference implementation.
 // ---------------------------------------------------------------------------
 
 mod scalar {
+    use super::Chain;
+
     pub fn fused_pass2(acc: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool {
         let mut any = 0u64;
         for ((a, &x), &y) in acc.iter_mut().zip(s1).zip(s2) {
@@ -328,6 +411,73 @@ mod scalar {
         }
         all == u64::MAX
     }
+
+    /// Words a comparison pass holds in registers per chain: small
+    /// enough that both chains' running values stay there.
+    const BLOCK: usize = 16;
+
+    fn chain_block(c: &Chain, at: usize) -> [u64; BLOCK] {
+        let mut x: [u64; BLOCK] = c.start[at..at + BLOCK].try_into().expect("one block");
+        for (t, op) in c.ops.iter().enumerate() {
+            let b = &op[at..at + BLOCK];
+            if c.ands >> t & 1 == 1 {
+                x.iter_mut().zip(b).for_each(|(x, &b)| *x &= b);
+            } else {
+                x.iter_mut().zip(b).for_each(|(x, &b)| *x |= b);
+            }
+        }
+        x
+    }
+
+    fn chain_word(c: &Chain, i: usize) -> u64 {
+        let ops = c.ops.iter().enumerate();
+        ops.fold(c.start[i], |x, (t, op)| {
+            if c.ands >> t & 1 == 1 {
+                x & op[i]
+            } else {
+                x | op[i]
+            }
+        })
+    }
+
+    /// Words `from..` of [`super::compare_pass`], one at a time: the
+    /// whole scalar pass's tail, and the AVX2 pass's.
+    pub fn compare_tail(dst: &mut [u64], ge: Option<&Chain>, gt: Option<&Chain>, from: usize) {
+        for (i, d) in dst.iter_mut().enumerate().skip(from) {
+            *d = ge.map_or(u64::MAX, |c| chain_word(c, i)) & !gt.map_or(0, |c| chain_word(c, i));
+        }
+    }
+
+    pub fn compare_pass(dst: &mut [u64], ge: Option<&Chain>, gt: Option<&Chain>) {
+        let blocks = dst.len() / BLOCK * BLOCK;
+        for (at, d) in (0..blocks).step_by(BLOCK).zip(dst.chunks_exact_mut(BLOCK)) {
+            let x = ge.map_or([u64::MAX; BLOCK], |c| chain_block(c, at));
+            let y = gt.map_or([0; BLOCK], |c| chain_block(c, at));
+            for ((d, x), y) in d.iter_mut().zip(x).zip(y) {
+                *d = x & !y;
+            }
+        }
+        compare_tail(dst, ge, gt, blocks);
+    }
+
+    pub fn count_ones(words: &[u64]) -> u64 {
+        words.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    /// Runs of ones in `words`, given that the bit before `words[0]`
+    /// is `carry` (0 or 1).
+    pub fn count_runs_after(words: &[u64], mut carry: u64) -> u64 {
+        let mut runs = 0;
+        for &w in words {
+            runs += u64::from((w & !(w << 1 | carry)).count_ones());
+            carry = w >> 63;
+        }
+        runs
+    }
+
+    pub fn count_runs(words: &[u64]) -> u64 {
+        count_runs_after(words, 0)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -338,9 +488,13 @@ mod scalar {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::{scalar, Chain};
     use core::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_loadu_si256, _mm256_or_si256, _mm256_set1_epi64x,
-        _mm256_storeu_si256, _mm256_testc_si256, _mm256_testz_si256, _mm256_xor_si256,
+        __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_andnot_si256,
+        _mm256_loadu_si256, _mm256_or_si256, _mm256_sad_epu8, _mm256_set1_epi64x, _mm256_set1_epi8,
+        _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_slli_epi64,
+        _mm256_srli_epi16, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_testc_si256,
+        _mm256_testz_si256, _mm256_xor_si256,
     };
 
     /// 4 × u64 per vector register.
@@ -497,6 +651,180 @@ mod avx2 {
             all == u64::MAX
         }
     }
+
+    /// Vectors a comparison pass holds in registers per chain.
+    const CHAIN_VECTORS: usize = 4;
+    /// Words per comparison block.
+    const BLOCK: usize = CHAIN_VECTORS * LANES;
+
+    /// Words `p .. p + BLOCK` as four vectors.
+    ///
+    /// # Safety
+    /// As [`load`], for `p .. p + BLOCK`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_block(p: *const u64) -> [__m256i; CHAIN_VECTORS] {
+        // SAFETY: the caller guarantees `p .. p + BLOCK` is in-bounds.
+        unsafe { [load(p), load(p.add(4)), load(p.add(8)), load(p.add(12))] }
+    }
+
+    /// The running value of `c` over words `at .. at + BLOCK`.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 support, and every operand of `c`
+    /// must hold at least `at + BLOCK` words.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn chain_block(c: &Chain, at: usize) -> [__m256i; CHAIN_VECTORS] {
+        // SAFETY: the caller guarantees `at + BLOCK` words in every
+        // operand.
+        unsafe {
+            let mut x = load_block(c.start.as_ptr().add(at));
+            for (t, op) in c.ops.iter().enumerate() {
+                let b = load_block(op.as_ptr().add(at));
+                if c.ands >> t & 1 == 1 {
+                    for (x, b) in x.iter_mut().zip(b) {
+                        *x = _mm256_and_si256(*x, b);
+                    }
+                } else {
+                    for (x, b) in x.iter_mut().zip(b) {
+                        *x = _mm256_or_si256(*x, b);
+                    }
+                }
+            }
+            x
+        }
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX2 support; every operand of both
+    /// chains must be as long as `dst` (checked by the dispatching
+    /// wrapper).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn compare_pass(dst: &mut [u64], ge: Option<&Chain>, gt: Option<&Chain>) {
+        let blocks = dst.len() / BLOCK * BLOCK;
+        // SAFETY: every block starts at `at <= blocks - BLOCK`, so its
+        // loads and stores stay below `blocks <= dst.len()`, the length
+        // of every operand.
+        unsafe {
+            let ones = _mm256_set1_epi64x(-1);
+            let zeros = _mm256_setzero_si256();
+            let pd = dst.as_mut_ptr();
+            let mut at = 0;
+            while at < blocks {
+                let x = match ge {
+                    Some(c) => chain_block(c, at),
+                    None => [ones; CHAIN_VECTORS],
+                };
+                let y = match gt {
+                    Some(c) => chain_block(c, at),
+                    None => [zeros; CHAIN_VECTORS],
+                };
+                for (v, (x, y)) in x.into_iter().zip(y).enumerate() {
+                    store(pd.add(at + v * LANES), _mm256_andnot_si256(y, x));
+                }
+                at += BLOCK;
+            }
+        }
+        scalar::compare_tail(dst, ge, gt, blocks);
+    }
+
+    /// Per-lane one counts of `v`, as four `u64`s: Muła's nibble
+    /// lookup, then a sum of absolute differences against zero.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 support.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn nibble_counts(v: __m256i) -> __m256i {
+        let table = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
+            3, 3, 4,
+        );
+        let low = _mm256_set1_epi8(0x0f);
+        let lo = _mm256_and_si256(v, low);
+        let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), low);
+        _mm256_add_epi8(
+            _mm256_shuffle_epi8(table, lo),
+            _mm256_shuffle_epi8(table, hi),
+        )
+    }
+
+    /// The sum of a vector's four `u64` lanes.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 support.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_sum(v: __m256i) -> u64 {
+        let mut lanes = [0u64; LANES];
+        // SAFETY: `lanes` holds the four words written.
+        unsafe { store(lanes.as_mut_ptr(), v) };
+        lanes.iter().sum()
+    }
+
+    /// Vectors whose byte counts are summed before they are widened:
+    /// each byte counts at most 8 per vector, so 31 fit a byte.
+    const BYTE_ROUNDS: usize = 31;
+
+    /// # Safety
+    /// Caller must have verified AVX2 support.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn count_ones(words: &[u64]) -> u64 {
+        let blocks = words.len() / LANES * LANES;
+        // SAFETY: every load reads `i .. i + 4` with `i + 4 <= blocks`.
+        let vectors = unsafe {
+            let p = words.as_ptr();
+            let mut total = _mm256_setzero_si256();
+            let mut i = 0;
+            while i < blocks {
+                let end = (i + BYTE_ROUNDS * LANES).min(blocks);
+                let mut bytes = _mm256_setzero_si256();
+                while i < end {
+                    bytes = _mm256_add_epi8(bytes, nibble_counts(load(p.add(i))));
+                    i += LANES;
+                }
+                total = _mm256_add_epi64(total, _mm256_sad_epu8(bytes, _mm256_setzero_si256()));
+            }
+            lane_sum(total)
+        };
+        vectors + scalar::count_ones(&words[blocks..])
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX2 support.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn count_runs(words: &[u64]) -> u64 {
+        let Some(&first) = words.first() else {
+            return 0;
+        };
+        // Word 0 has no word before it; from word 1 on, four words and
+        // the four before them are loaded side by side.
+        let head = scalar::count_runs(&[first]);
+        let blocks = 1 + (words.len() - 1) / LANES * LANES;
+        // SAFETY: every iteration reads `i - 1 .. i + 4` with `i >= 1`
+        // and `i + 4 <= blocks <= words.len()`.
+        let vectors = unsafe {
+            let p = words.as_ptr();
+            let mut total = _mm256_setzero_si256();
+            let mut i = 1;
+            while i < blocks {
+                let end = (i + BYTE_ROUNDS * LANES).min(blocks);
+                let mut bytes = _mm256_setzero_si256();
+                while i < end {
+                    let w = load(p.add(i));
+                    let carry = _mm256_srli_epi64::<63>(load(p.add(i - 1)));
+                    let starts =
+                        _mm256_andnot_si256(_mm256_or_si256(_mm256_slli_epi64::<1>(w), carry), w);
+                    bytes = _mm256_add_epi8(bytes, nibble_counts(starts));
+                    i += LANES;
+                }
+                total = _mm256_add_epi64(total, _mm256_sad_epu8(bytes, _mm256_setzero_si256()));
+            }
+            lane_sum(total)
+        };
+        head + vectors + scalar::count_runs_after(&words[blocks..], words[blocks - 1] >> 63)
+    }
 }
 
 #[cfg(test)]
@@ -553,6 +881,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn counting_passes_match_a_walk_over_the_bits() {
+        let ragged = [0usize, 1, 3, 4, 5, 17, 63, 64, 130];
+        let inputs = ragged.map(|n| words(n, 0xC0DE)).into_iter();
+        // Every byte at its maximum for longer than a byte can hold.
+        let full = [vec![u64::MAX; 300], vec![0x5555_5555_5555_5555; 300]];
+        for w in inputs.chain(full) {
+            let bit = |i: usize| w[i / 64] >> (i % 64) & 1 == 1;
+            let ones = (0..w.len() * 64).filter(|&i| bit(i)).count() as u64;
+            let runs = (0..w.len() * 64)
+                .filter(|&i| bit(i) && (i == 0 || !bit(i - 1)))
+                .count() as u64;
+            for path in available_paths() {
+                assert_eq!(count_ones(path, &w), ones, "{path:?} n={}", w.len());
+                assert_eq!(count_runs(path, &w), runs, "{path:?} n={}", w.len());
+            }
+        }
+    }
+
+    #[test]
+    fn compare_pass_runs_both_chains_word_by_word() {
+        // The running value of a chain at word `i`, one operand at a time.
+        fn value(c: &Chain, i: usize) -> u64 {
+            let ops = c.ops.iter().enumerate();
+            ops.fold(c.start[i], |x, (t, op)| {
+                if c.ands >> t & 1 == 1 {
+                    x & op[i]
+                } else {
+                    x | op[i]
+                }
+            })
+        }
+        for n in [0usize, 1, 15, 16, 17, 40] {
+            let operands: Vec<Vec<u64>> = (0..6).map(|i| words(n, 0x1000 + i)).collect();
+            let refs: Vec<&[u64]> = operands.iter().map(Vec::as_slice).collect();
+            for ands in [0u64, 0b1_0101, 0b1_1111] {
+                let ge = Chain {
+                    start: refs[0],
+                    ops: &refs[1..],
+                    ands,
+                };
+                let gt = Chain {
+                    start: refs[2],
+                    ops: &refs[3..],
+                    ands: !ands,
+                };
+                for (x, y) in [(Some(ge), Some(gt)), (Some(ge), None), (None, Some(gt))] {
+                    let want: Vec<u64> = (0..n)
+                        .map(|i| {
+                            x.map_or(u64::MAX, |c| value(&c, i)) & !y.map_or(0, |c| value(&c, i))
+                        })
+                        .collect();
+                    for path in available_paths() {
+                        let mut dst = vec![0xDEAD; n];
+                        compare_pass(path, &mut dst, x, y);
+                        assert_eq!(dst, want, "{path:?} n={n} ands={ands:#b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "operand length")]
+    fn compare_pass_refuses_a_short_operand() {
+        let (long, short) = ([0u64; 8], [0u64; 7]);
+        let ge = Chain {
+            start: &long,
+            ops: &[&short],
+            ands: 1,
+        };
+        compare_pass(KernelPath::Scalar, &mut [0; 8], Some(ge), None);
     }
 
     #[test]

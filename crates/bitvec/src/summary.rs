@@ -17,6 +17,7 @@
 
 use crate::core::BitVec;
 use crate::kernels::{SEGMENT_BITS, SEGMENT_WORDS};
+use crate::simd;
 
 /// Per-segment one-counts for a single bitmap vector.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -32,13 +33,12 @@ impl SegmentSummary {
     /// Builds the summary for `bits` by popcounting each segment.
     #[must_use]
     pub fn build(bits: &BitVec) -> Self {
+        let path = simd::selected_path();
         let ones = bits
             .words()
             .chunks(SEGMENT_WORDS)
             .map(|seg| {
-                seg.iter()
-                    .map(|w| w.count_ones())
-                    .sum::<u32>()
+                simd::count_ones(path, seg)
                     .try_into()
                     .expect("segment popcount exceeds SEGMENT_BITS")
             })

@@ -6,7 +6,8 @@
 //! for every kernel, over random operand mixes (1–6 literals per
 //! term, arbitrary negation patterns), odd tail lengths that leave
 //! the 4-word vector blocks ragged, and all-zero / all-one operands
-//! that drive the saturation short-circuits. The DNF kernel is checked
+//! that drive the saturation short-circuits; the comparison pass over
+//! random chains, and the two counting passes. The DNF kernel is checked
 //! end-to-end over plain vectors and both containers (Dense /
 //! Roaring) under a forced dispatch override, which must select the
 //! forced tier.
@@ -102,6 +103,48 @@ proptest! {
             let got_sat = simd::or_into(path, &mut got, &s1);
             prop_assert_eq!(&got, &want, "or_into words on {}", path.name());
             prop_assert_eq!(got_sat, want_sat, "or_into saturation on {}", path.name());
+        }
+    }
+
+    /// The comparison pass: two chains of random length, start and
+    /// AND/OR pattern (either may be absent), every tier bit-identical to
+    /// the scalar tier at lengths that leave the 16-word blocks ragged.
+    #[test]
+    fn compare_pass_matches_scalar_on_every_tier(
+        seed in any::<u64>(),
+        n in 0usize..300,
+        chains in (0usize..8, 0usize..8),
+        ands in (any::<u64>(), any::<u64>()),
+        present in (any::<bool>(), any::<bool>()),
+    ) {
+        let operands: Vec<Vec<u64>> = (0..chains.0 + chains.1 + 2)
+            .map(|i| random_words(n, seed ^ (i as u64).wrapping_mul(0x9E37_79B9)))
+            .collect();
+        let refs: Vec<&[u64]> = operands.iter().map(Vec::as_slice).collect();
+        let (ge_ops, gt_ops) = refs[2..].split_at(chains.0);
+        let ge = present.0.then_some(simd::Chain { start: refs[0], ops: ge_ops, ands: ands.0 });
+        let gt = present.1.then_some(simd::Chain { start: refs[1], ops: gt_ops, ands: ands.1 });
+        let mut want = random_words(n, seed ^ 0x2545_F491);
+        simd::compare_pass(KernelPath::Scalar, &mut want, ge, gt);
+        for path in simd::available_paths() {
+            let mut got = random_words(n, seed ^ 0x6C62_272E);
+            simd::compare_pass(path, &mut got, ge, gt);
+            prop_assert_eq!(&got, &want, "compare_pass on {}", path.name());
+        }
+    }
+
+    /// The counting passes: ones and runs of ones, every tier equal to
+    /// the scalar tier, across words that end runs, start them and carry
+    /// them over word edges.
+    #[test]
+    fn counting_passes_match_scalar_on_every_tier(seed in any::<u64>(), n in 0usize..600) {
+        let words = random_words(n, seed);
+        let ones = simd::count_ones(KernelPath::Scalar, &words);
+        let runs = simd::count_runs(KernelPath::Scalar, &words);
+        prop_assert_eq!(ones, words.iter().map(|w| u64::from(w.count_ones())).sum::<u64>());
+        for path in simd::available_paths() {
+            prop_assert_eq!(simd::count_ones(path, &words), ones, "count_ones on {}", path.name());
+            prop_assert_eq!(simd::count_runs(path, &words), runs, "count_runs on {}", path.name());
         }
     }
 

@@ -12,9 +12,12 @@
 //! [`ebi_bitvec::SliceStorage`]), fetching each slice's window once per
 //! segment and computing each shared prefix once. With per-slice
 //! [`SegmentSummary`] data it additionally skips whole segments without
-//! reading a word. The original operator-at-a-time evaluator is kept as
-//! [`eval_expr_naive`], the differential-testing oracle; both produce
-//! bit-identical results.
+//! reading a word. A cover of a code interval lowers instead to two
+//! bit-sliced comparisons ([`DnfExpr::lower`]). The original
+//! operator-at-a-time evaluator is kept as [`eval_expr_naive`], the
+//! differential-testing oracle; both produce bit-identical results on
+//! every row that holds a code the expression is defined on (for an
+//! interval cover, every code but the free ones).
 //!
 //! [`AccessTracker`] records the paper's cost metric while doing so: the
 //! set of *distinct bitmap vectors touched* (footnote 4 — "the number of
@@ -26,7 +29,7 @@
 //! which vectors must be *fetched*.
 
 use crate::expr::DnfExpr;
-use ebi_bitvec::kernels::{DnfPlan, SliceSource};
+use ebi_bitvec::kernels::{interval_support, DnfPlan, SliceSource};
 use ebi_bitvec::{BitVec, SegmentSummary};
 use ebi_obs::CostCounters;
 
@@ -125,9 +128,26 @@ impl DnfExpr {
     /// Lowers the expression for the evaluation kernel. The plan
     /// depends only on the expression, so it is built once per query
     /// and bound to every slice family the query runs against.
+    ///
+    /// A cover of a code interval ([`DnfExpr::interval`]) of at least
+    /// two cubes whose two comparison chains read exactly the cubes'
+    /// slices lowers to an interval plan ([`DnfPlan::interval`]): each
+    /// slice read once per window instead of once per product pass, and
+    /// the same `c_e`. It equals the cubes on every code but the free
+    /// ones, which no row holds. Every other expression — a point, a
+    /// scattered list, a Quine–McCluskey cover — lowers to its product
+    /// terms.
     #[must_use]
     pub fn lower(&self) -> DnfPlan {
-        DnfPlan::lower(self.cubes().iter().map(|c| (c.mask(), c.value())))
+        match self.interval() {
+            Some((lo, hi))
+                if self.cubes().len() >= 2
+                    && interval_support(lo, hi, self.k()) == self.support() =>
+            {
+                DnfPlan::interval(lo, hi, self.k())
+            }
+            _ => DnfPlan::lower(self.cubes().iter().map(|c| (c.mask(), c.value()))),
+        }
     }
 }
 
@@ -189,8 +209,9 @@ pub fn eval_expr_tracked<S: SliceSource>(
 /// literal of each term, ANDs the rest in whole-vector passes, ORs terms.
 ///
 /// Kept as the differential-testing oracle for the kernel (and as the
-/// baseline in the evaluation benchmarks); results are always
-/// bit-identical to [`eval_expr`].
+/// baseline in the evaluation benchmarks); results are bit-identical to
+/// [`eval_expr`], for an interval cover on the rows whose code is not
+/// free.
 ///
 /// # Panics
 ///

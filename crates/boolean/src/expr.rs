@@ -8,10 +8,31 @@ use std::fmt;
 /// This is the shape of every retrieval Boolean expression in the paper:
 /// the raw form is a sum of min-terms (one per selected value); the reduced
 /// form is whatever [`crate::qm::minimize`] produces.
-#[derive(Clone, PartialEq, Eq, Hash)]
+///
+/// A cover written by [`crate::interval::cover`] also carries the code
+/// interval it selects ([`DnfExpr::interval`]). That is a note on how
+/// the expression may be evaluated, not part of what it is: equality,
+/// hashing and the text ignore it.
+#[derive(Clone)]
 pub struct DnfExpr {
     cubes: Vec<Cube>,
     k: u32,
+    interval: Option<(u64, u64)>,
+}
+
+impl PartialEq for DnfExpr {
+    fn eq(&self, other: &Self) -> bool {
+        (self.k, &self.cubes) == (other.k, &other.cubes)
+    }
+}
+
+impl Eq for DnfExpr {}
+
+impl std::hash::Hash for DnfExpr {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.cubes.hash(state);
+        self.k.hash(state);
+    }
 }
 
 /// Error from [`DnfExpr::parse`].
@@ -36,6 +57,7 @@ impl DnfExpr {
         Self {
             cubes: Vec::new(),
             k,
+            interval: None,
         }
     }
 
@@ -55,7 +77,11 @@ impl DnfExpr {
         }
         cubes.sort_unstable();
         cubes.dedup();
-        Self { cubes, k }
+        Self {
+            cubes,
+            k,
+            interval: None,
+        }
     }
 
     /// The sum of min-terms for `codes` — the *unreduced* retrieval
@@ -63,6 +89,24 @@ impl DnfExpr {
     #[must_use]
     pub fn minterm_sum(codes: &[u64], k: u32) -> Self {
         Self::from_cubes(codes.iter().map(|&c| Cube::minterm(c, k)).collect(), k)
+    }
+
+    /// The code interval `[L, H]` this cover selects, where
+    /// [`crate::interval::cover`] wrote it: the widest run of selected or
+    /// free codes around the selection. On every code that is not free
+    /// the cubes hold exactly inside it; on a free code the two may
+    /// differ, and no row holds one. `None` for every other expression.
+    #[must_use]
+    pub fn interval(&self) -> Option<(u64, u64)> {
+        self.interval
+    }
+
+    /// `self`, noted as the cover of the code interval `lo..=hi`.
+    pub(crate) fn with_interval(self, lo: u64, hi: u64) -> Self {
+        Self {
+            interval: Some((lo, hi)),
+            ..self
+        }
     }
 
     /// Number of variables (bitmap slices) in scope.

@@ -35,6 +35,13 @@
 //!
 //! The caller guarantees that no off-set code lies inside `[lo, hi]`:
 //! every code there is selected or free.
+//!
+//! The expression also records the widest interval `[L, H] ⊇ [lo, hi]`
+//! of selected or free codes ([`DnfExpr::interval`]): `[lo, hi]`
+//! extended through the free runs beside it. On the codes a row can
+//! hold, the cover and `L ≤ x ≤ H` agree, which is what lets the kernel
+//! evaluate a range as two bit-sliced comparisons
+//! ([`DnfExpr::lower`]).
 
 use crate::cube::Cube;
 use crate::expr::DnfExpr;
@@ -76,7 +83,8 @@ pub fn cover(lo: u64, hi: u64, free: &[(u64, u64)], k: u32, stats: &mut ReduceSt
         .copied()
         .collect();
 
-    let expr = DnfExpr::from_cubes(kept, k);
+    let (wide_lo, wide_hi) = space.widest();
+    let expr = DnfExpr::from_cubes(kept, k).with_interval(wide_lo, wide_hi);
     *stats = ReduceStats {
         dont_cares: free.iter().map(|&(a, b)| b - a + 1).sum(),
         cover_method: CoverMethod::Interval,
@@ -134,6 +142,19 @@ struct Space<'a> {
 }
 
 impl Space<'_> {
+    /// `[lo, hi]` extended through the free runs beside it: the widest
+    /// interval of selected or free codes around the selection.
+    fn widest(&self) -> (u64, u64) {
+        let (mut lo, mut hi) = (self.lo, self.hi);
+        while let Some((start, _)) = lo.checked_sub(1).and_then(|c| self.free_run(c)) {
+            lo = start;
+        }
+        while let Some((_, end)) = self.free_run(hi + 1) {
+            hi = end;
+        }
+        (lo, hi)
+    }
+
     /// The free run holding `code`, if one does.
     fn free_run(&self, code: u64) -> Option<(u64, u64)> {
         let at = self.free.partition_point(|&(_, end)| end < code);

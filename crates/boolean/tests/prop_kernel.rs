@@ -19,10 +19,17 @@
 //! The paper's cost metrics (`vectors_accessed`, `cube_evals`,
 //! `literal_ops`) are properties of the *expression*: none of the above
 //! may move them.
+//!
+//! A cover of a code interval (`interval::cover`) lowers to an interval
+//! plan, two bit-sliced comparisons, which equals the cover's cubes on
+//! every code but the free ones. Its columns therefore hold assigned
+//! codes only, as an index's rows do.
 
 use ebi_bitvec::kernels::{SliceSource, SEGMENT_BITS, SEGMENT_WORDS};
 use ebi_bitvec::summary::summarize_slices;
 use ebi_bitvec::{simd, BitVec, DnfPlan, SegmentSummary, SliceStorage, StorageKind, StoragePolicy};
+use ebi_boolean::interval;
+use ebi_boolean::qm::ReduceStats;
 use ebi_boolean::{eval_expr_naive, eval_expr_tracked, AccessTracker, Cube, DnfExpr};
 use ebi_obs::CostCounters;
 use proptest::prelude::*;
@@ -85,6 +92,62 @@ fn random_slices(k: u32, rows: usize, seed: u64, layout: Layout) -> Vec<BitVec> 
             Layout::Clustered if run == 0 => {
                 run = 1 + (r >> 20) as usize % (3 * SEGMENT_BITS);
                 wide
+            }
+            Layout::Clustered => code,
+        };
+        run = run.saturating_sub(1);
+        code
+    })
+}
+
+/// A code space of `k` bits: its assigned codes, ascending, and the
+/// free runs of the others. Without `gaps`, `m > 2^(k-1)` codes from 0
+/// and one free run above them (a dense mapping); with them, about three
+/// codes in four assigned anywhere.
+fn code_space(k: u32, seed: u64, gaps: bool) -> (Vec<u64>, Vec<(u64, u64)>) {
+    let size = 1u64 << k;
+    let mut state = seed;
+    let mut assigned: Vec<u64> = if gaps {
+        (0..size)
+            .filter(|_| !next(&mut state).is_multiple_of(4))
+            .collect()
+    } else {
+        (0..size / 2 + 1 + next(&mut state) % (size / 2)).collect()
+    };
+    if assigned.is_empty() {
+        assigned.push(next(&mut state) % size);
+    }
+    let mut free = Vec::new();
+    let mut from = 0;
+    for &code in assigned.iter().chain([&size]) {
+        if code > from {
+            free.push((from, code - 1));
+        }
+        from = code + 1;
+    }
+    (assigned, free)
+}
+
+/// `k` slices of `rows` codes drawn from `assigned` in `layout`.
+fn assigned_slices(
+    k: u32,
+    rows: usize,
+    assigned: &[u64],
+    seed: u64,
+    layout: Layout,
+) -> Vec<BitVec> {
+    let mut state = seed;
+    let (mut run, mut code) = (0, assigned[0]);
+    slices_of(k, rows, |_| {
+        let r = next(&mut state);
+        let any = assigned[(r >> 3) as usize % assigned.len()];
+        code = match layout {
+            Layout::Uniform => any,
+            Layout::Skewed if r.is_multiple_of(4) => any,
+            Layout::Skewed => assigned[(r % 2) as usize % assigned.len()],
+            Layout::Clustered if run == 0 => {
+                run = 1 + (r >> 20) as usize % (3 * SEGMENT_BITS);
+                any
             }
             Layout::Clustered => code,
         };
@@ -207,6 +270,23 @@ proptest! {
     ) {
         let dense = random_slices(k, rows, seed, layout);
         let expr = DnfExpr::from_cubes(build_cubes(&specs, k), k);
+        check_everywhere(&expr, &dense, rows, seed)?;
+    }
+
+    #[test]
+    fn interval_plans_match_the_cover_on_every_assigned_code(
+        seed in any::<u64>(),
+        k in 1u32..=13,
+        rows in 1usize..4 * SEGMENT_BITS,
+        layout in layout(),
+        gaps in any::<bool>(),
+        ends in (any::<u64>(), any::<u64>()),
+    ) {
+        let (assigned, free) = code_space(k, seed, gaps);
+        let (a, b) = (ends.0 as usize % assigned.len(), ends.1 as usize % assigned.len());
+        let (lo, hi) = (assigned[a.min(b)], assigned[a.max(b)]);
+        let expr = interval::cover(lo, hi, &free, k, &mut ReduceStats::default());
+        let dense = assigned_slices(k, rows, &assigned, seed ^ 0x1234, layout);
         check_everywhere(&expr, &dense, rows, seed)?;
     }
 
@@ -349,6 +429,29 @@ fn live_work_behind_a_long_pruned_prefix() {
     let mut tracker = AccessTracker::new();
     let _ = eval_expr_tracked(&expr, &dense, Some(&summaries), rows, &mut tracker);
     assert!(tracker.cost.segments_pruned >= (3 * rows / 4 / SEGMENT_BITS) as u64);
+}
+
+#[test]
+fn served_ranges_take_interval_plans_and_match_their_covers() {
+    // Column `c` of the repository benchmark's shape: k = 10, 1 000
+    // codes, a free run above them; ranges of width 50..=400.
+    let assigned: Vec<u64> = (0..1000).collect();
+    let free = [(1000, 1023)];
+    let rows = 3 * SEGMENT_BITS + 999;
+    let dense = assigned_slices(10, rows, &assigned, 0xC0, Layout::Uniform);
+    let mut state = 0x5EED;
+    let mut interval_plans = 0;
+    for _ in 0..24 {
+        let width = 50 + next(&mut state) % 351;
+        let lo = next(&mut state) % (1000 - width);
+        let expr = interval::cover(lo, lo + width, &free, 10, &mut ReduceStats::default());
+        let (wide_lo, wide_hi) = expr.interval().expect("a cover carries its interval");
+        assert_eq!(wide_lo, lo);
+        assert_eq!(wide_hi, if lo + width == 999 { 1023 } else { lo + width });
+        interval_plans += usize::from(expr.lower() == DnfPlan::interval(wide_lo, wide_hi, 10));
+        check_everywhere(&expr, &dense, rows, state).unwrap();
+    }
+    assert!(interval_plans >= 20, "{interval_plans} of 24 ranges");
 }
 
 #[test]

@@ -458,21 +458,28 @@ impl EncodedBitmapIndex {
             *stats = qm::ReduceStats::default();
             return DnfExpr::empty(self.width());
         };
-        let reserved = self.reserved.iter().filter(|c| (lo..=hi).contains(c));
-        let taken = self.mapping.assigned_between(lo, hi) + reserved.count();
-        if taken == codes.len() {
+        if self.fills_interval(lo, hi, codes.len()) {
             interval::cover(lo, hi, self.free_runs(), self.width(), stats)
         } else {
             qm::minimize_with_stats(&codes, self.dont_care_codes(), self.width(), stats)
         }
     }
 
+    /// `true` if `selected` distinct codes from `lo` to `hi` take every
+    /// assigned or reserved code in `lo..=hi`: the rest are free.
+    fn fills_interval(&self, lo: u64, hi: u64, selected: usize) -> bool {
+        let reserved = self.reserved.iter().filter(|c| (lo..=hi).contains(c));
+        self.mapping.assigned_between(lo, hi) + reserved.count() == selected
+    }
+
     /// The reduced retrieval expression for `A IN values` (values missing
     /// from the domain contribute nothing). Served from the precomputed
     /// cache when the predicate was declared via
     /// [`EncodedBitmapIndex::precompute_predicates`]. Every form of the
-    /// index reduces through this, so through one choice between the
-    /// interval cover and Quine–McCluskey (`reduce`).
+    /// index reduces through this, or through
+    /// [`EncodedBitmapIndex::explain_range`], which asks the same
+    /// question of a range without its value list: so through one choice
+    /// between the interval cover and Quine–McCluskey (`reduce`).
     #[must_use]
     pub fn explain_in_list(&self, values: &[u64]) -> DnfExpr {
         if !self.expr_cache.is_empty() {
@@ -485,6 +492,27 @@ impl EncodedBitmapIndex {
             .filter_map(|&v| self.mapping.code_of(v))
             .collect();
         self.reduce(codes, &mut qm::ReduceStats::default())
+    }
+
+    /// The reduced retrieval expression for `lo <= A <= hi`: the same
+    /// expression as [`EncodedBitmapIndex::explain_in_list`] over
+    /// [`Mapping::values_between`], without spelling the values out.
+    /// When the values' codes fill a code interval (any range over a
+    /// value-ordered mapping) it is covered straight from the mapping's
+    /// run ([`Mapping::code_span`]); a range over codes that do not,
+    /// or an index with precomputed predicates, takes the value list.
+    #[must_use]
+    pub fn explain_range(&self, lo: u64, hi: u64) -> DnfExpr {
+        if self.expr_cache.is_empty() {
+            let Some((min, max, n)) = self.mapping.code_span(lo, hi) else {
+                return DnfExpr::empty(self.width());
+            };
+            if self.fills_interval(min, max, n) {
+                let stats = &mut qm::ReduceStats::default();
+                return interval::cover(min, max, self.free_runs(), self.width(), stats);
+            }
+        }
+        self.explain_in_list(&self.mapping.values_between(lo, hi))
     }
 
     /// Reduces and caches the retrieval expressions of predefined
@@ -530,13 +558,14 @@ impl EncodedBitmapIndex {
     /// Range selection over value ids: `lo <= A <= hi`. For discrete
     /// domains this is the IN-list over the mapped values in the
     /// interval ([`Mapping::values_between`]), exactly as §2.2 rewrites
-    /// `j < A < i`.
+    /// `j < A < i`; it is reduced without the list
+    /// ([`EncodedBitmapIndex::explain_range`]).
     ///
     /// # Errors
     ///
     /// See [`EncodedBitmapIndex::eq`].
     pub fn range(&self, lo: u64, hi: u64) -> Result<QueryResult, CoreError> {
-        self.in_list(&self.mapping.values_between(lo, hi))
+        Ok(self.run_dnf(&self.explain_range(lo, hi)))
     }
 
     /// Negated selection `A NOT IN values` over live, non-NULL rows.
@@ -1106,6 +1135,38 @@ mod tests {
         assert_eq!(idx.cached_predicates(), 0, "stale cache cleared");
         let r = idx.in_list(&[0, 1]).unwrap();
         assert_eq!(r.bitmap.to_positions(), vec![0, 1], "correct after growth");
+    }
+
+    #[test]
+    fn explain_range_is_the_value_list_reduction_without_the_list() {
+        let cells: Vec<Cell> = (0..3000u64).map(|i| Cell::Value(i * 7 % 60 * 3)).collect();
+        let ordered = EncodedBitmapIndex::build(cells.iter().copied()).unwrap();
+        let first_seen = EncodedBitmapIndex::build_with(
+            cells.iter().copied(),
+            BuildOptions {
+                mapping: Mapping::from_values(&Mapping::first_seen_values(&cells)).ok(),
+                ..BuildOptions::default()
+            },
+        )
+        .unwrap();
+        let mut cached = ordered.clone();
+        cached.precompute_predicates(&[ordered.mapping().values_between(30, 90)]);
+        // Value-ordered codes: intervals, read off the mapping. First-seen
+        // codes scatter, and a cached predicate wins: the value list.
+        for idx in [&ordered, &first_seen, &cached] {
+            for (lo, hi) in [(30, 90), (0, 177), (31, 32), (100, 40), (3, 3), (178, 999)] {
+                let listed = idx.explain_in_list(&idx.mapping().values_between(lo, hi));
+                let ranged = idx.explain_range(lo, hi);
+                assert_eq!(ranged, listed, "{lo}..={hi}");
+                assert_eq!(ranged.interval(), listed.interval(), "{lo}..={hi}");
+            }
+        }
+        let expr = ordered.explain_range(30, 90);
+        assert_eq!(
+            expr.interval(),
+            Some((10, 30)),
+            "values 30..=90 are codes 10..=30"
+        );
     }
 
     #[test]

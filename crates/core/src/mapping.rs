@@ -214,6 +214,18 @@ impl Mapping {
         run.iter().map(|&(v, _)| v).collect()
     }
 
+    /// The codes of the mapped values in `lo..=hi`, read in place: the
+    /// smallest, the largest and how many there are; `None` when no
+    /// value falls in. What [`Mapping::values_between`] would spell out,
+    /// without a list.
+    #[must_use]
+    pub fn code_span(&self, lo: u64, hi: u64) -> Option<(u64, u64, usize)> {
+        let run = &self.by_value[between(&self.by_value, lo, hi)];
+        let codes = run.iter().map(|&(_, code)| code);
+        let (min, max) = codes.fold((u64::MAX, 0), |(a, b), c| (a.min(c), b.max(c)));
+        (!run.is_empty()).then_some((min, max, run.len()))
+    }
+
     /// A column's distinct values in first-seen order. The default
     /// build sorts them ([`crate::total_order::dense_order_mapping`]);
     /// [`Mapping::from_values`] over them as they come is the encoding
@@ -499,6 +511,15 @@ mod tests {
         assert_eq!(m.values_between(0, u64::MAX), vec![10, 20, 30, u64::MAX]);
         assert!(m.values_between(31, 40).is_empty());
         assert!(m.values_between(20, 10).is_empty(), "an empty interval");
+        // The same runs, as codes read in place.
+        for (lo, hi) in [(10, 20), (11, 29), (0, u64::MAX), (31, 40), (20, 10)] {
+            let codes = m.codes_of(&m.values_between(lo, hi)).unwrap();
+            let span = codes.iter().min().map(|&min| {
+                let max = *codes.iter().max().unwrap();
+                (min, max, codes.len())
+            });
+            assert_eq!(m.code_span(lo, hi), span, "{lo}..={hi}");
+        }
     }
 
     #[test]

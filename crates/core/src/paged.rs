@@ -14,6 +14,7 @@ use crate::error::CoreError;
 use crate::index::{EncodedBitmapIndex, QueryResult, Vectors};
 use crate::persist::{load_index, IndexHandle};
 use ebi_bitvec::{BitVec, SliceStorage};
+use ebi_boolean::DnfExpr;
 use ebi_storage::buffer::{BufferPool, BufferStats};
 use ebi_storage::pager::Pager;
 use ebi_storage::segment::{read_segment_buffered, SegmentHandle};
@@ -97,7 +98,11 @@ impl<'a> PagedIndex<'a> {
     /// [`CoreError::InvalidCode`] on a corrupt vector,
     /// [`CoreError::Storage`] when its pages cannot be read.
     pub fn in_list(&self, values: &[u64]) -> Result<QueryResult, CoreError> {
-        let expr = self.index.explain_in_list(values);
+        self.run(&self.index.explain_in_list(values))
+    }
+
+    /// Fetches the vectors `expr` reads and evaluates it.
+    fn run(&self, expr: &DnfExpr) -> Result<QueryResult, CoreError> {
         // Materialise exactly the slices in the expression's support, in
         // their stored container — compressed slices are evaluated
         // compressed-domain; placeholders elsewhere (never touched by
@@ -130,8 +135,8 @@ impl<'a> PagedIndex<'a> {
         };
         let mut result = self
             .index
-            .select(&expr, &expr.lower(), &vectors, 0..self.index.windows());
-        result.expression = self.index.render(&expr, &vectors);
+            .select(expr, &expr.lower(), &vectors, 0..self.index.windows());
+        result.expression = self.index.render(expr, &vectors);
         Ok(result)
     }
 
@@ -150,7 +155,7 @@ impl<'a> PagedIndex<'a> {
     ///
     /// See [`PagedIndex::in_list`].
     pub fn range(&self, lo: u64, hi: u64) -> Result<QueryResult, CoreError> {
-        self.in_list(&self.index.mapping().values_between(lo, hi))
+        self.run(&self.index.explain_range(lo, hi))
     }
 }
 

@@ -251,10 +251,11 @@ impl ShardedTable {
         self.column_index(column).mapping()
     }
 
-    /// Compiles a parsed query once: each clause's IN-list is reduced on
-    /// its column's index (a point or a range as the code interval it
-    /// is, a scattered list by Quine–McCluskey with don't-cares) and
-    /// lowered for the kernel; expression and plan serve every morsel.
+    /// Compiles a parsed query once: each clause is reduced on its
+    /// column's index (a point or a range as the code interval it is, a
+    /// range read off the mapping without listing its values; a
+    /// scattered list by Quine–McCluskey with don't-cares) and lowered
+    /// for the kernel; expression and plan serve every morsel.
     ///
     /// # Errors
     ///
@@ -275,12 +276,11 @@ impl ShardedTable {
                         ServiceError::Parse(format!("unknown column {:?}", clause.column))
                     })?;
                 let index = self.column_index(column);
-                let values: Vec<u64> = match &clause.predicate {
-                    Predicate::Eq(v) => vec![*v],
-                    Predicate::In(vs) => vs.clone(),
-                    Predicate::Between(lo, hi) => index.mapping().values_between(*lo, *hi),
+                let expr = match &clause.predicate {
+                    Predicate::Eq(v) => index.explain_in_list(&[*v]),
+                    Predicate::In(vs) => index.explain_in_list(vs),
+                    Predicate::Between(lo, hi) => index.explain_range(*lo, *hi),
                 };
-                let expr = index.explain_in_list(&values);
                 clauses.push(CompiledClause {
                     column,
                     plan: expr.lower(),

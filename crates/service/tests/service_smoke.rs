@@ -5,6 +5,7 @@
 mod common;
 
 use common::{explained_morsels, json_u64, small_table, tcp_line, test_config, with_service};
+use ebi_bitvec::DnfPlan;
 use ebi_service::{parse_dnf, ServiceConfig, ServiceHandle, MAX_CONNECTIONS};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -104,6 +105,45 @@ fn tcp_protocol_answers_match_library() {
         assert!(bad.starts_with("ERR unknown verb"), "got {bad}");
     });
     assert!(summary.served >= 3, "summary: {summary:?}");
+}
+
+/// A served `BETWEEN` whose cover lowers to an interval plan (two
+/// bit-sliced comparisons) answers what the library does, over TCP and
+/// HTTP, with the same `vectors_accessed`.
+#[test]
+fn a_served_range_answers_as_the_library_does() {
+    let table = small_table();
+    // `a` holds 0..=5 in codes 0..=5 of k = 3, 6 and 7 free: both
+    // comparisons of 1..=4 read all three slices, as the cover does.
+    let query = "a BETWEEN 1 4";
+    let compiled = table
+        .compile(&parse_dnf(query).expect("parses"))
+        .expect("compiles");
+    let clause = &compiled.disjuncts[0][0];
+    assert_eq!(clause.expr.interval(), Some((1, 4)));
+    assert_eq!(clause.plan, DnfPlan::interval(1, 4, 3), "{}", clause.expr);
+    let (bitmap, cost) = table.eval_local(&compiled);
+    let want = bitmap.count_ones() as u64;
+    assert!(want > 0, "{query} should match something");
+    with_service(&table, &test_config(), |h| {
+        let count = tcp_line(h.tcp_addr(), &format!("COUNT {query}"));
+        assert_eq!(json_u64(&count, "matches"), Some(want), "got {count}");
+        assert_eq!(
+            json_u64(&count, "vectors_accessed"),
+            Some(cost.vectors_accessed),
+            "got {count}"
+        );
+        let (status, body) = http_get(
+            h.http_addr(),
+            &format!("/count?q={}", query.replace(' ', "+")),
+        );
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(json_u64(&body, "matches"), Some(want), "got {body}");
+        assert_eq!(
+            json_u64(&body, "vectors_accessed"),
+            Some(cost.vectors_accessed)
+        );
+    });
 }
 
 /// More closed-loop clients than `max_inflight`: some requests are

@@ -8,6 +8,12 @@
 //! than the second and spend about as many literals; beyond the sweep,
 //! seeded samples at the served widths and mappings with gaps.
 //!
+//! Every cover also carries the widest interval of selected or free
+//! codes around it, and lowers to an interval plan (two bit-sliced
+//! comparisons) exactly when it has two cubes or more and the
+//! comparisons read the slices its cubes do; both are checked on every
+//! cover here, against a derivation of their own.
+//!
 //! The sweep is as wide as the build affords. Quine–McCluskey on a
 //! contiguous on-set is its own worst case, so a debug build (tier-1
 //! `cargo test`) compares every interval up to `k = 6` (45 759 of them,
@@ -15,6 +21,7 @@
 //! to `k = 7` (357 759 in all) and at `k = 8` every interval of eight of
 //! the 128 code spaces, and checks the others from first principles.
 
+use ebi::bitvec::DnfPlan;
 use ebi::boolean::interval;
 use ebi::boolean::qm::{self, CoverMethod, ReduceStats};
 use ebi::boolean::{Cube, DnfExpr};
@@ -92,12 +99,52 @@ impl Space {
                 "{cube} of {expr} selects nothing"
             );
         }
+        self.check_interval(&expr, lo, hi);
         assert_eq!(stats.cover_method, CoverMethod::Interval);
         assert_eq!((stats.minterms, stats.prime_implicants), (0, 0));
         assert_eq!(stats.cubes_out, expr.cubes().len() as u64);
         assert_eq!(stats.literals_out, expr.literal_count() as u64);
         assert_eq!(stats.vectors_out, expr.vectors_accessed() as u64);
         expr
+    }
+
+    /// The interval `expr` carries is `[lo, hi]` grown through the free
+    /// codes beside it, agrees with the cubes on every code that is not
+    /// free, and lowers to an interval plan exactly when the cover has
+    /// two cubes or more and the comparisons' slices are its support.
+    fn check_interval(&self, expr: &DnfExpr, lo: u64, hi: u64) {
+        let (mut wide_lo, mut wide_hi) = (lo, hi);
+        while wide_lo > 0 && self.is_free(wide_lo - 1) {
+            wide_lo -= 1;
+        }
+        while wide_hi + 1 < 1 << self.k && self.is_free(wide_hi + 1) {
+            wide_hi += 1;
+        }
+        assert_eq!(expr.interval(), Some((wide_lo, wide_hi)), "{expr}");
+        for code in (0..1u64 << self.k).filter(|&c| !self.is_free(c)) {
+            assert_eq!(
+                (wide_lo..=wide_hi).contains(&code),
+                expr.covers(code),
+                "k={} [{lo},{hi}]: {expr} at {code:#b}",
+                self.k
+            );
+        }
+        // `x >= b` runs up from `b`'s lowest one-bit; 0 and 2^k read
+        // nothing.
+        let chain = |b: u64| {
+            let reads = b != 0 && b < 1 << self.k;
+            (b.trailing_zeros()..self.k).fold(0u64, |m, i| m | u64::from(reads) << i)
+        };
+        let slices = chain(wide_lo) | chain(wide_hi + 1);
+        // The whole code space reads no slice either way: both plans are
+        // the tautology.
+        let interval_plan = (expr.cubes().len() >= 2 && slices == expr.support()) || slices == 0;
+        assert_eq!(
+            expr.lower() == DnfPlan::interval(wide_lo, wide_hi, self.k),
+            interval_plan,
+            "k={} [{lo},{hi}]: {expr}",
+            self.k
+        );
     }
 
     /// What Quine–McCluskey makes of the same selection.
