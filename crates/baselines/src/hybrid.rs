@@ -26,21 +26,6 @@ pub enum HybridLeaf {
 }
 
 impl HybridLeaf {
-    /// Materialises this leaf as a bitmap of `rows` bits.
-    #[must_use]
-    pub fn to_bitmap(&self, rows: usize) -> BitVec {
-        match self {
-            Self::Bitmap(b) => b.clone(),
-            Self::RidList(rids) => {
-                let mut b = BitVec::zeros(rows);
-                for &r in rids {
-                    b.set(r as usize, true);
-                }
-                b
-            }
-        }
-    }
-
     fn storage_bytes(&self) -> usize {
         match self {
             Self::Bitmap(b) => b.storage_bytes(),

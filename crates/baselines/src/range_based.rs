@@ -69,13 +69,6 @@ impl RangeBasedBitmapIndex {
         }
     }
 
-    /// Number of buckets actually formed (duplicates in skewed data can
-    /// merge bounds).
-    #[must_use]
-    pub fn bucket_count(&self) -> usize {
-        self.bounds.len()
-    }
-
     /// Bucket population counts — the balance Wu & Yu optimise for.
     #[must_use]
     pub fn bucket_populations(&self) -> Vec<usize> {

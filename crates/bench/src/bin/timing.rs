@@ -32,6 +32,7 @@ use ebi_baselines::{
     SimpleBitmapIndex, ValueListIndex,
 };
 use ebi_bench::{uniform_cells, write_result, zipf_cells, DEFAULT_ROWS};
+use ebi_bitvec::simd::{self, KernelPath};
 use ebi_bitvec::{BitVec, DnfPlan, SliceStorage, StoragePolicy};
 use ebi_boolean::{eval_expr_naive, qm, support, DnfExpr};
 use ebi_core::aggregates::BitSlicedMeasure;
@@ -203,6 +204,25 @@ impl Cases {
         work: impl Fn(&O) -> Work + 'static,
     ) {
         self.add_with(name, || (), move |()| routine(), work);
+    }
+
+    /// A case and its twin on the scalar tier, `{name}/scalar`: the same
+    /// routine with its thread forced onto [`KernelPath::Scalar`], so the
+    /// two rows price the AVX2 compilation of the word passes.
+    fn add_with_scalar_twin<O: 'static>(
+        &mut self,
+        name: impl Into<String>,
+        routine: impl FnMut() -> O + Clone + 'static,
+        work: impl Fn(&O) -> Work + Clone + 'static,
+    ) {
+        let name = name.into();
+        let mut scalar = routine.clone();
+        self.add(name.clone(), routine, work.clone());
+        self.add(
+            format!("{name}/scalar"),
+            move || simd::with_forced_path(KernelPath::Scalar, &mut scalar),
+            work,
+        );
     }
 }
 
@@ -673,7 +693,8 @@ fn logical_reduction(c: &mut Cases) {
 
 /// Lowered clauses over dense slices, timed both ways: the
 /// operator-at-a-time `eval_expr_naive` and the fused kernel
-/// (`DnfPlan::bind(..).eval`, lowered before the clock starts).
+/// (`DnfPlan::bind(..).eval`, lowered before the clock starts), the
+/// latter also on the scalar tier.
 fn naive_and_fused(
     c: &mut Cases,
     name: &str,
@@ -697,7 +718,7 @@ fn naive_and_fused(
         },
         move |_| reduced,
     );
-    c.add(
+    c.add_with_scalar_twin(
         format!("eval_fused/fused/{name}"),
         move || {
             let mut cost = CostCounters::default();
@@ -799,7 +820,8 @@ fn sub_seed(seed: u64, purpose: u64) -> u64 {
 /// builds it (Zipf(1.0) over 1 000 values, 1M rows, seed 1998, value-
 /// ordered codes) and its 256 ranges of width 50–400, compiled before
 /// the clock and evaluated through `run_plan`; and the population count
-/// a served `COUNT` takes of a 1M-row bitmap.
+/// a served `COUNT` takes of a 1M-row bitmap. Both also on the scalar
+/// tier.
 fn eval_range(c: &mut Cases) {
     const SEED: u64 = 1998;
     let cells = zipf_cells(1000, 1.0, 1_000_000, sub_seed(SEED, 3));
@@ -826,7 +848,7 @@ fn eval_range(c: &mut Cases) {
         })
         .collect();
     let ranges = keep(ranges);
-    c.add(
+    c.add_with_scalar_twin(
         "eval_range/1m",
         move || {
             let mut cost = CostCounters::default();
@@ -838,7 +860,7 @@ fn eval_range(c: &mut Cases) {
         Work::of,
     );
     let bitmap = keep(index.run_plan(&ranges[0].0, &ranges[0].1).bitmap);
-    c.add(
+    c.add_with_scalar_twin(
         "count_ones/1m",
         move || bitmap.count_ones(),
         move |_| Work {

@@ -18,11 +18,6 @@ fn assert_rejects_unknown_flag(bin: &str) {
 }
 
 #[test]
-fn eval_kernels_rejects_an_unknown_flag_with_its_usage() {
-    assert_rejects_unknown_flag(env!("CARGO_BIN_EXE_eval_kernels"));
-}
-
-#[test]
 fn timing_rejects_an_unknown_flag_with_its_usage() {
     assert_rejects_unknown_flag(env!("CARGO_BIN_EXE_timing"));
 }

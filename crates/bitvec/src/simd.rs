@@ -10,20 +10,25 @@
 //! ([`compare_pass`]). Two counting passes sit beside them: the
 //! population count ([`count_ones`]) and the count of runs of ones
 //! ([`count_runs`]) that bitmaps, summaries and Roaring's sizing read.
-//! This module provides those passes at two implementation tiers and
-//! picks one at runtime:
 //!
-//! * **scalar** — word-at-a-time `zip` loops, which the compiler
-//!   auto-vectorises for whatever the target baseline offers (SSE2 on
-//!   vanilla `x86_64`, NEON on aarch64). Always compiled, always
-//!   correct; the AVX2 tier is verified against it by the `prop_simd`
-//!   differential suite.
-//! * **avx2** — explicit 256-bit `core::arch::x86_64` intrinsics,
-//!   compiled on every `x86_64` build and reached only when
-//!   `is_x86_feature_detected!("avx2")` says the host has the
-//!   instructions. This is the only `unsafe` code in the crate; the
-//!   unsafety is confined to the private `avx2` module and vetted by
-//!   Miri in CI.
+//! Each pass is written once, as a safe word-at-a-time loop, and
+//! compiled twice (function multiversioning):
+//!
+//! * **scalar** — for the target baseline, which the compiler
+//!   auto-vectorises for whatever it offers (SSE2 on vanilla `x86_64`,
+//!   NEON on aarch64). Always compiled, always executable.
+//! * **avx2** — the same source inlined into a
+//!   `#[target_feature(enable = "avx2")]` wrapper, so the compiler
+//!   vectorises it for 256-bit registers. Compiled on every `x86_64`
+//!   build and reached only when `is_x86_feature_detected!("avx2")`
+//!   says the host has the instructions.
+//!
+//! The loops are shaped for the vectoriser: `compare_pass` reads each
+//! operand's block as a fixed-size array and runs one chain at a time,
+//! in blocks as wide as the compilation's registers hold (its one
+//! parameter), and `count_runs` reads each word beside the word before
+//! it instead of carrying a bit. The `prop_simd` suite checks the two
+//! compilations against each other.
 //!
 //! Negation is folded into every pass as an XOR mask (`x ^ 0 = x`,
 //! `x ^ !0 = !x`), so a single implementation covers all operand
@@ -41,21 +46,23 @@
 //! tier is a process constant, so no per-query record carries it.
 
 // The workspace denies `unsafe_code`; this module is the one sanctioned
-// exception — the AVX2 tier and its dispatch calls. Clippy denies an
-// unsafe block without a SAFETY comment and an unsafe fn without a
-// `# Safety` section, and Miri vets the whole tier in CI.
+// exception. Calling a `#[target_feature]` function is unsafe (the host
+// must have the feature), so the AVX2 wrappers are `unsafe fn` and the
+// dispatch calls into them are the only `unsafe` blocks. Clippy denies
+// an unsafe block without a SAFETY comment and an unsafe fn without a
+// `# Safety` section.
 #![allow(unsafe_code)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which word-pass implementation tier ran.
+/// Which compilation of the word passes ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum KernelPath {
-    /// Word-at-a-time loops — the always-correct fallback.
+    /// Compiled for the target baseline — the always-executable fallback.
     Scalar = 0,
-    /// Explicit AVX2 intrinsics (runtime-detected, x86_64 only).
+    /// The same passes compiled for AVX2 (runtime-detected, x86_64 only).
     Avx2 = 1,
 }
 
@@ -127,8 +134,8 @@ fn hardware_best() -> KernelPath {
     #[cfg(all(target_arch = "x86_64", miri))]
     {
         // Miri cannot run CPUID; trust the compile-time target set so
-        // `RUSTFLAGS=-Ctarget-feature=+avx2 cargo miri test` vets the
-        // intrinsic path.
+        // `RUSTFLAGS=-Ctarget-feature=+avx2 cargo miri test` runs the
+        // AVX2 compilation through its dispatch.
         if cfg!(target_feature = "avx2") {
             return KernelPath::Avx2;
         }
@@ -329,13 +336,12 @@ pub fn compare_pass(path: KernelPath, dst: &mut [u64], ge: Option<Chain>, gt: Op
         }
     }
     match path {
-        KernelPath::Scalar => scalar::compare_pass(dst, ge.as_ref(), gt.as_ref()),
+        KernelPath::Scalar => scalar::compare_pass::<16>(dst, ge.as_ref(), gt.as_ref()),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `fused_pass2`; the operand lengths are checked
-        // above.
+        // SAFETY: as in `fused_pass2`.
         KernelPath::Avx2 => unsafe { avx2::compare_pass(dst, ge.as_ref(), gt.as_ref()) },
         #[allow(unreachable_patterns)]
-        _ => scalar::compare_pass(dst, ge.as_ref(), gt.as_ref()),
+        _ => scalar::compare_pass::<16>(dst, ge.as_ref(), gt.as_ref()),
     }
 }
 
@@ -369,12 +375,14 @@ pub fn count_runs(path: KernelPath, words: &[u64]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar tier: the reference implementation.
+// The passes, one source each. Everything here is `#[inline(always)]`,
+// so each wrapper in `avx2` compiles its own copy with AVX2 enabled.
 // ---------------------------------------------------------------------------
 
 mod scalar {
     use super::Chain;
 
+    #[inline(always)]
     pub fn fused_pass2(acc: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool {
         let mut any = 0u64;
         for ((a, &x), &y) in acc.iter_mut().zip(s1).zip(s2) {
@@ -385,6 +393,7 @@ mod scalar {
         any != 0
     }
 
+    #[inline(always)]
     pub fn and_pass(acc: &mut [u64], src: &[u64], m: u64) -> bool {
         let mut any = 0u64;
         for (a, &x) in acc.iter_mut().zip(src) {
@@ -394,6 +403,7 @@ mod scalar {
         any != 0
     }
 
+    #[inline(always)]
     pub fn or_into(dst: &mut [u64], src: &[u64]) -> bool {
         let mut all = u64::MAX;
         for (d, &x) in dst.iter_mut().zip(src) {
@@ -403,6 +413,7 @@ mod scalar {
         all == u64::MAX
     }
 
+    #[inline(always)]
     pub fn or_and_into(dst: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool {
         let mut all = u64::MAX;
         for ((d, &x), &y) in dst.iter_mut().zip(s1).zip(s2) {
@@ -412,23 +423,35 @@ mod scalar {
         all == u64::MAX
     }
 
-    /// Words a comparison pass holds in registers per chain: small
-    /// enough that both chains' running values stay there.
-    const BLOCK: usize = 16;
+    /// Words `at .. at + N` of `words`, as one fixed-size block.
+    #[inline(always)]
+    fn block<const N: usize>(words: &[u64], at: usize) -> &[u64; N] {
+        words[at..at + N].try_into().expect("one block")
+    }
 
-    fn chain_block(c: &Chain, at: usize) -> [u64; BLOCK] {
-        let mut x: [u64; BLOCK] = c.start[at..at + BLOCK].try_into().expect("one block");
+    /// The running value of `c` over words `at .. at + N`. The indexed
+    /// loops over fixed-size blocks are what the vectoriser turns into
+    /// whole-register operations, with the running value in registers.
+    #[allow(clippy::needless_range_loop)]
+    #[inline(always)]
+    fn chain_block<const N: usize>(c: &Chain, at: usize) -> [u64; N] {
+        let mut x = *block::<N>(c.start, at);
         for (t, op) in c.ops.iter().enumerate() {
-            let b = &op[at..at + BLOCK];
+            let b = block::<N>(op, at);
             if c.ands >> t & 1 == 1 {
-                x.iter_mut().zip(b).for_each(|(x, &b)| *x &= b);
+                for j in 0..N {
+                    x[j] &= b[j];
+                }
             } else {
-                x.iter_mut().zip(b).for_each(|(x, &b)| *x |= b);
+                for j in 0..N {
+                    x[j] |= b[j];
+                }
             }
         }
         x
     }
 
+    #[inline(always)]
     fn chain_word(c: &Chain, i: usize) -> u64 {
         let ops = c.ops.iter().enumerate();
         ops.fold(c.start[i], |x, (t, op)| {
@@ -440,390 +463,94 @@ mod scalar {
         })
     }
 
-    /// Words `from..` of [`super::compare_pass`], one at a time: the
-    /// whole scalar pass's tail, and the AVX2 pass's.
-    pub fn compare_tail(dst: &mut [u64], ge: Option<&Chain>, gt: Option<&Chain>, from: usize) {
-        for (i, d) in dst.iter_mut().enumerate().skip(from) {
-            *d = ge.map_or(u64::MAX, |c| chain_word(c, i)) & !gt.map_or(0, |c| chain_word(c, i));
-        }
-    }
-
-    pub fn compare_pass(dst: &mut [u64], ge: Option<&Chain>, gt: Option<&Chain>) {
-        let blocks = dst.len() / BLOCK * BLOCK;
-        for (at, d) in (0..blocks).step_by(BLOCK).zip(dst.chunks_exact_mut(BLOCK)) {
-            let x = ge.map_or([u64::MAX; BLOCK], |c| chain_block(c, at));
-            let y = gt.map_or([0; BLOCK], |c| chain_block(c, at));
-            for ((d, x), y) in d.iter_mut().zip(x).zip(y) {
-                *d = x & !y;
+    /// The comparison pass in blocks of `N` words, one chain at a time
+    /// (`ge` into `dst`, then `gt` out of it). `N` is as many words as
+    /// the running value can hold in registers: 16 on the baseline (an
+    /// SSE2 operand read from memory must be aligned, so loads need
+    /// registers of their own) and 64 with AVX2's sixteen.
+    #[allow(clippy::needless_range_loop)]
+    #[inline(always)]
+    pub fn compare_pass<const N: usize>(dst: &mut [u64], ge: Option<&Chain>, gt: Option<&Chain>) {
+        let blocks = dst.len() / N * N;
+        // `match`, not `map_or`: a closure would be compiled apart from
+        // the AVX2 wrapper, for the baseline target only.
+        for (at, d) in (0..blocks).step_by(N).zip(dst.chunks_exact_mut(N)) {
+            match ge {
+                Some(c) => d.copy_from_slice(&chain_block::<N>(c, at)),
+                None => d.fill(u64::MAX),
+            }
+            if let Some(c) = gt {
+                let y = chain_block::<N>(c, at);
+                for j in 0..N {
+                    d[j] &= !y[j];
+                }
             }
         }
-        compare_tail(dst, ge, gt, blocks);
+        for (i, d) in dst.iter_mut().enumerate().skip(blocks) {
+            let x = match ge {
+                Some(c) => chain_word(c, i),
+                None => u64::MAX,
+            };
+            let y = match gt {
+                Some(c) => chain_word(c, i),
+                None => 0,
+            };
+            *d = x & !y;
+        }
     }
 
+    #[inline(always)]
     pub fn count_ones(words: &[u64]) -> u64 {
         words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
-    /// Runs of ones in `words`, given that the bit before `words[0]`
-    /// is `carry` (0 or 1).
-    pub fn count_runs_after(words: &[u64], mut carry: u64) -> u64 {
-        let mut runs = 0;
-        for &w in words {
-            runs += u64::from((w & !(w << 1 | carry)).count_ones());
-            carry = w >> 63;
-        }
-        runs
-    }
-
+    #[inline(always)]
     pub fn count_runs(words: &[u64]) -> u64 {
-        count_runs_after(words, 0)
+        // A run starts at a one whose lower neighbour is a zero: the bit
+        // below it in its word, or the top bit of the word before.
+        let starts = |w: u64, before: u64| u64::from((w & !(w << 1 | before >> 63)).count_ones());
+        let Some(&first) = words.first() else {
+            return 0;
+        };
+        let rest: u64 = words[1..]
+            .iter()
+            .zip(words)
+            .map(|(&w, &before)| starts(w, before))
+            .sum();
+        starts(first, 0) + rest
     }
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 tier: explicit 256-bit intrinsics. The only unsafe code in the
-// crate — every function is `#[target_feature(enable = "avx2")]` and
-// reachable only after runtime detection.
+// The passes compiled for AVX2: each wrapper's body is the scalar pass,
+// inlined into a function the compiler may use AVX2 instructions in.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{scalar, Chain};
-    use core::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_andnot_si256,
-        _mm256_loadu_si256, _mm256_or_si256, _mm256_sad_epu8, _mm256_set1_epi64x, _mm256_set1_epi8,
-        _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_slli_epi64,
-        _mm256_srli_epi16, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_testc_si256,
-        _mm256_testz_si256, _mm256_xor_si256,
-    };
 
-    /// 4 × u64 per vector register.
-    const LANES: usize = 4;
-
-    /// Unaligned 4-lane load.
-    ///
-    /// # Safety
-    /// `p .. p+4` must be in-bounds for reads, and the caller must have
-    /// verified AVX2 support before reaching this module.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load(p: *const u64) -> __m256i {
-        // SAFETY: caller guarantees `p .. p+4` is in-bounds; loadu has
-        // no alignment requirement.
-        unsafe { _mm256_loadu_si256(p.cast()) }
+    macro_rules! avx2 {
+        ($($pass:ident $(::<$n:literal>)? ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {$(
+            /// The scalar pass of the same name, compiled with AVX2.
+            ///
+            /// # Safety
+            /// The host must support AVX2.
+            #[target_feature(enable = "avx2")]
+            pub unsafe fn $pass($($arg: $ty),*) $(-> $ret)? {
+                scalar::$pass $(::<$n>)? ($($arg),*)
+            }
+        )*};
     }
 
-    /// Unaligned 4-lane store.
-    ///
-    /// # Safety
-    /// `p .. p+4` must be in-bounds for writes, and the caller must
-    /// have verified AVX2 support before reaching this module.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn store(p: *mut u64, v: __m256i) {
-        // SAFETY: caller guarantees `p .. p+4` is in-bounds and writable.
-        unsafe { _mm256_storeu_si256(p.cast(), v) }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 support; slices must be equal
-    /// length (checked by the dispatching wrapper).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn fused_pass2(acc: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool {
-        let n = acc.len();
-        let blocks = n / LANES * LANES;
-        // SAFETY: all pointer arithmetic stays below `blocks <= n`, the
-        // common length of the three slices.
-        unsafe {
-            let vm1 = _mm256_set1_epi64x(m1 as i64);
-            let vm2 = _mm256_set1_epi64x(m2 as i64);
-            let mut anyv = _mm256_set1_epi64x(0);
-            let (pa, p1, p2) = (acc.as_mut_ptr(), s1.as_ptr(), s2.as_ptr());
-            let mut i = 0;
-            while i < blocks {
-                let x = _mm256_xor_si256(load(p1.add(i)), vm1);
-                let y = _mm256_xor_si256(load(p2.add(i)), vm2);
-                let v = _mm256_and_si256(x, y);
-                store(pa.add(i), v);
-                anyv = _mm256_or_si256(anyv, v);
-                i += LANES;
-            }
-            let mut any = (_mm256_testz_si256(anyv, anyv) == 0) as u64;
-            for i in blocks..n {
-                let v = (s1[i] ^ m1) & (s2[i] ^ m2);
-                acc[i] = v;
-                any |= v;
-            }
-            any != 0
-        }
-    }
-
-    /// # Safety
-    /// As [`fused_pass2`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn and_pass(acc: &mut [u64], src: &[u64], m: u64) -> bool {
-        let n = acc.len();
-        let blocks = n / LANES * LANES;
-        // SAFETY: bounds as in `fused_pass2`.
-        unsafe {
-            let vm = _mm256_set1_epi64x(m as i64);
-            let mut anyv = _mm256_set1_epi64x(0);
-            let (pa, ps) = (acc.as_mut_ptr(), src.as_ptr());
-            let mut i = 0;
-            while i < blocks {
-                let v = _mm256_and_si256(load(pa.add(i)), _mm256_xor_si256(load(ps.add(i)), vm));
-                store(pa.add(i), v);
-                anyv = _mm256_or_si256(anyv, v);
-                i += LANES;
-            }
-            let mut any = (_mm256_testz_si256(anyv, anyv) == 0) as u64;
-            for i in blocks..n {
-                acc[i] &= src[i] ^ m;
-                any |= acc[i];
-            }
-            any != 0
-        }
-    }
-
-    /// # Safety
-    /// As [`fused_pass2`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn or_into(dst: &mut [u64], src: &[u64]) -> bool {
-        let n = dst.len();
-        let blocks = n / LANES * LANES;
-        // SAFETY: bounds as in `fused_pass2`.
-        unsafe {
-            let ones = _mm256_set1_epi64x(-1);
-            let mut allv = ones;
-            let (pd, ps) = (dst.as_mut_ptr(), src.as_ptr());
-            let mut i = 0;
-            while i < blocks {
-                let v = _mm256_or_si256(load(pd.add(i)), load(ps.add(i)));
-                store(pd.add(i), v);
-                allv = _mm256_and_si256(allv, v);
-                i += LANES;
-            }
-            // testc(a, ones) == 1  ⟺  !a & ones == 0  ⟺  a == ones.
-            let mut all = if _mm256_testc_si256(allv, ones) == 1 {
-                u64::MAX
-            } else {
-                0
-            };
-            for i in blocks..n {
-                dst[i] |= src[i];
-                all &= dst[i];
-            }
-            all == u64::MAX
-        }
-    }
-
-    /// # Safety
-    /// As [`fused_pass2`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn or_and_into(dst: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool {
-        let n = dst.len();
-        let blocks = n / LANES * LANES;
-        // SAFETY: bounds as in `fused_pass2`.
-        unsafe {
-            let vm1 = _mm256_set1_epi64x(m1 as i64);
-            let vm2 = _mm256_set1_epi64x(m2 as i64);
-            let ones = _mm256_set1_epi64x(-1);
-            let mut allv = ones;
-            let (pd, p1, p2) = (dst.as_mut_ptr(), s1.as_ptr(), s2.as_ptr());
-            let mut i = 0;
-            while i < blocks {
-                let x = _mm256_xor_si256(load(p1.add(i)), vm1);
-                let y = _mm256_xor_si256(load(p2.add(i)), vm2);
-                let v = _mm256_or_si256(load(pd.add(i)), _mm256_and_si256(x, y));
-                store(pd.add(i), v);
-                allv = _mm256_and_si256(allv, v);
-                i += LANES;
-            }
-            let mut all = if _mm256_testc_si256(allv, ones) == 1 {
-                u64::MAX
-            } else {
-                0
-            };
-            for i in blocks..n {
-                dst[i] |= (s1[i] ^ m1) & (s2[i] ^ m2);
-                all &= dst[i];
-            }
-            all == u64::MAX
-        }
-    }
-
-    /// Vectors a comparison pass holds in registers per chain.
-    const CHAIN_VECTORS: usize = 4;
-    /// Words per comparison block.
-    const BLOCK: usize = CHAIN_VECTORS * LANES;
-
-    /// Words `p .. p + BLOCK` as four vectors.
-    ///
-    /// # Safety
-    /// As [`load`], for `p .. p + BLOCK`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_block(p: *const u64) -> [__m256i; CHAIN_VECTORS] {
-        // SAFETY: the caller guarantees `p .. p + BLOCK` is in-bounds.
-        unsafe { [load(p), load(p.add(4)), load(p.add(8)), load(p.add(12))] }
-    }
-
-    /// The running value of `c` over words `at .. at + BLOCK`.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 support, and every operand of `c`
-    /// must hold at least `at + BLOCK` words.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn chain_block(c: &Chain, at: usize) -> [__m256i; CHAIN_VECTORS] {
-        // SAFETY: the caller guarantees `at + BLOCK` words in every
-        // operand.
-        unsafe {
-            let mut x = load_block(c.start.as_ptr().add(at));
-            for (t, op) in c.ops.iter().enumerate() {
-                let b = load_block(op.as_ptr().add(at));
-                if c.ands >> t & 1 == 1 {
-                    for (x, b) in x.iter_mut().zip(b) {
-                        *x = _mm256_and_si256(*x, b);
-                    }
-                } else {
-                    for (x, b) in x.iter_mut().zip(b) {
-                        *x = _mm256_or_si256(*x, b);
-                    }
-                }
-            }
-            x
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 support; every operand of both
-    /// chains must be as long as `dst` (checked by the dispatching
-    /// wrapper).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn compare_pass(dst: &mut [u64], ge: Option<&Chain>, gt: Option<&Chain>) {
-        let blocks = dst.len() / BLOCK * BLOCK;
-        // SAFETY: every block starts at `at <= blocks - BLOCK`, so its
-        // loads and stores stay below `blocks <= dst.len()`, the length
-        // of every operand.
-        unsafe {
-            let ones = _mm256_set1_epi64x(-1);
-            let zeros = _mm256_setzero_si256();
-            let pd = dst.as_mut_ptr();
-            let mut at = 0;
-            while at < blocks {
-                let x = match ge {
-                    Some(c) => chain_block(c, at),
-                    None => [ones; CHAIN_VECTORS],
-                };
-                let y = match gt {
-                    Some(c) => chain_block(c, at),
-                    None => [zeros; CHAIN_VECTORS],
-                };
-                for (v, (x, y)) in x.into_iter().zip(y).enumerate() {
-                    store(pd.add(at + v * LANES), _mm256_andnot_si256(y, x));
-                }
-                at += BLOCK;
-            }
-        }
-        scalar::compare_tail(dst, ge, gt, blocks);
-    }
-
-    /// Per-lane one counts of `v`, as four `u64`s: Muła's nibble
-    /// lookup, then a sum of absolute differences against zero.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 support.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn nibble_counts(v: __m256i) -> __m256i {
-        let table = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
-            3, 3, 4,
-        );
-        let low = _mm256_set1_epi8(0x0f);
-        let lo = _mm256_and_si256(v, low);
-        let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), low);
-        _mm256_add_epi8(
-            _mm256_shuffle_epi8(table, lo),
-            _mm256_shuffle_epi8(table, hi),
-        )
-    }
-
-    /// The sum of a vector's four `u64` lanes.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 support.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn lane_sum(v: __m256i) -> u64 {
-        let mut lanes = [0u64; LANES];
-        // SAFETY: `lanes` holds the four words written.
-        unsafe { store(lanes.as_mut_ptr(), v) };
-        lanes.iter().sum()
-    }
-
-    /// Vectors whose byte counts are summed before they are widened:
-    /// each byte counts at most 8 per vector, so 31 fit a byte.
-    const BYTE_ROUNDS: usize = 31;
-
-    /// # Safety
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_ones(words: &[u64]) -> u64 {
-        let blocks = words.len() / LANES * LANES;
-        // SAFETY: every load reads `i .. i + 4` with `i + 4 <= blocks`.
-        let vectors = unsafe {
-            let p = words.as_ptr();
-            let mut total = _mm256_setzero_si256();
-            let mut i = 0;
-            while i < blocks {
-                let end = (i + BYTE_ROUNDS * LANES).min(blocks);
-                let mut bytes = _mm256_setzero_si256();
-                while i < end {
-                    bytes = _mm256_add_epi8(bytes, nibble_counts(load(p.add(i))));
-                    i += LANES;
-                }
-                total = _mm256_add_epi64(total, _mm256_sad_epu8(bytes, _mm256_setzero_si256()));
-            }
-            lane_sum(total)
-        };
-        vectors + scalar::count_ones(&words[blocks..])
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_runs(words: &[u64]) -> u64 {
-        let Some(&first) = words.first() else {
-            return 0;
-        };
-        // Word 0 has no word before it; from word 1 on, four words and
-        // the four before them are loaded side by side.
-        let head = scalar::count_runs(&[first]);
-        let blocks = 1 + (words.len() - 1) / LANES * LANES;
-        // SAFETY: every iteration reads `i - 1 .. i + 4` with `i >= 1`
-        // and `i + 4 <= blocks <= words.len()`.
-        let vectors = unsafe {
-            let p = words.as_ptr();
-            let mut total = _mm256_setzero_si256();
-            let mut i = 1;
-            while i < blocks {
-                let end = (i + BYTE_ROUNDS * LANES).min(blocks);
-                let mut bytes = _mm256_setzero_si256();
-                while i < end {
-                    let w = load(p.add(i));
-                    let carry = _mm256_srli_epi64::<63>(load(p.add(i - 1)));
-                    let starts =
-                        _mm256_andnot_si256(_mm256_or_si256(_mm256_slli_epi64::<1>(w), carry), w);
-                    bytes = _mm256_add_epi8(bytes, nibble_counts(starts));
-                    i += LANES;
-                }
-                total = _mm256_add_epi64(total, _mm256_sad_epu8(bytes, _mm256_setzero_si256()));
-            }
-            lane_sum(total)
-        };
-        head + vectors + scalar::count_runs_after(&words[blocks..], words[blocks - 1] >> 63)
+    avx2! {
+        fused_pass2(acc: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool;
+        and_pass(acc: &mut [u64], src: &[u64], m: u64) -> bool;
+        or_into(dst: &mut [u64], src: &[u64]) -> bool;
+        or_and_into(dst: &mut [u64], s1: &[u64], s2: &[u64], m1: u64, m2: u64) -> bool;
+        compare_pass::<64>(dst: &mut [u64], ge: Option<&Chain>, gt: Option<&Chain>);
+        count_ones(words: &[u64]) -> u64;
+        count_runs(words: &[u64]) -> u64;
     }
 }
 
@@ -915,7 +642,7 @@ mod tests {
                 }
             })
         }
-        for n in [0usize, 1, 15, 16, 17, 40] {
+        for n in [0usize, 1, 15, 16, 17, 40, 64, 65, 130] {
             let operands: Vec<Vec<u64>> = (0..6).map(|i| words(n, 0x1000 + i)).collect();
             let refs: Vec<&[u64]> = operands.iter().map(Vec::as_slice).collect();
             for ands in [0u64, 0b1_0101, 0b1_1111] {

@@ -15,7 +15,9 @@
 
 use ebi_bitvec::builder::SliceFamilyBuilder;
 use ebi_bitvec::roaring::{RoaringBitmap, WindowKind, CHUNK_BITS};
-use ebi_bitvec::{BitVec, SliceStorage, StorageKind, StoragePolicy, SEGMENT_BITS, WORD_BITS};
+use ebi_bitvec::{
+    BitVec, SliceStorage, StorageKind, StoragePolicy, SEGMENT_BITS, SEGMENT_WORDS, WORD_BITS,
+};
 use proptest::prelude::*;
 
 /// Deterministic xorshift so bit contents derive from one seed.
@@ -227,6 +229,77 @@ proptest! {
                         let last = slice.words()[rows / WORD_BITS];
                         prop_assert_eq!(last >> ragged, 0, "width {} slice {}: bits past the end", width, i);
                     }
+                }
+            }
+        }
+    }
+}
+
+/// `bits` as a Roaring image whose every chunk is an Array container.
+/// The writer stores a full tail as one run, so only a persisted image
+/// holds a nearly full Array; `from_bytes` accepts it.
+fn array_image(bits: &BitVec) -> RoaringBitmap {
+    let mut chunks: Vec<(u32, Vec<u16>)> = Vec::new();
+    for i in bits.iter_ones() {
+        let (key, pos) = ((i / CHUNK_BITS) as u32, (i % CHUNK_BITS) as u16);
+        match chunks.last_mut() {
+            Some((k, positions)) if *k == key => positions.push(pos),
+            _ => chunks.push((key, vec![pos])),
+        }
+    }
+    let mut image = (bits.len() as u64).to_le_bytes().to_vec();
+    image.extend((chunks.len() as u32).to_le_bytes());
+    for (key, positions) in chunks {
+        image.extend(key.to_le_bytes());
+        image.push(0);
+        image.extend((positions.len() as u32).to_le_bytes());
+        positions.iter().for_each(|p| image.extend(p.to_le_bytes()));
+    }
+    RoaringBitmap::from_bytes(&image).expect("a valid image")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The last window of a table of `2^16·n + r` rows, from an Array
+    /// container that holds none, all, or all but one of its `r` rows:
+    /// `fill_window` classifies it as the dense words do and fills the
+    /// mixed one with them.
+    #[test]
+    fn ragged_last_window_of_an_array_matches_the_dense_words(
+        seed in any::<u64>(),
+        chunks in 0usize..3,
+        drawn in 1usize..CHUNK_BITS,
+        missing in any::<prop::sample::Index>(),
+    ) {
+        for r in [1, 63, 64, 4_097, drawn] {
+            let len = chunks * CHUNK_BITS + r;
+            let head = chunks * CHUNK_BITS;
+            let gap = head + missing.index(r);
+            for shape in ["empty", "full", "full but one"] {
+                let mut bits = random_bits(head, 500, seed);
+                bits.grow(len);
+                if shape != "empty" {
+                    (head..len).filter(|&i| shape == "full" || i != gap)
+                        .for_each(|i| bits.set(i, true));
+                }
+                let roaring = array_image(&bits);
+                let words = bits.words();
+                let start = (words.len() - 1) / SEGMENT_WORDS * SEGMENT_WORDS;
+                let mut out = vec![0xDEAD_BEEF; words.len() - start];
+                let fill = roaring.fill_window(start, &mut out);
+
+                let valid = len - start * WORD_BITS;
+                let ones = (start * WORD_BITS..len).filter(|&i| bits.bit(i)).count();
+                let want = match ones {
+                    0 => WindowKind::Zeros,
+                    n if n == valid => WindowKind::Ones,
+                    _ => WindowKind::Mixed,
+                };
+                let case = format!("{shape} tail, {len} rows");
+                prop_assert_eq!(fill.kind, want, "{}", case);
+                if fill.kind == WindowKind::Mixed {
+                    prop_assert_eq!(&out[..], &words[start..], "{}", case);
                 }
             }
         }

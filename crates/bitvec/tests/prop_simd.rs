@@ -1,11 +1,11 @@
-//! Differential property tests proving the AVX2 kernel tier is a
-//! drop-in replacement for the scalar reference.
+//! Differential property tests proving the AVX2 compilation of the
+//! kernel passes is a drop-in replacement for the scalar one.
 //!
 //! Every tier the host can run ([`simd::available_paths`]) must
 //! produce **bit-identical** output and **identical cost counters**
 //! for every kernel, over random operand mixes (1–6 literals per
 //! term, arbitrary negation patterns), odd tail lengths that leave
-//! the 4-word vector blocks ragged, and all-zero / all-one operands
+//! the vectorised blocks ragged, and all-zero / all-one operands
 //! that drive the saturation short-circuits; the comparison pass over
 //! random chains, and the two counting passes. The DNF kernel is checked
 //! end-to-end over plain vectors and both containers (Dense /
@@ -108,7 +108,8 @@ proptest! {
 
     /// The comparison pass: two chains of random length, start and
     /// AND/OR pattern (either may be absent), every tier bit-identical to
-    /// the scalar tier at lengths that leave the 16-word blocks ragged.
+    /// the scalar tier at lengths that leave the 16- and 64-word blocks
+    /// ragged.
     #[test]
     fn compare_pass_matches_scalar_on_every_tier(
         seed in any::<u64>(),

@@ -54,12 +54,6 @@ impl Column {
         Self::default()
     }
 
-    /// Builds a column from cells.
-    #[must_use]
-    pub fn from_cells(cells: Vec<Cell>) -> Self {
-        Self { cells }
-    }
-
     /// Builds a column of non-NULL values.
     #[must_use]
     pub fn from_values<I: IntoIterator<Item = u64>>(values: I) -> Self {

@@ -91,12 +91,6 @@ impl StarSchema {
         &self.fact
     }
 
-    /// Mutable fact table (for loads).
-    #[must_use]
-    pub fn fact_mut(&mut self) -> &mut Table {
-        &mut self.fact
-    }
-
     /// All dimensions.
     #[must_use]
     pub fn dimensions(&self) -> &[Dimension] {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every paper artefact: figure CSVs, the digest, the timing
-# table, the SIMD-vs-scalar kernel comparison and the service telemetry
-# transcripts. Run from the workspace root.
+# table (whose `/scalar` rows price the AVX2 compilation of the kernel
+# passes) and the service telemetry transcripts. Run from the workspace
+# root.
 set -euo pipefail
 
 cargo build --release -p ebi-bench --bins
@@ -39,9 +40,6 @@ if command -v taskset >/dev/null; then
   fi
 fi
 $pin ./target/release/timing > /dev/null
-
-echo "==== eval_kernels (full) ===="
-./target/release/eval_kernels
 
 echo "==== service telemetry (traces with their query reports, metrics, log) ===="
 # Live service telemetry: run a short ebi_serve session with worst-case
